@@ -1,19 +1,23 @@
 //! `ulm-serve` speed benches: what the content-addressed cache buys on
 //! repeated evaluation, and what the parallelism knob buys on a DSE sweep.
 //!
-//! Two groups:
+//! Three groups:
 //!
 //! * `serve_cache` — the same search request answered cold (fresh service
 //!   every iteration) vs warm (one service, cache hit after the first
 //!   iteration);
+//! * `serve_codec` — the JSON byte path a cache hit and a restart pay:
+//!   printing and parsing one search response, and `EvalService::open`
+//!   replaying a 3,000-record durable log;
 //! * `dse_parallelism` — the identical design sweep on 1 vs N threads
 //!   (the results are byte-identical; only the wall clock changes).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use serde::Value;
 use std::hint::black_box;
 use ulm::dse::{enumerate_designs, explore, ExploreOptions, MemoryPool};
 use ulm::prelude::*;
-use ulm::serve::{EvalService, ServeOptions};
+use ulm::serve::{CacheLog, EvalService, ServeOptions, CACHE_LOG_FILE};
 
 const REQUEST: &str = r#"{"kind":"search","arch":"case16","layer":"64x96x640","mapper":{"max_exhaustive":500,"samples":50}}"#;
 
@@ -42,6 +46,52 @@ fn bench_cached_vs_uncached(c: &mut Criterion) {
         b.iter(|| black_box(warm.handle_line(black_box(REQUEST))))
     });
     g.finish();
+}
+
+fn bench_codec(c: &mut Criterion) {
+    let warm = quiet_service();
+    let line = warm.handle_line(REQUEST).expect("a search answers");
+    let response: Value = serde_json::from_str(&line).expect("responses are JSON");
+    let mut g = c.benchmark_group("serve_codec");
+    g.bench_function("print_search_response", |b| {
+        b.iter(|| black_box(serde_json::to_string(black_box(&response)).unwrap()))
+    });
+    g.bench_function("parse_search_response", |b| {
+        b.iter(|| black_box(serde_json::from_str::<Value>(black_box(&line)).unwrap()))
+    });
+
+    // A durable log of 3,000 distinct fingerprints, each holding the
+    // search outcome the warm service computed.
+    let (_, outcome) = warm
+        .cache()
+        .snapshot()
+        .pop()
+        .expect("the search was cached");
+    let payload = serde_json::to_string(&outcome).expect("printing is infallible");
+    let dir = std::env::temp_dir().join(format!("ulm-bench-open-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the log directory");
+    let (mut log, _, _) = CacheLog::open(&dir.join(CACHE_LOG_FILE)).expect("create the log");
+    for i in 0..3_000u128 {
+        log.append(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), payload.as_bytes())
+            .expect("append a record");
+    }
+    drop(log);
+    g.sample_size(10);
+    g.bench_function("open_3000_record_log", |b| {
+        b.iter(|| {
+            black_box(
+                EvalService::open(ServeOptions {
+                    parallelism: Some(1),
+                    cache_dir: Some(dir.clone()),
+                    ..ServeOptions::default()
+                })
+                .expect("the log replays"),
+            )
+        })
+    });
+    g.finish();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn bench_dse_parallelism(c: &mut Criterion) {
@@ -76,5 +126,10 @@ fn bench_dse_parallelism(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_cached_vs_uncached, bench_dse_parallelism);
+criterion_group!(
+    benches,
+    bench_cached_vs_uncached,
+    bench_codec,
+    bench_dse_parallelism
+);
 criterion_main!(benches);

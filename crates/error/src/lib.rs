@@ -107,6 +107,12 @@ pub enum UlmError {
     Io(std::io::Error),
     /// A JSON serialization failure while producing output.
     Json(serde_json::Error),
+    /// A request handler panicked. The serve tier catches the panic,
+    /// keeps its worker alive and answers with this error.
+    Panic {
+        /// The panic payload's message, when it carried one.
+        message: String,
+    },
 }
 
 /// The stable code of one fusion-validation failure. Shared between
@@ -214,6 +220,7 @@ impl UlmError {
             UlmError::Config(_) => "config/invalid",
             UlmError::Io(_) => "io/error",
             UlmError::Json(_) => "json/error",
+            UlmError::Panic { .. } => "internal/panic",
         }
     }
 }
@@ -252,6 +259,7 @@ impl fmt::Display for UlmError {
             UlmError::Config(msg) => f.write_str(msg),
             UlmError::Io(e) => e.fmt(f),
             UlmError::Json(e) => e.fmt(f),
+            UlmError::Panic { message } => write!(f, "request handler panicked: {message}"),
         }
     }
 }
@@ -277,7 +285,8 @@ impl std::error::Error for UlmError {
             | UlmError::Config(_)
             | UlmError::TooLarge { .. }
             | UlmError::OverCapacity { .. }
-            | UlmError::CacheCorrupt { .. } => None,
+            | UlmError::CacheCorrupt { .. }
+            | UlmError::Panic { .. } => None,
         }
     }
 }
@@ -409,6 +418,12 @@ mod tests {
             (UlmError::config("unknown arch `x`"), "config/invalid"),
             (UlmError::TooLarge { limit: 1024 }, "request/too-large"),
             (UlmError::OverCapacity { active: 9 }, "serve/over-capacity"),
+            (
+                UlmError::Panic {
+                    message: "index out of bounds".into(),
+                },
+                "internal/panic",
+            ),
             (ReactorError::Unsupported.into(), "reactor/unsupported"),
             (
                 UlmError::CacheCorrupt {

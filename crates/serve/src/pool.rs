@@ -5,7 +5,8 @@
 //! When the queue is full, `submit` **blocks** — backpressure propagates to
 //! producers instead of queueing unboundedly. Dropping the pool performs a
 //! graceful shutdown: already-queued jobs still run, then workers exit and
-//! are joined.
+//! are joined. A job that panics takes down neither its worker thread nor
+//! the pool: the worker catches the unwind and moves on to the next job.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -60,8 +61,9 @@ impl<T> JobHandle<T> {
     ///
     /// # Panics
     ///
-    /// Panics if called twice (the result has already been taken) or if the
-    /// job itself panicked on a worker.
+    /// Panics if the job itself panicked on a worker (the worker survives;
+    /// only this handle's result is lost). Jobs that must always answer
+    /// catch their own panics, as `EvalService::handle_line` does.
     pub fn wait(self) -> T {
         let mut guard = self
             .slot
@@ -258,7 +260,11 @@ fn worker_loop(shared: &Shared) {
         };
         shared.not_full.notify_one();
         shared.in_flight.fetch_add(1, Ordering::Relaxed);
-        job();
+        // A panicking job drops its result slot while unwinding, which is
+        // how its handle learns of the panic; the worker itself lives on.
+        // The queue lock is not held here, so nothing shared is left
+        // half-updated.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
         shared.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -337,6 +343,32 @@ mod tests {
         assert_eq!(s.completed, 10);
         assert_eq!(s.workers, 2);
         assert_eq!(s.queue_depth, 0);
+    }
+
+    #[test]
+    fn panicking_jobs_leave_every_worker_alive() {
+        let workers = 2;
+        let pool = WorkerPool::new(workers, 8);
+        // One more panic than there are workers: if a panic killed its
+        // worker, nothing would be left to run the job queued after them.
+        let panicked: Vec<_> = (0..=workers)
+            .map(|i| pool.submit(move || -> u64 { panic!("injected panic {i}") }))
+            .collect();
+        let h = pool.submit(|| 7u64);
+        for _ in 0..2000 {
+            if h.is_ready() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(h.is_ready(), "the pool stopped answering after panics");
+        assert_eq!(h.wait(), 7);
+        for p in panicked {
+            let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.wait()));
+            assert!(waited.is_err(), "a panicked job has no result");
+        }
+        let s = pool.stats();
+        assert_eq!((s.submitted, s.completed), (4, 1));
     }
 
     #[test]

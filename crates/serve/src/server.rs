@@ -963,14 +963,42 @@ fn encode_snapshot(cache: &ResultCache<EvalOutcome>) -> Vec<(u128, Vec<u8>)> {
 /// One protocol-shaped error line (`id:null`, `ok:false`, message + code)
 /// for failures that happen before a request can be parsed at all —
 /// oversized lines, over-capacity rejections.
-fn error_response(err: &UlmError) -> String {
-    let entries = vec![
-        ("id".to_string(), Value::Null),
-        ("ok".to_string(), Value::Bool(false)),
-        ("error".to_string(), Value::String(err.to_string())),
-        ("code".to_string(), Value::String(err.code().to_string())),
-    ];
+fn error_response(err: UlmError) -> String {
+    response_line(Value::Null, Err(err))
+}
+
+/// One response line: the request's `id`, then `"ok":true` with the
+/// result fields, or `"ok":false` with the error message and its stable
+/// machine-readable `domain/kind` code.
+fn response_line(id: Value, body: Result<Vec<(String, Value)>, UlmError>) -> String {
+    let mut entries = vec![("id".to_string(), id)];
+    match body {
+        Ok(fields) => {
+            entries.push(("ok".to_string(), Value::Bool(true)));
+            entries.extend(fields);
+        }
+        Err(e) => {
+            entries.push(("ok".to_string(), Value::Bool(false)));
+            entries.push(("error".to_string(), Value::String(e.to_string())));
+            entries.push(("code".to_string(), Value::String(e.code().to_string())));
+        }
+    }
     serde_json::to_string(&Value::Object(entries)).expect("printing is infallible")
+}
+
+/// Runs a request handler, turning a panic into an `internal/panic` error
+/// so the request still gets its answer. The service takes every lock
+/// poison-tolerantly, and [`FlightRelease`] frees a panicking leader's
+/// single-flight slot, so an unwind leaves no other request waiting.
+fn catch_panic<T>(handler: impl FnOnce() -> Result<T, UlmError>) -> Result<T, UlmError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(UlmError::Panic { message })
+    })
 }
 
 /// Coordination point for concurrent identical queries (single-flight):
@@ -979,6 +1007,30 @@ fn error_response(err: &UlmError) -> String {
 struct Inflight {
     done: Mutex<bool>,
     cv: std::sync::Condvar,
+}
+
+/// A single-flight leader's claim on its slot. Dropping it — when the
+/// leader returns or unwinds from a panic — unregisters the slot and wakes
+/// the followers, so no one waits on a leader that will never finish.
+struct FlightRelease<'a> {
+    inflight: &'a Mutex<std::collections::HashMap<u128, Arc<Inflight>>>,
+    fp: u128,
+    slot: Arc<Inflight>,
+}
+
+impl Drop for FlightRelease<'_> {
+    fn drop(&mut self) {
+        self.inflight
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .remove(&self.fp);
+        *self
+            .slot
+            .done
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
+        self.slot.cv.notify_all();
+    }
 }
 
 /// Durable-store state and counters for a disk-backed service.
@@ -1238,27 +1290,14 @@ impl EvalService {
         let (id, body) = match serde_json::from_str::<Value>(line) {
             Ok(req) => {
                 let id = req.get("id").cloned().unwrap_or(Value::Null);
-                (id.clone(), self.respond(&req))
+                (id, catch_panic(|| self.respond(&req)))
             }
             Err(e) => (
                 Value::Null,
                 Err(UlmError::invalid_request(format!("invalid JSON: {e}"))),
             ),
         };
-        let mut entries = vec![("id".to_string(), id)];
-        match body {
-            Ok(fields) => {
-                entries.push(("ok".to_string(), Value::Bool(true)));
-                entries.extend(fields);
-            }
-            Err(e) => {
-                entries.push(("ok".to_string(), Value::Bool(false)));
-                entries.push(("error".to_string(), Value::String(e.to_string())));
-                // The stable machine-readable error code, `domain/kind`.
-                entries.push(("code".to_string(), Value::String(e.code().to_string())));
-            }
-        }
-        Some(serde_json::to_string(&Value::Object(entries)).expect("printing is infallible"))
+        Some(response_line(id, body))
     }
 
     /// Submits one line to the worker pool (blocking while the queue is
@@ -1269,6 +1308,11 @@ impl EvalService {
     }
 
     fn respond(&self, req: &Value) -> Result<Vec<(String, Value)>, UlmError> {
+        // Unit tests inject a handler panic with this request kind.
+        #[cfg(test)]
+        if req.get("kind").and_then(Value::as_str) == Some("test/panic") {
+            panic!("injected handler panic");
+        }
         match parse_request(req)? {
             Request::Stats => Ok(self.stats_fields()),
             Request::WhatIf { base, set } => {
@@ -1602,6 +1646,11 @@ impl EvalService {
             };
             match role {
                 Role::Leader(slot) => {
+                    let _release = FlightRelease {
+                        inflight: &self.inflight,
+                        fp: fp.0,
+                        slot,
+                    };
                     let result = query.execute();
                     if let Ok(out) = &result {
                         if let Some(meta) = &out.search {
@@ -1615,15 +1664,6 @@ impl EvalService {
                         self.cache.insert(fp, out.clone());
                         self.persist(fp, out);
                     }
-                    self.inflight
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .remove(&fp.0);
-                    *slot
-                        .done
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-                    slot.cv.notify_all();
                     return result.map(|out| (out, false));
                 }
                 Role::Follower(slot) => {
@@ -1780,7 +1820,7 @@ pub fn run_batch<R: BufRead, W: Write>(
             BoundedLine::Oversized => {
                 // Answered in order like any other request, through the
                 // pool so the pipeline's ordering invariant holds.
-                let response = error_response(&UlmError::TooLarge { limit });
+                let response = error_response(UlmError::TooLarge { limit });
                 pending.push_back(service.pool.submit(move || Some(response)));
             }
             BoundedLine::Line(line) => {
@@ -1833,7 +1873,7 @@ fn serve_connection(service: &Arc<EvalService>, stream: &std::net::TcpStream) {
     loop {
         let response = match read_bounded_line(&mut reader, &mut buf, &mut discarding, limit) {
             Err(_) | Ok(BoundedLine::Eof) => break,
-            Ok(BoundedLine::Oversized) => error_response(&UlmError::TooLarge { limit }),
+            Ok(BoundedLine::Oversized) => error_response(UlmError::TooLarge { limit }),
             Ok(BoundedLine::Line(line)) => match service.submit_line(line).wait() {
                 Some(response) => response,
                 None => continue, // blank line
@@ -1921,11 +1961,11 @@ impl ulm_reactor::LineService for ReactorService {
     }
 
     fn oversized(&self, limit: usize) -> Option<String> {
-        Some(error_response(&UlmError::TooLarge { limit }))
+        Some(error_response(UlmError::TooLarge { limit }))
     }
 
     fn over_capacity(&self, active: usize) -> Option<String> {
-        Some(error_response(&UlmError::OverCapacity { active }))
+        Some(error_response(UlmError::OverCapacity { active }))
     }
 
     fn capacity_hint(&self) -> usize {
@@ -2063,6 +2103,69 @@ mod tests {
                 "{bad}"
             );
         }
+    }
+
+    #[test]
+    fn panicking_handlers_answer_and_keep_the_pool_serving() {
+        let svc = service();
+        let panic_line = r#"{"id":5,"kind":"test/panic"}"#;
+        let expected = r#"{"id":5,"ok":false,"error":"request handler panicked: injected handler panic","code":"internal/panic"}"#;
+        // More panics than workers, on the threaded transport's path.
+        let workers = svc.pool_stats().workers;
+        for _ in 0..=workers {
+            let response = svc.submit_line(panic_line.to_string()).wait();
+            assert_eq!(response.as_deref(), Some(expected));
+        }
+        // The batch transport answers in order around the panic.
+        let input = format!("{panic_line}\n{{\"id\":6,\"kind\":\"stats\"}}\n");
+        let mut out = Vec::new();
+        let summary = run_batch(&svc, input.as_bytes(), &mut out).unwrap();
+        assert_eq!((summary.requests, summary.errors), (2, 1));
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines[0], expected);
+        assert_eq!(parse(lines[1]).get("ok"), Some(&Value::Bool(true)));
+    }
+
+    #[test]
+    fn a_panicking_leader_releases_its_followers() {
+        let svc = service();
+        let fp = 42u128;
+        let slot = Arc::new(Inflight {
+            done: Mutex::new(false),
+            cv: std::sync::Condvar::new(),
+        });
+        svc.inflight.lock().unwrap().insert(fp, Arc::clone(&slot));
+        // A follower waits on the slot the way `lookup_or_execute` does.
+        let (waiting_tx, waiting) = std::sync::mpsc::channel();
+        let (woke_tx, woke) = std::sync::mpsc::channel();
+        let follower = Arc::clone(&slot);
+        std::thread::spawn(move || {
+            let mut done = follower.done.lock().unwrap();
+            // Sent with the lock held: the leader cannot finish before
+            // this thread is inside `wait`.
+            waiting_tx.send(()).unwrap();
+            while !*done {
+                done = follower.cv.wait(done).unwrap();
+            }
+            woke_tx.send(()).unwrap();
+        });
+        waiting.recv().unwrap();
+        let leader = {
+            let (svc, slot) = (Arc::clone(&svc), Arc::clone(&slot));
+            std::thread::spawn(move || {
+                let _release = FlightRelease {
+                    inflight: &svc.inflight,
+                    fp,
+                    slot,
+                };
+                panic!("leader panicked mid-search");
+            })
+        };
+        assert!(leader.join().is_err());
+        woke.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the follower was woken");
+        assert!(svc.inflight.lock().unwrap().is_empty());
     }
 
     #[test]

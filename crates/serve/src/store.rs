@@ -45,10 +45,13 @@ pub type LogEntries = Vec<(u128, Vec<u8>)>;
 /// a 3 GiB record.
 const MAX_RECORD_LEN: u32 = 64 << 20;
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic bytewise
+/// table; `CRC_TABLES[k][b]` is the CRC state contribution of byte `b`
+/// followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -61,17 +64,41 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-/// CRC-32 (IEEE 802.3 polynomial) of `data`.
+/// CRC-32 (IEEE 802.3 polynomial) of `data`, eight bytes per step.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -321,6 +348,17 @@ impl CacheLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
+
+    /// The one-byte-per-step CRC-32 loop: the oracle for [`crc32`].
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
 
     fn record_entries(entries: &[(u128, &[u8])]) -> Vec<u8> {
         let mut bytes = MAGIC.to_vec();
@@ -335,6 +373,22 @@ mod tests {
         // The classic IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn crc32_matches_the_bytewise_loop(
+            data in collection::vec(any::<u8>(), 0..10_240),
+            skip in 0usize..8,
+        ) {
+            prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
+            // Every start offset and tail length against the 8-byte stride.
+            let tail = &data[skip.min(data.len())..];
+            prop_assert_eq!(crc32(tail), crc32_bytewise(tail));
+        }
     }
 
     #[test]

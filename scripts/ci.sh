@@ -36,6 +36,10 @@ cargo test --release -q -p ulm-mapper --test search_equivalence --test alloc_fre
 echo "==> batch-vs-scalar equivalence gate (release)"
 cargo test --release -q -p ulm --test batch_equivalence
 
+echo "==> JSON codec oracle + slice-by-8 CRC proptests (release)"
+cargo test --release -q -p ulm-serve --test serde_roundtrip
+cargo test --release -q -p ulm-serve --lib store::tests
+
 echo "==> lowered-IR consistency proptests (release: pins, fusion, KV-cache)"
 cargo test --release -q -p ulm --test lowered_consistency
 
