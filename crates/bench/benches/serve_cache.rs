@@ -17,7 +17,7 @@ use serde::Value;
 use std::hint::black_box;
 use ulm::dse::{enumerate_designs, explore, ExploreOptions, MemoryPool};
 use ulm::prelude::*;
-use ulm::serve::{CacheLog, EvalService, ServeOptions, CACHE_LOG_FILE};
+use ulm::serve::{CacheLog, EvalOutcome, EvalService, ServeOptions, CACHE_LOG_FILE};
 
 const REQUEST: &str = r#"{"kind":"search","arch":"case16","layer":"64x96x640","mapper":{"max_exhaustive":500,"samples":50}}"#;
 
@@ -61,12 +61,10 @@ fn bench_codec(c: &mut Criterion) {
     });
 
     // A durable log of 3,000 distinct fingerprints, each holding the
-    // search outcome the warm service computed.
-    let (_, outcome) = warm
-        .cache()
-        .snapshot()
-        .pop()
-        .expect("the search was cached");
+    // search outcome the warm service computed (the answer carries every
+    // outcome field).
+    let outcome: EvalOutcome =
+        serde::Deserialize::from_value(&response).expect("the answer holds the outcome");
     let payload = serde_json::to_string(&outcome).expect("printing is infallible");
     let dir = std::env::temp_dir().join(format!("ulm-bench-open-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -19,9 +19,9 @@
 //!   fused segments whose intermediates stay pinned on chip:
 //!   `{"kind":"net","id":4,"arch":"toy","net":"attention-decode","fuse":[{"layers":["logit","attend"],"pin":"LB"}]}`.
 //!   The `fuse` field enters the fingerprint, so the same network with and
-//!   without fusion are distinct cache identities. Network runs are not
-//!   memoized (their result shape differs from the per-layer cache), but
-//!   the fingerprint still lets clients correlate responses.
+//!   without fusion are distinct cache identities. Network runs share the
+//!   eval/search path — result cache, single-flight and durable log — but
+//!   their answers carry no `cached` marker; hits show in `/stats`.
 //! * `surrogate` — answer a fixed-architecture workload-dimension query
 //!   from a cached arch-specialized [`SpecializedModel`]:
 //!   `{"kind":"surrogate","id":5,"arch":"case16","layer":"128x96x640","template":"64x96x640"}`.
@@ -34,18 +34,20 @@
 //!   never the result. When the service was opened with a calibration
 //!   for the request's architecture, its fitted constants are applied
 //!   first and the calibration id enters the fingerprint.
-//! * `stats` — report cache hit rate, queue depth and request-latency
-//!   percentiles: `{"kind":"stats"}` (also accepted as `"/stats"`).
+//! * `stats` — report cache hit rate, queue depth, request-latency
+//!   percentiles and the count of handler panics: `{"kind":"stats"}` (also
+//!   accepted as `"/stats"`).
 //!
 //! Responses echo the request's `id` and carry `"ok":true` with a result, or
 //! `"ok":false` with an `"error"` string. A malformed line yields an error
 //! *response*, never a dropped connection.
 //!
 //! [`EvalService`] is the engine behind both transports: it routes every
-//! request through a bounded [`WorkerPool`] and memoizes eval/search results
-//! in a fingerprint-keyed [`ResultCache`]. [`run_batch`] drives it from any
-//! `BufRead`/`Write` pair (the `ulm batch` subcommand wires stdin/stdout);
-//! [`run_tcp`] serves `std::net::TcpListener` connections (`ulm serve`).
+//! request through a bounded [`WorkerPool`] and memoizes eval/search/net
+//! results in a fingerprint-keyed [`ResultCache`]. [`run_batch`] drives it
+//! from any `BufRead`/`Write` pair (the `ulm batch` subcommand wires
+//! stdin/stdout); [`run_tcp`] serves `std::net::TcpListener` connections
+//! (`ulm serve`).
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::fingerprint::{fingerprint_value, Fingerprint};
@@ -64,7 +66,7 @@ use ulm_energy::{EnergyModel, EnergyReport};
 use ulm_error::UlmError;
 pub use ulm_mapper::SearchStats;
 use ulm_mapper::{Mapper, MapperOptions, Objective};
-use ulm_mapping::{MappedLayer, Mapping, SpatialUnroll};
+use ulm_mapping::{MappedLayer, Mapping, SegmentResidency, SpatialUnroll};
 use ulm_model::{
     apply_overrides, Calibration, InputDelta, LatencyModel, LatencyReport, MappingShape,
     ModelOptions, ModelScratch, SpecializedModel,
@@ -119,7 +121,7 @@ pub const CACHE_LOG_FILE: &str = "results.ulmlog";
 /// Append-count threshold that triggers an automatic log compaction.
 const COMPACT_EVERY: u64 = 4096;
 
-/// A memoizable evaluation result (the cache's value type).
+/// A memoizable eval/search result, as the durable log stores it.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct EvalOutcome {
     /// The evaluated (for `eval`) or best-found (for `search`) mapping.
@@ -140,6 +142,64 @@ pub struct SearchMeta {
     /// The search's effort counters (the shared [`SearchStats`] from
     /// `ulm-mapper`, including the SoA lane count used).
     pub stats: SearchStats,
+}
+
+/// A memoizable `net` result: exactly the fields a `net` answer prints,
+/// in answer order.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+struct NetOutcome {
+    total_cycles: f64,
+    sequential_cycles: f64,
+    total_fj: f64,
+    utilization: f64,
+    segments: Vec<SegmentResidency>,
+    layers: Vec<NetLayerOutcome>,
+}
+
+/// One layer's row of a [`NetOutcome`].
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+struct NetLayerOutcome {
+    name: String,
+    cc_total: f64,
+    energy_fj: f64,
+    hidden_preload: u64,
+}
+
+/// The result cache's value type: whichever request kind computed the
+/// entry under a fingerprint.
+// Nearly every entry is a `Layer`; boxing it would add an allocation to
+// every cache hit to save space on the few `Net` entries.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+enum Outcome {
+    Layer(EvalOutcome),
+    Net(NetOutcome),
+}
+
+impl Outcome {
+    /// The durable-log payload. An eval/search outcome is printed as
+    /// itself — the bytes logs held before net entries existed — and a
+    /// net outcome as `{"net":{…}}`, a key no eval/search payload has.
+    fn encode(&self) -> Option<Vec<u8>> {
+        let value = match self {
+            Outcome::Layer(outcome) => outcome.to_value(),
+            Outcome::Net(outcome) => Value::Object(vec![("net".to_string(), outcome.to_value())]),
+        };
+        serde_json::to_string(&value).ok().map(String::into_bytes)
+    }
+
+    /// Decodes one persisted log payload; `None` when the JSON is
+    /// unreadable or matches neither outcome shape.
+    fn decode(payload: &[u8]) -> Option<Self> {
+        let text = std::str::from_utf8(payload).ok()?;
+        let value: Value = serde_json::from_str(text).ok()?;
+        match value.get("net") {
+            Some(net) => serde::Deserialize::from_value(net).ok().map(Outcome::Net),
+            None => serde::Deserialize::from_value(&value)
+                .ok()
+                .map(Outcome::Layer),
+        }
+    }
 }
 
 /// Incremental-evaluation counters across `whatif` requests, reported by
@@ -182,13 +242,13 @@ pub struct SearchTotals {
 /// Request-latency summary for `/stats`, in milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LatencySummary {
-    /// Completed eval/search/whatif requests measured.
+    /// Completed eval/search/whatif/surrogate/net requests measured.
     pub count: usize,
     /// Fastest request.
     pub min_ms: f64,
     /// Arithmetic mean.
     pub mean_ms: f64,
-    /// 95th percentile (nearest-rank).
+    /// 95th percentile (nearest-rank) over the most recent 4,096 requests.
     pub p95_ms: f64,
     /// Slowest request.
     pub max_ms: f64,
@@ -216,6 +276,55 @@ impl LatencySummary {
             p95_ms: sorted[rank - 1],
             max_ms: sorted[count - 1],
         }
+    }
+}
+
+/// Most recent request latencies the `/stats` p95 is computed over.
+const LATENCY_WINDOW: usize = 4096;
+
+/// Request latencies in bounded memory: exact running count, min, max and
+/// sum, plus a ring of the last [`LATENCY_WINDOW`] samples for the p95.
+#[derive(Debug, Default)]
+struct LatencyLog {
+    count: usize,
+    min_ms: f64,
+    max_ms: f64,
+    sum_ms: f64,
+    recent: Vec<f64>,
+    /// Ring slot the next sample overwrites once `recent` is full.
+    next: usize,
+}
+
+impl LatencyLog {
+    fn record(&mut self, ms: f64) {
+        if self.count == 0 {
+            (self.min_ms, self.max_ms) = (ms, ms);
+        } else {
+            self.min_ms = self.min_ms.min(ms);
+            self.max_ms = self.max_ms.max(ms);
+        }
+        self.count += 1;
+        self.sum_ms += ms;
+        if self.recent.len() < LATENCY_WINDOW {
+            self.recent.push(ms);
+        } else {
+            self.recent[self.next] = ms;
+            self.next = (self.next + 1) % LATENCY_WINDOW;
+        }
+    }
+
+    /// While every sample is still in the ring this is exactly
+    /// [`LatencySummary::from_samples`] over all of them; past the window,
+    /// count, min, max and mean come from the running totals.
+    fn summary(&self) -> LatencySummary {
+        let mut summary = LatencySummary::from_samples(&self.recent);
+        if self.count > self.recent.len() {
+            summary.count = self.count;
+            summary.min_ms = self.min_ms;
+            summary.max_ms = self.max_ms;
+            summary.mean_ms = self.sum_ms / self.count as f64;
+        }
+        summary
     }
 }
 
@@ -252,10 +361,9 @@ enum QueryMode {
 
 /// A whole-network scheduling query (the `net` request kind): a layer
 /// sequence plus optional depth-first fused segments and an inter-layer
-/// overlap policy. Unlike [`Query`] these are executed directly (the
-/// per-layer result cache's value shape does not fit a network report),
-/// but they still carry a fingerprint — and the `fuse` field is part of
-/// it, so fused and unfused runs of the same network never alias.
+/// overlap policy. Memoized like a [`Query`]; the `fuse` field is part of
+/// its fingerprint, so fused and unfused runs of the same network never
+/// alias.
 struct NetQuery {
     arch: Architecture,
     spatial: SpatialUnroll,
@@ -762,9 +870,29 @@ fn parse_request(req: &Value) -> Result<Request, UlmError> {
 // Execution
 // ---------------------------------------------------------------------------
 
-impl Query {
-    /// The canonical value tree that identifies this query. Everything that
-    /// can change the result is included.
+/// A memoized request: its fingerprint names the result, `execute`
+/// computes it on a cache miss. [`EvalService::lookup_or_execute`] runs
+/// every job through the same cache, single-flight and durable log.
+trait Job {
+    /// What the request's answer is built from.
+    type Output: Clone;
+
+    /// The canonical identity of the result. Everything that can change
+    /// it is included; thread and lane counts are not.
+    fn fingerprint(&self) -> Fingerprint;
+
+    fn execute(&self) -> Result<Self::Output, UlmError>;
+
+    /// Wraps a computed result as a cache entry.
+    fn into_outcome(output: Self::Output) -> Outcome;
+
+    /// Unwraps a cache entry; `None` when another kind computed it.
+    fn from_outcome(outcome: Outcome) -> Option<Self::Output>;
+}
+
+impl Job for Query {
+    type Output = EvalOutcome;
+
     fn fingerprint(&self) -> Fingerprint {
         let mut entries = vec![
             ("arch".to_string(), self.arch.to_value()),
@@ -827,13 +955,25 @@ impl Query {
             }
         }
     }
+
+    fn into_outcome(output: EvalOutcome) -> Outcome {
+        Outcome::Layer(output)
+    }
+
+    fn from_outcome(outcome: Outcome) -> Option<EvalOutcome> {
+        match outcome {
+            Outcome::Layer(output) => Some(output),
+            Outcome::Net(_) => None,
+        }
+    }
 }
 
-impl NetQuery {
-    /// The canonical value tree identifying this network run. The `fuse`
-    /// descriptors are included — fused and unfused evaluations of the
-    /// same network are different results and must never share an
-    /// identity. Thread counts are excluded, same as [`Query`].
+impl Job for NetQuery {
+    type Output = NetOutcome;
+
+    /// The `fuse` descriptors are included — fused and unfused evaluations
+    /// of the same network are different results and must never share an
+    /// identity.
     fn fingerprint(&self) -> Fingerprint {
         let entries = vec![
             ("op".to_string(), Value::String("net".into())),
@@ -851,7 +991,7 @@ impl NetQuery {
         fingerprint_value(&Value::Object(entries))
     }
 
-    fn execute(&self) -> Result<Vec<(String, Value)>, UlmError> {
+    fn execute(&self) -> Result<NetOutcome, UlmError> {
         let report = NetworkEvaluator::new(&self.arch, self.spatial.clone())
             .with_overlap(self.overlap)
             .with_objective(self.objective)
@@ -859,37 +999,34 @@ impl NetQuery {
             .with_parallelism(self.parallelism)
             .with_fusion(self.fusion.clone())
             .evaluate(&self.layers)?;
-        let layers = report
-            .layers
-            .iter()
-            .map(|l| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::String(l.name.clone())),
-                    ("cc_total".to_string(), Value::F64(l.latency.cc_total)),
-                    ("energy_fj".to_string(), Value::F64(l.energy.total_fj)),
-                    ("hidden_preload".to_string(), Value::U64(l.hidden_preload)),
-                ])
-            })
-            .collect();
-        Ok(vec![
-            ("kind".to_string(), Value::String("net".into())),
-            (
-                "fingerprint".to_string(),
-                Value::String(self.fingerprint().to_string()),
-            ),
-            (
-                "total_cycles".to_string(),
-                Value::F64(report.total_cycles()),
-            ),
-            (
-                "sequential_cycles".to_string(),
-                Value::F64(report.sequential_cycles()),
-            ),
-            ("total_fj".to_string(), Value::F64(report.total_fj())),
-            ("utilization".to_string(), Value::F64(report.utilization())),
-            ("segments".to_string(), report.segments.to_value()),
-            ("layers".to_string(), Value::Array(layers)),
-        ])
+        Ok(NetOutcome {
+            total_cycles: report.total_cycles(),
+            sequential_cycles: report.sequential_cycles(),
+            total_fj: report.total_fj(),
+            utilization: report.utilization(),
+            layers: report
+                .layers
+                .iter()
+                .map(|l| NetLayerOutcome {
+                    name: l.name.clone(),
+                    cc_total: l.latency.cc_total,
+                    energy_fj: l.energy.total_fj,
+                    hidden_preload: l.hidden_preload,
+                })
+                .collect(),
+            segments: report.segments,
+        })
+    }
+
+    fn into_outcome(output: NetOutcome) -> Outcome {
+        Outcome::Net(output)
+    }
+
+    fn from_outcome(outcome: Outcome) -> Option<NetOutcome> {
+        match outcome {
+            Outcome::Net(output) => Some(output),
+            Outcome::Layer(_) => None,
+        }
     }
 }
 
@@ -938,25 +1075,13 @@ impl SurrogateQuery {
 // The service
 // ---------------------------------------------------------------------------
 
-/// Decodes one persisted log payload back into an outcome; `None` when
-/// the JSON is unreadable or no longer matches the outcome shape.
-fn decode_outcome(payload: &[u8]) -> Option<EvalOutcome> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let value: Value = serde_json::from_str(text).ok()?;
-    serde::Deserialize::from_value(&value).ok()
-}
-
 /// Serializes the cache's current entries into log-ready `(fingerprint,
 /// payload)` pairs.
-fn encode_snapshot(cache: &ResultCache<EvalOutcome>) -> Vec<(u128, Vec<u8>)> {
+fn encode_snapshot(cache: &ResultCache<Outcome>) -> Vec<(u128, Vec<u8>)> {
     cache
         .snapshot()
         .into_iter()
-        .filter_map(|(fp, outcome)| {
-            serde_json::to_string(&outcome.to_value())
-                .ok()
-                .map(|json| (fp, json.into_bytes()))
-        })
+        .filter_map(|(fp, outcome)| outcome.encode().map(|payload| (fp, payload)))
         .collect()
 }
 
@@ -1080,10 +1205,12 @@ struct SurrogateSlot {
 
 /// The concurrent, cache-backed evaluation engine.
 pub struct EvalService {
-    cache: ResultCache<EvalOutcome>,
+    cache: ResultCache<Outcome>,
     pool: WorkerPool,
     inflight: Mutex<std::collections::HashMap<u128, Arc<Inflight>>>,
-    latencies_ms: Mutex<Vec<f64>>,
+    latencies: Mutex<LatencyLog>,
+    /// Requests answered with `internal/panic`.
+    panics: AtomicU64,
     search_totals: Mutex<SearchTotals>,
     whatif_totals: Mutex<WhatifTotals>,
     surrogate_totals: Mutex<SurrogateTotals>,
@@ -1132,7 +1259,7 @@ impl EvalService {
                 let mut warmed = 0usize;
                 let mut decode_failures = 0u64;
                 for (fp, payload) in entries {
-                    match decode_outcome(&payload) {
+                    match Outcome::decode(&payload) {
                         Some(outcome) => {
                             cache.insert(Fingerprint(fp), outcome);
                             warmed += 1;
@@ -1155,7 +1282,8 @@ impl EvalService {
             cache,
             pool: WorkerPool::new(workers, queue),
             inflight: Mutex::new(std::collections::HashMap::new()),
-            latencies_ms: Mutex::new(Vec::new()),
+            latencies: Mutex::new(LatencyLog::default()),
+            panics: AtomicU64::new(0),
             search_totals: Mutex::new(SearchTotals::default()),
             whatif_totals: Mutex::new(WhatifTotals::default()),
             surrogate_totals: Mutex::new(SurrogateTotals::default()),
@@ -1189,20 +1317,17 @@ impl EvalService {
     /// an I/O failure is counted, not propagated — the in-memory result
     /// already answered the request) and compacts when enough appends have
     /// accumulated.
-    fn persist(&self, fp: Fingerprint, outcome: &EvalOutcome) {
+    fn persist(&self, fp: Fingerprint, outcome: &Outcome) {
         let Some(disk) = &self.disk else { return };
-        let payload = match serde_json::to_string(&outcome.to_value()) {
-            Ok(json) => json,
-            Err(_) => {
-                disk.append_errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+        let Some(payload) = outcome.encode() else {
+            disk.append_errors.fetch_add(1, Ordering::Relaxed);
+            return;
         };
         let mut log = disk
             .log
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match log.append(fp.0, payload.as_bytes()) {
+        match log.append(fp.0, &payload) {
             Ok(()) => {
                 disk.appends.fetch_add(1, Ordering::Relaxed);
             }
@@ -1265,11 +1390,6 @@ impl EvalService {
         self.calibration.as_ref().map(|c| c.id.as_str())
     }
 
-    /// The result cache (exposed for benchmarks and tests).
-    pub fn cache(&self) -> &ResultCache<EvalOutcome> {
-        &self.cache
-    }
-
     /// Snapshot of cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -1290,7 +1410,11 @@ impl EvalService {
         let (id, body) = match serde_json::from_str::<Value>(line) {
             Ok(req) => {
                 let id = req.get("id").cloned().unwrap_or(Value::Null);
-                (id, catch_panic(|| self.respond(&req)))
+                let body = catch_panic(|| self.respond(&req));
+                if matches!(body, Err(UlmError::Panic { .. })) {
+                    self.panics.fetch_add(1, Ordering::Relaxed);
+                }
+                (id, body)
             }
             Err(e) => (
                 Value::Null,
@@ -1315,70 +1439,30 @@ impl EvalService {
         }
         match parse_request(req)? {
             Request::Stats => Ok(self.stats_fields()),
-            Request::WhatIf { base, set } => {
-                let start = Instant::now();
-                let result = self.respond_whatif(&base, &set);
-                let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-                self.latencies_ms
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(elapsed_ms);
-                let mut fields = result?;
-                if self.include_timing {
-                    fields.push(("elapsed_ms".to_string(), Value::F64(elapsed_ms)));
-                }
-                Ok(fields)
-            }
-            Request::Surrogate(query) => {
-                let start = Instant::now();
-                let result = self.respond_surrogate(&query);
-                let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-                self.latencies_ms
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(elapsed_ms);
-                let mut fields = result?;
-                if self.include_timing {
-                    fields.push(("elapsed_ms".to_string(), Value::F64(elapsed_ms)));
-                }
-                Ok(fields)
-            }
-            Request::Net(query) => {
-                let start = Instant::now();
-                let result = query.execute();
-                let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-                self.latencies_ms
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(elapsed_ms);
-                let mut fields = result?;
-                if self.include_timing {
-                    fields.push(("elapsed_ms".to_string(), Value::F64(elapsed_ms)));
-                }
-                Ok(fields)
-            }
-            Request::Query(query) => {
-                let start = Instant::now();
-                let fp = query.fingerprint();
-                let result = self.lookup_or_execute(&query, fp);
-                let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-                self.latencies_ms
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(elapsed_ms);
-                let (outcome, cached) = result?;
+            Request::WhatIf { base, set } => self.timed(|| self.respond_whatif(&base, &set)),
+            Request::Surrogate(query) => self.timed(|| self.respond_surrogate(&query)),
+            // Net answers have never carried a `cached` marker; their cache
+            // hits show in `/stats` only, so repeats stay byte-identical.
+            Request::Net(query) => self.timed(|| {
+                let (fp, outcome, _cached) = self.lookup_or_execute(&*query)?;
                 let mut fields = vec![
-                    (
-                        "kind".to_string(),
-                        Value::String(
-                            if outcome.search.is_some() {
-                                "search"
-                            } else {
-                                "eval"
-                            }
-                            .into(),
-                        ),
-                    ),
+                    ("kind".to_string(), Value::String("net".into())),
+                    ("fingerprint".to_string(), Value::String(fp.to_string())),
+                ];
+                if let Value::Object(entries) = outcome.to_value() {
+                    fields.extend(entries);
+                }
+                Ok(fields)
+            }),
+            Request::Query(query) => self.timed(|| {
+                let (fp, outcome, cached) = self.lookup_or_execute(&*query)?;
+                let kind = if outcome.search.is_some() {
+                    "search"
+                } else {
+                    "eval"
+                };
+                Ok(vec![
+                    ("kind".to_string(), Value::String(kind.into())),
                     ("fingerprint".to_string(), Value::String(fp.to_string())),
                     ("cached".to_string(), Value::Bool(cached)),
                     (
@@ -1389,13 +1473,30 @@ impl EvalService {
                     ("latency".to_string(), outcome.latency.to_value()),
                     ("energy".to_string(), outcome.energy.to_value()),
                     ("search".to_string(), outcome.search.to_value()),
-                ];
-                if self.include_timing {
-                    fields.push(("elapsed_ms".to_string(), Value::F64(elapsed_ms)));
-                }
-                Ok(fields)
-            }
+                ])
+            }),
         }
+    }
+
+    /// Runs one request handler under the latency clock: the sample goes
+    /// to `/stats` whether the handler succeeds or fails, and a success
+    /// carries `elapsed_ms` when timing is on.
+    fn timed(
+        &self,
+        handler: impl FnOnce() -> Result<Vec<(String, Value)>, UlmError>,
+    ) -> Result<Vec<(String, Value)>, UlmError> {
+        let start = Instant::now();
+        let result = handler();
+        let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
+        self.latencies
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .record(elapsed_ms);
+        let mut fields = result?;
+        if self.include_timing {
+            fields.push(("elapsed_ms".to_string(), Value::F64(elapsed_ms)));
+        }
+        Ok(fields)
     }
 
     /// Resolves the base query against the fingerprinted cache (computing
@@ -1409,8 +1510,7 @@ impl EvalService {
         base: &Query,
         set: &[String],
     ) -> Result<Vec<(String, Value)>, UlmError> {
-        let fp = base.fingerprint();
-        let (outcome, cached) = self.lookup_or_execute(base, fp)?;
+        let (fp, outcome, cached) = self.lookup_or_execute(base)?;
         let (modified_arch, delta) = apply_overrides(&base.arch, set)?;
 
         let model = LatencyModel::with_options(base.model);
@@ -1612,16 +1712,18 @@ impl EvalService {
     }
 
     /// Cache lookup with single-flight coalescing: concurrent identical
-    /// queries are computed once — the first thread executes, the others
+    /// jobs are computed once — the first thread executes, the others
     /// block on the in-flight marker and then read the cached result.
-    fn lookup_or_execute(
+    /// Returns the job's fingerprint, its result, and whether the result
+    /// came from the cache.
+    fn lookup_or_execute<J: Job>(
         &self,
-        query: &Query,
-        fp: Fingerprint,
-    ) -> Result<(EvalOutcome, bool), UlmError> {
+        job: &J,
+    ) -> Result<(Fingerprint, J::Output, bool), UlmError> {
+        let fp = job.fingerprint();
         loop {
-            if let Some(hit) = self.cache.get(fp) {
-                return Ok((hit, true));
+            if let Some(hit) = self.cache.get(fp).and_then(J::from_outcome) {
+                return Ok((fp, hit, true));
             }
             enum Role {
                 Leader(Arc<Inflight>),
@@ -1651,20 +1753,24 @@ impl EvalService {
                         fp: fp.0,
                         slot,
                     };
-                    let result = query.execute();
-                    if let Ok(out) = &result {
-                        if let Some(meta) = &out.search {
-                            let mut totals = self
-                                .search_totals
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            totals.searches += 1;
-                            totals.stats.absorb(&meta.stats);
-                        }
-                        self.cache.insert(fp, out.clone());
-                        self.persist(fp, out);
+                    let output = job.execute()?;
+                    let outcome = J::into_outcome(output.clone());
+                    if let Outcome::Layer(EvalOutcome {
+                        search: Some(meta), ..
+                    }) = &outcome
+                    {
+                        let mut totals = self
+                            .search_totals
+                            .lock()
+                            .unwrap_or_else(std::sync::PoisonError::into_inner);
+                        totals.searches += 1;
+                        totals.stats.absorb(&meta.stats);
                     }
-                    return result.map(|out| (out, false));
+                    // Cache first: a compaction triggered by the append
+                    // snapshots the cache and must see this entry.
+                    self.cache.insert(fp, outcome.clone());
+                    self.persist(fp, &outcome);
+                    return Ok((fp, output, false));
                 }
                 Role::Follower(slot) => {
                     let mut done = slot
@@ -1688,13 +1794,11 @@ impl EvalService {
     fn stats_fields(&self) -> Vec<(String, Value)> {
         let cache = self.cache.stats();
         let pool = self.pool.stats();
-        let latency = {
-            let samples = self
-                .latencies_ms
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            LatencySummary::from_samples(&samples)
-        };
+        let latency = self
+            .latencies
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .summary();
         let mut cache_value = match cache.to_value() {
             Value::Object(entries) => entries,
             _ => Vec::new(),
@@ -1705,6 +1809,10 @@ impl EvalService {
             ("cache".to_string(), Value::Object(cache_value)),
             ("pool".to_string(), pool.to_value()),
             ("latency_ms".to_string(), latency.to_value()),
+            (
+                "panics".to_string(),
+                Value::U64(self.panics.load(Ordering::Relaxed)),
+            ),
             ("search".to_string(), self.search_totals().to_value()),
             ("whatif".to_string(), self.whatif_totals().to_value()),
             ("surrogate".to_string(), self.surrogate_totals().to_value()),
@@ -2124,7 +2232,42 @@ mod tests {
         let out = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines[0], expected);
-        assert_eq!(parse(lines[1]).get("ok"), Some(&Value::Bool(true)));
+        let stats = parse(lines[1]);
+        assert_eq!(stats.get("ok"), Some(&Value::Bool(true)));
+        // `/stats` counts every panic answer, on both paths.
+        assert_eq!(
+            stats.get("panics").and_then(Value::as_u64),
+            Some(workers as u64 + 2)
+        );
+    }
+
+    #[test]
+    fn latency_log_is_bounded_and_exact() {
+        let samples: Vec<f64> = (0..10_000u32)
+            .map(|i| f64::from((i * 7919) % 10_007) / 8.0)
+            .collect();
+        let mut log = LatencyLog::default();
+        for (i, &ms) in samples.iter().enumerate() {
+            log.record(ms);
+            // Within the window the summary is the full-sample one.
+            if i + 1 == LATENCY_WINDOW {
+                assert_eq!(
+                    log.summary(),
+                    LatencySummary::from_samples(&samples[..LATENCY_WINDOW])
+                );
+            }
+        }
+        assert_eq!(log.recent.len(), LATENCY_WINDOW);
+        assert!(log.recent.capacity() <= LATENCY_WINDOW);
+        let all = LatencySummary::from_samples(&samples);
+        let summary = log.summary();
+        assert_eq!(summary.count, 10_000);
+        assert_eq!(summary.min_ms, all.min_ms);
+        assert_eq!(summary.max_ms, all.max_ms);
+        assert!((summary.mean_ms - all.mean_ms).abs() < 1e-9 * all.mean_ms);
+        // The p95 covers the most recent window only.
+        let recent = LatencySummary::from_samples(&samples[samples.len() - LATENCY_WINDOW..]);
+        assert_eq!(summary.p95_ms, recent.p95_ms);
     }
 
     #[test]

@@ -1,0 +1,169 @@
+//! `net` requests go through the same result cache, single-flight and
+//! durable log as eval/search: repeats are answered from the cache with
+//! the same bytes, distinct runs never alias, and a restart answers from
+//! the log.
+
+use serde::Value;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use ulm_serve::store::write_log;
+use ulm_serve::{EvalOutcome, EvalService, Fingerprint, ServeOptions, CACHE_LOG_FILE};
+
+/// A small network run: the toy chip, a two-layer attention decode.
+const NET: &str = r#"{"id":1,"kind":"net","arch":"toy","net":"attention-decode","mapper":{"max_exhaustive":200,"samples":20}}"#;
+
+/// A fresh scratch directory per test (std-only; no tempfile crate).
+fn scratch(tag: &str) -> PathBuf {
+    static N: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "ulm-net-cache-{}-{tag}-{}",
+        std::process::id(),
+        N.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+fn opts(dir: Option<&Path>) -> ServeOptions {
+    ServeOptions {
+        parallelism: Some(4),
+        cache_capacity: 64,
+        cache_dir: dir.map(Path::to_path_buf),
+        include_timing: false,
+        ..ServeOptions::default()
+    }
+}
+
+fn parse(response: &str) -> Value {
+    serde_json::from_str(response).expect("responses are valid JSON")
+}
+
+#[test]
+fn a_repeated_net_is_a_byte_identical_cache_hit() {
+    let svc = EvalService::new(opts(None));
+    let first = svc.handle_line(NET).unwrap();
+    assert!(first.contains("\"ok\":true"), "{first}");
+    let before = svc.cache_stats();
+    let second = svc.handle_line(NET).unwrap();
+    let after = svc.cache_stats();
+    assert_eq!(first, second);
+    assert!(
+        !second.contains("\"cached\""),
+        "net answers carry no marker"
+    );
+    assert_eq!(after.hits, before.hits + 1);
+    assert_eq!(after.misses, before.misses);
+    assert_eq!(after.insertions, before.insertions);
+}
+
+#[test]
+fn fusion_overlap_and_seed_variants_never_alias() {
+    let svc = EvalService::new(opts(None));
+    let variants = [
+        NET.to_string(),
+        NET.replace(
+            r#""net":"attention-decode""#,
+            r#""net":"attention-decode","fuse":[{"layers":["logit","attend"],"pin":"LB"}]"#,
+        ),
+        NET.replace(
+            r#""net":"attention-decode""#,
+            r#""net":"attention-decode","overlap":"weight-prefetch""#,
+        ),
+        NET.replace(r#""samples":20"#, r#""samples":20,"seed":7"#),
+    ];
+    let mut fingerprints = Vec::new();
+    for line in &variants {
+        let hits = svc.cache_stats().hits;
+        let v = parse(&svc.handle_line(line).unwrap());
+        assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{line}");
+        assert_eq!(svc.cache_stats().hits, hits, "{line} hit another entry");
+        fingerprints.push(v.get("fingerprint").cloned().unwrap());
+    }
+    for (i, a) in fingerprints.iter().enumerate() {
+        for b in &fingerprints[i + 1..] {
+            assert_ne!(a, b);
+        }
+    }
+    assert_eq!(svc.cache_stats().insertions, variants.len() as u64);
+}
+
+#[test]
+fn a_restart_answers_a_net_from_the_log() {
+    let dir = scratch("restart");
+    let first = EvalService::open(opts(Some(&dir))).unwrap();
+    let fresh = first.handle_line(NET).unwrap();
+    assert!(fresh.contains("\"ok\":true"), "{fresh}");
+    assert_eq!(first.disk_stats().unwrap().appends, 1);
+    drop(first);
+
+    let second = EvalService::open(opts(Some(&dir))).unwrap();
+    let disk = second.disk_stats().unwrap();
+    assert_eq!((disk.warmed, disk.decode_failures), (1, 0));
+    let warmed = second.handle_line(NET).unwrap();
+    assert_eq!(fresh, warmed);
+    let stats = second.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 0));
+    assert_eq!(second.disk_stats().unwrap().appends, 0);
+
+    // A compaction rewrites the net entry in the same format.
+    second.compact_cache_log().unwrap();
+    drop(second);
+    let third = EvalService::open(opts(Some(&dir))).unwrap();
+    assert_eq!(third.disk_stats().unwrap().decode_failures, 0);
+    assert_eq!(third.handle_line(NET).unwrap(), fresh);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_log_of_eval_and_search_payloads_still_replays() {
+    // Build the log the way services wrote it before net entries existed:
+    // each payload is an `EvalOutcome` printed as itself.
+    let memory = EvalService::new(opts(None));
+    let search = r#"{"id":1,"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}"#;
+    let answer = parse(&memory.handle_line(search).unwrap());
+    let mapping = serde_json::to_string(answer.get("mapping").unwrap()).unwrap();
+    let eval =
+        format!(r#"{{"id":2,"kind":"eval","arch":"toy","layer":"4x4x8","mapping":{mapping}}}"#);
+    let mut entries = Vec::new();
+    let mut expected = Vec::new();
+    for line in [search.to_string(), eval] {
+        let response = memory.handle_line(&line).unwrap();
+        let v = parse(&response);
+        let outcome: EvalOutcome = serde::Deserialize::from_value(&v).unwrap();
+        let fp = v.get("fingerprint").and_then(Value::as_str).unwrap();
+        entries.push((
+            Fingerprint::from_hex(fp).unwrap().as_u128(),
+            serde_json::to_string(&outcome).unwrap().into_bytes(),
+        ));
+        expected.push((
+            line,
+            response.replace("\"cached\":false", "\"cached\":true"),
+        ));
+    }
+    let dir = scratch("legacy");
+    write_log(&dir.join(CACHE_LOG_FILE), &entries).unwrap();
+
+    let svc = EvalService::open(opts(Some(&dir))).unwrap();
+    let disk = svc.disk_stats().unwrap();
+    assert_eq!((disk.warmed, disk.decode_failures), (2, 0));
+    for (line, response) in &expected {
+        assert_eq!(&svc.handle_line(line).unwrap(), response);
+    }
+    assert_eq!(svc.cache_stats().misses, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_identical_nets_compute_once() {
+    let dir = scratch("flight");
+    let svc = EvalService::open(opts(Some(&dir))).unwrap();
+    let handles: Vec<_> = (0..8).map(|_| svc.submit_line(NET.to_string())).collect();
+    let responses: Vec<String> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
+    assert!(responses[0].contains("\"ok\":true"), "{}", responses[0]);
+    assert!(responses.iter().all(|r| r == &responses[0]));
+    // Single-flight: one leader computed, stored and logged the result;
+    // every other request was answered from the cache.
+    assert_eq!(svc.cache_stats().insertions, 1);
+    assert_eq!(svc.disk_stats().unwrap().appends, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -103,6 +103,23 @@ else
     echo "    (skipped: the epoll reactor needs Linux)"
 fi
 
+echo "==> net cache smoke (a repeated net request is a byte-identical cache hit)"
+# One worker, so the stats line runs after both nets.
+net_line='{"id":1,"kind":"net","arch":"toy","net":"attention-decode","mapper":{"max_exhaustive":200,"samples":20}}'
+net_out="$(printf '%s\n%s\n%s\n' "$net_line" "$net_line" '{"id":2,"kind":"stats"}' |
+    target/release/ulm batch --no-timing --parallelism 1 2>/dev/null)"
+net_first="$(sed -n 1p <<<"$net_out")"
+net_second="$(sed -n 2p <<<"$net_out")"
+net_hits="$(sed -n 3p <<<"$net_out" | sed -nE 's/.*"cache":\{"hits":([0-9]+).*/\1/p')"
+if [[ "$net_first" != *'"ok":true'* || "$net_first" != "$net_second" ]]; then
+    echo "error: a repeated net request did not get an identical answer" >&2
+    exit 1
+fi
+if (( ${net_hits:-0} < 1 )); then
+    echo "error: a repeated net request was not answered from the cache (hits=${net_hits:-none})" >&2
+    exit 1
+fi
+
 echo "==> attention + fusion smoke (fused vs layer-by-layer differential)"
 fused_out="$(target/release/ulm network --net attention-decode --arch fusion --fuse logit+attend@LB)"
 base_out="$(target/release/ulm network --net attention-decode --arch fusion)"
