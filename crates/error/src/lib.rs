@@ -317,7 +317,16 @@ impl From<MapperError> for UlmError {
 
 impl From<NetworkError> for UlmError {
     fn from(e: NetworkError) -> Self {
-        UlmError::Network(e)
+        match e {
+            // A lane count the objective cannot honor is the same request
+            // error for a whole net as for one search: no layer is at
+            // fault.
+            NetworkError::LayerUnmappable {
+                source: source @ MapperError::BatchUnsupportedObjective { .. },
+                ..
+            } => UlmError::Mapper(source),
+            e => UlmError::Network(e),
+        }
     }
 }
 
@@ -481,6 +490,17 @@ mod tests {
                 }
                 .into(),
                 "knob/out-of-range",
+            ),
+            (
+                NetworkError::LayerUnmappable {
+                    layer: "q_proj".into(),
+                    source: MapperError::BatchUnsupportedObjective {
+                        objective: "energy".into(),
+                        lanes: 8,
+                    },
+                }
+                .into(),
+                "search/batch-unsupported-objective",
             ),
             (
                 MapperError::BatchUnsupportedObjective {

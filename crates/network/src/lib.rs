@@ -40,6 +40,7 @@ pub use multicore::{
 
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use ulm_arch::Architecture;
 use ulm_energy::{EnergyModel, EnergyReport};
 use ulm_mapper::{Mapper, MapperError, MapperOptions, Objective};
@@ -187,6 +188,7 @@ pub struct NetworkEvaluator<'a> {
     overlap: InterLayerOverlap,
     objective: Objective,
     parallelism: Option<usize>,
+    batch_lanes: Option<usize>,
     fusion: Vec<FusedSegment>,
 }
 
@@ -205,6 +207,7 @@ impl<'a> NetworkEvaluator<'a> {
             overlap: InterLayerOverlap::None,
             objective: Objective::Latency,
             parallelism: None,
+            batch_lanes: None,
             fusion: Vec::new(),
         }
     }
@@ -241,43 +244,25 @@ impl<'a> NetworkEvaluator<'a> {
         self
     }
 
-    /// Sets how many threads the per-layer mapping searches may use.
-    /// `None`/`Some(1)` is serial; each layer's search is deterministic and
-    /// the overlap post-pass is always applied in layer order, so every
-    /// thread count produces the identical report.
+    /// Sets how many threads the mapping searches may use. Each distinct
+    /// layer shape is searched once, so the threads share out the
+    /// distinct shapes, not the layers. `None`/`Some(1)` is serial; each
+    /// search is deterministic and every layer is lowered and scheduled
+    /// in layer order, so every thread count produces the identical
+    /// report.
     pub fn with_parallelism(mut self, parallelism: Option<usize>) -> Self {
         self.parallelism = parallelism;
         self
     }
 
-    /// Searches one layer's mapping and evaluates it (no scheduling yet),
-    /// lowering with the given fusion residency pins (`[None; 3]` for an
-    /// unfused layer — pin-free lowering is byte-identical to
-    /// [`LoweredLayer::build`]).
-    fn evaluate_layer(
-        &self,
-        layer: &Layer,
-        pins: ResidencyPins,
-    ) -> Result<(Mapping, LatencyReport, EnergyReport), NetworkError> {
-        let mapper =
-            Mapper::new(self.arch, layer, self.spatial.clone()).with_options(self.mapper_opts);
-        let best = mapper
-            .search(self.objective)
-            .map_err(|source| NetworkError::LayerUnmappable {
-                layer: layer.name().to_string(),
-                source,
-            })?
-            .best;
-        let view = MappedLayer::new(layer, self.arch, &best.mapping)
-            .expect("search returns validated mappings");
-        // One lowering feeds both models: latency and energy read the
-        // same residency tables, so their block counts agree by
-        // construction.
-        let model = LatencyModel::new();
-        let lowered = LoweredLayer::build_pinned(&view, model.dtl_options(), pins);
-        let latency = model.evaluate_lowered(&view, &lowered);
-        let energy = EnergyModel::new().evaluate_lowered(&view, &lowered);
-        Ok((best.mapping, latency, energy))
+    /// Sets the SoA lane count of every mapping search (see
+    /// [`Mapper::with_batch_lanes`]). The result is identical at every
+    /// lane count; an explicit count above 1 under an energy-bearing
+    /// objective fails the first layer with
+    /// [`MapperError::BatchUnsupportedObjective`].
+    pub fn with_batch_lanes(mut self, lanes: Option<usize>) -> Self {
+        self.batch_lanes = lanes;
+        self
     }
 
     /// Validates every fused segment and merges their residency pins into
@@ -305,56 +290,44 @@ impl<'a> NetworkEvaluator<'a> {
 
     /// Optimizes and schedules every layer.
     ///
-    /// The per-layer searches are independent, so with
-    /// [`with_parallelism`](Self::with_parallelism) they run on multiple
-    /// threads; the inter-layer overlap pass stays sequential (it needs the
-    /// previous layer's result) and errors are reported in layer order
-    /// either way.
+    /// Each distinct layer shape is searched once (the first layer of
+    /// that shape in order stands for it), on multiple threads with
+    /// [`with_parallelism`](Self::with_parallelism). Every layer is then
+    /// lowered with its own fusion residency pins and evaluated in layer
+    /// order, so the inter-layer overlap pass sees the previous layer's
+    /// result and errors are reported in layer order.
     ///
     /// # Errors
     ///
     /// Returns [`NetworkError::LayerUnmappable`] naming the first layer
     /// with no legal mapping.
     pub fn evaluate(&self, layers: &[Layer]) -> Result<NetworkReport, NetworkError> {
-        type LayerEval = Result<(Mapping, LatencyReport, EnergyReport), NetworkError>;
         let (segments, pins) = self.fusion_pins(layers)?;
-        let threads = self.parallelism.unwrap_or(1).clamp(1, layers.len().max(1));
-        let evals: Vec<LayerEval> = if threads <= 1 {
-            layers
-                .iter()
-                .zip(&pins)
-                .map(|(l, &p)| self.evaluate_layer(l, p))
-                .collect()
-        } else {
-            let mut slots: Vec<Option<LayerEval>> = vec![None; layers.len()];
-            let chunk = layers.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for ((l_chunk, p_chunk), s_chunk) in layers
-                    .chunks(chunk)
-                    .zip(pins.chunks(chunk))
-                    .zip(slots.chunks_mut(chunk))
-                {
-                    scope.spawn(move || {
-                        for ((layer, &p), slot) in
-                            l_chunk.iter().zip(p_chunk.iter()).zip(s_chunk.iter_mut())
-                        {
-                            *slot = Some(self.evaluate_layer(layer, p));
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("every layer slot is filled"))
-                .collect()
-        };
-
-        // Sequential post-pass: weight prefetch hides this layer's preload
-        // under the previous layer's computation phase, and the first
-        // unmappable layer (in order) is the one reported.
+        // The search never reads a layer's name or its fusion pins, so
+        // layers of one workload share it.
+        let threads = self.parallelism.unwrap_or(1);
+        let mappings = search_distinct(layers, layers, threads, |layer| {
+            #[cfg(test)]
+            tests::SEARCHES.with(|n| n.set(n.get() + 1));
+            Mapper::new(self.arch, layer, self.spatial.clone())
+                .with_options(self.mapper_opts)
+                .with_batch_lanes(self.batch_lanes)
+                .search(self.objective)
+                .map(|r| r.best.mapping)
+        })?;
+        // One lowering per layer, with its own pins, feeds both models:
+        // latency and energy read the same residency tables, so their
+        // block counts agree by construction.
+        let model = LatencyModel::new();
         let mut results: Vec<LayerResult> = Vec::with_capacity(layers.len());
-        for (layer, eval) in layers.iter().zip(evals) {
-            let (mapping, latency, energy) = eval?;
+        for ((layer, &pins), mapping) in layers.iter().zip(&pins).zip(mappings) {
+            let view = MappedLayer::new(layer, self.arch, &mapping)
+                .expect("search returns validated mappings");
+            let lowered = LoweredLayer::build_pinned(&view, model.dtl_options(), pins);
+            let latency = model.evaluate_lowered(&view, &lowered);
+            let energy = EnergyModel::new().evaluate_lowered(&view, &lowered);
+            // Weight prefetch hides this layer's preload under the
+            // previous layer's computation phase.
             let hidden_preload = match (self.overlap, results.last()) {
                 (InterLayerOverlap::WeightPrefetch, Some(prev)) => {
                     (latency.preload as f64).min(prev.latency.cc_compute()) as u64
@@ -377,11 +350,90 @@ impl<'a> NetworkEvaluator<'a> {
     }
 }
 
+/// Searches each distinct workload among `keys` once (keys equal up to
+/// their names, see [`Layer::same_workload`]), spreading the distinct
+/// workloads over up to `threads` threads, and returns every layer's
+/// mapping. `keys[i]` is what `layers[i]` searches; the error names the
+/// first layer in order whose workload has no legal mapping. Each search
+/// runs alone, so the result does not depend on the thread count.
+fn search_distinct(
+    layers: &[Layer],
+    keys: &[Layer],
+    threads: usize,
+    search: impl Fn(&Layer) -> Result<Mapping, MapperError> + Sync,
+) -> Result<Vec<Mapping>, NetworkError> {
+    let mut distinct: Vec<&Layer> = Vec::new();
+    let mut shape_of = Vec::with_capacity(keys.len());
+    for key in keys {
+        match distinct.iter().position(|d| d.same_workload(key)) {
+            Some(shape) => shape_of.push(shape),
+            None => {
+                shape_of.push(distinct.len());
+                distinct.push(key);
+            }
+        }
+    }
+    // Threads pull the next unsearched workload, so one long search does
+    // not hold back a share of short ones; the caller's thread is one of
+    // them. `Relaxed` suffices: the counter only hands out indices, and
+    // the results come back through `join`.
+    let next = AtomicUsize::new(0);
+    let work = || -> Vec<_> {
+        std::iter::from_fn(|| {
+            let shape = next.fetch_add(1, Ordering::Relaxed);
+            distinct.get(shape).map(|key| (shape, search(key)))
+        })
+        .collect()
+    };
+    let mut searched = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads.clamp(1, distinct.len().max(1)))
+            .map(|_| scope.spawn(work))
+            .collect();
+        let mut searched = work();
+        for helper in helpers {
+            searched.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        searched
+    });
+    searched.sort_unstable_by_key(|&(shape, _)| shape);
+    layers
+        .iter()
+        .zip(shape_of)
+        .map(|(layer, shape)| {
+            searched[shape]
+                .1
+                .clone()
+                .map_err(|source| NetworkError::LayerUnmappable {
+                    layer: layer.name().to_string(),
+                    source,
+                })
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use ulm_arch::presets;
-    use ulm_workload::{Layer, Precision};
+    use ulm_workload::{Layer, Operand, Precision};
+
+    thread_local! {
+        /// Mapping searches [`NetworkEvaluator::evaluate`] ran on this
+        /// thread (all of them when it runs serially).
+        pub(super) static SEARCHES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Runs `f` and returns how many searches it ran on this thread.
+    fn searches<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = SEARCHES.with(Cell::get);
+        let out = f();
+        (out, SEARCHES.with(Cell::get) - before)
+    }
 
     fn small_net() -> Vec<Layer> {
         vec![
@@ -488,6 +540,42 @@ mod tests {
             .evaluate(&layers)
             .unwrap_err();
         assert!(err.to_string().contains("bad1"), "{err}");
+    }
+
+    #[test]
+    fn each_distinct_shape_is_searched_once() {
+        let arch = presets::case_study_chip(128);
+        let p = Precision::int8_acc24();
+        let layers = vec![
+            Layer::matmul("q_proj", 64, 64, 128, p),
+            Layer::matmul("k_proj", 64, 32, 128, p),
+            Layer::matmul("o_proj", 64, 64, 128, p),
+            Layer::matmul("v_proj", 64, 32, 128, p),
+            // Twins in all but precision or KV-cache flags share nothing.
+            Layer::matmul("q_wide", 64, 64, 128, Precision::uniform(8)),
+            Layer::matmul("k_cached", 64, 32, 128, p).with_kv_cache(Operand::W),
+        ];
+        let (r, n) = searches(|| quick(&arch).evaluate(&layers).unwrap());
+        assert_eq!(n, 4);
+        assert_eq!(r.layers[2].name, "o_proj");
+        assert_eq!(r.layers[0].mapping, r.layers[2].mapping);
+        assert_eq!(r.layers[1].latency, r.layers[3].latency);
+    }
+
+    #[test]
+    fn unmappable_twins_report_the_first_name() {
+        let arch = presets::case_study_chip(128);
+        let layers = vec![
+            Layer::matmul("ok0", 64, 64, 128, Precision::int8_acc24()),
+            Layer::matmul("bad_a", 64, 64, 64, Precision::uniform(512)),
+            Layer::matmul("bad_b", 64, 64, 64, Precision::uniform(512)),
+        ];
+        let (err, n) = searches(|| quick(&arch).evaluate(&layers).unwrap_err());
+        assert_eq!(n, 2);
+        assert!(
+            matches!(&err, NetworkError::LayerUnmappable { layer, .. } if layer == "bad_a"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! where the intra-layer model's BW-awareness earns its keep: it decides
 //! whether adding cores actually helps.
 
-use crate::NetworkError;
+use crate::{search_distinct, NetworkError};
 use std::fmt;
 use ulm_arch::Architecture;
 use ulm_mapper::{Mapper, MapperOptions, Objective};
@@ -194,42 +194,45 @@ where
     /// Returns [`NetworkError::LayerUnmappable`] if the sub-layer has no
     /// legal mapping on a core.
     pub fn evaluate_layer(&self, layer: &Layer) -> Result<MultiCoreLayerReport, NetworkError> {
-        let (arch, spatial) = (self.factory)(self.per_core_bw());
-        let (sub, active) = self.split(layer);
-        let best = Mapper::new(&arch, &sub, spatial)
-            .with_options(self.mapper_opts)
-            .search(Objective::Latency)
-            .map_err(|source| NetworkError::LayerUnmappable {
-                layer: layer.name().to_string(),
-                source,
-            })?
-            .best;
-        let view = MappedLayer::new(&sub, &arch, &best.mapping)
-            .expect("search returns validated mappings");
-        let report = LatencyModel::new().evaluate(&view);
-        Ok(MultiCoreLayerReport {
-            name: layer.name().to_string(),
-            sub_layer: format!("{}", sub.shape().dims()),
-            active_cores: active,
-            cycles: report.cc_total,
-            utilization: report.utilization,
-        })
+        let mut report = self.evaluate(std::slice::from_ref(layer))?;
+        Ok(report.layers.remove(0))
     }
 
-    /// Runs a whole network, barrier-synchronized per layer.
+    /// Runs a whole network, barrier-synchronized per layer. Each
+    /// distinct per-core sub-layer is searched once.
     ///
     /// # Errors
     ///
     /// Propagates the first unmappable layer.
     pub fn evaluate(&self, layers: &[Layer]) -> Result<MultiCoreReport, NetworkError> {
-        let layers = layers
-            .iter()
-            .map(|l| self.evaluate_layer(l))
-            .collect::<Result<Vec<_>, _>>()?;
+        let (arch, spatial) = (self.factory)(self.per_core_bw());
+        let (subs, active): (Vec<Layer>, Vec<u64>) = layers.iter().map(|l| self.split(l)).unzip();
+        let opts = self.mapper_opts;
+        let mappings = search_distinct(layers, &subs, 1, |sub| {
+            Mapper::new(&arch, sub, spatial.clone())
+                .with_options(opts)
+                .search(Objective::Latency)
+                .map(|r| r.best.mapping)
+        })?;
+        let model = LatencyModel::new();
+        let mut reports = Vec::with_capacity(layers.len());
+        for (((layer, sub), active), mapping) in layers.iter().zip(&subs).zip(active).zip(mappings)
+        {
+            let view =
+                MappedLayer::new(sub, &arch, &mapping).expect("search returns validated mappings");
+            let report = model.evaluate(&view);
+            reports.push(MultiCoreLayerReport {
+                name: layer.name().to_string(),
+                sub_layer: format!("{}", sub.shape().dims()),
+                active_cores: active,
+                cycles: report.cc_total,
+                utilization: report.utilization,
+            });
+        }
         Ok(MultiCoreReport {
             cores: self.cores,
             partition: self.partition,
-            layers,
+            layers: reports,
         })
     }
 }

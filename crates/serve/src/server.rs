@@ -372,9 +372,12 @@ struct NetQuery {
     overlap: InterLayerOverlap,
     objective: Objective,
     mapper: MapperOptions,
-    /// Threads for the per-layer searches; not fingerprinted (the result
-    /// is identical at every thread count).
+    /// Threads for the distinct-shape searches; not fingerprinted (the
+    /// result is identical at every thread count).
     parallelism: Option<usize>,
+    /// SoA lanes inside each search; not fingerprinted (the result is
+    /// identical at every lane count).
+    batch_lanes: Option<usize>,
 }
 
 /// A fixed-architecture workload-dimension query (the `surrogate` request
@@ -815,7 +818,7 @@ fn parse_net_query(req: &Value) -> Result<NetQuery, UlmError> {
     let spatial = parse_spatial(req, default_spatial)?;
     let layers = parse_net_layers(req)?;
     let model = parse_model(req)?;
-    let (mapper, parallelism, _batch_lanes) = parse_mapper(req, &model)?;
+    let (mapper, parallelism, batch_lanes) = parse_mapper(req, &model)?;
     Ok(NetQuery {
         arch,
         spatial,
@@ -825,6 +828,7 @@ fn parse_net_query(req: &Value) -> Result<NetQuery, UlmError> {
         objective: parse_objective(req)?,
         mapper,
         parallelism,
+        batch_lanes,
     })
 }
 
@@ -997,6 +1001,7 @@ impl Job for NetQuery {
             .with_objective(self.objective)
             .with_mapper_options(self.mapper)
             .with_parallelism(self.parallelism)
+            .with_batch_lanes(self.batch_lanes)
             .with_fusion(self.fusion.clone())
             .evaluate(&self.layers)?;
         Ok(NetOutcome {
@@ -2347,6 +2352,35 @@ mod tests {
             v.get("code"),
             Some(&Value::String("fuse/unknown-layer".to_string()))
         );
+    }
+
+    #[test]
+    fn net_batch_lanes_reach_every_search() {
+        let line = |objective: &str, lanes: u64| {
+            format!(
+                r#"{{"kind":"net","arch":"toy","net":"attention-decode","objective":"{objective}","mapper":{{"max_exhaustive":200,"samples":20,"batch_lanes":{lanes}}}}}"#
+            )
+        };
+        // An energy net rejects an explicit lane count as a search does.
+        let v = parse(&service().handle_line(&line("energy", 8)).unwrap());
+        assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{v:?}");
+        assert_eq!(
+            v.get("code"),
+            Some(&Value::String(
+                "search/batch-unsupported-objective".to_string()
+            ))
+        );
+        // Lanes never change a net's answer: fresh services, same bytes.
+        let no_timing = || {
+            EvalService::new(ServeOptions {
+                include_timing: false,
+                ..ServeOptions::default()
+            })
+        };
+        let scalar = no_timing().handle_line(&line("latency", 1)).unwrap();
+        let batched = no_timing().handle_line(&line("latency", 64)).unwrap();
+        assert_eq!(parse(&scalar).get("ok"), Some(&Value::Bool(true)));
+        assert_eq!(scalar, batched);
     }
 
     #[test]

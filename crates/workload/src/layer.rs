@@ -265,6 +265,26 @@ impl Layer {
         &self.name
     }
 
+    /// True when `self` and `other` differ at most in their names: same
+    /// type, shape, precision and KV-cache flags. Nothing a mapping
+    /// search reads differs between such layers, so one search serves
+    /// both.
+    pub fn same_workload(&self, other: &Layer) -> bool {
+        // Destructured so that a new field fails to compile until it is
+        // classified here.
+        let Layer {
+            name: _,
+            ltype,
+            shape,
+            precision,
+            kv,
+        } = self;
+        *ltype == other.ltype
+            && *shape == other.shape
+            && *precision == other.precision
+            && *kv == other.kv
+    }
+
     /// Layer type.
     pub fn layer_type(&self) -> LayerType {
         self.ltype
@@ -424,6 +444,26 @@ mod tests {
         let stripped = legacy.replace(",\"kv\":{\"values\":[false,false,false]}", "");
         let old: Layer = serde_json::from_str(&stripped).unwrap();
         assert_eq!(old, plain);
+    }
+
+    #[test]
+    fn same_workload_ignores_only_the_name() {
+        let q = Layer::matmul("q_proj", 16, 64, 64, Precision::int8_acc24());
+        assert!(q.same_workload(&Layer::matmul(
+            "o_proj",
+            16,
+            64,
+            64,
+            Precision::int8_acc24()
+        )));
+        for other in [
+            Layer::matmul("q_proj", 16, 64, 32, Precision::int8_acc24()),
+            Layer::dense("q_proj", 16, 64, 64, Precision::int8_acc24()),
+            Layer::matmul("q_proj", 16, 64, 64, Precision::uniform(8)),
+            q.clone().with_kv_cache(Operand::W),
+        ] {
+            assert!(!q.same_workload(&other), "{other}");
+        }
     }
 
     #[test]

@@ -43,6 +43,9 @@ cargo test --release -q -p ulm-serve --lib store::tests
 echo "==> lowered-IR consistency proptests (release: pins, fusion, KV-cache)"
 cargo test --release -q -p ulm --test lowered_consistency
 
+echo "==> shared-search oracle proptests (release: one search per distinct layer shape)"
+cargo test --release -q -p ulm-network --test shared_search
+
 echo "==> surrogate-vs-evaluate_fast differential proptests (release)"
 cargo test --release -q -p ulm --test surrogate_props
 
