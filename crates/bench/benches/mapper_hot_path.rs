@@ -2,9 +2,12 @@
 //! architecture sweep. Compares the pre-optimization baseline (fresh
 //! allocations + full evaluation for every ordering) against the
 //! optimized search (reusable scratch, branch-and-bound pruning, prefix
-//! memoization, optional intra-design parallelism) on the Fig. 8
-//! case-study workload, and writes the numbers to `BENCH_mapper.json`
-//! (path overridable via the `BENCH_MAPPER_JSON` env var).
+//! memoization, ordering classes, optional intra-design parallelism) on
+//! the Fig. 8 case-study workload; then the permutation walk (every
+//! ordering through the batched kernel) against the ordering-class walk
+//! `Mapper::search` runs, on three exhaustive spaces. Writes the numbers,
+//! stamped with the core count, to `BENCH_mapper.json` (path overridable
+//! via the `BENCH_MAPPER_JSON` env var).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -12,7 +15,8 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::Instant;
-use ulm::mapper::enumerate;
+use ulm::mapper::{enumerate, DEFAULT_BATCH_LANES};
+use ulm::model::{BatchKernel, LaneOutcome};
 use ulm::prelude::*;
 
 /// System allocator wrapper counting every allocation, so the JSON
@@ -58,7 +62,151 @@ fn setup() -> (Architecture, Layer, SpatialUnroll) {
     (arch, layer, spatial)
 }
 
+/// One exhaustive space timed both ways: the permutation walk (every
+/// ordering pushed through the batched kernel, first strictly better)
+/// and `Mapper::search`'s ordering-class walk.
+struct WalkRow {
+    key: &'static str,
+    workload: String,
+    space: u128,
+    perm_secs: f64,
+    perm_generated: u128,
+    class_secs: f64,
+    class_generated: usize,
+}
+
+/// The pre-class search at the default lane count, serial: every
+/// ordering through the batched kernel, then the full evaluation of the
+/// winner, as `Mapper::search` did before ordering classes.
+fn permutation_walk(
+    mapper: &Mapper<'_>,
+    arch: &Architecture,
+    layer: &Layer,
+    spatial: &SpatialUnroll,
+) -> (u64, u128) {
+    let factors = &mapper.factors();
+    let mut kernel = BatchKernel::new(
+        arch,
+        layer,
+        spatial,
+        LatencyModel::new(),
+        factors,
+        DEFAULT_BATCH_LANES,
+    );
+    type Best = Option<(f64, Vec<(Dim, u64)>)>;
+    let mut best: Best = None;
+    let drain = |k: &mut BatchKernel<'_>, best: &mut Best| {
+        k.drain(best.as_ref().map(|b| b.0), |ordering, outcome| {
+            if let LaneOutcome::Scored(s) = outcome {
+                if best.as_ref().map(|b| s < b.0).unwrap_or(true) {
+                    *best = Some((s, ordering.to_vec()));
+                }
+            }
+            best.as_ref().map(|b| b.0)
+        });
+    };
+    let mut generated = 0u128;
+    enumerate::for_each_ordering(factors, |ordering| {
+        if kernel.is_full() {
+            drain(&mut kernel, &mut best);
+        }
+        generated += 1;
+        kernel.push(ordering);
+        true
+    });
+    drain(&mut kernel, &mut best);
+    let (_, ordering) = best.expect("a legal ordering exists");
+    let winner = mapper
+        .evaluate_ordering(&ordering)
+        .expect("the winner is legal");
+    (winner.latency.cc_total.to_bits(), generated)
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Median wall time of `reps` alternating runs of both walks; the class
+/// walk's best score must equal the permutation walk's bit for bit.
+fn walk_row(
+    key: &'static str,
+    workload: String,
+    arch: &Architecture,
+    layer: &Layer,
+    spatial: &SpatialUnroll,
+    reps: usize,
+) -> WalkRow {
+    let mapper = Mapper::new(arch, layer, spatial.clone()).with_options(MapperOptions {
+        max_exhaustive: u128::MAX,
+        ..MapperOptions::default()
+    });
+    let (mut perm, mut class) = (Vec::new(), Vec::new());
+    let (mut perm_generated, mut class_generated) = (0, 0);
+    for _ in 0..reps {
+        let t = Instant::now();
+        let (bits, generated) = permutation_walk(&mapper, arch, layer, spatial);
+        perm.push(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        let r = mapper
+            .search(Objective::Latency)
+            .expect("a legal ordering exists");
+        class.push(t.elapsed().as_secs_f64());
+        assert!(r.exhaustive);
+        assert_eq!(bits, r.best.latency.cc_total.to_bits(), "{workload}");
+        (perm_generated, class_generated) = (generated, r.stats.generated);
+    }
+    WalkRow {
+        key,
+        workload,
+        space: mapper.space_size(),
+        perm_secs: median(perm),
+        perm_generated,
+        class_secs: median(class),
+        class_generated,
+    }
+}
+
+/// Fig. 8 forced exhaustive, the serve-cold prefill `q_proj` net layer,
+/// and a serve-cold search space under 500 orderings.
+fn walk_rows() -> Vec<WalkRow> {
+    let (arch, layer, spatial) = setup();
+    let mut rows = vec![walk_row(
+        "fig8",
+        "case_study_chip(128) matmul 64x96x640, spatial K16 B8 C2".into(),
+        &arch,
+        &layer,
+        &spatial,
+        5,
+    )];
+    let case32 = presets::scaled_case_study_chip(32, 512);
+    let q_proj = networks::attention_prefill()
+        .into_iter()
+        .find(|l| l.name() == "q_proj")
+        .expect("prefill has q_proj");
+    rows.push(walk_row(
+        "prefill_q_proj",
+        "attention-prefill q_proj 128x256x256 on case32, GB 512 bit/cycle".into(),
+        &case32.arch,
+        &q_proj,
+        &SpatialUnroll::new(case32.spatial.clone()),
+        9,
+    ));
+    let case16 = presets::scaled_case_study_chip(16, 128);
+    rows.push(walk_row(
+        "small",
+        "matmul 64x32x32 on case16, GB 128 bit/cycle".into(),
+        &case16.arch,
+        &Layer::matmul("small", 64, 32, 32, Precision::int8_out24()),
+        &SpatialUnroll::new(case16.spatial.clone()),
+        101,
+    ));
+    rows
+}
+
 struct Snapshot {
+    nproc: usize,
+    walks: Vec<WalkRow>,
     space: u128,
     baseline_secs: f64,
     baseline_allocs_per_ordering: f64,
@@ -288,6 +436,10 @@ fn measure() -> Snapshot {
     let surrogate_full_secs = t8.elapsed().as_secs_f64();
 
     Snapshot {
+        nproc: std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        walks: walk_rows(),
         space,
         baseline_secs,
         baseline_allocs_per_ordering: baseline_allocs as f64 / generated as f64,
@@ -339,8 +491,29 @@ fn write_snapshot(s: &Snapshot) {
     let fast_ops = n / s.fast_secs;
     let batched_ops = n / s.batched_secs;
     let par_ops = n / s.par_secs;
+    let mut walks = String::new();
+    for w in &s.walks {
+        walks.push_str(&format!(
+            "  \"{k}_workload\": \"{}\",\n  \
+             \"{k}_orderings\": {},\n  \
+             \"{k}_permutation_secs\": {:.6},\n  \
+             \"{k}_permutation_generated\": {},\n  \
+             \"{k}_class_secs\": {:.6},\n  \
+             \"{k}_class_generated\": {},\n  \
+             \"{k}_class_speedup\": {:.2},\n",
+            w.workload,
+            w.space,
+            w.perm_secs,
+            w.perm_generated,
+            w.class_secs,
+            w.class_generated,
+            w.perm_secs / w.class_secs,
+            k = w.key,
+        ));
+    }
     let json = format!(
-        "{{\n  \"workload\": \"fig8-dse case_study_chip(128) matmul 64x96x640, spatial K16 B8 C2\",\n  \
+        "{{\n  \"nproc\": {},\n{walks}  \
+         \"workload\": \"fig8-dse case_study_chip(128) matmul 64x96x640, spatial K16 B8 C2\",\n  \
          \"orderings\": {},\n  \
          \"baseline_secs\": {:.6},\n  \
          \"baseline_orderings_per_sec\": {:.1},\n  \
@@ -381,6 +554,7 @@ fn write_snapshot(s: &Snapshot) {
          \"surrogate_vs_fast_speedup\": {:.2},\n  \
          \"surrogate_cold_vs_full_speedup\": {:.2},\n  \
          \"surrogate_bits_identical\": {}\n}}\n",
+        s.nproc,
         s.space,
         s.baseline_secs,
         baseline_ops,
@@ -465,6 +639,19 @@ fn write_snapshot(s: &Snapshot) {
         s.surrogate_full_secs / s.surrogate_cold_secs,
         s.surrogate_bits_identical,
     );
+    for w in &s.walks {
+        println!(
+            "[bench] {}: {} orderings, permutation walk {:.2} ms ({} generated) vs class walk \
+             {:.2} ms ({} generated), {:.1}x",
+            w.workload,
+            w.space,
+            w.perm_secs * 1e3,
+            w.perm_generated,
+            w.class_secs * 1e3,
+            w.class_generated,
+            w.perm_secs / w.class_secs,
+        );
+    }
     println!("[json] {}", path.display());
 }
 

@@ -58,18 +58,32 @@ pub fn for_each_ordering(factors: &[Factor], mut visit: impl FnMut(&[Factor]) ->
     visited
 }
 
+/// A depth-first walk over the ordering tree that may skip subtrees; see
+/// [`walk_orderings_in_range`].
+pub trait OrderingWalk {
+    /// Called before the walk descends into the subtree that places
+    /// `factor` at position `depth` (innermost first) on top of the
+    /// current path's prefix. Returning `false` skips that subtree: its
+    /// orderings count as covered but are not visited.
+    fn enter(&mut self, depth: usize, factor: Factor) -> bool;
+    /// Called for each visited ordering; `false` stops the walk.
+    fn visit(&mut self, ordering: &[Factor]) -> bool;
+}
+
 /// Like [`for_each_ordering`], but visits only the orderings with global
 /// index in `[start, end)` (the index an ordering has in the full
 /// enumeration), skipping whole subtrees outside the range by exact
-/// multiset-permutation counting. Concatenating the ranges
-/// `[0, a), [a, b), … [_, space_size)` visits every ordering exactly
-/// once, in the same order as [`for_each_ordering`] — the property the
-/// mapper's intra-design parallel search relies on.
-pub fn for_each_ordering_in_range(
+/// multiset-permutation counting, and every subtree that `walk.enter`
+/// declines (its index advances by its exact leaf count). Concatenating
+/// the ranges `[0, a), [a, b), … [_, space_size)` walks every ordering
+/// exactly once, in the same order as [`for_each_ordering`] — the
+/// property the mapper's intra-design parallel search relies on.
+/// Returns the number of orderings visited.
+pub fn walk_orderings_in_range(
     factors: &[Factor],
     start: u128,
     end: u128,
-    mut visit: impl FnMut(&[Factor]) -> bool,
+    walk: &mut impl OrderingWalk,
 ) -> u64 {
     let mut counts: BTreeMap<Factor, usize> = BTreeMap::new();
     for &f in factors {
@@ -88,19 +102,19 @@ pub fn for_each_ordering_in_range(
         current: &mut Vec<Factor>,
         remaining: usize,
         visited: &mut u64,
-        visit: &mut impl FnMut(&[Factor]) -> bool,
+        walk: &mut impl OrderingWalk,
     ) -> bool {
         if remaining == 0 {
             *visited += 1;
-            return visit(current);
+            return walk.visit(current);
         }
         for i in 0..items.len() {
-            if items[i].1 == 0 {
+            if items[i].1 == 0 || !walk.enter(current.len(), items[i].0) {
                 continue;
             }
             items[i].1 -= 1;
             current.push(items[i].0);
-            let keep_going = rec_all(items, current, remaining - 1, visited, visit);
+            let keep_going = rec_all(items, current, remaining - 1, visited, walk);
             current.pop();
             items[i].1 += 1;
             if !keep_going {
@@ -121,10 +135,10 @@ pub fn for_each_ordering_in_range(
         start: u128,
         end: u128,
         visited: &mut u64,
-        visit: &mut impl FnMut(&[Factor]) -> bool,
+        walk: &mut impl OrderingWalk,
     ) -> bool {
         if *pos >= start && *pos + sub <= end {
-            let keep_going = rec_all(items, current, remaining, visited, visit);
+            let keep_going = rec_all(items, current, remaining, visited, walk);
             *pos += sub;
             return keep_going;
         }
@@ -132,7 +146,7 @@ pub fn for_each_ordering_in_range(
             debug_assert!(*pos >= start && *pos < end);
             *pos += 1;
             *visited += 1;
-            return visit(current);
+            return walk.visit(current);
         }
         for i in 0..items.len() {
             if items[i].1 == 0 {
@@ -147,6 +161,10 @@ pub fn for_each_ordering_in_range(
             if *pos >= end {
                 return true;
             }
+            if !walk.enter(current.len(), items[i].0) {
+                *pos += child;
+                continue;
+            }
             items[i].1 -= 1;
             current.push(items[i].0);
             let keep_going = rec(
@@ -158,7 +176,7 @@ pub fn for_each_ordering_in_range(
                 start,
                 end,
                 visited,
-                visit,
+                walk,
             );
             current.pop();
             items[i].1 += 1;
@@ -179,7 +197,7 @@ pub fn for_each_ordering_in_range(
             start,
             end,
             &mut visited,
-            &mut visit,
+            walk,
         );
     }
     visited
@@ -243,6 +261,25 @@ mod tests {
     use super::*;
     use crate::factorize::ordering_count;
     use ulm_workload::Dim;
+
+    /// Visits every ordering of `[start, end)`, declining no subtree.
+    fn for_each_ordering_in_range(
+        factors: &[Factor],
+        start: u128,
+        end: u128,
+        visit: impl FnMut(&[Factor]) -> bool,
+    ) -> u64 {
+        struct Every<F>(F);
+        impl<F: FnMut(&[Factor]) -> bool> OrderingWalk for Every<F> {
+            fn enter(&mut self, _: usize, _: Factor) -> bool {
+                true
+            }
+            fn visit(&mut self, ordering: &[Factor]) -> bool {
+                (self.0)(ordering)
+            }
+        }
+        walk_orderings_in_range(factors, start, end, &mut Every(visit))
+    }
 
     #[test]
     fn enumeration_matches_count() {

@@ -26,12 +26,10 @@
 //! # Ok::<(), ulm_mapper::MapperError>(())
 //! ```
 
-pub mod anneal;
 pub mod enumerate;
 pub mod factorize;
 pub mod spatial_search;
 
-pub use anneal::AnnealOptions;
 pub use spatial_search::{search_spatial, search_spatial_with, spatial_candidates, SpatialOptions};
 
 use factorize::{ordering_count, temporal_factors, Factor};
@@ -43,7 +41,7 @@ use ulm_energy::{EnergyModel, EnergyReport, EnergyScratch};
 use ulm_mapping::{LoopStack, MappedLayer, Mapping, OperandAlloc, SpatialUnroll};
 use ulm_model::{
     roofline_bound, BatchKernel, LaneOutcome, LatencyModel, LatencyReport, LoweredLayer,
-    ModelScratch,
+    ModelScratch, OrderingClasses,
 };
 use ulm_workload::{DimSizes, Layer, PerOperand};
 
@@ -109,7 +107,9 @@ impl EvaluatedMapping {
 /// serve): one definition of what the numbers mean, one serialization.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SearchStats {
-    /// Orderings generated (legal or not).
+    /// Orderings generated (legal or not). An exhaustive search walks one
+    /// ordering per ordering class (DESIGN.md §10.4) and skips the rest,
+    /// so this can be far below [`SearchResult::space_size`].
     pub generated: usize,
     /// Orderings whose mapping was legal and fully evaluated.
     pub evaluated: usize,
@@ -188,6 +188,40 @@ impl fmt::Display for MapperError {
 }
 
 impl Error for MapperError {}
+
+impl SearchResult {
+    /// Orderings the search accounted for, walked or skipped as members
+    /// of an already-walked ordering class: the whole space when
+    /// exhaustive, else the candidates generated.
+    pub fn covered(&self) -> usize {
+        covered(self.exhaustive, self.space_size, self.stats.generated)
+    }
+}
+
+fn covered(exhaustive: bool, space_size: u128, generated: usize) -> usize {
+    if exhaustive {
+        usize::try_from(space_size).unwrap_or(usize::MAX)
+    } else {
+        generated
+    }
+}
+
+/// Adapts an ordering-class memo and a leaf callback to the enumerator:
+/// a subtree whose prefix state was already seen is skipped.
+struct ClassWalk<'c, 'a, F> {
+    classes: &'c mut OrderingClasses<'a>,
+    leaf: F,
+}
+
+impl<F: FnMut(&[Factor]) -> bool> enumerate::OrderingWalk for ClassWalk<'_, '_, F> {
+    fn enter(&mut self, depth: usize, factor: Factor) -> bool {
+        self.classes.enter(depth, factor)
+    }
+
+    fn visit(&mut self, ordering: &[Factor]) -> bool {
+        (self.leaf)(ordering)
+    }
+}
 
 /// Reusable per-thread state for the allocation-free evaluation path:
 /// a mapping shell rebuilt in place per ordering, the memoized prefix
@@ -495,8 +529,11 @@ impl<'a> Mapper<'a> {
 
     /// Runs the fast evaluator over orderings `[start, end)` of the full
     /// enumeration, keeping the chunk-local first-strictly-better best.
-    /// Latency searches with more than one lane run the batched SoA
-    /// kernel; the outcome sequence is identical either way.
+    /// Only the first ordering of each ordering class is evaluated: a
+    /// later member has an earlier twin with identical score bits, so it
+    /// can never be strictly better (DESIGN.md §10.4). Latency searches
+    /// with more than one lane run the batched SoA kernel; the outcome
+    /// sequence is identical either way.
     fn run_enumerated_chunk(
         &self,
         factors: &[Factor],
@@ -515,29 +552,39 @@ impl<'a> Mapper<'a> {
                 factors,
                 lanes,
             );
-            enumerate::for_each_ordering_in_range(factors, start, end, |ordering| {
-                if kernel.is_full() {
-                    Self::drain_batch(&mut kernel, &mut out);
-                }
-                out.generated += 1;
-                kernel.push(ordering);
-                true
-            });
+            let mut classes = kernel.classes();
+            let mut walk = ClassWalk {
+                classes: &mut classes,
+                leaf: |ordering: &[Factor]| {
+                    if kernel.is_full() {
+                        Self::drain_batch(&mut kernel, &mut out);
+                    }
+                    out.generated += 1;
+                    kernel.push(ordering);
+                    true
+                },
+            };
+            enumerate::walk_orderings_in_range(factors, start, end, &mut walk);
             Self::drain_batch(&mut kernel, &mut out);
             out.cache_hits = kernel.cache_hits();
             return out;
         }
         let mut scratch = EvalScratch::new(&self.spatial);
-        enumerate::for_each_ordering_in_range(factors, start, end, |ordering| {
-            out.generated += 1;
-            let incumbent = out.best.as_ref().map(|b| b.0);
-            match self.evaluate_ordering_bounded(ordering, obj, incumbent, &mut scratch) {
-                FastEval::Illegal => {}
-                FastEval::Pruned => out.pruned += 1,
-                FastEval::Scored(score) => out.consider(score, ordering),
-            }
-            true
-        });
+        let mut classes = OrderingClasses::new(self.arch, self.layer, &self.spatial, factors);
+        let mut walk = ClassWalk {
+            classes: &mut classes,
+            leaf: |ordering: &[Factor]| {
+                out.generated += 1;
+                let incumbent = out.best.as_ref().map(|b| b.0);
+                match self.evaluate_ordering_bounded(ordering, obj, incumbent, &mut scratch) {
+                    FastEval::Illegal => {}
+                    FastEval::Pruned => out.pruned += 1,
+                    FastEval::Scored(score) => out.consider(score, ordering),
+                }
+                true
+            },
+        };
+        enumerate::walk_orderings_in_range(factors, start, end, &mut walk);
         out.cache_hits = scratch.cache_hits;
         out
     }
@@ -713,7 +760,7 @@ impl<'a> Mapper<'a> {
                 })
             }
             None => Err(MapperError::NoLegalMapping {
-                tried: stats.generated,
+                tried: covered(exhaustive, space_size, stats.generated),
             }),
         }
     }
@@ -794,7 +841,11 @@ mod tests {
         assert_eq!(mapper.space_size(), 20);
         let r = mapper.search(Objective::Latency).unwrap();
         assert!(r.exhaustive);
-        assert_eq!(r.stats.generated, 20);
+        assert_eq!(r.space_size, 20);
+        // One walked ordering per ordering class: 3 of the 20 share an
+        // earlier ordering's prefix state and are skipped.
+        assert_eq!(r.stats.generated, 17);
+        assert_eq!(r.covered(), 20);
         assert!(r.stats.evaluated > 0);
         // The best must beat (or tie) every enumerated mapping.
         let all = mapper.enumerate_all().unwrap();

@@ -115,7 +115,7 @@ pub fn search_spatial_with(
             .with_batch_lanes(batch_lanes);
         match mapper.search(obj) {
             Ok(r) => {
-                tried += r.stats.generated;
+                tried += r.covered();
                 let better = best
                     .as_ref()
                     .map(|(_, b)| r.best.score(obj) < b.score(obj))

@@ -1,6 +1,6 @@
 //! Counting-allocator proof that the batched SoA kernel is
 //! allocation-free in steady state: after one warm-up sweep has sized
-//! the lane rows, the stall scratch and the survivor-score memo,
+//! the lane rows, the stall scratch and its port-group union memo,
 //! replaying the whole ordering space through `push`/`drain` performs
 //! zero heap allocations.
 //!
@@ -108,8 +108,8 @@ fn steady_state_batched_kernel_allocates_nothing() {
         let model = LatencyModel::new();
         let mut kernel = BatchKernel::new(&chip.arch, &layer, &spatial, model, &factors, lanes);
 
-        // Warm-up sweep: grows the lane rows, the stall scratch and the
-        // survivor-score memo to their high-water marks.
+        // Warm-up sweep: grows the lane rows, the stall scratch and its
+        // union memo to their high-water marks.
         let warm = sweep(&mut kernel, &orderings);
         assert!(warm.0 > 0, "lanes {lanes}: warm-up scored nothing");
 

@@ -26,14 +26,16 @@
 //! precomputed word budgets, and derives `Z`/refill/run scalars from
 //! closed-form suffix products instead of re-walking loop stacks.
 
+use crate::classes::{GreedyTables, OrderingClasses};
 use crate::dtl::{finish, Dtl, DtlKind, Endpoint, Endpoints, WindowShape};
 use crate::fast::FastLatency;
 use crate::lower::kv_active_interfaces;
 use crate::stall::StallScratch;
 use crate::LatencyModel;
+use std::sync::Arc;
 use ulm_arch::{Architecture, MemoryId, PortUse};
 use ulm_mapping::SpatialUnroll;
-use ulm_workload::{Dim, DimSizes, Layer, Operand, Relevance, ALL_DIMS};
+use ulm_workload::{Dim, DimSizes, Layer, Operand, Relevance};
 
 /// Outcome of one lane after a [`BatchKernel::drain`] pass, mirroring
 /// the scalar search's per-ordering outcomes.
@@ -71,23 +73,11 @@ struct OpSpec {
     /// Resident precision in bits (partial-sum width for O).
     bits: u64,
     chain: Vec<MemoryId>,
-    /// Per dim: does a temporal factor of this dim grow the operand's
-    /// resident words multiplicatively (strictly relevant)?
-    step: [bool; 7],
-    /// Per dim: `is_relevant()` (partials included) — drives runs,
-    /// refill counts and output finality.
-    rel: [bool; 7],
-    /// All factor dims are strictly relevant or irrelevant to this
-    /// operand, so resident words grow by pure factor products.
-    words_mult: bool,
     /// Interfaces that carry traffic: `chain.len() - 1`, one fewer for a
     /// KV-cache resident operand — mirrors
     /// [`LoweredLayer::active_interfaces`](crate::LoweredLayer::active_interfaces)
     /// so batched scores stay bit-identical to the scalar path.
     active: usize,
-    /// Per level < top: greedy capacity budget in *words*
-    /// (`mapper_capacity_bits / sharers / bits`, floored).
-    cap_words: Vec<u64>,
     /// Per level < top: link constants.
     links: Vec<LinkSpec>,
     /// Compute-facing link: relevant spatial words per cycle.
@@ -101,15 +91,14 @@ struct OpSpec {
 /// factor-multiset) search context. See the module docs.
 pub struct BatchKernel<'a> {
     arch: &'a Architecture,
-    layer: &'a Layer,
+    /// Greedy-allocation tables, shared with [`OrderingClasses`] walks.
+    tables: Arc<GreedyTables<'a>>,
     model: LatencyModel,
     lanes: usize,
     /// Factors per ordering.
     n: usize,
     /// Lanes currently filled.
     count: usize,
-    /// Spatial fit + coverage verdict (order-independent).
-    const_legal: bool,
     cc_ideal: f64,
     cc_spatial: u64,
     ops: [OpSpec; 3],
@@ -133,7 +122,6 @@ pub struct BatchKernel<'a> {
     /// is the exact distinct-block count above `upper`, and
     /// `suffix_all[upper] == distinct` iff everything above is relevant).
     rel_at: [Vec<u64>; 3],
-    need_ext: bool,
     cache_hits: u64,
 
     // --- per-push scratch ---
@@ -143,7 +131,6 @@ pub struct BatchKernel<'a> {
 
     // --- SoA lane rows, stride = `lanes` ---
     row_off: [usize; 3],
-    rows: usize,
     r_words: Vec<u64>,
     r_period: Vec<u64>,
     r_z: Vec<u64>,
@@ -164,14 +151,9 @@ pub struct BatchKernel<'a> {
     out_partial_bits: u64,
     psum_bits: u64,
     dtls: Vec<Dtl>,
+    /// Steps 2–3 scratch. It memoizes port-group window unions: survivors
+    /// share most of their rows, so most of their port groups repeat.
     stall: StallScratch,
-    /// Survivor-score memo: a lane's score is a pure function of its SoA
-    /// row tuple (the constants are fixed per kernel), and the rows
-    /// depend only on level-boundary *multisets*, so many orderings
-    /// collapse onto one signature. A hit returns the exact `f64` the
-    /// full pipeline computed, so memoization preserves bit-identity.
-    score_sig: Vec<u64>,
-    score_cache: std::collections::HashMap<Vec<u64>, f64>,
 }
 
 impl<'a> BatchKernel<'a> {
@@ -192,52 +174,20 @@ impl<'a> BatchKernel<'a> {
         let h = arch.hierarchy();
         let prec = layer.precision();
 
-        // Order-independent legality: spatial fit + dimension coverage.
+        let tables = Arc::new(GreedyTables::new(arch, layer, spatial, factors));
         let macs = arch.mac_array().num_macs();
-        let mut const_legal = spatial.product() <= macs;
-        if const_legal {
-            let mut temporal = DimSizes::new(1, 1, 1, 1, 1, 1, 1);
-            for &(d, s) in factors {
-                temporal.multiply(d, s);
-            }
-            for (dim, required) in layer.shape().dims().iter() {
-                if spatial.extent(dim) * temporal[dim] < required {
-                    const_legal = false;
-                    break;
-                }
-            }
-        }
-
         let cc_ideal = layer.total_macs() as f64 / macs as f64;
         let cc_spatial: u64 = factors.iter().map(|&(_, s)| s).product();
 
-        let spatial_ext = spatial.extents();
-        let mut need_ext = false;
         let build_op = |op: Operand| {
             let rel_table = layer.operand_relevance(op);
             let bits = prec.bits(op);
             let chain: Vec<MemoryId> = h.chain(op).to_vec();
-            let mut step = [false; 7];
-            let mut rel = [false; 7];
-            for d in ALL_DIMS {
-                let r = rel_table.get(d);
-                step[d.index()] = r == Relevance::Relevant;
-                rel[d.index()] = r.is_relevant();
-            }
-            let words_mult = factors.iter().all(|&(d, _)| {
-                matches!(
-                    rel_table.get(d),
-                    Relevance::Relevant | Relevance::Irrelevant
-                )
-            });
-            let mut cap_words = Vec::new();
             let mut links = Vec::new();
             for level in 0..chain.len().saturating_sub(1) {
                 let lower = chain[level];
                 let upper = chain[level + 1];
                 let mem = h.mem(lower);
-                let sharers = h.served_operand_count(lower) as u64;
-                cap_words.push(mem.mapper_capacity_bits() / sharers / bits);
                 let spec = match op {
                     Operand::W | Operand::I => {
                         let (wp, wbw) = h.port(lower, op, PortUse::WriteIn);
@@ -317,10 +267,6 @@ impl<'a> BatchKernel<'a> {
                 bits,
                 active: kv_active_interfaces(layer, op, chain.len()),
                 chain,
-                step,
-                rel,
-                words_mult,
-                cap_words,
                 links,
                 words_per_cycle,
                 compute_bw: bw,
@@ -336,9 +282,6 @@ impl<'a> BatchKernel<'a> {
             build_op(Operand::I),
             build_op(Operand::O),
         ];
-        for spec in &ops {
-            need_ext |= !spec.words_mult;
-        }
 
         let mem_caps: Vec<Option<u64>> = h
             .memories()
@@ -353,20 +296,20 @@ impl<'a> BatchKernel<'a> {
         ];
         let rows = row_off[2] + ops[2].chain.len();
 
-        let words_at = [Operand::W, Operand::I, Operand::O].map(|op| {
+        let words_at = [0, 1, 2].map(|oi| {
             let mut v = vec![0u64; n + 1];
-            v[0] = layer.data_words(op, &spatial_ext);
+            v[0] = tables.ops[oi].words0;
             v
         });
+        let spatial_ext = tables.spatial_ext;
 
         Self {
             arch,
-            layer,
+            tables,
             model,
             lanes,
             n,
             count: 0,
-            const_legal,
             cc_ideal,
             cc_spatial,
             ops,
@@ -381,13 +324,11 @@ impl<'a> BatchKernel<'a> {
             words_at,
             prefix_ext: vec![spatial_ext; n + 1],
             rel_at: [(); 3].map(|_| vec![1u64; n + 1]),
-            need_ext,
             cache_hits: 0,
             suffix_all: vec![1u64; n + 1],
             bounds: [(); 3].map(|_| Vec::with_capacity(8)),
             residency: vec![0u64; h.memories().len()],
             row_off,
-            rows,
             r_words: vec![0; rows * lanes],
             r_period: vec![0; rows * lanes],
             r_z: vec![0; rows * lanes],
@@ -406,9 +347,7 @@ impl<'a> BatchKernel<'a> {
             out_partial_bits: prec.output_bits(false),
             psum_bits: prec.partial_sum_bits(),
             dtls: Vec::with_capacity(16),
-            stall: StallScratch::default(),
-            score_sig: Vec::with_capacity(rows * 7),
-            score_cache: std::collections::HashMap::new(),
+            stall: StallScratch::with_union_memo(),
         }
     }
 
@@ -438,6 +377,12 @@ impl<'a> BatchKernel<'a> {
         self.cache_hits
     }
 
+    /// A fresh ordering-class walk over this kernel's factor multiset,
+    /// sharing the kernel's greedy-allocation tables.
+    pub fn classes(&self) -> OrderingClasses<'a> {
+        OrderingClasses::with_tables(Arc::clone(&self.tables))
+    }
+
     /// Packs one ordering (innermost factor first, a permutation of the
     /// constructor's factor multiset) into the next lane: extends the
     /// prefix memos, replays the greedy level allocation and fills the
@@ -460,22 +405,18 @@ impl<'a> BatchKernel<'a> {
         self.cache_hits += shared as u64;
         self.prev.clear();
         self.prev.extend_from_slice(ordering);
+        let t = &*self.tables;
         for (p, &(d, s)) in ordering.iter().enumerate().skip(shared) {
             self.prefix_cycles[p + 1] = self.prefix_cycles[p] * s;
-            if self.need_ext {
+            if t.need_ext {
                 let mut ext = self.prefix_ext[p];
                 ext.multiply(d, s);
                 self.prefix_ext[p + 1] = ext;
             }
-            for (oi, spec) in self.ops.iter().enumerate() {
-                self.words_at[oi][p + 1] = if spec.words_mult {
-                    let f = if spec.step[d.index()] { s } else { 1 };
-                    self.words_at[oi][p] * f
-                } else {
-                    self.layer.data_words(spec.op, &self.prefix_ext[p + 1])
-                };
-                self.rel_at[oi][p + 1] =
-                    self.rel_at[oi][p] * if spec.rel[d.index()] { s } else { 1 };
+            for (oi, g) in t.ops.iter().enumerate() {
+                self.words_at[oi][p + 1] =
+                    t.grow_words(oi, self.words_at[oi][p], &self.prefix_ext[p + 1], d, s);
+                self.rel_at[oi][p + 1] = self.rel_at[oi][p] * if g.rel[d.index()] { s } else { 1 };
             }
         }
 
@@ -490,19 +431,19 @@ impl<'a> BatchKernel<'a> {
 
         // Greedy level allocation with precomputed word budgets — the
         // same bounds `Mapping::reassign_greedy` assigns, or Illegal.
-        let mut illegal = !self.const_legal;
+        let mut illegal = !t.const_legal;
         if !illegal {
-            'ops: for (oi, spec) in self.ops.iter().enumerate() {
+            'ops: for (oi, g) in t.ops.iter().enumerate() {
                 let bounds = &mut self.bounds[oi];
                 bounds.clear();
                 let mut prev = 0usize;
-                let levels = spec.chain.len();
+                let levels = g.levels;
                 for lvl in 0..levels {
                     if lvl + 1 == levels {
                         bounds.push(n as u32);
                         break;
                     }
-                    let cap = spec.cap_words[lvl];
+                    let cap = g.cap_words[lvl];
                     let words = &self.words_at[oi];
                     if words[prev] > cap {
                         illegal = true;
@@ -543,10 +484,10 @@ impl<'a> BatchKernel<'a> {
         }
 
         // Fill the lane's SoA rows from the memoized prefix/suffix data.
-        for (oi, spec) in self.ops.iter().enumerate() {
+        for (oi, g) in t.ops.iter().enumerate() {
             let rel_at = &self.rel_at[oi];
             let rel_total = rel_at[n];
-            for lvl in 0..spec.chain.len() {
+            for lvl in 0..g.levels {
                 let upper = self.bounds[oi][lvl] as usize;
                 let lower = if lvl == 0 {
                     0
@@ -560,7 +501,7 @@ impl<'a> BatchKernel<'a> {
                 let mut run = 1u64;
                 for p in (lower..upper).rev() {
                     let (d, s) = ordering[p];
-                    if spec.rel[d.index()] {
+                    if g.rel[d.index()] {
                         break;
                     }
                     run *= s;
@@ -569,7 +510,7 @@ impl<'a> BatchKernel<'a> {
                 // First relevant position at or above `upper`; the scan
                 // only crosses the (short) irrelevant run above the split.
                 let mut fr = upper;
-                while fr < n && !spec.rel[ordering[fr].0.index()] {
+                while fr < n && !g.rel[ordering[fr].0.index()] {
                     fr += 1;
                 }
                 self.r_refills[idx] = self.suffix_all[fr];
@@ -713,24 +654,6 @@ impl<'a> BatchKernel<'a> {
     /// the SoA rows and the precomputed link templates (the same order
     /// and arithmetic as `build_dtls_lowered`), run Steps 2–3, compose.
     fn score_lane(&mut self, lane: usize) -> f64 {
-        // Memo lookup: the score is fully determined by the lane's row
-        // tuple (everything else in the pipeline is a kernel constant).
-        self.score_sig.clear();
-        for r in 0..self.rows {
-            let idx = r * self.lanes + lane;
-            self.score_sig.extend_from_slice(&[
-                self.r_words[idx],
-                self.r_period[idx],
-                self.r_z[idx],
-                self.r_run[idx],
-                self.r_refills[idx],
-                self.r_distinct[idx],
-                self.r_final[idx] as u64,
-            ]);
-        }
-        if let Some(&score) = self.score_cache.get(self.score_sig.as_slice()) {
-            return score;
-        }
         let opts = *self.model.options();
         let ss_overall = if opts.bw_aware {
             self.build_lane_dtls(lane);
@@ -744,20 +667,14 @@ impl<'a> BatchKernel<'a> {
         } else {
             0.0
         };
-        let score = FastLatency::compose(
+        FastLatency::compose(
             self.lane_pre[lane],
             self.lane_off[lane],
             self.cc_ideal,
             self.cc_spatial,
             ss_overall,
         )
-        .cc_total;
-        // Bounded memo: stop inserting (lookups still work) rather than
-        // grow without limit on adversarial workloads.
-        if self.score_cache.len() < (1 << 16) {
-            self.score_cache.insert(self.score_sig.clone(), score);
-        }
-        score
+        .cc_total
     }
 
     fn build_lane_dtls(&mut self, lane: usize) {

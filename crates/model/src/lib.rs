@@ -50,6 +50,7 @@
 
 pub mod batch;
 pub mod calibrate;
+pub mod classes;
 pub mod delta;
 pub mod dtl;
 pub mod fast;
@@ -67,6 +68,7 @@ pub use calibrate::{
     parse_measurements, CalibrateError, Calibration, CalibrationFit, Calibrator, LayerResidual,
     MeasurementRow, ObservedBusy, PortFit,
 };
+pub use classes::OrderingClasses;
 pub use delta::{InputDelta, RebuildStats, Stage};
 pub use dtl::{Dtl, DtlKind, DtlOptions, Endpoint, Endpoints};
 pub use fast::{FastLatency, ModelScratch};

@@ -3,10 +3,10 @@
 //! overall temporal stall `SS_overall`.
 
 use crate::dtl::Dtl;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use ulm_arch::{Architecture, MemoryId, PortId, StallIntegration};
 use ulm_periodic::PeriodicWindow;
-use ulm_periodic::{union_measure_scratch, UnionOptions, UnionScratch};
+use ulm_periodic::{union_measure_scratch, Measure, UnionOptions, UnionScratch};
 
 /// Step-2 result for one physical memory port.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,13 +72,69 @@ pub struct PortGroupCore {
 pub struct StallScratch {
     keys: Vec<(MemoryId, PortId, usize)>,
     windows: Vec<PeriodicWindow>,
-    union: UnionScratch,
+    unions: Unions,
     groups: Vec<PortGroupCore>,
     mem_stalls: Vec<MemStall>,
     grouped: Vec<MemoryId>,
 }
 
+/// Measures port-group window unions (`MUW_comb`), optionally
+/// remembering each one. The union is a pure function of the group's
+/// windows (and of the [`UnionOptions`], which a memoizing owner must keep
+/// fixed), so a remembered `Measure` is the very one a fresh sweep
+/// returns.
+#[derive(Debug, Default)]
+struct Unions {
+    scratch: UnionScratch,
+    /// Measures keyed by the exact bits of a group's windows, for groups
+    /// of more than one window (a lone window's measure is immediate).
+    memo: Option<HashMap<Vec<u64>, Measure>>,
+    key: Vec<u64>,
+}
+
+/// Distinct window sets a [`Unions`] memo keeps; past it the memo stops
+/// inserting.
+const MAX_MEMO_UNIONS: usize = 1 << 14;
+
+impl Unions {
+    fn measure(&mut self, windows: &[PeriodicWindow], opts: UnionOptions) -> Measure {
+        let Some(memo) = self.memo.as_mut().filter(|_| windows.len() > 1) else {
+            return union_measure_scratch(windows, opts, &mut self.scratch);
+        };
+        self.key.clear();
+        for w in windows {
+            self.key.extend([
+                w.period().to_bits(),
+                w.start().to_bits(),
+                w.len().to_bits(),
+                w.count(),
+            ]);
+        }
+        if let Some(&m) = memo.get(self.key.as_slice()) {
+            return m;
+        }
+        let m = union_measure_scratch(windows, opts, &mut self.scratch);
+        if memo.len() < MAX_MEMO_UNIONS {
+            memo.insert(self.key.clone(), m);
+        }
+        m
+    }
+}
+
 impl StallScratch {
+    /// A scratch that also remembers every port-group window union it
+    /// measures, for a caller that evaluates many candidates under one
+    /// set of [`UnionOptions`] (the batched ordering kernel).
+    pub(crate) fn with_union_memo() -> Self {
+        Self {
+            unions: Unions {
+                memo: Some(HashMap::new()),
+                ..Unions::default()
+            },
+            ..Self::default()
+        }
+    }
+
     /// The Step-2 port groups of the most recent
     /// [`combine_and_integrate`](Self::combine_and_integrate), in
     /// ascending `(memory, port)` order.
@@ -104,7 +160,7 @@ fn for_each_port_group(
     oversubscription_bound: bool,
     keys: &mut Vec<(MemoryId, PortId, usize)>,
     windows: &mut Vec<PeriodicWindow>,
-    union: &mut UnionScratch,
+    unions: &mut Unions,
     mut f: impl FnMut(PortGroupCore, &[(MemoryId, PortId, usize)]),
 ) {
     keys.clear();
@@ -127,7 +183,7 @@ fn for_each_port_group(
         let member = |&(_, _, i): &(MemoryId, PortId, usize)| &dtls[i];
         windows.clear();
         windows.extend(group.iter().map(|k| member(k).window));
-        let muw = union_measure_scratch(windows, union_opts, union);
+        let muw = unions.measure(windows, union_opts);
         let core = group_scalars(
             dtls,
             group,
@@ -240,7 +296,7 @@ impl StallScratch {
         let Self {
             keys,
             windows,
-            union,
+            unions,
             groups,
             mem_stalls,
             grouped,
@@ -253,7 +309,7 @@ impl StallScratch {
             oversubscription_bound,
             keys,
             windows,
-            union,
+            unions,
             |core, _| {
                 groups.push(core);
                 match mem_stalls.last_mut() {
@@ -291,7 +347,7 @@ impl StallScratch {
         let Self {
             keys,
             windows: _,
-            union: _,
+            unions: _,
             groups,
             mem_stalls,
             grouped,
@@ -390,7 +446,7 @@ impl StallScratch {
         let Self {
             keys,
             windows,
-            union,
+            unions,
             groups,
             mem_stalls,
             grouped,
@@ -421,7 +477,7 @@ impl StallScratch {
             let group = &keys[start..end];
             windows.clear();
             windows.extend(group.iter().map(|&(_, _, i)| dtls[i].window));
-            let muw = union_measure_scratch(windows, union_opts, union);
+            let muw = unions.measure(windows, union_opts);
             let core = group_scalars(
                 dtls,
                 group,
@@ -467,14 +523,14 @@ pub fn combine_ports_with(
     let mut out = Vec::new();
     let mut keys = Vec::new();
     let mut windows = Vec::new();
-    let mut union = UnionScratch::default();
+    let mut unions = Unions::default();
     for_each_port_group(
         dtls,
         union_opts,
         oversubscription_bound,
         &mut keys,
         &mut windows,
-        &mut union,
+        &mut unions,
         |core, group| {
             out.push(PortGroup {
                 mem: core.mem,

@@ -2237,9 +2237,11 @@ mod tests {
         let out = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines[0], expected);
-        let stats = parse(lines[1]);
-        assert_eq!(stats.get("ok"), Some(&Value::Bool(true)));
-        // `/stats` counts every panic answer, on both paths.
+        assert_eq!(parse(lines[1]).get("ok"), Some(&Value::Bool(true)));
+        // `/stats` counts every panic answer, on both paths. Asked after
+        // the batch returns: the batch runs its lines concurrently, so its
+        // own stats line may execute before the panicking line finishes.
+        let stats = parse(&svc.handle_line(r#"{"kind":"stats"}"#).unwrap());
         assert_eq!(
             stats.get("panics").and_then(Value::as_u64),
             Some(workers as u64 + 2)

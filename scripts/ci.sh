@@ -33,6 +33,9 @@ cargo bench --workspace --no-run
 echo "==> search-equivalence + allocation-free gates (release)"
 cargo test --release -q -p ulm-mapper --test search_equivalence --test alloc_free --test batch_alloc_free
 
+echo "==> ordering-class walk oracle (release: class walk vs permutation walk)"
+cargo test --release -q -p ulm-mapper --test class_walk
+
 echo "==> batch-vs-scalar equivalence gate (release)"
 cargo test --release -q -p ulm --test batch_equivalence
 
