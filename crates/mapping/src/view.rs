@@ -2,7 +2,6 @@
 //! exposing all derived quantities.
 
 use crate::{Mapping, MappingError};
-use std::collections::HashMap;
 use ulm_arch::{Architecture, MemoryId};
 use ulm_workload::{DimSizes, Layer, Operand};
 
@@ -89,15 +88,7 @@ impl<'a> MappedLayer<'a> {
                 return false;
             }
         }
-        // Capacity: per physical memory, summed over the operands it
-        // holds (same arithmetic as `validate`, id-indexed scratch).
-        residency.clear();
-        residency.resize(h.memories().len(), 0);
-        for op in Operand::all() {
-            for (lvl, &mid) in h.chain(op).iter().enumerate() {
-                residency[mid.0] += self.mem_data_bits(op, lvl);
-            }
-        }
+        self.fill_residency(residency);
         for (i, &needed_bits) in residency.iter().enumerate() {
             let mem = h.mem(MemoryId(i));
             if !mem.is_backing_store() && needed_bits > mem.mapper_capacity_bits() {
@@ -105,6 +96,19 @@ impl<'a> MappedLayer<'a> {
             }
         }
         true
+    }
+
+    /// Bits resident per physical memory, summed over the operands it
+    /// holds, indexed by memory id.
+    fn fill_residency(&self, residency: &mut Vec<u64>) {
+        let h = self.arch.hierarchy();
+        residency.clear();
+        residency.resize(h.memories().len(), 0);
+        for op in Operand::all() {
+            for (lvl, &mid) in h.chain(op).iter().enumerate() {
+                residency[mid.0] += self.mem_data_bits(op, lvl);
+            }
+        }
     }
 
     fn validate(&self) -> Result<(), MappingError> {
@@ -144,15 +148,12 @@ impl<'a> MappedLayer<'a> {
                 });
             }
         }
-        // Capacity: per physical memory, summed over the operands it holds.
-        let mut residency: HashMap<MemoryId, u64> = HashMap::new();
-        for op in Operand::all() {
-            for (lvl, &mid) in h.chain(op).iter().enumerate() {
-                *residency.entry(mid).or_insert(0) += self.mem_data_bits(op, lvl);
-            }
-        }
-        for (mid, needed_bits) in residency {
-            let mem = h.mem(mid);
+        // Capacity, checked in memory-id order so a mapping that overflows
+        // several memories names the same one on every run.
+        let mut residency = Vec::new();
+        self.fill_residency(&mut residency);
+        for (i, needed_bits) in residency.into_iter().enumerate() {
+            let mem = h.mem(MemoryId(i));
             if mem.is_backing_store() {
                 continue;
             }
@@ -539,6 +540,25 @@ mod tests {
             MappedLayer::new(&layer, &chip.arch, &m),
             Err(MappingError::CapacityExceeded { .. })
         ));
+    }
+
+    #[test]
+    fn overflowing_several_memories_names_the_same_one_every_time() {
+        // Every register file holds the whole loop stack, so W-Reg, I-Reg
+        // and O-Reg all overflow; the error must name the lowest id.
+        let (chip, layer) = toy_setup();
+        let m = Mapping::new(
+            SpatialUnroll::new(chip.spatial.clone()),
+            LoopStack::from_pairs(&[(Dim::C, 8), (Dim::B, 2), (Dim::K, 2)]),
+            PerOperand::from_fn(|_| OperandAlloc::new(vec![3, 3])),
+        );
+        for _ in 0..50 {
+            let err = MappedLayer::new(&layer, &chip.arch, &m).err().unwrap();
+            assert_eq!(
+                err.to_string(),
+                "memory `W-Reg` holds 256 bits but offers 16"
+            );
+        }
     }
 
     #[test]

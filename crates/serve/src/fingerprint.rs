@@ -107,18 +107,20 @@ fn hash_value(h: &mut Fnv128, v: &Value) {
                 hash_value(h, item);
             }
         }
-        Value::Object(entries) => {
-            // Sort by key so field order never affects the fingerprint.
-            let mut refs: Vec<&(String, Value)> = entries.iter().collect();
-            refs.sort_by(|a, b| a.0.cmp(&b.0));
-            h.update(b"o");
-            h.update(&(refs.len() as u64).to_le_bytes());
-            for (k, val) in refs {
-                h.update(&(k.len() as u64).to_le_bytes());
-                h.update(k.as_bytes());
-                hash_value(h, val);
-            }
-        }
+        Value::Object(entries) => hash_object(h, entries.iter()),
+    }
+}
+
+fn hash_object<'a>(h: &mut Fnv128, entries: impl Iterator<Item = &'a (String, Value)>) {
+    // Sort by key so field order never affects the fingerprint.
+    let mut refs: Vec<&(String, Value)> = entries.collect();
+    refs.sort_by(|a, b| a.0.cmp(&b.0));
+    h.update(b"o");
+    h.update(&(refs.len() as u64).to_le_bytes());
+    for (k, val) in refs {
+        h.update(&(k.len() as u64).to_le_bytes());
+        h.update(k.as_bytes());
+        hash_value(h, val);
     }
 }
 
@@ -126,6 +128,18 @@ fn hash_value(h: &mut Fnv128, v: &Value) {
 pub fn fingerprint_value(v: &Value) -> Fingerprint {
     let mut h = Fnv128::new();
     hash_value(&mut h, v);
+    Fingerprint(h.finish())
+}
+
+/// Fingerprints a request object as if it had no top-level `id` field, so
+/// requests that differ only in their `id` share it. Equals
+/// [`fingerprint_value`] of the object with `id` removed.
+pub(crate) fn fingerprint_request(v: &Value) -> Fingerprint {
+    let mut h = Fnv128::new();
+    match v {
+        Value::Object(entries) => hash_object(&mut h, entries.iter().filter(|(k, _)| k != "id")),
+        other => hash_value(&mut h, other),
+    }
     Fingerprint(h.finish())
 }
 
@@ -176,6 +190,44 @@ mod tests {
             fingerprint_value(&Value::F64(8.5)),
             fingerprint_value(&Value::U64(8))
         );
+    }
+
+    #[test]
+    fn request_fingerprint_ignores_only_the_top_level_id() {
+        let with_id = |id: Value| {
+            Value::Object(vec![
+                ("id".into(), id),
+                ("kind".into(), Value::String("search".into())),
+                (
+                    "mapper".into(),
+                    Value::Object(vec![("id".into(), Value::U64(1))]),
+                ),
+            ])
+        };
+        let without = Value::Object(vec![
+            ("kind".into(), Value::String("search".into())),
+            (
+                "mapper".into(),
+                Value::Object(vec![("id".into(), Value::U64(1))]),
+            ),
+        ]);
+        assert_eq!(
+            fingerprint_request(&with_id(Value::U64(7))),
+            fingerprint_value(&without)
+        );
+        assert_eq!(
+            fingerprint_request(&with_id(Value::String("x".into()))),
+            fingerprint_request(&with_id(Value::Null))
+        );
+        // A nested `id` is content.
+        let nested = Value::Object(vec![
+            ("kind".into(), Value::String("search".into())),
+            (
+                "mapper".into(),
+                Value::Object(vec![("id".into(), Value::U64(2))]),
+            ),
+        ]);
+        assert_ne!(fingerprint_request(&nested), fingerprint_value(&without));
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! (`ulm serve`).
 
 use crate::cache::{CacheStats, ResultCache};
-use crate::fingerprint::{fingerprint_value, Fingerprint};
+use crate::fingerprint::{fingerprint_request, fingerprint_value, Fingerprint};
 use crate::pool::{JobHandle, PoolStats, WorkerPool};
 use crate::store::{CacheLog, ReplayReport};
 use serde::{Serialize, Value};
@@ -59,7 +59,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use ulm_arch::{presets, ArchDesc, Architecture};
 use ulm_energy::{EnergyModel, EnergyReport};
@@ -165,18 +165,36 @@ struct NetLayerOutcome {
     hidden_preload: u64,
 }
 
-/// The result cache's value type: whichever request kind computed the
+/// What a result-cache entry holds: whichever request kind computed the
 /// entry under a fingerprint.
-// Nearly every entry is a `Layer`; boxing it would add an allocation to
-// every cache hit to save space on the few `Net` entries.
+// Nearly every entry is a `Layer`, and every entry already sits behind an
+// `Arc`; boxing the variant would only add a second allocation per entry.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Outcome {
     Layer(EvalOutcome),
     Net(NetOutcome),
 }
 
 impl Outcome {
+    /// The answer fields that follow `cached` (eval/search) or
+    /// `fingerprint` (net), printed.
+    fn print_body(&self) -> Arc<str> {
+        match self {
+            Outcome::Layer(o) => print_fields(&Value::Object(vec![
+                (
+                    "mapping_text".to_string(),
+                    Value::String(o.mapping.to_string()),
+                ),
+                ("mapping".to_string(), o.mapping.to_value()),
+                ("latency".to_string(), o.latency.to_value()),
+                ("energy".to_string(), o.energy.to_value()),
+                ("search".to_string(), o.search.to_value()),
+            ])),
+            Outcome::Net(o) => print_fields(&o.to_value()),
+        }
+    }
+
     /// The durable-log payload. An eval/search outcome is printed as
     /// itself — the bytes logs held before net entries existed — and a
     /// net outcome as `{"net":{…}}`, a key no eval/search payload has.
@@ -200,6 +218,72 @@ impl Outcome {
                 .map(Outcome::Layer),
         }
     }
+}
+
+/// One result-cache entry. The cache holds entries behind an `Arc`, so a
+/// hit clones a pointer, never the outcome.
+struct Cached {
+    outcome: Outcome,
+    /// The outcome's printed answer body, filled on the entry's first hit
+    /// and spliced into every later answer. An entry that is never hit —
+    /// in an all-distinct stream, or replayed from the log and not asked
+    /// for — keeps no printed copy.
+    body: OnceLock<Arc<str>>,
+}
+
+impl Cached {
+    fn new(outcome: Outcome) -> Self {
+        Cached {
+            outcome,
+            body: OnceLock::new(),
+        }
+    }
+
+    /// The answer to a request with fingerprint `fp`; `hit` says whether
+    /// the entry came from the cache.
+    fn answer(&self, fp: Fingerprint, hit: bool) -> Answer {
+        let head = match &self.outcome {
+            Outcome::Layer(o) => {
+                let kind = if o.search.is_some() { "search" } else { "eval" };
+                format!(r#""kind":"{kind}","fingerprint":"{fp}","cached":{hit},"#)
+            }
+            // Net answers have never carried a `cached` marker; their cache
+            // hits show in `/stats` only, so repeats stay byte-identical.
+            Outcome::Net(_) => format!(r#""kind":"net","fingerprint":"{fp}","#),
+        };
+        let body = if hit {
+            Arc::clone(self.body.get_or_init(|| self.outcome.print_body()))
+        } else {
+            self.outcome.print_body()
+        };
+        Answer { head, body }
+    }
+}
+
+/// A successful answer's fields, printed as `"key":value` pairs without
+/// the enclosing braces; [`answer_line`] splices it into a response line.
+struct Answer {
+    /// The fields before `body`, each followed by a comma; empty for
+    /// request kinds that are not cached.
+    head: String,
+    /// The remaining fields. On a cache hit, shared with the entry.
+    body: Arc<str>,
+}
+
+impl Answer {
+    /// An answer printed in full from its fields.
+    fn fields(fields: Vec<(String, Value)>) -> Self {
+        Answer {
+            head: String::new(),
+            body: print_fields(&Value::Object(fields)),
+        }
+    }
+}
+
+/// Prints an object's fields without its braces.
+fn print_fields(object: &Value) -> Arc<str> {
+    let text = serde_json::to_string(object).expect("printing is infallible");
+    Arc::from(&text[1..text.len() - 1])
 }
 
 /// Incremental-evaluation counters across `whatif` requests, reported by
@@ -878,24 +962,19 @@ fn parse_request(req: &Value) -> Result<Request, UlmError> {
 /// computes it on a cache miss. [`EvalService::lookup_or_execute`] runs
 /// every job through the same cache, single-flight and durable log.
 trait Job {
-    /// What the request's answer is built from.
-    type Output: Clone;
+    /// True when the job computes an [`Outcome::Net`]. A cache entry of
+    /// the other kind under the job's fingerprint is treated as a miss.
+    const NET: bool;
 
     /// The canonical identity of the result. Everything that can change
     /// it is included; thread and lane counts are not.
     fn fingerprint(&self) -> Fingerprint;
 
-    fn execute(&self) -> Result<Self::Output, UlmError>;
-
-    /// Wraps a computed result as a cache entry.
-    fn into_outcome(output: Self::Output) -> Outcome;
-
-    /// Unwraps a cache entry; `None` when another kind computed it.
-    fn from_outcome(outcome: Outcome) -> Option<Self::Output>;
+    fn execute(&self) -> Result<Outcome, UlmError>;
 }
 
 impl Job for Query {
-    type Output = EvalOutcome;
+    const NET: bool = false;
 
     fn fingerprint(&self) -> Fingerprint {
         let mut entries = vec![
@@ -920,8 +999,8 @@ impl Job for Query {
         fingerprint_value(&Value::Object(entries))
     }
 
-    fn execute(&self) -> Result<EvalOutcome, UlmError> {
-        match &self.mode {
+    fn execute(&self) -> Result<Outcome, UlmError> {
+        let outcome = match &self.mode {
             QueryMode::Eval(mapping) => {
                 let view = MappedLayer::new(&self.layer, &self.arch, mapping)?;
                 // One lowering feeds both models.
@@ -929,12 +1008,12 @@ impl Job for Query {
                 let lowered = ulm_model::LoweredLayer::build(&view, model.dtl_options());
                 let latency = model.evaluate_lowered(&view, &lowered);
                 let energy = EnergyModel::new().evaluate_lowered(&view, &lowered);
-                Ok(EvalOutcome {
+                EvalOutcome {
                     mapping: (**mapping).clone(),
                     latency,
                     energy,
                     search: None,
-                })
+                }
             }
             QueryMode::Search {
                 objective,
@@ -947,7 +1026,7 @@ impl Job for Query {
                     .with_parallelism(*parallelism)
                     .with_batch_lanes(*batch_lanes)
                     .search(*objective)?;
-                Ok(EvalOutcome {
+                EvalOutcome {
                     mapping: result.best.mapping,
                     latency: result.best.latency,
                     energy: result.best.energy,
@@ -955,25 +1034,15 @@ impl Job for Query {
                         exhaustive: result.exhaustive,
                         stats: result.stats,
                     }),
-                })
+                }
             }
-        }
-    }
-
-    fn into_outcome(output: EvalOutcome) -> Outcome {
-        Outcome::Layer(output)
-    }
-
-    fn from_outcome(outcome: Outcome) -> Option<EvalOutcome> {
-        match outcome {
-            Outcome::Layer(output) => Some(output),
-            Outcome::Net(_) => None,
-        }
+        };
+        Ok(Outcome::Layer(outcome))
     }
 }
 
 impl Job for NetQuery {
-    type Output = NetOutcome;
+    const NET: bool = true;
 
     /// The `fuse` descriptors are included — fused and unfused evaluations
     /// of the same network are different results and must never share an
@@ -995,7 +1064,7 @@ impl Job for NetQuery {
         fingerprint_value(&Value::Object(entries))
     }
 
-    fn execute(&self) -> Result<NetOutcome, UlmError> {
+    fn execute(&self) -> Result<Outcome, UlmError> {
         let report = NetworkEvaluator::new(&self.arch, self.spatial.clone())
             .with_overlap(self.overlap)
             .with_objective(self.objective)
@@ -1004,7 +1073,7 @@ impl Job for NetQuery {
             .with_batch_lanes(self.batch_lanes)
             .with_fusion(self.fusion.clone())
             .evaluate(&self.layers)?;
-        Ok(NetOutcome {
+        Ok(Outcome::Net(NetOutcome {
             total_cycles: report.total_cycles(),
             sequential_cycles: report.sequential_cycles(),
             total_fj: report.total_fj(),
@@ -1020,18 +1089,7 @@ impl Job for NetQuery {
                 })
                 .collect(),
             segments: report.segments,
-        })
-    }
-
-    fn into_outcome(output: NetOutcome) -> Outcome {
-        Outcome::Net(output)
-    }
-
-    fn from_outcome(outcome: Outcome) -> Option<NetOutcome> {
-        match outcome {
-            Outcome::Net(output) => Some(output),
-            Outcome::Layer(_) => None,
-        }
+        }))
     }
 }
 
@@ -1082,11 +1140,11 @@ impl SurrogateQuery {
 
 /// Serializes the cache's current entries into log-ready `(fingerprint,
 /// payload)` pairs.
-fn encode_snapshot(cache: &ResultCache<Outcome>) -> Vec<(u128, Vec<u8>)> {
+fn encode_snapshot(cache: &ResultCache<Arc<Cached>>) -> Vec<(u128, Vec<u8>)> {
     cache
         .snapshot()
         .into_iter()
-        .filter_map(|(fp, outcome)| outcome.encode().map(|payload| (fp, payload)))
+        .filter_map(|(fp, entry)| entry.outcome.encode().map(|payload| (fp, payload)))
         .collect()
 }
 
@@ -1094,25 +1152,37 @@ fn encode_snapshot(cache: &ResultCache<Outcome>) -> Vec<(u128, Vec<u8>)> {
 /// for failures that happen before a request can be parsed at all —
 /// oversized lines, over-capacity rejections.
 fn error_response(err: UlmError) -> String {
-    response_line(Value::Null, Err(err))
+    error_line(&Value::Null, &err)
 }
 
-/// One response line: the request's `id`, then `"ok":true` with the
-/// result fields, or `"ok":false` with the error message and its stable
-/// machine-readable `domain/kind` code.
-fn response_line(id: Value, body: Result<Vec<(String, Value)>, UlmError>) -> String {
-    let mut entries = vec![("id".to_string(), id)];
-    match body {
-        Ok(fields) => {
-            entries.push(("ok".to_string(), Value::Bool(true)));
-            entries.extend(fields);
-        }
-        Err(e) => {
-            entries.push(("ok".to_string(), Value::Bool(false)));
-            entries.push(("error".to_string(), Value::String(e.to_string())));
-            entries.push(("code".to_string(), Value::String(e.code().to_string())));
-        }
+/// One `"ok":true` response line: `{"id":…,"ok":true,` + the answer's
+/// head and body + `elapsed_ms` when given + `}`. Cache hits and misses
+/// are spliced alike, so a hit's bytes equal the miss's but for `cached`.
+fn answer_line(id: &Value, answer: &Answer, elapsed_ms: Option<f64>) -> String {
+    let id = serde_json::to_string(id).expect("printing is infallible");
+    let mut line = String::with_capacity(id.len() + answer.head.len() + answer.body.len() + 48);
+    line.push_str("{\"id\":");
+    line.push_str(&id);
+    line.push_str(",\"ok\":true,");
+    line.push_str(&answer.head);
+    line.push_str(&answer.body);
+    if let Some(ms) = elapsed_ms {
+        line.push_str(",\"elapsed_ms\":");
+        line.push_str(&serde_json::to_string(&Value::F64(ms)).expect("printing is infallible"));
     }
+    line.push('}');
+    line
+}
+
+/// One `"ok":false` response line: the request's `id`, the error message
+/// and its stable machine-readable `domain/kind` code.
+fn error_line(id: &Value, err: &UlmError) -> String {
+    let entries = vec![
+        ("id".to_string(), id.clone()),
+        ("ok".to_string(), Value::Bool(false)),
+        ("error".to_string(), Value::String(err.to_string())),
+        ("code".to_string(), Value::String(err.code().to_string())),
+    ];
     serde_json::to_string(&Value::Object(entries)).expect("printing is infallible")
 }
 
@@ -1210,7 +1280,11 @@ struct SurrogateSlot {
 
 /// The concurrent, cache-backed evaluation engine.
 pub struct EvalService {
-    cache: ResultCache<Outcome>,
+    cache: ResultCache<Arc<Cached>>,
+    /// Request (minus its `id`) → the canonical fingerprint of what it
+    /// asks for, so each distinct request builds its fingerprint once.
+    /// Bounded by the cache capacity; its probes are not cache lookups.
+    fingerprints: ResultCache<Fingerprint>,
     pool: WorkerPool,
     inflight: Mutex<std::collections::HashMap<u128, Arc<Inflight>>>,
     latencies: Mutex<LatencyLog>,
@@ -1266,7 +1340,7 @@ impl EvalService {
                 for (fp, payload) in entries {
                     match Outcome::decode(&payload) {
                         Some(outcome) => {
-                            cache.insert(Fingerprint(fp), outcome);
+                            cache.insert(Fingerprint(fp), Arc::new(Cached::new(outcome)));
                             warmed += 1;
                         }
                         None => decode_failures += 1,
@@ -1285,6 +1359,7 @@ impl EvalService {
         };
         Ok(Arc::new(EvalService {
             cache,
+            fingerprints: ResultCache::new(opts.cache_capacity),
             pool: WorkerPool::new(workers, queue),
             inflight: Mutex::new(std::collections::HashMap::new()),
             latencies: Mutex::new(LatencyLog::default()),
@@ -1412,21 +1487,23 @@ impl EvalService {
         if line.is_empty() {
             return None;
         }
-        let (id, body) = match serde_json::from_str::<Value>(line) {
-            Ok(req) => {
-                let id = req.get("id").cloned().unwrap_or(Value::Null);
-                let body = catch_panic(|| self.respond(&req));
-                if matches!(body, Err(UlmError::Panic { .. })) {
+        let req = match serde_json::from_str::<Value>(line) {
+            Ok(req) => req,
+            Err(e) => {
+                let err = UlmError::invalid_request(format!("invalid JSON: {e}"));
+                return Some(error_line(&Value::Null, &err));
+            }
+        };
+        let id = req.get("id").unwrap_or(&Value::Null);
+        Some(match catch_panic(|| self.respond(id, &req)) {
+            Ok(line) => line,
+            Err(err) => {
+                if matches!(err, UlmError::Panic { .. }) {
                     self.panics.fetch_add(1, Ordering::Relaxed);
                 }
-                (id, body)
+                error_line(id, &err)
             }
-            Err(e) => (
-                Value::Null,
-                Err(UlmError::invalid_request(format!("invalid JSON: {e}"))),
-            ),
-        };
-        Some(response_line(id, body))
+        })
     }
 
     /// Submits one line to the worker pool (blocking while the queue is
@@ -1436,50 +1513,21 @@ impl EvalService {
         self.pool.submit(move || service.handle_line(&line))
     }
 
-    fn respond(&self, req: &Value) -> Result<Vec<(String, Value)>, UlmError> {
+    /// Answers one parsed request line whose `id` is `id`.
+    fn respond(&self, id: &Value, req: &Value) -> Result<String, UlmError> {
         // Unit tests inject a handler panic with this request kind.
         #[cfg(test)]
         if req.get("kind").and_then(Value::as_str) == Some("test/panic") {
             panic!("injected handler panic");
         }
         match parse_request(req)? {
-            Request::Stats => Ok(self.stats_fields()),
-            Request::WhatIf { base, set } => self.timed(|| self.respond_whatif(&base, &set)),
-            Request::Surrogate(query) => self.timed(|| self.respond_surrogate(&query)),
-            // Net answers have never carried a `cached` marker; their cache
-            // hits show in `/stats` only, so repeats stay byte-identical.
-            Request::Net(query) => self.timed(|| {
-                let (fp, outcome, _cached) = self.lookup_or_execute(&*query)?;
-                let mut fields = vec![
-                    ("kind".to_string(), Value::String("net".into())),
-                    ("fingerprint".to_string(), Value::String(fp.to_string())),
-                ];
-                if let Value::Object(entries) = outcome.to_value() {
-                    fields.extend(entries);
-                }
-                Ok(fields)
-            }),
-            Request::Query(query) => self.timed(|| {
-                let (fp, outcome, cached) = self.lookup_or_execute(&*query)?;
-                let kind = if outcome.search.is_some() {
-                    "search"
-                } else {
-                    "eval"
-                };
-                Ok(vec![
-                    ("kind".to_string(), Value::String(kind.into())),
-                    ("fingerprint".to_string(), Value::String(fp.to_string())),
-                    ("cached".to_string(), Value::Bool(cached)),
-                    (
-                        "mapping_text".to_string(),
-                        Value::String(outcome.mapping.to_string()),
-                    ),
-                    ("mapping".to_string(), outcome.mapping.to_value()),
-                    ("latency".to_string(), outcome.latency.to_value()),
-                    ("energy".to_string(), outcome.energy.to_value()),
-                    ("search".to_string(), outcome.search.to_value()),
-                ])
-            }),
+            Request::Stats => Ok(answer_line(id, &Answer::fields(self.stats_fields()), None)),
+            Request::WhatIf { base, set } => {
+                self.timed(id, || self.respond_whatif(req, &base, &set))
+            }
+            Request::Surrogate(query) => self.timed(id, || self.respond_surrogate(&query)),
+            Request::Net(query) => self.timed(id, || self.respond_cached(req, &*query)),
+            Request::Query(query) => self.timed(id, || self.respond_cached(req, &*query)),
         }
     }
 
@@ -1488,8 +1536,9 @@ impl EvalService {
     /// carries `elapsed_ms` when timing is on.
     fn timed(
         &self,
-        handler: impl FnOnce() -> Result<Vec<(String, Value)>, UlmError>,
-    ) -> Result<Vec<(String, Value)>, UlmError> {
+        id: &Value,
+        handler: impl FnOnce() -> Result<Answer, UlmError>,
+    ) -> Result<String, UlmError> {
         let start = Instant::now();
         let result = handler();
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -1497,11 +1546,18 @@ impl EvalService {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .record(elapsed_ms);
-        let mut fields = result?;
-        if self.include_timing {
-            fields.push(("elapsed_ms".to_string(), Value::F64(elapsed_ms)));
-        }
-        Ok(fields)
+        Ok(answer_line(
+            id,
+            &result?,
+            self.include_timing.then_some(elapsed_ms),
+        ))
+    }
+
+    /// Answers an eval, search or net request from its cache entry,
+    /// computing the entry on a miss.
+    fn respond_cached<J: Job>(&self, req: &Value, job: &J) -> Result<Answer, UlmError> {
+        let (fp, entry, hit) = self.lookup_or_execute(req, job)?;
+        Ok(entry.answer(fp, hit))
     }
 
     /// Resolves the base query against the fingerprinted cache (computing
@@ -1512,10 +1568,14 @@ impl EvalService {
     /// bit-identical to a cold evaluation of the modified design.
     fn respond_whatif(
         &self,
+        req: &Value,
         base: &Query,
         set: &[String],
-    ) -> Result<Vec<(String, Value)>, UlmError> {
-        let (fp, outcome, cached) = self.lookup_or_execute(base)?;
+    ) -> Result<Answer, UlmError> {
+        let (fp, entry, cached) = self.lookup_or_execute(req, base)?;
+        let Outcome::Layer(outcome) = &entry.outcome else {
+            unreachable!("a query's cache entry is a layer outcome");
+        };
         let (modified_arch, delta) = apply_overrides(&base.arch, set)?;
 
         let model = LatencyModel::with_options(base.model);
@@ -1551,7 +1611,7 @@ impl EvalService {
                 ("energy_fj".to_string(), Value::F64(energy_fj)),
             ])
         };
-        Ok(vec![
+        Ok(Answer::fields(vec![
             ("kind".to_string(), Value::String("whatif".into())),
             ("fingerprint".to_string(), Value::String(fp.to_string())),
             ("cached".to_string(), Value::Bool(cached)),
@@ -1612,7 +1672,7 @@ impl EvalService {
                     ),
                 ]),
             ),
-        ])
+        ]))
     }
 
     /// Answers a `surrogate` request. When the service's cached
@@ -1623,7 +1683,7 @@ impl EvalService {
     /// resulting `(arch, shape)`, and the specialization is cached for
     /// the next request. A service calibration matching the request's
     /// architecture is applied first; its id enters the fingerprint.
-    fn respond_surrogate(&self, q: &SurrogateQuery) -> Result<Vec<(String, Value)>, UlmError> {
+    fn respond_surrogate(&self, q: &SurrogateQuery) -> Result<Answer, UlmError> {
         let (arch, calibration_id) = match &self.calibration {
             Some(cal) if cal.arch == q.arch.name() => {
                 let (applied, _) = cal.apply(&q.arch)?;
@@ -1713,22 +1773,33 @@ impl EvalService {
         if let Some(id) = calibration_id {
             fields.push(("calibration_id".to_string(), Value::String(id)));
         }
-        Ok(fields)
+        Ok(Answer::fields(fields))
     }
 
     /// Cache lookup with single-flight coalescing: concurrent identical
     /// jobs are computed once — the first thread executes, the others
     /// block on the in-flight marker and then read the cached result.
-    /// Returns the job's fingerprint, its result, and whether the result
+    /// Returns the job's fingerprint, its entry, and whether the entry
     /// came from the cache.
+    ///
+    /// The fingerprint is built once per distinct request `req` (the line
+    /// `job` was parsed from): requests equal to it but for `id`, key order
+    /// and whitespace read it from the memo.
     fn lookup_or_execute<J: Job>(
         &self,
+        req: &Value,
         job: &J,
-    ) -> Result<(Fingerprint, J::Output, bool), UlmError> {
-        let fp = job.fingerprint();
+    ) -> Result<(Fingerprint, Arc<Cached>, bool), UlmError> {
+        let (fp, _) = self
+            .fingerprints
+            .get_or_compute(fingerprint_request(req), || job.fingerprint());
         loop {
-            if let Some(hit) = self.cache.get(fp).and_then(J::from_outcome) {
-                return Ok((fp, hit, true));
+            let hit = self
+                .cache
+                .get(fp)
+                .filter(|e| matches!(e.outcome, Outcome::Net(_)) == J::NET);
+            if let Some(entry) = hit {
+                return Ok((fp, entry, true));
             }
             enum Role {
                 Leader(Arc<Inflight>),
@@ -1758,11 +1829,10 @@ impl EvalService {
                         fp: fp.0,
                         slot,
                     };
-                    let output = job.execute()?;
-                    let outcome = J::into_outcome(output.clone());
+                    let entry = Arc::new(Cached::new(job.execute()?));
                     if let Outcome::Layer(EvalOutcome {
                         search: Some(meta), ..
-                    }) = &outcome
+                    }) = &entry.outcome
                     {
                         let mut totals = self
                             .search_totals
@@ -1773,9 +1843,9 @@ impl EvalService {
                     }
                     // Cache first: a compaction triggered by the append
                     // snapshots the cache and must see this entry.
-                    self.cache.insert(fp, outcome.clone());
-                    self.persist(fp, &outcome);
-                    return Ok((fp, output, false));
+                    self.cache.insert(fp, Arc::clone(&entry));
+                    self.persist(fp, &entry.outcome);
+                    return Ok((fp, entry, false));
                 }
                 Role::Follower(slot) => {
                     let mut done = slot

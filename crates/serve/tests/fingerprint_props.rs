@@ -130,3 +130,46 @@ proptest! {
         let _ = Arc::strong_count(&svc);
     }
 }
+
+/// Fingerprints name durable-log records and appear in every answer, so
+/// they must never change. These were computed before request
+/// fingerprints were memoized; each request is sent twice so the
+/// memoized path is checked too.
+#[test]
+fn golden_fingerprints_are_stable() {
+    let svc = EvalService::new(ServeOptions {
+        parallelism: Some(1),
+        include_timing: false,
+        ..ServeOptions::default()
+    });
+    let mapping = r#"{"spatial":{"factors":[["K",2],["B",2]]},"stack":{"loops":[{"dim":"C","size":2},{"dim":"C","size":2},{"dim":"C","size":2},{"dim":"B","size":2},{"dim":"K","size":2}]},"allocs":{"values":[{"bounds":[0,5]},{"bounds":[0,5]},{"bounds":[3,5]}]}}"#;
+    let golden = [
+        (
+            format!(r#"{{"kind":"eval","arch":"toy","layer":"4x4x8","mapping":{mapping}}}"#),
+            "384c25061f26ef31b9ad1a1e7e36329e",
+        ),
+        (
+            r#"{"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}"#.to_string(),
+            "ade175cd34f504810e6084fa17bcca52",
+        ),
+        (
+            r#"{"kind":"net","arch":"toy","net":"attention-decode","mapper":{"max_exhaustive":200,"samples":20}}"#.to_string(),
+            "5f4ddfd6489ba633c5fd580b3e22c31c",
+        ),
+        // A whatif answer carries its base design's fingerprint.
+        (
+            r#"{"kind":"whatif","arch":"case16","gb_bw":128,"layer":"8x16x64","mapper":{"max_exhaustive":200,"samples":20},"set":["mem.GB.bw=2x"]}"#.to_string(),
+            "aef4df7ef933cf8ddc76c2cc9f3fe52d",
+        ),
+    ];
+    for (line, fingerprint) in &golden {
+        for _ in 0..2 {
+            let v: Value = serde_json::from_str(&svc.handle_line(line).unwrap()).unwrap();
+            assert_eq!(
+                v.get("fingerprint").and_then(Value::as_str),
+                Some(*fingerprint),
+                "{line}"
+            );
+        }
+    }
+}

@@ -43,6 +43,9 @@ echo "==> JSON codec oracle + slice-by-8 CRC proptests (release)"
 cargo test --release -q -p ulm-serve --test serde_roundtrip
 cargo test --release -q -p ulm-serve --lib store::tests
 
+echo "==> cache hit path (release: stored answers and memoized fingerprints are byte-identical)"
+cargo test --release -q -p ulm-serve --test hit_path
+
 echo "==> lowered-IR consistency proptests (release: pins, fusion, KV-cache)"
 cargo test --release -q -p ulm --test lowered_consistency
 
@@ -123,6 +126,25 @@ if [[ "$net_first" != *'"ok":true'* || "$net_first" != "$net_second" ]]; then
 fi
 if (( ${net_hits:-0} < 1 )); then
     echo "error: a repeated net request was not answered from the cache (hits=${net_hits:-none})" >&2
+    exit 1
+fi
+
+echo "==> search cache smoke (repeats are spliced from the stored answer, byte for byte)"
+# One worker, so the stats line runs after all three searches.
+search_line='{"id":1,"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}'
+search_out="$(printf '%s\n%s\n%s\n%s\n' "$search_line" "$search_line" "$search_line" '{"id":2,"kind":"stats"}' |
+    target/release/ulm batch --no-timing --parallelism 1 2>/dev/null)"
+search_first="$(sed -n 1p <<<"$search_out")"
+search_second="$(sed -n 2p <<<"$search_out")"
+search_third="$(sed -n 3p <<<"$search_out")"
+search_hits="$(sed -n 4p <<<"$search_out" | sed -nE 's/.*"cache":\{"hits":([0-9]+).*/\1/p')"
+if [[ "$search_first" != *'"cached":false'* || "$search_second" != "$search_third" ||
+    "$search_second" != "${search_first/\"cached\":false/\"cached\":true}" ]]; then
+    echo "error: a repeated search did not get the first answer's bytes" >&2
+    exit 1
+fi
+if (( ${search_hits:-0} < 2 )); then
+    echo "error: repeated searches were not answered from the cache (hits=${search_hits:-none})" >&2
     exit 1
 fi
 
