@@ -43,7 +43,7 @@ impl Default for AreaModel {
 
 impl AreaModel {
     /// Area of one memory module in µm².
-    pub fn memory_um2(&self, mem: &Memory) -> f64 {
+    fn memory_um2(&self, mem: &Memory) -> f64 {
         let bits = mem.capacity_bits() as f64;
         match mem.kind() {
             MemoryKind::RegisterFile => bits * self.reg_um2_per_bit,
@@ -56,7 +56,7 @@ impl AreaModel {
     }
 
     /// Area of the MAC array in µm².
-    pub fn array_um2(&self, macs: u64) -> f64 {
+    fn array_um2(&self, macs: u64) -> f64 {
         macs as f64 * self.mac_um2
     }
 
@@ -68,7 +68,7 @@ impl AreaModel {
     }
 
     /// Summed memory area in µm², with exclusions.
-    pub fn hierarchy_um2(&self, h: &MemoryHierarchy, exclude: &[MemoryId]) -> f64 {
+    fn hierarchy_um2(&self, h: &MemoryHierarchy, exclude: &[MemoryId]) -> f64 {
         h.memories()
             .iter()
             .enumerate()

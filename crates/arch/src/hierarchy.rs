@@ -2,7 +2,6 @@
 
 use crate::mem::{Memory, PortId, PortUse};
 use crate::{ArchError, MacArray};
-use std::collections::HashMap;
 use std::fmt;
 use ulm_workload::{Operand, PerOperand};
 
@@ -211,7 +210,6 @@ pub struct HierarchyBuilder {
     chain_w: Vec<MemoryId>,
     chain_i: Vec<MemoryId>,
     chain_o: Vec<MemoryId>,
-    explicit_ports: HashMap<(usize, usize, u8), PortId>,
 }
 
 impl HierarchyBuilder {
@@ -228,23 +226,6 @@ impl HierarchyBuilder {
             Operand::I => self.chain_i = chain,
             Operand::O => self.chain_o = chain,
         }
-        self
-    }
-
-    /// Overrides the port used when `op` accesses memory `id` in the given
-    /// direction. Unassigned accesses fall back to
-    /// [`Memory::default_port`].
-    pub fn assign_port(
-        &mut self,
-        id: MemoryId,
-        op: Operand,
-        usage: PortUse,
-        port: PortId,
-    ) -> &mut Self {
-        self.explicit_ports.insert(
-            (id.0, op.index(), matches!(usage, PortUse::WriteIn) as u8),
-            port,
-        );
         self
     }
 
@@ -276,35 +257,19 @@ impl HierarchyBuilder {
                 }
             }
         }
-        // Port map: explicit assignments validated, defaults filled in for
-        // every (memory, operand, direction) the chains can exercise.
+        // Port map: the default port of every (memory, operand, direction)
+        // the chains can exercise.
         let mut port_map: Vec<[Option<PortId>; 6]> = vec![[None; 6]; self.mems.len()];
         for (op, chain) in chains.iter() {
             for id in chain {
                 let mem = &self.mems[id.0];
                 for usage in [PortUse::ReadOut, PortUse::WriteIn] {
-                    let key = (id.0, op.index(), matches!(usage, PortUse::WriteIn) as u8);
-                    let pid = match self.explicit_ports.get(&key) {
-                        Some(&p) => {
-                            let port =
-                                mem.ports().get(p).ok_or(ArchError::PortDirectionMismatch {
-                                    memory: mem.name().to_string(),
-                                    port: p,
-                                })?;
-                            if !port.dir.supports(usage) {
-                                return Err(ArchError::PortDirectionMismatch {
-                                    memory: mem.name().to_string(),
-                                    port: p,
-                                });
-                            }
-                            p
-                        }
-                        None => mem.default_port(usage).ok_or(ArchError::MissingPort {
-                            memory: mem.name().to_string(),
-                            operand: op,
-                        })?,
-                    };
-                    port_map[id.0][op.index() * 2 + key.2 as usize] = Some(pid);
+                    let pid = mem.default_port(usage).ok_or(ArchError::MissingPort {
+                        memory: mem.name().to_string(),
+                        operand: op,
+                    })?;
+                    let dir = matches!(usage, PortUse::WriteIn) as usize;
+                    port_map[id.0][op.index() * 2 + dir] = Some(pid);
                 }
             }
         }
@@ -423,24 +388,6 @@ mod tests {
         let (rp, _) = h.port(reg, Operand::W, PortUse::ReadOut);
         let (wp, _) = h.port(reg, Operand::W, PortUse::WriteIn);
         assert_eq!(rp, wp); // one RW port serves both directions
-    }
-
-    #[test]
-    fn explicit_port_assignment_validated() {
-        let mut b = MemoryHierarchy::builder();
-        let gb = b.add_memory(
-            Memory::new("gb", MemoryKind::Sram, 1024)
-                .with_ports(vec![Port::read(8), Port::write(8)]),
-        );
-        b.set_chain(Operand::W, vec![gb]);
-        b.set_chain(Operand::I, vec![gb]);
-        b.set_chain(Operand::O, vec![gb]);
-        // Assigning the read-only port for writes must fail.
-        b.assign_port(gb, Operand::O, PortUse::WriteIn, 0);
-        assert!(matches!(
-            b.build(),
-            Err(ArchError::PortDirectionMismatch { .. })
-        ));
     }
 
     #[test]

@@ -54,20 +54,13 @@ pub enum ArchError {
         /// The repeated memory's name.
         memory: String,
     },
-    /// A (memory, operand, direction) access has no port assigned and no
-    /// default applies.
+    /// A (memory, operand, direction) access has no port serving that
+    /// direction.
     MissingPort {
         /// The memory's name.
         memory: String,
         /// The unreachable operand.
         operand: ulm_workload::Operand,
-    },
-    /// A port assignment uses a read-only port for writes or vice versa.
-    PortDirectionMismatch {
-        /// The memory's name.
-        memory: String,
-        /// The offending port index.
-        port: usize,
     },
 }
 
@@ -87,12 +80,6 @@ impl fmt::Display for ArchError {
                 write!(
                     f,
                     "memory `{memory}` has no port assigned for operand {operand}"
-                )
-            }
-            ArchError::PortDirectionMismatch { memory, port } => {
-                write!(
-                    f,
-                    "memory `{memory}` port {port} cannot serve the assigned direction"
                 )
             }
         }

@@ -37,7 +37,7 @@ const KB: u64 = 8 * 1024; // bits per kilobyte
 /// `gb_bw_bits` is the GB read/write bus width in bits per cycle; the
 /// paper does not publish it, 1024 matches a 16-macro (64 KB each)
 /// bank-interleaved design.
-pub fn validation_chip_with_gb_bw(gb_bw_bits: u64) -> PresetChip {
+fn validation_chip_with_gb_bw(gb_bw_bits: u64) -> PresetChip {
     let array = MacArray::new(16, 32, 2); // 1024 MACs
     let macs = array.num_macs();
     let pes = array.num_pes();
@@ -92,7 +92,7 @@ pub fn validation_chip_with_gb_bw(gb_bw_bits: u64) -> PresetChip {
     }
 }
 
-/// [`validation_chip_with_gb_bw`] at the default 1024 bit/cycle GB bus.
+/// The validation chip at the default 1024 bit/cycle GB bus.
 pub fn validation_chip() -> PresetChip {
     validation_chip_with_gb_bw(1024)
 }

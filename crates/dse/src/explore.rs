@@ -122,6 +122,36 @@ fn evaluate_design_counted(
     ))
 }
 
+/// Runs `eval` on every design and returns the results in design order.
+/// With `parallelism = Some(n)` (n > 1) the designs are split into
+/// contiguous chunks across up to `n` threads; each result lands in its
+/// design's slot, so the output is identical for every thread count.
+fn for_each_design<T: Send>(
+    designs: &[DesignPoint],
+    parallelism: Option<usize>,
+    eval: impl Fn(&DesignPoint) -> Option<T> + Sync,
+) -> Vec<Option<T>> {
+    let threads = parallelism.unwrap_or(1).clamp(1, designs.len().max(1));
+    let mut slots: Vec<Option<T>> = designs.iter().map(|_| None).collect();
+    let run = |d_chunk: &[DesignPoint], s_chunk: &mut [Option<T>]| {
+        for (d, slot) in d_chunk.iter().zip(s_chunk) {
+            *slot = eval(d);
+        }
+    };
+    if threads <= 1 {
+        run(designs, &mut slots);
+    } else {
+        let chunk = designs.len().div_ceil(threads);
+        let run = &run;
+        std::thread::scope(|scope| {
+            for (d_chunk, s_chunk) in designs.chunks(chunk).zip(slots.chunks_mut(chunk)) {
+                scope.spawn(move || run(d_chunk, s_chunk));
+            }
+        });
+    }
+    slots
+}
+
 /// Evaluates every design, silently skipping ones with no legal mapping.
 ///
 /// With `opts.parallelism = Some(n)` (n > 1) the designs are split across
@@ -142,24 +172,9 @@ pub fn explore_with_stats(
     opts: &ExploreOptions,
 ) -> (Vec<DsePoint>, DseStats) {
     let t0 = std::time::Instant::now();
-    let threads = opts.parallelism.unwrap_or(1).clamp(1, designs.len().max(1));
-    let mut slots: Vec<Option<(DsePoint, SearchStats)>> = vec![None; designs.len()];
-    if threads <= 1 {
-        for (d, slot) in designs.iter().zip(slots.iter_mut()) {
-            *slot = evaluate_design_counted(d, layer, opts).ok();
-        }
-    } else {
-        let chunk = designs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (d_chunk, s_chunk) in designs.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (d, slot) in d_chunk.iter().zip(s_chunk.iter_mut()) {
-                        *slot = evaluate_design_counted(d, layer, opts).ok();
-                    }
-                });
-            }
-        });
-    }
+    let slots = for_each_design(designs, opts.parallelism, |d| {
+        evaluate_design_counted(d, layer, opts).ok()
+    });
     let mut stats = DseStats {
         designs: designs.len(),
         ..DseStats::default()
@@ -229,24 +244,9 @@ pub fn explore_bw_sweep(
         "bandwidth sweep needs at least one value"
     );
     let t0 = std::time::Instant::now();
-    let threads = opts.parallelism.unwrap_or(1).clamp(1, designs.len().max(1));
-    let mut slots: Vec<Option<DesignSweep>> = vec![None; designs.len()];
-    if threads <= 1 {
-        for (d, slot) in designs.iter().zip(slots.iter_mut()) {
-            *slot = sweep_design(d, gb_bws, layer, opts).ok();
-        }
-    } else {
-        let chunk = designs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (d_chunk, s_chunk) in designs.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (d, slot) in d_chunk.iter().zip(s_chunk.iter_mut()) {
-                        *slot = sweep_design(d, gb_bws, layer, opts).ok();
-                    }
-                });
-            }
-        });
-    }
+    let slots = for_each_design(designs, opts.parallelism, |d| {
+        sweep_design(d, gb_bws, layer, opts).ok()
+    });
     let mut stats = SweepStats {
         designs: designs.len(),
         ..SweepStats::default()
@@ -395,24 +395,9 @@ pub fn explore_workload_sweep(
 ) -> (Vec<WorkloadPoint>, WorkloadSweepStats) {
     assert!(!dims.is_empty(), "workload sweep needs at least one point");
     let t0 = std::time::Instant::now();
-    let threads = opts.parallelism.unwrap_or(1).clamp(1, designs.len().max(1));
-    let mut slots: Vec<Option<WorkloadSweep>> = vec![None; designs.len()];
-    if threads <= 1 {
-        for (d, slot) in designs.iter().zip(slots.iter_mut()) {
-            *slot = sweep_workload_design(d, dims, template, opts);
-        }
-    } else {
-        let chunk = designs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (d_chunk, s_chunk) in designs.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (d, slot) in d_chunk.iter().zip(s_chunk.iter_mut()) {
-                        *slot = sweep_workload_design(d, dims, template, opts);
-                    }
-                });
-            }
-        });
-    }
+    let slots = for_each_design(designs, opts.parallelism, |d| {
+        sweep_workload_design(d, dims, template, opts)
+    });
     let mut stats = WorkloadSweepStats {
         designs: designs.len(),
         ..WorkloadSweepStats::default()

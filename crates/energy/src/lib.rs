@@ -164,7 +164,7 @@ impl EnergyModel {
     }
 
     /// Access energy of one bit in `mem`, fJ.
-    pub fn fj_per_bit(&self, mem: &Memory) -> f64 {
+    fn fj_per_bit(&self, mem: &Memory) -> f64 {
         match mem.kind() {
             MemoryKind::RegisterFile => self.reg_fj_per_bit,
             MemoryKind::Sram => {

@@ -379,7 +379,7 @@ impl<'a> Mapper<'a> {
 
     /// The lane count the latency hot path will actually use for `obj`
     /// (energy-bearing objectives evaluate scalar, lane count 1).
-    pub fn effective_batch_lanes(&self, obj: Objective) -> usize {
+    fn effective_batch_lanes(&self, obj: Objective) -> usize {
         match obj {
             Objective::Latency => self.batch_lanes.unwrap_or(DEFAULT_BATCH_LANES).max(1),
             Objective::Energy | Objective::Edp => 1,

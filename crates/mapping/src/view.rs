@@ -231,7 +231,7 @@ impl<'a> MappedLayer<'a> {
 
     /// `Mem_DATA` in bits (outputs at partial-sum precision — their
     /// resident width).
-    pub fn mem_data_bits(&self, op: Operand, level: usize) -> u64 {
+    fn mem_data_bits(&self, op: Operand, level: usize) -> u64 {
         self.mem_data_words(op, level) * self.layer.precision().bits(op)
     }
 
@@ -324,45 +324,6 @@ impl<'a> MappedLayer<'a> {
             .filter(|l| rel.get(l.dim).is_relevant())
             .map(|l| l.size)
             .product()
-    }
-
-    /// Non-fatal quality findings: dimensions covered with padding (the
-    /// mapping iterates more than `ceil(bound / spatial)` would need) and
-    /// non-canonical allocations (an irrelevant loop sits just above a
-    /// level that could absorb it for free, which makes the analytical `Z`
-    /// overcount transfers).
-    pub fn lints(&self) -> Vec<String> {
-        let mut notes = Vec::new();
-        for (dim, required) in self.layer.shape().dims().iter() {
-            let spatial = self.mapping.spatial().extent(dim);
-            let temporal = self.mapping.stack().extent(dim);
-            let needed = required.div_ceil(spatial);
-            if temporal > needed {
-                notes.push(format!(
-                    "dimension {dim}: temporal extent {temporal} exceeds the \
-                     ceil-coverage requirement {needed} (padding)"
-                ));
-            }
-        }
-        let h = self.arch.hierarchy();
-        for op in Operand::all() {
-            let rel = self.layer.operand_relevance(op);
-            let chain = h.chain(op);
-            for (lvl, &mid) in chain.iter().enumerate().take(chain.len().saturating_sub(1)) {
-                let bound = self.mapping.alloc(op).upper(lvl);
-                if let Some(next) = self.mapping.stack().loops().get(bound) {
-                    if rel.get(next.dim).is_irrelevant() {
-                        notes.push(format!(
-                            "operand {op}: loop {next} directly above level \
-                             `{}` is irrelevant and could be absorbed for free \
-                             (non-canonical allocation; Z overcounts transfers)",
-                            h.mem(mid).name()
-                        ));
-                    }
-                }
-            }
-        }
-        notes
     }
 }
 
@@ -460,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn non_canonical_alloc_is_linted_and_overcounts() {
+    fn non_canonical_alloc_overcounts() {
         let (chip, layer) = toy_setup();
         // Force W-Reg to hold nothing while B2 (ir for W) sits directly
         // above: stack B2 innermost; greedy would absorb it, we don't.
@@ -476,11 +437,6 @@ mod tests {
         // Z counts 32 periods but only 16 carry new data.
         assert_eq!(v.z(Operand::W, 0), 32);
         assert_eq!(v.refill_count(Operand::W, 0), 16);
-        let lints = v.lints();
-        assert!(
-            lints.iter().any(|l| l.contains("non-canonical")),
-            "{lints:?}"
-        );
     }
 
     #[test]

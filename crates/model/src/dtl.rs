@@ -276,15 +276,6 @@ impl Default for DtlOptions {
     }
 }
 
-/// Builds every DTL of the mapped layer (Step 1).
-///
-/// Convenience wrapper over the single Step-1 implementation inside
-/// [`LoweredLayer::build`](crate::LoweredLayer::build); prefer building
-/// the full IR when more than the DTL list is needed.
-pub fn build_dtls(view: &MappedLayer<'_>, opts: DtlOptions) -> Vec<Dtl> {
-    crate::LoweredLayer::build(view, opts).into_dtls()
-}
-
 /// Step 1 proper: reads the residency tables of a freshly lowered
 /// [`LoweredLayer`](crate::LoweredLayer) and appends the DTL list to it,
 /// answering every architecture lookup through [`LiveSlots`].
@@ -460,6 +451,7 @@ pub(crate) fn refresh_bandwidth(view: &MappedLayer<'_>, lw: &mut crate::LoweredL
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LoweredLayer;
     use ulm_arch::presets;
     use ulm_mapping::{LoopStack, Mapping, SpatialUnroll};
     use ulm_workload::{Dim, Layer, Precision};
@@ -481,7 +473,7 @@ mod tests {
     fn toy_dtl_inventory() {
         let (chip, layer, mapping) = toy_view();
         let view = MappedLayer::new(&layer, &chip.arch, &mapping).unwrap();
-        let dtls = build_dtls(&view, DtlOptions::default());
+        let dtls = LoweredLayer::build(&view, DtlOptions::default()).into_dtls();
         // W refill, I refill, O drain (+ no psum readback: outputs final
         // above O-Reg), 3 compute links.
         let refills = dtls
@@ -507,7 +499,7 @@ mod tests {
     fn w_refill_attributes_match_hand_computation() {
         let (chip, layer, mapping) = toy_view();
         let view = MappedLayer::new(&layer, &chip.arch, &mapping).unwrap();
-        let dtls = build_dtls(&view, DtlOptions::default());
+        let dtls = LoweredLayer::build(&view, DtlOptions::default()).into_dtls();
         let w = dtls
             .iter()
             .find(|d| d.operand == Operand::W && d.kind == DtlKind::RefillDown)
@@ -532,7 +524,7 @@ mod tests {
     fn output_stationary_drain_is_bursty() {
         let (chip, layer, mapping) = toy_view();
         let view = MappedLayer::new(&layer, &chip.arch, &mapping).unwrap();
-        let dtls = build_dtls(&view, DtlOptions::default());
+        let dtls = LoweredLayer::build(&view, DtlOptions::default()).into_dtls();
         let o = dtls
             .iter()
             .find(|d| d.operand == Operand::O && d.kind == DtlKind::DrainUp)
@@ -559,7 +551,7 @@ mod tests {
         )
         .unwrap();
         let view = MappedLayer::new(&layer, &chip.arch, &mapping).unwrap();
-        let dtls = build_dtls(&view, DtlOptions::default());
+        let dtls = LoweredLayer::build(&view, DtlOptions::default()).into_dtls();
         let readbacks: Vec<_> = dtls
             .iter()
             .filter(|d| d.kind == DtlKind::PsumReadback)
@@ -579,7 +571,7 @@ mod tests {
     fn compute_feed_rates_use_relevant_unrolls_only() {
         let (chip, layer, mapping) = toy_view();
         let view = MappedLayer::new(&layer, &chip.arch, &mapping).unwrap();
-        let dtls = build_dtls(&view, DtlOptions::default());
+        let dtls = LoweredLayer::build(&view, DtlOptions::default()).into_dtls();
         let feed_w = dtls
             .iter()
             .find(|d| d.operand == Operand::W && d.kind == DtlKind::ComputeFeed)
@@ -594,13 +586,11 @@ mod tests {
     fn disabling_compute_links_removes_them() {
         let (chip, layer, mapping) = toy_view();
         let view = MappedLayer::new(&layer, &chip.arch, &mapping).unwrap();
-        let dtls = build_dtls(
-            &view,
-            DtlOptions {
-                compute_links: false,
-                ..DtlOptions::default()
-            },
-        );
+        let opts = DtlOptions {
+            compute_links: false,
+            ..DtlOptions::default()
+        };
+        let dtls = LoweredLayer::build(&view, opts).into_dtls();
         assert!(dtls
             .iter()
             .all(|d| !matches!(d.kind, DtlKind::ComputeFeed | DtlKind::ComputeWriteback)));

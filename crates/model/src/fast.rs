@@ -153,17 +153,6 @@ impl LatencyModel {
         (scratch.lowered.totals(ss_overall), stats)
     }
 
-    /// [`evaluate_fast`](Self::evaluate_fast) over an already-lowered
-    /// layer: Steps 2–3 plus the phase composition, no re-lowering.
-    pub fn evaluate_lowered_fast(
-        &self,
-        arch: &Architecture,
-        lowered: &LoweredLayer,
-        stall: &mut StallScratch,
-    ) -> FastLatency {
-        self.core(arch, lowered, stall, false)
-    }
-
     /// Steps 2–3 and the phase composition — THE shared core.
     ///
     /// `force_combine` runs the port analysis even for bandwidth-unaware
@@ -281,7 +270,7 @@ mod tests {
             let fast = model.evaluate_fast(&view, &mut scratch);
             let lowered = LoweredLayer::build(&view, model.dtl_options());
             let mut stall = StallScratch::default();
-            let via_ir = model.evaluate_lowered_fast(&arch, &lowered, &mut stall);
+            let via_ir = model.core(&arch, &lowered, &mut stall, false);
             assert_eq!(fast.cc_total.to_bits(), via_ir.cc_total.to_bits());
             assert_eq!(fast.ss_overall.to_bits(), via_ir.ss_overall.to_bits());
         }

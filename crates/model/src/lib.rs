@@ -19,8 +19,9 @@
 //!    per-link stall/slack `SS_u` (Fig. 3).
 //! 2. **Combine** ([`stall`]): per shared physical port, combine windows
 //!    and stalls with Eq. (1)/(2); per memory module, take the max.
-//! 3. **Integrate** ([`stall::integrate`]): combine across memory modules
-//!    per the architecture's concurrency policy and clamp at zero.
+//! 3. **Integrate** ([`StallScratch::combine_and_integrate`]): combine
+//!    across memory modules per the architecture's concurrency policy and
+//!    clamp at zero.
 //!
 //! A bandwidth-**unaware** baseline (the idealized model the paper argues
 //! against) is available through [`LatencyModel::bw_unaware`]: it keeps
@@ -75,7 +76,7 @@ pub use fast::{FastLatency, ModelScratch};
 pub use lower::{kv_active_interfaces, LevelLowering, LoweredLayer, ResidencyPins};
 pub use report::{BandwidthFix, DtlReport, LatencyReport, MemReport, PortReport, Scenario};
 pub use roofline::{roofline, roofline_bound, Roof, Roofline};
-pub use stall::{MemStall, PortGroup, PortGroupCore, StallScratch};
+pub use stall::{MemStall, PortGroupCore, StallScratch};
 pub use surrogate::{MappingShape, SpecializedModel, SurrogateError, SurrogateStats};
 pub use whatif::{apply_overrides, parse_override, KnobError, KnobOverride, KnobValue};
 
@@ -158,16 +159,6 @@ impl LatencyModel {
     /// bit-identical because they come out of one code path.
     pub fn evaluate(&self, view: &MappedLayer<'_>) -> LatencyReport {
         let mut scratch = ModelScratch::default();
-        self.evaluate_with(view, &mut scratch)
-    }
-
-    /// [`evaluate`](Self::evaluate) reusing caller-provided scratch
-    /// buffers across calls.
-    pub fn evaluate_with(
-        &self,
-        view: &MappedLayer<'_>,
-        scratch: &mut ModelScratch,
-    ) -> LatencyReport {
         LoweredLayer::build_into(view, self.dtl_options(), scratch.lowered_mut());
         let (lowered, stall) = scratch.parts();
         let fast = self.core(view.arch(), lowered, stall, true);

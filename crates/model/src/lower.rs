@@ -353,7 +353,7 @@ impl LoweredLayer {
     }
 
     /// The `(size, relevant)` loops above `level`, innermost-above first.
-    pub fn loops_above(&self, op: Operand, level: usize) -> &[(u64, bool)] {
+    fn loops_above(&self, op: Operand, level: usize) -> &[(u64, bool)] {
         let (lo, hi) = self.level(op, level).loops;
         &self.loops[lo as usize..hi as usize]
     }

@@ -165,11 +165,6 @@ impl LatencyReport {
         fixes
     }
 
-    /// Total latency rounded up to whole cycles.
-    pub fn cc_total_cycles(&self) -> u64 {
-        self.cc_total.ceil() as u64
-    }
-
     /// Computation-phase latency (no load/offload): `CC_spatial +
     /// SS_overall`.
     pub fn cc_compute(&self) -> f64 {
@@ -240,7 +235,6 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("162"), "{s}");
         assert!(s.contains("GB"), "{s}");
-        assert_eq!(r.cc_total_cycles(), 162);
         assert!((r.cc_compute() - 150.0).abs() < 1e-12);
     }
 }

@@ -3,34 +3,10 @@
 //! overall temporal stall `SS_overall`.
 
 use crate::dtl::Dtl;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use ulm_arch::{Architecture, MemoryId, PortId, StallIntegration};
 use ulm_periodic::PeriodicWindow;
 use ulm_periodic::{union_measure_scratch, Measure, UnionOptions, UnionScratch};
-
-/// Step-2 result for one physical memory port.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PortGroup {
-    /// The memory owning the port.
-    pub mem: MemoryId,
-    /// The port index within the memory.
-    pub port: PortId,
-    /// Indices (into the DTL list) of the links sharing this port.
-    pub dtl_indices: Vec<usize>,
-    /// `ReqBW_comb`: summed required bandwidth on the port, bits/cycle.
-    pub req_bw_comb: f64,
-    /// `MUW_comb`: measure of the union of the links' updating windows.
-    pub muw_comb: f64,
-    /// Whether `MUW_comb` was computed exactly.
-    pub muw_exact: bool,
-    /// `SS_comb`: combined stall (+) or slack (−) of the port, cycles.
-    pub ss_comb: f64,
-    /// The minimum physical port bandwidth (bits/cycle) that would make
-    /// this port stall-free, assuming it is the binding link constraint:
-    /// `max(max_i ReqBW_u(i), Σ(data·Z) / MUW_comb)` — the paper's
-    /// Section V-A guidance of "matching ReqBW with RealBW".
-    pub min_stall_free_bw: f64,
-}
 
 /// Step-2 result for one memory module: the maximum over its ports.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,9 +17,8 @@ pub struct MemStall {
     pub ss: f64,
 }
 
-/// The Step-2 numbers of one port group, without the member index list —
-/// the `Copy` core shared by [`combine_ports_with`] and the mapper's
-/// allocation-free fast path.
+/// Step-2 result for one physical memory port: the Eq. (1)/(2) numbers
+/// of the links sharing it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PortGroupCore {
     /// The memory owning the port.
@@ -58,7 +33,10 @@ pub struct PortGroupCore {
     pub muw_exact: bool,
     /// `SS_comb`: combined stall (+) or slack (−) of the port, cycles.
     pub ss_comb: f64,
-    /// Minimum stall-free physical bandwidth (see [`PortGroup`]).
+    /// The minimum physical port bandwidth (bits/cycle) that would make
+    /// this port stall-free, assuming it is the binding link constraint:
+    /// `max(max_i ReqBW_u(i), Σ(data·Z) / MUW_comb)` — the paper's
+    /// Section V-A guidance of "matching ReqBW with RealBW".
     pub min_stall_free_bw: f64,
 }
 
@@ -149,53 +127,16 @@ impl StallScratch {
     }
 }
 
-/// Groups DTLs by `(memory, port)` and applies Eq. (1)/(2), calling `f`
-/// once per group in ascending `(memory, port)` order with the combined
-/// numbers and the member entries (`(mem, port, dtl index)`, ascending by
-/// index). Both `combine_ports_with` and the fast path run through here,
-/// so they produce bit-identical floating-point results by construction.
-fn for_each_port_group(
-    dtls: &[Dtl],
-    union_opts: UnionOptions,
-    oversubscription_bound: bool,
-    keys: &mut Vec<(MemoryId, PortId, usize)>,
-    windows: &mut Vec<PeriodicWindow>,
-    unions: &mut Unions,
-    mut f: impl FnMut(PortGroupCore, &[(MemoryId, PortId, usize)]),
-) {
-    keys.clear();
-    for (i, d) in dtls.iter().enumerate() {
-        for ep in &d.endpoints {
-            keys.push((ep.mem, ep.port, i));
-        }
-    }
-    // Sorting on (mem, port, index) reproduces both the BTreeMap group
-    // order and the per-group insertion order of the original grouping.
-    keys.sort_unstable();
-    let mut start = 0;
-    while start < keys.len() {
-        let (mem, port, _) = keys[start];
-        let mut end = start + 1;
-        while end < keys.len() && keys[end].0 == mem && keys[end].1 == port {
-            end += 1;
-        }
-        let group = &keys[start..end];
-        let member = |&(_, _, i): &(MemoryId, PortId, usize)| &dtls[i];
-        windows.clear();
-        windows.extend(group.iter().map(|k| member(k).window));
-        let muw = unions.measure(windows, union_opts);
-        let core = group_scalars(
-            dtls,
-            group,
-            mem,
-            port,
-            muw.value(),
-            muw.is_exact(),
-            oversubscription_bound,
-        );
-        f(core, group);
-        start = end;
-    }
+/// Whether cached sorted endpoint keys are reusable for `dtls`: they must
+/// be exactly its endpoint multiset — the same total count, every entry
+/// present on its link.
+fn keys_fit(keys: &[(MemoryId, PortId, usize)], dtls: &[Dtl]) -> bool {
+    let total: usize = dtls.iter().map(|d| d.endpoints.len()).sum();
+    keys.len() == total
+        && keys.iter().all(|&(mem, port, i)| {
+            dtls.get(i)
+                .is_some_and(|d| d.endpoints.iter().any(|e| e.mem == mem && e.port == port))
+        })
 }
 
 /// The Eq. (1)/(2) scalar math of one port group, given its combined
@@ -282,10 +223,19 @@ fn ss_comb_from(
 }
 
 impl StallScratch {
-    /// Steps 2 and 3 without allocating: per-port Eq. (1)/(2), the
-    /// per-memory max, and the cross-memory integration policy, all on
-    /// internal buffers. Equivalent (bit for bit) to
-    /// `integrate(arch, &combine_memories(&combine_ports_with(..)))`.
+    /// Steps 2 and 3 without allocating: groups the DTLs by the physical
+    /// ports they occupy, applies Eq. (1)/(2) per port, takes the max per
+    /// memory ("Combine SS @same served mem", Fig. 2b) and integrates
+    /// across memories with the architecture's policy, all on internal
+    /// buffers.
+    ///
+    /// Equation (1) — no link stalls by itself (`SS_u ≤ 0` for all): the
+    /// port stalls by however much the summed busy time exceeds the
+    /// combined window. Equation (2) — some links already stall: their
+    /// stalls add up and can never be cancelled by other links' slack;
+    /// the remaining links' busy time is checked against the window as in
+    /// Eq. (1). `oversubscription_bound = false` reproduces the paper's
+    /// literal Eq. (2) (see the ablation bench).
     pub fn combine_and_integrate(
         &mut self,
         arch: &Architecture,
@@ -293,35 +243,16 @@ impl StallScratch {
         union_opts: UnionOptions,
         oversubscription_bound: bool,
     ) -> f64 {
-        let Self {
-            keys,
-            windows,
-            unions,
-            groups,
-            mem_stalls,
-            grouped,
-        } = self;
-        groups.clear();
-        mem_stalls.clear();
-        for_each_port_group(
-            dtls,
-            union_opts,
-            oversubscription_bound,
-            keys,
-            windows,
-            unions,
-            |core, _| {
-                groups.push(core);
-                match mem_stalls.last_mut() {
-                    Some(last) if last.mem == core.mem => last.ss = last.ss.max(core.ss_comb),
-                    _ => mem_stalls.push(MemStall {
-                        mem: core.mem,
-                        ss: core.ss_comb,
-                    }),
-                }
-            },
-        );
-        integrate_with(arch, mem_stalls, grouped)
+        self.keys.clear();
+        for (i, d) in dtls.iter().enumerate() {
+            for ep in &d.endpoints {
+                self.keys.push((ep.mem, ep.port, i));
+            }
+        }
+        // Groups come out in ascending (memory, port) order, members in
+        // ascending link index.
+        self.keys.sort_unstable();
+        self.combine_sorted(arch, dtls, union_opts, oversubscription_bound)
     }
 
     /// Bandwidth-delta Steps 2–3: reuse everything the last
@@ -352,22 +283,9 @@ impl StallScratch {
             mem_stalls,
             grouped,
         } = self;
-        if groups.is_empty() && !dtls.is_empty() {
-            return None;
-        }
-        // The cached sorted keys are reusable iff they are exactly the
-        // endpoint multiset of `dtls`: same total count, every entry
-        // present on its link. (Bandwidth refreshes never move endpoints,
-        // so in the delta pipeline this always holds.)
-        let total: usize = dtls.iter().map(|d| d.endpoints.len()).sum();
-        if keys.len() != total {
-            return None;
-        }
-        let covers = |&(mem, port, i): &(MemoryId, PortId, usize)| {
-            dtls.get(i)
-                .is_some_and(|d| d.endpoints.iter().any(|e| e.mem == mem && e.port == port))
-        };
-        if !keys.iter().all(covers) {
+        // Bandwidth refreshes never move endpoints, so in the delta
+        // pipeline the cached keys always still fit.
+        if (groups.is_empty() && !dtls.is_empty()) || !keys_fit(keys, dtls) {
             return None;
         }
         mem_stalls.clear();
@@ -443,6 +361,21 @@ impl StallScratch {
         union_opts: UnionOptions,
         oversubscription_bound: bool,
     ) -> Option<f64> {
+        if (self.keys.is_empty() && !dtls.is_empty()) || !keys_fit(&self.keys, dtls) {
+            return None;
+        }
+        Some(self.combine_sorted(arch, dtls, union_opts, oversubscription_bound))
+    }
+
+    /// The post-sort half of Steps 2–3 over the sorted endpoint keys:
+    /// per-port Eq. (1)/(2), the per-memory max and the integration.
+    fn combine_sorted(
+        &mut self,
+        arch: &Architecture,
+        dtls: &[Dtl],
+        union_opts: UnionOptions,
+        oversubscription_bound: bool,
+    ) -> f64 {
         let Self {
             keys,
             windows,
@@ -451,20 +384,6 @@ impl StallScratch {
             mem_stalls,
             grouped,
         } = self;
-        if keys.is_empty() && !dtls.is_empty() {
-            return None;
-        }
-        let total: usize = dtls.iter().map(|d| d.endpoints.len()).sum();
-        if keys.len() != total {
-            return None;
-        }
-        let covers = |&(mem, port, i): &(MemoryId, PortId, usize)| {
-            dtls.get(i)
-                .is_some_and(|d| d.endpoints.iter().any(|e| e.mem == mem && e.port == port))
-        };
-        if !keys.iter().all(covers) {
-            return None;
-        }
         groups.clear();
         mem_stalls.clear();
         let mut start = 0;
@@ -497,85 +416,18 @@ impl StallScratch {
             }
             start = end;
         }
-        Some(integrate_with(arch, mem_stalls, grouped))
+        integrate_with(arch, mem_stalls, grouped)
     }
-}
-
-/// Groups DTLs by the physical ports they occupy and applies Eq. (1)/(2).
-///
-/// Equation (1) — no link stalls by itself (`SS_u ≤ 0` for all): the port
-/// stalls by however much the summed busy time exceeds the combined
-/// window. Equation (2) — some links already stall: their stalls add up
-/// and can never be cancelled by other links' slack; the remaining links'
-/// busy time is checked against the window as in Eq. (1).
-pub fn combine_ports(dtls: &[Dtl], union_opts: UnionOptions) -> Vec<PortGroup> {
-    combine_ports_with(dtls, union_opts, true)
-}
-
-/// [`combine_ports`] with the Eq. (2) oversubscription refinement
-/// switchable (`false` reproduces the paper's literal Eq. (2); see the
-/// ablation bench).
-pub fn combine_ports_with(
-    dtls: &[Dtl],
-    union_opts: UnionOptions,
-    oversubscription_bound: bool,
-) -> Vec<PortGroup> {
-    let mut out = Vec::new();
-    let mut keys = Vec::new();
-    let mut windows = Vec::new();
-    let mut unions = Unions::default();
-    for_each_port_group(
-        dtls,
-        union_opts,
-        oversubscription_bound,
-        &mut keys,
-        &mut windows,
-        &mut unions,
-        |core, group| {
-            out.push(PortGroup {
-                mem: core.mem,
-                port: core.port,
-                dtl_indices: group.iter().map(|&(_, _, i)| i).collect(),
-                req_bw_comb: core.req_bw_comb,
-                muw_comb: core.muw_comb,
-                muw_exact: core.muw_exact,
-                ss_comb: core.ss_comb,
-                min_stall_free_bw: core.min_stall_free_bw,
-            });
-        },
-    );
-    out
-}
-
-/// Per memory module, takes the maximum `SS_comb` over its ports
-/// ("Combine SS @same served mem", Fig. 2b).
-pub fn combine_memories(groups: &[PortGroup]) -> Vec<MemStall> {
-    let mut by_mem: BTreeMap<MemoryId, f64> = BTreeMap::new();
-    for g in groups {
-        by_mem
-            .entry(g.mem)
-            .and_modify(|s| *s = s.max(g.ss_comb))
-            .or_insert(g.ss_comb);
-    }
-    by_mem
-        .into_iter()
-        .map(|(mem, ss)| MemStall { mem, ss })
-        .collect()
 }
 
 /// Step 3: integrates per-memory stalls into the overall temporal stall
-/// (before the final clamp at zero).
+/// (before the final clamp at zero), reusing `grouped` for the Groups
+/// policy's grouped-memory bookkeeping.
 ///
 /// Concurrent memories hide each other's stalls (`max`); sequential ones
 /// accumulate (`sum` of the positive parts — one memory's slack cannot
 /// run another memory's transfers).
-pub fn integrate(arch: &Architecture, mem_stalls: &[MemStall]) -> f64 {
-    integrate_with(arch, mem_stalls, &mut Vec::new())
-}
-
-/// [`integrate`] reusing a caller-provided buffer for the Groups policy's
-/// grouped-memory bookkeeping (the policy's only allocation).
-pub fn integrate_with(
+fn integrate_with(
     arch: &Architecture,
     mem_stalls: &[MemStall],
     grouped: &mut Vec<MemoryId>,
@@ -651,10 +503,20 @@ mod tests {
         }
     }
 
+    /// Steps 2–3 over `dtls`; Step 2 reads nothing from the architecture,
+    /// so any preset serves.
+    fn combine(dtls: &[Dtl]) -> StallScratch {
+        let mut scratch = StallScratch::default();
+        let arch = ulm_arch::presets::toy_chip().arch;
+        scratch.combine_and_integrate(&arch, dtls, UnionOptions::default(), true);
+        scratch
+    }
+
     #[test]
     fn single_slack_dtl_passes_through() {
         let d = dtl(0, 4, 8, 4.0, 1.0); // busy 8 of 32 -> slack -24
-        let groups = combine_ports(&[d], UnionOptions::default());
+        let scratch = combine(&[d]);
+        let groups = scratch.port_groups();
         assert_eq!(groups.len(), 1);
         assert!((groups[0].ss_comb - (-24.0)).abs() < 1e-9);
     }
@@ -665,9 +527,9 @@ mod tests {
         // individually slack, together 1.5x oversubscribed.
         let a = dtl(0, 4, 8, 4.0, 3.0);
         let b = dtl(0, 4, 8, 4.0, 3.0);
-        let groups = combine_ports(&[a, b], UnionOptions::default());
+        let scratch = combine(&[a, b]);
         // Σ busy = 48, MUW_comb = 32 -> stall 16.
-        assert!((groups[0].ss_comb - 16.0).abs() < 1e-9);
+        assert!((scratch.port_groups()[0].ss_comb - 16.0).abs() < 1e-9);
     }
 
     #[test]
@@ -675,27 +537,28 @@ mod tests {
         // One link stalls by itself (+8); the other has huge slack.
         let a = dtl(0, 4, 8, 1.0, 2.0); // trailing window, ss_u = +8
         let b = dtl(0, 4, 8, 4.0, 0.5); // busy 4 only
-        let groups = combine_ports(&[a, b], UnionOptions::default());
+        let scratch = combine(&[a, b]);
         // Eq (2): 8 + max(0, 4 − 32) = 8. Slack must NOT cancel it.
-        assert!((groups[0].ss_comb - 8.0).abs() < 1e-9);
+        assert!((scratch.port_groups()[0].ss_comb - 8.0).abs() < 1e-9);
     }
 
     #[test]
     fn eq2_adds_residual_oversubscription() {
         let a = dtl(0, 4, 8, 1.0, 2.0); // ss_u = +8, busy 16
         let b = dtl(0, 4, 8, 4.0, 5.0); // busy 40 > window
-        let groups = combine_ports(&[a, b], UnionOptions::default());
+        let scratch = combine(&[a, b]);
         // Literal Eq. (2) gives 8 + max(0, 40 − 32) = 16, but the port
         // must move 56 busy cycles through a 32-cycle window: the
         // oversubscription bound (56 − 32 = 24) dominates.
-        assert!((groups[0].ss_comb - 24.0).abs() < 1e-9);
+        assert!((scratch.port_groups()[0].ss_comb - 24.0).abs() < 1e-9);
     }
 
     #[test]
     fn separate_ports_do_not_interact() {
         let a = dtl(0, 4, 8, 4.0, 3.0);
         let b = dtl(1, 4, 8, 4.0, 3.0);
-        let groups = combine_ports(&[a, b], UnionOptions::default());
+        let scratch = combine(&[a, b]);
+        let groups = scratch.port_groups();
         assert_eq!(groups.len(), 2);
         assert!(groups.iter().all(|g| g.ss_comb < 0.0));
     }
@@ -704,8 +567,8 @@ mod tests {
     fn memory_takes_max_over_ports() {
         let a = dtl(0, 4, 8, 4.0, 3.0); // slack
         let b = dtl(1, 4, 8, 1.0, 2.0); // stall +8
-        let groups = combine_ports(&[a, b], UnionOptions::default());
-        let mems = combine_memories(&groups);
+        let scratch = combine(&[a, b]);
+        let mems = scratch.memory_stalls();
         assert_eq!(mems.len(), 1);
         assert!((mems[0].ss - 8.0).abs() < 1e-9);
     }
@@ -714,7 +577,7 @@ mod tests {
     fn req_bw_comb_is_summed() {
         let a = dtl(0, 4, 8, 2.0, 1.0);
         let b = dtl(0, 4, 8, 4.0, 1.0);
-        let groups = combine_ports(&[a, b], UnionOptions::default());
-        assert!((groups[0].req_bw_comb - (0.5 + 0.25)).abs() < 1e-9);
+        let scratch = combine(&[a, b]);
+        assert!((scratch.port_groups()[0].req_bw_comb - (0.5 + 0.25)).abs() < 1e-9);
     }
 }

@@ -31,13 +31,6 @@
 //! # Ok::<(), ulm_network::NetworkError>(())
 //! ```
 
-pub mod multicore;
-
-pub use multicore::{
-    scaling_sweep, BackingStore, MultiCoreEvaluator, MultiCoreLayerReport, MultiCoreReport,
-    Partition,
-};
-
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -306,7 +299,7 @@ impl<'a> NetworkEvaluator<'a> {
         // The search never reads a layer's name or its fusion pins, so
         // layers of one workload share it.
         let threads = self.parallelism.unwrap_or(1);
-        let mappings = search_distinct(layers, layers, threads, |layer| {
+        let mappings = search_distinct(layers, threads, |layer| {
             #[cfg(test)]
             tests::SEARCHES.with(|n| n.set(n.get() + 1));
             Mapper::new(self.arch, layer, self.spatial.clone())
@@ -350,26 +343,25 @@ impl<'a> NetworkEvaluator<'a> {
     }
 }
 
-/// Searches each distinct workload among `keys` once (keys equal up to
-/// their names, see [`Layer::same_workload`]), spreading the distinct
+/// Searches each distinct workload among `layers` once (layers equal up
+/// to their names, see [`Layer::same_workload`]), spreading the distinct
 /// workloads over up to `threads` threads, and returns every layer's
-/// mapping. `keys[i]` is what `layers[i]` searches; the error names the
-/// first layer in order whose workload has no legal mapping. Each search
-/// runs alone, so the result does not depend on the thread count.
+/// mapping. The error names the first layer in order whose workload has
+/// no legal mapping. Each search runs alone, so the result does not
+/// depend on the thread count.
 fn search_distinct(
     layers: &[Layer],
-    keys: &[Layer],
     threads: usize,
     search: impl Fn(&Layer) -> Result<Mapping, MapperError> + Sync,
 ) -> Result<Vec<Mapping>, NetworkError> {
     let mut distinct: Vec<&Layer> = Vec::new();
-    let mut shape_of = Vec::with_capacity(keys.len());
-    for key in keys {
-        match distinct.iter().position(|d| d.same_workload(key)) {
+    let mut shape_of = Vec::with_capacity(layers.len());
+    for layer in layers {
+        match distinct.iter().position(|d| d.same_workload(layer)) {
             Some(shape) => shape_of.push(shape),
             None => {
                 shape_of.push(distinct.len());
-                distinct.push(key);
+                distinct.push(layer);
             }
         }
     }
@@ -381,7 +373,7 @@ fn search_distinct(
     let work = || -> Vec<_> {
         std::iter::from_fn(|| {
             let shape = next.fetch_add(1, Ordering::Relaxed);
-            distinct.get(shape).map(|key| (shape, search(key)))
+            distinct.get(shape).map(|layer| (shape, search(layer)))
         })
         .collect()
     };

@@ -33,7 +33,7 @@ mod sweep;
 mod window;
 
 pub use sweep::{
-    intersection_measure, union_measure, union_measure_scratch, union_measure_with, Exactness,
-    Measure, UnionOptions, UnionScratch,
+    intersection_measure, union_measure, union_measure_scratch, union_measure_with, Measure,
+    UnionOptions, UnionScratch,
 };
 pub use window::{PeriodicWindow, WindowError};

@@ -14,40 +14,30 @@
 //!
 //! Above the cap the measure falls back to an *independence estimate*
 //! (`T * (1 - Π(1 - X_i/P_i))`) clamped to provable bounds, and is marked
-//! [`Exactness::Approximate`].
+//! approximate ([`Measure::is_exact`] is false).
 
 use crate::PeriodicWindow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Whether a [`Measure`] is exact or a bounded estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Exactness {
-    /// Computed by exact sweep (trivial, hyperperiod or direct).
-    Exact,
-    /// Independence estimate clamped to `[max_i |w_i|, min(T, Σ |w_i|)]`.
-    Approximate,
-}
-
 /// A union/intersection measure together with its exactness.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measure {
     value: f64,
-    exactness: Exactness,
+    /// Computed by exact sweep (trivial, hyperperiod or direct), not by
+    /// the independence estimate clamped to `[max_i |w_i|, min(T, Σ |w_i|)]`.
+    exact: bool,
 }
 
 impl Measure {
     fn exact(value: f64) -> Self {
-        Self {
-            value,
-            exactness: Exactness::Exact,
-        }
+        Self { value, exact: true }
     }
 
     fn approximate(value: f64) -> Self {
         Self {
             value,
-            exactness: Exactness::Approximate,
+            exact: false,
         }
     }
 
@@ -58,12 +48,7 @@ impl Measure {
 
     /// True when the value was computed exactly.
     pub fn is_exact(&self) -> bool {
-        self.exactness == Exactness::Exact
-    }
-
-    /// The exactness marker.
-    pub fn exactness(&self) -> Exactness {
-        self.exactness
+        self.exact
     }
 }
 

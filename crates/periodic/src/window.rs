@@ -147,13 +147,6 @@ impl PeriodicWindow {
         let base = self.period * k as f64 + self.start;
         (base, base + self.len)
     }
-
-    /// Restricts the window to the timeline prefix `[0, span)` by reducing
-    /// the period count (used to align windows of unequal spans).
-    pub fn truncated_to_span(&self, span: f64) -> Self {
-        let count = ((span / self.period).floor() as u64).min(self.count);
-        Self { count, ..*self }
-    }
 }
 
 impl fmt::Display for PeriodicWindow {
@@ -218,14 +211,6 @@ mod tests {
         let x = p / 7.0 * 7.0; // may be 3.0000000000000004
         let w = PeriodicWindow::new(p, 0.0, x, 5).unwrap();
         assert!(w.len() <= p);
-    }
-
-    #[test]
-    fn truncation_reduces_count() {
-        let w = PeriodicWindow::full(10.0, 5).unwrap();
-        assert_eq!(w.truncated_to_span(32.0).count(), 3);
-        assert_eq!(w.truncated_to_span(1000.0).count(), 5);
-        assert_eq!(w.truncated_to_span(0.0).count(), 0);
     }
 
     #[test]

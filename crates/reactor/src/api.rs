@@ -104,11 +104,6 @@ impl ShutdownHandle {
         self.sink.shutdown.store(true, Ordering::SeqCst);
         (self.sink.waker)();
     }
-
-    /// True once shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.sink.shutdown.load(Ordering::SeqCst)
-    }
 }
 
 /// Tuning for one reactor run.
@@ -253,9 +248,9 @@ mod tests {
         let handle = ShutdownHandle {
             sink: Arc::clone(&sink),
         };
-        assert!(!handle.is_shutdown());
+        assert!(!sink.shutdown.load(Ordering::SeqCst));
         handle.clone().shutdown();
-        assert!(handle.is_shutdown());
+        assert!(sink.shutdown.load(Ordering::SeqCst));
         assert_eq!(wakes.load(Ordering::SeqCst), 1);
     }
 }

@@ -133,15 +133,6 @@ impl WorkerPool {
         WorkerPool { shared, workers }
     }
 
-    /// A pool sized to the machine: `available_parallelism` workers and a
-    /// queue twice as deep.
-    pub fn with_default_size() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4);
-        Self::new(n, 2 * n)
-    }
-
     /// Enqueues a job, blocking while the queue is at capacity.
     pub fn submit<T, F>(&self, f: F) -> JobHandle<T>
     where
@@ -187,7 +178,7 @@ impl WorkerPool {
     }
 
     /// Jobs waiting in the queue (not yet started).
-    pub fn queue_depth(&self) -> usize {
+    fn queue_depth(&self) -> usize {
         self.shared
             .queue
             .lock()

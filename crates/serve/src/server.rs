@@ -916,10 +916,27 @@ fn parse_net_query(req: &Value) -> Result<NetQuery, UlmError> {
     })
 }
 
+/// The top-level keys every request kind accepts.
+const COMMON_KEYS: [&str; 5] = ["id", "kind", "arch", "gb_bw", "spatial"];
+
+/// The top-level keys `kind` accepts beyond [`COMMON_KEYS`]: exactly the
+/// fields its parser reads. `None` for an unknown kind.
+fn kind_keys(kind: &str) -> Option<&'static [&'static str]> {
+    Some(match kind {
+        "stats" | "/stats" => &[],
+        "eval" => &["layer", "model", "mapping"],
+        "search" => &["layer", "model", "mapper", "objective"],
+        "whatif" => &["layer", "model", "mapper", "objective", "mapping", "set"],
+        "net" => &["net", "model", "mapper", "fuse", "overlap", "objective"],
+        "surrogate" => &["layer", "model", "mapper", "template", "reuse"],
+        _ => return None,
+    })
+}
+
 fn parse_request(req: &Value) -> Result<Request, UlmError> {
-    if !matches!(req, Value::Object(_)) {
+    let Value::Object(entries) = req else {
         return Err(UlmError::invalid_request("request must be a JSON object"));
-    }
+    };
     let kind = match field(req, "kind") {
         Some(Value::String(k)) => k.as_str(),
         Some(_) => return Err(UlmError::invalid_request("`kind` must be a string")),
@@ -936,6 +953,27 @@ fn parse_request(req: &Value) -> Result<Request, UlmError> {
             }
         }
     };
+    let allowed = kind_keys(kind).ok_or_else(|| {
+        UlmError::invalid_request(format!(
+            "unknown kind `{kind}` (eval|search|whatif|net|surrogate|stats)"
+        ))
+    })?;
+    // A misspelled field would otherwise be ignored and the request
+    // answered as if it were absent.
+    if let Some((key, _)) = entries
+        .iter()
+        .find(|(key, _)| !COMMON_KEYS.contains(&key.as_str()) && !allowed.contains(&key.as_str()))
+    {
+        return Err(UlmError::invalid_request(format!(
+            "unknown field `{key}` for kind `{kind}` (allowed: {})",
+            COMMON_KEYS
+                .iter()
+                .chain(allowed)
+                .copied()
+                .collect::<Vec<_>>()
+                .join(", ")
+        )));
+    }
     match kind {
         "stats" | "/stats" => Ok(Request::Stats),
         "eval" | "search" => Ok(Request::Query(Box::new(parse_query(req, kind == "eval")?))),
@@ -948,9 +986,7 @@ fn parse_request(req: &Value) -> Result<Request, UlmError> {
             base: Box::new(parse_query(req, field(req, "mapping").is_some())?),
         }),
         "surrogate" => Ok(Request::Surrogate(Box::new(parse_surrogate_query(req)?))),
-        other => Err(UlmError::invalid_request(format!(
-            "unknown kind `{other}` (eval|search|whatif|net|surrogate|stats)"
-        ))),
+        _ => unreachable!("kind_keys accepted the kind"),
     }
 }
 
@@ -1560,8 +1596,8 @@ impl EvalService {
         Ok(entry.answer(fp, hit))
     }
 
-    /// Resolves the base query against the fingerprinted cache (computing
-    /// and caching it on a miss), applies the knob overrides, and
+    /// Applies the knob overrides, resolves the base query against the
+    /// fingerprinted cache (computing and caching it on a miss), and
     /// re-evaluates the base's mapping on the modified architecture
     /// through the dirty-stage delta path — invalidated lowering stages
     /// are recomputed, everything else is reused. The delta evaluation is
@@ -1572,11 +1608,13 @@ impl EvalService {
         base: &Query,
         set: &[String],
     ) -> Result<Answer, UlmError> {
+        // Knob errors are answered before the base lookup, so a bad `set`
+        // costs no search and leaves nothing in the cache or the log.
+        let (modified_arch, delta) = apply_overrides(&base.arch, set)?;
         let (fp, entry, cached) = self.lookup_or_execute(req, base)?;
         let Outcome::Layer(outcome) = &entry.outcome else {
             unreachable!("a query's cache entry is a layer outcome");
         };
-        let (modified_arch, delta) = apply_overrides(&base.arch, set)?;
 
         let model = LatencyModel::with_options(base.model);
         let mut scratch = ModelScratch::default();
@@ -2286,6 +2324,105 @@ mod tests {
                 "{bad}"
             );
         }
+    }
+
+    #[test]
+    fn unknown_top_level_fields_are_rejected_per_kind() {
+        let svc = service();
+        for (bad, key, kind) in [
+            (
+                r#"{"kind":"search","arch":"toy","layer":"4x4x8","objectve":"energy"}"#,
+                "objectve",
+                "search",
+            ),
+            (
+                r#"{"kind":"search","arch":"toy","layer":"4x4x8","overlap":"weight-prefetch","net":7}"#,
+                "overlap",
+                "search",
+            ),
+            // A kind-less line is checked against the kind it defaults to.
+            (
+                r#"{"arch":"toy","net":"handtracking","layer":"4x4x8"}"#,
+                "layer",
+                "net",
+            ),
+            (r#"{"kind":"stats","layer":"4x4x8"}"#, "layer", "stats"),
+        ] {
+            let v = parse(&svc.handle_line(bad).unwrap());
+            assert_eq!(
+                v.get("code"),
+                Some(&Value::String("request/invalid".into())),
+                "{bad}"
+            );
+            let error = v.get("error").and_then(Value::as_str).unwrap();
+            assert!(
+                error.contains(&format!("`{key}`")) && error.contains(&format!("`{kind}`")),
+                "{bad} -> {error}"
+            );
+        }
+
+        // Every field a kind parses is accepted.
+        let mapper = r#""mapper":{"max_exhaustive":100,"samples":10}"#;
+        let model = r#""model":{"bw_aware":true}"#;
+        let common = r#""id":1,"arch":"toy","gb_bw":128,"spatial":[["K",2],["B",2]]"#;
+        let search = parse(
+            &svc.handle_line(&format!(
+                r#"{{{common},"kind":"search","layer":"4x4x8",{model},{mapper},"objective":"latency"}}"#
+            ))
+            .unwrap(),
+        );
+        assert_eq!(search.get("ok"), Some(&Value::Bool(true)), "{search:?}");
+        let mapping = serde_json::to_string(search.get("mapping").unwrap()).unwrap();
+        for line in [
+            format!(r#"{{{common},"kind":"eval","layer":"4x4x8",{model},"mapping":{mapping}}}"#),
+            format!(
+                r#"{{{common},"kind":"whatif","layer":"4x4x8",{model},{mapper},"objective":"latency","set":["mem.LB.bw=2x"]}}"#
+            ),
+            format!(
+                r#"{{{common},"kind":"whatif","layer":"4x4x8",{model},"mapping":{mapping},"set":["mem.LB.bw=2x"]}}"#
+            ),
+            format!(
+                r#"{{{common},"kind":"net","net":"attention-decode",{model},{mapper},"fuse":[],"overlap":"weight-prefetch","objective":"latency"}}"#
+            ),
+            format!(
+                r#"{{{common},"kind":"surrogate","layer":"4x4x8",{model},{mapper},"template":"4x4x8","reuse":true}}"#
+            ),
+            format!(r#"{{{common},"kind":"stats"}}"#),
+        ] {
+            let v = parse(&svc.handle_line(&line).unwrap());
+            assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{line} -> {v:?}");
+        }
+    }
+
+    #[test]
+    fn whatif_knob_errors_skip_the_base_search() {
+        let svc = service();
+        let counts = |svc: &EvalService| {
+            let stats = parse(&svc.handle_line(r#"{"kind":"stats"}"#).unwrap());
+            let cache = stats.get("cache").unwrap();
+            ["hits", "misses", "insertions"].map(|k| cache.get(k).and_then(Value::as_u64))
+        };
+        let before = counts(&svc);
+        let v = parse(
+            &svc.handle_line(
+                r#"{"kind":"whatif","arch":"toy","layer":"4x4x8","set":["mem.NOPE.bw=2x"]}"#,
+            )
+            .unwrap(),
+        );
+        assert_eq!(
+            v.get("code"),
+            Some(&Value::String("knob/unknown-memory".into()))
+        );
+        assert_eq!(counts(&svc), before);
+        let search = parse(
+            &svc.handle_line(r#"{"kind":"search","arch":"toy","layer":"4x4x8"}"#)
+                .unwrap(),
+        );
+        assert_eq!(
+            search.get("cached"),
+            Some(&Value::Bool(false)),
+            "{search:?}"
+        );
     }
 
     #[test]

@@ -81,7 +81,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 }
 
 /// CRC-32 (IEEE 802.3 polynomial) of `data`, eight bytes per step.
-pub fn crc32(data: &[u8]) -> u32 {
+fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = !0u32;
     let mut chunks = data.chunks_exact(8);

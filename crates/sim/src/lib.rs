@@ -85,23 +85,6 @@ impl Simulator {
         Ok(engine::run(&schedule))
     }
 
-    /// Like [`simulate`](Self::simulate), but reads an already-lowered
-    /// layer instead of re-lowering the view — use this to share one
-    /// [`ulm_model::LoweredLayer`] between the analytical model, the
-    /// energy model and the simulator.
-    ///
-    /// # Errors
-    ///
-    /// Same cap as [`simulate`](Self::simulate).
-    pub fn simulate_lowered(
-        &self,
-        view: &MappedLayer<'_>,
-        lowered: &ulm_model::LoweredLayer,
-    ) -> Result<SimReport, ScheduleTooLarge> {
-        let schedule = schedule::build_schedule_lowered(view, lowered, self.max_transfers)?;
-        Ok(engine::run(&schedule))
-    }
-
     /// Like [`simulate`](Self::simulate), but also records the full
     /// execution [`Trace`] for timeline rendering (Fig. 4-style).
     ///

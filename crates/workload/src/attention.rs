@@ -30,16 +30,16 @@
 use crate::{Layer, Operand, Precision};
 
 /// Shape of one attention block: sequence geometry plus head split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub struct AttentionShape {
+#[derive(Debug, Clone, Copy)]
+struct AttentionShape {
     /// Query positions processed this step (`1` for decode).
-    pub seq_q: u64,
+    seq_q: u64,
     /// Key/value positions attended to (the context length).
-    pub seq_kv: u64,
+    seq_kv: u64,
     /// Model width (`heads * d_head`).
-    pub d_model: u64,
+    d_model: u64,
     /// Query heads folded into the batch dimension.
-    pub heads: u64,
+    heads: u64,
 }
 
 impl AttentionShape {
@@ -49,7 +49,7 @@ impl AttentionShape {
     ///
     /// Panics unless `heads` divides `d_model` and all fields are
     /// non-zero.
-    pub fn d_head(&self) -> u64 {
+    fn d_head(&self) -> u64 {
         assert!(
             self.seq_q > 0 && self.seq_kv > 0 && self.d_model > 0 && self.heads > 0,
             "attention dims must be non-zero"
@@ -69,14 +69,9 @@ impl AttentionShape {
 ///
 /// When `kv_resident` is set, the logit/attend weight operands (the K-
 /// and V-caches) are marked [`Layer::with_kv_cache`].
-pub fn attention_block(
-    prefix: &str,
-    s: AttentionShape,
-    p: Precision,
-    kv_resident: bool,
-) -> Vec<Layer> {
+fn attention_block(s: AttentionShape, kv_resident: bool) -> Vec<Layer> {
     let d_head = s.d_head();
-    let name = |stage: &str| format!("{prefix}{stage}");
+    let p = Precision::int8_acc24();
     let kv = |l: Layer| {
         if kv_resident {
             l.with_kv_cache(Operand::W)
@@ -87,13 +82,13 @@ pub fn attention_block(
     vec![
         // Projections of the new tokens. K/V projections produce one
         // shared head (multi-query attention).
-        Layer::matmul(name("q_proj"), s.seq_q, s.d_model, s.d_model, p),
-        Layer::matmul(name("k_proj"), s.seq_q, d_head, s.d_model, p),
-        Layer::matmul(name("v_proj"), s.seq_q, d_head, s.d_model, p),
+        Layer::matmul("q_proj", s.seq_q, s.d_model, s.d_model, p),
+        Layer::matmul("k_proj", s.seq_q, d_head, s.d_model, p),
+        Layer::matmul("v_proj", s.seq_q, d_head, s.d_model, p),
         // Q·Kᵀ: scores for every (query head x position) row against the
         // seq_kv cached keys. W = K-cache (seq_kv x d_head).
         kv(Layer::matmul(
-            name("logit"),
+            "logit",
             s.heads * s.seq_q,
             s.seq_kv,
             d_head,
@@ -102,13 +97,13 @@ pub fn attention_block(
         // softmax(S)·V: the attention weights (I) against the cached
         // values. W = V-cache (d_head x seq_kv).
         kv(Layer::matmul(
-            name("attend"),
+            "attend",
             s.heads * s.seq_q,
             d_head,
             s.seq_kv,
             p,
         )),
-        Layer::matmul(name("o_proj"), s.seq_q, s.d_model, s.d_model, p),
+        Layer::matmul("o_proj", s.seq_q, s.d_model, s.d_model, p),
     ]
 }
 
@@ -116,14 +111,12 @@ pub fn attention_block(
 /// seq`), K/V freshly computed, nothing cache-resident.
 pub fn prefill(seq: u64, d_model: u64, heads: u64) -> Vec<Layer> {
     attention_block(
-        "",
         AttentionShape {
             seq_q: seq,
             seq_kv: seq,
             d_model,
             heads,
         },
-        Precision::int8_acc24(),
         false,
     )
 }
@@ -132,14 +125,12 @@ pub fn prefill(seq: u64, d_model: u64, heads: u64) -> Vec<Layer> {
 /// KV cache; the logit/attend weight operands are KV-cache resident.
 pub fn decode(context: u64, d_model: u64, heads: u64) -> Vec<Layer> {
     attention_block(
-        "",
         AttentionShape {
             seq_q: 1,
             seq_kv: context,
             d_model,
             heads,
         },
-        Precision::int8_acc24(),
         true,
     )
 }

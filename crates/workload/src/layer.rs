@@ -42,7 +42,7 @@ impl fmt::Display for LayerType {
 /// use ulm_workload::LayerShape;
 ///
 /// let s = LayerShape::conv(1, 64, 32, 56, 56, 3, 3).with_stride(2, 2);
-/// assert_eq!(s.input_height(), 113); // (56-1)*2 + (3-1) + 1
+/// assert_eq!(s.stride(), (2, 2));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct LayerShape {
@@ -99,26 +99,6 @@ impl LayerShape {
     /// `(dx, dy)` dilation.
     pub fn dilation(&self) -> (u64, u64) {
         self.dilation
-    }
-
-    /// Input feature-map height implied by the output/filter geometry.
-    pub fn input_height(&self) -> u64 {
-        crate::relevance::input_axis_extent(
-            self.dims[Dim::OY],
-            self.dims[Dim::FY],
-            self.stride.1,
-            self.dilation.1,
-        )
-    }
-
-    /// Input feature-map width implied by the output/filter geometry.
-    pub fn input_width(&self) -> u64 {
-        crate::relevance::input_axis_extent(
-            self.dims[Dim::OX],
-            self.dims[Dim::FX],
-            self.stride.0,
-            self.dilation.0,
-        )
     }
 }
 
@@ -338,11 +318,6 @@ impl Layer {
     pub fn tensor_bits(&self, op: Operand) -> u64 {
         self.tensor_words(op) * self.precision.bits(op)
     }
-
-    /// Per-operand tensor sizes in words.
-    pub fn tensor_sizes(&self) -> PerOperand<u64> {
-        PerOperand::from_fn(|op| self.tensor_words(op))
-    }
 }
 
 impl fmt::Display for Layer {
@@ -384,11 +359,8 @@ mod tests {
             LayerShape::conv(1, 16, 3, 14, 14, 3, 3).with_stride(2, 2),
             Precision::int8_acc24(),
         );
-        assert_eq!(l.shape().input_width(), 13 * 2 + 2 + 1);
-        assert_eq!(
-            l.tensor_words(Operand::I),
-            3 * l.shape().input_height() * l.shape().input_width()
-        );
+        // Input side (14-1)*2 + (3-1) + 1 = 29.
+        assert_eq!(l.tensor_words(Operand::I), 3 * 29 * 29);
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod networks;
 pub mod precision;
 pub mod relevance;
 
-pub use attention::AttentionShape;
 pub use dims::{Dim, DimSizes, ALL_DIMS};
 pub use im2col::im2col;
 pub use layer::{Layer, LayerShape, LayerType};

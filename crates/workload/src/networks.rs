@@ -224,22 +224,6 @@ pub fn attention_decode() -> Vec<Layer> {
     crate::attention::decode(512, 256, 4)
 }
 
-/// Case-study-2 workload grid: matmul layers `(B, K, C)` over the given
-/// per-dimension values (the paper sweeps 8 → 512), at INT8 W/I with
-/// 24-bit outputs.
-pub fn case2_layers(values: &[u64]) -> Vec<Layer> {
-    let p = Precision::int8_out24();
-    let mut layers = Vec::new();
-    for &b in values {
-        for &k in values {
-            for &c in values {
-                layers.push(Layer::matmul(format!("({b},{k},{c})"), b, k, c, p));
-            }
-        }
-    }
-    layers
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,16 +319,5 @@ mod tests {
         assert_eq!(cached, vec!["logit", "attend"]);
         // Decode's query side is a single token.
         assert_eq!(dec[0].shape().dim(Dim::B), 1);
-    }
-
-    #[test]
-    fn case2_grid_is_full_cross_product() {
-        let layers = case2_layers(&[8, 32, 128]);
-        assert_eq!(layers.len(), 27);
-        let l = &layers[0];
-        assert_eq!(l.total_macs(), 8 * 8 * 8);
-        // 24-bit outputs per Case 2's discussion.
-        assert_eq!(l.tensor_bits(Operand::O), 8 * 8 * 24);
-        assert_eq!(l.precision().final_output_bits(), 24);
     }
 }

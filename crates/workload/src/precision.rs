@@ -20,7 +20,7 @@ use crate::Operand;
 /// let p = Precision::int8_acc24();
 /// assert_eq!(p.bits(Operand::W), 8);
 /// assert_eq!(p.partial_sum_bits(), 24);
-/// assert_eq!(p.final_output_bits(), 8);
+/// assert_eq!(p.output_bits(true), 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct Precision {
@@ -89,11 +89,6 @@ impl Precision {
         self.o_partial_bits
     }
 
-    /// Width of a final (re-quantized) output value.
-    pub fn final_output_bits(&self) -> u64 {
-        self.o_final_bits
-    }
-
     /// Width of the output operand when crossing a memory interface:
     /// partial-sum width if the values still need accumulation, final
     /// width otherwise.
@@ -133,7 +128,7 @@ mod tests {
         for op in Operand::all() {
             assert_eq!(p.bits(op), 16);
         }
-        assert_eq!(p.final_output_bits(), 16);
+        assert_eq!(p.output_bits(true), 16);
     }
 
     #[test]

@@ -112,17 +112,7 @@ impl OperandRelevance {
 /// Number of distinct input pixels along one axis covered by an output
 /// extent `out_ext` and a filter extent `filt_ext` with the given stride
 /// and dilation: `(out_ext - 1) * stride + (filt_ext - 1) * dilation + 1`.
-///
-/// # Example
-///
-/// ```
-/// use ulm_workload::relevance::input_axis_extent;
-/// // 3 outputs, 3-tap filter, stride 1: 5 input pixels.
-/// assert_eq!(input_axis_extent(3, 3, 1, 1), 5);
-/// // stride 2 doubles the hop between windows.
-/// assert_eq!(input_axis_extent(3, 3, 2, 1), 7);
-/// ```
-pub fn input_axis_extent(out_ext: u64, filt_ext: u64, stride: u64, dilation: u64) -> u64 {
+fn input_axis_extent(out_ext: u64, filt_ext: u64, stride: u64, dilation: u64) -> u64 {
     assert!(out_ext > 0 && filt_ext > 0, "extents must be positive");
     (out_ext - 1) * stride + (filt_ext - 1) * dilation + 1
 }
@@ -132,7 +122,7 @@ pub fn input_axis_extent(out_ext: u64, filt_ext: u64, stride: u64, dilation: u64
 ///
 /// This is the paper's `Mem_DATA` primitive: "the product of all the `r`
 /// loops' size … of that operand", with the input operand's partially
-/// relevant loops combined through [`input_axis_extent`].
+/// relevant loops combined through `input_axis_extent`.
 pub fn data_words(
     ltype: LayerType,
     op: Operand,
@@ -196,6 +186,14 @@ mod tests {
         assert_eq!(i.get(Dim::K), Relevance::Relevant);
         let i_std = OperandRelevance::of(LayerType::Conv2d, Operand::I);
         assert_eq!(i_std.get(Dim::K), Relevance::Irrelevant);
+    }
+
+    #[test]
+    fn input_extent_follows_stride() {
+        // 3 outputs, 3-tap filter, stride 1: 5 input pixels.
+        assert_eq!(input_axis_extent(3, 3, 1, 1), 5);
+        // stride 2 doubles the hop between windows.
+        assert_eq!(input_axis_extent(3, 3, 2, 1), 7);
     }
 
     #[test]

@@ -21,6 +21,9 @@ if grep -rnE "Box<dyn (std::error::)?Error" crates/*/src --include="*.rs" | grep
     exit 1
 fi
 
+echo "==> every pub fn is named outside its own file (reachability floor)"
+bash scripts/check_reachable.sh
+
 echo "==> cargo build --release"
 cargo build --release
 
