@@ -50,7 +50,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use ulm_arch::{Memory, MemoryId, MemoryKind};
 use ulm_mapping::MappedLayer;
-use ulm_model::{DtlOptions, LoweredLayer};
+use ulm_model::{interface_traffic, DtlOptions, LoweredLayer};
 use ulm_workload::Operand;
 
 /// Unit-energy parameters (femtojoule-denominated, 7 nm-class defaults).
@@ -279,29 +279,22 @@ impl EnergyModel {
             // Interfaces above a residency pin (KV-cache, fused
             // intermediates) move no data, so they cost no energy.
             for level in 0..lowered.active_interfaces(op) {
-                let lower = chain[level];
-                let upper = chain[level + 1];
-                let row = *lowered.level(op, level);
-                let words = row.words;
+                let (lower, upper) = (chain[level], chain[level + 1]);
+                let (main, read_back) =
+                    interface_traffic(layer.precision(), op, lowered.level(op, level));
                 match op {
                     Operand::W | Operand::I => {
-                        let bits = words * layer.precision().bits(op) * row.refills;
-                        add(upper, bits, 0);
-                        add(lower, 0, bits);
+                        add(upper, main, 0);
+                        add(lower, 0, main);
                     }
                     Operand::O => {
-                        let out_bits = layer.precision().output_bits(row.final_above);
-                        let drains = row.refills;
-                        let revisits = drains - row.distinct_above;
                         // Every visit ends with a drain up…
-                        let drain_bits = words * out_bits * drains;
-                        add(lower, drain_bits, 0);
-                        add(upper, 0, drain_bits);
+                        add(lower, main, 0);
+                        add(upper, 0, main);
                         // …and every revisit begins with a partial-sum
-                        // read-back (always at partial precision).
-                        let rb_bits = words * layer.precision().partial_sum_bits() * revisits;
-                        add(upper, rb_bits, 0);
-                        add(lower, 0, rb_bits);
+                        // read-back.
+                        add(upper, read_back, 0);
+                        add(lower, 0, read_back);
                     }
                 }
             }

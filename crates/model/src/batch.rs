@@ -5,37 +5,42 @@
 //! ordering search all of that structure is invariant: the architecture,
 //! the layer, the spatial unrolling and the factor *multiset* are fixed,
 //! and only the factor *order* varies. [`BatchKernel`] exploits that by
-//! packing the per-(operand, level) scalars of up to `lanes` orderings —
+//! packing the per-(operand, level) rows of up to `lanes` orderings —
 //! `Mem_DATA`, `Mem_CC`, `Z`, the `ReqBW` run, refill and distinct-block
-//! counts — into contiguous per-row lanes, then evaluating the phase
-//! floor and roofline bounds for all lanes in lockstep so the compiler
-//! can autovectorize. Only the (few) lanes that survive pruning pay for
-//! the Eq. (1)/(2) stall integration, which runs through the *same*
-//! [`finish`](crate::dtl) + [`StallScratch::combine_and_integrate`]
-//! code the scalar path uses — so surviving scores are bit-identical to
-//! [`LatencyModel::evaluate_fast`] by construction.
+//! counts, output finality — into contiguous per-field lanes, then
+//! evaluating the phase floor and roofline bounds for all lanes in
+//! lockstep so the compiler can autovectorize. Only the (few) lanes that
+//! survive pruning pay for Steps 1–3: a survivor's lane is read as a row
+//! source by the *same* DTL body the lowering runs, then goes through the
+//! same [`StallScratch::combine_and_integrate`] — so surviving scores are
+//! bit-identical to [`LatencyModel::evaluate_fast`] by construction.
 //!
 //! Batch-constant work is hoisted into [`BatchKernel::new`]: the spatial
 //! fit and coverage checks (`CC_spatial` and every dimension extent are
 //! multiset invariants, independent of order), per-level capacity
-//! budgets for the greedy allocation, port bandwidths and DTL endpoint
-//! templates. Per pushed ordering the kernel extends prefix-memoized
-//! cycle counts and residency words (shared inner prefixes with the
-//! previously pushed ordering are reused, mirroring the scalar path's
-//! `cache_hits` accounting), replays the greedy level allocation with
-//! precomputed word budgets, and derives `Z`/refill/run scalars from
-//! closed-form suffix products instead of re-walking loop stacks.
+//! budgets for the greedy allocation, and every link constant (port
+//! bandwidths, endpoints, double-buffering), folded once into the same
+//! slot tables the surrogate uses. Per pushed ordering the kernel extends
+//! prefix-memoized cycle counts and residency words (shared inner
+//! prefixes with the previously pushed ordering are reused, mirroring the
+//! scalar path's `cache_hits` accounting), replays the greedy level
+//! allocation with precomputed word budgets, and derives `Z`/refill/run
+//! scalars from closed-form suffix products instead of re-walking loop
+//! stacks.
 
 use crate::classes::{GreedyTables, OrderingClasses};
-use crate::dtl::{finish, Dtl, DtlKind, Endpoint, Endpoints, WindowShape};
+use crate::dtl::{build_dtls_with, crossing_bits, Dtl};
 use crate::fast::FastLatency;
-use crate::lower::kv_active_interfaces;
+use crate::lower::{feed_words, kv_active_interfaces, LevelLowering, Rows};
+use crate::phases::block_cycles;
+use crate::roofline::interface_traffic;
+use crate::slots::{ArchSlots, FoldedSlots};
 use crate::stall::StallScratch;
 use crate::LatencyModel;
 use std::sync::Arc;
-use ulm_arch::{Architecture, MemoryId, PortUse};
+use ulm_arch::Architecture;
 use ulm_mapping::SpatialUnroll;
-use ulm_workload::{Dim, DimSizes, Layer, Operand, Relevance};
+use ulm_workload::{Dim, DimSizes, Layer, Operand, Precision};
 
 /// Outcome of one lane after a [`BatchKernel::drain`] pass, mirroring
 /// the scalar search's per-ordering outcomes.
@@ -51,40 +56,60 @@ pub enum LaneOutcome {
     Scored(f64),
 }
 
-/// Constant per-(operand, level<top) link data shared by every lane.
-#[derive(Debug, Clone, Copy)]
-struct LinkSpec {
-    /// The narrower of the two port bandwidths the main (refill/drain)
-    /// link occupies — also the preload/offload and roofline bandwidth.
-    link_bw: u64,
-    /// Whether the receiving/source (lower) memory double-buffers.
-    lower_db: bool,
-    /// Endpoints of the refill (W/I) or drain (O) link.
-    main_eps: Endpoints,
-    /// O only: psum-readback bandwidth and endpoints.
-    psum_bw: u64,
-    psum_eps: Endpoints,
+/// The SoA lane rows: one `Vec` per [`LevelLowering`] field, stride
+/// `lanes`, indexed `(row_off[op] + level) * lanes + lane`.
+struct LaneRows {
+    lanes: usize,
+    row_off: [usize; 3],
+    /// Interfaces that carry traffic per operand, as
+    /// [`kv_active_interfaces`] counts them for an unpinned lowering.
+    active: [usize; 3],
+    /// Distinct words per cycle the MAC array reads of each operand.
+    feed: [u64; 3],
+    words: Vec<u64>,
+    period: Vec<u64>,
+    z: Vec<u64>,
+    run: Vec<u64>,
+    refills: Vec<u64>,
+    distinct: Vec<u64>,
+    final_above: Vec<bool>,
 }
 
-/// Constant per-operand data shared by every lane.
-#[derive(Debug, Clone)]
-struct OpSpec {
-    op: Operand,
-    /// Resident precision in bits (partial-sum width for O).
-    bits: u64,
-    chain: Vec<MemoryId>,
-    /// Interfaces that carry traffic: `chain.len() - 1`, one fewer for a
-    /// KV-cache resident operand — mirrors
-    /// [`LoweredLayer::active_interfaces`](crate::LoweredLayer::active_interfaces)
-    /// so batched scores stay bit-identical to the scalar path.
-    active: usize,
-    /// Per level < top: link constants.
-    links: Vec<LinkSpec>,
-    /// Compute-facing link: relevant spatial words per cycle.
-    words_per_cycle: u64,
-    /// Compute-facing link: port bandwidth and endpoint.
-    compute_bw: u64,
-    compute_eps: Endpoints,
+impl LaneRows {
+    /// The row at flat index `idx`.
+    fn at(&self, idx: usize) -> LevelLowering {
+        LevelLowering {
+            words: self.words[idx],
+            period: self.period[idx],
+            z: self.z[idx],
+            run: self.run[idx],
+            refills: self.refills[idx],
+            distinct_above: self.distinct[idx],
+            final_above: self.final_above[idx],
+        }
+    }
+}
+
+/// One lane of [`LaneRows`] read as [`Rows`]: the row source survivors
+/// hand to the shared DTL body.
+struct Lane<'r> {
+    rows: &'r LaneRows,
+    lane: usize,
+}
+
+impl Rows for Lane<'_> {
+    fn active(&self, op: Operand) -> usize {
+        self.rows.active[op.index()]
+    }
+
+    fn row(&self, op: Operand, level: usize) -> LevelLowering {
+        let r = self.rows;
+        r.at((r.row_off[op.index()] + level) * r.lanes + self.lane)
+    }
+
+    fn feed(&self, op: Operand) -> u64 {
+        self.rows.feed[op.index()]
+    }
 }
 
 /// A reusable batched evaluator for one (architecture, layer, spatial,
@@ -94,18 +119,18 @@ pub struct BatchKernel<'a> {
     /// Greedy-allocation tables, shared with [`OrderingClasses`] walks.
     tables: Arc<GreedyTables<'a>>,
     model: LatencyModel,
-    lanes: usize,
+    /// Every link constant, folded once from the architecture.
+    slots: FoldedSlots,
+    precision: Precision,
     /// Factors per ordering.
     n: usize,
     /// Lanes currently filled.
     count: usize,
     cc_ideal: f64,
     cc_spatial: u64,
-    ops: [OpSpec; 3],
     /// Per physical memory: capacity in bits, `None` for backing stores
     /// (exempt from the residency check).
     mem_caps: Vec<Option<u64>>,
-    compute_links: bool,
 
     // --- prefix memoization (persists across drains) ---
     prev: Vec<(Dim, u64)>,
@@ -129,15 +154,8 @@ pub struct BatchKernel<'a> {
     bounds: [Vec<u32>; 3],
     residency: Vec<u64>,
 
-    // --- SoA lane rows, stride = `lanes` ---
-    row_off: [usize; 3],
-    r_words: Vec<u64>,
-    r_period: Vec<u64>,
-    r_z: Vec<u64>,
-    r_run: Vec<u64>,
-    r_refills: Vec<u64>,
-    r_distinct: Vec<u64>,
-    r_final: Vec<bool>,
+    // --- lanes ---
+    rows: LaneRows,
     lane_ord: Vec<(Dim, u64)>,
     lane_illegal: Vec<bool>,
     lane_pre: Vec<u64>,
@@ -147,9 +165,6 @@ pub struct BatchKernel<'a> {
     lane_roof: Vec<f64>,
 
     // --- survivor evaluation ---
-    out_final_bits: u64,
-    out_partial_bits: u64,
-    psum_bits: u64,
     dtls: Vec<Dtl>,
     /// Steps 2–3 scratch. It memoizes port-group window unions: survivors
     /// share most of their rows, so most of their port groups repeat.
@@ -172,116 +187,11 @@ impl<'a> BatchKernel<'a> {
         let lanes = lanes.max(1);
         let n = factors.len();
         let h = arch.hierarchy();
-        let prec = layer.precision();
 
         let tables = Arc::new(GreedyTables::new(arch, layer, spatial, factors));
         let macs = arch.mac_array().num_macs();
         let cc_ideal = layer.total_macs() as f64 / macs as f64;
         let cc_spatial: u64 = factors.iter().map(|&(_, s)| s).product();
-
-        let build_op = |op: Operand| {
-            let rel_table = layer.operand_relevance(op);
-            let bits = prec.bits(op);
-            let chain: Vec<MemoryId> = h.chain(op).to_vec();
-            let mut links = Vec::new();
-            for level in 0..chain.len().saturating_sub(1) {
-                let lower = chain[level];
-                let upper = chain[level + 1];
-                let mem = h.mem(lower);
-                let spec = match op {
-                    Operand::W | Operand::I => {
-                        let (wp, wbw) = h.port(lower, op, PortUse::WriteIn);
-                        let (rp, rbw) = h.port(upper, op, PortUse::ReadOut);
-                        let main_eps = Endpoints::two(
-                            Endpoint {
-                                mem: upper,
-                                port: rp,
-                                usage: PortUse::ReadOut,
-                            },
-                            Endpoint {
-                                mem: lower,
-                                port: wp,
-                                usage: PortUse::WriteIn,
-                            },
-                        );
-                        LinkSpec {
-                            link_bw: wbw.min(rbw),
-                            lower_db: mem.is_double_buffered(),
-                            main_eps,
-                            psum_bw: 0,
-                            psum_eps: main_eps,
-                        }
-                    }
-                    Operand::O => {
-                        let (rp, rbw) = h.port(lower, op, PortUse::ReadOut);
-                        let (wp, wbw) = h.port(upper, op, PortUse::WriteIn);
-                        let (rp2, rbw2) = h.port(upper, op, PortUse::ReadOut);
-                        let (wp2, wbw2) = h.port(lower, op, PortUse::WriteIn);
-                        LinkSpec {
-                            link_bw: rbw.min(wbw),
-                            lower_db: mem.is_double_buffered(),
-                            main_eps: Endpoints::two(
-                                Endpoint {
-                                    mem: lower,
-                                    port: rp,
-                                    usage: PortUse::ReadOut,
-                                },
-                                Endpoint {
-                                    mem: upper,
-                                    port: wp,
-                                    usage: PortUse::WriteIn,
-                                },
-                            ),
-                            psum_bw: rbw2.min(wbw2),
-                            psum_eps: Endpoints::two(
-                                Endpoint {
-                                    mem: upper,
-                                    port: rp2,
-                                    usage: PortUse::ReadOut,
-                                },
-                                Endpoint {
-                                    mem: lower,
-                                    port: wp2,
-                                    usage: PortUse::WriteIn,
-                                },
-                            ),
-                        }
-                    }
-                };
-                links.push(spec);
-            }
-            let words_per_cycle: u64 = spatial
-                .factors()
-                .iter()
-                .filter(|(d, _)| rel_table.get(*d) != Relevance::Irrelevant)
-                .map(|&(_, f)| f)
-                .product();
-            let usage = match op {
-                Operand::W | Operand::I => PortUse::ReadOut,
-                Operand::O => PortUse::WriteIn,
-            };
-            let innermost = chain[0];
-            let (p, bw) = h.port(innermost, op, usage);
-            OpSpec {
-                op,
-                bits,
-                active: kv_active_interfaces(layer, op, chain.len()),
-                chain,
-                links,
-                words_per_cycle,
-                compute_bw: bw,
-                compute_eps: Endpoints::one(Endpoint {
-                    mem: innermost,
-                    port: p,
-                    usage,
-                }),
-            }
-        };
-        let ops = [
-            build_op(Operand::W),
-            build_op(Operand::I),
-            build_op(Operand::O),
-        ];
 
         let mem_caps: Vec<Option<u64>> = h
             .memories()
@@ -289,12 +199,27 @@ impl<'a> BatchKernel<'a> {
             .map(|m| (!m.is_backing_store()).then(|| m.mapper_capacity_bits()))
             .collect();
 
+        let chain_len = |op: Operand| h.chain(op).len();
         let row_off = [
             0,
-            ops[0].chain.len(),
-            ops[0].chain.len() + ops[1].chain.len(),
+            chain_len(Operand::W),
+            chain_len(Operand::W) + chain_len(Operand::I),
         ];
-        let rows = row_off[2] + ops[2].chain.len();
+        let len = (row_off[2] + chain_len(Operand::O)) * lanes;
+        let rows = LaneRows {
+            lanes,
+            row_off,
+            active: [Operand::W, Operand::I, Operand::O]
+                .map(|op| kv_active_interfaces(layer, op, chain_len(op))),
+            feed: [Operand::W, Operand::I, Operand::O].map(|op| feed_words(layer, spatial, op)),
+            words: vec![0; len],
+            period: vec![0; len],
+            z: vec![0; len],
+            run: vec![0; len],
+            refills: vec![0; len],
+            distinct: vec![0; len],
+            final_above: vec![false; len],
+        };
 
         let words_at = [0, 1, 2].map(|oi| {
             let mut v = vec![0u64; n + 1];
@@ -307,14 +232,13 @@ impl<'a> BatchKernel<'a> {
             arch,
             tables,
             model,
-            lanes,
+            slots: FoldedSlots::fold(h),
+            precision: *layer.precision(),
             n,
             count: 0,
             cc_ideal,
             cc_spatial,
-            ops,
             mem_caps,
-            compute_links: model.dtl_options().compute_links,
             prev: Vec::with_capacity(n),
             prefix_cycles: {
                 let mut v = vec![0u64; n + 1];
@@ -328,14 +252,7 @@ impl<'a> BatchKernel<'a> {
             suffix_all: vec![1u64; n + 1],
             bounds: [(); 3].map(|_| Vec::with_capacity(8)),
             residency: vec![0u64; h.memories().len()],
-            row_off,
-            r_words: vec![0; rows * lanes],
-            r_period: vec![0; rows * lanes],
-            r_z: vec![0; rows * lanes],
-            r_run: vec![0; rows * lanes],
-            r_refills: vec![0; rows * lanes],
-            r_distinct: vec![0; rows * lanes],
-            r_final: vec![false; rows * lanes],
+            rows,
             lane_ord: vec![(Dim::B, 0); n * lanes],
             lane_illegal: vec![false; lanes],
             lane_pre: vec![0; lanes],
@@ -343,9 +260,6 @@ impl<'a> BatchKernel<'a> {
             lane_tmp: vec![0; lanes],
             lane_floor: vec![0.0; lanes],
             lane_roof: vec![0.0; lanes],
-            out_final_bits: prec.output_bits(true),
-            out_partial_bits: prec.output_bits(false),
-            psum_bits: prec.partial_sum_bits(),
             dtls: Vec::with_capacity(16),
             stall: StallScratch::with_union_memo(),
         }
@@ -353,7 +267,7 @@ impl<'a> BatchKernel<'a> {
 
     /// The lane capacity this kernel was built with.
     pub fn lanes(&self) -> usize {
-        self.lanes
+        self.rows.lanes
     }
 
     /// Lanes currently filled (reset by [`drain`](Self::drain)).
@@ -368,7 +282,7 @@ impl<'a> BatchKernel<'a> {
 
     /// True when a [`drain`](Self::drain) is required before `push`.
     pub fn is_full(&self) -> bool {
-        self.count == self.lanes
+        self.count == self.rows.lanes
     }
 
     /// Prefix quantities reused from the previously pushed ordering —
@@ -388,7 +302,7 @@ impl<'a> BatchKernel<'a> {
     /// prefix memos, replays the greedy level allocation and fills the
     /// lane's SoA row scalars. Panics if the kernel [`is_full`](Self::is_full).
     pub fn push(&mut self, ordering: &[(Dim, u64)]) {
-        assert!(self.count < self.lanes, "kernel is full; drain first");
+        assert!(self.count < self.rows.lanes, "kernel is full; drain first");
         debug_assert_eq!(ordering.len(), self.n);
         let n = self.n;
         let lane = self.count;
@@ -462,10 +376,11 @@ impl<'a> BatchKernel<'a> {
         // Residency: per physical memory, summed over resident operands.
         if !illegal {
             self.residency.fill(0);
-            for (oi, spec) in self.ops.iter().enumerate() {
-                for (lvl, &mid) in spec.chain.iter().enumerate() {
+            for op in Operand::all() {
+                let (oi, bits) = (op.index(), self.precision.bits(op));
+                for (lvl, &mid) in self.arch.hierarchy().chain(op).iter().enumerate() {
                     let upper = self.bounds[oi][lvl] as usize;
-                    self.residency[mid.0] += self.words_at[oi][upper] * spec.bits;
+                    self.residency[mid.0] += self.words_at[oi][upper] * bits;
                 }
             }
             for (i, &needed) in self.residency.iter().enumerate() {
@@ -484,6 +399,7 @@ impl<'a> BatchKernel<'a> {
         }
 
         // Fill the lane's SoA rows from the memoized prefix/suffix data.
+        let rows = &mut self.rows;
         for (oi, g) in t.ops.iter().enumerate() {
             let rel_at = &self.rel_at[oi];
             let rel_total = rel_at[n];
@@ -494,10 +410,10 @@ impl<'a> BatchKernel<'a> {
                 } else {
                     self.bounds[oi][lvl - 1] as usize
                 };
-                let idx = (self.row_off[oi] + lvl) * self.lanes + lane;
-                self.r_words[idx] = self.words_at[oi][upper];
-                self.r_period[idx] = self.prefix_cycles[upper];
-                self.r_z[idx] = self.suffix_all[upper];
+                let idx = (rows.row_off[oi] + lvl) * rows.lanes + lane;
+                rows.words[idx] = self.words_at[oi][upper];
+                rows.period[idx] = self.prefix_cycles[upper];
+                rows.z[idx] = self.suffix_all[upper];
                 let mut run = 1u64;
                 for p in (lower..upper).rev() {
                     let (d, s) = ordering[p];
@@ -506,20 +422,20 @@ impl<'a> BatchKernel<'a> {
                     }
                     run *= s;
                 }
-                self.r_run[idx] = run;
+                rows.run[idx] = run;
                 // First relevant position at or above `upper`; the scan
                 // only crosses the (short) irrelevant run above the split.
                 let mut fr = upper;
                 while fr < n && !g.rel[ordering[fr].0.index()] {
                     fr += 1;
                 }
-                self.r_refills[idx] = self.suffix_all[fr];
+                rows.refills[idx] = self.suffix_all[fr];
                 // Exact: `rel_at[upper]` divides `rel_total`, and (sizes
                 // being > 1) everything above is relevant iff the full and
                 // relevant-only suffix products agree.
                 let distinct = rel_total / rel_at[upper];
-                self.r_distinct[idx] = distinct;
-                self.r_final[idx] = self.suffix_all[upper] == distinct;
+                rows.distinct[idx] = distinct;
+                rows.final_above[idx] = self.suffix_all[upper] == distinct;
             }
         }
     }
@@ -568,42 +484,39 @@ impl<'a> BatchKernel<'a> {
         incumbent
     }
 
-    /// Lockstep phase-floor and roofline bounds over lanes `0..cnt`.
-    /// Illegal lanes hold garbage rows; their bounds are never read.
+    /// Lockstep phase-floor and roofline bounds over lanes `0..cnt`, each
+    /// term the scalar bodies' per-interface expression over the folded
+    /// link constants. Illegal lanes hold garbage rows; their bounds are
+    /// never read.
     fn compute_bounds(&mut self, cnt: usize) {
-        let lanes = self.lanes;
+        let rows = &self.rows;
+        let precision = &self.precision;
+        let base = |op: Operand, lvl: usize| (rows.row_off[op.index()] + lvl) * rows.lanes;
         // Preload: max over W and I of the per-level refill sums.
         self.lane_pre[..cnt].fill(0);
-        for (oi, spec) in self.ops.iter().enumerate().take(2) {
+        for op in [Operand::W, Operand::I] {
             self.lane_tmp[..cnt].fill(0);
-            for lvl in 0..spec.active {
-                let base = (self.row_off[oi] + lvl) * lanes;
-                let bw = spec.links[lvl].link_bw;
-                let bits = spec.bits;
-                let words = &self.r_words[base..base + cnt];
+            let bits = precision.bits(op);
+            for lvl in 0..rows.active[op.index()] {
+                let words = &rows.words[base(op, lvl)..base(op, lvl) + cnt];
+                let bw = self.slots.interface(op, lvl).bw_bits;
                 for (acc, &w) in self.lane_tmp[..cnt].iter_mut().zip(words) {
-                    *acc += (w * bits).div_ceil(bw);
+                    *acc += block_cycles(w, bits, bw);
                 }
             }
             for (pre, &t) in self.lane_pre[..cnt].iter_mut().zip(&self.lane_tmp[..cnt]) {
-                *pre = if oi == 0 { t } else { (*pre).max(t) };
+                *pre = (*pre).max(t);
             }
         }
         // Offload: per-level drain sums of O at the crossing precision.
         self.lane_off[..cnt].fill(0);
-        {
-            let spec = &self.ops[2];
-            for lvl in 0..spec.active {
-                let base = (self.row_off[2] + lvl) * lanes;
-                let bw = spec.links[lvl].link_bw;
-                for lane in 0..cnt {
-                    let bits = if self.r_final[base + lane] {
-                        self.out_final_bits
-                    } else {
-                        self.out_partial_bits
-                    };
-                    self.lane_off[lane] += (self.r_words[base + lane] * bits).div_ceil(bw);
-                }
+        let o = Operand::O;
+        for lvl in 0..rows.active[o.index()] {
+            let b = base(o, lvl);
+            let bw = self.slots.interface(o, lvl).bw_bits;
+            for (lane, off) in self.lane_off[..cnt].iter_mut().enumerate() {
+                let bits = crossing_bits(precision, o, rows.final_above[b + lane]);
+                *off += block_cycles(rows.words[b + lane], bits, bw);
             }
         }
         // Phase floor: the stall-free composition, through the same
@@ -624,39 +537,36 @@ impl<'a> BatchKernel<'a> {
             return;
         }
         self.lane_roof[..cnt].fill(self.cc_ideal);
-        for (oi, spec) in self.ops.iter().enumerate() {
-            for lvl in 0..spec.active {
-                let base = (self.row_off[oi] + lvl) * lanes;
-                let bw = spec.links[lvl].link_bw as f64;
-                let bits = spec.bits;
-                for lane in 0..cnt {
-                    let idx = base + lane;
-                    let traffic = if oi < 2 {
-                        self.r_words[idx] * bits * self.r_refills[idx]
-                    } else {
-                        let drains = self.r_refills[idx];
-                        let revisits = drains - self.r_distinct[idx];
-                        let ob = if self.r_final[idx] {
-                            self.out_final_bits
-                        } else {
-                            self.out_partial_bits
-                        };
-                        self.r_words[idx] * ob * drains
-                            + self.r_words[idx] * self.psum_bits * revisits
-                    };
-                    self.lane_roof[lane] = self.lane_roof[lane].max(traffic as f64 / bw);
+        for op in Operand::all() {
+            for lvl in 0..rows.active[op.index()] {
+                let b = base(op, lvl);
+                let bw = self.slots.interface(op, lvl).bw_bits as f64;
+                for (lane, roof) in self.lane_roof[..cnt].iter_mut().enumerate() {
+                    let (main, read_back) = interface_traffic(precision, op, &rows.at(b + lane));
+                    *roof = roof.max((main + read_back) as f64 / bw);
                 }
             }
         }
     }
 
-    /// Full evaluation of one surviving lane: rebuild its DTL list from
-    /// the SoA rows and the precomputed link templates (the same order
-    /// and arithmetic as `build_dtls_lowered`), run Steps 2–3, compose.
+    /// Full evaluation of one surviving lane: the lowering's own DTL body
+    /// over the lane's rows and the folded link constants, then Steps 2–3
+    /// and the composition.
     fn score_lane(&mut self, lane: usize) -> f64 {
         let opts = *self.model.options();
         let ss_overall = if opts.bw_aware {
-            self.build_lane_dtls(lane);
+            let rows = Lane {
+                rows: &self.rows,
+                lane,
+            };
+            let dtl_opts = self.model.dtl_options();
+            build_dtls_with(
+                &self.precision,
+                dtl_opts,
+                &rows,
+                &self.slots,
+                &mut self.dtls,
+            );
             let raw = self.stall.combine_and_integrate(
                 self.arch,
                 &self.dtls,
@@ -675,107 +585,6 @@ impl<'a> BatchKernel<'a> {
             ss_overall,
         )
         .cc_total
-    }
-
-    fn build_lane_dtls(&mut self, lane: usize) {
-        let phase_aware_z = self.model.dtl_options().phase_aware_z;
-        self.dtls.clear();
-        for (oi, spec) in self.ops.iter().enumerate() {
-            for lvl in 0..spec.active {
-                let idx = (self.row_off[oi] + lvl) * self.lanes + lane;
-                let link = &spec.links[lvl];
-                let words = self.r_words[idx];
-                let period = self.r_period[idx];
-                let z = self.r_z[idx];
-                let run = self.r_run[idx];
-                let full = link.lower_db || run == 1;
-                match spec.op {
-                    Operand::W | Operand::I => {
-                        let shape = if full {
-                            WindowShape::Full
-                        } else {
-                            WindowShape::Trailing(run)
-                        };
-                        self.dtls.push(finish(
-                            spec.op,
-                            DtlKind::RefillDown,
-                            lvl,
-                            words * spec.bits,
-                            period,
-                            z,
-                            shape,
-                            link.link_bw as f64,
-                            link.main_eps,
-                            phase_aware_z,
-                        ));
-                    }
-                    Operand::O => {
-                        let final_above = self.r_final[idx];
-                        let bits = if final_above {
-                            self.out_final_bits
-                        } else {
-                            self.out_partial_bits
-                        };
-                        let shape = if full {
-                            WindowShape::Full
-                        } else {
-                            WindowShape::Trailing(run)
-                        };
-                        self.dtls.push(finish(
-                            spec.op,
-                            DtlKind::DrainUp,
-                            lvl,
-                            words * bits,
-                            period,
-                            z,
-                            shape,
-                            link.link_bw as f64,
-                            link.main_eps,
-                            phase_aware_z,
-                        ));
-                        if !final_above {
-                            let shape = if full {
-                                WindowShape::Full
-                            } else {
-                                WindowShape::Leading(run)
-                            };
-                            self.dtls.push(finish(
-                                spec.op,
-                                DtlKind::PsumReadback,
-                                lvl,
-                                words * self.psum_bits,
-                                period,
-                                z,
-                                shape,
-                                link.psum_bw as f64,
-                                link.psum_eps,
-                                phase_aware_z,
-                            ));
-                        }
-                    }
-                }
-            }
-            if self.compute_links {
-                let idx = self.row_off[oi] * self.lanes + lane;
-                let kind = match spec.op {
-                    Operand::W | Operand::I => DtlKind::ComputeFeed,
-                    Operand::O => DtlKind::ComputeWriteback,
-                };
-                let period = self.r_period[idx];
-                self.dtls.push(finish(
-                    spec.op,
-                    kind,
-                    0,
-                    spec.words_per_cycle * spec.bits * period,
-                    period,
-                    self.r_z[idx],
-                    WindowShape::Full,
-                    spec.compute_bw as f64,
-                    spec.compute_eps,
-                    phase_aware_z,
-                ));
-            }
-        }
     }
 }
 

@@ -2,12 +2,13 @@
 //! Memories and per-direction Data Transfer Links (DTLs), and compute each
 //! DTL's attributes — `ReqBW_u`, `X_REQ`, `X_REAL`, `MUW_u` and `SS_u`.
 
-use crate::slots::{ArchSlots, LiveSlots};
+use crate::lower::Rows;
+use crate::slots::ArchSlots;
 use std::fmt;
 use ulm_arch::{MemoryId, PortId, PortUse};
 use ulm_mapping::MappedLayer;
 use ulm_periodic::PeriodicWindow;
-use ulm_workload::Operand;
+use ulm_workload::{Operand, Precision};
 
 /// The role a DTL plays in the dataflow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -276,123 +277,91 @@ impl Default for DtlOptions {
     }
 }
 
-/// Step 1 proper: reads the residency tables of a freshly lowered
-/// [`LoweredLayer`](crate::LoweredLayer) and appends the DTL list to it,
-/// answering every architecture lookup through [`LiveSlots`].
-pub(crate) fn build_dtls_lowered(view: &MappedLayer<'_>, lw: &mut crate::LoweredLayer) {
-    let slots = LiveSlots::new(view.arch().hierarchy());
-    build_dtls_with(view.layer(), lw, &slots);
+/// Bits per word of `op` crossing the interface above a level in its
+/// refill (W/I) or drain (O) direction: outputs leave at final precision
+/// once fully accumulated, as partial sums otherwise.
+pub(crate) fn crossing_bits(precision: &Precision, op: Operand, final_above: bool) -> u64 {
+    match op {
+        Operand::W | Operand::I => precision.bits(op),
+        Operand::O => precision.output_bits(final_above),
+    }
 }
 
-/// The single DTL construction body, shared between the generic path
-/// (live hierarchy lookups) and the surrogate's folded tables: every
-/// architecture constant arrives through `slots`, so identical slot
-/// values produce bit-identical DTLs.
+/// Step 1 proper, the single DTL construction body: writes the DTL list
+/// of `rows` into `out` in canonical order. Rows come from a lowered IR
+/// or a batched-kernel lane and every architecture constant arrives
+/// through `slots`, so equal rows and slot values give bit-identical
+/// DTLs whichever evaluator asks.
 pub(crate) fn build_dtls_with(
-    layer: &ulm_workload::Layer,
-    lw: &mut crate::LoweredLayer,
+    precision: &Precision,
+    opts: DtlOptions,
+    rows: &impl Rows,
     slots: &impl ArchSlots,
+    out: &mut Vec<Dtl>,
 ) {
-    let opts = lw.options();
-
-    // The tables are read through an immutable copy of the per-level rows
-    // while DTLs are appended; rows are small `Copy` structs.
-    let mut out = std::mem::take(lw.dtls_mut());
     out.clear();
-
     for op in Operand::all() {
-        let op_bits = layer.precision().bits(op);
-
         // Inter-memory links: one per adjacent level pair, stopping at
         // the pin (KV-cache residents and fused intermediates never touch
         // the interfaces above it, so no link exists to price).
-        for level in 0..lw.active_interfaces(op) {
-            let row = *lw.level(op, level);
-            let period = row.period;
-            let z = row.z;
-            let words = row.words;
-            let run = row.run;
+        for level in 0..rows.active(op) {
+            let row = rows.row(op, level);
             let lc = slots.interface(op, level);
-
-            match op {
-                Operand::W | Operand::I => {
-                    // Refill: upper read -> lower write. The receiving
-                    // (lower) memory's buffering sets the window (Table I).
-                    let shape = if lc.lower_db || run == 1 {
-                        WindowShape::Full
-                    } else {
-                        WindowShape::Trailing(run)
-                    };
-                    out.push(finish(
-                        op,
-                        DtlKind::RefillDown,
-                        level,
-                        words * op_bits,
-                        period,
-                        z,
-                        shape,
-                        lc.bw_bits as f64,
-                        lc.endpoints,
-                        opts.phase_aware_z,
-                    ));
-                }
-                Operand::O => {
-                    let final_above = row.final_above;
-                    let bits = layer.precision().output_bits(final_above);
-                    // Drain: lower read -> upper write. The source block
-                    // finishes accumulating only in the last iteration of
-                    // its top irrelevant run, so a non-DB source gets a
-                    // trailing window scaled by that run.
-                    let shape = if lc.lower_db || run == 1 {
-                        WindowShape::Full
-                    } else {
-                        WindowShape::Trailing(run)
-                    };
-                    out.push(finish(
-                        op,
-                        DtlKind::DrainUp,
-                        level,
-                        words * bits,
-                        period,
-                        z,
-                        shape,
-                        lc.bw_bits as f64,
-                        lc.endpoints,
-                        opts.phase_aware_z,
-                    ));
-                    // Partial sums return when accumulation continues above.
-                    if !final_above {
-                        let pc = slots.psum(level);
-                        let shape = if pc.lower_db || run == 1 {
-                            WindowShape::Full
-                        } else {
-                            WindowShape::Leading(run)
-                        };
-                        out.push(finish(
-                            op,
-                            DtlKind::PsumReadback,
-                            level,
-                            words * layer.precision().partial_sum_bits(),
-                            period,
-                            z,
-                            shape,
-                            pc.bw_bits as f64,
-                            pc.endpoints,
-                            opts.phase_aware_z,
-                        ));
-                    }
-                }
+            // Refill (W/I): upper read -> lower write; the receiving
+            // memory's buffering sets the window (Table I). Drain (O):
+            // lower read -> upper write; the source block finishes
+            // accumulating only in the last iteration of its top
+            // irrelevant run, so a non-DB source gets a trailing window
+            // scaled by that run.
+            let kind = match op {
+                Operand::W | Operand::I => DtlKind::RefillDown,
+                Operand::O => DtlKind::DrainUp,
+            };
+            let shape = if lc.lower_db || row.run == 1 {
+                WindowShape::Full
+            } else {
+                WindowShape::Trailing(row.run)
+            };
+            out.push(finish(
+                op,
+                kind,
+                level,
+                row.words * crossing_bits(precision, op, row.final_above),
+                row.period,
+                row.z,
+                shape,
+                lc.bw_bits as f64,
+                lc.endpoints,
+                opts.phase_aware_z,
+            ));
+            // Partial sums return when accumulation continues above.
+            if op == Operand::O && !row.final_above {
+                let pc = slots.psum(level);
+                let shape = if pc.lower_db || row.run == 1 {
+                    WindowShape::Full
+                } else {
+                    WindowShape::Leading(row.run)
+                };
+                out.push(finish(
+                    op,
+                    DtlKind::PsumReadback,
+                    level,
+                    row.words * precision.partial_sum_bits(),
+                    row.period,
+                    row.z,
+                    shape,
+                    pc.bw_bits as f64,
+                    pc.endpoints,
+                    opts.phase_aware_z,
+                ));
             }
         }
 
         // MAC-array-facing links of the innermost level. Irrelevant
         // spatial unrolls are broadcast and touch the same word, so the
-        // feed rate counts op-relevant unroll factors only (the lowering
-        // pass precomputed that product).
+        // feed rate counts op-relevant unroll factors only.
         if opts.compute_links {
-            let words_per_cycle = lw.words_per_cycle(op);
-            let row = *lw.level(op, 0);
-            let data_bits = words_per_cycle * op_bits * row.period;
+            let row = rows.row(op, 0);
             let kind = match op {
                 Operand::W | Operand::I => DtlKind::ComputeFeed,
                 Operand::O => DtlKind::ComputeWriteback,
@@ -402,7 +371,7 @@ pub(crate) fn build_dtls_with(
                 op,
                 kind,
                 0,
-                data_bits,
+                rows.feed(op) * precision.bits(op) * row.period,
                 row.period,
                 row.z,
                 WindowShape::Full,
@@ -412,15 +381,13 @@ pub(crate) fn build_dtls_with(
             ));
         }
     }
-
-    *lw.dtls_mut() = out;
 }
 
 /// Refreshes the bandwidth-dependent columns of an existing DTL list in
-/// place: `RealBW` (re-read from the architecture's ports with the same
-/// lookups as [`build_dtls_lowered`]), `X_REAL = data_bits / RealBW`
-/// and `SS_u = (X_REAL − X_REQ) × z_stall` (the same arithmetic as the
-/// full build, so the floats come out bit-identical). Everything else —
+/// place: `RealBW` (re-read from the architecture's ports), `X_REAL =
+/// data_bits / RealBW` and `SS_u = (X_REAL − X_REQ) × z_stall` (the same
+/// arithmetic as the full build, so the floats come out bit-identical).
+/// Everything else —
 /// periods, windows, `ReqBW_u`, endpoints — is bandwidth-independent
 /// and untouched.
 ///

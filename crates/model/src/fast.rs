@@ -11,8 +11,9 @@
 //! construction — they come out of one code path, not two kept in sync.
 
 use crate::delta::{InputDelta, RebuildStats};
-use crate::lower::LoweredLayer;
+use crate::lower::{LoweredLayer, ViewRows};
 use crate::phases;
+use crate::slots::LiveSlots;
 use crate::stall::StallScratch;
 use crate::LatencyModel;
 use ulm_arch::Architecture;
@@ -190,13 +191,15 @@ impl LatencyModel {
     /// temporal stall assumed zero. Since `SS_overall >= 0` and the total
     /// is the float sum `((preload + cc_spatial) + ss) + offload`, this
     /// bound can never exceed the true total — the branch-and-bound
-    /// search prunes on it without risking the argmin. Computed straight
-    /// from the view (no DTL/window construction), so pruned candidates
-    /// never pay for a full lowering.
+    /// search prunes on it without risking the argmin. The lowering's own
+    /// phase bodies read the view's rows directly (no DTL/window
+    /// construction), so pruned candidates never pay for a full lowering.
     pub fn phase_floor(&self, view: &MappedLayer<'_>) -> f64 {
+        let (rows, slots) = (ViewRows(view), LiveSlots::new(view.arch().hierarchy()));
+        let precision = view.layer().precision();
         FastLatency::compose(
-            phases::preload_cycles(view),
-            phases::offload_cycles(view),
+            phases::preload_cycles_with(precision, &rows, &slots),
+            phases::offload_cycles_with(precision, &rows, &slots),
             view.cc_ideal(),
             view.cc_spatial(),
             0.0,
@@ -335,6 +338,122 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Greedy-allocated mappings of two matmuls (one re-quantizing final
+    /// outputs, one not) on every matmul-capable preset, with and without
+    /// KV-cache resident weights. Each temporal
+    /// bound is split in two (smallest factor first) and the pieces are
+    /// interleaved in several orders, so upper levels see partial sums,
+    /// revisits and irrelevant runs.
+    fn preset_views() -> Vec<(ulm_arch::Architecture, Layer, Mapping)> {
+        let orders = [
+            [Dim::C, Dim::B, Dim::K, Dim::C, Dim::B, Dim::K],
+            [Dim::B, Dim::K, Dim::C, Dim::B, Dim::K, Dim::C],
+            [Dim::K, Dim::C, Dim::B, Dim::K, Dim::C, Dim::B],
+            [Dim::C, Dim::C, Dim::B, Dim::B, Dim::K, Dim::K],
+            [Dim::B, Dim::B, Dim::K, Dim::K, Dim::C, Dim::C],
+        ];
+        let mut out = Vec::new();
+        for chip in [
+            presets::toy_chip(),
+            presets::validation_chip(),
+            presets::scaled_case_study_chip(16, 128),
+            presets::tpu_like_chip(16),
+            presets::fusion_chip(),
+        ] {
+            let spatial = SpatialUnroll::new(chip.spatial.clone());
+            for ((b, k, c, precision), kv) in [
+                (32, 48, 96, Precision::int8_out24()),
+                (256, 256, 1024, Precision::int8_acc24()),
+            ]
+            .into_iter()
+            .flat_map(|case| [(case, false), (case, true)])
+            {
+                let mut layer = Layer::matmul("mm", b, k, c, precision);
+                if kv {
+                    layer = layer.with_kv_cache(ulm_workload::Operand::W);
+                }
+                for order in &orders {
+                    // The first piece of a dim is its smallest factor, the
+                    // second the rest.
+                    let mut seen = [false; 7];
+                    let stack: Vec<(Dim, u64)> = order
+                        .iter()
+                        .map(|&d| {
+                            let bound = layer.shape().dim(d).div_ceil(spatial.extent(d));
+                            let low = (2..=bound).find(|&f| bound.is_multiple_of(f)).unwrap_or(1);
+                            let second = std::mem::replace(&mut seen[d.index()], true);
+                            (d, if second { bound / low } else { low })
+                        })
+                        .filter(|&(_, s)| s > 1)
+                        .collect();
+                    let stack = LoopStack::from_pairs(&stack);
+                    let Ok(mapping) =
+                        Mapping::with_greedy_alloc(&chip.arch, &layer, spatial.clone(), stack)
+                    else {
+                        continue;
+                    };
+                    if MappedLayer::new(&layer, &chip.arch, &mapping).is_ok() {
+                        out.push((chip.arch.clone(), layer.clone(), mapping));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The mapper's pruning bounds read a view through the lowering's own
+    /// phase and traffic bodies, so they equal the lowered IR's numbers
+    /// bit for bit: the floor is the IR's stall-free total, and the
+    /// roofline is the max over the IR's rows of the shared traffic over
+    /// the link bandwidth its DTLs carry.
+    #[test]
+    fn phase_floor_and_roofline_read_the_lowered_rows() {
+        use crate::{interface_traffic, roofline_bound, DtlKind};
+        use ulm_workload::Operand;
+        let model = LatencyModel::new();
+        let presets = preset_views();
+        assert!(presets.len() >= 50, "only {} preset views", presets.len());
+        let (mut kv, mut upper_partials) = (0, 0);
+        for (arch, layer, mapping) in views().into_iter().chain(presets) {
+            let view = MappedLayer::new(&layer, &arch, &mapping).unwrap();
+            let lw = LoweredLayer::build(&view, model.dtl_options());
+            kv += usize::from(lw.active_interfaces(Operand::W) + 1 < lw.levels(Operand::W).len());
+            upper_partials += (1..lw.active_interfaces(Operand::O))
+                .filter(|&level| !lw.level(Operand::O, level).final_above)
+                .count();
+            assert_eq!(
+                model.phase_floor(&view).to_bits(),
+                lw.totals(0.0).cc_total.to_bits(),
+                "{}",
+                layer.name()
+            );
+            let mut bound = lw.cc_ideal();
+            for op in Operand::all() {
+                for level in 0..lw.active_interfaces(op) {
+                    let (main, read_back) =
+                        interface_traffic(layer.precision(), op, lw.level(op, level));
+                    let link = lw
+                        .dtls()
+                        .iter()
+                        .find(|d| {
+                            d.operand == op
+                                && d.level == level
+                                && matches!(d.kind, DtlKind::RefillDown | DtlKind::DrainUp)
+                        })
+                        .expect("every active interface has a refill or drain link");
+                    bound = bound.max((main + read_back) as f64 / link.real_bw);
+                }
+            }
+            assert_eq!(roofline_bound(&view).to_bits(), bound.to_bits());
+        }
+        // The set reaches the rows where view and IR could part: an
+        // elided top interface and partial sums above the innermost level.
+        assert!(
+            kv > 0 && upper_partials > 0,
+            "kv {kv}, upper partials {upper_partials}"
+        );
     }
 
     #[test]

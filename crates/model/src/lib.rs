@@ -56,7 +56,7 @@ pub mod delta;
 pub mod dtl;
 pub mod fast;
 pub mod lower;
-pub mod phases;
+mod phases;
 pub mod report;
 pub mod roofline;
 mod slots;
@@ -75,7 +75,7 @@ pub use dtl::{Dtl, DtlKind, DtlOptions, Endpoint, Endpoints};
 pub use fast::{FastLatency, ModelScratch};
 pub use lower::{kv_active_interfaces, LevelLowering, LoweredLayer, ResidencyPins};
 pub use report::{BandwidthFix, DtlReport, LatencyReport, MemReport, PortReport, Scenario};
-pub use roofline::{roofline, roofline_bound, Roof, Roofline};
+pub use roofline::{interface_traffic, roofline, roofline_bound, Roof, Roofline};
 pub use stall::{MemStall, PortGroupCore, StallScratch};
 pub use surrogate::{MappingShape, SpecializedModel, SurrogateError, SurrogateStats};
 pub use whatif::{apply_overrides, parse_override, KnobError, KnobOverride, KnobValue};

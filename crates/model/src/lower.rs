@@ -34,7 +34,8 @@ use crate::delta::{InputDelta, RebuildStats, Stage};
 use crate::dtl::{self, Dtl, DtlOptions};
 use crate::fast::FastLatency;
 use crate::phases;
-use ulm_mapping::MappedLayer;
+use crate::slots::{ArchSlots, LiveSlots};
+use ulm_mapping::{MappedLayer, SpatialUnroll};
 use ulm_workload::{Layer, Operand, Relevance};
 
 /// Residency pins for one lowering: `Some(level)` per operand keeps that
@@ -84,8 +85,80 @@ pub struct LevelLowering {
     /// level. For outputs this means blocks crossing the interface above
     /// are final (fully accumulated), not partial sums.
     pub final_above: bool,
-    /// Range into the flat loops-above arena.
-    loops: (u32, u32),
+}
+
+/// Where a Step-1 body reads its per-`(operand, level)` rows: a
+/// [`MappedLayer`] ([`ViewRows`], derived on demand), a built
+/// [`LoweredLayer`], or one lane of the batched kernel. Phases, DTLs and
+/// interface traffic are each written once against this trait, so every
+/// source yields the same bits by construction.
+pub(crate) trait Rows {
+    /// Interfaces of `op`'s chain that carry traffic.
+    fn active(&self, op: Operand) -> usize;
+    /// The residency row of `(op, level)`.
+    fn row(&self, op: Operand, level: usize) -> LevelLowering;
+    /// Distinct words of `op` the MAC array touches per cycle.
+    fn feed(&self, op: Operand) -> u64;
+    /// `row(op, level).words`; the phase bodies read only this and
+    /// [`final_above`](Self::final_above), so an on-demand source can
+    /// skip the other fields.
+    fn words(&self, op: Operand, level: usize) -> u64 {
+        self.row(op, level).words
+    }
+    /// `row(op, level).final_above`.
+    fn final_above(&self, op: Operand, level: usize) -> bool {
+        self.row(op, level).final_above
+    }
+}
+
+/// A [`MappedLayer`] read as [`Rows`], every field derived from the
+/// view. The residency stage fills the IR through it, and the mapper's
+/// pruning bounds read a view through it without lowering.
+pub(crate) struct ViewRows<'v, 'a>(pub(crate) &'v MappedLayer<'a>);
+
+impl Rows for ViewRows<'_, '_> {
+    fn active(&self, op: Operand) -> usize {
+        let chain_len = self.0.arch().hierarchy().chain(op).len();
+        kv_active_interfaces(self.0.layer(), op, chain_len)
+    }
+
+    fn row(&self, op: Operand, level: usize) -> LevelLowering {
+        let v = self.0;
+        LevelLowering {
+            words: v.mem_data_words(op, level),
+            period: v.mem_cc(op, level),
+            z: v.z(op, level),
+            run: v.top_ir_run(op, level),
+            refills: v.refill_count(op, level),
+            distinct_above: v.distinct_blocks_above(op, level),
+            final_above: !v.has_ir_above(op, level),
+        }
+    }
+
+    fn feed(&self, op: Operand) -> u64 {
+        feed_words(self.0.layer(), self.0.mapping().spatial(), op)
+    }
+
+    fn words(&self, op: Operand, level: usize) -> u64 {
+        self.0.mem_data_words(op, level)
+    }
+
+    fn final_above(&self, op: Operand, level: usize) -> bool {
+        !self.0.has_ir_above(op, level)
+    }
+}
+
+/// Distinct words of `op` the MAC array touches per cycle: the product
+/// of the spatial unroll factors relevant to `op` (irrelevant unrolls
+/// broadcast one word).
+pub(crate) fn feed_words(layer: &Layer, spatial: &SpatialUnroll, op: Operand) -> u64 {
+    let rel = layer.operand_relevance(op);
+    spatial
+        .factors()
+        .iter()
+        .filter(|(d, _)| rel.get(*d) != Relevance::Irrelevant)
+        .map(|&(_, f)| f)
+        .product()
 }
 
 /// The build-once evaluation IR shared by the latency model (slow and
@@ -104,8 +177,10 @@ pub struct LoweredLayer {
     /// `levels` range per operand: operand `k` owns
     /// `levels[offsets[k]..offsets[k + 1]]`.
     offsets: [usize; 4],
+    /// Per `levels` entry: its range into `loops`.
+    loop_ranges: Vec<(u32, u32)>,
     /// Flat `(size, relevant)` arena of the loops above each level,
-    /// innermost-above first, indexed by [`LevelLowering::loops`].
+    /// innermost-above first, indexed by `loop_ranges`.
     loops: Vec<(u64, bool)>,
     /// The Step-1 DTL list, in canonical build order.
     dtls: Vec<Dtl>,
@@ -135,7 +210,7 @@ impl LoweredLayer {
     /// same stage functions selectively.
     pub fn build_into(view: &MappedLayer<'_>, opts: DtlOptions, out: &mut LoweredLayer) {
         out.pins = [None; 3];
-        out.rebuild_full(view, opts);
+        out.rebuild_full(view, opts, &LiveSlots::new(view.arch().hierarchy()));
     }
 
     /// Lowers `view` with explicit residency pins: `pins[op]` keeps that
@@ -148,25 +223,38 @@ impl LoweredLayer {
             pins,
             ..Self::default()
         };
-        out.rebuild_full(view, opts);
+        out.rebuild_full(view, opts, &LiveSlots::new(view.arch().hierarchy()));
         out
     }
 
-    fn rebuild_full(&mut self, view: &MappedLayer<'_>, opts: DtlOptions) {
+    /// Runs all four stages, keeping `self.pins`. Every architecture
+    /// constant arrives through `slots`: live lookups on the generic path,
+    /// the surrogate's folded tables on its query path — the same stage
+    /// bodies either way, so equal slot values give equal bits.
+    pub(crate) fn rebuild_full(
+        &mut self,
+        view: &MappedLayer<'_>,
+        opts: DtlOptions,
+        slots: &impl ArchSlots,
+    ) {
         self.opts = opts;
         self.stage_residency(view);
-        self.stage_feed_rates(view);
-        self.stage_phases(view);
-        self.stage_dtl_graph(view);
+        self.stage_phases(view.layer(), slots);
+        // [`Stage::DtlGraph`]: Step 1 proper, read off the rows above.
+        let mut dtls = std::mem::take(&mut self.dtls);
+        dtl::build_dtls_with(view.layer().precision(), opts, &*self, slots, &mut dtls);
+        self.dtls = dtls;
     }
 
-    /// [`Stage::Residency`]: the per-`(operand, level)` tables, the
-    /// loops-above arena and the layer scalars. Reads workload, mapping
-    /// and architecture structure (chain shapes) — never bandwidths or
+    /// [`Stage::Residency`] and [`Stage::FeedRates`]: the
+    /// per-`(operand, level)` tables, the loops-above arena, the layer
+    /// scalars and the compute feed rates. Reads workload, mapping and
+    /// architecture structure (chain shapes) — never bandwidths or
     /// capacities.
     fn stage_residency(&mut self, view: &MappedLayer<'_>) {
-        let h = view.arch().hierarchy();
+        let rows = ViewRows(view);
         self.levels.clear();
+        self.loop_ranges.clear();
         self.loops.clear();
 
         self.cc_ideal = view.cc_ideal();
@@ -177,8 +265,7 @@ impl LoweredLayer {
         for op in Operand::all() {
             self.offsets[op.index()] = self.levels.len();
             let rel = view.layer().operand_relevance(op);
-            let chain = h.chain(op);
-            for level in 0..chain.len() {
+            for level in 0..view.arch().hierarchy().chain(op).len() {
                 let lo = self.loops.len() as u32;
                 let from = view.mapping().alloc(op).upper(level);
                 self.loops.extend(
@@ -186,76 +273,22 @@ impl LoweredLayer {
                         .iter()
                         .map(|l| (l.size, rel.get(l.dim).is_relevant())),
                 );
-                self.levels.push(LevelLowering {
-                    words: view.mem_data_words(op, level),
-                    period: view.mem_cc(op, level),
-                    z: view.z(op, level),
-                    run: view.top_ir_run(op, level),
-                    refills: view.refill_count(op, level),
-                    distinct_above: view.distinct_blocks_above(op, level),
-                    final_above: !view.has_ir_above(op, level),
-                    loops: (lo, self.loops.len() as u32),
-                });
+                self.loop_ranges.push((lo, self.loops.len() as u32));
+                self.levels.push(rows.row(op, level));
             }
-            let base = kv_active_interfaces(view.layer(), op, chain.len());
             let pinned = self.pins[op.index()].unwrap_or(usize::MAX);
-            self.active[op.index()] = base.min(pinned) as u32;
+            self.active[op.index()] = rows.active(op).min(pinned) as u32;
+            self.words_per_cycle[op.index()] = rows.feed(op);
         }
         self.offsets[3] = self.levels.len();
-    }
-
-    /// [`Stage::FeedRates`]: per-operand distinct words per cycle. Reads
-    /// workload relevance and the spatial unroll only.
-    fn stage_feed_rates(&mut self, view: &MappedLayer<'_>) {
-        let spatial = view.mapping().spatial();
-        for op in Operand::all() {
-            let rel = view.layer().operand_relevance(op);
-            self.words_per_cycle[op.index()] = spatial
-                .factors()
-                .iter()
-                .filter(|(d, _)| rel.get(*d) != Relevance::Irrelevant)
-                .map(|&(_, f)| f)
-                .product();
-        }
     }
 
     /// [`Stage::Phases`]: pre-load / off-load cycle counts. Reads port
     /// bandwidths, so a bandwidth delta re-runs it; block sizes come from
     /// the (clean) residency tables built by the stage before it.
-    fn stage_phases(&mut self, view: &MappedLayer<'_>) {
-        let preload = phases::preload_cycles_lowered(view, self);
-        let offload = phases::offload_cycles_lowered(view, self);
-        self.preload = preload;
-        self.offload = offload;
-    }
-
-    /// [`Stage::DtlGraph`]: Step 1 proper, read off the tables the
-    /// earlier stages built.
-    fn stage_dtl_graph(&mut self, view: &MappedLayer<'_>) {
-        dtl::build_dtls_lowered(view, self);
-    }
-
-    /// Full rebuild with every architecture constant answered by `slots`
-    /// instead of live hierarchy lookups — the surrogate's per-query
-    /// lowering. The workload-varying stages (residency, feed rates) run
-    /// against the view exactly as [`build_into`](Self::build_into) does;
-    /// the arch-constant-reading stages (phases, DTL graph) run the same
-    /// arithmetic bodies over the folded slot tables. With slots folded
-    /// from the same hierarchy the result is bit-identical to
-    /// [`build_into`](Self::build_into).
-    pub(crate) fn rebuild_specialized(
-        &mut self,
-        view: &MappedLayer<'_>,
-        opts: DtlOptions,
-        slots: &impl crate::slots::ArchSlots,
-    ) {
-        self.pins = [None; 3];
-        self.opts = opts;
-        self.stage_residency(view);
-        self.stage_feed_rates(view);
-        self.preload = phases::preload_cycles_with(view.layer(), self, slots);
-        self.offload = phases::offload_cycles_with(view.layer(), self, slots);
-        dtl::build_dtls_with(view.layer(), self, slots);
+    fn stage_phases(&mut self, layer: &Layer, slots: &impl ArchSlots) {
+        self.preload = phases::preload_cycles_with(layer.precision(), &*self, slots);
+        self.offload = phases::offload_cycles_with(layer.precision(), &*self, slots);
     }
 
     /// Recomputes only the stages invalidated by `delta`, bit-identical
@@ -285,7 +318,7 @@ impl LoweredLayer {
         if never_built || self.opts != opts || dirty(Stage::Residency) || dirty(Stage::FeedRates) {
             // Preserves `self.pins` (unlike `build_into`): a pinned IR
             // stays pinned across incremental rebuilds.
-            self.rebuild_full(view, opts);
+            self.rebuild_full(view, opts, &LiveSlots::new(view.arch().hierarchy()));
             return RebuildStats::full();
         }
         let mut stats = RebuildStats {
@@ -293,7 +326,7 @@ impl LoweredLayer {
             stages_skipped: 2, // residency + feed rates reused
         };
         if dirty(Stage::Phases) {
-            self.stage_phases(view);
+            self.stage_phases(view.layer(), &LiveSlots::new(view.arch().hierarchy()));
             stats.stages_rebuilt += 1;
         } else {
             stats.stages_skipped += 1;
@@ -354,7 +387,7 @@ impl LoweredLayer {
 
     /// The `(size, relevant)` loops above `level`, innermost-above first.
     fn loops_above(&self, op: Operand, level: usize) -> &[(u64, bool)] {
-        let (lo, hi) = self.level(op, level).loops;
+        let (lo, hi) = self.loop_ranges[self.offsets[op.index()] + level];
         &self.loops[lo as usize..hi as usize]
     }
 
@@ -418,6 +451,20 @@ impl LoweredLayer {
             self.cc_spatial,
             ss_overall,
         )
+    }
+}
+
+impl Rows for LoweredLayer {
+    fn active(&self, op: Operand) -> usize {
+        self.active_interfaces(op)
+    }
+
+    fn row(&self, op: Operand, level: usize) -> LevelLowering {
+        *self.level(op, level)
+    }
+
+    fn feed(&self, op: Operand) -> u64 {
+        self.words_per_cycle(op)
     }
 }
 

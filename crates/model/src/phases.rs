@@ -6,105 +6,71 @@
 //! the required data transfer amount and the related memories' BW"
 //! (Section III); W and I load in parallel, so the pre-load phase is their
 //! maximum.
+//!
+//! Each phase is one arithmetic body, generic over where its rows come
+//! from (a view for [`LatencyModel::phase_floor`](crate::LatencyModel::phase_floor),
+//! the lowered IR for every evaluation) and where its link bandwidths
+//! come from (live lookups or the surrogate's and batched kernel's
+//! folded tables). The batched kernel's lockstep loops share the
+//! per-interface term, `block_cycles`.
 
-use crate::lower::{kv_active_interfaces, LoweredLayer};
-use crate::slots::{ArchSlots, LiveSlots};
-use ulm_arch::PortUse;
-use ulm_mapping::MappedLayer;
-use ulm_workload::{Layer, Operand};
+use crate::dtl::crossing_bits;
+use crate::lower::Rows;
+use crate::slots::ArchSlots;
+use ulm_workload::{Operand, Precision};
 
-/// Cycles to pre-load the first W and I working sets (max over the two
-/// operands of the pipeline-fill chain down their hierarchies). KV-cache
-/// resident operands skip the top interface: they are already in place.
-pub fn preload_cycles(view: &MappedLayer<'_>) -> u64 {
-    let h = view.arch().hierarchy();
+/// One interface's share of a phase: a block of `words` at `bits` per
+/// word over a `bw` bits/cycle link, in whole cycles.
+#[inline]
+pub(crate) fn block_cycles(words: u64, bits: u64, bw: u64) -> u64 {
+    (words * bits).div_ceil(bw)
+}
+
+/// Cycles to pre-load the first W and I working sets: the max over the
+/// two operands of the pipeline-fill chain down their active interfaces
+/// (KV-cache residents and pinned operands are already in place above).
+pub(crate) fn preload_cycles_with(
+    precision: &Precision,
+    rows: &impl Rows,
+    slots: &impl ArchSlots,
+) -> u64 {
     let mut worst = 0u64;
     for op in [Operand::W, Operand::I] {
-        let chain = h.chain(op);
-        let bits = view.layer().precision().bits(op);
         let mut total = 0u64;
-        for level in 0..kv_active_interfaces(view.layer(), op, chain.len()) {
-            let block_bits = view.mem_data_words(op, level) * bits;
-            let (_, wbw) = h.port(chain[level], op, PortUse::WriteIn);
-            let (_, rbw) = h.port(chain[level + 1], op, PortUse::ReadOut);
-            let bw = wbw.min(rbw);
-            total += block_bits.div_ceil(bw);
+        for level in 0..rows.active(op) {
+            let bw = slots.interface(op, level).bw_bits;
+            total += block_cycles(rows.words(op, level), precision.bits(op), bw);
         }
         worst = worst.max(total);
     }
     worst
 }
 
-/// Cycles to off-load the final output block up to the top memory.
-pub fn offload_cycles(view: &MappedLayer<'_>) -> u64 {
-    let h = view.arch().hierarchy();
-    let chain = h.chain(Operand::O);
+/// Cycles to off-load the final output block up to the top memory, each
+/// interface at the precision outputs cross it with.
+pub(crate) fn offload_cycles_with(
+    precision: &Precision,
+    rows: &impl Rows,
+    slots: &impl ArchSlots,
+) -> u64 {
+    let op = Operand::O;
     let mut total = 0u64;
-    for level in 0..kv_active_interfaces(view.layer(), Operand::O, chain.len()) {
-        let is_final = view.outputs_final_above(level);
-        let bits = view.layer().precision().output_bits(is_final);
-        let block_bits = view.mem_data_words(Operand::O, level) * bits;
-        let (_, rbw) = h.port(chain[level], Operand::O, PortUse::ReadOut);
-        let (_, wbw) = h.port(chain[level + 1], Operand::O, PortUse::WriteIn);
-        let bw = rbw.min(wbw);
-        total += block_bits.div_ceil(bw);
-    }
-    total
-}
-
-/// [`preload_cycles`] reading block sizes from already-lowered residency
-/// tables instead of re-deriving them through the view — same integers,
-/// so the result is identical; only the per-level `Mem_DATA` recompute
-/// is skipped. The pipeline's phase stage runs through here (residency
-/// always precedes phases in build order, and stays clean under the
-/// bandwidth deltas that re-run phases alone).
-pub(crate) fn preload_cycles_lowered(view: &MappedLayer<'_>, lw: &LoweredLayer) -> u64 {
-    let slots = LiveSlots::new(view.arch().hierarchy());
-    preload_cycles_with(view.layer(), lw, &slots)
-}
-
-/// [`offload_cycles`] from the lowered tables; see
-/// [`preload_cycles_lowered`].
-pub(crate) fn offload_cycles_lowered(view: &MappedLayer<'_>, lw: &LoweredLayer) -> u64 {
-    let slots = LiveSlots::new(view.arch().hierarchy());
-    offload_cycles_with(view.layer(), lw, &slots)
-}
-
-/// The pre-load arithmetic body: link bandwidths arrive through `slots`
-/// (the same `u64` min of the two port bandwidths the view lookups take),
-/// so the generic path and the surrogate's folded tables produce the same
-/// integers.
-pub(crate) fn preload_cycles_with(layer: &Layer, lw: &LoweredLayer, slots: &impl ArchSlots) -> u64 {
-    let mut worst = 0u64;
-    for op in [Operand::W, Operand::I] {
-        let bits = layer.precision().bits(op);
-        let mut total = 0u64;
-        for level in 0..lw.active_interfaces(op) {
-            let block_bits = lw.level(op, level).words * bits;
-            total += block_bits.div_ceil(slots.interface(op, level).bw_bits);
-        }
-        worst = worst.max(total);
-    }
-    worst
-}
-
-/// The off-load arithmetic body; see [`preload_cycles_with`].
-pub(crate) fn offload_cycles_with(layer: &Layer, lw: &LoweredLayer, slots: &impl ArchSlots) -> u64 {
-    let mut total = 0u64;
-    for level in 0..lw.active_interfaces(Operand::O) {
-        let row = lw.level(Operand::O, level);
-        let bits = layer.precision().output_bits(row.final_above);
-        let block_bits = row.words * bits;
-        total += block_bits.div_ceil(slots.interface(Operand::O, level).bw_bits);
+    for level in 0..rows.active(op) {
+        let bits = crossing_bits(precision, op, rows.final_above(op, level));
+        total += block_cycles(
+            rows.words(op, level),
+            bits,
+            slots.interface(op, level).bw_bits,
+        );
     }
     total
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{DtlOptions, LoweredLayer};
     use ulm_arch::presets;
-    use ulm_mapping::{LoopStack, Mapping, SpatialUnroll};
+    use ulm_mapping::{LoopStack, MappedLayer, Mapping, SpatialUnroll};
     use ulm_workload::{Dim, Layer, Precision};
 
     #[test]
@@ -119,12 +85,13 @@ mod tests {
         )
         .unwrap();
         let view = MappedLayer::new(&layer, &chip.arch, &mapping).unwrap();
+        let lw = LoweredLayer::build(&view, DtlOptions::default());
         // W first block: 2 words x 8b over an 8 b/cy link = 2 cycles.
         // I first block: 2 words x 8b over 8 b/cy = 2 cycles. Max = 2.
-        assert_eq!(preload_cycles(&view), 2);
+        assert_eq!(lw.preload(), 2);
         // O final block: 4 words, final (8b) over min(O-Reg rd 96,
         // LB wr 16) = 16 b/cy -> 32/16 = 2 cycles.
-        assert_eq!(offload_cycles(&view), 2);
+        assert_eq!(lw.offload(), 2);
     }
 
     #[test]
@@ -135,8 +102,9 @@ mod tests {
         let stack = LoopStack::from_pairs(&[(Dim::C, 32), (Dim::B, 8), (Dim::K, 4)]);
         let mapping = Mapping::with_greedy_alloc(&chip, &layer, spatial, stack).unwrap();
         let view = MappedLayer::new(&layer, &chip, &mapping).unwrap();
+        let lw = LoweredLayer::build(&view, DtlOptions::default());
         // Three levels for W/I: two links each, so preload covers both.
-        assert!(preload_cycles(&view) > 0);
-        assert!(offload_cycles(&view) > 0);
+        assert!(lw.preload() > 0);
+        assert!(lw.offload() > 0);
     }
 }

@@ -10,11 +10,16 @@
 //! the full model separates *fundamental* bandwidth limits (visible on
 //! the roofline) from *schedule-induced* stalls (burstiness, keep-out
 //! windows, port sharing) that only the 3-step model captures.
+//!
+//! The traffic of one interface is written once, in [`interface_traffic`]:
+//! the roofline reads it off a view, the batched kernel off its lane
+//! rows, and `ulm-energy` off the lowered IR.
 
-use crate::lower::kv_active_interfaces;
-use ulm_arch::PortUse;
+use crate::dtl::crossing_bits;
+use crate::lower::{LevelLowering, Rows, ViewRows};
+use crate::slots::{ArchSlots, LiveSlots};
 use ulm_mapping::MappedLayer;
-use ulm_workload::Operand;
+use ulm_workload::{Operand, Precision};
 
 /// One bandwidth roof.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -63,34 +68,37 @@ impl Roofline {
     }
 }
 
-/// The traffic and bandwidth of one interface roof (no label `String`).
-fn roof_numbers(view: &MappedLayer<'_>, op: Operand, level: usize) -> (u64, u64) {
-    let h = view.arch().hierarchy();
-    let layer = view.layer();
-    let chain = h.chain(op);
-    let lower = chain[level];
-    let upper = chain[level + 1];
-    let words = view.mem_data_words(op, level);
-    match op {
-        Operand::W | Operand::I => {
-            let bits = words * layer.precision().bits(op) * view.refill_count(op, level);
-            let bw = h
-                .port(upper, op, PortUse::ReadOut)
-                .1
-                .min(h.port(lower, op, PortUse::WriteIn).1);
-            (bits, bw)
-        }
-        Operand::O => {
-            let is_final = view.outputs_final_above(level);
-            let drains = view.refill_count(op, level);
-            let revisits = drains - view.distinct_blocks_above(op, level);
-            let bits = words * layer.precision().output_bits(is_final) * drains
-                + words * layer.precision().partial_sum_bits() * revisits;
-            let up = h
-                .port(lower, op, PortUse::ReadOut)
-                .1
-                .min(h.port(upper, op, PortUse::WriteIn).1);
-            (bits, up)
+/// Bits crossing the interface above one `(op, level)` row over the whole
+/// layer, as `(main, read_back)`. `main` is the refill (W/I:
+/// `words × bits × refills`) or drain (O: every visit ends with a drain
+/// at the crossing precision) traffic; `read_back` is the O partial-sum
+/// return (one block at partial precision per revisit), 0 for W/I.
+pub fn interface_traffic(precision: &Precision, op: Operand, row: &LevelLowering) -> (u64, u64) {
+    let main = row.words * crossing_bits(precision, op, row.final_above) * row.refills;
+    let read_back = match op {
+        Operand::W | Operand::I => 0,
+        Operand::O => row.words * precision.partial_sum_bits() * (row.refills - row.distinct_above),
+    };
+    (main, read_back)
+}
+
+/// Visits every interface roof of `view` as `(op, level, traffic_bits,
+/// bw_bits)` in (operand, level) order. KV-cache resident operands never
+/// cross their top interface, so it imposes no roof (and the bound stays
+/// admissible for the mapper's pruning).
+fn for_each_roof(view: &MappedLayer<'_>, mut visit: impl FnMut(Operand, usize, u64, u64)) {
+    let rows = ViewRows(view);
+    let slots = LiveSlots::new(view.arch().hierarchy());
+    let precision = view.layer().precision();
+    for op in Operand::all() {
+        for level in 0..rows.active(op) {
+            let (main, read_back) = interface_traffic(precision, op, &rows.row(op, level));
+            visit(
+                op,
+                level,
+                main + read_back,
+                slots.interface(op, level).bw_bits,
+            );
         }
     }
 }
@@ -100,23 +108,16 @@ fn roof_numbers(view: &MappedLayer<'_>, op: Operand, level: usize) -> (u64, u64)
 pub fn roofline(view: &MappedLayer<'_>) -> Roofline {
     let h = view.arch().hierarchy();
     let mut roofs = Vec::new();
-    for op in Operand::all() {
+    for_each_roof(view, |op, level, traffic_bits, bw_bits| {
         let chain = h.chain(op);
-        // KV-cache resident operands never cross their top interface, so
-        // it imposes no roof (and the bound stays admissible for the
-        // mapper's pruning).
-        for level in 0..kv_active_interfaces(view.layer(), op, chain.len()) {
-            let lower = chain[level];
-            let upper = chain[level + 1];
-            let (traffic_bits, bw_bits) = roof_numbers(view, op, level);
-            roofs.push(Roof {
-                interface: format!("{op}: {}<->{}", h.mem(upper).name(), h.mem(lower).name()),
-                traffic_bits,
-                bw_bits,
-                min_cycles: traffic_bits as f64 / bw_bits as f64,
-            });
-        }
-    }
+        let (lower, upper) = (chain[level], chain[level + 1]);
+        roofs.push(Roof {
+            interface: format!("{op}: {}<->{}", h.mem(upper).name(), h.mem(lower).name()),
+            traffic_bits,
+            bw_bits,
+            min_cycles: traffic_bits as f64 / bw_bits as f64,
+        });
+    });
     Roofline {
         compute_cycles: view.cc_ideal(),
         roofs,
@@ -128,15 +129,10 @@ pub fn roofline(view: &MappedLayer<'_>) -> Roofline {
 /// heap allocations. Used as a cheap lower bound by the mapper's
 /// branch-and-bound search.
 pub fn roofline_bound(view: &MappedLayer<'_>) -> f64 {
-    let h = view.arch().hierarchy();
     let mut bound = view.cc_ideal();
-    for op in Operand::all() {
-        let chain = h.chain(op);
-        for level in 0..kv_active_interfaces(view.layer(), op, chain.len()) {
-            let (traffic_bits, bw_bits) = roof_numbers(view, op, level);
-            bound = bound.max(traffic_bits as f64 / bw_bits as f64);
-        }
-    }
+    for_each_roof(view, |_, _, traffic_bits, bw_bits| {
+        bound = bound.max(traffic_bits as f64 / bw_bits as f64);
+    });
     bound
 }
 

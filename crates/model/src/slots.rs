@@ -1,23 +1,25 @@
 //! The architecture-constant *slot* view of the lowering pipeline.
 //!
-//! The phase and DTL-graph stages are the only places the pipeline reads
-//! the architecture's port tables (which port serves an interface, at what
-//! bandwidth, under what buffering). For a fixed `(architecture, mapping
-//! shape)` those answers never change between queries, so the stages are
-//! written against the [`ArchSlots`] trait instead of the hierarchy
-//! directly:
+//! This module is the only place the model reads the architecture's
+//! port tables (which port serves an interface, at what bandwidth,
+//! under what buffering); `scripts/ci.sh` fails on a `.port(` lookup
+//! anywhere else in the crate but `delta.rs`'s port-identity check. For
+//! a fixed architecture those answers never change, so the phase, DTL
+//! and roofline bodies are written against the [`ArchSlots`] trait
+//! instead of the hierarchy directly:
 //!
-//! * [`LiveSlots`] answers by the same chain-and-port lookups the
-//!   pipeline always did — the generic path, bit-identical to before;
-//! * the surrogate's folded table (built *through* `LiveSlots`, so it
-//!   holds the very same numbers) answers by array indexing.
+//! * [`LiveSlots`] answers by chain-and-port lookups — the generic
+//!   lowering and the mapper's view-based pruning bounds;
+//! * [`FoldedSlots`] (built *through* `LiveSlots`, so it holds the very
+//!   same numbers) answers by array indexing — the surrogate's query
+//!   path and the batched kernel.
 //!
 //! Because both implementations feed identical values into one shared
-//! arithmetic body, the partial evaluation is bit-identical to the
-//! generic path by construction.
+//! arithmetic body, every evaluator is bit-identical to the generic path
+//! by construction.
 
 use crate::dtl::{Endpoint, Endpoints};
-use ulm_arch::{MemoryHierarchy, PortUse};
+use ulm_arch::{MemoryHierarchy, MemoryId, PortUse};
 use ulm_workload::Operand;
 
 /// The architecture-constant inputs of one data-transfer link: the
@@ -55,77 +57,48 @@ impl<'a> LiveSlots<'a> {
     }
 }
 
-impl ArchSlots for LiveSlots<'_> {
-    fn interface(&self, op: Operand, level: usize) -> LinkConsts {
-        let chain = self.h.chain(op);
-        let (lower, upper) = (chain[level], chain[level + 1]);
-        match op {
-            Operand::W | Operand::I => {
-                // Refill: upper read -> lower write.
-                let (wp, wbw) = self.h.port(lower, op, PortUse::WriteIn);
-                let (rp, rbw) = self.h.port(upper, op, PortUse::ReadOut);
-                LinkConsts {
-                    bw_bits: wbw.min(rbw),
-                    endpoints: Endpoints::two(
-                        Endpoint {
-                            mem: upper,
-                            port: rp,
-                            usage: PortUse::ReadOut,
-                        },
-                        Endpoint {
-                            mem: lower,
-                            port: wp,
-                            usage: PortUse::WriteIn,
-                        },
-                    ),
-                    lower_db: self.h.mem(lower).is_double_buffered(),
-                }
-            }
-            Operand::O => {
-                // Drain: lower read -> upper write.
-                let (rp, rbw) = self.h.port(lower, op, PortUse::ReadOut);
-                let (wp, wbw) = self.h.port(upper, op, PortUse::WriteIn);
-                LinkConsts {
-                    bw_bits: rbw.min(wbw),
-                    endpoints: Endpoints::two(
-                        Endpoint {
-                            mem: lower,
-                            port: rp,
-                            usage: PortUse::ReadOut,
-                        },
-                        Endpoint {
-                            mem: upper,
-                            port: wp,
-                            usage: PortUse::WriteIn,
-                        },
-                    ),
-                    lower_db: self.h.mem(lower).is_double_buffered(),
-                }
-            }
-        }
-    }
-
-    fn psum(&self, level: usize) -> LinkConsts {
-        let chain = self.h.chain(Operand::O);
-        let (lower, upper) = (chain[level], chain[level + 1]);
-        let (rp, rbw) = self.h.port(upper, Operand::O, PortUse::ReadOut);
-        let (wp, wbw) = self.h.port(lower, Operand::O, PortUse::WriteIn);
+impl LiveSlots<'_> {
+    /// The link reading `op` out of `from` and writing it into `to`,
+    /// windowed by the buffering of `lower` (the level the link serves).
+    fn link(&self, op: Operand, from: MemoryId, to: MemoryId, lower: MemoryId) -> LinkConsts {
+        let (rp, rbw) = self.h.port(from, op, PortUse::ReadOut);
+        let (wp, wbw) = self.h.port(to, op, PortUse::WriteIn);
         LinkConsts {
             bw_bits: rbw.min(wbw),
             endpoints: Endpoints::two(
                 Endpoint {
-                    mem: upper,
+                    mem: from,
                     port: rp,
                     usage: PortUse::ReadOut,
                 },
                 Endpoint {
-                    mem: lower,
+                    mem: to,
                     port: wp,
                     usage: PortUse::WriteIn,
                 },
             ),
             lower_db: self.h.mem(lower).is_double_buffered(),
         }
+    }
+}
+
+impl ArchSlots for LiveSlots<'_> {
+    fn interface(&self, op: Operand, level: usize) -> LinkConsts {
+        let chain = self.h.chain(op);
+        let (lower, upper) = (chain[level], chain[level + 1]);
+        match op {
+            // Refill: upper read -> lower write.
+            Operand::W | Operand::I => self.link(op, upper, lower, lower),
+            // Drain: lower read -> upper write.
+            Operand::O => self.link(op, lower, upper, lower),
+        }
+    }
+
+    fn psum(&self, level: usize) -> LinkConsts {
+        // Partial sums return: upper read -> lower write.
+        let chain = self.h.chain(Operand::O);
+        let (lower, upper) = (chain[level], chain[level + 1]);
+        self.link(Operand::O, upper, lower, lower)
     }
 
     fn compute(&self, op: Operand) -> LinkConsts {
@@ -148,8 +121,9 @@ impl ArchSlots for LiveSlots<'_> {
 }
 
 /// [`ArchSlots`] folded into flat per-interface tables once per
-/// specialization: every entry is captured through [`LiveSlots`], so the
-/// values are the generic path's values and queries reduce to indexing.
+/// specialization or batched kernel: every entry is captured through
+/// [`LiveSlots`], so the values are the generic path's values and
+/// queries reduce to indexing.
 #[derive(Debug, Default)]
 pub(crate) struct FoldedSlots {
     /// `interface(op, level)`, operand-major, one row per chain interface.

@@ -364,7 +364,7 @@ impl SpecializedModel {
         };
         scratch
             .lowered_mut()
-            .rebuild_specialized(&view, model.dtl_options(), &*slots);
+            .rebuild_full(&view, model.dtl_options(), &*slots);
         let opts = *model.options();
         let ss_overall = if opts.bw_aware {
             let (lowered, stall) = scratch.parts();

@@ -981,10 +981,23 @@ fn parse_request(req: &Value) -> Result<Request, UlmError> {
         // The base of a `whatif` follows the same defaulting rule: an
         // explicit `mapping` evaluates that mapping, otherwise the best
         // mapping is searched (and cached) first.
-        "whatif" => Ok(Request::WhatIf {
-            set: parse_set(req)?,
-            base: Box::new(parse_query(req, field(req, "mapping").is_some())?),
-        }),
+        "whatif" => {
+            let with_mapping = field(req, "mapping").is_some();
+            // Nothing is searched under an explicit mapping, so search
+            // settings there would be silently ignored.
+            let search_key = entries
+                .iter()
+                .find(|(key, _)| key == "mapper" || key == "objective");
+            if let (true, Some((key, _))) = (with_mapping, search_key) {
+                return Err(UlmError::invalid_request(format!(
+                    "`{key}` is not allowed on a `whatif` with a `mapping` (nothing is searched)"
+                )));
+            }
+            Ok(Request::WhatIf {
+                set: parse_set(req)?,
+                base: Box::new(parse_query(req, with_mapping)?),
+            })
+        }
         "surrogate" => Ok(Request::Surrogate(Box::new(parse_surrogate_query(req)?))),
         _ => unreachable!("kind_keys accepted the kind"),
     }
@@ -2392,6 +2405,41 @@ mod tests {
             let v = parse(&svc.handle_line(&line).unwrap());
             assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{line} -> {v:?}");
         }
+    }
+
+    #[test]
+    fn whatif_with_a_mapping_rejects_search_settings() {
+        let svc = service();
+        let search = parse(
+            &svc.handle_line(r#"{"kind":"search","arch":"toy","layer":"4x4x8"}"#)
+                .unwrap(),
+        );
+        let mapping = serde_json::to_string(search.get("mapping").unwrap()).unwrap();
+        for (extra, key) in [
+            (r#""objective":"bogus","mapper":{"wat":1}"#, "objective"),
+            (r#""mapper":{"max_exhaustive":100}"#, "mapper"),
+            (r#""objective":"latency""#, "objective"),
+        ] {
+            let line = format!(
+                r#"{{"kind":"whatif","arch":"toy","layer":"4x4x8","mapping":{mapping},{extra},"set":["mem.LB.bw=2x"]}}"#
+            );
+            let v = parse(&svc.handle_line(&line).unwrap());
+            assert_eq!(
+                v.get("code"),
+                Some(&Value::String("request/invalid".into())),
+                "{line} -> {v:?}"
+            );
+            let error = v.get("error").and_then(Value::as_str).unwrap();
+            assert!(error.contains(&format!("`{key}`")), "{line} -> {error}");
+        }
+        // A search-mode whatif still takes both keys.
+        let v = parse(
+            &svc.handle_line(
+                r#"{"kind":"whatif","arch":"toy","layer":"4x4x8","objective":"latency","mapper":{"max_exhaustive":100,"samples":10},"set":["mem.LB.bw=2x"]}"#,
+            )
+            .unwrap(),
+        );
+        assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{v:?}");
     }
 
     #[test]

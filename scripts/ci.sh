@@ -21,6 +21,15 @@ if grep -rnE "Box<dyn (std::error::)?Error" crates/*/src --include="*.rs" | grep
     exit 1
 fi
 
+echo "==> link constants are read only through crates/model/src/slots.rs"
+# Every Step-1 body reads port bandwidths and endpoints through the
+# `ArchSlots` tables; delta.rs only compares port identities.
+if grep -rn "\.port(" crates/model/src --include="*.rs" |
+    grep -vE "^crates/model/src/(slots|delta)\.rs:"; then
+    echo "error: a .port( lookup outside slots.rs/delta.rs bypasses the shared link constants" >&2
+    exit 1
+fi
+
 echo "==> every pub fn is named outside its own file (reachability floor)"
 bash scripts/check_reachable.sh
 

@@ -3,16 +3,33 @@
 //! space and the degenerate single lane — the full [`SearchResult`] is
 //! bit-identical to the scalar (`batch_lanes = 1`) path: same best
 //! mapping, same score bits, same generated/evaluated/pruned/prefix
-//! counters. Random matmul and conv workloads, roofline pruning on and
-//! off.
+//! counters. Random matmul (optionally with KV-cache resident weights)
+//! and conv workloads on every matmul-capable preset, the attention
+//! decode network's KV-cache layers, roofline pruning on and off. The
+//! presets cover shared ports, double-buffered lower levels and chains
+//! whose top interface a KV-cache operand never crosses — the places
+//! where the kernel's folded link constants and lane rows could part
+//! from the lowering.
 
 use proptest::prelude::*;
 use ulm::prelude::*;
 
 const LANE_COUNTS: [usize; 4] = [7, 8, 9, 64];
 
-fn check_layer(layer: &Layer, bw_aware: bool) -> Result<(), TestCaseError> {
-    let chip = ulm::arch::presets::toy_chip();
+/// The matmul-capable built-in presets, drawn as in
+/// `tests/surrogate_props.rs`.
+fn preset(idx: usize) -> ulm::arch::presets::PresetChip {
+    match idx {
+        0 => presets::toy_chip(),
+        1 => presets::validation_chip(),
+        2 => presets::scaled_case_study_chip(16, 128),
+        3 => presets::tpu_like_chip(16),
+        _ => presets::fusion_chip(),
+    }
+}
+
+fn check_layer(idx: usize, layer: &Layer, bw_aware: bool) -> Result<(), TestCaseError> {
+    let chip = preset(idx);
     let spatial = SpatialUnroll::new(chip.spatial.clone());
     let opts = MapperOptions {
         max_exhaustive: 5_000,
@@ -36,7 +53,8 @@ fn check_layer(layer: &Layer, bw_aware: bool) -> Result<(), TestCaseError> {
                 prop_assert_eq!(
                     &want.best.mapping,
                     &got.best.mapping,
-                    "lanes {}: best mapping diverged",
+                    "preset {} lanes {}: best mapping diverged",
+                    idx,
                     lanes
                 );
                 prop_assert_eq!(
@@ -74,7 +92,7 @@ fn check_layer(layer: &Layer, bw_aware: bool) -> Result<(), TestCaseError> {
             }
             (want, got) => {
                 return Err(TestCaseError::fail(format!(
-                    "lanes {lanes}: scalar {} a result but batched {}",
+                    "preset {idx} lanes {lanes}: scalar {} a result but batched {}",
                     if want.is_some() {
                         "found"
                     } else {
@@ -89,29 +107,36 @@ fn check_layer(layer: &Layer, bw_aware: bool) -> Result<(), TestCaseError> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Matmul workloads: every lane width replays the scalar search bit
-    /// for bit, with and without the roofline prune.
+    /// for bit, with and without the roofline prune, with and without
+    /// KV-cache resident weights.
     #[test]
     fn batched_matmul_search_is_bit_identical(
+        idx in 0usize..5,
         b in 1u64..=24,
         k in 1u64..=24,
         c in 1u64..=32,
+        kv in any::<bool>(),
         bw_aware in any::<bool>(),
     ) {
-        let layer = Layer::matmul(
+        let mut layer = Layer::matmul(
             format!("bm({b},{k},{c})"),
             b, k, c,
             Precision::int8_acc24(),
         );
-        check_layer(&layer, bw_aware)?;
+        if kv {
+            layer = layer.with_kv_cache(Operand::W);
+        }
+        check_layer(idx, &layer, bw_aware)?;
     }
 
     /// Conv workloads exercise the non-multiplicative input-halo word
     /// accounting (the `prefix_ext` fallback in the kernel).
     #[test]
     fn batched_conv_search_is_bit_identical(
+        idx in 0usize..5,
         k in 1u64..=8,
         c in 1u64..=8,
         oy in 2u64..=6,
@@ -124,7 +149,23 @@ proptest! {
             shape,
             Precision::int8_acc24(),
         );
-        check_layer(&layer, bw_aware)?;
+        check_layer(idx, &layer, bw_aware)?;
+    }
+}
+
+/// The attention decode network on every preset: its logit and attend
+/// layers read KV-cache resident weights, whose top interface carries no
+/// traffic (`active < chain.len() - 1`).
+#[test]
+fn attention_decode_kv_layers_are_bit_identical() {
+    let layers = ulm::workload::networks::attention_decode();
+    assert!(layers.iter().any(|l| l.is_kv_cache(Operand::W)));
+    for idx in 0..5 {
+        for layer in &layers {
+            for bw_aware in [true, false] {
+                check_layer(idx, layer, bw_aware).unwrap();
+            }
+        }
     }
 }
 
