@@ -1,13 +1,14 @@
 //! **DSE hot path** — the per-ordering cost that dominates Fig. 8's
 //! architecture sweep. Compares the pre-optimization baseline (fresh
 //! allocations + full evaluation for every ordering) against the
-//! optimized search (reusable scratch, branch-and-bound pruning, prefix
+//! optimized search (batched kernel, branch-and-bound pruning, prefix
 //! memoization, ordering classes, optional intra-design parallelism) on
-//! the Fig. 8 case-study workload; then the permutation walk (every
-//! ordering through the batched kernel) against the ordering-class walk
-//! `Mapper::search` runs, on three exhaustive spaces. Writes the numbers,
-//! stamped with the core count, to `BENCH_mapper.json` (path overridable
-//! via the `BENCH_MAPPER_JSON` env var).
+//! the Fig. 8 case-study workload, for the latency, energy and EDP
+//! objectives; then the permutation walk (every ordering through the
+//! batched kernel) against the ordering-class walk `Mapper::search`
+//! runs, on three exhaustive spaces. Writes the numbers, stamped with
+//! the core count, to `BENCH_mapper.json` (path overridable via the
+//! `BENCH_MAPPER_JSON` env var).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -15,8 +16,8 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::Instant;
-use ulm::mapper::{enumerate, DEFAULT_BATCH_LANES};
-use ulm::model::{BatchKernel, LaneOutcome};
+use ulm::mapper::enumerate;
+use ulm::model::{BatchKernel, LaneObjective, LaneOutcome};
 use ulm::prelude::*;
 
 /// System allocator wrapper counting every allocation, so the JSON
@@ -75,7 +76,7 @@ struct WalkRow {
     class_generated: usize,
 }
 
-/// The pre-class search at the default lane count, serial: every
+/// The pre-class search at the search's lane count, serial: every
 /// ordering through the batched kernel, then the full evaluation of the
 /// winner, as `Mapper::search` did before ordering classes.
 fn permutation_walk(
@@ -91,7 +92,8 @@ fn permutation_walk(
         spatial,
         LatencyModel::new(),
         factors,
-        DEFAULT_BATCH_LANES,
+        64,
+        LaneObjective::Latency,
     );
     type Best = Option<(f64, Vec<(Dim, u64)>)>;
     let mut best: Best = None;
@@ -204,6 +206,43 @@ fn walk_rows() -> Vec<WalkRow> {
     rows
 }
 
+/// One energy-bearing objective's Fig. 8 forced-exhaustive search.
+struct ObjectiveRow {
+    key: &'static str,
+    secs: f64,
+    generated: usize,
+    evaluated: usize,
+    score_bits: u64,
+}
+
+/// Median wall time of five serial `Mapper::search` runs per
+/// energy-bearing objective, forced exhaustive on the Fig. 8 workload.
+fn objective_rows(opts: MapperOptions) -> Vec<ObjectiveRow> {
+    let (arch, layer, spatial) = setup();
+    let mapper = Mapper::new(&arch, &layer, spatial).with_options(opts);
+    [("energy", Objective::Energy), ("edp", Objective::Edp)]
+        .into_iter()
+        .map(|(key, obj)| {
+            let mut secs = Vec::new();
+            let mut last = None;
+            for _ in 0..5 {
+                let t = Instant::now();
+                let r = mapper.search(obj).expect("a legal ordering exists");
+                secs.push(t.elapsed().as_secs_f64());
+                last = Some(r);
+            }
+            let r = last.expect("ran five times");
+            ObjectiveRow {
+                key,
+                secs: median(secs),
+                generated: r.stats.generated,
+                evaluated: r.stats.evaluated,
+                score_bits: r.best.score(obj).to_bits(),
+            }
+        })
+        .collect()
+}
+
 struct Snapshot {
     nproc: usize,
     walks: Vec<WalkRow>,
@@ -211,10 +250,6 @@ struct Snapshot {
     baseline_secs: f64,
     baseline_allocs_per_ordering: f64,
     baseline_score_bits: u64,
-    fast_secs: f64,
-    fast_allocs_per_ordering: f64,
-    fast_score_bits: u64,
-    batch_lanes: usize,
     batched_secs: f64,
     batched_allocs_per_ordering: f64,
     batched_pruned: usize,
@@ -223,6 +258,7 @@ struct Snapshot {
     par_secs: f64,
     par_threads: usize,
     par_score_bits: u64,
+    objectives: Vec<ObjectiveRow>,
     model_iters: u64,
     model_eval_secs: f64,
     model_eval_fast_secs: f64,
@@ -258,10 +294,15 @@ fn measure() -> Snapshot {
     let a0 = allocs();
     let t0 = Instant::now();
     let mut best: Option<EvaluatedMapping> = None;
+    // First strictly better energy and EDP scores of the same walk, to
+    // check the energy-bearing searches against.
+    let (mut best_energy, mut best_edp) = (f64::INFINITY, f64::INFINITY);
     let mut generated = 0u64;
     enumerate::for_each_ordering(&factors, |ordering| {
         generated += 1;
         if let Some(em) = mapper.evaluate_ordering(ordering) {
+            best_energy = best_energy.min(em.score(Objective::Energy));
+            best_edp = best_edp.min(em.score(Objective::Edp));
             let better = best
                 .as_ref()
                 .map(|b| em.score(Objective::Latency) < b.score(Objective::Latency))
@@ -277,19 +318,7 @@ fn measure() -> Snapshot {
     let best = best.expect("baseline finds a legal mapping");
     assert_eq!(generated as u128, space);
 
-    // Optimized serial search over the same space, scalar lanes: the
-    // pre-batching fast path kept as the differential oracle.
-    let a1 = allocs();
-    let t1 = Instant::now();
-    let fast = Mapper::new(&arch, &layer, spatial.clone())
-        .with_options(opts)
-        .with_batch_lanes(Some(1))
-        .search(Objective::Latency)
-        .expect("fast search finds a legal mapping");
-    let fast_secs = t1.elapsed().as_secs_f64();
-    let fast_allocs = allocs() - a1;
-
-    // Batched SoA kernel at the default lane count, serial.
+    // The batched search, serial.
     let a2 = allocs();
     let t2 = Instant::now();
     let batched = Mapper::new(&arch, &layer, spatial.clone())
@@ -312,22 +341,22 @@ fn measure() -> Snapshot {
         .expect("parallel search finds a legal mapping");
     let par_secs = t3.elapsed().as_secs_f64();
 
-    // All four must agree bit-for-bit (the equivalence property tests
-    // check this exhaustively; the bench double-checks its own run).
+    let objectives = objective_rows(opts);
+
+    // All must agree bit-for-bit (the equivalence property tests check
+    // this exhaustively; the bench double-checks its own run).
     let baseline_bits = best.latency.cc_total.to_bits();
-    assert_eq!(baseline_bits, fast.best.latency.cc_total.to_bits());
     assert_eq!(baseline_bits, batched.best.latency.cc_total.to_bits());
     assert_eq!(baseline_bits, par.best.latency.cc_total.to_bits());
-    assert_eq!(best.mapping, fast.best.mapping);
     assert_eq!(best.mapping, batched.best.mapping);
     assert_eq!(best.mapping, par.best.mapping);
-    assert_eq!(fast.stats.evaluated, batched.stats.evaluated);
-    assert_eq!(fast.stats.pruned, batched.stats.pruned);
+    assert_eq!(objectives[0].score_bits, best_energy.to_bits());
+    assert_eq!(objectives[1].score_bits, best_edp.to_bits());
 
     // Report-assembling vs scratch-based latency evaluation on the best
     // mapping: both run the same lowering + Steps 2-3 core, so the only
     // difference is report assembly vs scalar reuse.
-    let view = MappedLayer::new(&layer, &arch, &fast.best.mapping).expect("legal best mapping");
+    let view = MappedLayer::new(&layer, &arch, &batched.best.mapping).expect("legal best mapping");
     let model = LatencyModel::new();
     let mut scratch = ModelScratch::default();
     let model_iters: u64 = 2_000;
@@ -353,7 +382,7 @@ fn measure() -> Snapshot {
     // the cached lowering.
     let (neighbor, delta) =
         apply_overrides(&arch, &["mem.GB.bw=2x"]).expect("GB bandwidth knob applies");
-    let neighbor_view = MappedLayer::new(&layer, &neighbor, &fast.best.mapping)
+    let neighbor_view = MappedLayer::new(&layer, &neighbor, &batched.best.mapping)
         .expect("bandwidth does not affect capacity legality");
     let delta_iters: u64 = 2_000;
     let t5 = Instant::now();
@@ -387,9 +416,9 @@ fn measure() -> Snapshot {
     // greedy allocation + validation + `evaluate_fast` on a warm
     // scratch.
     let shape =
-        MappingShape::from_mapping(&fast.best.mapping).expect("matmul incumbents have shapes");
+        MappingShape::from_mapping(&batched.best.mapping).expect("matmul incumbents have shapes");
     let surrogate_spatial = shape.spatial().clone();
-    let surrogate_stack = fast.best.mapping.stack().clone();
+    let surrogate_stack = batched.best.mapping.stack().clone();
     let mut spec = SpecializedModel::prepare(LatencyModel::new(), &arch, &layer, shape)
         .expect("matmul templates specialize");
     let surrogate_iters: u64 = 20_000;
@@ -444,10 +473,6 @@ fn measure() -> Snapshot {
         baseline_secs,
         baseline_allocs_per_ordering: baseline_allocs as f64 / generated as f64,
         baseline_score_bits: baseline_bits,
-        fast_secs,
-        fast_allocs_per_ordering: fast_allocs as f64 / generated as f64,
-        fast_score_bits: fast.best.latency.cc_total.to_bits(),
-        batch_lanes: batched.stats.batch_lanes,
         batched_secs,
         batched_allocs_per_ordering: batched_allocs as f64 / generated as f64,
         batched_pruned: batched.stats.pruned,
@@ -456,6 +481,7 @@ fn measure() -> Snapshot {
         par_secs,
         par_threads,
         par_score_bits: par.best.latency.cc_total.to_bits(),
+        objectives,
         model_iters,
         model_eval_secs,
         model_eval_fast_secs,
@@ -488,7 +514,6 @@ fn json_path() -> PathBuf {
 fn write_snapshot(s: &Snapshot) {
     let n = s.space as f64;
     let baseline_ops = n / s.baseline_secs;
-    let fast_ops = n / s.fast_secs;
     let batched_ops = n / s.batched_secs;
     let par_ops = n / s.par_secs;
     let mut walks = String::new();
@@ -511,6 +536,20 @@ fn write_snapshot(s: &Snapshot) {
             k = w.key,
         ));
     }
+    let mut objectives = String::new();
+    for o in &s.objectives {
+        objectives.push_str(&format!(
+            "  \"{k}_secs\": {:.6},\n  \
+             \"{k}_orderings_per_sec\": {:.1},\n  \
+             \"{k}_generated\": {},\n  \
+             \"{k}_evaluated\": {},\n",
+            o.secs,
+            n / o.secs,
+            o.generated,
+            o.evaluated,
+            k = o.key,
+        ));
+    }
     let json = format!(
         "{{\n  \"nproc\": {},\n{walks}  \
          \"workload\": \"fig8-dse case_study_chip(128) matmul 64x96x640, spatial K16 B8 C2\",\n  \
@@ -518,16 +557,10 @@ fn write_snapshot(s: &Snapshot) {
          \"baseline_secs\": {:.6},\n  \
          \"baseline_orderings_per_sec\": {:.1},\n  \
          \"baseline_allocs_per_ordering\": {:.2},\n  \
-         \"fast_serial_secs\": {:.6},\n  \
-         \"fast_serial_orderings_per_sec\": {:.1},\n  \
-         \"fast_serial_allocs_per_ordering\": {:.4},\n  \
-         \"fast_serial_speedup\": {:.2},\n  \
-         \"batch_lanes\": {},\n  \
          \"batched_secs\": {:.6},\n  \
          \"batched_orderings_per_sec\": {:.1},\n  \
          \"batched_allocs_per_ordering\": {:.4},\n  \
-         \"batched_speedup\": {:.2},\n  \
-         \"batched_vs_scalar\": {:.2},\n  \
+         \"batched_speedup\": {:.2},\n{objectives}  \
          \"fast_parallel_threads\": {},\n  \
          \"fast_parallel_secs\": {:.6},\n  \
          \"fast_parallel_orderings_per_sec\": {:.1},\n  \
@@ -559,16 +592,10 @@ fn write_snapshot(s: &Snapshot) {
         s.baseline_secs,
         baseline_ops,
         s.baseline_allocs_per_ordering,
-        s.fast_secs,
-        fast_ops,
-        s.fast_allocs_per_ordering,
-        s.baseline_secs / s.fast_secs,
-        s.batch_lanes,
         s.batched_secs,
         batched_ops,
         s.batched_allocs_per_ordering,
         s.baseline_secs / s.batched_secs,
-        s.fast_secs / s.batched_secs,
         s.par_threads,
         s.par_secs,
         par_ops,
@@ -576,8 +603,7 @@ fn write_snapshot(s: &Snapshot) {
         (s.batched_secs / s.par_secs) / s.par_threads as f64,
         s.batched_pruned,
         s.batched_cache_hits,
-        s.baseline_score_bits == s.fast_score_bits
-            && s.baseline_score_bits == s.batched_score_bits
+        s.baseline_score_bits == s.batched_score_bits
             && s.baseline_score_bits == s.par_score_bits,
         s.model_iters as f64 / s.model_eval_secs,
         s.model_iters as f64 / s.model_eval_fast_secs,
@@ -599,20 +625,26 @@ fn write_snapshot(s: &Snapshot) {
     let path = json_path();
     fs::write(&path, json).expect("write BENCH_mapper.json");
     println!(
-        "[bench] {} orderings: baseline {:.0}/s, scalar {:.0}/s ({:.1}x), batched({} lanes) \
-         {:.0}/s ({:.1}x, {:.1}x vs scalar), parallel({}) {:.0}/s ({:.1}x)",
+        "[bench] {} orderings: baseline {:.0}/s, batched {:.0}/s ({:.1}x), parallel({}) \
+         {:.0}/s ({:.1}x)",
         s.space,
         baseline_ops,
-        fast_ops,
-        s.baseline_secs / s.fast_secs,
-        s.batch_lanes,
         batched_ops,
         s.baseline_secs / s.batched_secs,
-        s.fast_secs / s.batched_secs,
         s.par_threads,
         par_ops,
         s.baseline_secs / s.par_secs,
     );
+    for o in &s.objectives {
+        println!(
+            "[bench] {} search: {:.2} ms ({:.0}/s), {} generated, {} evaluated",
+            o.key,
+            o.secs * 1e3,
+            n / o.secs,
+            o.generated,
+            o.evaluated,
+        );
+    }
     println!(
         "[bench] latency model: evaluate {:.0}/s vs evaluate_fast {:.0}/s ({:.1}x)",
         s.model_iters as f64 / s.model_eval_secs,
@@ -659,8 +691,8 @@ fn bench_hot_path(c: &mut Criterion) {
     let snapshot = measure();
     write_snapshot(&snapshot);
 
-    // Per-ordering microbenches: the allocating slow path vs the
-    // scratch-reusing fast path on a representative ordering.
+    // Per-ordering microbench: the allocating report path on a
+    // representative ordering.
     let (arch, layer, spatial) = setup();
     let mapper = Mapper::new(&arch, &layer, spatial);
     let factors = mapper.factors();
@@ -669,21 +701,10 @@ fn bench_hot_path(c: &mut Criterion) {
         ordering = o.to_vec();
         false // keep only the first ordering
     });
-    let mut scratch = mapper.scratch();
-    mapper.evaluate_ordering_fast(&ordering, Objective::Latency, &mut scratch);
 
     let mut g = c.benchmark_group("mapper_hot_path");
     g.bench_function("evaluate_ordering_slow", |b| {
         b.iter(|| black_box(mapper.evaluate_ordering(black_box(&ordering))))
-    });
-    g.bench_function("evaluate_ordering_fast", |b| {
-        b.iter(|| {
-            black_box(mapper.evaluate_ordering_fast(
-                black_box(&ordering),
-                Objective::Latency,
-                &mut scratch,
-            ))
-        })
     });
     g.finish();
 }

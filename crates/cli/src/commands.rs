@@ -66,13 +66,6 @@ fn thread_option(args: &Args, key: &str) -> Result<Option<usize>, ArgError> {
     })
 }
 
-/// `--batch-lanes <n>`: SoA lane count for the ordering search. 0 or
-/// absent keeps the mapper default; the result is identical at every
-/// setting.
-fn batch_lanes_option(args: &Args) -> Result<Option<usize>, ArgError> {
-    thread_option(args, "batch-lanes")
-}
-
 /// `ulm evaluate`: map one layer (best-latency search) and print the full
 /// latency/energy report.
 pub fn evaluate(args: &Args) -> Result<(), UlmError> {
@@ -541,8 +534,7 @@ pub fn search(args: &Args) -> Result<(), UlmError> {
     };
     let mapper = Mapper::new(&arch, &layer, spatial)
         .with_options(mapper_options(args)?)
-        .with_parallelism(thread_option(args, "threads")?)
-        .with_batch_lanes(batch_lanes_option(args)?);
+        .with_parallelism(thread_option(args, "threads")?);
     println!(
         "space: {} orderings ({} factors)",
         mapper.space_size(),
@@ -574,8 +566,8 @@ pub fn search(args: &Args) -> Result<(), UlmError> {
         );
         if args.flag("stats") {
             println!(
-                "stats: {} pruned, {} prefix reuses, {} batch lanes, {:.2} ms",
-                r.stats.pruned, r.stats.cache_hits, r.stats.batch_lanes, r.wall_ms
+                "stats: {} pruned, {} prefix reuses, {:.2} ms",
+                r.stats.pruned, r.stats.cache_hits, r.wall_ms
             );
         }
         println!("best mapping: {}", r.best.mapping);
@@ -649,7 +641,6 @@ pub fn dse(args: &Args) -> Result<(), UlmError> {
     let opts = ExploreOptions {
         parallelism: thread_option(args, "threads")?,
         mapping_parallelism: thread_option(args, "map-threads")?,
-        batch_lanes: batch_lanes_option(args)?,
         ..ExploreOptions::default()
     };
     let (points, stats) = explore_with_stats(&designs, &layer, &opts);
@@ -669,12 +660,11 @@ pub fn dse(args: &Args) -> Result<(), UlmError> {
         if args.flag("stats") {
             println!(
                 "stats: {} orderings generated, {} evaluated, {} pruned, {} prefix reuses, \
-                 {} batch lanes, {:.1} ms",
+                 {:.1} ms",
                 stats.search.generated,
                 stats.search.evaluated,
                 stats.search.pruned,
                 stats.search.cache_hits,
-                stats.search.batch_lanes,
                 stats.wall_ms
             );
         }
@@ -1027,8 +1017,6 @@ COMMON OPTIONS
   --samples <n>  --max-exhaustive <n>
   --threads <n>         search/dse worker threads (0 = serial)
   --map-threads <n>     dse: threads within each design's mapping search
-  --batch-lanes <n>     search/dse: SoA lanes in the batched ordering
-                        kernel (0 = default; results identical at every n)
   --stats               search/dse: print pruning/search statistics
   --sides 16,32,64      (dse)
   --layers <n>          (validate: limit layer count)

@@ -44,10 +44,6 @@ pub struct ExploreOptions {
     /// short but each mapping space is large; the per-design result is
     /// identical at every setting.
     pub mapping_parallelism: Option<usize>,
-    /// SoA lane count for each design's ordering search (routed to
-    /// [`Mapper::with_batch_lanes`]). `None` uses the mapper default; the
-    /// per-design result is bit-identical at every lane count.
-    pub batch_lanes: Option<usize>,
 }
 
 impl Default for ExploreOptions {
@@ -63,7 +59,6 @@ impl Default for ExploreOptions {
             area: AreaModel::default(),
             parallelism: None,
             mapping_parallelism: None,
-            batch_lanes: None,
         }
     }
 }
@@ -104,8 +99,7 @@ fn evaluate_design_counted(
 ) -> Result<(DsePoint, SearchStats), MapperError> {
     let mapper = Mapper::new(&design.arch, layer, design.spatial.clone())
         .with_options(opts.mapper)
-        .with_parallelism(opts.mapping_parallelism)
-        .with_batch_lanes(opts.batch_lanes);
+        .with_parallelism(opts.mapping_parallelism);
     let result = mapper.search(Objective::Latency)?;
     let h = design.arch.hierarchy();
     let exclude: Vec<_> = h.find("GB").into_iter().collect();
@@ -280,8 +274,7 @@ fn sweep_design(
     let base = build_design(base_params);
     let mapper = Mapper::new(&base.arch, layer, base.spatial.clone())
         .with_options(opts.mapper)
-        .with_parallelism(opts.mapping_parallelism)
-        .with_batch_lanes(opts.batch_lanes);
+        .with_parallelism(opts.mapping_parallelism);
     let mapping = mapper.search(Objective::Latency)?.best.mapping;
     // Area excludes GB and the swept knob is a GB port rate, so one
     // number covers every point of this design.
@@ -426,8 +419,7 @@ fn sweep_workload_design(
 ) -> Option<WorkloadSweep> {
     let mapper = Mapper::new(&design.arch, template, design.spatial.clone())
         .with_options(opts.mapper)
-        .with_parallelism(opts.mapping_parallelism)
-        .with_batch_lanes(opts.batch_lanes);
+        .with_parallelism(opts.mapping_parallelism);
     let mapping = mapper.search(Objective::Latency).ok()?.best.mapping;
     let shape = MappingShape::from_mapping(&mapping).ok()?;
     let model = if opts.mapper.bw_aware {
@@ -562,40 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_scalar_explore_match_exactly() {
-        let pool = MemoryPool {
-            w_reg_words_per_mac: vec![1, 2],
-            i_reg_words_per_mac: vec![1],
-            o_reg_words_per_pe: vec![1],
-            w_lb_kb: vec![4, 16],
-            i_lb_kb: vec![4],
-        };
-        let designs = enumerate_designs(&pool, &[16], 128);
-        let scalar = explore(
-            &designs,
-            &small_layer(),
-            &ExploreOptions {
-                batch_lanes: Some(1),
-                ..quick_opts()
-            },
-        );
-        for lanes in [None, Some(8)] {
-            let batched = explore(
-                &designs,
-                &small_layer(),
-                &ExploreOptions {
-                    batch_lanes: lanes,
-                    ..quick_opts()
-                },
-            );
-            assert_eq!(
-                scalar, batched,
-                "batch_lanes={lanes:?} diverged from scalar"
-            );
-        }
-    }
-
-    #[test]
     fn stats_account_for_every_design() {
         let pool = MemoryPool {
             w_reg_words_per_mac: vec![1, 2],
@@ -610,7 +568,6 @@ mod tests {
         assert_eq!(stats.feasible, points.len());
         assert!(stats.search.generated >= stats.search.evaluated + stats.search.pruned);
         assert!(stats.search.evaluated > 0);
-        assert!(stats.search.batch_lanes >= 1);
         assert!(stats.wall_ms > 0.0);
         // The point list is exactly what `explore` returns.
         assert_eq!(points, explore(&designs, &small_layer(), &quick_opts()));

@@ -16,13 +16,13 @@
 //! round trips are included, and outputs crossing their final interface
 //! are counted at the re-quantized width.
 //!
-//! All counts are read off the shared [`LoweredLayer`] evaluation IR —
-//! the same
-//! residency tables the latency model and the simulator consume — so the
-//! three never disagree about how much data moved. [`EnergyModel::evaluate`]
-//! lowers internally; pass an existing IR to
-//! [`EnergyModel::evaluate_lowered`] /
-//! [`EnergyModel::evaluate_total_lowered`] to skip the re-lowering.
+//! All counts are read off residency rows ([`Rows`]) by one body: the
+//! shared [`LoweredLayer`] evaluation IR — the same residency tables the
+//! latency model and the simulator consume — for a report, and a lane of
+//! the mapper's batched ordering search ([`EnergyModel::lane_energy`])
+//! for a search score, so they never disagree about how much data moved.
+//! [`EnergyModel::evaluate`] lowers internally; pass an existing IR to
+//! [`EnergyModel::evaluate_lowered`] to skip the re-lowering.
 //!
 //! # Example
 //!
@@ -46,12 +46,11 @@
 //! # Ok::<(), ulm_mapping::MappingError>(())
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt;
-use ulm_arch::{Memory, MemoryId, MemoryKind};
+use ulm_arch::{Architecture, Memory, MemoryHierarchy, MemoryId, MemoryKind};
 use ulm_mapping::MappedLayer;
-use ulm_model::{interface_traffic, DtlOptions, LoweredLayer};
-use ulm_workload::Operand;
+use ulm_model::{interface_traffic, DtlOptions, LaneEnergy, LoweredLayer, Rows};
+use ulm_workload::{Layer, Operand};
 
 /// Unit-energy parameters (femtojoule-denominated, 7 nm-class defaults).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -144,19 +143,6 @@ impl fmt::Display for EnergyReport {
     }
 }
 
-/// Reusable buffers for [`EnergyModel::evaluate_total_fast`].
-#[derive(Debug, Default)]
-pub struct EnergyScratch {
-    /// `(touched, read_bits, write_bits)` per memory id. The `touched`
-    /// flag mirrors BTreeMap entry creation in [`EnergyModel::evaluate`]
-    /// so the final float sum visits exactly the same memories in the
-    /// same (ascending id) order.
-    traffic: Vec<(bool, u64, u64)>,
-    /// The IR rebuilt by [`EnergyModel::evaluate_total_fast`] when the
-    /// caller has no lowering of its own to share.
-    lowered: LoweredLayer,
-}
-
 impl EnergyModel {
     /// The default 7 nm-class parameters.
     pub fn new() -> Self {
@@ -184,104 +170,68 @@ impl EnergyModel {
     pub fn evaluate_lowered(&self, view: &MappedLayer<'_>, lowered: &LoweredLayer) -> EnergyReport {
         let h = view.arch().hierarchy();
         let layer = view.layer();
-        // (read_bits, write_bits) per memory.
-        let mut traffic: BTreeMap<MemoryId, (u64, u64)> = BTreeMap::new();
-        self.accumulate(view, lowered, |mid, rd, wr| {
-            let e = traffic.entry(mid).or_insert((0, 0));
-            e.0 += rd;
-            e.1 += wr;
-        });
-
+        let mut traffic = Vec::new();
+        let total_fj = self.total_fj(h, layer, lowered, lowered.cc_spatial(), &mut traffic);
         let memories: Vec<MemEnergy> = traffic
-            .into_iter()
-            .map(|(mid, (rd, wr))| {
-                let mem = h.mem(mid);
-                let e = self.fj_per_bit(mem) * (rd + wr) as f64;
-                MemEnergy {
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| {
+                let (rd, wr) = (*t)?;
+                let mem = h.mem(MemoryId(i));
+                Some(MemEnergy {
                     memory: mem.name().to_string(),
                     read_bits: rd,
                     write_bits: wr,
-                    energy_fj: e,
-                }
+                    energy_fj: self.fj_per_bit(mem) * (rd + wr) as f64,
+                })
             })
             .collect();
-        let mac_fj = self.mac_fj * layer.total_macs() as f64;
-        let total_fj = mac_fj + memories.iter().map(|m| m.energy_fj).sum::<f64>();
         EnergyReport {
             memories,
-            mac_fj,
+            mac_fj: self.mac_fj * layer.total_macs() as f64,
             total_fj,
         }
     }
 
-    /// [`evaluate`](Self::evaluate)`.total_fj` without allocating: the
-    /// identical per-interface traffic accumulation into a reusable
-    /// id-indexed array, summed over the same memories in the same order
-    /// so the result is bit-identical. Used by the mapper's fast path.
-    pub fn evaluate_total_fast(&self, view: &MappedLayer<'_>, scratch: &mut EnergyScratch) -> f64 {
-        let EnergyScratch { traffic, lowered } = scratch;
-        LoweredLayer::build_into(view, DtlOptions::default(), lowered);
-        self.total_from(view, lowered, traffic)
+    /// The energy scorer of the mapper's batched ordering search: prices
+    /// a lane's rows through the same body as
+    /// [`evaluate_lowered`](Self::evaluate_lowered), so a lane's score is
+    /// bit-identical to the report's `total_fj` for that ordering.
+    pub fn lane_energy<'a>(self, arch: &'a Architecture, layer: &'a Layer) -> LaneEnergy<'a> {
+        let mut traffic = Vec::new();
+        Box::new(move |rows: &dyn Rows, cc_spatial: u64| {
+            self.total_fj(arch.hierarchy(), layer, rows, cc_spatial, &mut traffic)
+        })
     }
 
-    /// [`evaluate_total_fast`](Self::evaluate_total_fast) over an
-    /// already-lowered layer: no re-lowering, no allocation in steady
-    /// state.
-    pub fn evaluate_total_lowered(
+    /// The one energy body, over any row source: walks the residency
+    /// rows, adds every interface crossing to its two memories'
+    /// `(read_bits, write_bits)` in `traffic` (indexed by memory id,
+    /// `None` if untouched), then returns MACs plus each touched memory's
+    /// `(read + write) bits × fJ/bit`, summed in ascending memory id, fJ.
+    fn total_fj<R: Rows + ?Sized>(
         &self,
-        view: &MappedLayer<'_>,
-        lowered: &LoweredLayer,
-        scratch: &mut EnergyScratch,
+        h: &MemoryHierarchy,
+        layer: &Layer,
+        rows: &R,
+        cc_spatial: u64,
+        traffic: &mut Vec<Option<(u64, u64)>>,
     ) -> f64 {
-        self.total_from(view, lowered, &mut scratch.traffic)
-    }
-
-    fn total_from(
-        &self,
-        view: &MappedLayer<'_>,
-        lowered: &LoweredLayer,
-        traffic: &mut Vec<(bool, u64, u64)>,
-    ) -> f64 {
-        let h = view.arch().hierarchy();
         traffic.clear();
-        traffic.resize(h.memories().len(), (false, 0, 0));
-        self.accumulate(view, lowered, |mid, rd, wr| {
-            let e = &mut traffic[mid.0];
-            e.0 = true;
-            e.1 += rd;
-            e.2 += wr;
-        });
-
-        let mac_fj = self.mac_fj * view.layer().total_macs() as f64;
-        let mut mem_fj = 0.0;
-        for (i, &(touched, rd, wr)) in traffic.iter().enumerate() {
-            if touched {
-                mem_fj += self.fj_per_bit(h.mem(MemoryId(i))) * (rd + wr) as f64;
-            }
-        }
-        mac_fj + mem_fj
-    }
-
-    /// The one traffic-counting pass: walks the IR's residency tables and
-    /// reports every interface crossing to `add(memory, read_bits,
-    /// write_bits)`. Both the report and the fast total are folds over
-    /// this sequence, so they cannot drift apart.
-    fn accumulate(
-        &self,
-        view: &MappedLayer<'_>,
-        lowered: &LoweredLayer,
-        mut add: impl FnMut(MemoryId, u64, u64),
-    ) {
-        let h = view.arch().hierarchy();
-        let layer = view.layer();
+        traffic.resize(h.memories().len(), None);
+        let mut add = |mid: MemoryId, rd: u64, wr: u64| {
+            let e = traffic[mid.0].get_or_insert((0, 0));
+            e.0 += rd;
+            e.1 += wr;
+        };
         for op in Operand::all() {
             let chain = h.chain(op);
             // Interfaces above a residency pin (KV-cache, fused
             // intermediates) move no data, so they cost no energy.
-            for level in 0..lowered.active_interfaces(op) {
+            for level in 0..rows.active(op) {
                 let (lower, upper) = (chain[level], chain[level + 1]);
                 let (main, read_back) =
-                    interface_traffic(layer.precision(), op, lowered.level(op, level));
+                    interface_traffic(layer.precision(), op, &rows.row(op, level));
                 match op {
                     Operand::W | Operand::I => {
                         add(upper, main, 0);
@@ -301,8 +251,7 @@ impl EnergyModel {
             // Compute-side accesses at the innermost level.
             if self.include_compute_accesses {
                 let innermost = chain[0];
-                let total_bits =
-                    lowered.words_per_cycle(op) * layer.precision().bits(op) * lowered.cc_spatial();
+                let total_bits = rows.feed(op) * layer.precision().bits(op) * cc_spatial;
                 match op {
                     Operand::W | Operand::I => add(innermost, total_bits, 0),
                     // Accumulator read-modify-write each cycle.
@@ -310,6 +259,13 @@ impl EnergyModel {
                 }
             }
         }
+        let mut mem_fj = 0.0;
+        for (i, t) in traffic.iter().enumerate() {
+            if let Some((rd, wr)) = t {
+                mem_fj += self.fj_per_bit(h.mem(MemoryId(i))) * (rd + wr) as f64;
+            }
+        }
+        self.mac_fj * layer.total_macs() as f64 + mem_fj
     }
 }
 
@@ -385,6 +341,9 @@ mod tests {
         assert!(e.fj_per_bit(&big) > e.fj_per_bit(&small));
     }
 
+    /// The search's lane scorer and the report share one body: over the
+    /// lowered IR read as rows, the scorer returns the report's total bit
+    /// for bit.
     #[test]
     fn fast_total_matches_report_bitwise() {
         let stacks: [&[(Dim, u64)]; 3] = [
@@ -392,7 +351,6 @@ mod tests {
             &[(Dim::B, 2), (Dim::K, 2), (Dim::C, 8)],
             &[(Dim::C, 4), (Dim::B, 2), (Dim::K, 2), (Dim::C, 2)],
         ];
-        let mut scratch = EnergyScratch::default();
         for include in [true, false] {
             let mut m = EnergyModel::new();
             m.include_compute_accesses = include;
@@ -400,8 +358,10 @@ mod tests {
                 let (chip, layer, mapping) = toy_view(stack);
                 let view = MappedLayer::new(&layer, &chip.arch, &mapping).unwrap();
                 let report = m.evaluate(&view);
-                let fast = m.evaluate_total_fast(&view, &mut scratch);
-                assert_eq!(report.total_fj.to_bits(), fast.to_bits());
+                let lowered = LoweredLayer::build(&view, DtlOptions::default());
+                let mut lane = m.lane_energy(&chip.arch, &layer);
+                let total = lane(&lowered, lowered.cc_spatial());
+                assert_eq!(report.total_fj.to_bits(), total.to_bits());
             }
         }
     }
@@ -413,11 +373,7 @@ mod tests {
         let view = MappedLayer::new(&layer, &chip.arch, &mapping).unwrap();
         let lowered = LoweredLayer::build(&view, DtlOptions::default());
         let m = EnergyModel::new();
-        let report = m.evaluate(&view);
-        assert_eq!(m.evaluate_lowered(&view, &lowered), report);
-        let mut scratch = EnergyScratch::default();
-        let total = m.evaluate_total_lowered(&view, &lowered, &mut scratch);
-        assert_eq!(total.to_bits(), report.total_fj.to_bits());
+        assert_eq!(m.evaluate_lowered(&view, &lowered), m.evaluate(&view));
     }
 
     #[test]

@@ -159,9 +159,6 @@ impl UlmError {
             UlmError::Fuse(e) => fuse_code(e),
             UlmError::Mapper(e) => match e {
                 MapperError::NoLegalMapping { .. } => "mapper/no-legal-mapping",
-                MapperError::BatchUnsupportedObjective { .. } => {
-                    "search/batch-unsupported-objective"
-                }
             },
             UlmError::Network(e) => match e {
                 NetworkError::LayerUnmappable { .. } => "network/layer-unmappable",
@@ -317,16 +314,7 @@ impl From<MapperError> for UlmError {
 
 impl From<NetworkError> for UlmError {
     fn from(e: NetworkError) -> Self {
-        match e {
-            // A lane count the objective cannot honor is the same request
-            // error for a whole net as for one search: no layer is at
-            // fault.
-            NetworkError::LayerUnmappable {
-                source: source @ MapperError::BatchUnsupportedObjective { .. },
-                ..
-            } => UlmError::Mapper(source),
-            e => UlmError::Network(e),
-        }
+        UlmError::Network(e)
     }
 }
 
@@ -490,25 +478,6 @@ mod tests {
                 }
                 .into(),
                 "knob/out-of-range",
-            ),
-            (
-                NetworkError::LayerUnmappable {
-                    layer: "q_proj".into(),
-                    source: MapperError::BatchUnsupportedObjective {
-                        objective: "energy".into(),
-                        lanes: 8,
-                    },
-                }
-                .into(),
-                "search/batch-unsupported-objective",
-            ),
-            (
-                MapperError::BatchUnsupportedObjective {
-                    objective: "edp".into(),
-                    lanes: 64,
-                }
-                .into(),
-                "search/batch-unsupported-objective",
             ),
             (FuseError::TooShort { len: 1 }.into(), "fuse/too-short"),
             (

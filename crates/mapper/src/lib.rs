@@ -30,20 +30,20 @@ pub mod enumerate;
 pub mod factorize;
 pub mod spatial_search;
 
-pub use spatial_search::{search_spatial, search_spatial_with, spatial_candidates, SpatialOptions};
+pub use spatial_search::{search_spatial, spatial_candidates, SpatialOptions};
 
 use factorize::{ordering_count, temporal_factors, Factor};
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
 use ulm_arch::Architecture;
-use ulm_energy::{EnergyModel, EnergyReport, EnergyScratch};
-use ulm_mapping::{LoopStack, MappedLayer, Mapping, OperandAlloc, SpatialUnroll};
+use ulm_energy::{EnergyModel, EnergyReport};
+use ulm_mapping::{LoopStack, MappedLayer, Mapping, SpatialUnroll};
 use ulm_model::{
-    roofline_bound, BatchKernel, LaneOutcome, LatencyModel, LatencyReport, LoweredLayer,
-    ModelScratch, OrderingClasses,
+    BatchKernel, LaneObjective, LaneOutcome, LatencyModel, LatencyReport, LoweredLayer,
+    OrderingClasses,
 };
-use ulm_workload::{DimSizes, Layer, PerOperand};
+use ulm_workload::Layer;
 
 /// What the search minimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -120,20 +120,15 @@ pub struct SearchStats {
     /// Per-ordering prefix quantities reused from the previous ordering
     /// instead of recomputed (one per shared inner-prefix factor).
     pub cache_hits: u64,
-    /// SoA evaluation lanes per batch on the latency hot path (1 =
-    /// scalar path).
-    pub batch_lanes: usize,
 }
 
 impl SearchStats {
-    /// Accumulates `other` into `self`: counters add, `batch_lanes`
-    /// keeps the widest batch seen.
+    /// Accumulates `other` into `self`, counter by counter.
     pub fn absorb(&mut self, other: &SearchStats) {
         self.generated += other.generated;
         self.evaluated += other.evaluated;
         self.pruned += other.pruned;
         self.cache_hits += other.cache_hits;
-        self.batch_lanes = self.batch_lanes.max(other.batch_lanes);
     }
 }
 
@@ -143,7 +138,7 @@ pub struct SearchResult {
     /// The best legal mapping found.
     pub best: EvaluatedMapping,
     /// Search counters (orderings generated/evaluated/pruned, prefix
-    /// reuse, batch width).
+    /// reuse).
     pub stats: SearchStats,
     /// Size of the full ordering space.
     pub space_size: u128,
@@ -161,15 +156,6 @@ pub enum MapperError {
         /// Orderings tried.
         tried: usize,
     },
-    /// A multi-lane batch was explicitly requested for an objective whose
-    /// hot path has no batched kernel (the SoA kernel scores latency
-    /// only), so honoring the request silently is impossible.
-    BatchUnsupportedObjective {
-        /// The requested objective, lowercase (`energy` / `edp`).
-        objective: String,
-        /// The explicitly requested lane count.
-        lanes: usize,
-    },
 }
 
 impl fmt::Display for MapperError {
@@ -178,11 +164,6 @@ impl fmt::Display for MapperError {
             MapperError::NoLegalMapping { tried } => {
                 write!(f, "no legal mapping found among {tried} orderings")
             }
-            MapperError::BatchUnsupportedObjective { objective, lanes } => write!(
-                f,
-                "batch lanes {lanes} requested, but the batched kernel only scores the \
-                 latency objective (not {objective}); drop --batch-lanes or set it to 1"
-            ),
         }
     }
 }
@@ -223,76 +204,6 @@ impl<F: FnMut(&[Factor]) -> bool> enumerate::OrderingWalk for ClassWalk<'_, '_, 
     }
 }
 
-/// Reusable per-thread state for the allocation-free evaluation path:
-/// a mapping shell rebuilt in place per ordering, the memoized prefix
-/// extents shared between orderings with a common inner prefix, and the
-/// model/energy scratch buffers. Build one with [`Mapper::scratch`].
-#[derive(Debug)]
-pub struct EvalScratch {
-    mapping: Mapping,
-    /// The previous ordering, for prefix-sharing detection.
-    prev: Vec<Factor>,
-    /// `prefix_ext[p]` = spatial extents x the innermost `p` factors of
-    /// the current ordering. Entry `0` (spatial alone) never changes.
-    prefix_ext: Vec<DimSizes>,
-    residency: Vec<u64>,
-    model: ModelScratch,
-    energy: EnergyScratch,
-    cache_hits: u64,
-}
-
-impl EvalScratch {
-    fn new(spatial: &SpatialUnroll) -> Self {
-        Self {
-            mapping: Mapping::new(
-                spatial.clone(),
-                LoopStack::empty(),
-                PerOperand::from_fn(|_| OperandAlloc::flat(0)),
-            ),
-            prev: Vec::new(),
-            prefix_ext: vec![spatial.extents()],
-            residency: Vec::new(),
-            model: ModelScratch::default(),
-            energy: EnergyScratch::default(),
-            cache_hits: 0,
-        }
-    }
-
-    /// Updates the memoized prefix extents for `ordering`, reusing every
-    /// entry shared with the previous ordering's inner prefix. The
-    /// incremental product multiplies the same `u64` factors in the same
-    /// innermost-first order as the from-scratch computation, so the
-    /// extents are identical (integer arithmetic is exact).
-    fn update_prefixes(&mut self, ordering: &[Factor]) {
-        let shared = self
-            .prev
-            .iter()
-            .zip(ordering)
-            .take_while(|(a, b)| *a == *b)
-            .count();
-        self.cache_hits += shared as u64;
-        self.prefix_ext.truncate(shared + 1);
-        for &(d, s) in &ordering[shared..] {
-            let mut ext = *self.prefix_ext.last().expect("entry 0 always present");
-            ext.multiply(d, s);
-            self.prefix_ext.push(ext);
-        }
-        self.prev.clear();
-        self.prev.extend_from_slice(ordering);
-    }
-}
-
-/// Outcome of one bounded fast evaluation.
-enum FastEval {
-    /// No legal greedy allocation for this ordering.
-    Illegal,
-    /// Legal, but a lower bound proved it cannot beat the incumbent.
-    Pruned,
-    /// Fully evaluated: the objective score (bit-identical to
-    /// [`EvaluatedMapping::score`] on the slow path).
-    Scored(f64),
-}
-
 /// One search chunk's outcome (a contiguous slice of the ordering space
 /// or of the sampled candidate list).
 #[derive(Default)]
@@ -306,19 +217,46 @@ struct ChunkOutcome {
 }
 
 impl ChunkOutcome {
-    fn consider(&mut self, score: f64, ordering: &[Factor]) {
-        self.evaluated += 1;
-        let better = self.best.as_ref().map(|b| score < b.0).unwrap_or(true);
-        if better {
-            self.best = Some((score, ordering.to_vec()));
+    /// Queues `ordering` in the kernel, draining a full batch first.
+    fn push(&mut self, kernel: &mut BatchKernel<'_>, ordering: &[Factor]) {
+        if kernel.is_full() {
+            self.drain(kernel);
         }
+        self.generated += 1;
+        kernel.push(ordering);
+    }
+
+    /// Flushes the kernel's filled lanes. The visit callback threads the
+    /// chunk-local incumbent through every lane, so prune decisions
+    /// follow the first-strictly-better walk exactly.
+    fn drain(&mut self, kernel: &mut BatchKernel<'_>) {
+        let incumbent = self.best.as_ref().map(|b| b.0);
+        kernel.drain(incumbent, |ordering, outcome| {
+            match outcome {
+                LaneOutcome::Illegal => {}
+                LaneOutcome::Pruned => self.pruned += 1,
+                LaneOutcome::Scored(score) => {
+                    self.evaluated += 1;
+                    if self.best.as_ref().map(|b| score < b.0).unwrap_or(true) {
+                        self.best = Some((score, ordering.to_vec()));
+                    }
+                }
+            }
+            self.best.as_ref().map(|b| b.0)
+        });
+    }
+
+    /// Drains the last batch and takes the kernel's prefix-reuse count.
+    fn finish(mut self, kernel: &mut BatchKernel<'_>) -> Self {
+        self.drain(kernel);
+        self.cache_hits = kernel.cache_hits();
+        self
     }
 }
 
-/// Default SoA lane count for the batched latency hot path; chosen so a
-/// batch's lane arrays stay L1-resident while amortizing per-batch
-/// overhead. Override with [`Mapper::with_batch_lanes`].
-pub const DEFAULT_BATCH_LANES: usize = 64;
+/// SoA lanes per kernel batch: a batch's lane arrays stay L1-resident
+/// while amortizing the per-batch overhead.
+const LANES: usize = 64;
 
 /// The mapping-space search driver.
 pub struct Mapper<'a> {
@@ -327,7 +265,6 @@ pub struct Mapper<'a> {
     spatial: SpatialUnroll,
     opts: MapperOptions,
     parallelism: Option<usize>,
-    batch_lanes: Option<usize>,
     latency_model: LatencyModel,
     energy_model: EnergyModel,
 }
@@ -341,7 +278,6 @@ impl<'a> Mapper<'a> {
             spatial,
             opts: MapperOptions::default(),
             parallelism: None,
-            batch_lanes: None,
             latency_model: LatencyModel::new(),
             energy_model: EnergyModel::new(),
         }
@@ -367,44 +303,6 @@ impl<'a> Mapper<'a> {
         self
     }
 
-    /// SoA lanes per batch on the latency hot path: `None` uses
-    /// [`DEFAULT_BATCH_LANES`], `Some(1)` forces the scalar path (the
-    /// differential oracle the batched kernel is pinned against). The
-    /// result is identical at every lane count — batching changes only
-    /// throughput, never the argmin, score bits, or statistics.
-    pub fn with_batch_lanes(mut self, lanes: Option<usize>) -> Self {
-        self.batch_lanes = lanes;
-        self
-    }
-
-    /// The lane count the latency hot path will actually use for `obj`
-    /// (energy-bearing objectives evaluate scalar, lane count 1).
-    fn effective_batch_lanes(&self, obj: Objective) -> usize {
-        match obj {
-            Objective::Latency => self.batch_lanes.unwrap_or(DEFAULT_BATCH_LANES).max(1),
-            Objective::Energy | Objective::Edp => 1,
-        }
-    }
-
-    /// Rejects lane requests the hot path cannot honor: an explicit
-    /// `--batch-lanes > 1` with an energy-bearing objective used to be
-    /// silently downgraded to the scalar path, making the knob a no-op.
-    /// The default (`None`) and an explicit `1` still evaluate scalar.
-    fn check_batch_lanes(&self, obj: Objective) -> Result<(), MapperError> {
-        match (obj, self.batch_lanes) {
-            (Objective::Energy | Objective::Edp, Some(lanes)) if lanes > 1 => {
-                Err(MapperError::BatchUnsupportedObjective {
-                    objective: match obj {
-                        Objective::Energy => "energy".into(),
-                        _ => "edp".into(),
-                    },
-                    lanes,
-                })
-            }
-            _ => Ok(()),
-        }
-    }
-
     /// The temporal factor multiset for this layer/spatial pair.
     pub fn factors(&self) -> Vec<Factor> {
         temporal_factors(self.layer.shape().dims(), &self.spatial)
@@ -417,7 +315,9 @@ impl<'a> Mapper<'a> {
 
     /// Builds and evaluates the mapping for one explicit ordering
     /// (innermost factor first). Returns `None` when the ordering has no
-    /// legal greedy allocation.
+    /// legal greedy allocation. The search re-scores its winner through
+    /// this full report path, and tests use it as the reference the
+    /// batched search must match bit for bit.
     pub fn evaluate_ordering(&self, ordering: &[Factor]) -> Option<EvaluatedMapping> {
         let stack = LoopStack::from_pairs(ordering);
         let mapping =
@@ -434,252 +334,93 @@ impl<'a> Mapper<'a> {
         })
     }
 
-    /// A fresh scratch arena for
-    /// [`evaluate_ordering_fast`](Self::evaluate_ordering_fast), sized to
-    /// this mapper's spatial unrolling.
-    pub fn scratch(&self) -> EvalScratch {
-        EvalScratch::new(&self.spatial)
-    }
-
-    /// The fast counterpart of
-    /// [`evaluate_ordering`](Self::evaluate_ordering): builds the greedy
-    /// allocation in place
-    /// inside `scratch` and evaluates only the `obj` score, performing
-    /// zero heap allocations in the steady state. The returned score is
-    /// bit-identical to `evaluate_ordering(...).score(obj)`; `None`
-    /// means no legal greedy allocation (exactly when the slow path
-    /// returns `None`).
-    pub fn evaluate_ordering_fast(
-        &self,
-        ordering: &[Factor],
-        obj: Objective,
-        scratch: &mut EvalScratch,
-    ) -> Option<f64> {
-        match self.evaluate_ordering_bounded(ordering, obj, None, scratch) {
-            FastEval::Illegal => None,
-            FastEval::Pruned => unreachable!("no incumbent, nothing to prune against"),
-            FastEval::Scored(score) => Some(score),
-        }
-    }
-
-    /// Fast evaluation with branch-and-bound: when `incumbent` is set and
-    /// `obj` is latency, cheap monotone lower bounds (the stall-free
-    /// phase floor, and the roofline when the model is bw-aware) skip the
-    /// expensive stall evaluation for orderings that provably cannot be
-    /// *strictly* better than the incumbent — so pruning can never change
-    /// the argmin or the first-strictly-better tie-break.
-    fn evaluate_ordering_bounded(
-        &self,
-        ordering: &[Factor],
-        obj: Objective,
-        incumbent: Option<f64>,
-        scratch: &mut EvalScratch,
-    ) -> FastEval {
-        scratch.update_prefixes(ordering);
-        if !scratch
-            .mapping
-            .reassign_greedy(self.arch, self.layer, ordering, &scratch.prefix_ext)
-        {
-            return FastEval::Illegal;
-        }
-        let Some(view) = MappedLayer::new_fast(
-            self.layer,
-            self.arch,
-            &scratch.mapping,
-            &mut scratch.residency,
-        ) else {
-            return FastEval::Illegal;
+    /// A batched kernel over `factors` scoring `obj`: the one engine of
+    /// every ordering search.
+    fn kernel(&self, factors: &[Factor], obj: Objective) -> BatchKernel<'a> {
+        let energy = || self.energy_model.lane_energy(self.arch, self.layer);
+        let objective = match obj {
+            Objective::Latency => LaneObjective::Latency,
+            Objective::Energy => LaneObjective::Energy(energy()),
+            Objective::Edp => LaneObjective::Edp(energy()),
         };
-        match obj {
-            Objective::Latency => {
-                if let Some(inc) = incumbent {
-                    // Exact bound: cc_total with the stall assumed zero.
-                    // SS >= 0 and float addition of non-negatives is
-                    // monotone, so floor >= inc implies score >= inc.
-                    if self.latency_model.phase_floor(&view) >= inc {
-                        return FastEval::Pruned;
-                    }
-                    // Roofline bound, with a tolerance margin matching
-                    // the model's documented roofline slack.
-                    if self.opts.bw_aware && roofline_bound(&view) - inc > 1e-6 + 1e-9 * inc.abs() {
-                        return FastEval::Pruned;
-                    }
-                }
-                let lat = self.latency_model.evaluate_fast(&view, &mut scratch.model);
-                FastEval::Scored(lat.cc_total)
-            }
-            Objective::Energy => FastEval::Scored(
-                self.energy_model
-                    .evaluate_total_fast(&view, &mut scratch.energy),
-            ),
-            Objective::Edp => {
-                let lat = self.latency_model.evaluate_fast(&view, &mut scratch.model);
-                // The latency pass just lowered the view into
-                // `scratch.model`; the energy total reads that same IR
-                // instead of lowering a second time.
-                let fj = self.energy_model.evaluate_total_lowered(
-                    &view,
-                    scratch.model.lowered(),
-                    &mut scratch.energy,
-                );
-                FastEval::Scored(lat.cc_total * fj)
-            }
-        }
+        BatchKernel::new(
+            self.arch,
+            self.layer,
+            &self.spatial,
+            self.latency_model,
+            factors,
+            LANES,
+            objective,
+        )
     }
 
-    /// Runs the fast evaluator over orderings `[start, end)` of the full
-    /// enumeration, keeping the chunk-local first-strictly-better best.
-    /// Only the first ordering of each ordering class is evaluated: a
-    /// later member has an earlier twin with identical score bits, so it
-    /// can never be strictly better (DESIGN.md §10.4). Latency searches
-    /// with more than one lane run the batched SoA kernel; the outcome
-    /// sequence is identical either way.
+    /// Scores orderings `[start, end)` of the full enumeration, keeping
+    /// the chunk-local first-strictly-better best. Only the first
+    /// ordering of each ordering class is pushed: a later member has an
+    /// earlier twin with identical score bits, so it can never be
+    /// strictly better (DESIGN.md §10.4).
     fn run_enumerated_chunk(
         &self,
         factors: &[Factor],
         obj: Objective,
         start: u128,
         end: u128,
-        lanes: usize,
     ) -> ChunkOutcome {
+        let mut kernel = self.kernel(factors, obj);
+        let mut classes = kernel.classes();
         let mut out = ChunkOutcome::default();
-        if lanes > 1 {
-            let mut kernel = BatchKernel::new(
-                self.arch,
-                self.layer,
-                &self.spatial,
-                self.latency_model,
-                factors,
-                lanes,
-            );
-            let mut classes = kernel.classes();
-            let mut walk = ClassWalk {
-                classes: &mut classes,
-                leaf: |ordering: &[Factor]| {
-                    if kernel.is_full() {
-                        Self::drain_batch(&mut kernel, &mut out);
-                    }
-                    out.generated += 1;
-                    kernel.push(ordering);
-                    true
-                },
-            };
-            enumerate::walk_orderings_in_range(factors, start, end, &mut walk);
-            Self::drain_batch(&mut kernel, &mut out);
-            out.cache_hits = kernel.cache_hits();
-            return out;
-        }
-        let mut scratch = EvalScratch::new(&self.spatial);
-        let mut classes = OrderingClasses::new(self.arch, self.layer, &self.spatial, factors);
         let mut walk = ClassWalk {
             classes: &mut classes,
             leaf: |ordering: &[Factor]| {
-                out.generated += 1;
-                let incumbent = out.best.as_ref().map(|b| b.0);
-                match self.evaluate_ordering_bounded(ordering, obj, incumbent, &mut scratch) {
-                    FastEval::Illegal => {}
-                    FastEval::Pruned => out.pruned += 1,
-                    FastEval::Scored(score) => out.consider(score, ordering),
-                }
+                out.push(&mut kernel, ordering);
                 true
             },
         };
         enumerate::walk_orderings_in_range(factors, start, end, &mut walk);
-        out.cache_hits = scratch.cache_hits;
-        out
+        out.finish(&mut kernel)
     }
 
     /// Same as [`run_enumerated_chunk`](Self::run_enumerated_chunk) over
     /// a slice of an explicit candidate list.
-    fn run_candidate_chunk(
-        &self,
-        candidates: &[Vec<Factor>],
-        obj: Objective,
-        lanes: usize,
-    ) -> ChunkOutcome {
+    fn run_candidate_chunk(&self, candidates: &[Vec<Factor>], obj: Objective) -> ChunkOutcome {
+        let mut kernel = self.kernel(&self.factors(), obj);
         let mut out = ChunkOutcome::default();
-        if lanes > 1 {
-            let factors = self.factors();
-            let mut kernel = BatchKernel::new(
-                self.arch,
-                self.layer,
-                &self.spatial,
-                self.latency_model,
-                &factors,
-                lanes,
-            );
-            for ordering in candidates {
-                if kernel.is_full() {
-                    Self::drain_batch(&mut kernel, &mut out);
-                }
-                out.generated += 1;
-                kernel.push(ordering);
-            }
-            Self::drain_batch(&mut kernel, &mut out);
-            out.cache_hits = kernel.cache_hits();
-            return out;
-        }
-        let mut scratch = EvalScratch::new(&self.spatial);
         for ordering in candidates {
-            out.generated += 1;
-            let incumbent = out.best.as_ref().map(|b| b.0);
-            match self.evaluate_ordering_bounded(ordering, obj, incumbent, &mut scratch) {
-                FastEval::Illegal => {}
-                FastEval::Pruned => out.pruned += 1,
-                FastEval::Scored(score) => out.consider(score, ordering),
-            }
+            out.push(&mut kernel, ordering);
         }
-        out.cache_hits = scratch.cache_hits;
-        out
-    }
-
-    /// Flushes the kernel's filled lanes into the chunk outcome. The
-    /// visit callback threads the chunk-local incumbent through every
-    /// lane, so prune decisions match the scalar walk exactly.
-    fn drain_batch(kernel: &mut BatchKernel<'_>, out: &mut ChunkOutcome) {
-        let incumbent = out.best.as_ref().map(|b| b.0);
-        kernel.drain(incumbent, |ordering, outcome| {
-            match outcome {
-                LaneOutcome::Illegal => {}
-                LaneOutcome::Pruned => out.pruned += 1,
-                LaneOutcome::Scored(score) => out.consider(score, ordering),
-            }
-            out.best.as_ref().map(|b| b.0)
-        });
+        out.finish(&mut kernel)
     }
 
     /// Searches the mapping space for the minimum-`obj` mapping:
     /// exhaustively when the ordering count is within
     /// [`MapperOptions::max_exhaustive`], by uniform sampling otherwise.
     ///
-    /// The hot path is allocation-free (a per-thread [`EvalScratch`] is
-    /// reused across orderings), prunes provably-worse orderings with
-    /// monotone lower bounds, and — under
+    /// Every objective runs the batched kernel ([`BatchKernel`]), which
+    /// is allocation-free in steady state, prunes provably-worse
+    /// orderings with monotone lower bounds (latency only), and — under
     /// [`with_parallelism`](Self::with_parallelism) — splits the ordering
     /// space across threads. All of these preserve the exact result of
-    /// the naive serial enumeration: the same best mapping, the same
-    /// score bits, the same first-strictly-better tie-break.
+    /// the naive serial walk through
+    /// [`evaluate_ordering`](Self::evaluate_ordering): the same best
+    /// mapping, the same score bits, the same first-strictly-better
+    /// tie-break.
     ///
     /// # Errors
     ///
     /// Returns [`MapperError::NoLegalMapping`] if nothing legal was
-    /// found, and [`MapperError::BatchUnsupportedObjective`] when an
-    /// explicit multi-lane batch was requested for an energy-bearing
-    /// objective (whose hot path has no batched kernel).
+    /// found.
     pub fn search(&self, obj: Objective) -> Result<SearchResult, MapperError> {
-        self.check_batch_lanes(obj)?;
         let t0 = Instant::now();
         let factors = self.factors();
         let space_size = ordering_count(&factors);
         let exhaustive = space_size <= self.opts.max_exhaustive;
         let threads = self.parallelism.unwrap_or(1).max(1);
-        let lanes = self.effective_batch_lanes(obj);
 
         let outcomes: Vec<ChunkOutcome> = if exhaustive {
             // Don't bother spawning for trivially small spaces.
             let threads = if space_size < 256 { 1 } else { threads as u128 };
             if threads <= 1 {
-                vec![self.run_enumerated_chunk(&factors, obj, 0, space_size, lanes)]
+                vec![self.run_enumerated_chunk(&factors, obj, 0, space_size)]
             } else {
                 let per = space_size.div_ceil(threads);
                 let ranges: Vec<(u128, u128)> = (0..threads)
@@ -691,7 +432,7 @@ impl<'a> Mapper<'a> {
                     let handles: Vec<_> = ranges
                         .iter()
                         .map(|&(a, b)| {
-                            s.spawn(move || self.run_enumerated_chunk(factors, obj, a, b, lanes))
+                            s.spawn(move || self.run_enumerated_chunk(factors, obj, a, b))
                         })
                         .collect();
                     handles
@@ -709,13 +450,13 @@ impl<'a> Mapper<'a> {
                 self.opts.seed,
             ));
             if threads <= 1 || candidates.len() < 32 {
-                vec![self.run_candidate_chunk(&candidates, obj, lanes)]
+                vec![self.run_candidate_chunk(&candidates, obj)]
             } else {
                 let per = candidates.len().div_ceil(threads);
                 std::thread::scope(|s| {
                     let handles: Vec<_> = candidates
                         .chunks(per)
-                        .map(|chunk| s.spawn(move || self.run_candidate_chunk(chunk, obj, lanes)))
+                        .map(|chunk| s.spawn(move || self.run_candidate_chunk(chunk, obj)))
                         .collect();
                     handles
                         .into_iter()
@@ -728,10 +469,7 @@ impl<'a> Mapper<'a> {
         // Deterministic merge: chunks cover contiguous, increasing index
         // ranges, so folding them in order with a strict `<` reproduces
         // the serial first-strictly-better argmin exactly.
-        let mut stats = SearchStats {
-            batch_lanes: lanes,
-            ..SearchStats::default()
-        };
+        let mut stats = SearchStats::default();
         let mut winner: Option<(f64, Vec<Factor>)> = None;
         for out in outcomes {
             stats.generated += out.generated;
@@ -750,7 +488,7 @@ impl<'a> Mapper<'a> {
             Some((_, ordering)) => {
                 let best = self
                     .evaluate_ordering(&ordering)
-                    .expect("winning ordering was legal on the fast path");
+                    .expect("winning ordering was legal in the kernel");
                 Ok(SearchResult {
                     best,
                     stats,
@@ -928,36 +666,6 @@ mod tests {
         let a = mapper.search(Objective::Latency).unwrap();
         let b = mapper.search(Objective::Latency).unwrap();
         assert_eq!(a.best.mapping, b.best.mapping);
-    }
-
-    #[test]
-    fn explicit_batch_lanes_with_energy_objectives_is_a_typed_error() {
-        let (chip, layer) = toy();
-        let spatial = SpatialUnroll::new(chip.spatial.clone());
-        for obj in [Objective::Energy, Objective::Edp] {
-            let err = Mapper::new(&chip.arch, &layer, spatial.clone())
-                .with_batch_lanes(Some(8))
-                .search(obj)
-                .unwrap_err();
-            assert!(
-                matches!(err, MapperError::BatchUnsupportedObjective { lanes: 8, .. }),
-                "{obj:?} with explicit lanes must error, got {err:?}"
-            );
-        }
-        // The default (None) and an explicit 1 still evaluate scalar, and
-        // latency keeps batching.
-        for lanes in [None, Some(1)] {
-            let r = Mapper::new(&chip.arch, &layer, spatial.clone())
-                .with_batch_lanes(lanes)
-                .search(Objective::Edp)
-                .unwrap();
-            assert_eq!(r.stats.batch_lanes, 1);
-        }
-        let r = Mapper::new(&chip.arch, &layer, spatial.clone())
-            .with_batch_lanes(Some(8))
-            .search(Objective::Latency)
-            .unwrap();
-        assert_eq!(r.stats.batch_lanes, 8);
     }
 
     #[test]

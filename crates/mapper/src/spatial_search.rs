@@ -93,26 +93,11 @@ pub fn search_spatial(
     mapper_opts: MapperOptions,
     obj: Objective,
 ) -> Result<(SpatialUnroll, EvaluatedMapping), MapperError> {
-    search_spatial_with(arch, layer, spatial_opts, mapper_opts, obj, None)
-}
-
-/// [`search_spatial`] with an explicit SoA lane count for each inner
-/// temporal search (see [`Mapper::with_batch_lanes`]).
-pub fn search_spatial_with(
-    arch: &Architecture,
-    layer: &Layer,
-    spatial_opts: &SpatialOptions,
-    mapper_opts: MapperOptions,
-    obj: Objective,
-    batch_lanes: Option<usize>,
-) -> Result<(SpatialUnroll, EvaluatedMapping), MapperError> {
     let candidates = spatial_candidates(arch, layer, spatial_opts);
     let mut tried = 0usize;
     let mut best: Option<(SpatialUnroll, EvaluatedMapping)> = None;
     for spatial in candidates {
-        let mapper = Mapper::new(arch, layer, spatial.clone())
-            .with_options(mapper_opts)
-            .with_batch_lanes(batch_lanes);
+        let mapper = Mapper::new(arch, layer, spatial.clone()).with_options(mapper_opts);
         match mapper.search(obj) {
             Ok(r) => {
                 tried += r.covered();
@@ -125,8 +110,6 @@ pub fn search_spatial_with(
                 }
             }
             Err(MapperError::NoLegalMapping { tried: t }) => tried += t,
-            // Lane/objective conflicts hold for every candidate: abort.
-            Err(e @ MapperError::BatchUnsupportedObjective { .. }) => return Err(e),
         }
     }
     best.ok_or(MapperError::NoLegalMapping { tried })

@@ -1,20 +1,23 @@
 //! Counting-allocator proof that the batched SoA kernel is
-//! allocation-free in steady state: after one warm-up sweep has sized
-//! the lane rows, the stall scratch and its port-group union memo,
+//! allocation-free in steady state for every objective: after one
+//! warm-up sweep has sized the lane rows, the stall scratch and its
+//! port-group union memo, and the energy scorer's traffic table,
 //! replaying the whole ordering space through `push`/`drain` performs
 //! zero heap allocations.
 //!
-//! Own test binary with a single `#[test]`, for the same reason as
-//! `alloc_free.rs`: the global allocator swap and the measured window
-//! must not see another test thread's allocations.
+//! This file is its own test binary (integration test) so the global
+//! allocator swap cannot interfere with other tests, and it contains a
+//! single `#[test]` so no concurrent test thread can allocate while the
+//! steady-state window is being measured.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ulm_arch::presets;
+use ulm_energy::EnergyModel;
 use ulm_mapper::{enumerate, Mapper};
 use ulm_mapping::SpatialUnroll;
-use ulm_model::{BatchKernel, LaneOutcome, LatencyModel};
+use ulm_model::{BatchKernel, LaneObjective, LaneOutcome, LatencyModel};
 use ulm_workload::{Layer, Precision};
 
 /// Wraps the system allocator and counts every allocation.
@@ -104,24 +107,37 @@ fn steady_state_batched_kernel_allocates_nothing() {
         orderings.len()
     );
 
-    for lanes in [8usize, 64] {
+    let energy = || EnergyModel::new().lane_energy(&chip.arch, &layer);
+    for (name, lanes) in ["latency", "energy", "edp"]
+        .into_iter()
+        .flat_map(|name| [(name, 8usize), (name, 64)])
+    {
+        let objective = match name {
+            "latency" => LaneObjective::Latency,
+            "energy" => LaneObjective::Energy(energy()),
+            _ => LaneObjective::Edp(energy()),
+        };
         let model = LatencyModel::new();
-        let mut kernel = BatchKernel::new(&chip.arch, &layer, &spatial, model, &factors, lanes);
+        let mut kernel = BatchKernel::new(
+            &chip.arch, &layer, &spatial, model, &factors, lanes, objective,
+        );
 
-        // Warm-up sweep: grows the lane rows, the stall scratch and its
-        // union memo to their high-water marks.
+        // Warm-up sweep: grows the lane rows, the stall scratch, its
+        // union memo and the energy traffic table to their high-water
+        // marks.
         let warm = sweep(&mut kernel, &orderings);
-        assert!(warm.0 > 0, "lanes {lanes}: warm-up scored nothing");
+        assert!(warm.0 > 0, "{name} lanes {lanes}: warm-up scored nothing");
 
         // Steady state: the identical sweep must not touch the heap.
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         let steady = sweep(&mut kernel, &orderings);
         let after = ALLOCATIONS.load(Ordering::SeqCst);
-        assert_eq!(warm, steady, "lanes {lanes}: sweeps diverged");
+        assert_eq!(warm, steady, "{name} lanes {lanes}: sweeps diverged");
         assert_eq!(
             after - before,
             0,
-            "lanes {lanes}: steady-state sweep over {} orderings performed {} heap allocations",
+            "{name} lanes {lanes}: steady-state sweep over {} orderings performed {} heap \
+             allocations",
             orderings.len(),
             after - before
         );

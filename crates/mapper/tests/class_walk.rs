@@ -4,7 +4,7 @@
 //! class and skips every subtree whose prefix state was already seen.
 //! These tests pin that against the plain permutation walk it replaced:
 //! the same best mapping, latency and energy bits for every objective,
-//! model, thread and lane count; the walk visits exactly the first
+//! model and thread count; the walk visits exactly the first
 //! member of each class; every member of a class scores identically;
 //! and a memo that fills up changes nothing.
 
@@ -17,7 +17,8 @@ use ulm_mapper::factorize::{ordering_count, Factor};
 use ulm_mapper::{EvaluatedMapping, Mapper, MapperError, MapperOptions, Objective};
 use ulm_mapping::{LoopStack, MappedLayer, Mapping, OperandAlloc, SpatialUnroll};
 use ulm_model::{
-    BatchKernel, DtlOptions, LaneOutcome, LatencyModel, LoweredLayer, OrderingClasses,
+    BatchKernel, DtlOptions, LaneObjective, LaneOutcome, LatencyModel, LoweredLayer,
+    OrderingClasses,
 };
 use ulm_workload::{Dim, DimSizes, Layer, LayerShape, Operand, PerOperand, Precision};
 
@@ -33,24 +34,23 @@ fn opts(bw_aware: bool) -> MapperOptions {
     }
 }
 
-/// The permutation walk: every ordering, scalar fast evaluation, first
-/// strictly better score, then the full evaluation of the winner.
+/// The permutation walk: every ordering through the reference
+/// evaluation, first strictly better score.
 fn permutation_search(mapper: &Mapper<'_>, obj: Objective) -> Option<EvaluatedMapping> {
-    let mut scratch = mapper.scratch();
-    let mut best: Option<(f64, Vec<Factor>)> = None;
+    let mut best: Option<EvaluatedMapping> = None;
     enumerate::for_each_ordering(&mapper.factors(), |ordering| {
-        if let Some(score) = mapper.evaluate_ordering_fast(ordering, obj, &mut scratch) {
-            if best.as_ref().map(|b| score < b.0).unwrap_or(true) {
-                best = Some((score, ordering.to_vec()));
+        if let Some(em) = mapper.evaluate_ordering(ordering) {
+            if best
+                .as_ref()
+                .map(|b| em.score(obj) < b.score(obj))
+                .unwrap_or(true)
+            {
+                best = Some(em);
             }
         }
         true
     });
-    best.map(|(_, ordering)| {
-        mapper
-            .evaluate_ordering(&ordering)
-            .expect("winner is legal")
-    })
+    best
 }
 
 fn check(
@@ -64,46 +64,39 @@ fn check(
     let space = mapper.space_size();
     prop_assert!(space <= MAX_SPACE, "{}: space {}", layer.name(), space);
     let want = permutation_search(&mapper, obj);
-    let lane_counts: &[usize] = match obj {
-        Objective::Latency => &[1, 64],
-        Objective::Energy | Objective::Edp => &[1],
-    };
     for threads in 1..=3 {
-        for &lanes in lane_counts {
-            let got = Mapper::new(&chip.arch, layer, spatial.clone())
-                .with_options(opts(bw_aware))
-                .with_parallelism(Some(threads))
-                .with_batch_lanes(Some(lanes))
-                .search(obj);
-            let ctx = format!("{} {obj:?} threads {threads} lanes {lanes}", layer.name());
-            match (&want, got) {
-                (None, Err(MapperError::NoLegalMapping { tried })) => {
-                    prop_assert_eq!(tried as u128, space, "{}", ctx);
-                }
-                (Some(want), Ok(got)) => {
-                    prop_assert!(got.exhaustive, "{}", ctx);
-                    prop_assert_eq!(&want.mapping, &got.best.mapping, "{}", ctx);
-                    prop_assert_eq!(
-                        want.latency.cc_total.to_bits(),
-                        got.best.latency.cc_total.to_bits(),
-                        "{}",
-                        ctx
-                    );
-                    prop_assert_eq!(
-                        want.energy.total_fj.to_bits(),
-                        got.best.energy.total_fj.to_bits(),
-                        "{}",
-                        ctx
-                    );
-                    prop_assert_eq!(got.covered() as u128, space, "{}", ctx);
-                    prop_assert!(got.stats.generated as u128 <= space, "{}", ctx);
-                }
-                (want, got) => {
-                    return Err(TestCaseError::fail(format!(
-                        "{ctx}: permutation walk found {}, class walk returned {got:?}",
-                        if want.is_some() { "a mapping" } else { "none" },
-                    )));
-                }
+        let got = Mapper::new(&chip.arch, layer, spatial.clone())
+            .with_options(opts(bw_aware))
+            .with_parallelism(Some(threads))
+            .search(obj);
+        let ctx = format!("{} {obj:?} threads {threads}", layer.name());
+        match (&want, got) {
+            (None, Err(MapperError::NoLegalMapping { tried })) => {
+                prop_assert_eq!(tried as u128, space, "{}", ctx);
+            }
+            (Some(want), Ok(got)) => {
+                prop_assert!(got.exhaustive, "{}", ctx);
+                prop_assert_eq!(&want.mapping, &got.best.mapping, "{}", ctx);
+                prop_assert_eq!(
+                    want.latency.cc_total.to_bits(),
+                    got.best.latency.cc_total.to_bits(),
+                    "{}",
+                    ctx
+                );
+                prop_assert_eq!(
+                    want.energy.total_fj.to_bits(),
+                    got.best.energy.total_fj.to_bits(),
+                    "{}",
+                    ctx
+                );
+                prop_assert_eq!(got.covered() as u128, space, "{}", ctx);
+                prop_assert!(got.stats.generated as u128 <= space, "{}", ctx);
+            }
+            (want, got) => {
+                return Err(TestCaseError::fail(format!(
+                    "{ctx}: permutation walk found {}, class walk returned {got:?}",
+                    if want.is_some() { "a mapping" } else { "none" },
+                )));
             }
         }
     }
@@ -486,8 +479,15 @@ fn a_full_memo_changes_nothing() {
         }
     }
     let run = |limit: Option<usize>| {
-        let mut kernel =
-            BatchKernel::new(&fig8, &layer, &spatial, LatencyModel::new(), &factors, 64);
+        let mut kernel = BatchKernel::new(
+            &fig8,
+            &layer,
+            &spatial,
+            LatencyModel::new(),
+            &factors,
+            64,
+            LaneObjective::Latency,
+        );
         let classes = kernel.classes();
         let classes = match limit {
             Some(l) => classes.with_memo_limit(l),
@@ -536,15 +536,10 @@ fn unmappable_layer_error_counts_the_whole_space() {
     let layer = Layer::matmul("too-wide", 8, 8, 8, Precision::int8_acc24());
     // 16 spatial MACs on the 4-MAC toy array: no ordering is legal.
     let spatial = SpatialUnroll::new(vec![(Dim::K, 4), (Dim::B, 4)]);
-    for lanes in [1, 64] {
+    for obj in [Objective::Latency, Objective::Energy, Objective::Edp] {
         let err = Mapper::new(&toy.arch, &layer, spatial.clone())
-            .with_batch_lanes(Some(lanes))
-            .search(Objective::Latency)
+            .search(obj)
             .unwrap_err();
         assert_eq!(err.to_string(), "no legal mapping found among 20 orderings");
     }
-    let err = Mapper::new(&toy.arch, &layer, spatial)
-        .search(Objective::Energy)
-        .unwrap_err();
-    assert_eq!(err.to_string(), "no legal mapping found among 20 orderings");
 }

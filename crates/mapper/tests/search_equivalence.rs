@@ -1,4 +1,4 @@
-//! Property tests: the optimized search (allocation-free fast path,
+//! Property tests: the optimized search (batched kernel,
 //! branch-and-bound pruning, prefix memoization, intra-design
 //! parallelism) returns the byte-identical best mapping — same latency
 //! bits, same ordering, same first-strictly-better tie-break — as the
@@ -67,48 +67,43 @@ fn check_case(b: u64, k: u64, c: u64, obj: Objective, bw_aware: bool) -> Result<
     let reference = reference_search(&mapper, &opts, obj);
 
     for threads in [None, Some(2), Some(4)] {
-        for lanes in [Some(1), None] {
-            let mapper = Mapper::new(&chip.arch, &layer, SpatialUnroll::new(chip.spatial.clone()))
-                .with_options(opts)
-                .with_parallelism(threads)
-                .with_batch_lanes(lanes);
-            let result = mapper.search(obj);
-            match (&reference, result) {
-                (None, Err(_)) => {}
-                (Some(want), Ok(got)) => {
-                    prop_assert_eq!(
-                        &want.mapping,
-                        &got.best.mapping,
-                        "threads {:?} lanes {:?}: different best mapping",
-                        threads,
-                        lanes
-                    );
-                    prop_assert_eq!(
-                        want.score(obj).to_bits(),
-                        got.best.score(obj).to_bits(),
-                        "threads {:?} lanes {:?}: score bits diverged",
-                        threads,
-                        lanes
-                    );
-                    prop_assert_eq!(
-                        want.latency.cc_total.to_bits(),
-                        got.best.latency.cc_total.to_bits()
-                    );
-                    // Every candidate is accounted for: scored, pruned, or
-                    // illegal.
-                    prop_assert!(got.stats.evaluated + got.stats.pruned <= got.stats.generated);
-                }
-                (want, got) => {
-                    return Err(TestCaseError::fail(format!(
-                        "threads {threads:?} lanes {lanes:?}: reference {} but search {}",
-                        if want.is_some() {
-                            "found a mapping"
-                        } else {
-                            "found nothing"
-                        },
-                        if got.is_ok() { "succeeded" } else { "failed" },
-                    )));
-                }
+        let mapper = Mapper::new(&chip.arch, &layer, SpatialUnroll::new(chip.spatial.clone()))
+            .with_options(opts)
+            .with_parallelism(threads);
+        let result = mapper.search(obj);
+        match (&reference, result) {
+            (None, Err(_)) => {}
+            (Some(want), Ok(got)) => {
+                prop_assert_eq!(
+                    &want.mapping,
+                    &got.best.mapping,
+                    "threads {:?}: different best mapping",
+                    threads
+                );
+                prop_assert_eq!(
+                    want.score(obj).to_bits(),
+                    got.best.score(obj).to_bits(),
+                    "threads {:?}: score bits diverged",
+                    threads
+                );
+                prop_assert_eq!(
+                    want.latency.cc_total.to_bits(),
+                    got.best.latency.cc_total.to_bits()
+                );
+                // Every candidate is accounted for: scored, pruned, or
+                // illegal.
+                prop_assert!(got.stats.evaluated + got.stats.pruned <= got.stats.generated);
+            }
+            (want, got) => {
+                return Err(TestCaseError::fail(format!(
+                    "threads {threads:?}: reference {} but search {}",
+                    if want.is_some() {
+                        "found a mapping"
+                    } else {
+                        "found nothing"
+                    },
+                    if got.is_ok() { "succeeded" } else { "failed" },
+                )));
             }
         }
     }
@@ -130,8 +125,7 @@ proptest! {
         check_case(b, k, c, Objective::Latency, bw_aware)?;
     }
 
-    /// Energy and EDP searches (no pruning, different fast paths) are
-    /// also exactly equivalent.
+    /// Energy and EDP searches (no pruning) are also exactly equivalent.
     #[test]
     fn energy_and_edp_search_match_reference(
         b in 1u64..=16,

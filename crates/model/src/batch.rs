@@ -1,19 +1,31 @@
-//! Batched structure-of-arrays evaluation of candidate loop orderings.
+//! Batched structure-of-arrays evaluation of candidate loop orderings:
+//! the mapper's one ordering-search engine, for every objective.
 //!
-//! The mapper's scalar hot path walks one ordering at a time through
-//! pointer-rich `Mapping`/`MappedLayer`/`LoweredLayer` structs. For the
-//! ordering search all of that structure is invariant: the architecture,
-//! the layer, the spatial unrolling and the factor *multiset* are fixed,
-//! and only the factor *order* varies. [`BatchKernel`] exploits that by
-//! packing the per-(operand, level) rows of up to `lanes` orderings —
-//! `Mem_DATA`, `Mem_CC`, `Z`, the `ReqBW` run, refill and distinct-block
-//! counts, output finality — into contiguous per-field lanes, then
-//! evaluating the phase floor and roofline bounds for all lanes in
-//! lockstep so the compiler can autovectorize. Only the (few) lanes that
-//! survive pruning pay for Steps 1–3: a survivor's lane is read as a row
-//! source by the *same* DTL body the lowering runs, then goes through the
-//! same [`StallScratch::combine_and_integrate`] — so surviving scores are
-//! bit-identical to [`LatencyModel::evaluate_fast`] by construction.
+//! For the ordering search the architecture, the layer, the spatial
+//! unrolling and the factor *multiset* are fixed, and only the factor
+//! *order* varies. [`BatchKernel`] exploits that by packing the
+//! per-(operand, level) rows of up to `lanes` orderings — `Mem_DATA`,
+//! `Mem_CC`, `Z`, the `ReqBW` run, refill and distinct-block counts,
+//! output finality — into contiguous per-field lanes. Each lane is a
+//! [`Rows`] source, read by the same bodies that read a lowered layer, so
+//! a lane's score is bit-identical to the one-ordering evaluation of
+//! its ordering by construction:
+//!
+//! * **Latency** ([`LaneObjective::Latency`]): the phase floor and (for
+//!   bw-aware models) the roofline bound are computed for all lanes in
+//!   lockstep so the compiler can autovectorize, and lanes that cannot
+//!   beat the running incumbent are pruned. Only survivors pay for Steps
+//!   1–3: the lowering's own DTL body over the lane's rows, then the same
+//!   [`StallScratch::combine_and_integrate`] as
+//!   [`LatencyModel::evaluate_fast`].
+//! * **Energy** ([`LaneObjective::Energy`]): the energy model's own
+//!   access-count body over the lane's rows (supplied by `ulm-energy`,
+//!   which this crate cannot depend on). No DTLs, no Steps 2–3.
+//! * **EDP** ([`LaneObjective::Edp`]): the latency score times the
+//!   energy.
+//!
+//! Energy and EDP lanes are never pruned. The objective is a
+//! construction input, so a latency kernel never computes energy.
 //!
 //! Batch-constant work is hoisted into [`BatchKernel::new`]: the spatial
 //! fit and coverage checks (`CC_spatial` and every dimension extent are
@@ -22,8 +34,8 @@
 //! bandwidths, endpoints, double-buffering), folded once into the same
 //! slot tables the surrogate uses. Per pushed ordering the kernel extends
 //! prefix-memoized cycle counts and residency words (shared inner
-//! prefixes with the previously pushed ordering are reused, mirroring the
-//! scalar path's `cache_hits` accounting), replays the greedy level
+//! prefixes with the previously pushed ordering are reused and counted
+//! in [`cache_hits`](BatchKernel::cache_hits)), replays the greedy level
 //! allocation with precomputed word budgets, and derives `Z`/refill/run
 //! scalars from closed-form suffix products instead of re-walking loop
 //! stacks.
@@ -42,18 +54,31 @@ use ulm_arch::Architecture;
 use ulm_mapping::SpatialUnroll;
 use ulm_workload::{Dim, DimSizes, Layer, Operand, Precision};
 
-/// Outcome of one lane after a [`BatchKernel::drain`] pass, mirroring
-/// the scalar search's per-ordering outcomes.
+/// Outcome of one lane after a [`BatchKernel::drain`] pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LaneOutcome {
     /// No legal greedy allocation for this ordering.
     Illegal,
     /// Legal, but a monotone lower bound proved the ordering cannot beat
-    /// the incumbent passed to `drain`.
+    /// the incumbent passed to `drain` (latency kernels only).
     Pruned,
-    /// Fully evaluated: `CC_total`, bit-identical to
-    /// [`LatencyModel::evaluate_fast`] on the same ordering.
+    /// Fully evaluated: the objective score, bit-identical to the
+    /// one-ordering evaluation of the same ordering.
     Scored(f64),
+}
+
+/// Prices one lane in energy (fJ) from its [`Rows`] and `CC_spatial`.
+/// `ulm-energy` builds it around its own accumulation body.
+pub type LaneEnergy<'a> = Box<dyn FnMut(&dyn Rows, u64) -> f64 + 'a>;
+
+/// What a [`BatchKernel`]'s lanes score, fixed at construction.
+pub enum LaneObjective<'a> {
+    /// `CC_total`, pruned against the incumbent.
+    Latency,
+    /// Energy alone.
+    Energy(LaneEnergy<'a>),
+    /// `CC_total × energy`.
+    Edp(LaneEnergy<'a>),
 }
 
 /// The SoA lane rows: one `Vec` per [`LevelLowering`] field, stride
@@ -90,8 +115,8 @@ impl LaneRows {
     }
 }
 
-/// One lane of [`LaneRows`] read as [`Rows`]: the row source survivors
-/// hand to the shared DTL body.
+/// One lane of [`LaneRows`] read as [`Rows`]: the row source a scored
+/// lane hands to the shared DTL and energy bodies.
 struct Lane<'r> {
     rows: &'r LaneRows,
     lane: usize,
@@ -119,6 +144,7 @@ pub struct BatchKernel<'a> {
     /// Greedy-allocation tables, shared with [`OrderingClasses`] walks.
     tables: Arc<GreedyTables<'a>>,
     model: LatencyModel,
+    objective: LaneObjective<'a>,
     /// Every link constant, folded once from the architecture.
     slots: FoldedSlots,
     precision: Precision,
@@ -174,7 +200,8 @@ pub struct BatchKernel<'a> {
 impl<'a> BatchKernel<'a> {
     /// Builds a kernel for `factors` (the temporal factor multiset every
     /// pushed ordering permutes; sizes must all be > 1, as produced by
-    /// the mapper's factorizer) holding up to `lanes` orderings.
+    /// the mapper's factorizer) holding up to `lanes` orderings, scoring
+    /// them by `objective`.
     pub fn new(
         arch: &'a Architecture,
         layer: &'a Layer,
@@ -182,6 +209,7 @@ impl<'a> BatchKernel<'a> {
         model: LatencyModel,
         factors: &[(Dim, u64)],
         lanes: usize,
+        objective: LaneObjective<'a>,
     ) -> Self {
         debug_assert!(factors.iter().all(|&(_, s)| s > 1));
         let lanes = lanes.max(1);
@@ -232,6 +260,7 @@ impl<'a> BatchKernel<'a> {
             arch,
             tables,
             model,
+            objective,
             slots: FoldedSlots::fold(h),
             precision: *layer.precision(),
             n,
@@ -285,8 +314,8 @@ impl<'a> BatchKernel<'a> {
         self.count == self.rows.lanes
     }
 
-    /// Prefix quantities reused from the previously pushed ordering —
-    /// the same accounting as the scalar `EvalScratch`.
+    /// Prefix quantities reused from the previously pushed ordering: one
+    /// per shared inner-prefix factor.
     pub fn cache_hits(&self) -> u64 {
         self.cache_hits
     }
@@ -442,12 +471,13 @@ impl<'a> BatchKernel<'a> {
 
     /// Evaluates every filled lane in push order and resets the kernel.
     ///
-    /// The phase floor and (for bw-aware models) the roofline bound are
-    /// computed for all lanes in lockstep first; the per-lane walk then
-    /// prunes against the running `incumbent`, fully evaluating only the
-    /// survivors. `visit` receives each lane's ordering and outcome and
+    /// A latency kernel computes the phase floor and (for bw-aware
+    /// models) the roofline bound for all lanes in lockstep first; the
+    /// per-lane walk then prunes against the running `incumbent`, fully
+    /// evaluating only the survivors. Energy and EDP kernels score every
+    /// legal lane. `visit` receives each lane's ordering and outcome and
     /// returns the updated incumbent (the chunk-local best so far), so
-    /// prune decisions replay the scalar search's sequence exactly.
+    /// prune decisions follow the first-strictly-better walk exactly.
     /// Returns the final incumbent.
     pub fn drain(
         &mut self,
@@ -458,23 +488,26 @@ impl<'a> BatchKernel<'a> {
         if cnt == 0 {
             return incumbent;
         }
-        self.compute_bounds(cnt);
+        let prunes = matches!(self.objective, LaneObjective::Latency);
+        if !matches!(self.objective, LaneObjective::Energy(_)) {
+            self.compute_bounds(cnt, prunes);
+        }
         let bw_aware = self.model.options().bw_aware;
         for lane in 0..cnt {
             let outcome = if self.lane_illegal[lane] {
                 LaneOutcome::Illegal
             } else {
                 let pruned = match incumbent {
-                    Some(inc) => {
+                    Some(inc) if prunes => {
                         self.lane_floor[lane] >= inc
                             || (bw_aware && self.lane_roof[lane] - inc > 1e-6 + 1e-9 * inc.abs())
                     }
-                    None => false,
+                    _ => false,
                 };
                 if pruned {
                     LaneOutcome::Pruned
                 } else {
-                    LaneOutcome::Scored(self.score_lane(lane))
+                    LaneOutcome::Scored(self.score(lane))
                 }
             };
             let ordering = &self.lane_ord[lane * self.n..(lane + 1) * self.n];
@@ -484,11 +517,35 @@ impl<'a> BatchKernel<'a> {
         incumbent
     }
 
-    /// Lockstep phase-floor and roofline bounds over lanes `0..cnt`, each
-    /// term the scalar bodies' per-interface expression over the folded
-    /// link constants. Illegal lanes hold garbage rows; their bounds are
-    /// never read.
-    fn compute_bounds(&mut self, cnt: usize) {
+    /// The objective score of one legal lane.
+    fn score(&mut self, lane: usize) -> f64 {
+        match self.objective {
+            LaneObjective::Latency => self.lane_latency(lane),
+            LaneObjective::Energy(_) => self.lane_energy(lane),
+            LaneObjective::Edp(_) => self.lane_latency(lane) * self.lane_energy(lane),
+        }
+    }
+
+    /// The energy of one legal lane, by the scorer the kernel was built
+    /// with.
+    fn lane_energy(&mut self, lane: usize) -> f64 {
+        let rows = Lane {
+            rows: &self.rows,
+            lane,
+        };
+        match &mut self.objective {
+            LaneObjective::Energy(energy) | LaneObjective::Edp(energy) => {
+                energy(&rows, self.cc_spatial)
+            }
+            LaneObjective::Latency => unreachable!("a latency kernel never prices energy"),
+        }
+    }
+
+    /// Lockstep phase cycles over lanes `0..cnt` and, when `prunes`, the
+    /// phase-floor and roofline bounds, each term the lowering's
+    /// per-interface expression over the folded link constants. Illegal
+    /// lanes hold garbage rows; their values are never read.
+    fn compute_bounds(&mut self, cnt: usize, prunes: bool) {
         let rows = &self.rows;
         let precision = &self.precision;
         let base = |op: Operand, lvl: usize| (rows.row_off[op.index()] + lvl) * rows.lanes;
@@ -519,6 +576,9 @@ impl<'a> BatchKernel<'a> {
                 *off += block_cycles(rows.words[b + lane], bits, bw);
             }
         }
+        if !prunes {
+            return;
+        }
         // Phase floor: the stall-free composition, through the same
         // `FastLatency::compose` every other path uses.
         for lane in 0..cnt {
@@ -531,8 +591,8 @@ impl<'a> BatchKernel<'a> {
             )
             .cc_total;
         }
-        // Roofline bound, folded in the same (operand, level) order as
-        // the scalar `roofline_bound` so the float max chain matches.
+        // Roofline bound over the compute roof and every interface roof,
+        // in (operand, level) order.
         if !self.model.options().bw_aware {
             return;
         }
@@ -549,10 +609,10 @@ impl<'a> BatchKernel<'a> {
         }
     }
 
-    /// Full evaluation of one surviving lane: the lowering's own DTL body
-    /// over the lane's rows and the folded link constants, then Steps 2–3
-    /// and the composition.
-    fn score_lane(&mut self, lane: usize) -> f64 {
+    /// `CC_total` of one surviving lane: the lowering's own DTL body over
+    /// the lane's rows and the folded link constants, then Steps 2–3 and
+    /// the composition.
+    fn lane_latency(&mut self, lane: usize) -> f64 {
         let opts = *self.model.options();
         let ss_overall = if opts.bw_aware {
             let rows = Lane {
@@ -588,6 +648,38 @@ impl<'a> BatchKernel<'a> {
     }
 }
 
+/// The phase floor, roofline bound and scored `CC_total` of a one-lane
+/// latency kernel holding `mapping`'s own ordering, for the bound checks
+/// against the lowered IR.
+#[cfg(test)]
+pub(crate) fn latency_lane_bounds(
+    arch: &Architecture,
+    layer: &Layer,
+    mapping: &ulm_mapping::Mapping,
+    model: LatencyModel,
+) -> (f64, f64, f64) {
+    let ordering: Vec<(Dim, u64)> = mapping
+        .stack()
+        .loops()
+        .iter()
+        .map(|l| (l.dim, l.size))
+        .collect();
+    let mut kernel = BatchKernel::new(
+        arch,
+        layer,
+        mapping.spatial(),
+        model,
+        &ordering,
+        1,
+        LaneObjective::Latency,
+    );
+    kernel.push(&ordering);
+    assert!(!kernel.lane_illegal[0], "{}", layer.name());
+    kernel.compute_bounds(1, true);
+    let latency = kernel.lane_latency(0);
+    (kernel.lane_floor[0], kernel.lane_roof[0], latency)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,7 +705,15 @@ mod tests {
         ];
         let orderings = permutations(&factors);
         for model in [LatencyModel::new(), LatencyModel::bw_unaware()] {
-            let mut kernel = BatchKernel::new(&chip.arch, &layer, &spatial, model, &factors, 8);
+            let mut kernel = BatchKernel::new(
+                &chip.arch,
+                &layer,
+                &spatial,
+                model,
+                &factors,
+                8,
+                LaneObjective::Latency,
+            );
             let mut scalar_scratch = ModelScratch::default();
             let mut residency = Vec::new();
             let mut results: Vec<LaneOutcome> = Vec::new();
@@ -753,7 +853,15 @@ mod tests {
             }
         }
 
-        let mut kernel = BatchKernel::new(&chip.arch, &layer, &spatial, model, &factors, 7);
+        let mut kernel = BatchKernel::new(
+            &chip.arch,
+            &layer,
+            &spatial,
+            model,
+            &factors,
+            7,
+            LaneObjective::Latency,
+        );
         let mut running: Option<f64> = None;
         let mut outcomes = Vec::new();
         let drain = |k: &mut BatchKernel<'_>,

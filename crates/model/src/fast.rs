@@ -11,9 +11,7 @@
 //! construction — they come out of one code path, not two kept in sync.
 
 use crate::delta::{InputDelta, RebuildStats};
-use crate::lower::{LoweredLayer, ViewRows};
-use crate::phases;
-use crate::slots::LiveSlots;
+use crate::lower::LoweredLayer;
 use crate::stall::StallScratch;
 use crate::LatencyModel;
 use ulm_arch::Architecture;
@@ -185,27 +183,6 @@ impl LatencyModel {
         };
         lowered.totals(ss_overall)
     }
-
-    /// An exact, allocation-free lower bound on
-    /// [`evaluate`](Self::evaluate)`.cc_total`: the latency with the
-    /// temporal stall assumed zero. Since `SS_overall >= 0` and the total
-    /// is the float sum `((preload + cc_spatial) + ss) + offload`, this
-    /// bound can never exceed the true total — the branch-and-bound
-    /// search prunes on it without risking the argmin. The lowering's own
-    /// phase bodies read the view's rows directly (no DTL/window
-    /// construction), so pruned candidates never pay for a full lowering.
-    pub fn phase_floor(&self, view: &MappedLayer<'_>) -> f64 {
-        let (rows, slots) = (ViewRows(view), LiveSlots::new(view.arch().hierarchy()));
-        let precision = view.layer().precision();
-        FastLatency::compose(
-            phases::preload_cycles_with(precision, &rows, &slots),
-            phases::offload_cycles_with(precision, &rows, &slots),
-            view.cc_ideal(),
-            view.cc_spatial(),
-            0.0,
-        )
-        .cc_total
-    }
 }
 
 #[cfg(test)]
@@ -243,6 +220,69 @@ mod tests {
         )
         .unwrap();
         out.push((cs, big, mapping));
+        out
+    }
+
+    /// Greedy-allocated mappings of two matmuls (one re-quantizing final
+    /// outputs, one not) on every matmul-capable preset, with and without
+    /// KV-cache resident weights. Each temporal
+    /// bound is split in two (smallest factor first) and the pieces are
+    /// interleaved in several orders, so upper levels see partial sums,
+    /// revisits and irrelevant runs.
+    fn preset_views() -> Vec<(ulm_arch::Architecture, Layer, Mapping)> {
+        let orders = [
+            [Dim::C, Dim::B, Dim::K, Dim::C, Dim::B, Dim::K],
+            [Dim::B, Dim::K, Dim::C, Dim::B, Dim::K, Dim::C],
+            [Dim::K, Dim::C, Dim::B, Dim::K, Dim::C, Dim::B],
+            [Dim::C, Dim::C, Dim::B, Dim::B, Dim::K, Dim::K],
+            [Dim::B, Dim::B, Dim::K, Dim::K, Dim::C, Dim::C],
+        ];
+        let mut out = Vec::new();
+        for chip in [
+            presets::toy_chip(),
+            presets::validation_chip(),
+            presets::scaled_case_study_chip(16, 128),
+            presets::tpu_like_chip(16),
+            presets::fusion_chip(),
+        ] {
+            let spatial = SpatialUnroll::new(chip.spatial.clone());
+            for ((b, k, c, precision), kv) in [
+                (32, 48, 96, Precision::int8_out24()),
+                (256, 256, 1024, Precision::int8_acc24()),
+            ]
+            .into_iter()
+            .flat_map(|case| [(case, false), (case, true)])
+            {
+                let mut layer = Layer::matmul("mm", b, k, c, precision);
+                if kv {
+                    layer = layer.with_kv_cache(ulm_workload::Operand::W);
+                }
+                for order in &orders {
+                    // The first piece of a dim is its smallest factor, the
+                    // second the rest.
+                    let mut seen = [false; 7];
+                    let stack: Vec<(Dim, u64)> = order
+                        .iter()
+                        .map(|&d| {
+                            let bound = layer.shape().dim(d).div_ceil(spatial.extent(d));
+                            let low = (2..=bound).find(|&f| bound.is_multiple_of(f)).unwrap_or(1);
+                            let second = std::mem::replace(&mut seen[d.index()], true);
+                            (d, if second { bound / low } else { low })
+                        })
+                        .filter(|&(_, s)| s > 1)
+                        .collect();
+                    let stack = LoopStack::from_pairs(&stack);
+                    let Ok(mapping) =
+                        Mapping::with_greedy_alloc(&chip.arch, &layer, spatial.clone(), stack)
+                    else {
+                        continue;
+                    };
+                    if MappedLayer::new(&layer, &chip.arch, &mapping).is_ok() {
+                        out.push((chip.arch.clone(), layer.clone(), mapping));
+                    }
+                }
+            }
+        }
         out
     }
 
@@ -340,77 +380,15 @@ mod tests {
         }
     }
 
-    /// Greedy-allocated mappings of two matmuls (one re-quantizing final
-    /// outputs, one not) on every matmul-capable preset, with and without
-    /// KV-cache resident weights. Each temporal
-    /// bound is split in two (smallest factor first) and the pieces are
-    /// interleaved in several orders, so upper levels see partial sums,
-    /// revisits and irrelevant runs.
-    fn preset_views() -> Vec<(ulm_arch::Architecture, Layer, Mapping)> {
-        let orders = [
-            [Dim::C, Dim::B, Dim::K, Dim::C, Dim::B, Dim::K],
-            [Dim::B, Dim::K, Dim::C, Dim::B, Dim::K, Dim::C],
-            [Dim::K, Dim::C, Dim::B, Dim::K, Dim::C, Dim::B],
-            [Dim::C, Dim::C, Dim::B, Dim::B, Dim::K, Dim::K],
-            [Dim::B, Dim::B, Dim::K, Dim::K, Dim::C, Dim::C],
-        ];
-        let mut out = Vec::new();
-        for chip in [
-            presets::toy_chip(),
-            presets::validation_chip(),
-            presets::scaled_case_study_chip(16, 128),
-            presets::tpu_like_chip(16),
-            presets::fusion_chip(),
-        ] {
-            let spatial = SpatialUnroll::new(chip.spatial.clone());
-            for ((b, k, c, precision), kv) in [
-                (32, 48, 96, Precision::int8_out24()),
-                (256, 256, 1024, Precision::int8_acc24()),
-            ]
-            .into_iter()
-            .flat_map(|case| [(case, false), (case, true)])
-            {
-                let mut layer = Layer::matmul("mm", b, k, c, precision);
-                if kv {
-                    layer = layer.with_kv_cache(ulm_workload::Operand::W);
-                }
-                for order in &orders {
-                    // The first piece of a dim is its smallest factor, the
-                    // second the rest.
-                    let mut seen = [false; 7];
-                    let stack: Vec<(Dim, u64)> = order
-                        .iter()
-                        .map(|&d| {
-                            let bound = layer.shape().dim(d).div_ceil(spatial.extent(d));
-                            let low = (2..=bound).find(|&f| bound.is_multiple_of(f)).unwrap_or(1);
-                            let second = std::mem::replace(&mut seen[d.index()], true);
-                            (d, if second { bound / low } else { low })
-                        })
-                        .filter(|&(_, s)| s > 1)
-                        .collect();
-                    let stack = LoopStack::from_pairs(&stack);
-                    let Ok(mapping) =
-                        Mapping::with_greedy_alloc(&chip.arch, &layer, spatial.clone(), stack)
-                    else {
-                        continue;
-                    };
-                    if MappedLayer::new(&layer, &chip.arch, &mapping).is_ok() {
-                        out.push((chip.arch.clone(), layer.clone(), mapping));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// The mapper's pruning bounds read a view through the lowering's own
-    /// phase and traffic bodies, so they equal the lowered IR's numbers
-    /// bit for bit: the floor is the IR's stall-free total, and the
-    /// roofline is the max over the IR's rows of the shared traffic over
-    /// the link bandwidth its DTLs carry.
+    /// The latency kernel's pruning bounds read the lowering's own phase
+    /// and traffic bodies, so they equal the lowered IR's numbers bit for
+    /// bit: the phase floor is the IR's stall-free total, and the roofline
+    /// is the max over the IR's rows of the shared traffic over the link
+    /// bandwidth its DTLs carry.
     #[test]
     fn phase_floor_and_roofline_read_the_lowered_rows() {
-        use crate::{interface_traffic, roofline_bound, DtlKind};
+        use crate::batch::latency_lane_bounds;
+        use crate::{interface_traffic, DtlKind};
         use ulm_workload::Operand;
         let model = LatencyModel::new();
         let presets = preset_views();
@@ -423,8 +401,9 @@ mod tests {
             upper_partials += (1..lw.active_interfaces(Operand::O))
                 .filter(|&level| !lw.level(Operand::O, level).final_above)
                 .count();
+            let (floor, roof, _) = latency_lane_bounds(&arch, &layer, &mapping, model);
             assert_eq!(
-                model.phase_floor(&view).to_bits(),
+                floor.to_bits(),
                 lw.totals(0.0).cc_total.to_bits(),
                 "{}",
                 layer.name()
@@ -446,9 +425,9 @@ mod tests {
                     bound = bound.max((main + read_back) as f64 / link.real_bw);
                 }
             }
-            assert_eq!(roofline_bound(&view).to_bits(), bound.to_bits());
+            assert_eq!(roof.to_bits(), bound.to_bits());
         }
-        // The set reaches the rows where view and IR could part: an
+        // The set reaches the rows where lane and IR could part: an
         // elided top interface and partial sums above the innermost level.
         assert!(
             kv > 0 && upper_partials > 0,
@@ -458,13 +437,15 @@ mod tests {
 
     #[test]
     fn phase_floor_lower_bounds_total() {
+        use crate::batch::latency_lane_bounds;
         let model = LatencyModel::new();
         let mut scratch = ModelScratch::default();
-        for (arch, layer, mapping) in views() {
+        for (arch, layer, mapping) in views().into_iter().chain(preset_views()) {
             let view = MappedLayer::new(&layer, &arch, &mapping).unwrap();
-            let floor = model.phase_floor(&view);
+            let (floor, _, latency) = latency_lane_bounds(&arch, &layer, &mapping, model);
             let fast = model.evaluate_fast(&view, &mut scratch);
             assert!(floor <= fast.cc_total, "{floor} > {}", fast.cc_total);
+            assert!(floor <= latency, "{floor} > {latency}");
         }
     }
 }

@@ -64,7 +64,7 @@ pub mod stall;
 pub mod surrogate;
 pub mod whatif;
 
-pub use batch::{BatchKernel, LaneOutcome};
+pub use batch::{BatchKernel, LaneEnergy, LaneObjective, LaneOutcome};
 pub use calibrate::{
     parse_measurements, CalibrateError, Calibration, CalibrationFit, Calibrator, LayerResidual,
     MeasurementRow, ObservedBusy, PortFit,
@@ -73,9 +73,9 @@ pub use classes::OrderingClasses;
 pub use delta::{InputDelta, RebuildStats, Stage};
 pub use dtl::{Dtl, DtlKind, DtlOptions, Endpoint, Endpoints};
 pub use fast::{FastLatency, ModelScratch};
-pub use lower::{kv_active_interfaces, LevelLowering, LoweredLayer, ResidencyPins};
+pub use lower::{kv_active_interfaces, LevelLowering, LoweredLayer, ResidencyPins, Rows};
 pub use report::{BandwidthFix, DtlReport, LatencyReport, MemReport, PortReport, Scenario};
-pub use roofline::{interface_traffic, roofline, roofline_bound, Roof, Roofline};
+pub use roofline::{interface_traffic, roofline, Roof, Roofline};
 pub use stall::{MemStall, PortGroupCore, StallScratch};
 pub use surrogate::{MappingShape, SpecializedModel, SurrogateError, SurrogateStats};
 pub use whatif::{apply_overrides, parse_override, KnobError, KnobOverride, KnobValue};

@@ -88,32 +88,22 @@ pub struct LevelLowering {
 }
 
 /// Where a Step-1 body reads its per-`(operand, level)` rows: a
-/// [`MappedLayer`] ([`ViewRows`], derived on demand), a built
-/// [`LoweredLayer`], or one lane of the batched kernel. Phases, DTLs and
-/// interface traffic are each written once against this trait, so every
-/// source yields the same bits by construction.
-pub(crate) trait Rows {
+/// [`MappedLayer`] (derived on demand), a built [`LoweredLayer`], or one
+/// lane of the batched kernel. Phases, DTLs, interface traffic and the
+/// energy model's access counts are each written once against this
+/// trait, so every source yields the same bits by construction.
+pub trait Rows {
     /// Interfaces of `op`'s chain that carry traffic.
     fn active(&self, op: Operand) -> usize;
     /// The residency row of `(op, level)`.
     fn row(&self, op: Operand, level: usize) -> LevelLowering;
     /// Distinct words of `op` the MAC array touches per cycle.
     fn feed(&self, op: Operand) -> u64;
-    /// `row(op, level).words`; the phase bodies read only this and
-    /// [`final_above`](Self::final_above), so an on-demand source can
-    /// skip the other fields.
-    fn words(&self, op: Operand, level: usize) -> u64 {
-        self.row(op, level).words
-    }
-    /// `row(op, level).final_above`.
-    fn final_above(&self, op: Operand, level: usize) -> bool {
-        self.row(op, level).final_above
-    }
 }
 
 /// A [`MappedLayer`] read as [`Rows`], every field derived from the
-/// view. The residency stage fills the IR through it, and the mapper's
-/// pruning bounds read a view through it without lowering.
+/// view. The residency stage fills the IR through it, and the roofline
+/// reads a view through it without lowering.
 pub(crate) struct ViewRows<'v, 'a>(pub(crate) &'v MappedLayer<'a>);
 
 impl Rows for ViewRows<'_, '_> {
@@ -137,14 +127,6 @@ impl Rows for ViewRows<'_, '_> {
 
     fn feed(&self, op: Operand) -> u64 {
         feed_words(self.0.layer(), self.0.mapping().spatial(), op)
-    }
-
-    fn words(&self, op: Operand, level: usize) -> u64 {
-        self.0.mem_data_words(op, level)
-    }
-
-    fn final_above(&self, op: Operand, level: usize) -> bool {
-        !self.0.has_ir_above(op, level)
     }
 }
 

@@ -7,15 +7,13 @@
 //! (Section III); W and I load in parallel, so the pre-load phase is their
 //! maximum.
 //!
-//! Each phase is one arithmetic body, generic over where its rows come
-//! from (a view for [`LatencyModel::phase_floor`](crate::LatencyModel::phase_floor),
-//! the lowered IR for every evaluation) and where its link bandwidths
-//! come from (live lookups or the surrogate's and batched kernel's
-//! folded tables). The batched kernel's lockstep loops share the
-//! per-interface term, `block_cycles`.
+//! Each phase is one arithmetic body over the lowered IR's rows, generic
+//! over where its link bandwidths come from (live lookups or the
+//! surrogate's folded tables). The batched kernel's lockstep loops share
+//! the per-interface term, `block_cycles`.
 
 use crate::dtl::crossing_bits;
-use crate::lower::Rows;
+use crate::lower::LoweredLayer;
 use crate::slots::ArchSlots;
 use ulm_workload::{Operand, Precision};
 
@@ -31,15 +29,15 @@ pub(crate) fn block_cycles(words: u64, bits: u64, bw: u64) -> u64 {
 /// (KV-cache residents and pinned operands are already in place above).
 pub(crate) fn preload_cycles_with(
     precision: &Precision,
-    rows: &impl Rows,
+    rows: &LoweredLayer,
     slots: &impl ArchSlots,
 ) -> u64 {
     let mut worst = 0u64;
     for op in [Operand::W, Operand::I] {
         let mut total = 0u64;
-        for level in 0..rows.active(op) {
+        for level in 0..rows.active_interfaces(op) {
             let bw = slots.interface(op, level).bw_bits;
-            total += block_cycles(rows.words(op, level), precision.bits(op), bw);
+            total += block_cycles(rows.level(op, level).words, precision.bits(op), bw);
         }
         worst = worst.max(total);
     }
@@ -50,18 +48,15 @@ pub(crate) fn preload_cycles_with(
 /// interface at the precision outputs cross it with.
 pub(crate) fn offload_cycles_with(
     precision: &Precision,
-    rows: &impl Rows,
+    rows: &LoweredLayer,
     slots: &impl ArchSlots,
 ) -> u64 {
     let op = Operand::O;
     let mut total = 0u64;
-    for level in 0..rows.active(op) {
-        let bits = crossing_bits(precision, op, rows.final_above(op, level));
-        total += block_cycles(
-            rows.words(op, level),
-            bits,
-            slots.interface(op, level).bw_bits,
-        );
+    for level in 0..rows.active_interfaces(op) {
+        let row = rows.level(op, level);
+        let bits = crossing_bits(precision, op, row.final_above);
+        total += block_cycles(row.words, bits, slots.interface(op, level).bw_bits);
     }
     total
 }

@@ -12,8 +12,8 @@
 //! windows, port sharing) that only the 3-step model captures.
 //!
 //! The traffic of one interface is written once, in [`interface_traffic`]:
-//! the roofline reads it off a view, the batched kernel off its lane
-//! rows, and `ulm-energy` off the lowered IR.
+//! the roofline reads it off a view, the batched kernel's bound off its
+//! lane rows, and `ulm-energy` off any [`Rows`] source.
 
 use crate::dtl::crossing_bits;
 use crate::lower::{LevelLowering, Rows, ViewRows};
@@ -82,58 +82,34 @@ pub fn interface_traffic(precision: &Precision, op: Operand, row: &LevelLowering
     (main, read_back)
 }
 
-/// Visits every interface roof of `view` as `(op, level, traffic_bits,
-/// bw_bits)` in (operand, level) order. KV-cache resident operands never
-/// cross their top interface, so it imposes no roof (and the bound stays
-/// admissible for the mapper's pruning).
-fn for_each_roof(view: &MappedLayer<'_>, mut visit: impl FnMut(Operand, usize, u64, u64)) {
-    let rows = ViewRows(view);
-    let slots = LiveSlots::new(view.arch().hierarchy());
-    let precision = view.layer().precision();
-    for op in Operand::all() {
-        for level in 0..rows.active(op) {
-            let (main, read_back) = interface_traffic(precision, op, &rows.row(op, level));
-            visit(
-                op,
-                level,
-                main + read_back,
-                slots.interface(op, level).bw_bits,
-            );
-        }
-    }
-}
-
 /// Computes the roofline of a mapped layer from its exact interface
 /// traffic (distinct-block refill counts; psum round trips included).
+/// KV-cache resident operands never cross their top interface, so it
+/// imposes no roof.
 pub fn roofline(view: &MappedLayer<'_>) -> Roofline {
     let h = view.arch().hierarchy();
+    let rows = ViewRows(view);
+    let slots = LiveSlots::new(h);
+    let precision = view.layer().precision();
     let mut roofs = Vec::new();
-    for_each_roof(view, |op, level, traffic_bits, bw_bits| {
+    for op in Operand::all() {
         let chain = h.chain(op);
-        let (lower, upper) = (chain[level], chain[level + 1]);
-        roofs.push(Roof {
-            interface: format!("{op}: {}<->{}", h.mem(upper).name(), h.mem(lower).name()),
-            traffic_bits,
-            bw_bits,
-            min_cycles: traffic_bits as f64 / bw_bits as f64,
-        });
-    });
+        for level in 0..rows.active(op) {
+            let (main, read_back) = interface_traffic(precision, op, &rows.row(op, level));
+            let (traffic_bits, bw_bits) = (main + read_back, slots.interface(op, level).bw_bits);
+            let (lower, upper) = (chain[level], chain[level + 1]);
+            roofs.push(Roof {
+                interface: format!("{op}: {}<->{}", h.mem(upper).name(), h.mem(lower).name()),
+                traffic_bits,
+                bw_bits,
+                min_cycles: traffic_bits as f64 / bw_bits as f64,
+            });
+        }
+    }
     Roofline {
         compute_cycles: view.cc_ideal(),
         roofs,
     }
-}
-
-/// [`Roofline::bound_cycles`] without building the [`Roofline`]: the max
-/// over the compute roof and every interface roof, computed with zero
-/// heap allocations. Used as a cheap lower bound by the mapper's
-/// branch-and-bound search.
-pub fn roofline_bound(view: &MappedLayer<'_>) -> f64 {
-    let mut bound = view.cc_ideal();
-    for_each_roof(view, |_, _, traffic_bits, bw_bits| {
-        bound = bound.max(traffic_bits as f64 / bw_bits as f64);
-    });
-    bound
 }
 
 #[cfg(test)]
@@ -167,21 +143,6 @@ mod tests {
                 "({b},{k},{c}): full {full} < roofline {}",
                 rl.bound_cycles()
             );
-        }
-    }
-
-    #[test]
-    fn fast_bound_matches_roofline_struct() {
-        for (b, k, c) in [(64, 96, 640), (128, 128, 8), (64, 64, 512)] {
-            let arch = presets::case_study_chip(128);
-            let layer = Layer::matmul("r", b, k, c, Precision::int8_out24());
-            let spatial = SpatialUnroll::new(vec![(Dim::K, 16), (Dim::B, 8), (Dim::C, 2)]);
-            let stack =
-                LoopStack::from_pairs(&[(Dim::C, c / 2), (Dim::B, b / 8), (Dim::K, k / 16)]);
-            let mapping = Mapping::with_greedy_alloc(&arch, &layer, spatial, stack).unwrap();
-            let view = MappedLayer::new(&layer, &arch, &mapping).unwrap();
-            let rl = roofline(&view);
-            assert_eq!(rl.bound_cycles().to_bits(), roofline_bound(&view).to_bits());
         }
     }
 

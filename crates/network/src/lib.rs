@@ -181,7 +181,6 @@ pub struct NetworkEvaluator<'a> {
     overlap: InterLayerOverlap,
     objective: Objective,
     parallelism: Option<usize>,
-    batch_lanes: Option<usize>,
     fusion: Vec<FusedSegment>,
 }
 
@@ -200,7 +199,6 @@ impl<'a> NetworkEvaluator<'a> {
             overlap: InterLayerOverlap::None,
             objective: Objective::Latency,
             parallelism: None,
-            batch_lanes: None,
             fusion: Vec::new(),
         }
     }
@@ -245,16 +243,6 @@ impl<'a> NetworkEvaluator<'a> {
     /// report.
     pub fn with_parallelism(mut self, parallelism: Option<usize>) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the SoA lane count of every mapping search (see
-    /// [`Mapper::with_batch_lanes`]). The result is identical at every
-    /// lane count; an explicit count above 1 under an energy-bearing
-    /// objective fails the first layer with
-    /// [`MapperError::BatchUnsupportedObjective`].
-    pub fn with_batch_lanes(mut self, lanes: Option<usize>) -> Self {
-        self.batch_lanes = lanes;
         self
     }
 
@@ -304,7 +292,6 @@ impl<'a> NetworkEvaluator<'a> {
             tests::SEARCHES.with(|n| n.set(n.get() + 1));
             Mapper::new(self.arch, layer, self.spatial.clone())
                 .with_options(self.mapper_opts)
-                .with_batch_lanes(self.batch_lanes)
                 .search(self.objective)
                 .map(|r| r.best.mapping)
         })?;

@@ -140,7 +140,7 @@ pub struct SearchMeta {
     /// True when the space was enumerated exhaustively.
     pub exhaustive: bool,
     /// The search's effort counters (the shared [`SearchStats`] from
-    /// `ulm-mapper`, including the SoA lane count used).
+    /// `ulm-mapper`).
     pub stats: SearchStats,
 }
 
@@ -318,8 +318,7 @@ pub struct SurrogateTotals {
 pub struct SearchTotals {
     /// Search requests actually executed (cache misses).
     pub searches: usize,
-    /// Effort counters summed across them (the shared [`SearchStats`];
-    /// `batch_lanes` reports the widest lane count used).
+    /// Effort counters summed across them (the shared [`SearchStats`]).
     pub stats: SearchStats,
 }
 
@@ -436,10 +435,6 @@ enum QueryMode {
         /// thread count, so requests differing only here must share a
         /// cache entry.
         parallelism: Option<usize>,
-        /// SoA lane count inside the ordering search. Like `parallelism`,
-        /// deliberately NOT part of the fingerprint: the batched kernel is
-        /// bit-identical to the scalar path at every lane count.
-        batch_lanes: Option<usize>,
     },
 }
 
@@ -459,9 +454,6 @@ struct NetQuery {
     /// Threads for the distinct-shape searches; not fingerprinted (the
     /// result is identical at every thread count).
     parallelism: Option<usize>,
-    /// SoA lanes inside each search; not fingerprinted (the result is
-    /// identical at every lane count).
-    batch_lanes: Option<usize>,
 }
 
 /// A fixed-architecture workload-dimension query (the `surrogate` request
@@ -667,15 +659,14 @@ fn parse_model(req: &Value) -> Result<ModelOptions, UlmError> {
 fn parse_mapper(
     req: &Value,
     model: &ModelOptions,
-) -> Result<(MapperOptions, Option<usize>, Option<usize>), UlmError> {
+) -> Result<(MapperOptions, Option<usize>), UlmError> {
     let mut opts = MapperOptions {
         bw_aware: model.bw_aware,
         ..MapperOptions::default()
     };
     let mut parallelism = None;
-    let mut batch_lanes = None;
     let Some(spec) = field(req, "mapper") else {
-        return Ok((opts, parallelism, batch_lanes));
+        return Ok((opts, parallelism));
     };
     let Value::Object(entries) = spec else {
         return Err(UlmError::invalid_request("`mapper` must be an object"));
@@ -698,12 +689,6 @@ fn parse_mapper(
                     n => Some(n as usize),
                 };
             }
-            "batch_lanes" => {
-                batch_lanes = match parse_u64(v, "mapper.batch_lanes")? {
-                    0 => None,
-                    n => Some(n as usize),
-                };
-            }
             other => {
                 return Err(UlmError::invalid_request(format!(
                     "unknown mapper option `{other}`"
@@ -711,7 +696,7 @@ fn parse_mapper(
             }
         }
     }
-    Ok((opts, parallelism, batch_lanes))
+    Ok((opts, parallelism))
 }
 
 fn parse_objective(req: &Value) -> Result<Objective, UlmError> {
@@ -768,12 +753,11 @@ fn parse_query(req: &Value, eval_mode: bool) -> Result<Query, UlmError> {
             .map_err(|e| UlmError::invalid_request(format!("invalid `mapping`: {e}")))?;
         QueryMode::Eval(Box::new(mapping))
     } else {
-        let (mapper, parallelism, batch_lanes) = parse_mapper(req, &model)?;
+        let (mapper, parallelism) = parse_mapper(req, &model)?;
         QueryMode::Search {
             objective: parse_objective(req)?,
             mapper,
             parallelism,
-            batch_lanes,
         }
     };
     Ok(Query {
@@ -854,7 +838,7 @@ fn parse_surrogate_query(req: &Value) -> Result<SurrogateQuery, UlmError> {
     let spatial = parse_spatial(req, default_spatial)?;
     let layer = parse_layer(req)?;
     let model = parse_model(req)?;
-    let (mapper, _parallelism, _batch_lanes) = parse_mapper(req, &model)?;
+    let (mapper, _parallelism) = parse_mapper(req, &model)?;
     let template = match field(req, "template") {
         None => (
             layer.shape().dim(Dim::B),
@@ -902,7 +886,7 @@ fn parse_net_query(req: &Value) -> Result<NetQuery, UlmError> {
     let spatial = parse_spatial(req, default_spatial)?;
     let layers = parse_net_layers(req)?;
     let model = parse_model(req)?;
-    let (mapper, parallelism, batch_lanes) = parse_mapper(req, &model)?;
+    let (mapper, parallelism) = parse_mapper(req, &model)?;
     Ok(NetQuery {
         arch,
         spatial,
@@ -912,7 +896,6 @@ fn parse_net_query(req: &Value) -> Result<NetQuery, UlmError> {
         objective: parse_objective(req)?,
         mapper,
         parallelism,
-        batch_lanes,
     })
 }
 
@@ -1016,7 +999,7 @@ trait Job {
     const NET: bool;
 
     /// The canonical identity of the result. Everything that can change
-    /// it is included; thread and lane counts are not.
+    /// it is included; thread counts are not.
     fn fingerprint(&self) -> Fingerprint;
 
     fn execute(&self) -> Result<Outcome, UlmError>;
@@ -1068,12 +1051,10 @@ impl Job for Query {
                 objective,
                 mapper,
                 parallelism,
-                batch_lanes,
             } => {
                 let result = Mapper::new(&self.arch, &self.layer, self.spatial.clone())
                     .with_options(*mapper)
                     .with_parallelism(*parallelism)
-                    .with_batch_lanes(*batch_lanes)
                     .search(*objective)?;
                 EvalOutcome {
                     mapping: result.best.mapping,
@@ -1119,7 +1100,6 @@ impl Job for NetQuery {
             .with_objective(self.objective)
             .with_mapper_options(self.mapper)
             .with_parallelism(self.parallelism)
-            .with_batch_lanes(self.batch_lanes)
             .with_fusion(self.fusion.clone())
             .evaluate(&self.layers)?;
         Ok(Outcome::Net(NetOutcome {
@@ -2612,35 +2592,6 @@ mod tests {
     }
 
     #[test]
-    fn net_batch_lanes_reach_every_search() {
-        let line = |objective: &str, lanes: u64| {
-            format!(
-                r#"{{"kind":"net","arch":"toy","net":"attention-decode","objective":"{objective}","mapper":{{"max_exhaustive":200,"samples":20,"batch_lanes":{lanes}}}}}"#
-            )
-        };
-        // An energy net rejects an explicit lane count as a search does.
-        let v = parse(&service().handle_line(&line("energy", 8)).unwrap());
-        assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{v:?}");
-        assert_eq!(
-            v.get("code"),
-            Some(&Value::String(
-                "search/batch-unsupported-objective".to_string()
-            ))
-        );
-        // Lanes never change a net's answer: fresh services, same bytes.
-        let no_timing = || {
-            EvalService::new(ServeOptions {
-                include_timing: false,
-                ..ServeOptions::default()
-            })
-        };
-        let scalar = no_timing().handle_line(&line("latency", 1)).unwrap();
-        let batched = no_timing().handle_line(&line("latency", 64)).unwrap();
-        assert_eq!(parse(&scalar).get("ok"), Some(&Value::Bool(true)));
-        assert_eq!(scalar, batched);
-    }
-
-    #[test]
     fn whatif_matches_cold_evaluation_of_modified_arch() {
         let svc = service();
         let base = r#"{"kind":"search","arch":"case16","gb_bw":128,"layer":"8x16x64","mapper":{"max_exhaustive":200,"samples":20}}"#;
@@ -2872,21 +2823,23 @@ mod tests {
     }
 
     #[test]
-    fn batch_lanes_is_excluded_from_the_fingerprint() {
-        // The batched SoA kernel is bit-identical to the scalar path, so
-        // requests differing only in `mapper.batch_lanes` share a cache
-        // entry.
+    fn batch_lanes_is_an_unknown_mapper_option() {
+        // Every search runs the one batched kernel; a lane count is no
+        // longer a request knob, on a search or a net.
         let svc = service();
-        let scalar = parse(&svc.handle_line(
-            r#"{"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10,"batch_lanes":1}}"#,
-        ).unwrap());
-        let batched = parse(&svc.handle_line(
-            r#"{"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10,"batch_lanes":8}}"#,
-        ).unwrap());
-        assert_eq!(scalar.get("ok"), Some(&Value::Bool(true)));
-        assert_eq!(scalar.get("fingerprint"), batched.get("fingerprint"));
-        assert_eq!(batched.get("cached"), Some(&Value::Bool(true)));
-        assert_eq!(scalar.get("latency"), batched.get("latency"));
+        for line in [
+            r#"{"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"batch_lanes":8}}"#,
+            r#"{"kind":"net","arch":"toy","net":"attention-decode","objective":"energy","mapper":{"batch_lanes":8}}"#,
+        ] {
+            let v = parse(&svc.handle_line(line).unwrap());
+            assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{v:?}");
+            assert_eq!(
+                v.get("code"),
+                Some(&Value::String("request/invalid".to_string()))
+            );
+            let error = v.get("error").and_then(Value::as_str).unwrap();
+            assert!(error.contains("unknown mapper option"), "{error}");
+        }
     }
 
     #[test]
@@ -2900,20 +2853,13 @@ mod tests {
         assert_eq!(search.get("searches").and_then(Value::as_u64), Some(1));
         let totals = search.get("stats").unwrap();
         let meta = first.get("search").unwrap().get("stats").unwrap();
-        for key in [
-            "generated",
-            "evaluated",
-            "pruned",
-            "cache_hits",
-            "batch_lanes",
-        ] {
+        for key in ["generated", "evaluated", "pruned", "cache_hits"] {
             assert_eq!(
                 totals.get(key).and_then(Value::as_u64),
                 meta.get(key).and_then(Value::as_u64),
                 "{key}"
             );
         }
-        assert!(meta.get("batch_lanes").and_then(Value::as_u64).unwrap() >= 1);
     }
 
     #[test]

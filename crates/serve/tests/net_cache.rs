@@ -117,40 +117,68 @@ fn a_restart_answers_a_net_from_the_log() {
 #[test]
 fn a_log_of_eval_and_search_payloads_still_replays() {
     // Build the log the way services wrote it before net entries existed:
-    // each payload is an `EvalOutcome` printed as itself.
+    // each payload is an `EvalOutcome` printed as itself. The energy
+    // search's payload is printed as services did while search counters
+    // still carried a `batch_lanes` field.
     let memory = EvalService::new(opts(None));
     let search = r#"{"id":1,"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}"#;
     let answer = parse(&memory.handle_line(search).unwrap());
     let mapping = serde_json::to_string(answer.get("mapping").unwrap()).unwrap();
     let eval =
         format!(r#"{{"id":2,"kind":"eval","arch":"toy","layer":"4x4x8","mapping":{mapping}}}"#);
+    let energy = r#"{"id":3,"kind":"search","arch":"toy","layer":"4x4x8","objective":"energy"}"#;
     let mut entries = Vec::new();
     let mut expected = Vec::new();
-    for line in [search.to_string(), eval] {
+    for (line, with_batch_lanes) in [
+        (search.to_string(), false),
+        (eval, false),
+        (energy.to_string(), true),
+    ] {
         let response = memory.handle_line(&line).unwrap();
         let v = parse(&response);
         let outcome: EvalOutcome = serde::Deserialize::from_value(&v).unwrap();
+        let mut payload = serde::Serialize::to_value(&outcome);
+        if with_batch_lanes {
+            let stats = field_mut(field_mut(&mut payload, "search"), "stats");
+            let Value::Object(stats) = stats else {
+                panic!("search stats are an object");
+            };
+            stats.push(("batch_lanes".to_string(), Value::U64(1)));
+        }
         let fp = v.get("fingerprint").and_then(Value::as_str).unwrap();
         entries.push((
             Fingerprint::from_hex(fp).unwrap().as_u128(),
-            serde_json::to_string(&outcome).unwrap().into_bytes(),
+            serde_json::to_string(&payload).unwrap().into_bytes(),
         ));
         expected.push((
             line,
             response.replace("\"cached\":false", "\"cached\":true"),
         ));
     }
+    assert!(String::from_utf8_lossy(&entries[2].1).contains("\"batch_lanes\":1"));
     let dir = scratch("legacy");
     write_log(&dir.join(CACHE_LOG_FILE), &entries).unwrap();
 
     let svc = EvalService::open(opts(Some(&dir))).unwrap();
     let disk = svc.disk_stats().unwrap();
-    assert_eq!((disk.warmed, disk.decode_failures), (2, 0));
+    assert_eq!((disk.warmed, disk.decode_failures), (3, 0));
     for (line, response) in &expected {
         assert_eq!(&svc.handle_line(line).unwrap(), response);
     }
     assert_eq!(svc.cache_stats().misses, 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The value under `key` of a JSON object.
+fn field_mut<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
+    let Value::Object(fields) = v else {
+        panic!("expected an object holding `{key}`");
+    };
+    fields
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+        .unwrap_or_else(|| panic!("no `{key}`"))
 }
 
 #[test]

@@ -56,19 +56,19 @@ pub mod prelude {
         pareto_front, DesignParams, DsePoint, DseStats, ExploreOptions, MemoryPool, SweepStats,
         WorkloadPoint, WorkloadSweepStats,
     };
-    pub use ulm_energy::{EnergyModel, EnergyReport, EnergyScratch};
+    pub use ulm_energy::{EnergyModel, EnergyReport};
     pub use ulm_error::UlmError;
     pub use ulm_mapper::{
-        EvalScratch, EvaluatedMapping, Mapper, MapperOptions, Objective, SearchResult, SearchStats,
+        EvaluatedMapping, Mapper, MapperOptions, Objective, SearchResult, SearchStats,
     };
     pub use ulm_mapping::{
         FuseError, FusedSegment, LoopStack, MappedLayer, Mapping, MappingError, OperandAlloc,
         SegmentResidency, SpatialUnroll, TemporalLoop,
     };
     pub use ulm_model::{
-        apply_overrides, parse_measurements, roofline_bound, Calibration, CalibrationFit,
-        Calibrator, FastLatency, InputDelta, KnobError, LatencyModel, LatencyReport, LoweredLayer,
-        MappingShape, ModelOptions, ModelScratch, RebuildStats, Scenario, SpecializedModel,
+        apply_overrides, parse_measurements, Calibration, CalibrationFit, Calibrator, FastLatency,
+        InputDelta, KnobError, LatencyModel, LatencyReport, LoweredLayer, MappingShape,
+        ModelOptions, ModelScratch, RebuildStats, Scenario, SpecializedModel,
     };
     pub use ulm_network::{InterLayerOverlap, NetworkEvaluator, NetworkReport};
     pub use ulm_serve::{EvalService, Fingerprint, ResultCache, ServeOptions, WorkerPool};

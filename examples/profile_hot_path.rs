@@ -16,17 +16,13 @@ fn main() {
     let factors = mapper.factors();
     println!("space = {}", mapper.space_size());
 
-    // Full search timing, scalar then batched lanes.
-    for lanes in [Some(1), None] {
-        let mapper = Mapper::new(&arch, &layer, spatial.clone())
-            .with_options(opts)
-            .with_batch_lanes(lanes);
+    // Full search timing, per objective.
+    for obj in [Objective::Latency, Objective::Energy, Objective::Edp] {
         let t = Instant::now();
-        let r = mapper.search(Objective::Latency).unwrap();
+        let r = mapper.search(obj).unwrap();
         let full = t.elapsed().as_secs_f64();
         println!(
-            "search[{} lanes]: {:.3}s ({:.0}/s), evaluated {}, pruned {}",
-            r.stats.batch_lanes,
+            "search[{obj:?}]: {:.3}s ({:.0}/s), evaluated {}, pruned {}",
             full,
             r.stats.generated as f64 / full,
             r.stats.evaluated,
@@ -37,9 +33,17 @@ fn main() {
 
     // Batch kernel with real incumbent threading: split push vs drain time.
     {
-        use ulm::model::{BatchKernel, LaneOutcome};
+        use ulm::model::{BatchKernel, LaneObjective, LaneOutcome};
         let model = LatencyModel::new();
-        let mut kernel = BatchKernel::new(&arch, &layer, &spatial, model, &factors, 64);
+        let mut kernel = BatchKernel::new(
+            &arch,
+            &layer,
+            &spatial,
+            model,
+            &factors,
+            64,
+            LaneObjective::Latency,
+        );
         let mut push_t = 0.0f64;
         let mut drain_t = 0.0f64;
         let mut inc: Option<f64> = None;
@@ -77,9 +81,17 @@ fn main() {
 
     // Batch kernel: push + bounds only (incumbent 0.0 prunes everything).
     {
-        use ulm::model::BatchKernel;
+        use ulm::model::{BatchKernel, LaneObjective};
         let model = LatencyModel::new();
-        let mut kernel = BatchKernel::new(&arch, &layer, &spatial, model, &factors, 64);
+        let mut kernel = BatchKernel::new(
+            &arch,
+            &layer,
+            &spatial,
+            model,
+            &factors,
+            64,
+            LaneObjective::Latency,
+        );
         let t = Instant::now();
         let mut pruned = 0u64;
         enumerate::for_each_ordering(&factors, |o| {
@@ -113,22 +125,6 @@ fn main() {
     });
     println!("enumerate only: {:.3}s ({n})", t.elapsed().as_secs_f64());
 
-    // Per-ordering front-end: prefixes + greedy + validate (no eval).
-    let mut scratch = mapper.scratch();
-    let t = Instant::now();
-    let mut legal = 0u64;
-    enumerate::for_each_ordering(&factors, |o| {
-        if mapper
-            .evaluate_ordering_fast(o, Objective::Latency, &mut scratch)
-            .is_some()
-        {
-            legal += 1;
-        }
-        false // stop after one; we just want the fn to be linked
-    });
-    let _ = legal;
-    let _ = t;
-
     // evaluate_fast on the winner, repeated.
     let view = MappedLayer::new(&layer, &arch, &r.best.mapping).unwrap();
     let model = LatencyModel::new();
@@ -142,32 +138,6 @@ fn main() {
     let dt = t.elapsed().as_secs_f64();
     println!(
         "evaluate_fast: {:.0}/s ({:.2}us each) [{acc:x}]",
-        iters as f64 / dt,
-        dt / iters as f64 * 1e6
-    );
-
-    // phase_floor only.
-    let t = Instant::now();
-    let mut acc = 0u64;
-    for _ in 0..iters {
-        acc ^= model.phase_floor(&view).to_bits();
-    }
-    let dt = t.elapsed().as_secs_f64();
-    println!(
-        "phase_floor: {:.0}/s ({:.2}us each) [{acc:x}]",
-        iters as f64 / dt,
-        dt / iters as f64 * 1e6
-    );
-
-    // roofline_bound only.
-    let t = Instant::now();
-    let mut acc = 0u64;
-    for _ in 0..iters {
-        acc ^= roofline_bound(&view).to_bits();
-    }
-    let dt = t.elapsed().as_secs_f64();
-    println!(
-        "roofline_bound: {:.0}/s ({:.2}us each) [{acc:x}]",
         iters as f64 / dt,
         dt / iters as f64 * 1e6
     );

@@ -43,12 +43,12 @@ echo "==> cargo bench --no-run (benches compile)"
 cargo bench --workspace --no-run
 
 echo "==> search-equivalence + allocation-free gates (release)"
-cargo test --release -q -p ulm-mapper --test search_equivalence --test alloc_free --test batch_alloc_free
+cargo test --release -q -p ulm-mapper --test search_equivalence --test batch_alloc_free
 
 echo "==> ordering-class walk oracle (release: class walk vs permutation walk)"
 cargo test --release -q -p ulm-mapper --test class_walk
 
-echo "==> batch-vs-scalar equivalence gate (release)"
+echo "==> batched-search vs evaluate_ordering reference gate (release)"
 cargo test --release -q -p ulm --test batch_equivalence
 
 echo "==> JSON codec oracle + slice-by-8 CRC proptests (release)"
@@ -67,7 +67,7 @@ cargo test --release -q -p ulm-network --test shared_search
 echo "==> surrogate-vs-evaluate_fast differential proptests (release)"
 cargo test --release -q -p ulm --test surrogate_props
 
-echo "==> batch perf smoke (batched kernel must beat the scalar search)"
+echo "==> batch perf smoke (batched search must beat the evaluate_ordering reference walk)"
 cargo run --release -q -p ulm --example batch_perf_smoke
 
 echo "==> reactor serve smoke (epoll transport + durable cache)"
