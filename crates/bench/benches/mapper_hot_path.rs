@@ -6,7 +6,9 @@
 //! the Fig. 8 case-study workload, for the latency, energy and EDP
 //! objectives; then the permutation walk (every ordering through the
 //! batched kernel) against the ordering-class walk `Mapper::search`
-//! runs, on three exhaustive spaces. Writes the numbers, stamped with
+//! runs, on three exhaustive spaces; then one sampled Fig. 8 DSE design
+//! through `search` and `search_fast`, on a cold and a warm space memo.
+//! Searches are timed as medians (with quartiles) over repeats. Writes the numbers, stamped with
 //! the core count, to `BENCH_mapper.json` (path overridable via the
 //! `BENCH_MAPPER_JSON` env var).
 
@@ -127,6 +129,128 @@ fn permutation_walk(
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(f64::total_cmp);
     v[v.len() / 2]
+}
+
+/// Repeats of each timed search row: a single ~10 ms search spreads too
+/// widely across runs to compare.
+const SEARCH_REPEATS: usize = 12;
+
+/// Repeats of each timed one-design row.
+const DESIGN_REPEATS: usize = 41;
+
+/// Median and interquartile range of repeated timings, in seconds.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    q1: f64,
+    q3: f64,
+}
+
+impl Spread {
+    fn of(mut v: Vec<f64>) -> Self {
+        v.sort_by(f64::total_cmp);
+        let at = |q: usize| v[(v.len() - 1) * q / 4];
+        Spread {
+            median: at(2),
+            q1: at(1),
+            q3: at(3),
+        }
+    }
+
+    /// `"{key}_secs"` and its quartiles as JSON fields.
+    fn json(&self, key: &str) -> String {
+        format!(
+            "  \"{key}_secs\": {:.7},\n  \"{key}_secs_q1\": {:.7},\n  \"{key}_secs_q3\": {:.7},\n",
+            self.median, self.q1, self.q3
+        )
+    }
+}
+
+/// One sampled Fig. 8 DSE design priced four ways: `search` against
+/// `search_fast` on a warm space memo, and `search_fast` on a cold
+/// memo against a memo hit.
+struct DesignRows {
+    workload: String,
+    generated: usize,
+    search: Spread,
+    search_fast: Spread,
+    cold_space: Spread,
+    memo_hit: Spread,
+}
+
+/// Times the first feasible sampled 32x32 design of the default Fig. 8
+/// pool at GB 128 b/cy, under the DSE's default search settings. A cold
+/// space is a thread's first search; the memo hit is the same thread's
+/// second (the timer runs inside the thread, so spawning is not timed).
+fn design_rows() -> DesignRows {
+    let layer = Layer::matmul("dse", 256, 256, 64, Precision::int8_out24());
+    let opts = ExploreOptions::default().mapper;
+    let designs = enumerate_designs(&MemoryPool::default(), &[32], 128);
+    let (design, winner) = designs
+        .iter()
+        .find_map(|d| {
+            let r = Mapper::new(&d.arch, &layer, d.spatial.clone())
+                .with_options(opts)
+                .search_fast(Objective::Latency)
+                .ok()?;
+            (!r.exhaustive).then_some((d, r))
+        })
+        .expect("the pool has a feasible sampled design");
+    let mapper = Mapper::new(&design.arch, &layer, design.spatial.clone()).with_options(opts);
+    let (mut full, mut fast) = (Vec::new(), Vec::new());
+    for _ in 0..DESIGN_REPEATS {
+        let t = Instant::now();
+        let r = mapper.search(Objective::Latency).expect("feasible");
+        full.push(t.elapsed().as_secs_f64());
+        assert_eq!(
+            r.best.latency.cc_total.to_bits(),
+            winner.latency.cc_total.to_bits()
+        );
+        let t = Instant::now();
+        let r = mapper.search_fast(Objective::Latency).expect("feasible");
+        fast.push(t.elapsed().as_secs_f64());
+        assert_eq!(r, winner);
+    }
+    let (mut cold, mut hit) = (Vec::new(), Vec::new());
+    for _ in 0..DESIGN_REPEATS {
+        let (c, h) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let t = Instant::now();
+                let first = mapper.search_fast(Objective::Latency).expect("feasible");
+                let c = t.elapsed().as_secs_f64();
+                let t = Instant::now();
+                let second = mapper.search_fast(Objective::Latency).expect("feasible");
+                let h = t.elapsed().as_secs_f64();
+                assert_eq!(first, winner);
+                assert_eq!(second, winner);
+                (c, h)
+            })
+            .join()
+            .expect("timing thread")
+        });
+        cold.push(c);
+        hit.push(h);
+    }
+    let p = design.params;
+    DesignRows {
+        workload: format!(
+            "Fig. 8 matmul 256x256x64 on the {s}x{s} design wReg{} iReg{} oReg{} wLB{}K iLB{}K, \
+             GB 128 b/cy, {} factors, {} sampled candidates",
+            p.w_reg_words,
+            p.i_reg_words,
+            p.o_reg_words,
+            p.w_lb_kb,
+            p.i_lb_kb,
+            mapper.factors().len(),
+            winner.stats.generated,
+            s = p.array_side,
+        ),
+        generated: winner.stats.generated,
+        search: Spread::of(full),
+        search_fast: Spread::of(fast),
+        cold_space: Spread::of(cold),
+        memo_hit: Spread::of(hit),
+    }
 }
 
 /// Median wall time of `reps` alternating runs of both walks; the class
@@ -250,15 +374,16 @@ struct Snapshot {
     baseline_secs: f64,
     baseline_allocs_per_ordering: f64,
     baseline_score_bits: u64,
-    batched_secs: f64,
+    batched_secs: Spread,
     batched_allocs_per_ordering: f64,
     batched_pruned: usize,
     batched_cache_hits: u64,
     batched_score_bits: u64,
-    par_secs: f64,
+    par_secs: Spread,
     par_threads: usize,
     par_score_bits: u64,
     objectives: Vec<ObjectiveRow>,
+    design: DesignRows,
     model_iters: u64,
     model_eval_secs: f64,
     model_eval_fast_secs: f64,
@@ -276,8 +401,9 @@ struct Snapshot {
     surrogate_bits_identical: bool,
 }
 
-/// One-shot wall-clock measurement of the three search flavors over the
-/// identical exhaustive ordering space.
+/// Wall-clock measurement of the three search flavors over the identical
+/// exhaustive ordering space: the allocating baseline once, the batched
+/// serial and parallel searches as medians over repeats.
 fn measure() -> Snapshot {
     let (arch, layer, spatial) = setup();
     let opts = MapperOptions {
@@ -318,28 +444,39 @@ fn measure() -> Snapshot {
     let best = best.expect("baseline finds a legal mapping");
     assert_eq!(generated as u128, space);
 
-    // The batched search, serial.
-    let a2 = allocs();
-    let t2 = Instant::now();
-    let batched = Mapper::new(&arch, &layer, spatial.clone())
-        .with_options(opts)
-        .search(Objective::Latency)
-        .expect("batched search finds a legal mapping");
-    let batched_secs = t2.elapsed().as_secs_f64();
-    let batched_allocs = allocs() - a2;
-
-    // Batched search with intra-design work-stealing parallelism at the
-    // detected core count.
+    // The batched search, serial, and with intra-design parallelism at
+    // the detected core count: alternating repeats, median and IQR.
     let par_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let t3 = Instant::now();
-    let par = Mapper::new(&arch, &layer, spatial)
+    let batched_mapper = Mapper::new(&arch, &layer, spatial.clone()).with_options(opts);
+    let par_mapper = Mapper::new(&arch, &layer, spatial)
         .with_options(opts)
-        .with_parallelism(Some(par_threads))
-        .search(Objective::Latency)
-        .expect("parallel search finds a legal mapping");
-    let par_secs = t3.elapsed().as_secs_f64();
+        .with_parallelism(Some(par_threads));
+    let (mut batched_times, mut par_times) = (Vec::new(), Vec::new());
+    let mut batched_allocs = 0;
+    let (mut batched, mut par) = (None, None);
+    for rep in 0..SEARCH_REPEATS {
+        let a = allocs();
+        let t = Instant::now();
+        let r = batched_mapper
+            .search(Objective::Latency)
+            .expect("batched search finds a legal mapping");
+        batched_times.push(t.elapsed().as_secs_f64());
+        if rep == 0 {
+            batched_allocs = allocs() - a;
+        }
+        batched = Some(r);
+        let t = Instant::now();
+        let r = par_mapper
+            .search(Objective::Latency)
+            .expect("parallel search finds a legal mapping");
+        par_times.push(t.elapsed().as_secs_f64());
+        par = Some(r);
+    }
+    let (batched, par) = (batched.expect("ran"), par.expect("ran"));
+    let batched_secs = Spread::of(batched_times);
+    let par_secs = Spread::of(par_times);
 
     let objectives = objective_rows(opts);
 
@@ -482,6 +619,7 @@ fn measure() -> Snapshot {
         par_threads,
         par_score_bits: par.best.latency.cc_total.to_bits(),
         objectives,
+        design: design_rows(),
         model_iters,
         model_eval_secs,
         model_eval_fast_secs,
@@ -514,8 +652,8 @@ fn json_path() -> PathBuf {
 fn write_snapshot(s: &Snapshot) {
     let n = s.space as f64;
     let baseline_ops = n / s.baseline_secs;
-    let batched_ops = n / s.batched_secs;
-    let par_ops = n / s.par_secs;
+    let batched_ops = n / s.batched_secs.median;
+    let par_ops = n / s.par_secs.median;
     let mut walks = String::new();
     for w in &s.walks {
         walks.push_str(&format!(
@@ -550,6 +688,21 @@ fn write_snapshot(s: &Snapshot) {
             k = o.key,
         ));
     }
+    let d = &s.design;
+    let design = format!(
+        "  \"dse_design_workload\": \"{}\",\n  \"dse_design_repeats\": {DESIGN_REPEATS},\n  \
+         \"dse_design_generated\": {},\n{}{}{}{}  \
+         \"dse_design_search_fast_speedup\": {:.2},\n  \
+         \"dse_design_memo_speedup\": {:.2},\n",
+        d.workload,
+        d.generated,
+        d.search.json("dse_design_search"),
+        d.search_fast.json("dse_design_search_fast"),
+        d.cold_space.json("dse_design_cold_space"),
+        d.memo_hit.json("dse_design_memo_hit"),
+        d.search.median / d.search_fast.median,
+        d.cold_space.median / d.memo_hit.median,
+    );
     let json = format!(
         "{{\n  \"nproc\": {},\n{walks}  \
          \"workload\": \"fig8-dse case_study_chip(128) matmul 64x96x640, spatial K16 B8 C2\",\n  \
@@ -557,12 +710,11 @@ fn write_snapshot(s: &Snapshot) {
          \"baseline_secs\": {:.6},\n  \
          \"baseline_orderings_per_sec\": {:.1},\n  \
          \"baseline_allocs_per_ordering\": {:.2},\n  \
-         \"batched_secs\": {:.6},\n  \
+         \"search_repeats\": {SEARCH_REPEATS},\n{}  \
          \"batched_orderings_per_sec\": {:.1},\n  \
          \"batched_allocs_per_ordering\": {:.4},\n  \
          \"batched_speedup\": {:.2},\n{objectives}  \
-         \"fast_parallel_threads\": {},\n  \
-         \"fast_parallel_secs\": {:.6},\n  \
+         \"fast_parallel_threads\": {},\n{}  \
          \"fast_parallel_orderings_per_sec\": {:.1},\n  \
          \"fast_parallel_speedup\": {:.2},\n  \
          \"fast_parallel_scaling_per_thread\": {:.2},\n  \
@@ -586,21 +738,21 @@ fn write_snapshot(s: &Snapshot) {
          \"surrogate_full_path_points_per_sec\": {:.1},\n  \
          \"surrogate_vs_fast_speedup\": {:.2},\n  \
          \"surrogate_cold_vs_full_speedup\": {:.2},\n  \
-         \"surrogate_bits_identical\": {}\n}}\n",
+         \"surrogate_bits_identical\": {},\n{design}}}\n",
         s.nproc,
         s.space,
         s.baseline_secs,
         baseline_ops,
         s.baseline_allocs_per_ordering,
-        s.batched_secs,
+        s.batched_secs.json("batched"),
         batched_ops,
         s.batched_allocs_per_ordering,
-        s.baseline_secs / s.batched_secs,
+        s.baseline_secs / s.batched_secs.median,
         s.par_threads,
-        s.par_secs,
+        s.par_secs.json("fast_parallel"),
         par_ops,
-        s.baseline_secs / s.par_secs,
-        (s.batched_secs / s.par_secs) / s.par_threads as f64,
+        s.baseline_secs / s.par_secs.median,
+        (s.batched_secs.median / s.par_secs.median) / s.par_threads as f64,
         s.batched_pruned,
         s.batched_cache_hits,
         s.baseline_score_bits == s.batched_score_bits
@@ -630,10 +782,10 @@ fn write_snapshot(s: &Snapshot) {
         s.space,
         baseline_ops,
         batched_ops,
-        s.baseline_secs / s.batched_secs,
+        s.baseline_secs / s.batched_secs.median,
         s.par_threads,
         par_ops,
-        s.baseline_secs / s.par_secs,
+        s.baseline_secs / s.par_secs.median,
     );
     for o in &s.objectives {
         println!(
@@ -684,6 +836,17 @@ fn write_snapshot(s: &Snapshot) {
             w.perm_secs / w.class_secs,
         );
     }
+    println!(
+        "[bench] {}: search {:.1} us vs search_fast {:.1} us ({:.2}x); cold space {:.1} us vs \
+         memo hit {:.1} us ({:.2}x)",
+        d.workload,
+        d.search.median * 1e6,
+        d.search_fast.median * 1e6,
+        d.search.median / d.search_fast.median,
+        d.cold_space.median * 1e6,
+        d.memo_hit.median * 1e6,
+        d.cold_space.median / d.memo_hit.median,
+    );
     println!("[json] {}", path.display());
 }
 

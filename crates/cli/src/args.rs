@@ -37,6 +37,13 @@ pub enum ArgError {
     },
     /// An unexpected positional argument.
     UnexpectedPositional(String),
+    /// An option or flag the command does not take.
+    UnknownOption {
+        /// The subcommand.
+        command: String,
+        /// The option name, without its dashes.
+        key: String,
+    },
 }
 
 impl fmt::Display for ArgError {
@@ -51,6 +58,9 @@ impl fmt::Display for ArgError {
             } => write!(f, "option --{key}={value} is not a valid {expected}"),
             ArgError::UnexpectedPositional(p) => {
                 write!(f, "unexpected positional argument `{p}`")
+            }
+            ArgError::UnknownOption { command, key } => {
+                write!(f, "`ulm {command}` has no option --{key}")
             }
         }
     }
@@ -123,6 +133,20 @@ impl Args {
             occurrences,
             flags,
         })
+    }
+
+    /// Rejects the first option or flag not in `accepted`, so a
+    /// misspelled or removed option fails instead of running with
+    /// defaults.
+    pub fn check_known(&self, accepted: &[&str]) -> Result<(), ArgError> {
+        let mut given = self.occurrences.iter().map(|(k, _)| k).chain(&self.flags);
+        match given.find(|k| !accepted.contains(&k.as_str())) {
+            Some(key) => Err(ArgError::UnknownOption {
+                command: self.command.clone(),
+                key: key.clone(),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// True if `--flag` was given.
@@ -243,6 +267,23 @@ mod tests {
             parse(&["x", "stray"]).unwrap_err(),
             ArgError::UnexpectedPositional(_)
         ));
+    }
+
+    #[test]
+    fn unknown_options_and_flags_are_named() {
+        let a = parse(&["search", "--arch", "toy", "--json", "--bogus=3"]).unwrap();
+        assert_eq!(
+            a.check_known(&["arch", "json"]),
+            Err(ArgError::UnknownOption {
+                command: "search".into(),
+                key: "bogus".into()
+            })
+        );
+        assert!(matches!(
+            a.check_known(&["arch", "bogus"]),
+            Err(ArgError::UnknownOption { key, .. }) if key == "json"
+        ));
+        assert_eq!(a.check_known(&["arch", "json", "bogus"]), Ok(()));
     }
 
     #[test]

@@ -31,6 +31,94 @@ fn resolve_arch(args: &Args) -> Result<(Architecture, SpatialUnroll), UlmError> 
     Ok((chip.arch, SpatialUnroll::new(chip.spatial)))
 }
 
+/// Options read by [`resolve_arch`].
+const ARCH_OPTIONS: &[&str] = &["arch", "arch-file", "gb-bw"];
+/// Options read by [`resolve_layer`].
+const LAYER_OPTIONS: &[&str] = &["layer", "precision"];
+/// Options read by [`mapper_options`].
+const MAPPER_OPTIONS: &[&str] = &["max-exhaustive", "samples", "bw-unaware"];
+/// Options read by [`serve_options`].
+const SERVICE_OPTIONS: &[&str] = &[
+    "parallelism",
+    "cache-capacity",
+    "cache-dir",
+    "no-timing",
+    "max-line-len",
+    "calibration",
+];
+
+/// Every option and flag `command` reads (`--help` aside, which every
+/// command takes), or `None` for an unknown command.
+pub fn accepted_options(command: &str) -> Option<Vec<&'static str>> {
+    let (shared, own): (&[&[&str]], &[&str]) = match command {
+        "evaluate" => (&[ARCH_OPTIONS, LAYER_OPTIONS, MAPPER_OPTIONS], &["json"]),
+        "whatif" => (
+            &[ARCH_OPTIONS, LAYER_OPTIONS, MAPPER_OPTIONS],
+            &["set", "threads", "verify", "json"],
+        ),
+        "calibrate" => (
+            &[ARCH_OPTIONS, MAPPER_OPTIONS],
+            &["precision", "measurements", "verify", "out", "json"],
+        ),
+        "surrogate" => (
+            &[ARCH_OPTIONS, LAYER_OPTIONS, MAPPER_OPTIONS],
+            &[
+                "calibration",
+                "b-list",
+                "k-list",
+                "c-list",
+                "verify",
+                "json",
+            ],
+        ),
+        "search" => (
+            &[ARCH_OPTIONS, LAYER_OPTIONS, MAPPER_OPTIONS],
+            &["objective", "threads", "all", "top", "stats"],
+        ),
+        "validate" => (&[MAPPER_OPTIONS], &["layers", "json"]),
+        "dse" => (
+            &[],
+            &[
+                "gb-bw",
+                "sides",
+                "layer",
+                "threads",
+                "map-threads",
+                "json",
+                "stats",
+            ],
+        ),
+        "network" => (
+            &[ARCH_OPTIONS, MAPPER_OPTIONS],
+            &["overlap", "fuse", "file", "net"],
+        ),
+        "batch" => (&[SERVICE_OPTIONS], &[]),
+        "serve" => (
+            &[SERVICE_OPTIONS],
+            &[
+                "port",
+                "max-connections",
+                "reactor",
+                "idle-timeout-ms",
+                "write-timeout-ms",
+                "drain-timeout-ms",
+                "shutdown-on-stdin-close",
+            ],
+        ),
+        "cache" => (&[], &["cache-dir", "out", "from"]),
+        _ => return None,
+    };
+    Some(
+        shared
+            .iter()
+            .copied()
+            .flatten()
+            .chain(own)
+            .copied()
+            .collect(),
+    )
+}
+
 fn resolve_precision(args: &Args) -> Precision {
     match args.get("precision").unwrap_or("int8_out24") {
         "int8_acc24" => Precision::int8_acc24(),
@@ -984,10 +1072,8 @@ pub fn cache(args: &Args) -> Result<(), UlmError> {
     Ok(())
 }
 
-/// `ulm help`.
-pub fn help() {
-    println!(
-        "ulm — uniform latency model for DNN accelerators (DATE 2022 reproduction)
+/// The `ulm help` text.
+const HELP: &str = "ulm — uniform latency model for DNN accelerators (DATE 2022 reproduction)
 
 USAGE: ulm <command> [options]
 
@@ -1018,6 +1104,9 @@ COMMON OPTIONS
   --threads <n>         search/dse worker threads (0 = serial)
   --map-threads <n>     dse: threads within each design's mapping search
   --stats               search/dse: print pruning/search statistics
+  --objective latency|energy|edp   search: what to minimize (default latency)
+  --all                 search: evaluate every mapping and list the best
+  --top <n>             search --all: mappings to list (default 10)
   --sides 16,32,64      (dse)
   --layers <n>          (validate: limit layer count)
   --net handtracking|attention-prefill|attention-decode|mobilenet|
@@ -1056,8 +1145,11 @@ COMMON OPTIONS
   --drain-timeout-ms <n>    reactor: shutdown drain budget (default 10000)
   --shutdown-on-stdin-close reactor: exit cleanly when stdin reaches EOF
   --out <file>          cache export: snapshot destination
-  --from <file>         cache import: snapshot to merge in"
-    );
+  --from <file>         cache import: snapshot to merge in";
+
+/// `ulm help`.
+pub fn help() {
+    println!("{HELP}");
 }
 
 #[cfg(test)]
@@ -1066,6 +1158,65 @@ mod tests {
 
     fn parse(words: &[&str]) -> Args {
         Args::parse(words.iter().map(|s| s.to_string())).unwrap()
+    }
+
+    const COMMANDS: [&str; 11] = [
+        "evaluate",
+        "whatif",
+        "calibrate",
+        "surrogate",
+        "search",
+        "validate",
+        "dse",
+        "network",
+        "batch",
+        "serve",
+        "cache",
+    ];
+
+    /// Every `--option` the help text names.
+    fn help_options() -> Vec<&'static str> {
+        HELP.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|w| w.strip_prefix("--"))
+            .filter(|k| !k.is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn every_option_in_help_is_accepted_and_every_accepted_one_is_in_help() {
+        let accepted: Vec<&str> = COMMANDS
+            .iter()
+            .flat_map(|c| accepted_options(c).expect("a known command"))
+            .collect();
+        let documented = help_options();
+        for key in &documented {
+            assert!(
+                *key == "help" || accepted.contains(key),
+                "--{key} is in `ulm help` but no command takes it"
+            );
+        }
+        for key in &accepted {
+            assert!(
+                documented.contains(key),
+                "--{key} is missing from `ulm help`"
+            );
+        }
+        // The unannotated common options reach every command that maps a
+        // layer on a chosen architecture.
+        for command in ["evaluate", "whatif", "surrogate", "search"] {
+            let own = accepted_options(command).unwrap();
+            for key in [
+                "arch",
+                "arch-file",
+                "gb-bw",
+                "layer",
+                "precision",
+                "samples",
+            ] {
+                assert!(own.contains(&key), "`ulm {command}` rejects --{key}");
+            }
+        }
+        assert_eq!(accepted_options("bogus"), None);
     }
 
     #[test]

@@ -33,6 +33,12 @@ fn main() -> ExitCode {
         commands::help();
         return ExitCode::SUCCESS;
     }
+    if let Some(accepted) = commands::accepted_options(&args.command) {
+        if let Err(e) = args.check_known(&accepted) {
+            eprintln!("error: {e}; try `ulm help`");
+            return ExitCode::FAILURE;
+        }
+    }
     let result = match args.command.as_str() {
         "evaluate" => commands::evaluate(&args),
         "whatif" => commands::whatif(&args),

@@ -100,17 +100,17 @@ fn evaluate_design_counted(
     let mapper = Mapper::new(&design.arch, layer, design.spatial.clone())
         .with_options(opts.mapper)
         .with_parallelism(opts.mapping_parallelism);
-    let result = mapper.search(Objective::Latency)?;
+    let result = mapper.search_fast(Objective::Latency)?;
     let h = design.arch.hierarchy();
     let exclude: Vec<_> = h.find("GB").into_iter().collect();
     let area_mm2 = opts.area.total_mm2(&design.arch, &exclude);
     Ok((
         DsePoint {
             params: design.params,
-            latency: result.best.latency.cc_total,
+            latency: result.latency.cc_total,
             area_mm2,
-            utilization: result.best.latency.utilization,
-            ss_overall: result.best.latency.ss_overall,
+            utilization: result.latency.utilization,
+            ss_overall: result.latency.ss_overall,
         },
         result.stats,
     ))
@@ -275,7 +275,10 @@ fn sweep_design(
     let mapper = Mapper::new(&base.arch, layer, base.spatial.clone())
         .with_options(opts.mapper)
         .with_parallelism(opts.mapping_parallelism);
-    let mapping = mapper.search(Objective::Latency)?.best.mapping;
+    let winner = mapper.search_fast(Objective::Latency)?.ordering;
+    let mapping = mapper
+        .mapping(&winner)
+        .expect("the winning ordering has a legal allocation");
     // Area excludes GB and the swept knob is a GB port rate, so one
     // number covers every point of this design.
     let exclude: Vec<_> = base.arch.hierarchy().find("GB").into_iter().collect();
@@ -420,7 +423,10 @@ fn sweep_workload_design(
     let mapper = Mapper::new(&design.arch, template, design.spatial.clone())
         .with_options(opts.mapper)
         .with_parallelism(opts.mapping_parallelism);
-    let mapping = mapper.search(Objective::Latency).ok()?.best.mapping;
+    let winner = mapper.search_fast(Objective::Latency).ok()?.ordering;
+    let mapping = mapper
+        .mapping(&winner)
+        .expect("the winning ordering has a legal allocation");
     let shape = MappingShape::from_mapping(&mapping).ok()?;
     let model = if opts.mapper.bw_aware {
         LatencyModel::new()
@@ -502,6 +508,57 @@ mod tests {
         assert!(p.latency > 0.0);
         assert!(p.area_mm2 > 0.0);
         assert!(p.utilization > 0.0 && p.utilization <= 1.0);
+    }
+
+    /// `evaluate_design` reads the kernel's winner scalars; the report
+    /// of the winner `Mapper::search` builds must agree bit for bit, on
+    /// every design of a small pool, in both models, under the quick and
+    /// the default (Fig. 8) search settings.
+    #[test]
+    fn evaluate_design_matches_the_report_path() {
+        let pool = MemoryPool {
+            w_reg_words_per_mac: vec![1, 2],
+            i_reg_words_per_mac: vec![1, 2],
+            o_reg_words_per_pe: vec![1],
+            w_lb_kb: vec![4, 16],
+            i_lb_kb: vec![4, 16],
+        };
+        let designs = enumerate_designs(&pool, &[16, 32], 128);
+        let layer = small_layer();
+        let (mut feasible, mut infeasible) = (0, 0);
+        for base in [quick_opts(), ExploreOptions::default()] {
+            for bw_aware in [true, false] {
+                let opts = ExploreOptions {
+                    mapper: MapperOptions {
+                        bw_aware,
+                        ..base.mapper
+                    },
+                    ..base
+                };
+                for d in &designs {
+                    let mapper =
+                        Mapper::new(&d.arch, &layer, d.spatial.clone()).with_options(opts.mapper);
+                    match (
+                        evaluate_design(d, &layer, &opts),
+                        mapper.search(Objective::Latency),
+                    ) {
+                        (Ok(point), Ok(report)) => {
+                            feasible += 1;
+                            let want = &report.best.latency;
+                            assert_eq!(point.latency.to_bits(), want.cc_total.to_bits());
+                            assert_eq!(point.utilization.to_bits(), want.utilization.to_bits());
+                            assert_eq!(point.ss_overall.to_bits(), want.ss_overall.to_bits());
+                        }
+                        (Err(a), Err(b)) => {
+                            infeasible += 1;
+                            assert_eq!(a, b);
+                        }
+                        (a, b) => panic!("{:?}: {a:?} vs {:?}", d.params, b.map(|r| r.stats)),
+                    }
+                }
+            }
+        }
+        assert!(feasible > 0 && feasible + infeasible == 4 * designs.len());
     }
 
     #[test]

@@ -53,11 +53,6 @@ pub fn temporal_factors(
 /// Number of distinct orderings of the factor multiset:
 /// `n! / Π (multiplicity!)`, saturating at `u128::MAX`.
 pub fn ordering_count(factors: &[Factor]) -> u128 {
-    use std::collections::HashMap;
-    let mut counts: HashMap<Factor, u128> = HashMap::new();
-    for &f in factors {
-        *counts.entry(f).or_insert(0) += 1;
-    }
     let mut numer: u128 = 1;
     for i in 1..=(factors.len() as u128) {
         numer = numer.saturating_mul(i);
@@ -65,10 +60,17 @@ pub fn ordering_count(factors: &[Factor]) -> u128 {
     if numer == u128::MAX {
         return u128::MAX;
     }
+    // Each factor's multiplicity, counted at its first occurrence: the
+    // multiset is a dozen or two factors, so a quadratic scan needs no
+    // hashing and no copy.
     let mut denom: u128 = 1;
-    for &c in counts.values() {
-        for i in 1..=c {
-            denom = denom.saturating_mul(i);
+    for (i, f) in factors.iter().enumerate() {
+        if factors[..i].contains(f) {
+            continue;
+        }
+        let c = factors[i..].iter().filter(|g| *g == f).count() as u128;
+        for j in 1..=c {
+            denom = denom.saturating_mul(j);
         }
     }
     numer / denom

@@ -28,20 +28,23 @@
 
 pub mod enumerate;
 pub mod factorize;
+pub mod space;
 pub mod spatial_search;
 
+pub use space::SearchSpace;
 pub use spatial_search::{search_spatial, spatial_candidates, SpatialOptions};
 
 use factorize::{ordering_count, temporal_factors, Factor};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 use ulm_arch::Architecture;
 use ulm_energy::{EnergyModel, EnergyReport};
 use ulm_mapping::{LoopStack, MappedLayer, Mapping, SpatialUnroll};
 use ulm_model::{
-    BatchKernel, LaneObjective, LaneOutcome, LatencyModel, LatencyReport, LoweredLayer,
-    OrderingClasses,
+    BatchKernel, FastLatency, LaneObjective, LaneOutcome, LatencyModel, LatencyReport,
+    LoweredLayer, ModelScratch, OrderingClasses,
 };
 use ulm_workload::Layer;
 
@@ -148,6 +151,25 @@ pub struct SearchResult {
     pub wall_ms: f64,
 }
 
+/// Outcome of a mapping search without the winner's report: what
+/// [`Mapper::search_fast`] returns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FastSearch {
+    /// The winning ordering, innermost factor first. Its mapping is
+    /// [`Mapper::mapping`] of it.
+    pub ordering: Vec<Factor>,
+    /// The winner's score under the searched objective.
+    pub score: f64,
+    /// The winner's latency scalars, bit-identical to its report's.
+    pub latency: FastLatency,
+    /// Search counters.
+    pub stats: SearchStats,
+    /// Size of the full ordering space.
+    pub space_size: u128,
+    /// True when the space was enumerated exhaustively.
+    pub exhaustive: bool,
+}
+
 /// Errors from mapping search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MapperError {
@@ -210,6 +232,8 @@ impl<F: FnMut(&[Factor]) -> bool> enumerate::OrderingWalk for ClassWalk<'_, '_, 
 struct ChunkOutcome {
     /// Best `(score, ordering)` in visit order, first-strictly-better.
     best: Option<(f64, Vec<Factor>)>,
+    /// The best lane's latency scalars, when the kernel computed them.
+    latency: Option<FastLatency>,
     evaluated: usize,
     generated: usize,
     pruned: usize,
@@ -246,10 +270,12 @@ impl ChunkOutcome {
         });
     }
 
-    /// Drains the last batch and takes the kernel's prefix-reuse count.
+    /// Drains the last batch and takes the kernel's prefix-reuse count
+    /// and its winner's latency scalars.
     fn finish(mut self, kernel: &mut BatchKernel<'_>) -> Self {
         self.drain(kernel);
         self.cache_hits = kernel.cache_hits();
+        self.latency = kernel.winner_latency();
         self
     }
 }
@@ -313,15 +339,27 @@ impl<'a> Mapper<'a> {
         ordering_count(&self.factors())
     }
 
+    /// The ordering space [`search`](Self::search) walks, from this
+    /// thread's memo of recent spaces: searches whose factor multiset,
+    /// `samples`, `seed` and `max_exhaustive` agree share one space.
+    pub fn space(&self) -> Arc<SearchSpace> {
+        SearchSpace::shared(self.factors(), &self.opts)
+    }
+
+    /// The greedily allocated mapping of one ordering (innermost factor
+    /// first), or `None` when the ordering has no legal allocation.
+    pub fn mapping(&self, ordering: &[Factor]) -> Option<Mapping> {
+        let stack = LoopStack::from_pairs(ordering);
+        Mapping::with_greedy_alloc(self.arch, self.layer, self.spatial.clone(), stack).ok()
+    }
+
     /// Builds and evaluates the mapping for one explicit ordering
     /// (innermost factor first). Returns `None` when the ordering has no
-    /// legal greedy allocation. The search re-scores its winner through
-    /// this full report path, and tests use it as the reference the
-    /// batched search must match bit for bit.
+    /// legal greedy allocation. [`search`](Self::search) reports its
+    /// winner through this full report path, and tests use it as the
+    /// reference the batched search must match bit for bit.
     pub fn evaluate_ordering(&self, ordering: &[Factor]) -> Option<EvaluatedMapping> {
-        let stack = LoopStack::from_pairs(ordering);
-        let mapping =
-            Mapping::with_greedy_alloc(self.arch, self.layer, self.spatial.clone(), stack).ok()?;
+        let mapping = self.mapping(ordering)?;
         let view = MappedLayer::new(self.layer, self.arch, &mapping).ok()?;
         // One lowering serves both models.
         let lowered = LoweredLayer::build(&view, self.latency_model.dtl_options());
@@ -381,27 +419,35 @@ impl<'a> Mapper<'a> {
     }
 
     /// Same as [`run_enumerated_chunk`](Self::run_enumerated_chunk) over
-    /// a slice of an explicit candidate list.
-    fn run_candidate_chunk(&self, candidates: &[Vec<Factor>], obj: Objective) -> ChunkOutcome {
-        let mut kernel = self.kernel(&self.factors(), obj);
+    /// the sampled candidates `[start, end)` of `space`.
+    fn run_candidate_chunk(
+        &self,
+        space: &SearchSpace,
+        obj: Objective,
+        start: usize,
+        end: usize,
+    ) -> ChunkOutcome {
+        let mut kernel = self.kernel(space.factors(), obj);
         let mut out = ChunkOutcome::default();
-        for ordering in candidates {
-            out.push(&mut kernel, ordering);
+        for i in start..end {
+            out.push(&mut kernel, space.candidate(i));
         }
         out.finish(&mut kernel)
     }
 
     /// Searches the mapping space for the minimum-`obj` mapping:
     /// exhaustively when the ordering count is within
-    /// [`MapperOptions::max_exhaustive`], by uniform sampling otherwise.
+    /// [`MapperOptions::max_exhaustive`], by uniform sampling otherwise,
+    /// and reports the winner through
+    /// [`evaluate_ordering`](Self::evaluate_ordering).
     ///
-    /// Every objective runs the batched kernel ([`BatchKernel`]), which
-    /// is allocation-free in steady state, prunes provably-worse
-    /// orderings with monotone lower bounds (latency only), and — under
+    /// The walk is [`search_fast`](Self::search_fast)'s: every objective
+    /// runs the batched kernel ([`BatchKernel`]), which is
+    /// allocation-free in steady state, prunes provably-worse orderings
+    /// with monotone lower bounds (latency only), and — under
     /// [`with_parallelism`](Self::with_parallelism) — splits the ordering
     /// space across threads. All of these preserve the exact result of
-    /// the naive serial walk through
-    /// [`evaluate_ordering`](Self::evaluate_ordering): the same best
+    /// the naive serial walk through `evaluate_ordering`: the same best
     /// mapping, the same score bits, the same first-strictly-better
     /// tie-break.
     ///
@@ -411,23 +457,48 @@ impl<'a> Mapper<'a> {
     /// found.
     pub fn search(&self, obj: Objective) -> Result<SearchResult, MapperError> {
         let t0 = Instant::now();
-        let factors = self.factors();
-        let space_size = ordering_count(&factors);
-        let exhaustive = space_size <= self.opts.max_exhaustive;
+        let found = self.search_fast(obj)?;
+        let best = self
+            .evaluate_ordering(&found.ordering)
+            .expect("winning ordering was legal in the kernel");
+        debug_assert_eq!(best.score(obj).to_bits(), found.score.to_bits());
+        Ok(SearchResult {
+            best,
+            stats: found.stats,
+            space_size: found.space_size,
+            exhaustive: found.exhaustive,
+            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        })
+    }
+
+    /// [`search`](Self::search) without the winner's report: the same
+    /// walk, the same winner, score bits and counters, plus the winner's
+    /// latency scalars. Latency and EDP walks take those from the kernel
+    /// lane that won; an energy walk, whose kernel computes no latency,
+    /// prices its winner with one [`LatencyModel::evaluate_fast`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MapperError::NoLegalMapping`] if nothing legal was
+    /// found.
+    pub fn search_fast(&self, obj: Objective) -> Result<FastSearch, MapperError> {
+        let space = self.space();
+        let space_size = space.size();
+        let exhaustive = space.exhaustive();
         let threads = self.parallelism.unwrap_or(1).max(1);
 
         let outcomes: Vec<ChunkOutcome> = if exhaustive {
+            let factors = space.factors();
             // Don't bother spawning for trivially small spaces.
             let threads = if space_size < 256 { 1 } else { threads as u128 };
             if threads <= 1 {
-                vec![self.run_enumerated_chunk(&factors, obj, 0, space_size)]
+                vec![self.run_enumerated_chunk(factors, obj, 0, space_size)]
             } else {
                 let per = space_size.div_ceil(threads);
                 let ranges: Vec<(u128, u128)> = (0..threads)
                     .map(|t| (per * t, (per * (t + 1)).min(space_size)))
                     .filter(|(a, b)| a < b)
                     .collect();
-                let factors = &factors;
                 std::thread::scope(|s| {
                     let handles: Vec<_> = ranges
                         .iter()
@@ -442,21 +513,20 @@ impl<'a> Mapper<'a> {
                 })
             }
         } else {
-            // Seed with the canonical stationary dataflows, then sample.
-            let mut candidates = enumerate::seeded_orderings(&factors);
-            candidates.extend(enumerate::sample_orderings(
-                &factors,
-                self.opts.samples,
-                self.opts.seed,
-            ));
-            if threads <= 1 || candidates.len() < 32 {
-                vec![self.run_candidate_chunk(&candidates, obj)]
+            // The stationary seeds, then the uniform samples.
+            let count = space.candidate_count();
+            if threads <= 1 || count < 32 {
+                vec![self.run_candidate_chunk(&space, obj, 0, count)]
             } else {
-                let per = candidates.len().div_ceil(threads);
+                let per = count.div_ceil(threads);
+                let space = &*space;
                 std::thread::scope(|s| {
-                    let handles: Vec<_> = candidates
-                        .chunks(per)
-                        .map(|chunk| s.spawn(move || self.run_candidate_chunk(chunk, obj)))
+                    let handles: Vec<_> = (0..count)
+                        .step_by(per)
+                        .map(|a| {
+                            let b = (a + per).min(count);
+                            s.spawn(move || self.run_candidate_chunk(space, obj, a, b))
+                        })
                         .collect();
                     handles
                         .into_iter()
@@ -471,36 +541,41 @@ impl<'a> Mapper<'a> {
         // the serial first-strictly-better argmin exactly.
         let mut stats = SearchStats::default();
         let mut winner: Option<(f64, Vec<Factor>)> = None;
+        let mut latency = None;
         for out in outcomes {
             stats.generated += out.generated;
             stats.evaluated += out.evaluated;
             stats.pruned += out.pruned;
             stats.cache_hits += out.cache_hits;
             if let Some(b) = out.best {
-                let better = winner.as_ref().map(|w| b.0 < w.0).unwrap_or(true);
-                if better {
+                if winner.as_ref().is_none_or(|w| b.0 < w.0) {
                     winner = Some(b);
+                    latency = out.latency;
                 }
             }
         }
-
-        match winner {
-            Some((_, ordering)) => {
-                let best = self
-                    .evaluate_ordering(&ordering)
-                    .expect("winning ordering was legal in the kernel");
-                Ok(SearchResult {
-                    best,
-                    stats,
-                    space_size,
-                    exhaustive,
-                    wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-                })
-            }
-            None => Err(MapperError::NoLegalMapping {
+        let Some((score, ordering)) = winner else {
+            return Err(MapperError::NoLegalMapping {
                 tried: covered(exhaustive, space_size, stats.generated),
-            }),
-        }
+            });
+        };
+        let latency = latency.unwrap_or_else(|| {
+            let mapping = self
+                .mapping(&ordering)
+                .expect("winning ordering was legal in the kernel");
+            let view = MappedLayer::new(self.layer, self.arch, &mapping)
+                .expect("winning mapping was legal in the kernel");
+            self.latency_model
+                .evaluate_fast(&view, &mut ModelScratch::default())
+        });
+        Ok(FastSearch {
+            ordering,
+            score,
+            latency,
+            stats,
+            space_size,
+            exhaustive,
+        })
     }
 
     /// The latency-energy Pareto front of the (enumerable) mapping space,

@@ -3,7 +3,8 @@
 //! outer loop of a ZigZag-style DSE ("for each design point, mapping
 //! optimization … is performed", Case study 3).
 
-use crate::{EvaluatedMapping, Mapper, MapperError, MapperOptions, Objective};
+use crate::factorize::Factor;
+use crate::{covered, EvaluatedMapping, Mapper, MapperError, MapperOptions, Objective};
 use ulm_arch::Architecture;
 use ulm_mapping::SpatialUnroll;
 use ulm_workload::{Dim, Layer};
@@ -80,7 +81,9 @@ pub fn spatial_candidates(
 }
 
 /// Searches jointly over spatial candidates and temporal orderings;
-/// returns the best mapping and the spatial unrolling it uses.
+/// returns the best mapping and the spatial unrolling it uses. Each
+/// candidate runs [`Mapper::search_fast`]; only the overall winner is
+/// reported.
 ///
 /// # Errors
 ///
@@ -95,24 +98,24 @@ pub fn search_spatial(
 ) -> Result<(SpatialUnroll, EvaluatedMapping), MapperError> {
     let candidates = spatial_candidates(arch, layer, spatial_opts);
     let mut tried = 0usize;
-    let mut best: Option<(SpatialUnroll, EvaluatedMapping)> = None;
+    let mut best: Option<(f64, Mapper<'_>, Vec<Factor>)> = None;
     for spatial in candidates {
-        let mapper = Mapper::new(arch, layer, spatial.clone()).with_options(mapper_opts);
-        match mapper.search(obj) {
+        let mapper = Mapper::new(arch, layer, spatial).with_options(mapper_opts);
+        match mapper.search_fast(obj) {
             Ok(r) => {
-                tried += r.covered();
-                let better = best
-                    .as_ref()
-                    .map(|(_, b)| r.best.score(obj) < b.score(obj))
-                    .unwrap_or(true);
-                if better {
-                    best = Some((spatial, r.best));
+                tried += covered(r.exhaustive, r.space_size, r.stats.generated);
+                if best.as_ref().is_none_or(|(score, ..)| r.score < *score) {
+                    best = Some((r.score, mapper, r.ordering));
                 }
             }
             Err(MapperError::NoLegalMapping { tried: t }) => tried += t,
         }
     }
-    best.ok_or(MapperError::NoLegalMapping { tried })
+    let (_, mapper, ordering) = best.ok_or(MapperError::NoLegalMapping { tried })?;
+    let report = mapper
+        .evaluate_ordering(&ordering)
+        .expect("winning ordering was legal in the kernel");
+    Ok((mapper.spatial.clone(), report))
 }
 
 #[cfg(test)]

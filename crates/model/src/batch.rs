@@ -26,6 +26,9 @@
 //!
 //! Energy and EDP lanes are never pruned. The objective is a
 //! construction input, so a latency kernel never computes energy.
+//! Latency and EDP kernels keep the latency scalars of the first strictly
+//! better lane they score ([`BatchKernel::winner_latency`]), so a search
+//! that needs only its winner's scalars builds no report.
 //!
 //! Batch-constant work is hoisted into [`BatchKernel::new`]: the spatial
 //! fit and coverage checks (`CC_spatial` and every dimension extent are
@@ -195,6 +198,9 @@ pub struct BatchKernel<'a> {
     /// Steps 2–3 scratch. It memoizes port-group window unions: survivors
     /// share most of their rows, so most of their port groups repeat.
     stall: StallScratch,
+    /// Score and latency scalars of the first strictly better scored
+    /// lane since construction (latency and EDP kernels only).
+    winner: Option<(f64, FastLatency)>,
 }
 
 impl<'a> BatchKernel<'a> {
@@ -291,6 +297,7 @@ impl<'a> BatchKernel<'a> {
             lane_roof: vec![0.0; lanes],
             dtls: Vec::with_capacity(16),
             stall: StallScratch::with_union_memo(),
+            winner: None,
         }
     }
 
@@ -318,6 +325,15 @@ impl<'a> BatchKernel<'a> {
     /// per shared inner-prefix factor.
     pub fn cache_hits(&self) -> u64 {
         self.cache_hits
+    }
+
+    /// The latency scalars of the first strictly better lane this kernel
+    /// has scored since construction: the same lane a first-strictly-
+    /// better walk over the drained outcomes keeps, with the same bits as
+    /// [`LatencyModel::evaluate_fast`] on its mapping. `None` for an
+    /// energy kernel, which never computes latency.
+    pub fn winner_latency(&self) -> Option<FastLatency> {
+        self.winner.map(|(_, latency)| latency)
     }
 
     /// A fresh ordering-class walk over this kernel's factor multiset,
@@ -517,13 +533,24 @@ impl<'a> BatchKernel<'a> {
         incumbent
     }
 
-    /// The objective score of one legal lane.
+    /// The objective score of one legal lane. A latency or EDP lane that
+    /// beats every lane scored before it keeps its latency scalars.
     fn score(&mut self, lane: usize) -> f64 {
-        match self.objective {
-            LaneObjective::Latency => self.lane_latency(lane),
-            LaneObjective::Energy(_) => self.lane_energy(lane),
-            LaneObjective::Edp(_) => self.lane_latency(lane) * self.lane_energy(lane),
+        let (score, latency) = match self.objective {
+            LaneObjective::Latency => {
+                let latency = self.lane_latency(lane);
+                (latency.cc_total, latency)
+            }
+            LaneObjective::Energy(_) => return self.lane_energy(lane),
+            LaneObjective::Edp(_) => {
+                let latency = self.lane_latency(lane);
+                (latency.cc_total * self.lane_energy(lane), latency)
+            }
+        };
+        if self.winner.is_none_or(|(best, _)| score < best) {
+            self.winner = Some((score, latency));
         }
+        score
     }
 
     /// The energy of one legal lane, by the scorer the kernel was built
@@ -609,10 +636,10 @@ impl<'a> BatchKernel<'a> {
         }
     }
 
-    /// `CC_total` of one surviving lane: the lowering's own DTL body over
-    /// the lane's rows and the folded link constants, then Steps 2–3 and
-    /// the composition.
-    fn lane_latency(&mut self, lane: usize) -> f64 {
+    /// The latency scalars of one surviving lane: the lowering's own DTL
+    /// body over the lane's rows and the folded link constants, then
+    /// Steps 2–3 and the composition.
+    fn lane_latency(&mut self, lane: usize) -> FastLatency {
         let opts = *self.model.options();
         let ss_overall = if opts.bw_aware {
             let rows = Lane {
@@ -644,7 +671,6 @@ impl<'a> BatchKernel<'a> {
             self.cc_spatial,
             ss_overall,
         )
-        .cc_total
     }
 }
 
@@ -676,7 +702,7 @@ pub(crate) fn latency_lane_bounds(
     kernel.push(&ordering);
     assert!(!kernel.lane_illegal[0], "{}", layer.name());
     kernel.compute_bounds(1, true);
-    let latency = kernel.lane_latency(0);
+    let latency = kernel.lane_latency(0).cc_total;
     (kernel.lane_floor[0], kernel.lane_roof[0], latency)
 }
 

@@ -290,10 +290,12 @@ impl<'a> NetworkEvaluator<'a> {
         let mappings = search_distinct(layers, threads, |layer| {
             #[cfg(test)]
             tests::SEARCHES.with(|n| n.set(n.get() + 1));
-            Mapper::new(self.arch, layer, self.spatial.clone())
-                .with_options(self.mapper_opts)
-                .search(self.objective)
-                .map(|r| r.best.mapping)
+            let mapper =
+                Mapper::new(self.arch, layer, self.spatial.clone()).with_options(self.mapper_opts);
+            let winner = mapper.search_fast(self.objective)?.ordering;
+            Ok(mapper
+                .mapping(&winner)
+                .expect("the winning ordering has a legal allocation"))
         })?;
         // One lowering per layer, with its own pins, feeds both models:
         // latency and energy read the same residency tables, so their

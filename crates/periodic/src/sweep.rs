@@ -168,8 +168,12 @@ pub fn intersection_measure(a: &PeriodicWindow, b: &PeriodicWindow, opts: UnionO
 }
 
 /// Hyperperiod fast path: periods must form a divisibility chain and the
-/// spans must all equal the longest span (true for windows derived from a
-/// common loop stack). Returns `None` when inapplicable or over the cap.
+/// spans must all equal the longest span. Windows derived from one loop
+/// stack do form a chain, but their spans differ: each window runs `Z−1`
+/// periods of its own length, so windows of different periods end at
+/// different points and fail the span check (the path took none of the
+/// 295 multi-window port groups of the forced-exhaustive Fig. 8 latency
+/// search). Returns `None` when inapplicable or over the cap.
 fn try_hyperperiod_union(
     windows: &[PeriodicWindow],
     total_span: f64,

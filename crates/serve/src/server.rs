@@ -36,7 +36,9 @@
 //!   first and the calibration id enters the fingerprint.
 //! * `stats` — report cache hit rate, queue depth, request-latency
 //!   percentiles and the count of handler panics: `{"kind":"stats"}` (also
-//!   accepted as `"/stats"`).
+//!   accepted as `"/stats"`). Without timing, the latencies and the queue
+//!   gauges (`queue_depth`, `submitted`) are left out, so the answer is
+//!   reproducible.
 //!
 //! Responses echo the request's `id` and carry `"ok":true` with a result, or
 //! `"ok":false` with an `"error"` string. A malformed line yields an error
@@ -1734,10 +1736,12 @@ impl EvalService {
             let (tb, tk, tc) = q.template;
             let mut template = q.layer.clone();
             template.set_matmul_dims(tb, tk, tc);
-            let best = Mapper::new(&arch, &template, q.spatial.clone())
-                .with_options(q.mapper)
-                .search(Objective::Latency)?;
-            let shape = MappingShape::from_mapping(&best.best.mapping)?;
+            let mapper = Mapper::new(&arch, &template, q.spatial.clone()).with_options(q.mapper);
+            let winner = mapper.search_fast(Objective::Latency)?.ordering;
+            let mapping = mapper
+                .mapping(&winner)
+                .expect("the winning ordering has a legal allocation");
+            let shape = MappingShape::from_mapping(&mapping)?;
             Ok(SpecializedModel::prepare(
                 LatencyModel::with_options(q.model),
                 &arch,
@@ -1899,22 +1903,34 @@ impl EvalService {
 
     fn stats_fields(&self) -> Vec<(String, Value)> {
         let cache = self.cache.stats();
-        let pool = self.pool.stats();
-        let latency = self
-            .latencies
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .summary();
         let mut cache_value = match cache.to_value() {
             Value::Object(entries) => entries,
             _ => Vec::new(),
         };
         cache_value.push(("hit_rate".to_string(), Value::F64(cache.hit_rate())));
+        let mut pool = self.pool.stats().to_value();
+        if !self.include_timing {
+            // Without timing the answer is reproducible: no request
+            // latencies, and none of the gauges that depend on how far the
+            // reader ran ahead of the workers.
+            if let Value::Object(entries) = &mut pool {
+                entries.retain(|(k, _)| k != "queue_depth" && k != "submitted");
+            }
+        }
         let mut fields = vec![
             ("kind".to_string(), Value::String("stats".into())),
             ("cache".to_string(), Value::Object(cache_value)),
-            ("pool".to_string(), pool.to_value()),
-            ("latency_ms".to_string(), latency.to_value()),
+            ("pool".to_string(), pool),
+        ];
+        if self.include_timing {
+            let latency = self
+                .latencies
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .summary();
+            fields.push(("latency_ms".to_string(), latency.to_value()));
+        }
+        fields.extend([
             (
                 "panics".to_string(),
                 Value::U64(self.panics.load(Ordering::Relaxed)),
@@ -1929,7 +1945,7 @@ impl EvalService {
                     None => Value::Null,
                 },
             ),
-        ];
+        ]);
         if let Some(disk) = self.disk_stats() {
             fields.push(("disk".to_string(), disk.to_value()));
         }

@@ -48,6 +48,12 @@ cargo test --release -q -p ulm-mapper --test search_equivalence --test batch_all
 echo "==> ordering-class walk oracle (release: class walk vs permutation walk)"
 cargo test --release -q -p ulm-mapper --test class_walk
 
+echo "==> search_fast oracle (release: the kernel's winner scalars equal search's report, bit for bit)"
+cargo test --release -q -p ulm-mapper --test search_fast
+
+echo "==> dse oracle (release: evaluate_design equals the report path on every design of a small pool)"
+cargo test --release -q -p ulm-dse --lib explore::tests::evaluate_design_matches_the_report_path
+
 echo "==> batched-search vs evaluate_ordering reference gate (release)"
 cargo test --release -q -p ulm --test batch_equivalence
 
