@@ -32,6 +32,23 @@ pub struct PresetChip {
 
 const KB: u64 = 8 * 1024; // bits per kilobyte
 
+/// The preset names [`by_name`] accepts, in the order front ends list them.
+pub const NAMES: [&str; 6] = ["case16", "case32", "case64", "validation", "toy", "fusion"];
+
+/// The preset called `name` (one of [`NAMES`]), or `None`. `gb_bw_bits`
+/// sets the GB bandwidth of the `case*` family and is ignored by the rest.
+pub fn by_name(name: &str, gb_bw_bits: u64) -> Option<PresetChip> {
+    Some(match name {
+        "case16" => scaled_case_study_chip(16, gb_bw_bits),
+        "case32" => scaled_case_study_chip(32, gb_bw_bits),
+        "case64" => scaled_case_study_chip(64, gb_bw_bits),
+        "validation" => validation_chip(),
+        "toy" => toy_chip(),
+        "fusion" => fusion_chip(),
+        _ => return None,
+    })
+}
+
 /// The paper's validation chip (Section IV / Fig. 5a).
 ///
 /// `gb_bw_bits` is the GB read/write bus width in bits per cycle; the
@@ -355,6 +372,16 @@ pub fn fusion_chip() -> PresetChip {
 mod tests {
     use super::*;
     use crate::mem::PortUse;
+
+    #[test]
+    fn every_listed_name_resolves_and_only_those() {
+        for name in NAMES {
+            assert!(by_name(name, 128).is_some(), "{name}");
+        }
+        assert!(by_name("case8", 128).is_none());
+        let chip = by_name("case32", 256).unwrap();
+        assert_eq!(chip.arch, scaled_case_study_chip(32, 256).arch);
+    }
 
     #[test]
     fn validation_chip_matches_paper_parameters() {

@@ -513,7 +513,7 @@ fn measure() -> Snapshot {
     let model_eval_fast_secs = t4.elapsed().as_secs_f64();
 
     // Delta evaluation: re-evaluating a one-knob GB-bandwidth neighbor
-    // of the design, as `explore_bw_sweep` does per sweep point. Full =
+    // of the design, as `ulm whatif --set mem.GB.bw=2x` does. Full =
     // from-scratch lowering + Steps 1-3 per point; incremental = only
     // the bandwidth-dirty stages (phase inputs + DTL stall refresh) on
     // the cached lowering.

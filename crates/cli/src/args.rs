@@ -33,7 +33,7 @@ pub enum ArgError {
         /// The raw value.
         value: String,
         /// What was expected.
-        expected: &'static str,
+        expected: String,
     },
     /// An unexpected positional argument.
     UnexpectedPositional(String),
@@ -176,7 +176,7 @@ impl Args {
             Some(v) => v.parse().map_err(|_| ArgError::BadValue {
                 key: key.into(),
                 value: v.into(),
-                expected: "integer",
+                expected: "integer".into(),
             }),
         }
     }
@@ -191,7 +191,7 @@ impl Args {
                     p.trim().parse().map_err(|_| ArgError::BadValue {
                         key: key.into(),
                         value: v.into(),
-                        expected: "comma-separated integers",
+                        expected: "comma-separated integers".into(),
                     })
                 })
                 .collect(),
@@ -207,7 +207,7 @@ impl Args {
                 let bad = || ArgError::BadValue {
                     key: "layer".into(),
                     value: v.into(),
-                    expected: "BxKxC with positive dims (e.g. 64x96x640)",
+                    expected: "BxKxC with positive dims (e.g. 64x96x640)".into(),
                 };
                 if parts.len() != 3 {
                     return Err(bad());

@@ -15,19 +15,12 @@ fn resolve_arch(args: &Args) -> Result<(Architecture, SpatialUnroll), UlmError> 
     }
     let gb_bw = args.u64_or("gb-bw", 128)?;
     let name = args.get("arch").unwrap_or("case16");
-    let chip = match name {
-        "case16" => presets::scaled_case_study_chip(16, gb_bw),
-        "case32" => presets::scaled_case_study_chip(32, gb_bw),
-        "case64" => presets::scaled_case_study_chip(64, gb_bw),
-        "validation" => presets::validation_chip(),
-        "toy" => presets::toy_chip(),
-        "fusion" => presets::fusion_chip(),
-        other => {
-            return Err(UlmError::config(format!(
-                "unknown --arch `{other}` (try case16|case32|case64|validation|toy|fusion)"
-            )))
-        }
-    };
+    let chip = presets::by_name(name, gb_bw).ok_or_else(|| {
+        UlmError::config(format!(
+            "unknown --arch `{name}` (try {})",
+            presets::NAMES.join("|")
+        ))
+    })?;
     Ok((chip.arch, SpatialUnroll::new(chip.spatial)))
 }
 
@@ -119,11 +112,13 @@ pub fn accepted_options(command: &str) -> Option<Vec<&'static str>> {
     )
 }
 
-fn resolve_precision(args: &Args) -> Precision {
-    match args.get("precision").unwrap_or("int8_out24") {
-        "int8_acc24" => Precision::int8_acc24(),
-        _ => Precision::int8_out24(),
-    }
+fn resolve_precision(args: &Args) -> Result<Precision, ArgError> {
+    let name = args.get("precision").unwrap_or("int8_out24");
+    Precision::by_name(name).ok_or_else(|| ArgError::BadValue {
+        key: "precision".into(),
+        value: name.into(),
+        expected: format!("precision ({})", Precision::NAMES.join("|")),
+    })
 }
 
 fn resolve_layer(args: &Args) -> Result<Layer, ArgError> {
@@ -133,7 +128,7 @@ fn resolve_layer(args: &Args) -> Result<Layer, ArgError> {
         b,
         k,
         c,
-        resolve_precision(args),
+        resolve_precision(args)?,
     ))
 }
 
@@ -376,7 +371,7 @@ type TraceGroup = (String, (u64, u64, u64), Vec<ulm::model::ObservedBusy>);
 pub fn calibrate(args: &Args) -> Result<(), UlmError> {
     let (arch, spatial) = resolve_arch(args)?;
     let mopts = mapper_options(args)?;
-    let precision = resolve_precision(args);
+    let precision = resolve_precision(args)?;
     let mut cal = Calibrator::new(&arch, latency_model(args)?);
     if let Some(path) = args.get("measurements") {
         // Imported measurements: one CSV row per (layer, port)
@@ -615,11 +610,12 @@ pub fn surrogate(args: &Args) -> Result<(), UlmError> {
 pub fn search(args: &Args) -> Result<(), UlmError> {
     let (arch, spatial) = resolve_arch(args)?;
     let layer = resolve_layer(args)?;
-    let objective = match args.get("objective").unwrap_or("latency") {
-        "energy" => Objective::Energy,
-        "edp" => Objective::Edp,
-        _ => Objective::Latency,
-    };
+    let name = args.get("objective").unwrap_or("latency");
+    let objective = Objective::by_name(name).ok_or_else(|| ArgError::BadValue {
+        key: "objective".into(),
+        value: name.into(),
+        expected: format!("objective ({})", Objective::NAMES.join("|")),
+    })?;
     let mapper = Mapper::new(&arch, &layer, spatial)
         .with_options(mapper_options(args)?)
         .with_parallelism(thread_option(args, "threads")?);
@@ -786,28 +782,22 @@ pub fn dse(args: &Args) -> Result<(), UlmError> {
 /// lowered (the GEMM presets do not run depthwise natively; those layers
 /// are skipped with a note).
 fn resolve_network(args: &Args) -> Result<Vec<Layer>, UlmError> {
-    let raw: Vec<Layer> = if let Some(path) = args.get("file") {
+    let lowered = if let Some(path) = args.get("file") {
         let text = std::fs::read_to_string(path)?;
-        ulm::workload::NetworkDesc::from_json(&text)?.to_layers()?
+        let raw = ulm::workload::NetworkDesc::from_json(&text)?.to_layers()?;
+        raw.iter().map(im2col).collect()
     } else {
-        match args.get("net").unwrap_or("handtracking") {
-            "handtracking" => return Ok(networks::handtracking_validation_layers()),
-            "attention-prefill" => return Ok(networks::attention_prefill()),
-            "attention-decode" => return Ok(networks::attention_decode()),
-            "mobilenet" => networks::mobilenet_v1(224, 1),
-            "resnet18" => networks::resnet18(224, 1),
-            "alexnet" => networks::alexnet(1),
-            other => {
-                return Err(UlmError::config(format!(
-                    "unknown --net `{other}` (handtracking|attention-prefill|\
-                     attention-decode|mobilenet|resnet18|alexnet)"
-                )))
-            }
-        }
+        let name = args.get("net").unwrap_or("handtracking");
+        networks::by_name(name).ok_or_else(|| {
+            UlmError::config(format!(
+                "unknown --net `{name}` ({})",
+                networks::NAMES.join("|")
+            ))
+        })?
     };
     let mut layers = Vec::new();
-    for l in raw {
-        match im2col(&l) {
+    for l in lowered {
+        match l {
             Ok(mm) => layers.push(mm),
             Err(e) => eprintln!("note: skipping {e}"),
         }

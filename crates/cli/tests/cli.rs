@@ -53,6 +53,37 @@ fn unknown_options_exit_non_zero() {
     );
 }
 
+#[test]
+fn unknown_objective_and_precision_names_exit_non_zero() {
+    let search = [
+        "search",
+        "--arch",
+        "toy",
+        "--layer",
+        "4x4x8",
+        "--samples",
+        "10",
+    ];
+    for (flag, value) in [("--objective", "bogus"), ("--precision", "bogus-int7")] {
+        let out = ulm(&[&search[..], &[flag, value]].concat(), "");
+        assert!(!out.status.success(), "{flag} {value} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(value), "{flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "nothing ran");
+    }
+    let out = ulm(&["evaluate", "--arch", "toy", "--precision", "int8"], "");
+    assert!(!out.status.success(), "evaluate took --precision int8");
+    // Objective names match in any letter case, as serve's do.
+    for (flag, value) in [("--objective", "EDP"), ("--precision", "int8_acc24")] {
+        let out = ulm(&[&search[..], &[flag, value]].concat(), "");
+        assert!(
+            out.status.success(),
+            "{flag} {value}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
 /// Every request kind, a cache hit, an unknown mapper option, malformed
 /// lines and two stats requests.
 const CORPUS: &str = r#"{"id":1,"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}

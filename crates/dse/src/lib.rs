@@ -29,9 +29,5 @@
 pub mod explore;
 pub mod pool;
 
-pub use explore::{
-    evaluate_design, explore, explore_bw_sweep, explore_with_stats, explore_workload_sweep,
-    pareto_front, DsePoint, DseStats, ExploreOptions, SweepStats, WorkloadPoint,
-    WorkloadSweepStats,
-};
+pub use explore::{explore, explore_with_stats, pareto_front, DsePoint, DseStats, ExploreOptions};
 pub use pool::{build_design, enumerate_designs, DesignParams, DesignPoint, MemoryPool};

@@ -29,10 +29,8 @@
 pub mod enumerate;
 pub mod factorize;
 pub mod space;
-pub mod spatial_search;
 
 pub use space::SearchSpace;
-pub use spatial_search::{search_spatial, spatial_candidates, SpatialOptions};
 
 use factorize::{ordering_count, temporal_factors, Factor};
 use std::error::Error;
@@ -57,6 +55,22 @@ pub enum Objective {
     Energy,
     /// Energy-delay product.
     Edp,
+}
+
+impl Objective {
+    /// The objective names [`by_name`](Self::by_name) accepts.
+    pub const NAMES: [&str; 3] = ["latency", "energy", "edp"];
+
+    /// The objective called `name` (one of [`NAMES`](Self::NAMES), in any
+    /// letter case), or `None`.
+    pub fn by_name(name: &str) -> Option<Self> {
+        match name.to_ascii_lowercase().as_str() {
+            "latency" => Some(Self::Latency),
+            "energy" => Some(Self::Energy),
+            "edp" => Some(Self::Edp),
+            _ => None,
+        }
+    }
 }
 
 /// Search configuration.
@@ -578,33 +592,6 @@ impl<'a> Mapper<'a> {
         })
     }
 
-    /// The latency-energy Pareto front of the (enumerable) mapping space,
-    /// sorted by increasing latency. Case study 1's Mapping A and B are
-    /// two points of exactly this front.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MapperError::NoLegalMapping`] from
-    /// [`enumerate_all`](Self::enumerate_all).
-    pub fn pareto(&self) -> Result<Vec<EvaluatedMapping>, MapperError> {
-        let mut all = self.enumerate_all()?;
-        all.sort_by(|a, b| {
-            a.latency
-                .cc_total
-                .total_cmp(&b.latency.cc_total)
-                .then(a.energy.total_fj.total_cmp(&b.energy.total_fj))
-        });
-        let mut front: Vec<EvaluatedMapping> = Vec::new();
-        let mut best_energy = f64::INFINITY;
-        for em in all {
-            if em.energy.total_fj < best_energy {
-                best_energy = em.energy.total_fj;
-                front.push(em);
-            }
-        }
-        Ok(front)
-    }
-
     /// Evaluates every legal mapping in the (exhaustively enumerable)
     /// space and returns them all — used by studies that plot whole
     /// mapping spaces.
@@ -713,25 +700,6 @@ mod tests {
         // latency-best one.
         assert!(en.best.latency.cc_total >= lat.best.latency.cc_total - 1e-9);
         assert!(lat.best.energy.total_fj >= en.best.energy.total_fj - 1e-9);
-    }
-
-    #[test]
-    fn pareto_front_is_monotone_and_dominating() {
-        let (chip, layer) = toy();
-        let mapper = Mapper::new(&chip.arch, &layer, SpatialUnroll::new(chip.spatial.clone()));
-        let front = mapper.pareto().unwrap();
-        assert!(!front.is_empty());
-        for w in front.windows(2) {
-            assert!(w[1].latency.cc_total >= w[0].latency.cc_total);
-            assert!(w[1].energy.total_fj < w[0].energy.total_fj);
-        }
-        // Every enumerated mapping is dominated by some front point.
-        for em in mapper.enumerate_all().unwrap() {
-            assert!(front.iter().any(|f| {
-                f.latency.cc_total <= em.latency.cc_total + 1e-9
-                    && f.energy.total_fj <= em.energy.total_fj + 1e-6
-            }));
-        }
     }
 
     #[test]

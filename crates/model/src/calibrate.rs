@@ -6,7 +6,7 @@
 //! every physical port, the model predicts the *traffic* it carries (the
 //! `Σ data_bits × Z_stall` of the DTLs occupying it — an
 //! architecture-independent workload quantity under the
-//! [`Stage::arch_constant`](crate::Stage::arch_constant) split), and an
+//! [`Stage`](crate::Stage) read-set split), and an
 //! observation supplies the port's measured busy cycles (from an
 //! `ulm-sim` trace or an imported measurement CSV). A per-port
 //! least-squares fit of `busy ≈ traffic / bw` over the training set

@@ -169,9 +169,9 @@ impl Stage {
     /// The input groups this stage reads: the stage must be rebuilt
     /// exactly when the delta intersects this set.
     ///
-    /// Always the union of [`arch_constant`](Self::arch_constant) and
-    /// [`workload_varying`](Self::workload_varying) — the two-phase
-    /// partial-evaluation split declared below.
+    /// Always the union of the architecture-constant and the
+    /// workload-varying groups — the two-phase partial-evaluation split
+    /// declared below.
     pub fn reads(self) -> InputDelta {
         self.arch_constant().union(self.workload_varying())
     }
@@ -181,7 +181,7 @@ impl Stage {
     /// [`SpecializedModel`](crate::surrogate::SpecializedModel) folds into
     /// tables once at specialization time. A delta in these groups
     /// invalidates the specialization itself, never an individual query.
-    pub fn arch_constant(self) -> InputDelta {
+    fn arch_constant(self) -> InputDelta {
         match self {
             Stage::Residency => InputDelta::ARCH_STRUCTURE,
             Stage::FeedRates => InputDelta::NONE,
@@ -195,7 +195,7 @@ impl Stage {
     /// fixed specialization: workload dims and the mapping bounds derived
     /// from them. These are the only inputs the surrogate's per-query
     /// kernel re-reads; everything else comes from the folded tables.
-    pub fn workload_varying(self) -> InputDelta {
+    fn workload_varying(self) -> InputDelta {
         InputDelta::WORKLOAD.union(InputDelta::MAPPING)
     }
 }
@@ -223,12 +223,6 @@ impl RebuildStats {
     /// True when nothing was reused.
     pub fn was_full_rebuild(&self) -> bool {
         self.stages_skipped == 0
-    }
-
-    /// Accumulates another rebuild's counts (for sweep-level stats).
-    pub fn accumulate(&mut self, other: RebuildStats) {
-        self.stages_rebuilt += other.stages_rebuilt;
-        self.stages_skipped += other.stages_skipped;
     }
 }
 

@@ -78,7 +78,7 @@ pub use report::{BandwidthFix, DtlReport, LatencyReport, MemReport, PortReport, 
 pub use roofline::{interface_traffic, roofline, Roof, Roofline};
 pub use stall::{MemStall, PortGroupCore, StallScratch};
 pub use surrogate::{MappingShape, SpecializedModel, SurrogateError, SurrogateStats};
-pub use whatif::{apply_overrides, parse_override, KnobError, KnobOverride, KnobValue};
+pub use whatif::{apply_overrides, KnobError, KnobOverride, KnobValue};
 
 use ulm_mapping::MappedLayer;
 use ulm_periodic::UnionOptions;

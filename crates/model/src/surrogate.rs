@@ -3,8 +3,8 @@
 //!
 //! Every stage of the [`LoweredLayer`](crate::LoweredLayer) pipeline
 //! declares which of its inputs are architecture-constant and which vary
-//! per workload ([`Stage::arch_constant`](crate::Stage::arch_constant) /
-//! [`Stage::workload_varying`](crate::Stage::workload_varying)). A
+//! per workload ([`Stage::reads`](crate::Stage::reads) is the union of
+//! the two). A
 //! [`SpecializedModel`] exploits that split: at
 //! [`prepare`](SpecializedModel::prepare) time it constant-folds every
 //! arch-dependent table the pipeline reads — the per-interface port LUTs,

@@ -160,7 +160,7 @@ fn parse_value(s: &str, over: &str) -> Result<KnobValue, KnobError> {
 }
 
 /// Parses one `mem.<name>.<field>=<value>` override against `arch`.
-pub fn parse_override(arch: &Architecture, over: &str) -> Result<KnobOverride, KnobError> {
+fn parse_override(arch: &Architecture, over: &str) -> Result<KnobOverride, KnobError> {
     let unknown = || KnobError::UnknownPath { path: over.into() };
     let (path, value) = over.split_once('=').ok_or_else(unknown)?;
     let mut parts = path.split('.');

@@ -1,15 +1,10 @@
 //! Union and intersection measures of sets of periodic windows.
 //!
-//! Three strategies, tried in order:
+//! Two exact strategies, tried in order:
 //!
 //! 1. **Trivial**: if any window is full (active over its entire span) and
 //!    its span covers the longest span, the union is the whole timeline.
-//! 2. **Hyperperiod**: when periods form a divisibility chain — which they
-//!    always do for windows derived from one temporal loop stack, since
-//!    every `Mem_CC` is a prefix product of the same loop list — the union
-//!    within one largest period repeats exactly, so one bounded sweep gives
-//!    the exact answer.
-//! 3. **Direct sweep**: a k-way merge over every active interval; exact but
+//! 2. **Direct sweep**: a k-way merge over every active interval; exact but
 //!    `O(Σ Z_i)`, used while the total interval count is below a cap.
 //!
 //! Above the cap the measure falls back to an *independence estimate*
@@ -24,7 +19,7 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measure {
     value: f64,
-    /// Computed by exact sweep (trivial, hyperperiod or direct), not by
+    /// Computed exactly (trivial or direct sweep), not by
     /// the independence estimate clamped to `[max_i |w_i|, min(T, Σ |w_i|)]`.
     exact: bool,
 }
@@ -74,8 +69,6 @@ impl Default for UnionOptions {
 #[derive(Debug, Default)]
 pub struct UnionScratch {
     live: Vec<PeriodicWindow>,
-    periods: Vec<f64>,
-    intervals: Vec<(f64, f64)>,
     heap: BinaryHeap<HeapItem>,
 }
 
@@ -122,18 +115,7 @@ pub fn union_measure_scratch(
         return Measure::exact(total_span);
     }
 
-    // Strategy 2: divisibility-chain hyperperiod sweep.
-    if let Some(m) = try_hyperperiod_union(
-        live,
-        total_span,
-        opts,
-        &mut scratch.periods,
-        &mut scratch.intervals,
-    ) {
-        return m;
-    }
-
-    // Strategy 3: direct sweep over all intervals.
+    // Strategy 2: direct sweep over all intervals.
     let total_intervals: u64 = live.iter().map(|w| w.count()).sum();
     if total_intervals <= opts.max_intervals {
         return Measure::exact(sweep_union(live, &mut scratch.heap));
@@ -165,80 +147,6 @@ pub fn intersection_measure(a: &PeriodicWindow, b: &PeriodicWindow, opts: UnionO
     let span = a.span().min(b.span());
     let est = span * (a.len() / a.period()) * (b.len() / b.period());
     Measure::approximate(est.min(a.measure()).min(b.measure()))
-}
-
-/// Hyperperiod fast path: periods must form a divisibility chain and the
-/// spans must all equal the longest span. Windows derived from one loop
-/// stack do form a chain, but their spans differ: each window runs `Z−1`
-/// periods of its own length, so windows of different periods end at
-/// different points and fail the span check (the path took none of the
-/// 295 multi-window port groups of the forced-exhaustive Fig. 8 latency
-/// search). Returns `None` when inapplicable or over the cap.
-fn try_hyperperiod_union(
-    windows: &[PeriodicWindow],
-    total_span: f64,
-    opts: UnionOptions,
-    periods: &mut Vec<f64>,
-    intervals: &mut Vec<(f64, f64)>,
-) -> Option<Measure> {
-    let eps = total_span * 1e-9;
-    if windows.iter().any(|w| (w.span() - total_span).abs() > eps) {
-        return None;
-    }
-    periods.clear();
-    periods.extend(windows.iter().map(|w| w.period()));
-    periods.sort_by(f64::total_cmp);
-    let hyper = *periods.last().expect("non-empty");
-    for p in periods.iter() {
-        let ratio = hyper / p;
-        if (ratio - ratio.round()).abs() > 1e-9 {
-            return None;
-        }
-    }
-    let reps: u64 = windows
-        .iter()
-        .map(|w| (hyper / w.period()).round() as u64)
-        .sum();
-    if reps > opts.max_intervals {
-        return None;
-    }
-    // Collect every interval within [0, hyper) and sweep once.
-    intervals.clear();
-    intervals.reserve(reps as usize);
-    for w in windows {
-        let n = (hyper / w.period()).round() as u64;
-        for k in 0..n {
-            let base = w.period() * k as f64;
-            intervals.push((base + w.start(), base + w.start() + w.len()));
-        }
-    }
-    let per_hyper = merged_length(intervals);
-    let repeats = total_span / hyper;
-    Some(Measure::exact(per_hyper * repeats))
-}
-
-/// Sorts intervals and returns the measure of their union.
-fn merged_length(intervals: &mut [(f64, f64)]) -> f64 {
-    intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut total = 0.0;
-    let mut cur: Option<(f64, f64)> = None;
-    for &(lo, hi) in intervals.iter() {
-        match cur {
-            None => cur = Some((lo, hi)),
-            Some((clo, chi)) => {
-                if lo <= chi {
-                    cur = Some((clo, chi.max(hi)));
-                } else {
-                    total += chi - clo;
-                    cur = Some((lo, hi));
-                }
-            }
-        }
-    }
-    if let Some((clo, chi)) = cur {
-        total += chi - clo;
-    }
-    total
 }
 
 /// Heap entry for the k-way interval merge: next interval of window `idx`.
@@ -396,8 +304,9 @@ mod tests {
     }
 
     #[test]
-    fn hyperperiod_path_matches_brute_force() {
-        // Divisibility chain 4 | 8 | 16, trailing windows.
+    fn equal_span_divisibility_chain_is_swept_exactly() {
+        // Divisibility chain 4 | 8 | 16 of trailing windows, all spanning
+        // 32 cycles: the direct sweep answers it.
         let a = PeriodicWindow::trailing(4.0, 1.0, 8).unwrap();
         let b = PeriodicWindow::trailing(8.0, 3.0, 4).unwrap();
         let c = PeriodicWindow::trailing(16.0, 5.0, 2).unwrap();

@@ -509,19 +509,13 @@ fn parse_arch(req: &Value) -> Result<(Architecture, SpatialUnroll), UlmError> {
                 Some(v) => parse_u64(v, "gb_bw")?,
                 None => 128,
             };
-            let chip = match name.as_str() {
-                "" | "case16" => presets::scaled_case_study_chip(16, gb_bw),
-                "case32" => presets::scaled_case_study_chip(32, gb_bw),
-                "case64" => presets::scaled_case_study_chip(64, gb_bw),
-                "validation" => presets::validation_chip(),
-                "toy" => presets::toy_chip(),
-                "fusion" => presets::fusion_chip(),
-                other => {
-                    return Err(UlmError::invalid_request(format!(
-                        "unknown arch preset `{other}` (case16|case32|case64|validation|toy|fusion)"
-                    )))
-                }
-            };
+            let preset = if name.is_empty() { "case16" } else { name };
+            let chip = presets::by_name(preset, gb_bw).ok_or_else(|| {
+                UlmError::invalid_request(format!(
+                    "unknown arch preset `{name}` ({})",
+                    presets::NAMES.join("|")
+                ))
+            })?;
             Ok((chip.arch, SpatialUnroll::new(chip.spatial)))
         }
         obj @ Value::Object(_) => {
@@ -537,13 +531,12 @@ fn parse_arch(req: &Value) -> Result<(Architecture, SpatialUnroll), UlmError> {
 }
 
 fn parse_precision(name: &str) -> Result<Precision, UlmError> {
-    match name {
-        "int8_out24" => Ok(Precision::int8_out24()),
-        "int8_acc24" => Ok(Precision::int8_acc24()),
-        other => Err(UlmError::invalid_request(format!(
-            "unknown precision `{other}` (int8_out24|int8_acc24)"
-        ))),
-    }
+    Precision::by_name(name).ok_or_else(|| {
+        UlmError::invalid_request(format!(
+            "unknown precision `{name}` ({})",
+            Precision::NAMES.join("|")
+        ))
+    })
 }
 
 /// Rejects zero sizes before they reach `Layer::matmul` (which asserts
@@ -704,14 +697,13 @@ fn parse_mapper(
 fn parse_objective(req: &Value) -> Result<Objective, UlmError> {
     match field(req, "objective") {
         None => Ok(Objective::Latency),
-        Some(Value::String(s)) => match s.to_ascii_lowercase().as_str() {
-            "latency" => Ok(Objective::Latency),
-            "energy" => Ok(Objective::Energy),
-            "edp" => Ok(Objective::Edp),
-            other => Err(UlmError::invalid_request(format!(
-                "unknown objective `{other}` (latency|energy|edp)"
-            ))),
-        },
+        Some(Value::String(s)) => Objective::by_name(s).ok_or_else(|| {
+            UlmError::invalid_request(format!(
+                "unknown objective `{}` ({})",
+                s.to_ascii_lowercase(),
+                Objective::NAMES.join("|")
+            ))
+        }),
         Some(_) => Err(UlmError::invalid_request("`objective` must be a string")),
     }
 }
@@ -777,25 +769,21 @@ fn parse_query(req: &Value, eval_mode: bool) -> Result<Query, UlmError> {
 fn parse_net_layers(req: &Value) -> Result<Vec<Layer>, UlmError> {
     let spec = field(req, "net")
         .ok_or_else(|| UlmError::invalid_request("`net` request needs a `net` field"))?;
-    let raw = match spec {
-        Value::String(name) => match name.as_str() {
-            "handtracking" => return Ok(networks::handtracking_validation_layers()),
-            "attention-prefill" => return Ok(networks::attention_prefill()),
-            "attention-decode" => return Ok(networks::attention_decode()),
-            "mobilenet" => networks::mobilenet_v1(224, 1),
-            "resnet18" => networks::resnet18(224, 1),
-            "alexnet" => networks::alexnet(1),
-            other => {
-                return Err(UlmError::invalid_request(format!(
-                    "unknown net preset `{other}` \
-                     (handtracking|attention-prefill|attention-decode|mobilenet|resnet18|alexnet)"
-                )))
-            }
-        },
+    let lowered: Vec<_> = match spec {
+        Value::String(name) => networks::by_name(name).ok_or_else(|| {
+            UlmError::invalid_request(format!(
+                "unknown net preset `{name}` ({})",
+                networks::NAMES.join("|")
+            ))
+        })?,
         obj @ Value::Object(_) => {
             let desc: NetworkDesc = serde::Deserialize::from_value(obj)
                 .map_err(|e| UlmError::invalid_request(format!("invalid net description: {e}")))?;
-            desc.to_layers().map_err(UlmError::from)?
+            desc.to_layers()
+                .map_err(UlmError::from)?
+                .iter()
+                .map(im2col)
+                .collect()
         }
         _ => {
             return Err(UlmError::invalid_request(
@@ -803,11 +791,10 @@ fn parse_net_layers(req: &Value) -> Result<Vec<Layer>, UlmError> {
             ))
         }
     };
-    let mut layers = Vec::with_capacity(raw.len());
-    for l in raw {
-        layers.push(im2col(&l).map_err(|e| UlmError::invalid_request(e.to_string()))?);
-    }
-    Ok(layers)
+    lowered
+        .into_iter()
+        .map(|l| l.map_err(|e| UlmError::invalid_request(e.to_string())))
+        .collect()
 }
 
 /// The optional `fuse` field: an array of fused-segment descriptors,

@@ -54,13 +54,6 @@ pub struct Transfer {
     pub deps: Vec<usize>,
 }
 
-impl Transfer {
-    /// Cycles the transfer occupies its ports.
-    pub fn duration(&self) -> u64 {
-        self.bits.div_ceil(self.link_bw)
-    }
-}
-
 /// Error raised when a layer/mapping would generate an impractically large
 /// schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -427,7 +420,7 @@ mod tests {
         let s = build_schedule(&view, 1 << 20).unwrap();
         for t in &s.transfers {
             assert!(t.ready_cycle <= t.need_cycle, "{t:?}");
-            assert!(t.duration() > 0);
+            assert!(t.bits.div_ceil(t.link_bw) > 0);
             for &d in &t.deps {
                 assert!(d < t.id, "deps must precede: {t:?}");
             }

@@ -52,9 +52,8 @@ pub mod prelude {
         Port, PortUse, StallIntegration,
     };
     pub use ulm_dse::{
-        enumerate_designs, explore, explore_bw_sweep, explore_with_stats, explore_workload_sweep,
-        pareto_front, DesignParams, DsePoint, DseStats, ExploreOptions, MemoryPool, SweepStats,
-        WorkloadPoint, WorkloadSweepStats,
+        enumerate_designs, explore, explore_with_stats, pareto_front, DesignParams, DsePoint,
+        DseStats, ExploreOptions, MemoryPool,
     };
     pub use ulm_energy::{EnergyModel, EnergyReport};
     pub use ulm_error::UlmError;

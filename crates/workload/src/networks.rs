@@ -8,7 +8,39 @@
 //! (300x300 input, width multiplier 1.0); this substitution is documented
 //! in `DESIGN.md` §4.
 
+use crate::im2col::Im2ColError;
 use crate::{im2col, Layer, LayerShape, LayerType, Precision};
+
+/// The preset names [`by_name`] accepts, in the order front ends list them.
+pub const NAMES: [&str; 6] = [
+    "handtracking",
+    "attention-prefill",
+    "attention-decode",
+    "mobilenet",
+    "resnet18",
+    "alexnet",
+];
+
+/// The network preset called `name` (one of [`NAMES`]) as a GEMM array
+/// runs it, or `None`. The hand-tracking and attention presets are matmul
+/// layers already; every layer of the others is Im2Col-lowered, which
+/// fails on depthwise layers, so each layer comes with its own result.
+pub fn by_name(name: &str) -> Option<Vec<Result<Layer, Im2ColError>>> {
+    let (raw, matmuls) = match name {
+        "handtracking" => (handtracking_validation_layers(), true),
+        "attention-prefill" => (attention_prefill(), true),
+        "attention-decode" => (attention_decode(), true),
+        "mobilenet" => (mobilenet_v1(224, 1), false),
+        "resnet18" => (resnet18(224, 1), false),
+        "alexnet" => (alexnet(1), false),
+        _ => return None,
+    };
+    Some(if matmuls {
+        raw.into_iter().map(Ok).collect()
+    } else {
+        raw.iter().map(im2col).collect()
+    })
+}
 
 /// Standard MobileNet-V1 backbone (width multiplier 1.0) for an
 /// `input x input` image, as conv / depthwise / pointwise layers.
@@ -228,6 +260,25 @@ pub fn attention_decode() -> Vec<Layer> {
 mod tests {
     use super::*;
     use crate::{Dim, Operand};
+
+    #[test]
+    fn every_listed_name_resolves_and_only_those() {
+        for name in NAMES {
+            let layers = by_name(name).unwrap_or_else(|| panic!("{name} does not resolve"));
+            assert!(layers.iter().any(Result::is_ok), "{name}");
+        }
+        assert!(by_name("Mobilenet").is_none());
+        // Depthwise layers fail Im2Col one by one; the rest lower.
+        let mobilenet = by_name("mobilenet").unwrap();
+        assert_eq!(mobilenet.iter().filter(|l| l.is_err()).count(), 13);
+        // Matmul presets come back as built, KV-cache flags included.
+        let decode: Vec<Layer> = by_name("attention-decode")
+            .unwrap()
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(decode, attention_decode());
+    }
 
     #[test]
     fn mobilenet_layer_count_and_shapes() {

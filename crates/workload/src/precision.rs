@@ -31,6 +31,18 @@ pub struct Precision {
 }
 
 impl Precision {
+    /// The precision names [`by_name`](Self::by_name) accepts.
+    pub const NAMES: [&str; 2] = ["int8_out24", "int8_acc24"];
+
+    /// The named precision (one of [`NAMES`](Self::NAMES)), or `None`.
+    pub fn by_name(name: &str) -> Option<Self> {
+        match name {
+            "int8_out24" => Some(Self::int8_out24()),
+            "int8_acc24" => Some(Self::int8_acc24()),
+            _ => None,
+        }
+    }
+
     /// Builds a precision description.
     ///
     /// # Panics
