@@ -223,6 +223,11 @@ impl Drop for WorkerPool {
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
         for worker in self.workers.drain(..) {
+            // A job that dropped the pool's last owner runs on a worker,
+            // which cannot join itself; it exits once that job returns.
+            if worker.thread().id() == std::thread::current().id() {
+                continue;
+            }
             // Graceful: workers drain remaining queued jobs before exiting.
             let _ = worker.join();
         }
@@ -320,6 +325,34 @@ mod tests {
             }
         } // Drop joins workers after the queue drains.
         assert_eq!(counter.load(Ordering::Relaxed), 50);
+    }
+
+    #[test]
+    fn a_job_may_drop_the_last_owner_of_its_pool() {
+        let pool = Arc::new(WorkerPool::new(1, 64));
+        let (drop_tx, drop_now) = std::sync::mpsc::channel::<()>();
+        let owner = Arc::clone(&pool);
+        let dropper = pool.submit(move || {
+            drop_now.recv().unwrap();
+            drop(owner);
+            7u64
+        });
+        let counter = Arc::new(AtomicU64::new(0));
+        let queued: Vec<_> = (0..20)
+            .map(|_| {
+                let c = Arc::clone(&counter);
+                pool.submit(move || c.fetch_add(1, Ordering::Relaxed))
+            })
+            .collect();
+        drop(pool);
+        drop_tx.send(()).unwrap();
+        // A worker joining itself would panic inside the job, and its
+        // handle would then panic too instead of answering.
+        assert_eq!(dropper.wait(), 7);
+        for h in queued {
+            h.wait();
+        }
+        assert_eq!(counter.load(Ordering::Relaxed), 20);
     }
 
     #[test]

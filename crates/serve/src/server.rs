@@ -25,15 +25,14 @@
 //! * `surrogate` — answer a fixed-architecture workload-dimension query
 //!   from a cached arch-specialized [`SpecializedModel`]:
 //!   `{"kind":"surrogate","id":5,"arch":"case16","layer":"128x96x640","template":"64x96x640"}`.
-//!   The service keeps one specialization per `(arch, spatial, model,
-//!   mapper, template, calibration)` key; requests matching the key skip
-//!   the search + lowering entirely and run the closed-form kernel over
-//!   the workload dims (bit-identical to the generic pipeline). The
-//!   `reuse` field (default `true`) is deliberately *not* part of the
-//!   fingerprint — like `mapper.parallelism`, it changes wall-clock,
-//!   never the result. When the service was opened with a calibration
+//!   The service keeps a bounded store of specializations keyed by
+//!   `(arch, spatial, model, mapper, template, calibration)`; a request
+//!   whose key is resident skips the search + lowering entirely and runs
+//!   the closed-form kernel over the workload dims (bit-identical to the
+//!   generic pipeline). When the service was opened with a calibration
 //!   for the request's architecture, its fitted constants are applied
-//!   first and the calibration id enters the fingerprint.
+//!   to each specialization it builds and the calibration id enters the
+//!   fingerprint.
 //! * `stats` — report cache hit rate, queue depth, request-latency
 //!   percentiles and the count of handler panics: `{"kind":"stats"}` (also
 //!   accepted as `"/stats"`). Without timing, the latencies and the queue
@@ -46,7 +45,8 @@
 //!
 //! [`EvalService`] is the engine behind both transports: it routes every
 //! request through a bounded [`WorkerPool`] and memoizes eval/search/net
-//! results in a fingerprint-keyed [`ResultCache`]. [`run_batch`] drives it
+//! results, request fingerprints and surrogate specializations, each in
+//! a fingerprint-keyed [`ResultCache`]. [`run_batch`] drives it
 //! from any `BufRead`/`Write` pair (the `ulm batch` subcommand wires
 //! stdin/stdout); [`run_tcp`] serves `std::net::TcpListener` connections
 //! (`ulm serve`).
@@ -307,8 +307,7 @@ pub struct WhatifTotals {
 pub struct SurrogateTotals {
     /// `surrogate` requests successfully answered.
     pub requests: usize,
-    /// Requests answered from the cached specialization (the slot key —
-    /// arch, spatial, model, mapper, template, calibration — matched).
+    /// Requests answered from a stored specialization.
     pub hits: usize,
     /// Requests that had to build a specialization first.
     pub misses: usize,
@@ -470,11 +469,6 @@ struct SurrogateQuery {
     template: (u64, u64, u64),
     model: ModelOptions,
     mapper: MapperOptions,
-    /// Reuse the service's cached specialization when its key matches.
-    /// Deliberately NOT part of the fingerprint: like
-    /// `mapper.parallelism`, reuse changes wall-clock, never the result —
-    /// the specialized kernel is bit-identical to the generic pipeline.
-    reuse: bool,
 }
 
 enum Request {
@@ -853,12 +847,6 @@ fn parse_surrogate_query(req: &Value) -> Result<SurrogateQuery, UlmError> {
             ))
         }
     };
-    let reuse = match field(req, "reuse") {
-        None => true,
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| UlmError::invalid_request("`reuse` must be a boolean"))?,
-    };
     Ok(SurrogateQuery {
         arch,
         spatial,
@@ -866,7 +854,6 @@ fn parse_surrogate_query(req: &Value) -> Result<SurrogateQuery, UlmError> {
         template,
         model,
         mapper,
-        reuse,
     })
 }
 
@@ -900,7 +887,7 @@ fn kind_keys(kind: &str) -> Option<&'static [&'static str]> {
         "search" => &["layer", "model", "mapper", "objective"],
         "whatif" => &["layer", "model", "mapper", "objective", "mapping", "set"],
         "net" => &["net", "model", "mapper", "fuse", "overlap", "objective"],
-        "surrogate" => &["layer", "model", "mapper", "template", "reuse"],
+        "surrogate" => &["layer", "model", "mapper", "template"],
         _ => return None,
     })
 }
@@ -1113,11 +1100,10 @@ impl Job for NetQuery {
 
 impl SurrogateQuery {
     /// The inputs the cached specialization depends on — everything
-    /// except the workload dims (and `reuse`). Also the prefix of the
-    /// result fingerprint. The calibration id is included when the
-    /// service applied one: calibrated and uncalibrated answers must
-    /// never alias.
-    fn slot_entries(&self, calibration_id: Option<&str>) -> Vec<(String, Value)> {
+    /// except the workload dims. Also the prefix of the result
+    /// fingerprint. The calibration id is included when the service
+    /// applied one: calibrated and uncalibrated answers must never alias.
+    fn spec_entries(&self, calibration_id: Option<&str>) -> Vec<(String, Value)> {
         let (tb, tk, tc) = self.template;
         let mut entries = vec![
             ("op".to_string(), Value::String("surrogate".into())),
@@ -1137,16 +1123,15 @@ impl SurrogateQuery {
         entries
     }
 
-    /// Key of the service's specialization slot.
-    fn slot_key(&self, calibration_id: Option<&str>) -> Fingerprint {
-        fingerprint_value(&Value::Object(self.slot_entries(calibration_id)))
+    /// Key of the query's specialization in the service's store.
+    fn spec_key(&self, calibration_id: Option<&str>) -> Fingerprint {
+        fingerprint_value(&Value::Object(self.spec_entries(calibration_id)))
     }
 
-    /// The canonical identity of this query's *result*: the slot inputs
-    /// plus the workload dims. `reuse` is deliberately absent — requests
-    /// differing only in it produce identical results.
+    /// The canonical identity of this query's *result*: the
+    /// specialization's inputs plus the workload dims.
     fn fingerprint(&self, calibration_id: Option<&str>) -> Fingerprint {
-        let mut entries = self.slot_entries(calibration_id);
+        let mut entries = self.spec_entries(calibration_id);
         entries.push(("layer".to_string(), self.layer.to_value()));
         fingerprint_value(&Value::Object(entries))
     }
@@ -1206,8 +1191,8 @@ fn error_line(id: &Value, err: &UlmError) -> String {
 
 /// Runs a request handler, turning a panic into an `internal/panic` error
 /// so the request still gets its answer. The service takes every lock
-/// poison-tolerantly, and [`FlightRelease`] frees a panicking leader's
-/// single-flight slot, so an unwind leaves no other request waiting.
+/// poison-tolerantly, and [`ResultCache::get_or_build`] wakes the waiters
+/// of a build that panics, so an unwind leaves no other request waiting.
 fn catch_panic<T>(handler: impl FnOnce() -> Result<T, UlmError>) -> Result<T, UlmError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)).unwrap_or_else(|payload| {
         let message = payload
@@ -1217,38 +1202,6 @@ fn catch_panic<T>(handler: impl FnOnce() -> Result<T, UlmError>) -> Result<T, Ul
             .unwrap_or_else(|| "non-string panic payload".to_string());
         Err(UlmError::Panic { message })
     })
-}
-
-/// Coordination point for concurrent identical queries (single-flight):
-/// the first thread to miss computes; the rest wait and then read the
-/// cache instead of re-running the same search.
-struct Inflight {
-    done: Mutex<bool>,
-    cv: std::sync::Condvar,
-}
-
-/// A single-flight leader's claim on its slot. Dropping it — when the
-/// leader returns or unwinds from a panic — unregisters the slot and wakes
-/// the followers, so no one waits on a leader that will never finish.
-struct FlightRelease<'a> {
-    inflight: &'a Mutex<std::collections::HashMap<u128, Arc<Inflight>>>,
-    fp: u128,
-    slot: Arc<Inflight>,
-}
-
-impl Drop for FlightRelease<'_> {
-    fn drop(&mut self) {
-        self.inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&self.fp);
-        *self
-            .slot
-            .done
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-        self.slot.cv.notify_all();
-    }
 }
 
 /// Durable-store state and counters for a disk-backed service.
@@ -1289,12 +1242,10 @@ pub struct DiskStats {
     pub compactions: u64,
 }
 
-/// The service's cached specialization: one partial evaluation reused
-/// across every `surrogate` request with a matching key.
-struct SurrogateSlot {
-    key: Fingerprint,
-    spec: SpecializedModel,
-}
+/// Specializations the service keeps for `surrogate` requests: four per
+/// cache shard, so any four keys stay resident together however they hash.
+/// Each holds at most `MEMO_CAP` (16,384) remembered points.
+const SPECIALIZATIONS: usize = 64;
 
 /// The concurrent, cache-backed evaluation engine.
 pub struct EvalService {
@@ -1303,15 +1254,16 @@ pub struct EvalService {
     /// asks for, so each distinct request builds its fingerprint once.
     /// Bounded by the cache capacity; its probes are not cache lookups.
     fingerprints: ResultCache<Fingerprint>,
+    /// Surrogate specializations by `spec_key`. Each sits behind its own
+    /// lock: a query updates the specialization's scratch and point memo.
+    specializations: ResultCache<Arc<Mutex<SpecializedModel>>>,
     pool: WorkerPool,
-    inflight: Mutex<std::collections::HashMap<u128, Arc<Inflight>>>,
     latencies: Mutex<LatencyLog>,
     /// Requests answered with `internal/panic`.
     panics: AtomicU64,
     search_totals: Mutex<SearchTotals>,
     whatif_totals: Mutex<WhatifTotals>,
     surrogate_totals: Mutex<SurrogateTotals>,
-    surrogate_slot: Mutex<Option<SurrogateSlot>>,
     calibration: Option<Calibration>,
     disk: Option<DiskState>,
     include_timing: bool,
@@ -1378,14 +1330,13 @@ impl EvalService {
         Ok(Arc::new(EvalService {
             cache,
             fingerprints: ResultCache::new(opts.cache_capacity),
+            specializations: ResultCache::new(SPECIALIZATIONS),
             pool: WorkerPool::new(workers, queue),
-            inflight: Mutex::new(std::collections::HashMap::new()),
             latencies: Mutex::new(LatencyLog::default()),
             panics: AtomicU64::new(0),
             search_totals: Mutex::new(SearchTotals::default()),
             whatif_totals: Mutex::new(WhatifTotals::default()),
             surrogate_totals: Mutex::new(SurrogateTotals::default()),
-            surrogate_slot: Mutex::new(None),
             calibration: opts.calibration.clone(),
             disk,
             include_timing: opts.include_timing,
@@ -1695,31 +1646,32 @@ impl EvalService {
         ]))
     }
 
-    /// Answers a `surrogate` request. When the service's cached
-    /// specialization matches the request's slot key (and `reuse` allows
-    /// it), the query runs the closed-form kernel directly — no mapping
-    /// search, no lowering. Otherwise the template layer's best mapping
-    /// is searched once, the model is partially evaluated for the
-    /// resulting `(arch, shape)`, and the specialization is cached for
-    /// the next request. A service calibration matching the request's
-    /// architecture is applied first; its id enters the fingerprint.
+    /// Answers a `surrogate` request. When the service's store holds a
+    /// specialization for the request's key, the query runs the
+    /// closed-form kernel directly — no mapping search, no lowering.
+    /// Otherwise the template layer's best mapping is searched once, the
+    /// model is partially evaluated for the resulting `(arch, shape)`, and
+    /// the specialization is stored for the next request. A service
+    /// calibration matching the request's architecture is applied to the
+    /// specialization it builds; its id enters the key and the fingerprint.
     fn respond_surrogate(&self, q: &SurrogateQuery) -> Result<Answer, UlmError> {
-        let (arch, calibration_id) = match &self.calibration {
-            Some(cal) if cal.arch == q.arch.name() => {
-                let (applied, _) = cal.apply(&q.arch)?;
-                (applied, Some(cal.id.clone()))
-            }
-            _ => (q.arch.clone(), None),
-        };
-        let key = q.slot_key(calibration_id.as_deref());
-        let fp = q.fingerprint(calibration_id.as_deref());
+        let calibration = self
+            .calibration
+            .as_ref()
+            .filter(|cal| cal.arch == q.arch.name());
+        let calibration_id = calibration.map(|cal| cal.id.as_str());
+        let fp = q.fingerprint(calibration_id);
         let (b, k, c) = (
             q.layer.shape().dim(Dim::B),
             q.layer.shape().dim(Dim::K),
             q.layer.shape().dim(Dim::C),
         );
 
-        let specialize = || -> Result<SpecializedModel, UlmError> {
+        let specialize = || -> Result<_, UlmError> {
+            let arch = match calibration {
+                Some(cal) => std::borrow::Cow::Owned(cal.apply(&q.arch)?.0),
+                None => std::borrow::Cow::Borrowed(&q.arch),
+            };
             let (tb, tk, tc) = q.template;
             let mut template = q.layer.clone();
             template.set_matmul_dims(tb, tk, tc);
@@ -1729,35 +1681,22 @@ impl EvalService {
                 .mapping(&winner)
                 .expect("the winning ordering has a legal allocation");
             let shape = MappingShape::from_mapping(&mapping)?;
-            Ok(SpecializedModel::prepare(
+            let spec = SpecializedModel::prepare(
                 LatencyModel::with_options(q.model),
                 &arch,
                 &template,
                 shape,
-            )?)
+            )?;
+            Ok(Arc::new(Mutex::new(spec)))
         };
-
-        let (fast, shape_text, hit) = if q.reuse {
-            let mut slot = self
-                .surrogate_slot
+        let (spec, hit) =
+            self.specializations
+                .get_or_build(q.spec_key(calibration_id), |_| true, specialize)?;
+        let (fast, shape_text) = {
+            let mut spec = spec
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let hit = matches!(&*slot, Some(s) if s.key == key);
-            if !hit {
-                *slot = Some(SurrogateSlot {
-                    key,
-                    spec: specialize()?,
-                });
-            }
-            let s = slot.as_mut().expect("slot was just filled");
-            let fast = s.spec.query(b, k, c)?;
-            (fast, s.spec.shape().to_string(), hit)
-        } else {
-            // `reuse:false` sidesteps the shared slot entirely: always
-            // specialize fresh and leave the cached specialization alone.
-            let mut spec = specialize()?;
-            let fast = spec.query(b, k, c)?;
-            (fast, spec.shape().to_string(), false)
+            (spec.query(b, k, c)?, spec.shape().to_string())
         };
 
         {
@@ -1793,16 +1732,15 @@ impl EvalService {
             ),
         ];
         if let Some(id) = calibration_id {
-            fields.push(("calibration_id".to_string(), Value::String(id)));
+            fields.push(("calibration_id".to_string(), Value::String(id.to_string())));
         }
         Ok(Answer::fields(fields))
     }
 
     /// Cache lookup with single-flight coalescing: concurrent identical
     /// jobs are computed once — the first thread executes, the others
-    /// block on the in-flight marker and then read the cached result.
-    /// Returns the job's fingerprint, its entry, and whether the entry
-    /// came from the cache.
+    /// wait for it and then read the cached result. Returns the job's
+    /// fingerprint, its entry, and whether the entry came from the cache.
     ///
     /// The fingerprint is built once per distinct request `req` (the line
     /// `job` was parsed from): requests equal to it but for `id`, key order
@@ -1812,80 +1750,35 @@ impl EvalService {
         req: &Value,
         job: &J,
     ) -> Result<(Fingerprint, Arc<Cached>, bool), UlmError> {
-        let (fp, _) = self
-            .fingerprints
-            .get_or_compute(fingerprint_request(req), || job.fingerprint());
-        loop {
-            let hit = self
-                .cache
-                .get(fp)
-                .filter(|e| matches!(e.outcome, Outcome::Net(_)) == J::NET);
-            if let Some(entry) = hit {
-                return Ok((fp, entry, true));
-            }
-            enum Role {
-                Leader(Arc<Inflight>),
-                Follower(Arc<Inflight>),
-            }
-            let role = {
-                let mut map = self
-                    .inflight
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                match map.get(&fp.0) {
-                    Some(slot) => Role::Follower(Arc::clone(slot)),
-                    None => {
-                        let slot = Arc::new(Inflight {
-                            done: Mutex::new(false),
-                            cv: std::sync::Condvar::new(),
-                        });
-                        map.insert(fp.0, Arc::clone(&slot));
-                        Role::Leader(slot)
-                    }
-                }
-            };
-            match role {
-                Role::Leader(slot) => {
-                    let _release = FlightRelease {
-                        inflight: &self.inflight,
-                        fp: fp.0,
-                        slot,
-                    };
-                    let entry = Arc::new(Cached::new(job.execute()?));
-                    if let Outcome::Layer(EvalOutcome {
-                        search: Some(meta), ..
-                    }) = &entry.outcome
-                    {
-                        let mut totals = self
-                            .search_totals
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        totals.searches += 1;
-                        totals.stats.absorb(&meta.stats);
-                    }
-                    // Cache first: a compaction triggered by the append
-                    // snapshots the cache and must see this entry.
-                    self.cache.insert(fp, Arc::clone(&entry));
-                    self.persist(fp, &entry.outcome);
-                    return Ok((fp, entry, false));
-                }
-                Role::Follower(slot) => {
-                    let mut done = slot
-                        .done
+        let Ok((fp, _)) = self.fingerprints.get_or_build(
+            fingerprint_request(req),
+            |_| true,
+            || Ok::<_, std::convert::Infallible>(job.fingerprint()),
+        );
+        let fits = |e: &Arc<Cached>| matches!(e.outcome, Outcome::Net(_)) == J::NET;
+        let (entry, hit) = self
+            .cache
+            .get_or_build(fp, fits, || -> Result<_, UlmError> {
+                let entry = Arc::new(Cached::new(job.execute()?));
+                if let Outcome::Layer(EvalOutcome {
+                    search: Some(meta), ..
+                }) = &entry.outcome
+                {
+                    let mut totals = self
+                        .search_totals
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    while !*done {
-                        done = slot
-                            .cv
-                            .wait(done)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    }
-                    // Loop around: a successful leader filled the cache
-                    // (hit); a failed leader left it empty and this thread
-                    // becomes the next leader, reproducing the error.
+                    totals.searches += 1;
+                    totals.stats.absorb(&meta.stats);
                 }
-            }
+                Ok(entry)
+            })?;
+        if !hit {
+            // The build stored the entry first: a compaction triggered by
+            // the append snapshots the cache and must see it.
+            self.persist(fp, &entry.outcome);
         }
+        Ok((fp, entry, hit))
     }
 
     fn stats_fields(&self) -> Vec<(String, Value)> {
@@ -2343,6 +2236,11 @@ mod tests {
                 "net",
             ),
             (r#"{"kind":"stats","layer":"4x4x8"}"#, "layer", "stats"),
+            (
+                r#"{"kind":"surrogate","arch":"toy","layer":"4x4x8","reuse":false}"#,
+                "reuse",
+                "surrogate",
+            ),
         ] {
             let v = parse(&svc.handle_line(bad).unwrap());
             assert_eq!(
@@ -2381,7 +2279,7 @@ mod tests {
                 r#"{{{common},"kind":"net","net":"attention-decode",{model},{mapper},"fuse":[],"overlap":"weight-prefetch","objective":"latency"}}"#
             ),
             format!(
-                r#"{{{common},"kind":"surrogate","layer":"4x4x8",{model},{mapper},"template":"4x4x8","reuse":true}}"#
+                r#"{{{common},"kind":"surrogate","layer":"4x4x8",{model},{mapper},"template":"4x4x8"}}"#
             ),
             format!(r#"{{{common},"kind":"stats"}}"#),
         ] {
@@ -2518,42 +2416,58 @@ mod tests {
     #[test]
     fn a_panicking_leader_releases_its_followers() {
         let svc = service();
-        let fp = 42u128;
-        let slot = Arc::new(Inflight {
-            done: Mutex::new(false),
-            cv: std::sync::Condvar::new(),
-        });
-        svc.inflight.lock().unwrap().insert(fp, Arc::clone(&slot));
-        // A follower waits on the slot the way `lookup_or_execute` does.
-        let (waiting_tx, waiting) = std::sync::mpsc::channel();
-        let (woke_tx, woke) = std::sync::mpsc::channel();
-        let follower = Arc::clone(&slot);
-        std::thread::spawn(move || {
-            let mut done = follower.done.lock().unwrap();
-            // Sent with the lock held: the leader cannot finish before
-            // this thread is inside `wait`.
-            waiting_tx.send(()).unwrap();
-            while !*done {
-                done = follower.cv.wait(done).unwrap();
-            }
-            woke_tx.send(()).unwrap();
-        });
-        waiting.recv().unwrap();
+        let fp = Fingerprint(42);
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (panic_tx, panic_now) = std::sync::mpsc::channel::<()>();
         let leader = {
-            let (svc, slot) = (Arc::clone(&svc), Arc::clone(&slot));
+            let svc = Arc::clone(&svc);
             std::thread::spawn(move || {
-                let _release = FlightRelease {
-                    inflight: &svc.inflight,
+                svc.cache.get_or_build(
                     fp,
-                    slot,
-                };
-                panic!("leader panicked mid-search");
+                    |_| true,
+                    || -> Result<_, UlmError> {
+                        started_tx.send(()).unwrap();
+                        panic_now.recv().unwrap();
+                        panic!("leader panicked mid-search");
+                    },
+                )
             })
         };
+        started.recv().unwrap();
+        // A follower waits on the leader's build the way
+        // `lookup_or_execute` does.
+        let (woke_tx, woke) = std::sync::mpsc::channel();
+        {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || {
+                let got = svc.cache.get_or_build(
+                    fp,
+                    |_| true,
+                    || {
+                        Ok::<_, UlmError>(Arc::new(Cached::new(Outcome::Net(NetOutcome {
+                            total_cycles: 1.0,
+                            sequential_cycles: 1.0,
+                            total_fj: 1.0,
+                            utilization: 1.0,
+                            segments: Vec::new(),
+                            layers: Vec::new(),
+                        }))))
+                    },
+                );
+                woke_tx.send(got.is_ok()).unwrap();
+            });
+        }
+        // Once the follower's lookup has missed, it waits on the leader's
+        // build, which cannot finish before `panic_tx` sends.
+        while svc.cache_stats().misses < 2 {
+            std::thread::yield_now();
+        }
+        panic_tx.send(()).unwrap();
         assert!(leader.join().is_err());
-        woke.recv_timeout(std::time::Duration::from_secs(10))
-            .expect("the follower was woken");
-        assert!(svc.inflight.lock().unwrap().is_empty());
+        assert!(woke
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the follower was woken"));
+        assert_eq!(svc.cache.building(), 0);
     }
 
     #[test]
@@ -2707,7 +2621,7 @@ mod tests {
     }
 
     #[test]
-    fn surrogate_slot_reuse_counts_hits_and_misses() {
+    fn surrogate_store_reuse_counts_hits_and_misses() {
         let svc = service();
         let first = r#"{"kind":"surrogate","arch":"case16","layer":"64x96x640","mapper":{"max_exhaustive":200,"samples":20}}"#;
         let sweep = r#"{"kind":"surrogate","arch":"case16","layer":"128x96x640","template":"64x96x640","mapper":{"max_exhaustive":200,"samples":20}}"#;
@@ -2715,8 +2629,8 @@ mod tests {
         assert_eq!(a.get("ok"), Some(&Value::Bool(true)), "{a:?}");
         assert_eq!(a.get("specialized_reused"), Some(&Value::Bool(false)));
         // The first request's default template (its own dims) matches the
-        // sweep request's explicit template, so the slot is reused even
-        // though the query layers differ.
+        // sweep request's explicit template, so the specialization is
+        // reused even though the query layers differ.
         let b = parse(&svc.handle_line(sweep).unwrap());
         assert_eq!(b.get("ok"), Some(&Value::Bool(true)), "{b:?}");
         assert_eq!(b.get("specialized_reused"), Some(&Value::Bool(true)));
@@ -2739,19 +2653,35 @@ mod tests {
     }
 
     #[test]
-    fn surrogate_reuse_flag_is_excluded_from_the_fingerprint() {
+    fn alternating_surrogate_keys_are_all_kept() {
         let svc = service();
-        let shared = r#"{"kind":"surrogate","arch":"case16","layer":"64x96x640","mapper":{"max_exhaustive":200,"samples":20}}"#;
-        let fresh = r#"{"kind":"surrogate","arch":"case16","layer":"64x96x640","reuse":false,"mapper":{"max_exhaustive":200,"samples":20}}"#;
-        let a = parse(&svc.handle_line(shared).unwrap());
-        let b = parse(&svc.handle_line(fresh).unwrap());
-        assert_eq!(a.get("ok"), Some(&Value::Bool(true)), "{a:?}");
-        assert_eq!(b.get("ok"), Some(&Value::Bool(true)), "{b:?}");
-        // `reuse` is a replay knob, not an input: identical identity and
-        // bit-identical results either way.
-        assert_eq!(a.get("fingerprint"), b.get("fingerprint"));
-        assert_eq!(a.get("latency"), b.get("latency"));
-        assert_eq!(b.get("specialized_reused"), Some(&Value::Bool(false)));
+        let lines: Vec<String> = ["8x16x64", "16x16x64", "8x32x64"]
+            .iter()
+            .map(|template| {
+                format!(
+                    r#"{{"kind":"surrogate","arch":"case16","layer":"32x32x64","template":"{template}","mapper":{{"max_exhaustive":200,"samples":20}}}}"#
+                )
+            })
+            .collect();
+        for round in [false, true] {
+            for line in &lines {
+                let v = parse(&svc.handle_line(line).unwrap());
+                assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{v:?}");
+                assert_eq!(
+                    v.get("specialized_reused"),
+                    Some(&Value::Bool(round)),
+                    "{line}"
+                );
+            }
+        }
+        assert_eq!(
+            svc.surrogate_totals(),
+            SurrogateTotals {
+                requests: 6,
+                hits: 3,
+                misses: 3
+            }
+        );
     }
 
     #[test]
@@ -2768,6 +2698,16 @@ mod tests {
         let line = r#"{"kind":"surrogate","arch":"case16","layer":"8x16x64","mapper":{"max_exhaustive":200,"samples":20}}"#;
         let v = parse(&svc.handle_line(line).unwrap());
         assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{v:?}");
+        assert_eq!(
+            v.get("calibration_id"),
+            Some(&Value::String("cal-test".into()))
+        );
+        // A second point on the same specialization is answered from the
+        // store and still carries the calibration id.
+        let again = r#"{"kind":"surrogate","arch":"case16","layer":"16x16x64","template":"8x16x64","mapper":{"max_exhaustive":200,"samples":20}}"#;
+        let v = parse(&svc.handle_line(again).unwrap());
+        assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{v:?}");
+        assert_eq!(v.get("specialized_reused"), Some(&Value::Bool(true)));
         assert_eq!(
             v.get("calibration_id"),
             Some(&Value::String("cal-test".into()))

@@ -166,6 +166,26 @@ if (( ${search_hits:-0} < 2 )); then
     exit 1
 fi
 
+echo "==> surrogate store smoke (three specialization keys stay resident across rounds)"
+# Three keys, sent twice in the same order: every second-round answer must
+# come from a stored specialization. One worker, so stats runs last.
+surrogate_lines=()
+for template in 8x16x64 16x16x64 8x32x64; do
+    surrogate_lines+=("{\"kind\":\"surrogate\",\"arch\":\"case16\",\"layer\":\"32x32x64\",\"template\":\"$template\",\"mapper\":{\"max_exhaustive\":200,\"samples\":20}}")
+done
+surrogate_out="$(printf '%s\n' "${surrogate_lines[@]}" "${surrogate_lines[@]}" '{"kind":"stats"}' |
+    target/release/ulm batch --no-timing --parallelism 1 2>/dev/null)"
+surrogate_reused="$(sed -n 4,6p <<<"$surrogate_out" | grep -c '"specialized_reused":true' || true)"
+surrogate_hits="$(sed -n 7p <<<"$surrogate_out" | sed -nE 's/.*"surrogate":\{"requests":[0-9]+,"hits":([0-9]+).*/\1/p')"
+if (( surrogate_reused != 3 )); then
+    echo "error: only ${surrogate_reused} of 3 repeated surrogate keys reused their specialization" >&2
+    exit 1
+fi
+if [[ "${surrogate_hits:-}" != 3 ]]; then
+    echo "error: /stats reports ${surrogate_hits:-no} surrogate hits, expected 3" >&2
+    exit 1
+fi
+
 echo "==> attention + fusion smoke (fused vs layer-by-layer differential)"
 fused_out="$(target/release/ulm network --net attention-decode --arch fusion --fuse logit+attend@LB)"
 base_out="$(target/release/ulm network --net attention-decode --arch fusion)"
