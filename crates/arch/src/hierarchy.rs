@@ -134,14 +134,7 @@ impl MemoryHierarchy {
             .map(MemoryId)
     }
 
-    /// Operands served by memory `id`, in canonical order.
-    pub fn served_operands(&self, id: MemoryId) -> Vec<Operand> {
-        Operand::all()
-            .filter(|&op| self.chain(op).contains(&id))
-            .collect()
-    }
-
-    /// Number of operands served by memory `id`, without allocating.
+    /// Number of operands served by memory `id`.
     pub fn served_operand_count(&self, id: MemoryId) -> usize {
         Operand::all()
             .filter(|&op| self.chain(op).contains(&id))
@@ -368,8 +361,8 @@ mod tests {
         assert_eq!(h.find("gb"), Some(gb));
         assert_eq!(h.find("nope"), None);
         assert_eq!(h.depth(), 2);
-        assert_eq!(h.served_operands(gb).len(), 3);
-        assert_eq!(h.served_operands(reg), vec![Operand::W]);
+        assert_eq!(h.served_operand_count(gb), 3);
+        assert_eq!(h.served_operand_count(reg), 1);
     }
 
     #[test]

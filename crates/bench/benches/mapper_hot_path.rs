@@ -543,15 +543,15 @@ fn measure() -> Snapshot {
     }
     let delta_incr_secs = t6.elapsed().as_secs_f64();
 
-    // Specialized surrogate: fold the arch-constant tables once for the
-    // (arch, incumbent shape) pair, then answer the Fig. 8 workload
-    // point through the specialized kernel. The steady-state loop is
-    // serve's repeated-request pattern (the first query runs the kernel,
-    // repeats hit the point memo); the cold loop clears the memo every
-    // iteration to price the kernel itself. The baseline is the full
-    // fixed-arch path a sweep client would otherwise run per point:
-    // greedy allocation + validation + `evaluate_fast` on a warm
-    // scratch.
+    // Specialized surrogate: fix the model to the (arch, incumbent
+    // shape) pair, then answer the Fig. 8 workload point. The
+    // steady-state loop is serve's repeated-request pattern (the first
+    // query evaluates, repeats hit the point memo); the cold loop clears
+    // the memo every iteration to price one evaluation. The baseline is
+    // the full fixed-arch path a sweep client would otherwise run per
+    // point: greedy allocation + validation + `evaluate_fast` on a warm
+    // scratch — the path a cold query runs, so the two cold rates
+    // should agree.
     let shape =
         MappingShape::from_mapping(&batched.best.mapping).expect("matmul incumbents have shapes");
     let surrogate_spatial = shape.spatial().clone();
@@ -570,8 +570,8 @@ fn measure() -> Snapshot {
         .to_bits();
     }
     let surrogate_secs = t7.elapsed().as_secs_f64();
-    // Kernel-only rate: clearing the point memo before each query forces
-    // the full specialized rebuild every time.
+    // Cold rate: clearing the point memo before each query forces a full
+    // evaluation every time.
     let t7b = Instant::now();
     let mut surrogate_cold_bits = 0u64;
     for _ in 0..surrogate_iters {

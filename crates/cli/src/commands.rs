@@ -564,8 +564,6 @@ pub fn surrogate(args: &Args) -> Result<(), UlmError> {
                 "utilization": l.utilization,
             })).collect::<Vec<_>>(),
             "queries": stats.queries,
-            "grouping_reused": stats.grouping_reused,
-            "grouping_rebuilt": stats.grouping_rebuilt,
             "points_per_sec": points_per_sec,
         });
         if let serde_json::Value::Object(fields) = &mut out {
@@ -594,10 +592,7 @@ pub fn surrogate(args: &Args) -> Result<(), UlmError> {
                 l.ss_overall
             );
         }
-        println!(
-            "{} queries, grouping reused {} / rebuilt {}, {:.0} points/s",
-            stats.queries, stats.grouping_reused, stats.grouping_rebuilt, points_per_sec
-        );
+        println!("{} queries, {points_per_sec:.0} points/s", stats.queries);
         if verify {
             println!("verified: {verified_points} points bit-identical to the generic pipeline");
         }

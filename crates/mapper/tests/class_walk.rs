@@ -15,12 +15,12 @@ use ulm_arch::{Architecture, MacArray, Memory, MemoryHierarchy, MemoryKind, Port
 use ulm_mapper::enumerate::{self, OrderingWalk};
 use ulm_mapper::factorize::{ordering_count, Factor};
 use ulm_mapper::{EvaluatedMapping, Mapper, MapperError, MapperOptions, Objective};
-use ulm_mapping::{LoopStack, MappedLayer, Mapping, OperandAlloc, SpatialUnroll};
+use ulm_mapping::{LoopStack, MappedLayer, Mapping, SpatialUnroll};
 use ulm_model::{
     BatchKernel, DtlOptions, LaneObjective, LaneOutcome, LatencyModel, LoweredLayer,
     OrderingClasses,
 };
-use ulm_workload::{Dim, DimSizes, Layer, LayerShape, Operand, PerOperand, Precision};
+use ulm_workload::{Dim, Layer, LayerShape, Operand, Precision};
 
 /// Largest space the permutation oracle walks per case; the generators'
 /// bounds keep every case below it.
@@ -214,68 +214,33 @@ impl OrderingWalk for Recorder<'_> {
 /// of the class walk's incremental state.
 type Rows = Option<Vec<[u64; 7]>>;
 
-struct RowLowering<'a> {
-    chip: &'a PresetChip,
-    layer: &'a Layer,
-    mapping: Mapping,
-    ext: Vec<DimSizes>,
-    residency: Vec<u64>,
-    lowered: LoweredLayer,
-}
-
-impl<'a> RowLowering<'a> {
-    fn new(chip: &'a PresetChip, layer: &'a Layer, spatial: &SpatialUnroll) -> Self {
-        Self {
-            chip,
-            layer,
-            mapping: Mapping::new(
-                spatial.clone(),
-                LoopStack::empty(),
-                PerOperand::from_fn(|_| OperandAlloc::flat(0)),
-            ),
-            ext: vec![spatial.extents()],
-            residency: Vec::new(),
-            lowered: LoweredLayer::default(),
-        }
-    }
-
-    fn rows(&mut self, ordering: &[Factor]) -> Rows {
-        self.ext.truncate(1);
-        for &(d, s) in ordering {
-            let mut e = *self.ext.last().expect("spatial extents");
-            e.multiply(d, s);
-            self.ext.push(e);
-        }
-        if !self
-            .mapping
-            .reassign_greedy(&self.chip.arch, self.layer, ordering, &self.ext)
-        {
-            return None;
-        }
-        let view = MappedLayer::new_fast(
-            self.layer,
-            &self.chip.arch,
-            &self.mapping,
-            &mut self.residency,
-        )?;
-        LoweredLayer::build_into(&view, DtlOptions::default(), &mut self.lowered);
-        Some(
-            Operand::all()
-                .flat_map(|op| self.lowered.levels(op).iter())
-                .map(|r| {
-                    [
-                        r.words,
-                        r.period,
-                        r.z,
-                        r.run,
-                        r.refills,
-                        r.distinct_above,
-                        r.final_above as u64,
-                    ]
-                })
-                .collect(),
-        )
-    }
+fn rows(
+    chip: &PresetChip,
+    layer: &Layer,
+    spatial: &SpatialUnroll,
+    ordering: &[Factor],
+    lowered: &mut LoweredLayer,
+) -> Rows {
+    let stack = LoopStack::from_pairs(ordering);
+    let mapping = Mapping::with_greedy_alloc(&chip.arch, layer, spatial.clone(), stack).ok()?;
+    let view = MappedLayer::new(layer, &chip.arch, &mapping).ok()?;
+    LoweredLayer::build_into(&view, DtlOptions::default(), lowered);
+    Some(
+        Operand::all()
+            .flat_map(|op| lowered.levels(op).iter())
+            .map(|r| {
+                [
+                    r.words,
+                    r.period,
+                    r.z,
+                    r.run,
+                    r.refills,
+                    r.distinct_above,
+                    r.final_above as u64,
+                ]
+            })
+            .collect(),
+    )
 }
 
 /// Every permutation in enumeration order with its leaf rows.
@@ -285,10 +250,11 @@ fn leaf_rows(
     spatial: &SpatialUnroll,
 ) -> Vec<(Vec<Factor>, Rows)> {
     let factors = Mapper::new(&chip.arch, layer, spatial.clone()).factors();
-    let mut lowering = RowLowering::new(chip, layer, spatial);
+    let mut lowered = LoweredLayer::default();
     let mut out = Vec::new();
     enumerate::for_each_ordering(&factors, |ordering| {
-        out.push((ordering.to_vec(), lowering.rows(ordering)));
+        let leaf = rows(chip, layer, spatial, ordering, &mut lowered);
+        out.push((ordering.to_vec(), leaf));
         true
     });
     out

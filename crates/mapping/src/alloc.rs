@@ -89,21 +89,6 @@ impl OperandAlloc {
     pub fn bounds(&self) -> &[usize] {
         &self.bounds
     }
-
-    /// Removes all cut points in place, keeping the buffer. The
-    /// allocation is invalid (empty) until bounds are pushed back.
-    pub(crate) fn clear(&mut self) {
-        self.bounds.clear();
-    }
-
-    /// Appends a cut point, preserving the non-decreasing invariant.
-    pub(crate) fn push_bound(&mut self, bound: usize) {
-        debug_assert!(
-            self.bounds.last().is_none_or(|&last| last <= bound),
-            "allocation bounds must be non-decreasing"
-        );
-        self.bounds.push(bound);
-    }
 }
 
 impl fmt::Display for OperandAlloc {

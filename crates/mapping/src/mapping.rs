@@ -167,8 +167,7 @@ impl Mapping {
         stack: LoopStack,
     ) -> Result<Self, MappingError> {
         let h = arch.hierarchy();
-        let allocs = PerOperand::from_fn(|_| OperandAlloc::flat(0));
-        let mut allocs = allocs;
+        let mut allocs = PerOperand::from_fn(|_| OperandAlloc::flat(0));
         for op in Operand::all() {
             let chain = h.chain(op);
             let mut bounds = Vec::with_capacity(chain.len());
@@ -180,7 +179,7 @@ impl Mapping {
                     bounds.push(stack.len());
                     break;
                 }
-                let sharers = h.served_operands(mid).len() as u64;
+                let sharers = h.served_operand_count(mid) as u64;
                 let cap = mem.mapper_capacity_bits() / sharers;
                 let data_bits = |p: usize| -> u64 {
                     let mut ext = spatial.extents();
@@ -211,64 +210,6 @@ impl Mapping {
             stack,
             allocs,
         })
-    }
-
-    /// Rebuilds `self` in place as the greedy allocation of `ordering`
-    /// (innermost first) over the existing spatial unrolling, reusing
-    /// every internal buffer — the allocation-free counterpart of
-    /// [`with_greedy_alloc`](Self::with_greedy_alloc) used by the
-    /// mapper's fast search path.
-    ///
-    /// `prefix_ext[p]` must hold the combined spatial+temporal extents of
-    /// the innermost `p` loops (so `prefix_ext[0]` is the spatial extents
-    /// alone), and `ordering` must contain no size-1 loops so that loop
-    /// indices line up with `prefix_ext` entries.
-    ///
-    /// Returns `false` when some level cannot hold even the block
-    /// arriving from the level below (the condition `with_greedy_alloc`
-    /// reports as [`MappingError::InfeasibleLevel`]); the mapping
-    /// contents are unspecified afterwards until the next successful
-    /// reassignment.
-    pub fn reassign_greedy(
-        &mut self,
-        arch: &Architecture,
-        layer: &Layer,
-        ordering: &[(Dim, u64)],
-        prefix_ext: &[ulm_workload::DimSizes],
-    ) -> bool {
-        debug_assert!(ordering.iter().all(|&(_, s)| s > 1));
-        debug_assert_eq!(prefix_ext.len(), ordering.len() + 1);
-        self.stack.assign_from_pairs(ordering);
-        let n = self.stack.len();
-        let h = arch.hierarchy();
-        for op in Operand::all() {
-            let chain = h.chain(op);
-            let alloc = self.allocs.get_mut(op);
-            alloc.clear();
-            let mut prev = 0usize;
-            for (lvl, &mid) in chain.iter().enumerate() {
-                let mem = h.mem(mid);
-                let is_top = lvl + 1 == chain.len();
-                if is_top {
-                    alloc.push_bound(n);
-                    break;
-                }
-                let sharers = h.served_operand_count(mid) as u64;
-                let cap = mem.mapper_capacity_bits() / sharers;
-                let data_bits =
-                    |p: usize| layer.data_words(op, &prefix_ext[p]) * layer.precision().bits(op);
-                if data_bits(prev) > cap {
-                    return false;
-                }
-                let mut p = prev;
-                while p < n && data_bits(p + 1) <= cap {
-                    p += 1;
-                }
-                alloc.push_bound(p);
-                prev = p;
-            }
-        }
-        true
     }
 
     /// The spatial unrolling.

@@ -34,8 +34,9 @@
 //! fit and coverage checks (`CC_spatial` and every dimension extent are
 //! multiset invariants, independent of order), per-level capacity
 //! budgets for the greedy allocation, and every link constant (port
-//! bandwidths, endpoints, double-buffering), folded once into the same
-//! slot tables the surrogate uses. Per pushed ordering the kernel extends
+//! bandwidths, endpoints, double-buffering), folded once into flat slot
+//! tables captured through the lowering's own live lookups. Per pushed
+//! ordering the kernel extends
 //! prefix-memoized cycle counts and residency words (shared inner
 //! prefixes with the previously pushed ordering are reused and counted
 //! in [`cache_hits`](BatchKernel::cache_hits)), replays the greedy level
@@ -389,7 +390,7 @@ impl<'a> BatchKernel<'a> {
         }
 
         // Greedy level allocation with precomputed word budgets — the
-        // same bounds `Mapping::reassign_greedy` assigns, or Illegal.
+        // same bounds `Mapping::with_greedy_alloc` assigns, or Illegal.
         let mut illegal = !t.const_legal;
         if !illegal {
             'ops: for (oi, g) in t.ops.iter().enumerate() {
@@ -711,8 +712,8 @@ mod tests {
     use super::*;
     use crate::ModelScratch;
     use ulm_arch::presets;
-    use ulm_mapping::{LoopStack, MappedLayer, Mapping, OperandAlloc, SpatialUnroll};
-    use ulm_workload::{Layer, PerOperand, Precision};
+    use ulm_mapping::{LoopStack, MappedLayer, Mapping, SpatialUnroll};
+    use ulm_workload::{Layer, Precision};
 
     /// Every permutation of the toy factor multiset, kernel vs scalar:
     /// identical legality and bit-identical scores, for both models.
@@ -741,7 +742,6 @@ mod tests {
                 LaneObjective::Latency,
             );
             let mut scalar_scratch = ModelScratch::default();
-            let mut residency = Vec::new();
             let mut results: Vec<LaneOutcome> = Vec::new();
             for ord in &orderings {
                 if kernel.is_full() {
@@ -765,7 +765,6 @@ mod tests {
                     model,
                     ord,
                     &mut scalar_scratch,
-                    &mut residency,
                 );
                 match (scalar, got) {
                     (None, LaneOutcome::Illegal) => {}
@@ -785,23 +784,10 @@ mod tests {
         model: LatencyModel,
         ordering: &[(Dim, u64)],
         scratch: &mut ModelScratch,
-        residency: &mut Vec<u64>,
     ) -> Option<f64> {
-        let mut mapping = Mapping::new(
-            spatial.clone(),
-            LoopStack::empty(),
-            PerOperand::from_fn(|_| OperandAlloc::flat(0)),
-        );
-        let mut prefix_ext = vec![spatial.extents()];
-        for &(d, s) in ordering {
-            let mut e = *prefix_ext.last().unwrap();
-            e.multiply(d, s);
-            prefix_ext.push(e);
-        }
-        if !mapping.reassign_greedy(arch, layer, ordering, &prefix_ext) {
-            return None;
-        }
-        let view = MappedLayer::new_fast(layer, arch, &mapping, residency)?;
+        let stack = LoopStack::from_pairs(ordering);
+        let mapping = Mapping::with_greedy_alloc(arch, layer, spatial.clone(), stack).ok()?;
+        let view = MappedLayer::new(layer, arch, &mapping).ok()?;
         Some(model.evaluate_fast(&view, scratch).cc_total)
     }
 
@@ -856,7 +842,6 @@ mod tests {
         // Scalar reference sequence with floor-only-style incumbents:
         // replicate the mapper's bounded walk using full scores.
         let mut scalar_scratch = ModelScratch::default();
-        let mut residency = Vec::new();
         let mut best: Option<f64> = None;
         let mut want = Vec::new();
         for ord in &orderings {
@@ -867,7 +852,6 @@ mod tests {
                 model,
                 ord,
                 &mut scalar_scratch,
-                &mut residency,
             ) {
                 None => want.push(None),
                 Some(score) => {

@@ -178,9 +178,9 @@ impl Stage {
 
     /// The subset of this stage's inputs that is **architecture-constant**
     /// for a fixed `(architecture, mapping shape)` pair: the groups a
-    /// [`SpecializedModel`](crate::surrogate::SpecializedModel) folds into
-    /// tables once at specialization time. A delta in these groups
-    /// invalidates the specialization itself, never an individual query.
+    /// [`SpecializedModel`](crate::surrogate::SpecializedModel) fixes when
+    /// it is prepared. A delta in these groups invalidates the
+    /// specialization itself, never an individual query.
     fn arch_constant(self) -> InputDelta {
         match self {
             Stage::Residency => InputDelta::ARCH_STRUCTURE,
@@ -193,8 +193,9 @@ impl Stage {
 
     /// The subset of this stage's inputs that **varies per query** under a
     /// fixed specialization: workload dims and the mapping bounds derived
-    /// from them. These are the only inputs the surrogate's per-query
-    /// kernel re-reads; everything else comes from the folded tables.
+    /// from them. These are the only inputs that differ between two
+    /// queries of one surrogate; everything else is fixed by its
+    /// specialization.
     fn workload_varying(self) -> InputDelta {
         InputDelta::WORKLOAD.union(InputDelta::MAPPING)
     }
@@ -246,7 +247,7 @@ mod tests {
         for s in Stage::ALL {
             // The two declared halves reassemble the read set exactly...
             assert_eq!(s.reads(), s.arch_constant().union(s.workload_varying()));
-            // ...and are disjoint: an input is folded or per-query, never both.
+            // ...and are disjoint: an input is fixed or per-query, never both.
             assert!(!s.arch_constant().intersects(s.workload_varying()));
             // Capacity is in neither half: it gates legality, not latency.
             assert!(!s.reads().intersects(InputDelta::CAPACITY));

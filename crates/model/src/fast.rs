@@ -32,14 +32,6 @@ impl ModelScratch {
     pub fn lowered(&self) -> &LoweredLayer {
         &self.lowered
     }
-
-    pub(crate) fn parts(&mut self) -> (&LoweredLayer, &mut StallScratch) {
-        (&self.lowered, &mut self.stall)
-    }
-
-    pub(crate) fn lowered_mut(&mut self) -> &mut LoweredLayer {
-        &mut self.lowered
-    }
 }
 
 /// The scalar subset of a latency report, produced without allocating.
@@ -121,12 +113,10 @@ impl LatencyModel {
         delta: InputDelta,
         scratch: &mut ModelScratch,
     ) -> (FastLatency, RebuildStats) {
-        let stats = scratch
-            .lowered
-            .rebuild_dirty(view, self.dtl_options(), delta);
+        let ModelScratch { lowered, stall } = scratch;
+        let stats = lowered.rebuild_dirty(view, self.dtl_options(), delta);
         let opts = self.options();
         let ss_overall = if opts.bw_aware {
-            let (lowered, stall) = scratch.parts();
             let recombined = if stats.was_full_rebuild() {
                 None
             } else {
@@ -149,7 +139,7 @@ impl LatencyModel {
         } else {
             0.0
         };
-        (scratch.lowered.totals(ss_overall), stats)
+        (lowered.totals(ss_overall), stats)
     }
 
     /// Steps 2–3 and the phase composition — THE shared core.

@@ -158,12 +158,7 @@ impl LatencyModel {
     /// that [`evaluate_fast`](Self::evaluate_fast) runs — the scalars are
     /// bit-identical because they come out of one code path.
     pub fn evaluate(&self, view: &MappedLayer<'_>) -> LatencyReport {
-        let mut scratch = ModelScratch::default();
-        LoweredLayer::build_into(view, self.dtl_options(), scratch.lowered_mut());
-        let (lowered, stall) = scratch.parts();
-        let fast = self.core(view.arch(), lowered, stall, true);
-        let (lowered, stall) = scratch.parts();
-        self.assemble_report(view, lowered, stall, fast)
+        self.evaluate_lowered(view, &LoweredLayer::build(view, self.dtl_options()))
     }
 
     /// [`evaluate`](Self::evaluate) over an already-lowered layer, so

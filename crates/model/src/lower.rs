@@ -34,7 +34,7 @@ use crate::delta::{InputDelta, RebuildStats, Stage};
 use crate::dtl::{self, Dtl, DtlOptions};
 use crate::fast::FastLatency;
 use crate::phases;
-use crate::slots::{ArchSlots, LiveSlots};
+use crate::slots::LiveSlots;
 use ulm_mapping::{MappedLayer, SpatialUnroll};
 use ulm_workload::{Layer, Operand, Relevance};
 
@@ -192,7 +192,7 @@ impl LoweredLayer {
     /// same stage functions selectively.
     pub fn build_into(view: &MappedLayer<'_>, opts: DtlOptions, out: &mut LoweredLayer) {
         out.pins = [None; 3];
-        out.rebuild_full(view, opts, &LiveSlots::new(view.arch().hierarchy()));
+        out.rebuild_full(view, opts);
     }
 
     /// Lowers `view` with explicit residency pins: `pins[op]` keeps that
@@ -205,26 +205,21 @@ impl LoweredLayer {
             pins,
             ..Self::default()
         };
-        out.rebuild_full(view, opts, &LiveSlots::new(view.arch().hierarchy()));
+        out.rebuild_full(view, opts);
         out
     }
 
     /// Runs all four stages, keeping `self.pins`. Every architecture
-    /// constant arrives through `slots`: live lookups on the generic path,
-    /// the surrogate's folded tables on its query path — the same stage
-    /// bodies either way, so equal slot values give equal bits.
-    pub(crate) fn rebuild_full(
-        &mut self,
-        view: &MappedLayer<'_>,
-        opts: DtlOptions,
-        slots: &impl ArchSlots,
-    ) {
+    /// constant is read through live `LiveSlots` lookups, the values the
+    /// batched kernel folds into its tables.
+    fn rebuild_full(&mut self, view: &MappedLayer<'_>, opts: DtlOptions) {
         self.opts = opts;
         self.stage_residency(view);
-        self.stage_phases(view.layer(), slots);
+        self.stage_phases(view);
         // [`Stage::DtlGraph`]: Step 1 proper, read off the rows above.
+        let slots = LiveSlots::new(view.arch().hierarchy());
         let mut dtls = std::mem::take(&mut self.dtls);
-        dtl::build_dtls_with(view.layer().precision(), opts, &*self, slots, &mut dtls);
+        dtl::build_dtls_with(view.layer().precision(), opts, &*self, &slots, &mut dtls);
         self.dtls = dtls;
     }
 
@@ -268,9 +263,11 @@ impl LoweredLayer {
     /// [`Stage::Phases`]: pre-load / off-load cycle counts. Reads port
     /// bandwidths, so a bandwidth delta re-runs it; block sizes come from
     /// the (clean) residency tables built by the stage before it.
-    fn stage_phases(&mut self, layer: &Layer, slots: &impl ArchSlots) {
-        self.preload = phases::preload_cycles_with(layer.precision(), &*self, slots);
-        self.offload = phases::offload_cycles_with(layer.precision(), &*self, slots);
+    fn stage_phases(&mut self, view: &MappedLayer<'_>) {
+        let precision = view.layer().precision();
+        let slots = LiveSlots::new(view.arch().hierarchy());
+        self.preload = phases::preload_cycles_with(precision, &*self, &slots);
+        self.offload = phases::offload_cycles_with(precision, &*self, &slots);
     }
 
     /// Recomputes only the stages invalidated by `delta`, bit-identical
@@ -300,7 +297,7 @@ impl LoweredLayer {
         if never_built || self.opts != opts || dirty(Stage::Residency) || dirty(Stage::FeedRates) {
             // Preserves `self.pins` (unlike `build_into`): a pinned IR
             // stays pinned across incremental rebuilds.
-            self.rebuild_full(view, opts, &LiveSlots::new(view.arch().hierarchy()));
+            self.rebuild_full(view, opts);
             return RebuildStats::full();
         }
         let mut stats = RebuildStats {
@@ -308,7 +305,7 @@ impl LoweredLayer {
             stages_skipped: 2, // residency + feed rates reused
         };
         if dirty(Stage::Phases) {
-            self.stage_phases(view.layer(), &LiveSlots::new(view.arch().hierarchy()));
+            self.stage_phases(view);
             stats.stages_rebuilt += 1;
         } else {
             stats.stages_skipped += 1;

@@ -8,8 +8,8 @@
 //! maximum.
 //!
 //! Each phase is one arithmetic body over the lowered IR's rows, generic
-//! over where its link bandwidths come from (live lookups or the
-//! surrogate's folded tables). The batched kernel's lockstep loops share
+//! over where its link bandwidths come from (live lookups or the batched
+//! kernel's folded tables). The batched kernel's lockstep loops share
 //! the per-interface term, `block_cycles`.
 
 use crate::dtl::crossing_bits;

@@ -9,10 +9,10 @@
 //! instead of the hierarchy directly:
 //!
 //! * [`LiveSlots`] answers by chain-and-port lookups — the generic
-//!   lowering and the mapper's view-based pruning bounds;
+//!   lowering (and with it the surrogate) and the view-based roofline
+//!   bound;
 //! * [`FoldedSlots`] (built *through* `LiveSlots`, so it holds the very
-//!   same numbers) answers by array indexing — the surrogate's query
-//!   path and the batched kernel.
+//!   same numbers) answers by array indexing — the batched kernel.
 //!
 //! Because both implementations feed identical values into one shared
 //! arithmetic body, every evaluator is bit-identical to the generic path
@@ -121,7 +121,7 @@ impl ArchSlots for LiveSlots<'_> {
 }
 
 /// [`ArchSlots`] folded into flat per-interface tables once per
-/// specialization or batched kernel: every entry is captured through
+/// batched kernel: every entry is captured through
 /// [`LiveSlots`], so the values are the generic path's values and
 /// queries reduce to indexing.
 #[derive(Debug, Default)]

@@ -252,7 +252,47 @@ impl StallScratch {
         // Groups come out in ascending (memory, port) order, members in
         // ascending link index.
         self.keys.sort_unstable();
-        self.combine_sorted(arch, dtls, union_opts, oversubscription_bound)
+        let Self {
+            keys,
+            windows,
+            unions,
+            groups,
+            mem_stalls,
+            grouped,
+        } = self;
+        groups.clear();
+        mem_stalls.clear();
+        let mut start = 0;
+        while start < keys.len() {
+            let (mem, port, _) = keys[start];
+            let mut end = start + 1;
+            while end < keys.len() && keys[end].0 == mem && keys[end].1 == port {
+                end += 1;
+            }
+            let group = &keys[start..end];
+            windows.clear();
+            windows.extend(group.iter().map(|&(_, _, i)| dtls[i].window));
+            let muw = unions.measure(windows, union_opts);
+            let core = group_scalars(
+                dtls,
+                group,
+                mem,
+                port,
+                muw.value(),
+                muw.is_exact(),
+                oversubscription_bound,
+            );
+            groups.push(core);
+            match mem_stalls.last_mut() {
+                Some(last) if last.mem == core.mem => last.ss = last.ss.max(core.ss_comb),
+                _ => mem_stalls.push(MemStall {
+                    mem: core.mem,
+                    ss: core.ss_comb,
+                }),
+            }
+            start = end;
+        }
+        integrate_with(arch, mem_stalls, grouped)
     }
 
     /// Bandwidth-delta Steps 2–3: reuse everything the last
@@ -335,88 +375,6 @@ impl StallScratch {
             return None;
         }
         Some(integrate_with(arch, mem_stalls, grouped))
-    }
-
-    /// Workload-delta Steps 2–3 for the surrogate: reuse only the sorted
-    /// port grouping (the endpoint keys) from the last
-    /// [`combine_and_integrate`](Self::combine_and_integrate) and
-    /// recompute everything else — windows, window unions and all group
-    /// scalars change with the workload dims, unlike the bandwidth-delta
-    /// case [`recombine_and_integrate`](Self::recombine_and_integrate)
-    /// handles. What is saved is the per-endpoint key build and its sort.
-    ///
-    /// The cached keys must still be exactly the endpoint multiset of
-    /// `dtls`; the same per-key check as the bandwidth recombine guards
-    /// this, and any mismatch (e.g. a dim change that adds or removes a
-    /// partial-sum link) returns `None` so the caller falls back to the
-    /// full combine. On success the result and the retained
-    /// [`port_groups`](Self::port_groups) /
-    /// [`memory_stalls`](Self::memory_stalls) are bit-identical to a full
-    /// combine: the group scan below is the post-sort half of the full
-    /// path over the same keys.
-    pub fn combine_with_cached_grouping(
-        &mut self,
-        arch: &Architecture,
-        dtls: &[Dtl],
-        union_opts: UnionOptions,
-        oversubscription_bound: bool,
-    ) -> Option<f64> {
-        if (self.keys.is_empty() && !dtls.is_empty()) || !keys_fit(&self.keys, dtls) {
-            return None;
-        }
-        Some(self.combine_sorted(arch, dtls, union_opts, oversubscription_bound))
-    }
-
-    /// The post-sort half of Steps 2–3 over the sorted endpoint keys:
-    /// per-port Eq. (1)/(2), the per-memory max and the integration.
-    fn combine_sorted(
-        &mut self,
-        arch: &Architecture,
-        dtls: &[Dtl],
-        union_opts: UnionOptions,
-        oversubscription_bound: bool,
-    ) -> f64 {
-        let Self {
-            keys,
-            windows,
-            unions,
-            groups,
-            mem_stalls,
-            grouped,
-        } = self;
-        groups.clear();
-        mem_stalls.clear();
-        let mut start = 0;
-        while start < keys.len() {
-            let (mem, port, _) = keys[start];
-            let mut end = start + 1;
-            while end < keys.len() && keys[end].0 == mem && keys[end].1 == port {
-                end += 1;
-            }
-            let group = &keys[start..end];
-            windows.clear();
-            windows.extend(group.iter().map(|&(_, _, i)| dtls[i].window));
-            let muw = unions.measure(windows, union_opts);
-            let core = group_scalars(
-                dtls,
-                group,
-                mem,
-                port,
-                muw.value(),
-                muw.is_exact(),
-                oversubscription_bound,
-            );
-            groups.push(core);
-            match mem_stalls.last_mut() {
-                Some(last) if last.mem == core.mem => last.ss = last.ss.max(core.ss_comb),
-                _ => mem_stalls.push(MemStall {
-                    mem: core.mem,
-                    ss: core.ss_comb,
-                }),
-            }
-            start = end;
-        }
-        integrate_with(arch, mem_stalls, grouped)
     }
 }
 

@@ -1,34 +1,27 @@
-//! Arch-specialized surrogate models: partial evaluation of the lowering
-//! pipeline for a fixed `(architecture, mapping shape)`.
+//! Arch-specialized surrogate models: the latency model fixed to one
+//! `(architecture, mapping shape)` pair and queried by workload dims.
 //!
-//! Every stage of the [`LoweredLayer`](crate::LoweredLayer) pipeline
-//! declares which of its inputs are architecture-constant and which vary
-//! per workload ([`Stage::reads`](crate::Stage::reads) is the union of
-//! the two). A
-//! [`SpecializedModel`] exploits that split: at
-//! [`prepare`](SpecializedModel::prepare) time it constant-folds every
-//! arch-dependent table the pipeline reads — the per-interface port LUTs,
-//! link bandwidths and buffering flags — into flat slot tables, and at
-//! [`query`](SpecializedModel::query) time it runs only the small
-//! workload-dim kernel over them: re-derive the temporal bounds, reassign
-//! the greedy allocation in place, rebuild the residency tables, and
-//! price phases + DTLs off the folded slots.
+//! A [`SpecializedModel`] is built once with
+//! [`prepare`](SpecializedModel::prepare) and answers each `(B, K, C)`
+//! point with [`query`](SpecializedModel::query): instantiate the
+//! shape's loops at the dims, re-run the greedy level allocation
+//! ([`Mapping::with_greedy_alloc`]), validate ([`MappedLayer::new`]) and
+//! price the result with
+//! [`evaluate_fast`](crate::LatencyModel::evaluate_fast) into the
+//! specialization's own scratch. Every answered point is remembered, so
+//! a repeated point costs one hash lookup — the steady state of serve's
+//! repeated `surrogate` requests and of a DSE sweep revisiting dims.
 //!
-//! The result is **bit-identical to
-//! [`evaluate_fast`](crate::LatencyModel::evaluate_fast) by
-//! construction**: the folded tables are captured through the very
-//! lookups the generic path performs, and both paths share one arithmetic
-//! body per stage (see the crate-private `slots` module). The generic
-//! path stays
-//! available as the differential oracle
-//! ([`query_oracle`](SpecializedModel::query_oracle)).
+//! A query is the generic pipeline, so it is **bit-identical to
+//! [`query_oracle`](SpecializedModel::query_oracle) by construction**:
+//! the oracle runs the same evaluation into a cold scratch and bypasses
+//! the point memo.
 
-use crate::slots::FoldedSlots;
 use crate::{FastLatency, LatencyModel, ModelScratch};
 use std::fmt;
 use ulm_arch::Architecture;
-use ulm_mapping::{LoopStack, MappedLayer, Mapping, OperandAlloc, SpatialUnroll};
-use ulm_workload::{Dim, DimSizes, Layer, LayerType};
+use ulm_mapping::{LoopStack, MappedLayer, Mapping, SpatialUnroll, TemporalLoop};
+use ulm_workload::{Dim, Layer, LayerType};
 
 /// Why a surrogate could not be prepared or a query could not be
 /// answered. Carried by `UlmError::Surrogate` with `surrogate/*` codes.
@@ -56,7 +49,7 @@ pub enum SurrogateError {
         /// The offending `(B, K, C)` query point.
         dims: (u64, u64, u64),
     },
-    /// The reassigned mapping failed validation against the
+    /// The instantiated mapping failed validation against the
     /// architecture (e.g. the spatial unroll overflows the MAC array).
     InvalidMapping {
         /// The offending `(B, K, C)` query point.
@@ -86,7 +79,7 @@ impl fmt::Display for SurrogateError {
             ),
             SurrogateError::InvalidMapping { dims } => write!(
                 f,
-                "reassigned mapping for dims {dims:?} failed validation \
+                "instantiated mapping for dims {dims:?} failed validation \
                  against the architecture"
             ),
         }
@@ -111,17 +104,12 @@ impl MappingShape {
     /// (innermost first). The ordering must be a permutation of
     /// `B, K, C`.
     pub fn new(spatial: SpatialUnroll, ordering: Vec<Dim>) -> Result<Self, SurrogateError> {
-        let mut seen = [false; 3];
-        let mut ok = ordering.len() == 3;
-        for &d in &ordering {
-            match d {
-                Dim::B => seen[0] = true,
-                Dim::K => seen[1] = true,
-                Dim::C => seen[2] = true,
-                _ => ok = false,
-            }
-        }
-        if !ok || !seen.iter().all(|&s| s) {
+        // Three entries naming each of B, K and C: a permutation.
+        if ordering.len() != 3
+            || ![Dim::B, Dim::K, Dim::C]
+                .iter()
+                .all(|d| ordering.contains(d))
+        {
             return Err(SurrogateError::BadOrdering { ordering });
         }
         Ok(Self { spatial, ordering })
@@ -156,6 +144,23 @@ impl MappingShape {
     pub fn ordering(&self) -> &[Dim] {
         &self.ordering
     }
+
+    /// The temporal loop stack at `(b, k, c)`: each dim in ordering
+    /// iterated `ceil(dim / spatial extent)` times (unit loops dropped).
+    fn stack(&self, (b, k, c): (u64, u64, u64)) -> LoopStack {
+        let size = |d: Dim| match d {
+            Dim::B => b,
+            Dim::K => k,
+            Dim::C => c,
+            _ => 1,
+        };
+        LoopStack::new(
+            self.ordering
+                .iter()
+                .map(|&d| TemporalLoop::new(d, size(d).div_ceil(self.spatial.extent(d))))
+                .collect(),
+        )
+    }
 }
 
 impl fmt::Display for MappingShape {
@@ -173,46 +178,32 @@ impl fmt::Display for MappingShape {
 pub struct SurrogateStats {
     /// Successful queries answered.
     pub queries: u64,
-    /// Queries whose Step-2 port grouping was reused from the previous
-    /// query (the sorted endpoint keys were still valid).
-    pub grouping_reused: u64,
-    /// Queries that had to rebuild the port grouping from scratch (first
-    /// query, or a dim change moved the DTL inventory).
-    pub grouping_rebuilt: u64,
     /// Queries answered straight from the point memo: the exact
     /// `(B, K, C)` was already priced by this model, so the cached
-    /// [`FastLatency`] is returned without touching any stage. Memo hits
-    /// do not move the grouping counters
-    /// (`grouping_reused + grouping_rebuilt + memo_hits == queries` for a
-    /// bandwidth-aware model).
+    /// [`FastLatency`] is returned without evaluating anything.
     pub memo_hits: u64,
 }
 
-/// A latency model partially evaluated for one
-/// `(architecture, mapping shape)` pair.
+/// A latency model fixed to one `(architecture, mapping shape)` pair.
 ///
 /// Built once with [`prepare`](Self::prepare); answers workload-dim
 /// queries with [`query`](Self::query). Holds its own clone of the
 /// architecture (pass a calibrated one to specialize the calibrated
-/// model — see [`crate::calibrate`]) and every scratch buffer the query
-/// path needs, so steady-state queries allocate nothing.
+/// model — see [`crate::calibrate`]), the scratch its evaluations reuse
+/// and the memo of answered points.
 #[derive(Debug)]
 pub struct SpecializedModel {
     model: LatencyModel,
     arch: Architecture,
     shape: MappingShape,
+    /// The query-constant layer fields; each query sets its own dims.
     template: Layer,
-    mapping: Mapping,
-    slots: FoldedSlots,
     scratch: ModelScratch,
-    residency: Vec<u64>,
-    pairs: Vec<(Dim, u64)>,
-    prefix: Vec<DimSizes>,
     stats: SurrogateStats,
     /// Answered points: `(B, K, C)` → the exact [`FastLatency`] the
-    /// specialized kernel produced. The model is deterministic per
-    /// instance (arch, shape, template and options are all fixed), so a
-    /// repeated point returns the cached value bit-for-bit — this is the
+    /// evaluation produced. The model is deterministic per instance
+    /// (arch, shape, template and options are all fixed), so a repeated
+    /// point returns the cached value bit-for-bit — this is the
     /// steady-state fast path for serve's repeated `surrogate` requests,
     /// which are never result-cached at the transport layer. Bounded by
     /// `MEMO_CAP`; beyond that, queries are still answered, just not
@@ -225,10 +216,9 @@ pub struct SpecializedModel {
 const MEMO_CAP: usize = 1 << 14;
 
 impl SpecializedModel {
-    /// Partially evaluates `model` for `(arch, shape)`, folding every
-    /// architecture-constant table the pipeline reads. `template`
-    /// supplies the query-constant layer fields (type, precision,
-    /// KV-cache flags); its dims are overwritten per query.
+    /// Fixes `model` to `(arch, shape)`. `template` supplies the
+    /// query-constant layer fields (type, precision, KV-cache flags); its
+    /// dims are overwritten per query.
     pub fn prepare(
         model: LatencyModel,
         arch: &Architecture,
@@ -240,29 +230,12 @@ impl SpecializedModel {
                 layer: template.name().to_string(),
             });
         }
-        let slots = FoldedSlots::fold(arch.hierarchy());
-        // Seed the reusable mapping with placeholder loops/allocs; every
-        // query reassigns both in place before use.
-        let mapping = Mapping::new(
-            shape.spatial.clone(),
-            LoopStack::from_pairs(&[]),
-            ulm_workload::PerOperand::new(
-                OperandAlloc::flat(0),
-                OperandAlloc::flat(0),
-                OperandAlloc::flat(0),
-            ),
-        );
         Ok(Self {
             model,
             arch: arch.clone(),
             shape,
             template: template.clone(),
-            mapping,
-            slots,
             scratch: ModelScratch::default(),
-            residency: Vec::new(),
-            pairs: Vec::new(),
-            prefix: Vec::new(),
             stats: SurrogateStats::default(),
             memo: std::collections::HashMap::new(),
         })
@@ -284,146 +257,66 @@ impl SpecializedModel {
     }
 
     /// Drops every remembered point (the counters keep their values).
-    /// Subsequent queries run the specialized kernel again, once per
-    /// distinct point — useful to bound a long-lived model's footprint,
-    /// or to benchmark the kernel itself.
+    /// Subsequent queries evaluate again, once per distinct point —
+    /// useful to bound a long-lived model's footprint, or to benchmark
+    /// the evaluation itself.
     pub fn clear_memo(&mut self) {
         self.memo.clear();
     }
 
-    /// Instantiates the shape at `(b, k, c)`: writes the temporal bounds
-    /// `ceil(dim / spatial extent)` into `pairs` (unit loops dropped) and
-    /// the running extent products into `prefix`
-    /// (`prefix[p]` = spatial × the `p` innermost temporal loops).
-    fn instantiate(
-        shape: &MappingShape,
-        dims: (u64, u64, u64),
-        pairs: &mut Vec<(Dim, u64)>,
-        prefix: &mut Vec<DimSizes>,
-    ) {
-        let (b, k, c) = dims;
-        let size = |d: Dim| match d {
-            Dim::B => b,
-            Dim::K => k,
-            Dim::C => c,
-            _ => 1,
-        };
-        pairs.clear();
-        prefix.clear();
-        let mut ext = shape.spatial.extents();
-        prefix.push(ext);
-        for &d in &shape.ordering {
-            let bound = size(d).div_ceil(shape.spatial.extent(d));
-            if bound > 1 {
-                pairs.push((d, bound));
-                ext.multiply(d, bound);
-                prefix.push(ext);
-            }
-        }
-    }
-
-    /// Answers one workload point through the specialized kernel:
-    /// temporal bounds → in-place greedy reallocation → residency/feed
-    /// stages → phases + DTLs off the folded slots → Step 2 with the
-    /// cached port grouping (full combine on the first query or when the
-    /// DTL inventory moved). A point this model has already priced is
-    /// answered from the point memo without running any stage — the model
-    /// is deterministic per instance, so the cached value is the one the
-    /// kernel would recompute. Bit-identical to
+    /// Answers one workload point: from the point memo when this model
+    /// has already priced it, else through the generic evaluation into
+    /// the model's own scratch. Bit-identical to
     /// [`query_oracle`](Self::query_oracle) on the same point either way.
     pub fn query(&mut self, b: u64, k: u64, c: u64) -> Result<FastLatency, SurrogateError> {
-        if b == 0 || k == 0 || c == 0 {
-            return Err(SurrogateError::InvalidDims { dims: (b, k, c) });
-        }
         if let Some(&hit) = self.memo.get(&(b, k, c)) {
             self.stats.queries += 1;
             self.stats.memo_hits += 1;
             return Ok(hit);
         }
-        let Self {
-            model,
-            arch,
-            shape,
-            template,
-            mapping,
-            slots,
-            scratch,
-            residency,
-            pairs,
-            prefix,
-            stats,
-            memo,
-        } = self;
-        template.set_matmul_dims(b, k, c);
-        Self::instantiate(shape, (b, k, c), pairs, prefix);
-        if !mapping.reassign_greedy(arch, template, pairs, prefix) {
-            return Err(SurrogateError::Infeasible { dims: (b, k, c) });
-        }
-        let Some(view) = MappedLayer::new_fast(template, arch, mapping, residency) else {
-            return Err(SurrogateError::InvalidMapping { dims: (b, k, c) });
-        };
-        scratch
-            .lowered_mut()
-            .rebuild_full(&view, model.dtl_options(), &*slots);
-        let opts = *model.options();
-        let ss_overall = if opts.bw_aware {
-            let (lowered, stall) = scratch.parts();
-            let raw = match stall.combine_with_cached_grouping(
-                arch,
-                lowered.dtls(),
-                opts.union,
-                opts.eq2_oversubscription_bound,
-            ) {
-                Some(v) => {
-                    stats.grouping_reused += 1;
-                    v
-                }
-                None => {
-                    stats.grouping_rebuilt += 1;
-                    stall.combine_and_integrate(
-                        arch,
-                        lowered.dtls(),
-                        opts.union,
-                        opts.eq2_oversubscription_bound,
-                    )
-                }
-            };
-            raw.max(0.0)
-        } else {
-            0.0
-        };
-        stats.queries += 1;
-        let out = scratch.lowered().totals(ss_overall);
-        if memo.len() < MEMO_CAP {
-            memo.insert((b, k, c), out);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let out = self.evaluate((b, k, c), &mut scratch);
+        self.scratch = scratch;
+        let out = out?;
+        self.stats.queries += 1;
+        if self.memo.len() < MEMO_CAP {
+            self.memo.insert((b, k, c), out);
         }
         Ok(out)
     }
 
-    /// The differential oracle: the same workload point answered by the
-    /// generic path from scratch — fresh layer, fresh greedy allocation
-    /// ([`Mapping::with_greedy_alloc`]), full validation and
-    /// [`evaluate_fast`](crate::LatencyModel::evaluate_fast) into a cold
-    /// scratch. [`query`](Self::query) must match this bit for bit.
+    /// The test reference: the same evaluation as [`query`](Self::query)
+    /// into a cold scratch, bypassing the point memo.
     pub fn query_oracle(&self, b: u64, k: u64, c: u64) -> Result<FastLatency, SurrogateError> {
+        self.evaluate((b, k, c), &mut ModelScratch::default())
+    }
+
+    /// Prices `dims` through the generic path: the template at the dims,
+    /// the shape's stack under the greedy allocation
+    /// ([`Mapping::with_greedy_alloc`]), validation
+    /// ([`MappedLayer::new`]) and
+    /// [`evaluate_fast`](crate::LatencyModel::evaluate_fast).
+    fn evaluate(
+        &self,
+        dims: (u64, u64, u64),
+        scratch: &mut ModelScratch,
+    ) -> Result<FastLatency, SurrogateError> {
+        let (b, k, c) = dims;
         if b == 0 || k == 0 || c == 0 {
-            return Err(SurrogateError::InvalidDims { dims: (b, k, c) });
+            return Err(SurrogateError::InvalidDims { dims });
         }
         let mut layer = self.template.clone();
         layer.set_matmul_dims(b, k, c);
-        let (mut pairs, mut prefix) = (Vec::new(), Vec::new());
-        Self::instantiate(&self.shape, (b, k, c), &mut pairs, &mut prefix);
         let mapping = Mapping::with_greedy_alloc(
             &self.arch,
             &layer,
             self.shape.spatial.clone(),
-            LoopStack::from_pairs(&pairs),
+            self.shape.stack(dims),
         )
-        .map_err(|_| SurrogateError::Infeasible { dims: (b, k, c) })?;
+        .map_err(|_| SurrogateError::Infeasible { dims })?;
         let view = MappedLayer::new(&layer, &self.arch, &mapping)
-            .map_err(|_| SurrogateError::InvalidMapping { dims: (b, k, c) })?;
-        let mut scratch = ModelScratch::default();
-        Ok(self.model.evaluate_fast(&view, &mut scratch))
+            .map_err(|_| SurrogateError::InvalidMapping { dims })?;
+        Ok(self.model.evaluate_fast(&view, scratch))
     }
 }
 
@@ -473,10 +366,6 @@ mod tests {
         let st = s.stats();
         assert_eq!(st.queries, 7);
         assert_eq!(st.memo_hits, 0, "all seven points are distinct");
-        assert_eq!(st.grouping_reused + st.grouping_rebuilt, st.queries);
-        // After the first query primes the grouping, same-inventory
-        // points reuse it.
-        assert!(st.grouping_reused > 0, "grouping never reused: {st:?}");
     }
 
     #[test]
@@ -493,7 +382,6 @@ mod tests {
         let st = s.stats();
         assert_eq!(st.queries, 5);
         assert_eq!(st.memo_hits, 3);
-        assert_eq!(st.grouping_reused + st.grouping_rebuilt + st.memo_hits, 5);
         // The memoized answer is still the oracle's answer.
         assert_same(first, s.query_oracle(64, 96, 640).unwrap());
     }
@@ -529,9 +417,7 @@ mod tests {
         let shape = MappingShape::from_mapping(&mapping).unwrap();
         assert_eq!(shape.ordering(), &[Dim::C, Dim::B, Dim::K]);
         // Instantiating at the original dims reproduces the stack.
-        let (mut pairs, mut prefix) = (Vec::new(), Vec::new());
-        SpecializedModel::instantiate(&shape, (64, 96, 640), &mut pairs, &mut prefix);
-        assert_eq!(pairs, vec![(Dim::C, 320), (Dim::B, 8), (Dim::K, 6)]);
+        assert_eq!(shape.stack((64, 96, 640)), *mapping.stack());
     }
 
     #[test]

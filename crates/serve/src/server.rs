@@ -27,17 +27,19 @@
 //!   `{"kind":"surrogate","id":5,"arch":"case16","layer":"128x96x640","template":"64x96x640"}`.
 //!   The service keeps a bounded store of specializations keyed by
 //!   `(arch, spatial, model, mapper, template, calibration)`; a request
-//!   whose key is resident skips the search + lowering entirely and runs
-//!   the closed-form kernel over the workload dims (bit-identical to the
-//!   generic pipeline). When the service was opened with a calibration
+//!   whose key is resident skips the template search and prices only its
+//!   own workload dims under the stored mapping shape, from the
+//!   specialization's point memo when it has seen them before. When the
+//!   service was opened with a calibration
 //!   for the request's architecture, its fitted constants are applied
 //!   to each specialization it builds and the calibration id enters the
 //!   fingerprint.
 //! * `stats` — report cache hit rate, queue depth, request-latency
 //!   percentiles and the count of handler panics: `{"kind":"stats"}` (also
-//!   accepted as `"/stats"`). Without timing, the latencies and the queue
-//!   gauges (`queue_depth`, `submitted`) are left out, so the answer is
-//!   reproducible.
+//!   accepted as `"/stats"`). Without timing, the latencies and the pool
+//!   gauges (`queue_depth`, `in_flight`, `submitted`, `completed`) are
+//!   left out, so the answer is reproducible; [`run_batch`] runs a stats
+//!   line alone, after every line before it and before any after it.
 //!
 //! Responses echo the request's `id` and carry `"ok":true` with a result, or
 //! `"ok":false` with an `"error"` string. A malformed line yields an error
@@ -1494,7 +1496,7 @@ impl EvalService {
             Request::WhatIf { base, set } => {
                 self.timed(id, || self.respond_whatif(req, &base, &set))
             }
-            Request::Surrogate(query) => self.timed(id, || self.respond_surrogate(&query)),
+            Request::Surrogate(query) => self.timed(id, || self.respond_surrogate(req, &query)),
             Request::Net(query) => self.timed(id, || self.respond_cached(req, &*query)),
             Request::Query(query) => self.timed(id, || self.respond_cached(req, &*query)),
         }
@@ -1647,20 +1649,26 @@ impl EvalService {
     }
 
     /// Answers a `surrogate` request. When the service's store holds a
-    /// specialization for the request's key, the query runs the
-    /// closed-form kernel directly — no mapping search, no lowering.
-    /// Otherwise the template layer's best mapping is searched once, the
-    /// model is partially evaluated for the resulting `(arch, shape)`, and
-    /// the specialization is stored for the next request. A service
-    /// calibration matching the request's architecture is applied to the
-    /// specialization it builds; its id enters the key and the fingerprint.
-    fn respond_surrogate(&self, q: &SurrogateQuery) -> Result<Answer, UlmError> {
+    /// specialization for the request's key, the query skips the mapping
+    /// search and prices the request's dims under the stored shape (or
+    /// reads them from the specialization's point memo). Otherwise the
+    /// template layer's best mapping is searched once, the model is fixed
+    /// to the resulting `(arch, shape)`, and the specialization is stored
+    /// for the next request. A service calibration matching the request's
+    /// architecture is applied to the specialization it builds; its id
+    /// enters the key and the fingerprint. The answer's fingerprint is
+    /// read from the request memo, like eval's, search's and net's.
+    fn respond_surrogate(&self, req: &Value, q: &SurrogateQuery) -> Result<Answer, UlmError> {
         let calibration = self
             .calibration
             .as_ref()
             .filter(|cal| cal.arch == q.arch.name());
         let calibration_id = calibration.map(|cal| cal.id.as_str());
-        let fp = q.fingerprint(calibration_id);
+        let Ok((fp, _)) = self.fingerprints.get_or_build(
+            fingerprint_request(req),
+            |_| true,
+            || Ok::<_, std::convert::Infallible>(q.fingerprint(calibration_id)),
+        );
         let (b, k, c) = (
             q.layer.shape().dim(Dim::B),
             q.layer.shape().dim(Dim::K),
@@ -1791,10 +1799,15 @@ impl EvalService {
         let mut pool = self.pool.stats().to_value();
         if !self.include_timing {
             // Without timing the answer is reproducible: no request
-            // latencies, and none of the gauges that depend on how far the
-            // reader ran ahead of the workers.
+            // latencies, and none of the pool gauges, which move with
+            // thread timing.
             if let Value::Object(entries) = &mut pool {
-                entries.retain(|(k, _)| k != "queue_depth" && k != "submitted");
+                entries.retain(|(k, _)| {
+                    !matches!(
+                        k.as_str(),
+                        "queue_depth" | "in_flight" | "submitted" | "completed"
+                    )
+                });
             }
         }
         let mut fields = vec![
@@ -1887,10 +1900,23 @@ pub struct BatchSummary {
     pub errors: usize,
 }
 
+/// True when `line` is a `stats` request.
+fn is_stats_line(line: &str) -> bool {
+    line.contains("stats")
+        && serde_json::from_str::<Value>(line).is_ok_and(|req| {
+            matches!(
+                req.get("kind").and_then(Value::as_str),
+                Some("stats" | "/stats")
+            )
+        })
+}
+
 /// Streams NDJSON requests from `input` to `output` through the service's
 /// worker pool. Responses are written in input order; concurrency comes
 /// from pipelining, bounded by the pool's queue (backpressure) and a small
-/// in-flight window.
+/// in-flight window. A `stats` line runs alone: every line before it
+/// has been answered and no line after it has started, so its counters
+/// cover exactly the lines before it.
 ///
 /// # Errors
 ///
@@ -1937,7 +1963,14 @@ pub fn run_batch<R: BufRead, W: Write>(
                 if line.trim().is_empty() {
                     continue;
                 }
+                let barrier = is_stats_line(&line);
+                while barrier && !pending.is_empty() {
+                    flush_one(&mut pending, output, &mut summary)?;
+                }
                 pending.push_back(service.submit_line(line));
+                while barrier && !pending.is_empty() {
+                    flush_one(&mut pending, output, &mut summary)?;
+                }
             }
         }
         while pending.len() >= window {
@@ -2373,11 +2406,10 @@ mod tests {
         let out = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines[0], expected);
-        assert_eq!(parse(lines[1]).get("ok"), Some(&Value::Bool(true)));
-        // `/stats` counts every panic answer, on both paths. Asked after
-        // the batch returns: the batch runs its lines concurrently, so its
-        // own stats line may execute before the panicking line finishes.
-        let stats = parse(&svc.handle_line(r#"{"kind":"stats"}"#).unwrap());
+        // `/stats` counts every panic answer, on both paths: the batch
+        // answers its stats line only after the panicking line before it.
+        let stats = parse(lines[1]);
+        assert_eq!(stats.get("ok"), Some(&Value::Bool(true)));
         assert_eq!(
             stats.get("panics").and_then(Value::as_u64),
             Some(workers as u64 + 2)
@@ -2859,6 +2891,53 @@ mod tests {
         }
         // Repeated layers must have hit the cache (9 distinct → 3 uniques).
         assert!(svc.cache_stats().hits >= 9 - 3);
+    }
+
+    #[test]
+    fn batch_stats_lines_are_reproducible_without_timing() {
+        let search = |layer: &str| {
+            format!(
+                r#"{{"kind":"search","arch":"toy","layer":"{layer}","mapper":{{"max_exhaustive":100,"samples":10}}}}"#
+            )
+        };
+        let corpus = [
+            search("4x4x8"),
+            search("4x8x8"),
+            search("8x4x8"),
+            r#"{"kind":"stats"}"#.to_string(),
+            search("4x4x8"),
+            r#"{"kind":"surrogate","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}"#.to_string(),
+            r#"{"kind":"/stats"}"#.to_string(),
+        ]
+        .join("\n");
+        let run = || {
+            let svc = EvalService::new(ServeOptions {
+                parallelism: Some(2),
+                cache_capacity: 64,
+                include_timing: false,
+                ..ServeOptions::default()
+            });
+            let mut out = Vec::new();
+            run_batch(&svc, corpus.as_bytes(), &mut out).unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        let first = run();
+        assert_eq!(first, run());
+        // Each stats line counts exactly the lines before it.
+        let lines: Vec<&str> = first.lines().collect();
+        let count = |line: &str, group: &str, key: &str| {
+            parse(line)
+                .get(group)
+                .and_then(|g| g.get(key))
+                .and_then(Value::as_u64)
+        };
+        assert_eq!(count(lines[3], "cache", "misses"), Some(3));
+        assert_eq!(count(lines[3], "cache", "hits"), Some(0));
+        assert_eq!(count(lines[3], "search", "searches"), Some(3));
+        assert_eq!(count(lines[6], "cache", "hits"), Some(1));
+        assert_eq!(count(lines[6], "surrogate", "requests"), Some(1));
+        assert_eq!(count(lines[6], "pool", "in_flight"), None);
+        assert_eq!(count(lines[6], "pool", "completed"), None);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A cache hit is answered from the entry's stored, printed body instead
 //! of being re-printed, and its fingerprint comes from a per-request memo.
 //! Neither may change a byte: every repeat must equal the first answer but
-//! for `"cached"`, across restarts, evictions, `id` forms and the request
+//! for `"cached"` (a surrogate's, which reads its fingerprint from the same
+//! memo, but for `"specialized_reused"`), across restarts, evictions, `id` forms and the request
 //! spellings that share a fingerprint, and `/stats` must count lookups as
 //! before.
 
@@ -14,6 +15,8 @@ const SEARCH: &str = r#"{"id":1,"kind":"search","arch":"toy","layer":"4x4x8","ma
 const EVAL: &str = r#"{"id":1,"kind":"eval","arch":"toy","layer":"4x4x8","mapping":{"spatial":{"factors":[["K",2],["B",2]]},"stack":{"loops":[{"dim":"C","size":2},{"dim":"C","size":2},{"dim":"C","size":2},{"dim":"B","size":2},{"dim":"K","size":2}]},"allocs":{"values":[{"bounds":[0,5]},{"bounds":[0,5]},{"bounds":[3,5]}]}}}"#;
 const NET: &str = r#"{"id":1,"kind":"net","arch":"toy","net":"attention-decode","mapper":{"max_exhaustive":200,"samples":20}}"#;
 const WHATIF: &str = r#"{"id":1,"kind":"whatif","arch":"case16","gb_bw":128,"layer":"8x16x64","mapper":{"max_exhaustive":200,"samples":20},"set":["mem.GB.bw=2x"]}"#;
+
+const SURROGATE: &str = r#"{"id":1,"kind":"surrogate","arch":"toy","layer":"4x4x8","template":"4x4x16","mapper":{"max_exhaustive":100,"samples":10}}"#;
 
 /// One request of each memoized kind.
 const KINDS: [&str; 4] = [SEARCH, EVAL, NET, WHATIF];
@@ -60,6 +63,32 @@ fn repeats_equal_the_first_answer_but_for_cached() {
             assert_eq!(answer(&svc, line), as_hit(&first), "{line}");
         }
     }
+}
+
+#[test]
+fn a_repeated_surrogate_equals_the_first_answer_but_for_specialized_reused() {
+    let svc = EvalService::new(opts(64, None));
+    let first = answer(&svc, SURROGATE);
+    let reused = first.replacen(
+        "\"specialized_reused\":false",
+        "\"specialized_reused\":true",
+        1,
+    );
+    assert_ne!(reused, first, "{first}");
+    for _ in 0..2 {
+        assert_eq!(answer(&svc, SURROGATE), reused);
+    }
+    // Other dims on the same specialization carry their own fingerprint.
+    let fingerprint = |line: &str| {
+        let v: Value = serde_json::from_str(line).unwrap();
+        v.get("fingerprint")
+            .and_then(Value::as_str)
+            .unwrap()
+            .to_string()
+    };
+    let other = answer(&svc, &SURROGATE.replace("\"4x4x8\"", "\"8x4x8\""));
+    assert!(other.contains("\"specialized_reused\":true"), "{other}");
+    assert_ne!(fingerprint(&other), fingerprint(&first));
 }
 
 #[test]

@@ -186,6 +186,35 @@ if [[ "${surrogate_hits:-}" != 3 ]]; then
     exit 1
 fi
 
+echo "==> batch stats reproducibility (two --parallelism 2 runs print the same bytes)"
+# Every request kind once (no two lines share a cache or specialization
+# key), a stats line, the memoized kinds again, and a stats line last. A
+# stats line runs alone, after the lines before it, so two runs at two
+# workers must agree byte for byte, stats included.
+toy_mapping='{"spatial":{"factors":[["K",2],["B",2]]},"stack":{"loops":[{"dim":"C","size":2},{"dim":"C","size":2},{"dim":"C","size":2},{"dim":"B","size":2},{"dim":"K","size":2}]},"allocs":{"values":[{"bounds":[0,5]},{"bounds":[0,5]},{"bounds":[3,5]}]}}'
+repro_round=(
+    '{"id":1,"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}'
+    "{\"id\":2,\"kind\":\"eval\",\"arch\":\"toy\",\"layer\":\"4x4x8\",\"mapping\":$toy_mapping}"
+    '{"id":3,"kind":"net","arch":"toy","net":"attention-decode","mapper":{"max_exhaustive":200,"samples":20}}'
+    '{"id":4,"kind":"whatif","arch":"case16","gb_bw":128,"layer":"8x16x64","mapper":{"max_exhaustive":200,"samples":20},"set":["mem.GB.bw=2x"]}'
+    '{"id":5,"kind":"surrogate","arch":"case16","layer":"32x32x64","template":"8x16x64","mapper":{"max_exhaustive":200,"samples":20}}'
+)
+repro_corpus="$(printf '%s\n' "${repro_round[@]}" \
+    '{"id":6,"kind":"surrogate","arch":"case16","layer":"64x32x64","template":"16x16x64","mapper":{"max_exhaustive":200,"samples":20}}' \
+    '{"id":7,"kind":"search","arch":"nope","layer":"4x4x8"}' 'not json' '{"id":8,"kind":"stats"}' \
+    "${repro_round[@]}" '{"id":9,"kind":"/stats"}')"
+repro_first="$(target/release/ulm batch --no-timing --parallelism 2 <<<"$repro_corpus" 2>/dev/null)"
+repro_second="$(target/release/ulm batch --no-timing --parallelism 2 <<<"$repro_corpus" 2>/dev/null)"
+if [[ "$(tail -n1 <<<"$repro_first")" != *'"kind":"stats"'* ]]; then
+    echo "error: the reproducibility corpus did not end with a stats answer" >&2
+    exit 1
+fi
+if [[ "$repro_first" != "$repro_second" ]]; then
+    echo "error: two --no-timing --parallelism 2 runs of one corpus printed different bytes" >&2
+    diff <(echo "$repro_first") <(echo "$repro_second") >&2 || true
+    exit 1
+fi
+
 echo "==> attention + fusion smoke (fused vs layer-by-layer differential)"
 fused_out="$(target/release/ulm network --net attention-decode --arch fusion --fuse logit+attend@LB)"
 base_out="$(target/release/ulm network --net attention-decode --arch fusion)"

@@ -49,7 +49,7 @@ proptest! {
     /// `query` must match `query_oracle` — the generic from-scratch
     /// `Mapping::with_greedy_alloc` + `MappedLayer::new` +
     /// `evaluate_fast` path — bit for bit, on every feasible point, and
-    /// agree with it on which points are infeasible.
+    /// reject every other point with the same `SurrogateError`.
     #[test]
     fn specialized_matches_evaluate_fast_bit_for_bit(
         (idx, (tb, tk, tc), queries, kv, acc, bw_unaware) in arb_case()
@@ -85,7 +85,8 @@ proptest! {
         };
         let mut spec = SpecializedModel::prepare(model, &chip.arch, &template, shape)
             .expect("matmul templates specialize");
-        for (b, k, c) in queries {
+        // A zero dim is rejected, by both paths alike.
+        for (b, k, c) in queries.into_iter().chain([(0, tk, tc)]) {
             match (spec.query(b, k, c), spec.query_oracle(b, k, c)) {
                 (Ok(fast), Ok(oracle)) => {
                     prop_assert_eq!(fast.cc_total.to_bits(), oracle.cc_total.to_bits(),
@@ -97,7 +98,8 @@ proptest! {
                     prop_assert_eq!(fast.offload, oracle.offload);
                     prop_assert_eq!(fast.utilization.to_bits(), oracle.utilization.to_bits());
                 }
-                (Err(_), Err(_)) => {} // both reject the point
+                // Both reject the point, for the same typed reason.
+                (Err(fast), Err(oracle)) => prop_assert_eq!(fast, oracle),
                 (fast, oracle) => prop_assert!(
                     false,
                     "feasibility diverged at {}x{}x{}: {:?} vs {:?}",
