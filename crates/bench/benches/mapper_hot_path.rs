@@ -2,7 +2,7 @@
 //! architecture sweep. Compares the pre-optimization baseline (fresh
 //! allocations + full evaluation for every ordering) against the
 //! optimized search (batched kernel, branch-and-bound pruning, prefix
-//! memoization, ordering classes, optional intra-design parallelism) on
+//! memoization, ordering classes) on
 //! the Fig. 8 case-study workload, for the latency, energy and EDP
 //! objectives; then the permutation walk (every ordering through the
 //! batched kernel) against the ordering-class walk `Mapper::search`
@@ -379,9 +379,6 @@ struct Snapshot {
     batched_pruned: usize,
     batched_cache_hits: u64,
     batched_score_bits: u64,
-    par_secs: Spread,
-    par_threads: usize,
-    par_score_bits: u64,
     objectives: Vec<ObjectiveRow>,
     design: DesignRows,
     model_iters: u64,
@@ -401,9 +398,9 @@ struct Snapshot {
     surrogate_bits_identical: bool,
 }
 
-/// Wall-clock measurement of the three search flavors over the identical
+/// Wall-clock measurement of the two search flavors over the identical
 /// exhaustive ordering space: the allocating baseline once, the batched
-/// serial and parallel searches as medians over repeats.
+/// search as a median over repeats.
 fn measure() -> Snapshot {
     let (arch, layer, spatial) = setup();
     let opts = MapperOptions {
@@ -444,18 +441,11 @@ fn measure() -> Snapshot {
     let best = best.expect("baseline finds a legal mapping");
     assert_eq!(generated as u128, space);
 
-    // The batched search, serial, and with intra-design parallelism at
-    // the detected core count: alternating repeats, median and IQR.
-    let par_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let batched_mapper = Mapper::new(&arch, &layer, spatial.clone()).with_options(opts);
-    let par_mapper = Mapper::new(&arch, &layer, spatial)
-        .with_options(opts)
-        .with_parallelism(Some(par_threads));
-    let (mut batched_times, mut par_times) = (Vec::new(), Vec::new());
+    // The batched search: repeats, median and IQR.
+    let batched_mapper = Mapper::new(&arch, &layer, spatial).with_options(opts);
+    let mut batched_times = Vec::new();
     let mut batched_allocs = 0;
-    let (mut batched, mut par) = (None, None);
+    let mut batched = None;
     for rep in 0..SEARCH_REPEATS {
         let a = allocs();
         let t = Instant::now();
@@ -467,16 +457,9 @@ fn measure() -> Snapshot {
             batched_allocs = allocs() - a;
         }
         batched = Some(r);
-        let t = Instant::now();
-        let r = par_mapper
-            .search(Objective::Latency)
-            .expect("parallel search finds a legal mapping");
-        par_times.push(t.elapsed().as_secs_f64());
-        par = Some(r);
     }
-    let (batched, par) = (batched.expect("ran"), par.expect("ran"));
+    let batched = batched.expect("ran");
     let batched_secs = Spread::of(batched_times);
-    let par_secs = Spread::of(par_times);
 
     let objectives = objective_rows(opts);
 
@@ -484,9 +467,7 @@ fn measure() -> Snapshot {
     // this exhaustively; the bench double-checks its own run).
     let baseline_bits = best.latency.cc_total.to_bits();
     assert_eq!(baseline_bits, batched.best.latency.cc_total.to_bits());
-    assert_eq!(baseline_bits, par.best.latency.cc_total.to_bits());
     assert_eq!(best.mapping, batched.best.mapping);
-    assert_eq!(best.mapping, par.best.mapping);
     assert_eq!(objectives[0].score_bits, best_energy.to_bits());
     assert_eq!(objectives[1].score_bits, best_edp.to_bits());
 
@@ -615,9 +596,6 @@ fn measure() -> Snapshot {
         batched_pruned: batched.stats.pruned,
         batched_cache_hits: batched.stats.cache_hits,
         batched_score_bits: batched.best.latency.cc_total.to_bits(),
-        par_secs,
-        par_threads,
-        par_score_bits: par.best.latency.cc_total.to_bits(),
         objectives,
         design: design_rows(),
         model_iters,
@@ -653,7 +631,6 @@ fn write_snapshot(s: &Snapshot) {
     let n = s.space as f64;
     let baseline_ops = n / s.baseline_secs;
     let batched_ops = n / s.batched_secs.median;
-    let par_ops = n / s.par_secs.median;
     let mut walks = String::new();
     for w in &s.walks {
         walks.push_str(&format!(
@@ -714,10 +691,6 @@ fn write_snapshot(s: &Snapshot) {
          \"batched_orderings_per_sec\": {:.1},\n  \
          \"batched_allocs_per_ordering\": {:.4},\n  \
          \"batched_speedup\": {:.2},\n{objectives}  \
-         \"fast_parallel_threads\": {},\n{}  \
-         \"fast_parallel_orderings_per_sec\": {:.1},\n  \
-         \"fast_parallel_speedup\": {:.2},\n  \
-         \"fast_parallel_scaling_per_thread\": {:.2},\n  \
          \"pruned\": {},\n  \
          \"prefix_reuses\": {},\n  \
          \"results_bit_identical\": {},\n  \
@@ -748,15 +721,9 @@ fn write_snapshot(s: &Snapshot) {
         batched_ops,
         s.batched_allocs_per_ordering,
         s.baseline_secs / s.batched_secs.median,
-        s.par_threads,
-        s.par_secs.json("fast_parallel"),
-        par_ops,
-        s.baseline_secs / s.par_secs.median,
-        (s.batched_secs.median / s.par_secs.median) / s.par_threads as f64,
         s.batched_pruned,
         s.batched_cache_hits,
-        s.baseline_score_bits == s.batched_score_bits
-            && s.baseline_score_bits == s.par_score_bits,
+        s.baseline_score_bits == s.batched_score_bits,
         s.model_iters as f64 / s.model_eval_secs,
         s.model_iters as f64 / s.model_eval_fast_secs,
         s.model_eval_secs / s.model_eval_fast_secs,
@@ -777,15 +744,11 @@ fn write_snapshot(s: &Snapshot) {
     let path = json_path();
     fs::write(&path, json).expect("write BENCH_mapper.json");
     println!(
-        "[bench] {} orderings: baseline {:.0}/s, batched {:.0}/s ({:.1}x), parallel({}) \
-         {:.0}/s ({:.1}x)",
+        "[bench] {} orderings: baseline {:.0}/s, batched {:.0}/s ({:.1}x)",
         s.space,
         baseline_ops,
         batched_ops,
         s.baseline_secs / s.batched_secs.median,
-        s.par_threads,
-        par_ops,
-        s.baseline_secs / s.par_secs.median,
     );
     for o in &s.objectives {
         println!(

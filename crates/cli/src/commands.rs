@@ -47,7 +47,7 @@ pub fn accepted_options(command: &str) -> Option<Vec<&'static str>> {
         "evaluate" => (&[ARCH_OPTIONS, LAYER_OPTIONS, MAPPER_OPTIONS], &["json"]),
         "whatif" => (
             &[ARCH_OPTIONS, LAYER_OPTIONS, MAPPER_OPTIONS],
-            &["set", "threads", "verify", "json"],
+            &["set", "verify", "json"],
         ),
         "calibrate" => (
             &[ARCH_OPTIONS, MAPPER_OPTIONS],
@@ -66,20 +66,12 @@ pub fn accepted_options(command: &str) -> Option<Vec<&'static str>> {
         ),
         "search" => (
             &[ARCH_OPTIONS, LAYER_OPTIONS, MAPPER_OPTIONS],
-            &["objective", "threads", "all", "top", "stats"],
+            &["objective", "all", "top", "stats"],
         ),
         "validate" => (&[MAPPER_OPTIONS], &["layers", "json"]),
         "dse" => (
             &[],
-            &[
-                "gb-bw",
-                "sides",
-                "layer",
-                "threads",
-                "map-threads",
-                "json",
-                "stats",
-            ],
+            &["gb-bw", "sides", "layer", "threads", "json", "stats"],
         ),
         "network" => (
             &[ARCH_OPTIONS, MAPPER_OPTIONS],
@@ -138,14 +130,6 @@ fn mapper_options(args: &Args) -> Result<MapperOptions, ArgError> {
         samples: args.u64_or("samples", 120)? as usize,
         bw_aware: !args.flag("bw-unaware"),
         ..MapperOptions::default()
-    })
-}
-
-/// `--key <n>` as a thread count: 0 or absent means "serial" (`None`).
-fn thread_option(args: &Args, key: &str) -> Result<Option<usize>, ArgError> {
-    Ok(match args.u64_or(key, 0)? {
-        0 => None,
-        n => Some(n as usize),
     })
 }
 
@@ -215,7 +199,6 @@ pub fn whatif(args: &Args) -> Result<(), UlmError> {
     let mopts = mapper_options(args)?;
     let result = Mapper::new(&arch, &layer, spatial)
         .with_options(mopts)
-        .with_parallelism(thread_option(args, "threads")?)
         .search(Objective::Latency)?;
     let mapping = result.best.mapping;
     let (modified, delta) = apply_overrides(&arch, &overrides)?;
@@ -611,9 +594,7 @@ pub fn search(args: &Args) -> Result<(), UlmError> {
         value: name.into(),
         expected: format!("objective ({})", Objective::NAMES.join("|")),
     })?;
-    let mapper = Mapper::new(&arch, &layer, spatial)
-        .with_options(mapper_options(args)?)
-        .with_parallelism(thread_option(args, "threads")?);
+    let mapper = Mapper::new(&arch, &layer, spatial).with_options(mapper_options(args)?);
     println!(
         "space: {} orderings ({} factors)",
         mapper.space_size(),
@@ -718,8 +699,10 @@ pub fn dse(args: &Args) -> Result<(), UlmError> {
     let designs = enumerate_designs(&pool, &sides, gb_bw);
     println!("exploring {} designs at GB {gb_bw} b/cy …", designs.len());
     let opts = ExploreOptions {
-        parallelism: thread_option(args, "threads")?,
-        mapping_parallelism: thread_option(args, "map-threads")?,
+        parallelism: match args.u64_or("threads", 0)? {
+            0 => None,
+            n => Some(n as usize),
+        },
         ..ExploreOptions::default()
     };
     let (points, stats) = explore_with_stats(&designs, &layer, &opts);
@@ -1086,8 +1069,8 @@ COMMON OPTIONS
   --layer BxKxC                                (e.g. 64x96x640)
   --precision int8_out24|int8_acc24
   --samples <n>  --max-exhaustive <n>
-  --threads <n>         search/dse worker threads (0 = serial)
-  --map-threads <n>     dse: threads within each design's mapping search
+  --threads <n>         dse: worker threads, one design each (0 = serial);
+                        every mapping search runs on one thread
   --stats               search/dse: print pruning/search statistics
   --objective latency|energy|edp   search: what to minimize (default latency)
   --all                 search: evaluate every mapping and list the best

@@ -24,11 +24,29 @@ fn ulm(args: &[&str], stdin: &str) -> Output {
 
 #[test]
 fn unknown_options_exit_non_zero() {
-    for flag in ["--bogus-flag", "--batch-lanes"] {
-        let out = ulm(&["search", "--arch", "toy", flag, "3"], "");
-        assert!(!out.status.success(), "{flag} was accepted");
+    // Every mapping search runs on one thread: `dse --threads` is the one
+    // thread knob left.
+    let whatif = [
+        "whatif",
+        "--arch",
+        "toy",
+        "--layer",
+        "4x4x8",
+        "--set",
+        "mem.LB.bw=2x",
+    ];
+    for (command, flag) in [
+        (&["search", "--arch", "toy"][..], "--bogus-flag"),
+        (&["search", "--arch", "toy"][..], "--batch-lanes"),
+        (&["search", "--arch", "toy"][..], "--threads"),
+        (&whatif[..], "--threads"),
+        (&["dse"][..], "--map-threads"),
+    ] {
+        let args = [command, &[flag, "2"]].concat();
+        let out = ulm(&args, "");
+        assert!(!out.status.success(), "{args:?} was accepted");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(flag), "{flag}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "nothing ran");
     }
     // A flag one command takes is still unknown to another.

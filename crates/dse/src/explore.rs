@@ -30,14 +30,10 @@ pub struct ExploreOptions {
     pub area: AreaModel,
     /// Worker threads for [`explore`]: `None` or `Some(1)` evaluates
     /// serially; `Some(n)` splits the design list across `n` threads.
-    /// Results are merged in design order, so the output is identical for
-    /// every thread count.
+    /// Designs are the unit of parallelism: each design's mapping search
+    /// runs whole on the thread that takes it. Results are merged in
+    /// design order, so the output is identical for every thread count.
     pub parallelism: Option<usize>,
-    /// Worker threads *within* each design's ordering search (routed to
-    /// [`Mapper::with_parallelism`]). Useful when the design list is
-    /// short but each mapping space is large; the per-design result is
-    /// identical at every setting.
-    pub mapping_parallelism: Option<usize>,
 }
 
 impl Default for ExploreOptions {
@@ -52,7 +48,6 @@ impl Default for ExploreOptions {
             },
             area: AreaModel::default(),
             parallelism: None,
-            mapping_parallelism: None,
         }
     }
 }
@@ -84,9 +79,7 @@ fn evaluate_design(
     layer: &Layer,
     opts: &ExploreOptions,
 ) -> Result<(DsePoint, SearchStats), MapperError> {
-    let mapper = Mapper::new(&design.arch, layer, design.spatial.clone())
-        .with_options(opts.mapper)
-        .with_parallelism(opts.mapping_parallelism);
+    let mapper = Mapper::new(&design.arch, layer, design.spatial.clone()).with_options(opts.mapper);
     let result = mapper.search_fast(Objective::Latency)?;
     let h = design.arch.hierarchy();
     let exclude: Vec<_> = h.find("GB").into_iter().collect();
@@ -144,9 +137,9 @@ pub fn explore(designs: &[DesignPoint], layer: &Layer, opts: &ExploreOptions) ->
 }
 
 /// [`explore`], additionally returning aggregate search-effort counters.
-/// The point list is identical to [`explore`]'s; the counters are summed
-/// in design order and deterministic for a fixed
-/// `(parallelism, mapping_parallelism)` setting.
+/// The point list is identical to [`explore`]'s; each design's search
+/// runs on one thread, so the counters are identical for every
+/// `parallelism` setting too.
 pub fn explore_with_stats(
     designs: &[DesignPoint],
     layer: &Layer,
@@ -316,9 +309,9 @@ mod tests {
             i_lb_kb: vec![4, 16],
         };
         let designs = enumerate_designs(&pool, &[16], 128);
-        let serial = explore(&designs, &small_layer(), &quick_opts());
+        let (serial, serial_stats) = explore_with_stats(&designs, &small_layer(), &quick_opts());
         for threads in [2usize, 3, 8] {
-            let par = explore(
+            let (par, par_stats) = explore_with_stats(
                 &designs,
                 &small_layer(),
                 &ExploreOptions {
@@ -327,6 +320,10 @@ mod tests {
                 },
             );
             assert_eq!(serial, par, "parallelism={threads} diverged from serial");
+            assert_eq!(
+                serial_stats.search, par_stats.search,
+                "parallelism={threads}"
+            );
         }
     }
 
@@ -348,30 +345,6 @@ mod tests {
         assert!(stats.wall_ms > 0.0);
         // The point list is exactly what `explore` returns.
         assert_eq!(points, explore(&designs, &small_layer(), &quick_opts()));
-    }
-
-    #[test]
-    fn intra_design_parallelism_matches_serial_exactly() {
-        let pool = MemoryPool {
-            w_reg_words_per_mac: vec![1, 2],
-            i_reg_words_per_mac: vec![1],
-            o_reg_words_per_pe: vec![1],
-            w_lb_kb: vec![4, 16],
-            i_lb_kb: vec![4],
-        };
-        let designs = enumerate_designs(&pool, &[16], 128);
-        let serial = explore(&designs, &small_layer(), &quick_opts());
-        for threads in [2usize, 4] {
-            let par = explore(
-                &designs,
-                &small_layer(),
-                &ExploreOptions {
-                    mapping_parallelism: Some(threads),
-                    ..quick_opts()
-                },
-            );
-            assert_eq!(serial, par, "mapping_parallelism={threads} diverged");
-        }
     }
 
     #[test]

@@ -14,52 +14,21 @@ use std::collections::BTreeMap;
 /// generate a single ordering, so the visit count equals
 /// [`ordering_count`](crate::factorize::ordering_count) when not stopped
 /// early.
-pub fn for_each_ordering(factors: &[Factor], mut visit: impl FnMut(&[Factor]) -> bool) -> u64 {
-    let mut counts: BTreeMap<Factor, usize> = BTreeMap::new();
-    for &f in factors {
-        *counts.entry(f).or_insert(0) += 1;
-    }
-    let mut items: Vec<(Factor, usize)> = counts.into_iter().collect();
-    let mut current = Vec::with_capacity(factors.len());
-    let mut visited = 0u64;
-    fn rec(
-        items: &mut [(Factor, usize)],
-        current: &mut Vec<Factor>,
-        remaining: usize,
-        visited: &mut u64,
-        visit: &mut impl FnMut(&[Factor]) -> bool,
-    ) -> bool {
-        if remaining == 0 {
-            *visited += 1;
-            return visit(current);
+pub fn for_each_ordering(factors: &[Factor], visit: impl FnMut(&[Factor]) -> bool) -> u64 {
+    struct Every<F>(F);
+    impl<F: FnMut(&[Factor]) -> bool> OrderingWalk for Every<F> {
+        fn enter(&mut self, _: usize, _: Factor) -> bool {
+            true
         }
-        for i in 0..items.len() {
-            if items[i].1 == 0 {
-                continue;
-            }
-            items[i].1 -= 1;
-            current.push(items[i].0);
-            let keep_going = rec(items, current, remaining - 1, visited, visit);
-            current.pop();
-            items[i].1 += 1;
-            if !keep_going {
-                return false;
-            }
+        fn visit(&mut self, ordering: &[Factor]) -> bool {
+            (self.0)(ordering)
         }
-        true
     }
-    rec(
-        &mut items,
-        &mut current,
-        factors.len(),
-        &mut visited,
-        &mut visit,
-    );
-    visited
+    walk_orderings(factors, &mut Every(visit))
 }
 
 /// A depth-first walk over the ordering tree that may skip subtrees; see
-/// [`walk_orderings_in_range`].
+/// [`walk_orderings`].
 pub trait OrderingWalk {
     /// Called before the walk descends into the subtree that places
     /// `factor` at position `depth` (innermost first) on top of the
@@ -70,34 +39,18 @@ pub trait OrderingWalk {
     fn visit(&mut self, ordering: &[Factor]) -> bool;
 }
 
-/// Like [`for_each_ordering`], but visits only the orderings with global
-/// index in `[start, end)` (the index an ordering has in the full
-/// enumeration), skipping whole subtrees outside the range by exact
-/// multiset-permutation counting, and every subtree that `walk.enter`
-/// declines (its index advances by its exact leaf count). Concatenating
-/// the ranges `[0, a), [a, b), … [_, space_size)` walks every ordering
-/// exactly once, in the same order as [`for_each_ordering`] — the
-/// property the mapper's intra-design parallel search relies on.
-/// Returns the number of orderings visited.
-pub fn walk_orderings_in_range(
-    factors: &[Factor],
-    start: u128,
-    end: u128,
-    walk: &mut impl OrderingWalk,
-) -> u64 {
+/// Walks the distinct orderings of the factor multiset in
+/// [`for_each_ordering`]'s order, skipping every subtree that
+/// `walk.enter` declines. Returns the number of orderings visited.
+pub fn walk_orderings(factors: &[Factor], walk: &mut impl OrderingWalk) -> u64 {
     let mut counts: BTreeMap<Factor, usize> = BTreeMap::new();
     for &f in factors {
         *counts.entry(f).or_insert(0) += 1;
     }
     let mut items: Vec<(Factor, usize)> = counts.into_iter().collect();
-    let total = crate::factorize::ordering_count(factors);
     let mut current = Vec::with_capacity(factors.len());
     let mut visited = 0u64;
-    // Whole subtree inside the window: plain enumeration with no index
-    // arithmetic. The per-node `sub * c_i / n` u128 division in `rec` is
-    // what makes range bookkeeping expensive; once a subtree is known to
-    // lie entirely in `[start, end)` none of it is needed.
-    fn rec_all(
+    fn rec(
         items: &mut [(Factor, usize)],
         current: &mut Vec<Factor>,
         remaining: usize,
@@ -114,7 +67,7 @@ pub fn walk_orderings_in_range(
             }
             items[i].1 -= 1;
             current.push(items[i].0);
-            let keep_going = rec_all(items, current, remaining - 1, visited, walk);
+            let keep_going = rec(items, current, remaining - 1, visited, walk);
             current.pop();
             items[i].1 += 1;
             if !keep_going {
@@ -123,83 +76,7 @@ pub fn walk_orderings_in_range(
         }
         true
     }
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        items: &mut [(Factor, usize)],
-        current: &mut Vec<Factor>,
-        remaining: usize,
-        // Global index of the first leaf under the current subtree.
-        pos: &mut u128,
-        // Number of leaves under the current subtree.
-        sub: u128,
-        start: u128,
-        end: u128,
-        visited: &mut u64,
-        walk: &mut impl OrderingWalk,
-    ) -> bool {
-        if *pos >= start && *pos + sub <= end {
-            let keep_going = rec_all(items, current, remaining, visited, walk);
-            *pos += sub;
-            return keep_going;
-        }
-        if remaining == 0 {
-            debug_assert!(*pos >= start && *pos < end);
-            *pos += 1;
-            *visited += 1;
-            return walk.visit(current);
-        }
-        for i in 0..items.len() {
-            if items[i].1 == 0 {
-                continue;
-            }
-            // Exact: multinomial(counts - e_i) = multinomial(counts) * c_i / n.
-            let child = sub * items[i].1 as u128 / remaining as u128;
-            if *pos + child <= start {
-                *pos += child;
-                continue;
-            }
-            if *pos >= end {
-                return true;
-            }
-            if !walk.enter(current.len(), items[i].0) {
-                *pos += child;
-                continue;
-            }
-            items[i].1 -= 1;
-            current.push(items[i].0);
-            let keep_going = rec(
-                items,
-                current,
-                remaining - 1,
-                pos,
-                child,
-                start,
-                end,
-                visited,
-                walk,
-            );
-            current.pop();
-            items[i].1 += 1;
-            if !keep_going {
-                return false;
-            }
-        }
-        true
-    }
-    if start < end {
-        let mut pos = 0u128;
-        rec(
-            &mut items,
-            &mut current,
-            factors.len(),
-            &mut pos,
-            total,
-            start,
-            end,
-            &mut visited,
-            walk,
-        );
-    }
+    rec(&mut items, &mut current, factors.len(), &mut visited, walk);
     visited
 }
 
@@ -262,25 +139,6 @@ mod tests {
     use crate::factorize::ordering_count;
     use ulm_workload::Dim;
 
-    /// Visits every ordering of `[start, end)`, declining no subtree.
-    fn for_each_ordering_in_range(
-        factors: &[Factor],
-        start: u128,
-        end: u128,
-        visit: impl FnMut(&[Factor]) -> bool,
-    ) -> u64 {
-        struct Every<F>(F);
-        impl<F: FnMut(&[Factor]) -> bool> OrderingWalk for Every<F> {
-            fn enter(&mut self, _: usize, _: Factor) -> bool {
-                true
-            }
-            fn visit(&mut self, ordering: &[Factor]) -> bool {
-                (self.0)(ordering)
-            }
-        }
-        walk_orderings_in_range(factors, start, end, &mut Every(visit))
-    }
-
     #[test]
     fn enumeration_matches_count() {
         let f = vec![(Dim::B, 2), (Dim::B, 2), (Dim::K, 3), (Dim::C, 5)];
@@ -312,56 +170,6 @@ mod tests {
             true
         });
         assert_eq!(visited, 1);
-    }
-
-    #[test]
-    fn range_concatenation_matches_full_enumeration() {
-        let f = vec![
-            (Dim::B, 2),
-            (Dim::B, 2),
-            (Dim::K, 3),
-            (Dim::C, 5),
-            (Dim::C, 5),
-        ];
-        let total = ordering_count(&f); // 5!/(2!·2!) = 30
-        let mut full = Vec::new();
-        for_each_ordering(&f, |ord| {
-            full.push(ord.to_vec());
-            true
-        });
-        for splits in [
-            vec![0, total],
-            vec![0, 7, total],
-            vec![0, 1, 2, 29, total],
-            vec![0, 10, 10, 20, total],
-        ] {
-            let mut concat = Vec::new();
-            for w in splits.windows(2) {
-                let n = for_each_ordering_in_range(&f, w[0], w[1], |ord| {
-                    concat.push(ord.to_vec());
-                    true
-                });
-                assert_eq!(n as u128, w[1] - w[0]);
-            }
-            assert_eq!(concat, full);
-        }
-    }
-
-    #[test]
-    fn range_early_stop_respected() {
-        let f = vec![(Dim::B, 2), (Dim::K, 3), (Dim::C, 5)];
-        let mut n = 0;
-        let visited = for_each_ordering_in_range(&f, 1, 6, |_| {
-            n += 1;
-            n < 2
-        });
-        assert_eq!(visited, 2);
-    }
-
-    #[test]
-    fn empty_range_visits_nothing() {
-        let f = vec![(Dim::B, 2), (Dim::K, 3)];
-        assert_eq!(for_each_ordering_in_range(&f, 1, 1, |_| true), 0);
     }
 
     #[test]

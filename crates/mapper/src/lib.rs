@@ -122,6 +122,8 @@ impl EvaluatedMapping {
 
 /// Counters shared by every ordering-search surface (mapper, DSE,
 /// serve): one definition of what the numbers mean, one serialization.
+/// A search runs on one thread, so its counters are a pure function of
+/// its inputs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SearchStats {
     /// Orderings generated (legal or not). An exhaustive search walks one
@@ -240,41 +242,35 @@ impl<F: FnMut(&[Factor]) -> bool> enumerate::OrderingWalk for ClassWalk<'_, '_, 
     }
 }
 
-/// One search chunk's outcome (a contiguous slice of the ordering space
-/// or of the sampled candidate list).
+/// A search's running state: the first-strictly-better incumbent in
+/// visit order and the counters.
 #[derive(Default)]
-struct ChunkOutcome {
-    /// Best `(score, ordering)` in visit order, first-strictly-better.
+struct Incumbent {
     best: Option<(f64, Vec<Factor>)>,
-    /// The best lane's latency scalars, when the kernel computed them.
-    latency: Option<FastLatency>,
-    evaluated: usize,
-    generated: usize,
-    pruned: usize,
-    cache_hits: u64,
+    stats: SearchStats,
 }
 
-impl ChunkOutcome {
+impl Incumbent {
     /// Queues `ordering` in the kernel, draining a full batch first.
     fn push(&mut self, kernel: &mut BatchKernel<'_>, ordering: &[Factor]) {
         if kernel.is_full() {
             self.drain(kernel);
         }
-        self.generated += 1;
+        self.stats.generated += 1;
         kernel.push(ordering);
     }
 
     /// Flushes the kernel's filled lanes. The visit callback threads the
-    /// chunk-local incumbent through every lane, so prune decisions
-    /// follow the first-strictly-better walk exactly.
+    /// incumbent through every lane, so prune decisions follow the
+    /// first-strictly-better walk exactly.
     fn drain(&mut self, kernel: &mut BatchKernel<'_>) {
         let incumbent = self.best.as_ref().map(|b| b.0);
         kernel.drain(incumbent, |ordering, outcome| {
             match outcome {
                 LaneOutcome::Illegal => {}
-                LaneOutcome::Pruned => self.pruned += 1,
+                LaneOutcome::Pruned => self.stats.pruned += 1,
                 LaneOutcome::Scored(score) => {
-                    self.evaluated += 1;
+                    self.stats.evaluated += 1;
                     if self.best.as_ref().map(|b| score < b.0).unwrap_or(true) {
                         self.best = Some((score, ordering.to_vec()));
                     }
@@ -282,15 +278,6 @@ impl ChunkOutcome {
             }
             self.best.as_ref().map(|b| b.0)
         });
-    }
-
-    /// Drains the last batch and takes the kernel's prefix-reuse count
-    /// and its winner's latency scalars.
-    fn finish(mut self, kernel: &mut BatchKernel<'_>) -> Self {
-        self.drain(kernel);
-        self.cache_hits = kernel.cache_hits();
-        self.latency = kernel.winner_latency();
-        self
     }
 }
 
@@ -304,7 +291,6 @@ pub struct Mapper<'a> {
     layer: &'a Layer,
     spatial: SpatialUnroll,
     opts: MapperOptions,
-    parallelism: Option<usize>,
     latency_model: LatencyModel,
     energy_model: EnergyModel,
 }
@@ -317,7 +303,6 @@ impl<'a> Mapper<'a> {
             layer,
             spatial,
             opts: MapperOptions::default(),
-            parallelism: None,
             latency_model: LatencyModel::new(),
             energy_model: EnergyModel::new(),
         }
@@ -331,15 +316,6 @@ impl<'a> Mapper<'a> {
         } else {
             LatencyModel::bw_unaware()
         };
-        self
-    }
-
-    /// Splits one design's ordering search across `threads` worker
-    /// threads (`None` or `Some(1)` = serial). The result — best mapping,
-    /// score, and tie-break — is identical at every thread count; only
-    /// wall time and the `pruned`/`cache_hits` statistics may differ.
-    pub fn with_parallelism(mut self, threads: Option<usize>) -> Self {
-        self.parallelism = threads;
         self
     }
 
@@ -406,49 +382,6 @@ impl<'a> Mapper<'a> {
         )
     }
 
-    /// Scores orderings `[start, end)` of the full enumeration, keeping
-    /// the chunk-local first-strictly-better best. Only the first
-    /// ordering of each ordering class is pushed: a later member has an
-    /// earlier twin with identical score bits, so it can never be
-    /// strictly better (DESIGN.md §10.4).
-    fn run_enumerated_chunk(
-        &self,
-        factors: &[Factor],
-        obj: Objective,
-        start: u128,
-        end: u128,
-    ) -> ChunkOutcome {
-        let mut kernel = self.kernel(factors, obj);
-        let mut classes = kernel.classes();
-        let mut out = ChunkOutcome::default();
-        let mut walk = ClassWalk {
-            classes: &mut classes,
-            leaf: |ordering: &[Factor]| {
-                out.push(&mut kernel, ordering);
-                true
-            },
-        };
-        enumerate::walk_orderings_in_range(factors, start, end, &mut walk);
-        out.finish(&mut kernel)
-    }
-
-    /// Same as [`run_enumerated_chunk`](Self::run_enumerated_chunk) over
-    /// the sampled candidates `[start, end)` of `space`.
-    fn run_candidate_chunk(
-        &self,
-        space: &SearchSpace,
-        obj: Objective,
-        start: usize,
-        end: usize,
-    ) -> ChunkOutcome {
-        let mut kernel = self.kernel(space.factors(), obj);
-        let mut out = ChunkOutcome::default();
-        for i in start..end {
-            out.push(&mut kernel, space.candidate(i));
-        }
-        out.finish(&mut kernel)
-    }
-
     /// Searches the mapping space for the minimum-`obj` mapping:
     /// exhaustively when the ordering count is within
     /// [`MapperOptions::max_exhaustive`], by uniform sampling otherwise,
@@ -457,13 +390,12 @@ impl<'a> Mapper<'a> {
     ///
     /// The walk is [`search_fast`](Self::search_fast)'s: every objective
     /// runs the batched kernel ([`BatchKernel`]), which is
-    /// allocation-free in steady state, prunes provably-worse orderings
-    /// with monotone lower bounds (latency only), and — under
-    /// [`with_parallelism`](Self::with_parallelism) — splits the ordering
-    /// space across threads. All of these preserve the exact result of
-    /// the naive serial walk through `evaluate_ordering`: the same best
-    /// mapping, the same score bits, the same first-strictly-better
-    /// tie-break.
+    /// allocation-free in steady state and prunes provably-worse
+    /// orderings with monotone lower bounds (latency only). Both preserve
+    /// the exact result of the naive walk through `evaluate_ordering`:
+    /// the same best mapping, the same score bits, the same
+    /// first-strictly-better tie-break. The search runs on the caller's
+    /// thread; callers parallelize across searches.
     ///
     /// # Errors
     ///
@@ -497,83 +429,37 @@ impl<'a> Mapper<'a> {
     /// found.
     pub fn search_fast(&self, obj: Objective) -> Result<FastSearch, MapperError> {
         let space = self.space();
-        let space_size = space.size();
-        let exhaustive = space.exhaustive();
-        let threads = self.parallelism.unwrap_or(1).max(1);
-
-        let outcomes: Vec<ChunkOutcome> = if exhaustive {
-            let factors = space.factors();
-            // Don't bother spawning for trivially small spaces.
-            let threads = if space_size < 256 { 1 } else { threads as u128 };
-            if threads <= 1 {
-                vec![self.run_enumerated_chunk(factors, obj, 0, space_size)]
-            } else {
-                let per = space_size.div_ceil(threads);
-                let ranges: Vec<(u128, u128)> = (0..threads)
-                    .map(|t| (per * t, (per * (t + 1)).min(space_size)))
-                    .filter(|(a, b)| a < b)
-                    .collect();
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = ranges
-                        .iter()
-                        .map(|&(a, b)| {
-                            s.spawn(move || self.run_enumerated_chunk(factors, obj, a, b))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("search worker panicked"))
-                        .collect()
-                })
-            }
+        let (space_size, exhaustive) = (space.size(), space.exhaustive());
+        let mut kernel = self.kernel(space.factors(), obj);
+        let mut out = Incumbent::default();
+        if exhaustive {
+            // Only the first ordering of each ordering class is pushed: a
+            // later member has an earlier twin with identical score bits,
+            // so it can never be strictly better (DESIGN.md §10.4).
+            let mut classes = kernel.classes();
+            let mut walk = ClassWalk {
+                classes: &mut classes,
+                leaf: |ordering: &[Factor]| {
+                    out.push(&mut kernel, ordering);
+                    true
+                },
+            };
+            enumerate::walk_orderings(space.factors(), &mut walk);
         } else {
             // The stationary seeds, then the uniform samples.
-            let count = space.candidate_count();
-            if threads <= 1 || count < 32 {
-                vec![self.run_candidate_chunk(&space, obj, 0, count)]
-            } else {
-                let per = count.div_ceil(threads);
-                let space = &*space;
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..count)
-                        .step_by(per)
-                        .map(|a| {
-                            let b = (a + per).min(count);
-                            s.spawn(move || self.run_candidate_chunk(space, obj, a, b))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("search worker panicked"))
-                        .collect()
-                })
-            }
-        };
-
-        // Deterministic merge: chunks cover contiguous, increasing index
-        // ranges, so folding them in order with a strict `<` reproduces
-        // the serial first-strictly-better argmin exactly.
-        let mut stats = SearchStats::default();
-        let mut winner: Option<(f64, Vec<Factor>)> = None;
-        let mut latency = None;
-        for out in outcomes {
-            stats.generated += out.generated;
-            stats.evaluated += out.evaluated;
-            stats.pruned += out.pruned;
-            stats.cache_hits += out.cache_hits;
-            if let Some(b) = out.best {
-                if winner.as_ref().is_none_or(|w| b.0 < w.0) {
-                    winner = Some(b);
-                    latency = out.latency;
-                }
+            for i in 0..space.candidate_count() {
+                out.push(&mut kernel, space.candidate(i));
             }
         }
-        let Some((score, ordering)) = winner else {
+        out.drain(&mut kernel);
+        let mut stats = out.stats;
+        stats.cache_hits = kernel.cache_hits();
+        let Some((score, ordering)) = out.best else {
             return Err(MapperError::NoLegalMapping {
                 tried: covered(exhaustive, space_size, stats.generated),
             });
         };
-        let latency = latency.unwrap_or_else(|| {
+        let latency = kernel.winner_latency().unwrap_or_else(|| {
             let mapping = self
                 .mapping(&ordering)
                 .expect("winning ordering was legal in the kernel");

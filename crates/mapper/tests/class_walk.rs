@@ -3,8 +3,8 @@
 //! An exhaustive search walks only the first ordering of each ordering
 //! class and skips every subtree whose prefix state was already seen.
 //! These tests pin that against the plain permutation walk it replaced:
-//! the same best mapping, latency and energy bits for every objective,
-//! model and thread count; the walk visits exactly the first
+//! the same best mapping, latency and energy bits for every objective
+//! and model; the walk visits exactly the first
 //! member of each class; every member of a class scores identically;
 //! and a memo that fills up changes nothing.
 
@@ -64,40 +64,35 @@ fn check(
     let space = mapper.space_size();
     prop_assert!(space <= MAX_SPACE, "{}: space {}", layer.name(), space);
     let want = permutation_search(&mapper, obj);
-    for threads in 1..=3 {
-        let got = Mapper::new(&chip.arch, layer, spatial.clone())
-            .with_options(opts(bw_aware))
-            .with_parallelism(Some(threads))
-            .search(obj);
-        let ctx = format!("{} {obj:?} threads {threads}", layer.name());
-        match (&want, got) {
-            (None, Err(MapperError::NoLegalMapping { tried })) => {
-                prop_assert_eq!(tried as u128, space, "{}", ctx);
-            }
-            (Some(want), Ok(got)) => {
-                prop_assert!(got.exhaustive, "{}", ctx);
-                prop_assert_eq!(&want.mapping, &got.best.mapping, "{}", ctx);
-                prop_assert_eq!(
-                    want.latency.cc_total.to_bits(),
-                    got.best.latency.cc_total.to_bits(),
-                    "{}",
-                    ctx
-                );
-                prop_assert_eq!(
-                    want.energy.total_fj.to_bits(),
-                    got.best.energy.total_fj.to_bits(),
-                    "{}",
-                    ctx
-                );
-                prop_assert_eq!(got.covered() as u128, space, "{}", ctx);
-                prop_assert!(got.stats.generated as u128 <= space, "{}", ctx);
-            }
-            (want, got) => {
-                return Err(TestCaseError::fail(format!(
-                    "{ctx}: permutation walk found {}, class walk returned {got:?}",
-                    if want.is_some() { "a mapping" } else { "none" },
-                )));
-            }
+    let got = mapper.search(obj);
+    let ctx = format!("{} {obj:?}", layer.name());
+    match (&want, got) {
+        (None, Err(MapperError::NoLegalMapping { tried })) => {
+            prop_assert_eq!(tried as u128, space, "{}", ctx);
+        }
+        (Some(want), Ok(got)) => {
+            prop_assert!(got.exhaustive, "{}", ctx);
+            prop_assert_eq!(&want.mapping, &got.best.mapping, "{}", ctx);
+            prop_assert_eq!(
+                want.latency.cc_total.to_bits(),
+                got.best.latency.cc_total.to_bits(),
+                "{}",
+                ctx
+            );
+            prop_assert_eq!(
+                want.energy.total_fj.to_bits(),
+                got.best.energy.total_fj.to_bits(),
+                "{}",
+                ctx
+            );
+            prop_assert_eq!(got.covered() as u128, space, "{}", ctx);
+            prop_assert!(got.stats.generated as u128 <= space, "{}", ctx);
+        }
+        (want, got) => {
+            return Err(TestCaseError::fail(format!(
+                "{ctx}: permutation walk found {}, class walk returned {got:?}",
+                if want.is_some() { "a mapping" } else { "none" },
+            )));
         }
     }
     Ok(())
@@ -277,7 +272,7 @@ fn first_members_are_walked(chip: &PresetChip, layer: &Layer, spatial: &SpatialU
         visited: Vec::new(),
     };
     let total = ordering_count(&factors);
-    enumerate::walk_orderings_in_range(&factors, 0, total, &mut walk);
+    enumerate::walk_orderings(&factors, &mut walk);
     assert_eq!(all.len() as u128, total);
     assert_eq!(walk.visited, firsts, "{}", layer.name());
     firsts.len()
@@ -465,7 +460,7 @@ fn a_full_memo_changes_nothing() {
             best: None,
             visited: 0,
         };
-        enumerate::walk_orderings_in_range(&factors, 0, total, &mut s);
+        enumerate::walk_orderings(&factors, &mut s);
         s.drain();
         let (score, ordering) = s.best.expect("legal mappings exist");
         (score.to_bits(), ordering, s.visited)

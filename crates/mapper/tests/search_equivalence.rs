@@ -1,8 +1,8 @@
 //! Property tests: the optimized search (batched kernel,
-//! branch-and-bound pruning, prefix memoization, intra-design
-//! parallelism) returns the byte-identical best mapping — same latency
-//! bits, same ordering, same first-strictly-better tie-break — as the
-//! naive exhaustive/sampled serial search it replaced.
+//! branch-and-bound pruning, prefix memoization) returns the
+//! byte-identical best mapping — same latency bits, same ordering, same
+//! first-strictly-better tie-break — as the naive exhaustive/sampled
+//! search it replaced.
 
 use proptest::prelude::*;
 use ulm_arch::presets;
@@ -65,46 +65,33 @@ fn check_case(b: u64, k: u64, c: u64, obj: Objective, bw_aware: bool) -> Result<
     let mapper = Mapper::new(&chip.arch, &layer, SpatialUnroll::new(chip.spatial.clone()))
         .with_options(opts);
     let reference = reference_search(&mapper, &opts, obj);
-
-    for threads in [None, Some(2), Some(4)] {
-        let mapper = Mapper::new(&chip.arch, &layer, SpatialUnroll::new(chip.spatial.clone()))
-            .with_options(opts)
-            .with_parallelism(threads);
-        let result = mapper.search(obj);
-        match (&reference, result) {
-            (None, Err(_)) => {}
-            (Some(want), Ok(got)) => {
-                prop_assert_eq!(
-                    &want.mapping,
-                    &got.best.mapping,
-                    "threads {:?}: different best mapping",
-                    threads
-                );
-                prop_assert_eq!(
-                    want.score(obj).to_bits(),
-                    got.best.score(obj).to_bits(),
-                    "threads {:?}: score bits diverged",
-                    threads
-                );
-                prop_assert_eq!(
-                    want.latency.cc_total.to_bits(),
-                    got.best.latency.cc_total.to_bits()
-                );
-                // Every candidate is accounted for: scored, pruned, or
-                // illegal.
-                prop_assert!(got.stats.evaluated + got.stats.pruned <= got.stats.generated);
-            }
-            (want, got) => {
-                return Err(TestCaseError::fail(format!(
-                    "threads {threads:?}: reference {} but search {}",
-                    if want.is_some() {
-                        "found a mapping"
-                    } else {
-                        "found nothing"
-                    },
-                    if got.is_ok() { "succeeded" } else { "failed" },
-                )));
-            }
+    match (&reference, mapper.search(obj)) {
+        (None, Err(_)) => {}
+        (Some(want), Ok(got)) => {
+            prop_assert_eq!(&want.mapping, &got.best.mapping, "different best mapping");
+            prop_assert_eq!(
+                want.score(obj).to_bits(),
+                got.best.score(obj).to_bits(),
+                "score bits diverged"
+            );
+            prop_assert_eq!(
+                want.latency.cc_total.to_bits(),
+                got.best.latency.cc_total.to_bits()
+            );
+            // Every candidate is accounted for: scored, pruned, or
+            // illegal.
+            prop_assert!(got.stats.evaluated + got.stats.pruned <= got.stats.generated);
+        }
+        (want, got) => {
+            return Err(TestCaseError::fail(format!(
+                "reference {} but search {}",
+                if want.is_some() {
+                    "found a mapping"
+                } else {
+                    "found nothing"
+                },
+                if got.is_ok() { "succeeded" } else { "failed" },
+            )));
         }
     }
     Ok(())
@@ -114,7 +101,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Latency search (the pruned path) is exactly equivalent to the
-    /// naive serial search, at every thread count.
+    /// naive search.
     #[test]
     fn pruned_parallel_latency_search_matches_reference(
         b in 1u64..=24,

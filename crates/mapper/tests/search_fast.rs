@@ -2,7 +2,7 @@
 //! report: the same winning ordering and mapping, the same counters, and
 //! score and latency scalars bit-identical to the report's. Random
 //! matmul and conv layers on five presets, all three objectives,
-//! exhaustive and sampled spaces, serial and two-thread walks.
+//! exhaustive and sampled spaces.
 //!
 //! Also pins the search-space memo: searches with equal sampler inputs
 //! share one space, and changing any of them does not.
@@ -26,69 +26,60 @@ fn preset(idx: usize) -> presets::PresetChip {
     }
 }
 
-/// Compares `search_fast` with `search` for every objective, serial and
-/// on two threads.
+/// Compares `search_fast` with `search` for every objective.
 fn check(
     arch: &Architecture,
     spatial: &SpatialUnroll,
     layer: &Layer,
     opts: MapperOptions,
 ) -> Result<(), TestCaseError> {
+    let mapper = Mapper::new(arch, layer, spatial.clone()).with_options(opts);
     for obj in OBJECTIVES {
-        for threads in [Some(1), Some(2)] {
-            let mapper = Mapper::new(arch, layer, spatial.clone())
-                .with_options(opts)
-                .with_parallelism(threads);
-            let ctx = format!(
-                "{} on {}, {obj:?}, threads {threads:?}",
-                layer.name(),
-                arch.name()
-            );
-            match (mapper.search(obj), mapper.search_fast(obj)) {
-                (Err(full), Err(fast)) => prop_assert_eq!(full, fast, "{}", ctx),
-                (Ok(full), Ok(fast)) => {
-                    let ordering: Vec<(Dim, u64)> = full
-                        .best
-                        .mapping
-                        .stack()
-                        .loops()
-                        .iter()
-                        .map(|l| (l.dim, l.size))
-                        .collect();
-                    prop_assert_eq!(&ordering, &fast.ordering, "{}", ctx);
-                    let mapping = mapper.mapping(&fast.ordering);
-                    prop_assert_eq!(mapping.as_ref(), Some(&full.best.mapping), "{}", ctx);
-                    let (want, got) = (&full.best.latency, &fast.latency);
-                    prop_assert_eq!(want.cc_total.to_bits(), got.cc_total.to_bits(), "{}", ctx);
-                    prop_assert_eq!(
-                        want.utilization.to_bits(),
-                        got.utilization.to_bits(),
-                        "{}",
-                        ctx
-                    );
-                    prop_assert_eq!(
-                        want.ss_overall.to_bits(),
-                        got.ss_overall.to_bits(),
-                        "{}",
-                        ctx
-                    );
-                    prop_assert_eq!(
-                        full.best.score(obj).to_bits(),
-                        fast.score.to_bits(),
-                        "{}",
-                        ctx
-                    );
-                    prop_assert_eq!(full.stats, fast.stats, "{}", ctx);
-                    prop_assert_eq!(full.space_size, fast.space_size, "{}", ctx);
-                    prop_assert_eq!(full.exhaustive, fast.exhaustive, "{}", ctx);
-                }
-                (full, fast) => {
-                    return Err(TestCaseError::fail(format!(
-                        "{ctx}: search {} but search_fast {}",
-                        if full.is_ok() { "succeeded" } else { "failed" },
-                        if fast.is_ok() { "succeeded" } else { "failed" },
-                    )));
-                }
+        let ctx = format!("{} on {}, {obj:?}", layer.name(), arch.name());
+        match (mapper.search(obj), mapper.search_fast(obj)) {
+            (Err(full), Err(fast)) => prop_assert_eq!(full, fast, "{}", ctx),
+            (Ok(full), Ok(fast)) => {
+                let ordering: Vec<(Dim, u64)> = full
+                    .best
+                    .mapping
+                    .stack()
+                    .loops()
+                    .iter()
+                    .map(|l| (l.dim, l.size))
+                    .collect();
+                prop_assert_eq!(&ordering, &fast.ordering, "{}", ctx);
+                let mapping = mapper.mapping(&fast.ordering);
+                prop_assert_eq!(mapping.as_ref(), Some(&full.best.mapping), "{}", ctx);
+                let (want, got) = (&full.best.latency, &fast.latency);
+                prop_assert_eq!(want.cc_total.to_bits(), got.cc_total.to_bits(), "{}", ctx);
+                prop_assert_eq!(
+                    want.utilization.to_bits(),
+                    got.utilization.to_bits(),
+                    "{}",
+                    ctx
+                );
+                prop_assert_eq!(
+                    want.ss_overall.to_bits(),
+                    got.ss_overall.to_bits(),
+                    "{}",
+                    ctx
+                );
+                prop_assert_eq!(
+                    full.best.score(obj).to_bits(),
+                    fast.score.to_bits(),
+                    "{}",
+                    ctx
+                );
+                prop_assert_eq!(full.stats, fast.stats, "{}", ctx);
+                prop_assert_eq!(full.space_size, fast.space_size, "{}", ctx);
+                prop_assert_eq!(full.exhaustive, fast.exhaustive, "{}", ctx);
+            }
+            (full, fast) => {
+                return Err(TestCaseError::fail(format!(
+                    "{ctx}: search {} but search_fast {}",
+                    if full.is_ok() { "succeeded" } else { "failed" },
+                    if fast.is_ok() { "succeeded" } else { "failed" },
+                )));
             }
         }
     }

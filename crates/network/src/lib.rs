@@ -33,7 +33,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use ulm_arch::Architecture;
 use ulm_energy::{EnergyModel, EnergyReport};
 use ulm_mapper::{Mapper, MapperError, MapperOptions, Objective};
@@ -180,7 +179,6 @@ pub struct NetworkEvaluator<'a> {
     mapper_opts: MapperOptions,
     overlap: InterLayerOverlap,
     objective: Objective,
-    parallelism: Option<usize>,
     fusion: Vec<FusedSegment>,
 }
 
@@ -198,7 +196,6 @@ impl<'a> NetworkEvaluator<'a> {
             },
             overlap: InterLayerOverlap::None,
             objective: Objective::Latency,
-            parallelism: None,
             fusion: Vec::new(),
         }
     }
@@ -235,17 +232,6 @@ impl<'a> NetworkEvaluator<'a> {
         self
     }
 
-    /// Sets how many threads the mapping searches may use. Each distinct
-    /// layer shape is searched once, so the threads share out the
-    /// distinct shapes, not the layers. `None`/`Some(1)` is serial; each
-    /// search is deterministic and every layer is lowered and scheduled
-    /// in layer order, so every thread count produces the identical
-    /// report.
-    pub fn with_parallelism(mut self, parallelism: Option<usize>) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
     /// Validates every fused segment and merges their residency pins into
     /// one per-layer table (a layer fused in two adjacent segments keeps
     /// the tighter — lower-level — pin per operand).
@@ -272,11 +258,10 @@ impl<'a> NetworkEvaluator<'a> {
     /// Optimizes and schedules every layer.
     ///
     /// Each distinct layer shape is searched once (the first layer of
-    /// that shape in order stands for it), on multiple threads with
-    /// [`with_parallelism`](Self::with_parallelism). Every layer is then
-    /// lowered with its own fusion residency pins and evaluated in layer
-    /// order, so the inter-layer overlap pass sees the previous layer's
-    /// result and errors are reported in layer order.
+    /// that shape in order stands for it), on the caller's thread. Every
+    /// layer is then lowered with its own fusion residency pins and
+    /// evaluated in layer order, so the inter-layer overlap pass sees the
+    /// previous layer's result and errors are reported in layer order.
     ///
     /// # Errors
     ///
@@ -286,8 +271,7 @@ impl<'a> NetworkEvaluator<'a> {
         let (segments, pins) = self.fusion_pins(layers)?;
         // The search never reads a layer's name or its fusion pins, so
         // layers of one workload share it.
-        let threads = self.parallelism.unwrap_or(1);
-        let mappings = search_distinct(layers, threads, |layer| {
+        let mappings = search_distinct(layers, |layer| {
             #[cfg(test)]
             tests::SEARCHES.with(|n| n.set(n.get() + 1));
             let mapper =
@@ -333,67 +317,30 @@ impl<'a> NetworkEvaluator<'a> {
 }
 
 /// Searches each distinct workload among `layers` once (layers equal up
-/// to their names, see [`Layer::same_workload`]), spreading the distinct
-/// workloads over up to `threads` threads, and returns every layer's
-/// mapping. The error names the first layer in order whose workload has
-/// no legal mapping. Each search runs alone, so the result does not
-/// depend on the thread count.
+/// to their names, see [`Layer::same_workload`]), in layer order, and
+/// returns every layer's mapping. The error names the first layer whose
+/// workload has no legal mapping.
 fn search_distinct(
     layers: &[Layer],
-    threads: usize,
-    search: impl Fn(&Layer) -> Result<Mapping, MapperError> + Sync,
+    mut search: impl FnMut(&Layer) -> Result<Mapping, MapperError>,
 ) -> Result<Vec<Mapping>, NetworkError> {
-    let mut distinct: Vec<&Layer> = Vec::new();
-    let mut shape_of = Vec::with_capacity(layers.len());
+    let mut distinct: Vec<(&Layer, Mapping)> = Vec::new();
+    let mut mappings = Vec::with_capacity(layers.len());
     for layer in layers {
-        match distinct.iter().position(|d| d.same_workload(layer)) {
-            Some(shape) => shape_of.push(shape),
+        let mapping = match distinct.iter().find(|(d, _)| d.same_workload(layer)) {
+            Some((_, mapping)) => mapping.clone(),
             None => {
-                shape_of.push(distinct.len());
-                distinct.push(layer);
-            }
-        }
-    }
-    // Threads pull the next unsearched workload, so one long search does
-    // not hold back a share of short ones; the caller's thread is one of
-    // them. `Relaxed` suffices: the counter only hands out indices, and
-    // the results come back through `join`.
-    let next = AtomicUsize::new(0);
-    let work = || -> Vec<_> {
-        std::iter::from_fn(|| {
-            let shape = next.fetch_add(1, Ordering::Relaxed);
-            distinct.get(shape).map(|layer| (shape, search(layer)))
-        })
-        .collect()
-    };
-    let mut searched = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads.clamp(1, distinct.len().max(1)))
-            .map(|_| scope.spawn(work))
-            .collect();
-        let mut searched = work();
-        for helper in helpers {
-            searched.extend(
-                helper
-                    .join()
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
-            );
-        }
-        searched
-    });
-    searched.sort_unstable_by_key(|&(shape, _)| shape);
-    layers
-        .iter()
-        .zip(shape_of)
-        .map(|(layer, shape)| {
-            searched[shape]
-                .1
-                .clone()
-                .map_err(|source| NetworkError::LayerUnmappable {
+                let mapping = search(layer).map_err(|source| NetworkError::LayerUnmappable {
                     layer: layer.name().to_string(),
                     source,
-                })
-        })
-        .collect()
+                })?;
+                distinct.push((layer, mapping.clone()));
+                mapping
+            }
+        };
+        mappings.push(mapping);
+    }
+    Ok(mappings)
 }
 
 #[cfg(test)]
@@ -405,7 +352,7 @@ mod tests {
 
     thread_local! {
         /// Mapping searches [`NetworkEvaluator::evaluate`] ran on this
-        /// thread (all of them when it runs serially).
+        /// thread.
         pub(super) static SEARCHES: Cell<usize> = const { Cell::new(0) };
     }
 
@@ -481,23 +428,32 @@ mod tests {
         assert!(r.utilization() > 0.0 && r.utilization() <= 1.0);
     }
 
+    /// Evaluates `layers` on `threads` caller threads at once, as the DSE
+    /// and serve's pool do: each evaluation runs alone on its thread.
+    fn evaluate_on_threads(
+        eval: &NetworkEvaluator<'_>,
+        layers: &[Layer],
+        threads: usize,
+    ) -> Vec<Result<NetworkReport, NetworkError>> {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| scope.spawn(|| eval.evaluate(layers)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
     #[test]
     fn parallel_evaluate_matches_serial_exactly() {
         let arch = presets::case_study_chip(128);
-        let serial = quick(&arch)
-            .with_overlap(InterLayerOverlap::WeightPrefetch)
-            .evaluate(&small_net())
-            .unwrap();
-        for threads in [2usize, 3, 8] {
-            let par = quick(&arch)
-                .with_overlap(InterLayerOverlap::WeightPrefetch)
-                .with_parallelism(Some(threads))
-                .evaluate(&small_net())
-                .unwrap();
+        let eval = quick(&arch).with_overlap(InterLayerOverlap::WeightPrefetch);
+        let serial = eval.evaluate(&small_net()).unwrap();
+        for par in evaluate_on_threads(&eval, &small_net(), 3) {
+            let par = par.unwrap();
             assert_eq!(serial.layers.len(), par.layers.len());
             for (s, p) in serial.layers.iter().zip(&par.layers) {
                 assert_eq!(s.name, p.name);
-                assert_eq!(s.mapping, p.mapping, "parallelism={threads}");
+                assert_eq!(s.mapping, p.mapping);
                 assert_eq!(s.latency, p.latency);
                 assert_eq!(s.energy.total_fj, p.energy.total_fj);
                 assert_eq!(s.hidden_preload, p.hidden_preload);
@@ -509,18 +465,17 @@ mod tests {
     fn parallel_error_is_first_in_layer_order() {
         let arch = presets::case_study_chip(128);
         // Two unmappable layers: the *first* one must be the error named,
-        // even when a later chunk fails first in wall-clock time.
+        // on every caller thread.
         let layers = vec![
             Layer::matmul("ok0", 64, 64, 128, Precision::int8_acc24()),
             Layer::matmul("bad1", 64, 64, 64, Precision::uniform(512)),
             Layer::matmul("ok2", 64, 32, 128, Precision::int8_acc24()),
             Layer::matmul("bad3", 32, 64, 64, Precision::uniform(512)),
         ];
-        let err = quick(&arch)
-            .with_parallelism(Some(4))
-            .evaluate(&layers)
-            .unwrap_err();
-        assert!(err.to_string().contains("bad1"), "{err}");
+        for err in evaluate_on_threads(&quick(&arch), &layers, 2) {
+            let err = err.unwrap_err();
+            assert!(err.to_string().contains("bad1"), "{err}");
+        }
     }
 
     #[test]

@@ -87,7 +87,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Shared searches give every layer exactly its oracle's mapping,
-    /// latency and energy, at every thread count.
+    /// latency and energy.
     #[test]
     fn shared_searches_match_the_per_layer_oracle(
         layers in proptest::collection::vec(arb_layer(), 1..7)
@@ -98,23 +98,16 @@ proptest! {
             .iter()
             .map(|l| oracle(&arch, &spatial, l, [None; 3]))
             .collect();
-        for threads in [1usize, 2, 3] {
-            let got = evaluator(&arch, &spatial)
-                .with_parallelism(Some(threads))
-                .evaluate(&layers);
-            match (&oracles, got) {
-                (Ok(oracles), Ok(report)) => {
-                    assert_matches_oracle(&report, oracles, &format!("parallelism={threads}"));
-                }
-                (Err(_), Err(NetworkError::LayerUnmappable { layer, .. })) => {
-                    let first = layers
-                        .iter()
-                        .find(|l| oracle(&arch, &spatial, l, [None; 3]).is_err())
-                        .expect("some layer failed");
-                    prop_assert_eq!(layer, first.name().to_string());
-                }
-                (want, got) => panic!("oracle {want:?} but evaluator {got:?}"),
+        match (&oracles, evaluator(&arch, &spatial).evaluate(&layers)) {
+            (Ok(oracles), Ok(report)) => assert_matches_oracle(&report, oracles, "shared"),
+            (Err(_), Err(NetworkError::LayerUnmappable { layer, .. })) => {
+                let first = layers
+                    .iter()
+                    .find(|l| oracle(&arch, &spatial, l, [None; 3]).is_err())
+                    .expect("some layer failed");
+                prop_assert_eq!(layer, first.name().to_string());
             }
+            (want, got) => panic!("oracle {want:?} but evaluator {got:?}"),
         }
     }
 }
@@ -142,12 +135,9 @@ fn same_shape_layers_keep_their_own_fusion_pins() {
     // refill: the same mapping, two different answers.
     assert_eq!(oracles[0].0, oracles[1].0);
     assert_ne!(oracles[0].1, oracles[1].1);
-    for threads in [1usize, 2] {
-        let report = evaluator(&chip.arch, &spatial)
-            .with_parallelism(Some(threads))
-            .with_fusion(vec![seg.clone()])
-            .evaluate(&layers)
-            .unwrap();
-        assert_matches_oracle(&report, &oracles, &format!("parallelism={threads}"));
-    }
+    let report = evaluator(&chip.arch, &spatial)
+        .with_fusion(vec![seg])
+        .evaluate(&layers)
+        .unwrap();
+    assert_matches_oracle(&report, &oracles, "fused");
 }

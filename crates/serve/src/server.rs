@@ -433,11 +433,6 @@ enum QueryMode {
     Search {
         objective: Objective,
         mapper: MapperOptions,
-        /// Worker threads inside the ordering search. Deliberately NOT
-        /// part of the fingerprint: the result is identical at every
-        /// thread count, so requests differing only here must share a
-        /// cache entry.
-        parallelism: Option<usize>,
     },
 }
 
@@ -454,9 +449,6 @@ struct NetQuery {
     overlap: InterLayerOverlap,
     objective: Objective,
     mapper: MapperOptions,
-    /// Threads for the distinct-shape searches; not fingerprinted (the
-    /// result is identical at every thread count).
-    parallelism: Option<usize>,
 }
 
 /// A fixed-architecture workload-dimension query (the `surrogate` request
@@ -647,17 +639,13 @@ fn parse_model(req: &Value) -> Result<ModelOptions, UlmError> {
 
 /// Optional `mapper` overrides, applied on top of [`MapperOptions::default`]
 /// (with `bw_aware` following the model options unless set explicitly).
-fn parse_mapper(
-    req: &Value,
-    model: &ModelOptions,
-) -> Result<(MapperOptions, Option<usize>), UlmError> {
+fn parse_mapper(req: &Value, model: &ModelOptions) -> Result<MapperOptions, UlmError> {
     let mut opts = MapperOptions {
         bw_aware: model.bw_aware,
         ..MapperOptions::default()
     };
-    let mut parallelism = None;
     let Some(spec) = field(req, "mapper") else {
-        return Ok((opts, parallelism));
+        return Ok(opts);
     };
     let Value::Object(entries) = spec else {
         return Err(UlmError::invalid_request("`mapper` must be an object"));
@@ -674,12 +662,6 @@ fn parse_mapper(
                     UlmError::invalid_request("`mapper.bw_aware` must be a boolean")
                 })?;
             }
-            "parallelism" => {
-                parallelism = match parse_u64(v, "mapper.parallelism")? {
-                    0 => None,
-                    n => Some(n as usize),
-                };
-            }
             other => {
                 return Err(UlmError::invalid_request(format!(
                     "unknown mapper option `{other}`"
@@ -687,7 +669,7 @@ fn parse_mapper(
             }
         }
     }
-    Ok((opts, parallelism))
+    Ok(opts)
 }
 
 fn parse_objective(req: &Value) -> Result<Objective, UlmError> {
@@ -743,11 +725,9 @@ fn parse_query(req: &Value, eval_mode: bool) -> Result<Query, UlmError> {
             .map_err(|e| UlmError::invalid_request(format!("invalid `mapping`: {e}")))?;
         QueryMode::Eval(Box::new(mapping))
     } else {
-        let (mapper, parallelism) = parse_mapper(req, &model)?;
         QueryMode::Search {
             objective: parse_objective(req)?,
-            mapper,
-            parallelism,
+            mapper: parse_mapper(req, &model)?,
         }
     };
     Ok(Query {
@@ -823,7 +803,7 @@ fn parse_surrogate_query(req: &Value) -> Result<SurrogateQuery, UlmError> {
     let spatial = parse_spatial(req, default_spatial)?;
     let layer = parse_layer(req)?;
     let model = parse_model(req)?;
-    let (mapper, _parallelism) = parse_mapper(req, &model)?;
+    let mapper = parse_mapper(req, &model)?;
     let template = match field(req, "template") {
         None => (
             layer.shape().dim(Dim::B),
@@ -864,7 +844,7 @@ fn parse_net_query(req: &Value) -> Result<NetQuery, UlmError> {
     let spatial = parse_spatial(req, default_spatial)?;
     let layers = parse_net_layers(req)?;
     let model = parse_model(req)?;
-    let (mapper, parallelism) = parse_mapper(req, &model)?;
+    let mapper = parse_mapper(req, &model)?;
     Ok(NetQuery {
         arch,
         spatial,
@@ -873,7 +853,6 @@ fn parse_net_query(req: &Value) -> Result<NetQuery, UlmError> {
         overlap: parse_overlap(req)?,
         objective: parse_objective(req)?,
         mapper,
-        parallelism,
     })
 }
 
@@ -976,8 +955,8 @@ trait Job {
     /// the other kind under the job's fingerprint is treated as a miss.
     const NET: bool;
 
-    /// The canonical identity of the result. Everything that can change
-    /// it is included; thread counts are not.
+    /// The canonical identity of the result: everything that can change
+    /// it.
     fn fingerprint(&self) -> Fingerprint;
 
     fn execute(&self) -> Result<Outcome, UlmError>;
@@ -998,9 +977,7 @@ impl Job for Query {
                 entries.push(("op".to_string(), Value::String("eval".into())));
                 entries.push(("mapping".to_string(), mapping.to_value()));
             }
-            QueryMode::Search {
-                objective, mapper, ..
-            } => {
+            QueryMode::Search { objective, mapper } => {
                 entries.push(("op".to_string(), Value::String("search".into())));
                 entries.push(("objective".to_string(), objective.to_value()));
                 entries.push(("mapper".to_string(), mapper.to_value()));
@@ -1025,14 +1002,9 @@ impl Job for Query {
                     search: None,
                 }
             }
-            QueryMode::Search {
-                objective,
-                mapper,
-                parallelism,
-            } => {
+            QueryMode::Search { objective, mapper } => {
                 let result = Mapper::new(&self.arch, &self.layer, self.spatial.clone())
                     .with_options(*mapper)
-                    .with_parallelism(*parallelism)
                     .search(*objective)?;
                 EvalOutcome {
                     mapping: result.best.mapping,
@@ -1077,7 +1049,6 @@ impl Job for NetQuery {
             .with_overlap(self.overlap)
             .with_objective(self.objective)
             .with_mapper_options(self.mapper)
-            .with_parallelism(self.parallelism)
             .with_fusion(self.fusion.clone())
             .evaluate(&self.layers)?;
         Ok(Outcome::Net(NetOutcome {
@@ -1249,12 +1220,19 @@ pub struct DiskStats {
 /// Each holds at most `MEMO_CAP` (16,384) remembered points.
 const SPECIALIZATIONS: usize = 64;
 
+/// Marks a surrogate request's specialization key in the request memo: it
+/// is memoized under the request's fingerprint XOR this tag, beside the
+/// answer fingerprint memoized under the request's fingerprint itself.
+const SPEC_KEY_TAG: u128 = 0x5bec_4e79_0000_0000_0000_0000_0000_0001;
+
 /// The concurrent, cache-backed evaluation engine.
 pub struct EvalService {
     cache: ResultCache<Arc<Cached>>,
     /// Request (minus its `id`) → the canonical fingerprint of what it
-    /// asks for, so each distinct request builds its fingerprint once.
-    /// Bounded by the cache capacity; its probes are not cache lookups.
+    /// asks for, so each distinct request builds its fingerprint once; a
+    /// surrogate request's specialization key sits beside it (see
+    /// [`SPEC_KEY_TAG`]). Bounded by the cache capacity; its probes are
+    /// not cache lookups.
     fingerprints: ResultCache<Fingerprint>,
     /// Surrogate specializations by `spec_key`. Each sits behind its own
     /// lock: a query updates the specialization's scratch and point memo.
@@ -1656,19 +1634,20 @@ impl EvalService {
     /// to the resulting `(arch, shape)`, and the specialization is stored
     /// for the next request. A service calibration matching the request's
     /// architecture is applied to the specialization it builds; its id
-    /// enters the key and the fingerprint. The answer's fingerprint is
-    /// read from the request memo, like eval's, search's and net's.
+    /// enters the key and the fingerprint. The answer's fingerprint and
+    /// the specialization's key are both read from the request memo, so a
+    /// repeated request serializes no architecture.
     fn respond_surrogate(&self, req: &Value, q: &SurrogateQuery) -> Result<Answer, UlmError> {
         let calibration = self
             .calibration
             .as_ref()
             .filter(|cal| cal.arch == q.arch.name());
         let calibration_id = calibration.map(|cal| cal.id.as_str());
-        let Ok((fp, _)) = self.fingerprints.get_or_build(
-            fingerprint_request(req),
-            |_| true,
-            || Ok::<_, std::convert::Infallible>(q.fingerprint(calibration_id)),
-        );
+        let request = fingerprint_request(req);
+        let fp = self.memoized(request, || q.fingerprint(calibration_id));
+        let spec_key = self.memoized(Fingerprint(request.0 ^ SPEC_KEY_TAG), || {
+            q.spec_key(calibration_id)
+        });
         let (b, k, c) = (
             q.layer.shape().dim(Dim::B),
             q.layer.shape().dim(Dim::K),
@@ -1697,9 +1676,9 @@ impl EvalService {
             )?;
             Ok(Arc::new(Mutex::new(spec)))
         };
-        let (spec, hit) =
-            self.specializations
-                .get_or_build(q.spec_key(calibration_id), |_| true, specialize)?;
+        let (spec, hit) = self
+            .specializations
+            .get_or_build(spec_key, |_| true, specialize)?;
         let (fast, shape_text) = {
             let mut spec = spec
                 .lock()
@@ -1745,6 +1724,17 @@ impl EvalService {
         Ok(Answer::fields(fields))
     }
 
+    /// `build()` read through the request memo under `key`: built once per
+    /// distinct key while the memo holds it.
+    fn memoized(&self, key: Fingerprint, build: impl FnOnce() -> Fingerprint) -> Fingerprint {
+        let Ok((fp, _)) = self.fingerprints.get_or_build(
+            key,
+            |_| true,
+            || Ok::<_, std::convert::Infallible>(build()),
+        );
+        fp
+    }
+
     /// Cache lookup with single-flight coalescing: concurrent identical
     /// jobs are computed once — the first thread executes, the others
     /// wait for it and then read the cached result. Returns the job's
@@ -1758,11 +1748,7 @@ impl EvalService {
         req: &Value,
         job: &J,
     ) -> Result<(Fingerprint, Arc<Cached>, bool), UlmError> {
-        let Ok((fp, _)) = self.fingerprints.get_or_build(
-            fingerprint_request(req),
-            |_| true,
-            || Ok::<_, std::convert::Infallible>(job.fingerprint()),
-        );
+        let fp = self.memoized(fingerprint_request(req), || job.fingerprint());
         let fits = |e: &Arc<Cached>| matches!(e.outcome, Outcome::Net(_)) == J::NET;
         let (entry, hit) = self
             .cache
@@ -2781,30 +2767,28 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_is_excluded_from_the_fingerprint() {
-        // Searches differing only in `mapper.parallelism` return the same
-        // result, so they must share a cache entry.
-        let svc = service();
-        let serial = parse(&svc.handle_line(
-            r#"{"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}"#,
-        ).unwrap());
-        let threaded = parse(&svc.handle_line(
-            r#"{"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10,"parallelism":4}}"#,
-        ).unwrap());
-        assert_eq!(serial.get("ok"), Some(&Value::Bool(true)));
-        assert_eq!(serial.get("fingerprint"), threaded.get("fingerprint"));
-        assert_eq!(threaded.get("cached"), Some(&Value::Bool(true)));
-        assert_eq!(serial.get("latency"), threaded.get("latency"));
-    }
-
-    #[test]
     fn batch_lanes_is_an_unknown_mapper_option() {
-        // Every search runs the one batched kernel; a lane count is no
-        // longer a request knob, on a search or a net.
+        // Every search runs the one batched kernel on the worker's own
+        // thread; neither a lane count nor a thread count is a request
+        // knob, on a search or a net.
         let svc = service();
-        for line in [
-            r#"{"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"batch_lanes":8}}"#,
-            r#"{"kind":"net","arch":"toy","net":"attention-decode","objective":"energy","mapper":{"batch_lanes":8}}"#,
+        for (knob, line) in [
+            (
+                "batch_lanes",
+                r#"{"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"batch_lanes":8}}"#,
+            ),
+            (
+                "batch_lanes",
+                r#"{"kind":"net","arch":"toy","net":"attention-decode","objective":"energy","mapper":{"batch_lanes":8}}"#,
+            ),
+            (
+                "parallelism",
+                r#"{"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"parallelism":2}}"#,
+            ),
+            (
+                "parallelism",
+                r#"{"kind":"net","arch":"toy","net":"attention-decode","mapper":{"parallelism":2}}"#,
+            ),
         ] {
             let v = parse(&svc.handle_line(line).unwrap());
             assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{v:?}");
@@ -2813,7 +2797,10 @@ mod tests {
                 Some(&Value::String("request/invalid".to_string()))
             );
             let error = v.get("error").and_then(Value::as_str).unwrap();
-            assert!(error.contains("unknown mapper option"), "{error}");
+            assert!(
+                error.contains(&format!("unknown mapper option `{knob}`")),
+                "{error}"
+            );
         }
     }
 

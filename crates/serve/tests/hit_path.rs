@@ -156,8 +156,6 @@ fn spellings_of_one_request_share_a_fingerprint_and_an_answer() {
         r#"{"mapper":{"samples":10,"max_exhaustive":100},"layer":"4x4x8","arch":"toy","kind":"search","id":1}"#,
         // Whitespace.
         " { \"id\" : 1 , \"kind\" : \"search\" , \"arch\" : \"toy\" , \"layer\" : \"4x4x8\" , \"mapper\" : { \"max_exhaustive\" : 100 , \"samples\" : 10 } } ",
-        // Thread counts never change a result.
-        r#"{"id":1,"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10,"parallelism":2}}"#,
     ];
     for line in spellings {
         assert_eq!(answer(&svc, line), as_hit(&first), "{line}");

@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 use ulm::mapper::enumerate::{self, OrderingWalk};
-use ulm::mapper::factorize::{ordering_count, Factor};
+use ulm::mapper::factorize::Factor;
 use ulm::model::OrderingClasses;
 use ulm::prelude::*;
 
@@ -65,7 +65,6 @@ fn main() {
         ..MapperOptions::default()
     });
     let factors = mapper.factors();
-    let total = ordering_count(&factors);
 
     let mut failures = Vec::new();
     for obj in [Objective::Latency, Objective::Energy] {
@@ -78,7 +77,7 @@ fn main() {
                 best: None,
                 walked: 0,
             };
-            enumerate::walk_orderings_in_range(&factors, 0, total, &mut walk);
+            enumerate::walk_orderings(&factors, &mut walk);
             walk
         });
         let want = reference.best.expect("legal mappings exist");

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # Performance snapshot of the DSE hot path: runs the mapper_hot_path
-# bench (baseline allocating search vs optimized scratch+pruned+parallel
-# search on the Fig. 8 case-study workload, report-assembling
-# `LatencyModel::evaluate` vs scratch-based `evaluate_fast` throughput,
-# and full vs incremental delta-evaluation of a one-knob GB-bandwidth
-# neighbor) and leaves the machine-readable numbers in BENCH_mapper.json
-# at the repo root (override the destination with BENCH_MAPPER_JSON).
+# bench (baseline allocating search vs the batched, pruned, class-walking
+# search on the Fig. 8 case-study workload for each objective, the
+# permutation vs ordering-class walk, one sampled DSE design through
+# `search` and `search_fast`, report-assembling `LatencyModel::evaluate`
+# vs scratch-based `evaluate_fast` throughput, full vs incremental
+# delta-evaluation of a one-knob GB-bandwidth neighbor, and surrogate
+# queries) and leaves the machine-readable numbers, stamped with the core
+# count, in BENCH_mapper.json at the repo root (override the destination
+# with BENCH_MAPPER_JSON).
 #
 # Everything runs offline — all dependencies are path crates vendored
 # under vendor/, so no registry access is required.

@@ -30,6 +30,23 @@ if grep -rn "\.port(" crates/model/src --include="*.rs" |
     exit 1
 fi
 
+echo "==> one level of parallelism: mapper and network code starts no threads"
+# A search or a network evaluation runs on its caller's thread; the
+# callers (the DSE across designs, serve's worker pool) parallelize. Each
+# file is cut at its test module (a #[cfg(test)] in column 0): tests may
+# run callers side by side.
+threads_started=0
+for f in $(find crates/mapper/src crates/network/src -name '*.rs' | sort); do
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$f" |
+        grep -E "thread::(scope|spawn|Builder)"; then
+        threads_started=1
+    fi
+done
+if (( threads_started )); then
+    echo "error: a mapping search or network evaluation must not start threads; parallelize in its caller" >&2
+    exit 1
+fi
+
 echo "==> every pub fn is named outside its own file (reachability floor)"
 bash scripts/check_reachable.sh
 

@@ -196,8 +196,7 @@ fn check_layer(
             classes: OrderingClasses::new(&chip.arch, layer, &spatial, &factors),
             visited: Vec::new(),
         };
-        let total = enumerate::for_each_ordering(&factors, |_| true);
-        enumerate::walk_orderings_in_range(&factors, 0, u128::from(total), &mut rec);
+        enumerate::walk_orderings(&factors, &mut rec);
         rec.visited
     } else {
         candidates.clone()
@@ -374,8 +373,7 @@ fn fig8_style_case_is_bit_identical_at_every_lane_count() {
         classes: OrderingClasses::new(&arch, &layer, &spatial, &factors),
         visited: Vec::new(),
     };
-    let total = enumerate::for_each_ordering(&factors, |_| true);
-    enumerate::walk_orderings_in_range(&factors, 0, u128::from(total), &mut rec);
+    enumerate::walk_orderings(&factors, &mut rec);
     let evaluated: Vec<EvaluatedMapping> = rec
         .visited
         .iter()
