@@ -670,7 +670,7 @@ fn write_snapshot(s: &Snapshot) {
         "  \"dse_design_workload\": \"{}\",\n  \"dse_design_repeats\": {DESIGN_REPEATS},\n  \
          \"dse_design_generated\": {},\n{}{}{}{}  \
          \"dse_design_search_fast_speedup\": {:.2},\n  \
-         \"dse_design_memo_speedup\": {:.2},\n",
+         \"dse_design_memo_speedup\": {:.2}\n",
         d.workload,
         d.generated,
         d.search.json("dse_design_search"),

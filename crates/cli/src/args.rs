@@ -19,6 +19,11 @@ pub struct Args {
     flags: Vec<String>,
 }
 
+/// The most worker threads `--threads` (dse) or `--parallelism`
+/// (batch/serve) may ask for; a larger count is refused before any thread
+/// starts.
+pub const MAX_THREADS: u64 = 256;
+
 /// Errors from argument handling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
@@ -181,6 +186,20 @@ impl Args {
         }
     }
 
+    /// Parses the worker-thread count `--key`: absent or 0 is `None` (the
+    /// command's default), and a count above [`MAX_THREADS`] is an error.
+    pub fn threads(&self, key: &str) -> Result<Option<usize>, ArgError> {
+        match self.u64_or(key, 0)? {
+            0 => Ok(None),
+            n if n <= MAX_THREADS => Ok(Some(n as usize)),
+            n => Err(ArgError::BadValue {
+                key: key.into(),
+                value: n.to_string(),
+                expected: format!("thread count (at most {MAX_THREADS})"),
+            }),
+        }
+    }
+
     /// Parses `--key` as a comma-separated `u64` list, with a default.
     pub fn u64_list_or(&self, key: &str, default: &[u64]) -> Result<Vec<u64>, ArgError> {
         match self.get(key) {
@@ -266,6 +285,18 @@ mod tests {
         assert!(matches!(
             parse(&["x", "stray"]).unwrap_err(),
             ArgError::UnexpectedPositional(_)
+        ));
+    }
+
+    #[test]
+    fn thread_counts_are_capped() {
+        let threads = |words: &[&str]| parse(words).unwrap().threads("threads");
+        assert_eq!(threads(&["dse"]), Ok(None));
+        assert_eq!(threads(&["dse", "--threads", "0"]), Ok(None));
+        assert_eq!(threads(&["dse", "--threads", "256"]), Ok(Some(256)));
+        assert!(matches!(
+            threads(&["dse", "--threads", "257"]),
+            Err(ArgError::BadValue { .. })
         ));
     }
 

@@ -683,6 +683,7 @@ pub fn validate(args: &Args) -> Result<(), UlmError> {
 
 /// `ulm dse`: architecture design-space exploration with a Pareto front.
 pub fn dse(args: &Args) -> Result<(), UlmError> {
+    let parallelism = args.threads("threads")?;
     let gb_bw = args.u64_or("gb-bw", 128)?;
     if gb_bw == 0 {
         return Err(UlmError::config("--gb-bw must be positive"));
@@ -699,10 +700,7 @@ pub fn dse(args: &Args) -> Result<(), UlmError> {
     let designs = enumerate_designs(&pool, &sides, gb_bw);
     println!("exploring {} designs at GB {gb_bw} b/cy …", designs.len());
     let opts = ExploreOptions {
-        parallelism: match args.u64_or("threads", 0)? {
-            0 => None,
-            n => Some(n as usize),
-        },
+        parallelism,
         ..ExploreOptions::default()
     };
     let (points, stats) = explore_with_stats(&designs, &layer, &opts);
@@ -844,10 +842,7 @@ pub fn network(args: &Args) -> Result<(), UlmError> {
 fn serve_options(args: &Args) -> Result<ulm::serve::ServeOptions, UlmError> {
     let defaults = ulm::serve::ServeOptions::default();
     Ok(ulm::serve::ServeOptions {
-        parallelism: match args.u64_or("parallelism", 0)? {
-            0 => None,
-            n => Some(n as usize),
-        },
+        parallelism: args.threads("parallelism")?,
         cache_capacity: args.u64_or("cache-capacity", 4096)? as usize,
         queue_capacity: None,
         cache_dir: args.get("cache-dir").map(std::path::PathBuf::from),
@@ -1069,8 +1064,8 @@ COMMON OPTIONS
   --layer BxKxC                                (e.g. 64x96x640)
   --precision int8_out24|int8_acc24
   --samples <n>  --max-exhaustive <n>
-  --threads <n>         dse: worker threads, one design each (0 = serial);
-                        every mapping search runs on one thread
+  --threads <n>         dse: worker threads, one design each (0 = serial,
+                        at most 256); every mapping search runs on one thread
   --stats               search/dse: print pruning/search statistics
   --objective latency|energy|edp   search: what to minimize (default latency)
   --all                 search: evaluate every mapping and list the best
@@ -1098,7 +1093,7 @@ COMMON OPTIONS
   --json                machine-readable output
   --bw-unaware          use the stall-ignoring baseline model
   --overlap             weight-prefetch overlap (network)
-  --parallelism <n>     worker threads (batch/serve; 0 = all cores)
+  --parallelism <n>     worker threads (batch/serve; 0 = all cores, at most 256)
   --cache-capacity <n>  cached results (batch/serve; default 4096)
   --port <n>            TCP port (serve; default 7878)
   --max-connections <n> threaded serve: stop after n connections (0 = unlimited)

@@ -72,6 +72,24 @@ fn unknown_options_exit_non_zero() {
 }
 
 #[test]
+fn thread_counts_above_the_cap_exit_before_any_thread_starts() {
+    let huge = u64::MAX.to_string();
+    for args in [
+        &["dse", "--threads", "257"][..],
+        &["dse", "--threads", &huge],
+        &["batch", "--parallelism", "257"],
+        &["batch", "--parallelism", &huge],
+        &["serve", "--port", "0", "--parallelism", "100000"],
+    ] {
+        let out = ulm(args, "{\"kind\":\"stats\"}\n");
+        assert!(!out.status.success(), "{args:?} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("at most 256"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+    }
+}
+
+#[test]
 fn unknown_objective_and_precision_names_exit_non_zero() {
     let search = [
         "search",

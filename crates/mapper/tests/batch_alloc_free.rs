@@ -1,7 +1,7 @@
 //! Counting-allocator proof that the batched SoA kernel is
 //! allocation-free in steady state for every objective: after one
-//! warm-up sweep has sized the lane rows, the stall scratch and its
-//! port-group union memo, and the energy scorer's traffic table,
+//! warm-up sweep has sized the lane rows, the stall scratch and the
+//! energy scorer's traffic table,
 //! replaying the whole ordering space through `push`/`drain` performs
 //! zero heap allocations.
 //!
@@ -122,9 +122,8 @@ fn steady_state_batched_kernel_allocates_nothing() {
             &chip.arch, &layer, &spatial, model, &factors, lanes, objective,
         );
 
-        // Warm-up sweep: grows the lane rows, the stall scratch, its
-        // union memo and the energy traffic table to their high-water
-        // marks.
+        // Warm-up sweep: grows the lane rows, the stall scratch and the
+        // energy traffic table to their high-water marks.
         let warm = sweep(&mut kernel, &orderings);
         assert!(warm.0 > 0, "{name} lanes {lanes}: warm-up scored nothing");
 

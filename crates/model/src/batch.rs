@@ -196,8 +196,7 @@ pub struct BatchKernel<'a> {
 
     // --- survivor evaluation ---
     dtls: Vec<Dtl>,
-    /// Steps 2–3 scratch. It memoizes port-group window unions: survivors
-    /// share most of their rows, so most of their port groups repeat.
+    /// Steps 2–3 scratch.
     stall: StallScratch,
     /// Score and latency scalars of the first strictly better scored
     /// lane since construction (latency and EDP kernels only).
@@ -297,7 +296,7 @@ impl<'a> BatchKernel<'a> {
             lane_floor: vec![0.0; lanes],
             lane_roof: vec![0.0; lanes],
             dtls: Vec::with_capacity(16),
-            stall: StallScratch::with_union_memo(),
+            stall: StallScratch::default(),
             winner: None,
         }
     }
@@ -658,7 +657,6 @@ impl<'a> BatchKernel<'a> {
             let raw = self.stall.combine_and_integrate(
                 self.arch,
                 &self.dtls,
-                opts.union,
                 opts.eq2_oversubscription_bound,
             );
             raw.max(0.0)

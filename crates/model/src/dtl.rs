@@ -76,7 +76,7 @@ impl Endpoints {
     }
 
     /// The endpoints as a slice.
-    pub fn as_slice(&self) -> &[Endpoint] {
+    fn as_slice(&self) -> &[Endpoint] {
         &self.items[..self.len as usize]
     }
 }

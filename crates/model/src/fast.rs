@@ -131,7 +131,6 @@ impl LatencyModel {
                 None => stall.combine_and_integrate(
                     view.arch(),
                     lowered.dtls(),
-                    opts.union,
                     opts.eq2_oversubscription_bound,
                 ),
             };
@@ -157,12 +156,8 @@ impl LatencyModel {
     ) -> FastLatency {
         let opts = self.options();
         let ss_overall = if opts.bw_aware || force_combine {
-            let raw = stall.combine_and_integrate(
-                arch,
-                lowered.dtls(),
-                opts.union,
-                opts.eq2_oversubscription_bound,
-            );
+            let raw =
+                stall.combine_and_integrate(arch, lowered.dtls(), opts.eq2_oversubscription_bound);
             if opts.bw_aware {
                 raw.max(0.0)
             } else {

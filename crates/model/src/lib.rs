@@ -81,7 +81,6 @@ pub use surrogate::{MappingShape, SpecializedModel, SurrogateError, SurrogateSta
 pub use whatif::{apply_overrides, KnobError, KnobOverride, KnobValue};
 
 use ulm_mapping::MappedLayer;
-use ulm_periodic::UnionOptions;
 
 /// Tuning options for a [`LatencyModel`].
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -97,8 +96,6 @@ pub struct ModelOptions {
     /// Never let Eq. (2) beat the port-oversubscription bound
     /// (`DESIGN.md` §5; ablation: `eq2_oversubscription_bound`).
     pub eq2_oversubscription_bound: bool,
-    /// Window-union tuning for Step 2.
-    pub union: UnionOptions,
 }
 
 impl Default for ModelOptions {
@@ -108,7 +105,6 @@ impl Default for ModelOptions {
             compute_links: true,
             phase_aware_z: true,
             eq2_oversubscription_bound: true,
-            union: UnionOptions::default(),
         }
     }
 }
@@ -233,7 +229,6 @@ impl LatencyModel {
                 req_bw_comb: g.req_bw_comb,
                 real_bw: h.mem(g.mem).ports()[g.port].bw_bits as f64,
                 muw_comb: g.muw_comb,
-                muw_exact: g.muw_exact,
                 ss_comb: g.ss_comb,
                 min_stall_free_bw: g.min_stall_free_bw,
                 dtls: dtls
@@ -414,6 +409,5 @@ mod tests {
         assert!(!r.dtls.is_empty());
         assert!(!r.ports.is_empty());
         assert!(!r.memories.is_empty());
-        assert!(r.ports.iter().all(|p| p.muw_exact));
     }
 }

@@ -77,8 +77,6 @@ pub struct PortReport {
     pub real_bw: f64,
     /// `MUW_comb` measure, cycles.
     pub muw_comb: f64,
-    /// Whether `MUW_comb` was exact.
-    pub muw_exact: bool,
     /// `SS_comb`, cycles.
     pub ss_comb: f64,
     /// Minimum bandwidth (bits/cycle) that would make the port stall-free.

@@ -3,10 +3,8 @@
 //! overall temporal stall `SS_overall`.
 
 use crate::dtl::Dtl;
-use std::collections::HashMap;
 use ulm_arch::{Architecture, MemoryId, PortId, StallIntegration};
-use ulm_periodic::PeriodicWindow;
-use ulm_periodic::{union_measure_scratch, Measure, UnionOptions, UnionScratch};
+use ulm_periodic::{union_measure, PeriodicWindow};
 
 /// Step-2 result for one memory module: the maximum over its ports.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,8 +27,6 @@ pub struct PortGroupCore {
     pub req_bw_comb: f64,
     /// `MUW_comb`: measure of the union of the links' updating windows.
     pub muw_comb: f64,
-    /// Whether `MUW_comb` was computed exactly.
-    pub muw_exact: bool,
     /// `SS_comb`: combined stall (+) or slack (−) of the port, cycles.
     pub ss_comb: f64,
     /// The minimum physical port bandwidth (bits/cycle) that would make
@@ -50,69 +46,12 @@ pub struct PortGroupCore {
 pub struct StallScratch {
     keys: Vec<(MemoryId, PortId, usize)>,
     windows: Vec<PeriodicWindow>,
-    unions: Unions,
     groups: Vec<PortGroupCore>,
     mem_stalls: Vec<MemStall>,
     grouped: Vec<MemoryId>,
 }
 
-/// Measures port-group window unions (`MUW_comb`), optionally
-/// remembering each one. The union is a pure function of the group's
-/// windows (and of the [`UnionOptions`], which a memoizing owner must keep
-/// fixed), so a remembered `Measure` is the very one a fresh sweep
-/// returns.
-#[derive(Debug, Default)]
-struct Unions {
-    scratch: UnionScratch,
-    /// Measures keyed by the exact bits of a group's windows, for groups
-    /// of more than one window (a lone window's measure is immediate).
-    memo: Option<HashMap<Vec<u64>, Measure>>,
-    key: Vec<u64>,
-}
-
-/// Distinct window sets a [`Unions`] memo keeps; past it the memo stops
-/// inserting.
-const MAX_MEMO_UNIONS: usize = 1 << 14;
-
-impl Unions {
-    fn measure(&mut self, windows: &[PeriodicWindow], opts: UnionOptions) -> Measure {
-        let Some(memo) = self.memo.as_mut().filter(|_| windows.len() > 1) else {
-            return union_measure_scratch(windows, opts, &mut self.scratch);
-        };
-        self.key.clear();
-        for w in windows {
-            self.key.extend([
-                w.period().to_bits(),
-                w.start().to_bits(),
-                w.len().to_bits(),
-                w.count(),
-            ]);
-        }
-        if let Some(&m) = memo.get(self.key.as_slice()) {
-            return m;
-        }
-        let m = union_measure_scratch(windows, opts, &mut self.scratch);
-        if memo.len() < MAX_MEMO_UNIONS {
-            memo.insert(self.key.clone(), m);
-        }
-        m
-    }
-}
-
 impl StallScratch {
-    /// A scratch that also remembers every port-group window union it
-    /// measures, for a caller that evaluates many candidates under one
-    /// set of [`UnionOptions`] (the batched ordering kernel).
-    pub(crate) fn with_union_memo() -> Self {
-        Self {
-            unions: Unions {
-                memo: Some(HashMap::new()),
-                ..Unions::default()
-            },
-            ..Self::default()
-        }
-    }
-
     /// The Step-2 port groups of the most recent
     /// [`combine_and_integrate`](Self::combine_and_integrate), in
     /// ascending `(memory, port)` order.
@@ -150,7 +89,6 @@ fn group_scalars(
     mem: MemoryId,
     port: PortId,
     muw_comb: f64,
-    muw_exact: bool,
     oversubscription_bound: bool,
 ) -> PortGroupCore {
     // One pass over the members; every accumulator folds in member order,
@@ -190,7 +128,6 @@ fn group_scalars(
         port,
         req_bw_comb,
         muw_comb,
-        muw_exact,
         ss_comb,
         min_stall_free_bw,
     }
@@ -240,7 +177,6 @@ impl StallScratch {
         &mut self,
         arch: &Architecture,
         dtls: &[Dtl],
-        union_opts: UnionOptions,
         oversubscription_bound: bool,
     ) -> f64 {
         self.keys.clear();
@@ -255,7 +191,6 @@ impl StallScratch {
         let Self {
             keys,
             windows,
-            unions,
             groups,
             mem_stalls,
             grouped,
@@ -272,16 +207,8 @@ impl StallScratch {
             let group = &keys[start..end];
             windows.clear();
             windows.extend(group.iter().map(|&(_, _, i)| dtls[i].window));
-            let muw = unions.measure(windows, union_opts);
-            let core = group_scalars(
-                dtls,
-                group,
-                mem,
-                port,
-                muw.value(),
-                muw.is_exact(),
-                oversubscription_bound,
-            );
+            let muw = union_measure(windows);
+            let core = group_scalars(dtls, group, mem, port, muw, oversubscription_bound);
             groups.push(core);
             match mem_stalls.last_mut() {
                 Some(last) if last.mem == core.mem => last.ss = last.ss.max(core.ss_comb),
@@ -318,7 +245,6 @@ impl StallScratch {
         let Self {
             keys,
             windows: _,
-            unions: _,
             groups,
             mem_stalls,
             grouped,
@@ -466,7 +392,7 @@ mod tests {
     fn combine(dtls: &[Dtl]) -> StallScratch {
         let mut scratch = StallScratch::default();
         let arch = ulm_arch::presets::toy_chip().arch;
-        scratch.combine_and_integrate(&arch, dtls, UnionOptions::default(), true);
+        scratch.combine_and_integrate(&arch, dtls, true);
         scratch
     }
 

@@ -1,4 +1,4 @@
-//! Finite periodic window functions and their union/intersection measures.
+//! Finite periodic window functions and the exact measure of their union.
 //!
 //! The paper models each data-transfer link's *memory updating window*
 //! (`MUW_u`) "as a finite periodic function, supporting union and
@@ -6,9 +6,9 @@
 //! four parameters: the period (`Mem_CC`), the active length within one
 //! period (`X`), the active start offset (`S`) and the number of periods
 //! (`Z`). Step 2 of the model needs the *measure* (total active length) of
-//! the union of several such windows — `MUW_comb = |∪ MUW_u|` — which this
-//! crate computes exactly whenever feasible and with documented bounds
-//! otherwise.
+//! the union of several such windows — `MUW_comb = |∪ MUW_u|`. Their
+//! periods always form a divisibility chain, and over a chain this crate
+//! computes the union exactly, in closed form.
 //!
 //! # Example
 //!
@@ -23,17 +23,12 @@
 //! assert_eq!(a.measure(), 32.0);
 //! assert_eq!(b.measure(), 8.0);
 //! // `a` already covers the whole timeline, so the union is everything.
-//! let u = union_measure(&[a, b]);
-//! assert_eq!(u.value(), 32.0);
-//! assert!(u.is_exact());
+//! assert_eq!(union_measure(&mut [a, b]), 32.0);
 //! # Ok::<(), ulm_periodic::WindowError>(())
 //! ```
 
 mod sweep;
 mod window;
 
-pub use sweep::{
-    intersection_measure, union_measure, union_measure_scratch, union_measure_with, Measure,
-    UnionOptions, UnionScratch,
-};
+pub use sweep::union_measure;
 pub use window::{PeriodicWindow, WindowError};

@@ -132,11 +132,6 @@ impl PeriodicWindow {
         self.len * self.count as f64
     }
 
-    /// True if the window is active for the whole of every period.
-    pub fn is_full(&self) -> bool {
-        self.start == 0.0 && self.len == self.period
-    }
-
     /// The `k`-th active interval `[lo, hi)` on the absolute timeline.
     ///
     /// # Panics
@@ -166,7 +161,7 @@ mod tests {
     #[test]
     fn full_window_spans_period() {
         let w = PeriodicWindow::full(10.0, 3).unwrap();
-        assert!(w.is_full());
+        assert_eq!((w.start(), w.len()), (0.0, 10.0));
         assert_eq!(w.measure(), 30.0);
         assert_eq!(w.span(), 30.0);
         assert_eq!(w.interval(2), (20.0, 30.0));
@@ -184,7 +179,7 @@ mod tests {
     #[test]
     fn trailing_clamps_oversize_len() {
         let w = PeriodicWindow::trailing(4.0, 9.0, 1).unwrap();
-        assert!(w.is_full());
+        assert_eq!((w.start(), w.len()), (0.0, 4.0));
     }
 
     #[test]

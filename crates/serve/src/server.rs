@@ -624,9 +624,6 @@ fn parse_model(req: &Value) -> Result<ModelOptions, UlmError> {
             "compute_links" => opts.compute_links = flag?,
             "phase_aware_z" => opts.phase_aware_z = flag?,
             "eq2_oversubscription_bound" => opts.eq2_oversubscription_bound = flag?,
-            "max_intervals" => {
-                opts.union.max_intervals = parse_u64(v, "model.max_intervals")?;
-            }
             other => {
                 return Err(UlmError::invalid_request(format!(
                     "unknown model option `{other}`"
@@ -947,6 +944,19 @@ fn parse_request(req: &Value) -> Result<Request, UlmError> {
 // Execution
 // ---------------------------------------------------------------------------
 
+/// The `model` entry of a query fingerprint. [`ModelOptions`] once also
+/// carried a cap on the Step-2 union's interval count; the entry keeps
+/// that field at the only value it ever had, so every fingerprint, and
+/// every durable log keyed by one, stays what it was.
+fn model_entry(model: &ModelOptions) -> (String, Value) {
+    let mut v = model.to_value();
+    if let Value::Object(entries) = &mut v {
+        let cap = vec![("max_intervals".to_string(), Value::U64(1 << 20))];
+        entries.push(("union".to_string(), Value::Object(cap)));
+    }
+    ("model".to_string(), v)
+}
+
 /// A memoized request: its fingerprint names the result, `execute`
 /// computes it on a cache miss. [`EvalService::lookup_or_execute`] runs
 /// every job through the same cache, single-flight and durable log.
@@ -970,7 +980,7 @@ impl Job for Query {
             ("arch".to_string(), self.arch.to_value()),
             ("spatial".to_string(), self.spatial.to_value()),
             ("layer".to_string(), self.layer.to_value()),
-            ("model".to_string(), self.model.to_value()),
+            model_entry(&self.model),
         ];
         match &self.mode {
             QueryMode::Eval(mapping) => {
@@ -1082,7 +1092,7 @@ impl SurrogateQuery {
             ("op".to_string(), Value::String("surrogate".into())),
             ("arch".to_string(), self.arch.to_value()),
             ("spatial".to_string(), self.spatial.to_value()),
-            ("model".to_string(), self.model.to_value()),
+            model_entry(&self.model),
             ("mapper".to_string(), self.mapper.to_value()),
             (
                 "template".to_string(),
@@ -2223,6 +2233,11 @@ mod tests {
                 r#"{"kind":"search","arch":"toy","layer":"4x4x8","spatial":[["K",1024]]}"#,
                 "mapper/no-legal-mapping",
             ),
+            // The Step-2 union is exact in closed form; it has no cap.
+            (
+                r#"{"kind":"search","arch":"toy","layer":"4x4x8","model":{"max_intervals":5}}"#,
+                "request/invalid",
+            ),
         ] {
             let v = parse(&svc.handle_line(bad).unwrap());
             assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{bad}");
@@ -2231,6 +2246,13 @@ mod tests {
                 Some(&Value::String(code.to_string())),
                 "{bad}"
             );
+            if bad.contains("max_intervals") {
+                let error = v.get("error").and_then(Value::as_str).unwrap();
+                assert!(
+                    error.contains("unknown model option `max_intervals`"),
+                    "{error}"
+                );
+            }
         }
     }
 

@@ -74,6 +74,9 @@ cargo test --release -q -p ulm-dse --lib explore::tests::evaluate_design_matches
 echo "==> batched-search vs evaluate_ordering reference gate (release)"
 cargo test --release -q -p ulm --test batch_equivalence
 
+echo "==> Step-2 union oracle (release: the closed form equals the interval sweep, bit for bit on integral chains of up to 10^4 periods)"
+cargo test --release -q -p ulm-periodic --test proptest_union
+
 echo "==> JSON codec oracle + slice-by-8 CRC proptests (release)"
 cargo test --release -q -p ulm-serve --test serde_roundtrip
 cargo test --release -q -p ulm-serve --lib store::tests
