@@ -87,7 +87,6 @@ const FLAGS: &[&str] = &[
     "overlap",
     "help",
     "stats",
-    "reactor",
     "no-timing",
     "shutdown-on-stdin-close",
     "verify",
@@ -364,14 +363,12 @@ mod tests {
     fn serve_reactor_flags_parse() {
         let a = parse(&[
             "serve",
-            "--reactor",
             "--no-timing",
             "--shutdown-on-stdin-close",
             "--idle-timeout-ms",
             "5000",
         ])
         .unwrap();
-        assert!(a.flag("reactor"));
         assert!(a.flag("no-timing"));
         assert!(a.flag("shutdown-on-stdin-close"));
         assert_eq!(a.u64_or("idle-timeout-ms", 0).unwrap(), 5000);

@@ -83,7 +83,6 @@ pub fn accepted_options(command: &str) -> Option<Vec<&'static str>> {
             &[
                 "port",
                 "max-connections",
-                "reactor",
                 "idle-timeout-ms",
                 "write-timeout-ms",
                 "drain-timeout-ms",
@@ -883,12 +882,11 @@ pub fn batch(args: &Args) -> Result<(), UlmError> {
     Ok(())
 }
 
-/// `ulm serve`: the same NDJSON protocol over TCP, one line per request.
-/// With `--reactor`, one epoll event loop multiplexes every connection
-/// instead of a thread per connection.
+/// `ulm serve`: the same NDJSON protocol over TCP, one line per request,
+/// on one epoll event loop that multiplexes every connection (Linux only;
+/// elsewhere it fails with `reactor/unsupported`).
 pub fn serve(args: &Args) -> Result<(), UlmError> {
     let port = args.u64_or("port", 7878)?;
-    let max_connections = args.u64_or("max-connections", 0)?;
     let service = ulm::serve::EvalService::open(serve_options(args)?)?;
     if let Some(disk) = service.disk_stats() {
         eprintln!(
@@ -906,42 +904,31 @@ pub fn serve(args: &Args) -> Result<(), UlmError> {
         "serving NDJSON evaluation requests on {}",
         listener.local_addr()?
     );
-    if args.flag("reactor") {
-        let defaults = ulm::reactor::ReactorOptions::default();
-        let opts = ulm::reactor::ReactorOptions {
-            max_connections: match max_connections {
-                0 => defaults.max_connections,
-                n => n as usize,
-            },
-            idle_timeout: timeout_option(args, "idle-timeout-ms")?,
-            write_timeout: timeout_option(args, "write-timeout-ms")?,
-            drain_timeout: timeout_option(args, "drain-timeout-ms")?
-                .unwrap_or(defaults.drain_timeout),
-            shutdown_on_stdin_close: args.flag("shutdown-on-stdin-close"),
-            ..defaults
-        };
-        let summary = ulm::serve::run_reactor(&service, listener, opts)?;
-        eprintln!(
-            "reactor done: {} connections, {} requests, {} responses, \
-             {} idle-closed, {} write-timeout, {} over-capacity, {} oversized, drained={}",
-            summary.accepted,
-            summary.requests,
-            summary.responses,
-            summary.closed_idle,
-            summary.closed_write_timeout,
-            summary.rejected_over_capacity,
-            summary.oversized_lines,
-            summary.drained_cleanly,
-        );
-    } else {
-        // In the threaded path, `--max-connections` keeps its historical
-        // meaning: stop after accepting n connections (0 = unlimited).
-        let limit = match max_connections {
-            0 => None,
-            n => Some(n as usize),
-        };
-        ulm::serve::run_tcp(&service, listener, limit)?;
-    }
+    let defaults = ulm::reactor::ReactorOptions::default();
+    let opts = ulm::reactor::ReactorOptions {
+        max_connections: match args.u64_or("max-connections", 0)? {
+            0 => defaults.max_connections,
+            n => n as usize,
+        },
+        idle_timeout: timeout_option(args, "idle-timeout-ms")?,
+        write_timeout: timeout_option(args, "write-timeout-ms")?,
+        drain_timeout: timeout_option(args, "drain-timeout-ms")?.unwrap_or(defaults.drain_timeout),
+        shutdown_on_stdin_close: args.flag("shutdown-on-stdin-close"),
+        ..defaults
+    };
+    let summary = ulm::serve::run_reactor(&service, listener, opts)?;
+    eprintln!(
+        "reactor done: {} connections, {} requests, {} responses, \
+         {} idle-closed, {} write-timeout, {} over-capacity, {} oversized, drained={}",
+        summary.accepted,
+        summary.requests,
+        summary.responses,
+        summary.closed_idle,
+        summary.closed_write_timeout,
+        summary.rejected_over_capacity,
+        summary.oversized_lines,
+        summary.drained_cleanly,
+    );
     Ok(())
 }
 
@@ -1053,7 +1040,8 @@ COMMANDS
   dse        architecture design-space exploration with a Pareto front
   network    schedule a network end to end (--overlap, --fuse, --net)
   batch      answer NDJSON eval/search/stats requests from stdin on stdout
-  serve      the same NDJSON protocol over TCP (--port, default 7878)
+  serve      the same NDJSON protocol over TCP on one epoll event loop
+             (Linux; --port, default 7878)
   cache      durable result log tools: cache export|import|info
   help       this text
 
@@ -1096,17 +1084,15 @@ COMMON OPTIONS
   --parallelism <n>     worker threads (batch/serve; 0 = all cores, at most 256)
   --cache-capacity <n>  cached results (batch/serve; default 4096)
   --port <n>            TCP port (serve; default 7878)
-  --max-connections <n> threaded serve: stop after n connections (0 = unlimited)
-                        reactor serve: concurrent-connection ceiling
+  --max-connections <n> serve: concurrent-connection ceiling (0 = 65536)
   --cache-dir <dir>     batch/serve: persist results to <dir>/results.ulmlog
                         and warm the cache from it on startup
   --max-line-len <n>    request line length limit in bytes (default 1 MiB)
   --no-timing           omit elapsed_ms from responses (deterministic output)
-  --reactor             serve: single-threaded epoll event loop (Linux)
-  --idle-timeout-ms <n>     reactor: close idle connections (0 = never)
-  --write-timeout-ms <n>    reactor: close slow-reading clients (0 = never)
-  --drain-timeout-ms <n>    reactor: shutdown drain budget (default 10000)
-  --shutdown-on-stdin-close reactor: exit cleanly when stdin reaches EOF
+  --idle-timeout-ms <n>     serve: close idle connections (0 = never)
+  --write-timeout-ms <n>    serve: close slow-reading clients (0 = never)
+  --drain-timeout-ms <n>    serve: shutdown drain budget (default 10000)
+  --shutdown-on-stdin-close serve: exit cleanly when stdin reaches EOF
   --out <file>          cache export: snapshot destination
   --from <file>         cache import: snapshot to merge in";
 

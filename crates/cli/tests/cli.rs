@@ -41,6 +41,7 @@ fn unknown_options_exit_non_zero() {
         (&["search", "--arch", "toy"][..], "--threads"),
         (&whatif[..], "--threads"),
         (&["dse"][..], "--map-threads"),
+        (&["serve"][..], "--reactor"),
     ] {
         let args = [command, &[flag, "2"]].concat();
         let out = ulm(&args, "");

@@ -182,9 +182,7 @@ impl fmt::Display for ReactorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReactorError::Io(e) => write!(f, "reactor I/O failure: {e}"),
-            ReactorError::Unsupported => {
-                f.write_str("the epoll reactor requires Linux; use the threaded serve path")
-            }
+            ReactorError::Unsupported => f.write_str("the epoll reactor requires Linux"),
         }
     }
 }

@@ -7,8 +7,9 @@
 //! drains in-flight work before returning. The protocol engine stays
 //! outside the crate behind the [`LineService`] trait: the reactor hands it
 //! complete request lines and receives response lines back through
-//! [`Completion`] handles, so the same service implementation can also be
-//! driven by a thread-per-connection server for differential testing.
+//! [`Completion`] handles. [`extract_line`] is its line framing, public so
+//! that a service can frame other byte streams (stdin, in memory) the
+//! same way.
 //!
 //! Backpressure is structural rather than cooperative:
 //!
@@ -23,8 +24,8 @@
 //!   completions drain.
 //!
 //! Only the event loop itself is Linux-specific. On other platforms
-//! [`Reactor::new`] returns [`ReactorError::Unsupported`] and callers fall
-//! back to their threaded path.
+//! [`Reactor::new`] returns [`ReactorError::Unsupported`]; there is no
+//! fallback transport.
 
 pub mod timer;
 
@@ -51,8 +52,7 @@ mod stub {
     use std::net::{SocketAddr, TcpListener};
 
     /// Stub reactor for non-Linux builds; construction always fails with
-    /// [`ReactorError::Unsupported`] so callers fall back to the threaded
-    /// serving path.
+    /// [`ReactorError::Unsupported`].
     pub struct Reactor {
         never: std::convert::Infallible,
     }

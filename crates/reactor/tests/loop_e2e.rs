@@ -1,8 +1,8 @@
 //! End-to-end tests of the epoll event loop over real loopback sockets:
 //! echo round-trips, pipelining under a capacity of one, idle and
 //! over-capacity policies, oversized-line handling, and graceful drain of
-//! in-flight work. These exercise the loop exactly as `ulm serve
-//! --reactor` does, just with a toy service instead of the evaluator.
+//! in-flight work. These exercise the loop exactly as `ulm serve` does,
+//! just with a toy service instead of the evaluator.
 
 #![cfg(target_os = "linux")]
 

@@ -118,13 +118,14 @@ impl<V: Clone> ResultCache<V> {
     /// Looks up a fingerprint, refreshing its recency on a hit.
     pub fn get(&self, fp: Fingerprint) -> Option<V> {
         let value = self.peek(fp);
-        let counter = if value.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.count(value.is_some());
         value
+    }
+
+    /// Counts one lookup as a hit or a miss.
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// [`get`](Self::get) without counting the lookup.
@@ -179,14 +180,22 @@ impl<V: Clone> ResultCache<V> {
     /// its waiters, and the next of them builds again, so each caller sees
     /// a build's error rather than a stale wait. A hit takes only its
     /// shard's read lock.
+    ///
+    /// Each call counts one lookup, at its first probe: a waiter that
+    /// later reads the built value counts the miss it arrived with.
     pub fn get_or_build<E>(
         &self,
         fp: Fingerprint,
         fits: impl Fn(&V) -> bool,
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<(V, bool), E> {
+        let mut first_probe = true;
         loop {
-            if let Some(value) = self.get(fp).filter(&fits) {
+            let found = self.peek(fp).filter(&fits);
+            if std::mem::take(&mut first_probe) {
+                self.count(found.is_some());
+            }
+            if let Some(value) = found {
                 return Ok((value, true));
             }
             let mut building = self.building.lock().unwrap_or_else(PoisonError::into_inner);
@@ -309,9 +318,12 @@ mod tests {
             },
         );
         assert_eq!((got, calls), (Ok((42, true)), 1));
-        // An entry `fits` rejects is rebuilt and replaced.
+        // An entry `fits` rejects is rebuilt and replaced, and counts a
+        // miss.
         let got = cache.get_or_build(fp(7), |v| *v != 42, || ok(43));
         assert_eq!(got, Ok((43, false)));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 2));
         assert_eq!(cache.get(fp(7)), Some(43));
     }
 
@@ -358,6 +370,9 @@ mod tests {
         assert_eq!(cache.stats().insertions, 1);
         assert_eq!(results.iter().filter(|r| **r == Ok((9, false))).count(), 1);
         assert_eq!(results.iter().filter(|r| **r == Ok((9, true))).count(), 7);
+        // One lookup per call: a waiter counts its miss, not a second hit.
+        let s = cache.stats();
+        assert_eq!(s.hits + s.misses, 8);
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //! * [`store`] — the durable, shareable backing store: an append-only,
 //!   checksummed log of fingerprint-keyed records that survives restarts,
 //!   recovers the valid prefix of a damaged file, and compacts in place.
-//! * [`server`] — the NDJSON request/response protocol plus the three
+//! * [`server`] — the NDJSON request/response protocol plus its two
 //!   transports: [`server::run_batch`] for stdin/stdout pipelines
-//!   (`ulm batch`), [`server::run_tcp`] for thread-per-connection sockets
-//!   (`ulm serve`), and [`server::run_reactor`] for the single-threaded
-//!   epoll event loop (`ulm serve --reactor`).
+//!   (`ulm batch`, every platform) and [`server::run_reactor`] for TCP
+//!   sockets on the single-threaded epoll event loop (`ulm serve`,
+//!   Linux only).
 //!
 //! ## Quick start
 //!
@@ -47,7 +47,8 @@
 //! ```
 //!
 //! Everything is built on `std` only — no async runtime, no HTTP framework —
-//! so the service runs anywhere the model itself does.
+//! so the service runs anywhere the model itself does; only the event loop
+//! behind `ulm serve` needs Linux.
 
 pub mod cache;
 pub mod fingerprint;
@@ -59,8 +60,8 @@ pub use cache::{CacheStats, ResultCache};
 pub use fingerprint::{fingerprint_of, fingerprint_value, Fingerprint};
 pub use pool::{JobHandle, PoolStats, WorkerPool};
 pub use server::{
-    run_batch, run_reactor, run_tcp, BatchSummary, DiskStats, EvalOutcome, EvalService,
-    LatencySummary, ReactorService, SearchMeta, SearchTotals, ServeOptions, SurrogateTotals,
-    WhatifTotals, CACHE_LOG_FILE,
+    run_batch, run_reactor, BatchSummary, DiskStats, EvalOutcome, EvalService, LatencySummary,
+    ReactorService, SearchMeta, SearchTotals, ServeOptions, SurrogateTotals, WhatifTotals,
+    CACHE_LOG_FILE,
 };
 pub use store::{CacheLog, ReplayReport};

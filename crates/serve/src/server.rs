@@ -50,8 +50,8 @@
 //! results, request fingerprints and surrogate specializations, each in
 //! a fingerprint-keyed [`ResultCache`]. [`run_batch`] drives it
 //! from any `BufRead`/`Write` pair (the `ulm batch` subcommand wires
-//! stdin/stdout); [`run_tcp`] serves `std::net::TcpListener` connections
-//! (`ulm serve`).
+//! stdin/stdout); [`run_reactor`] serves `std::net::TcpListener`
+//! connections on the epoll event loop (`ulm serve`, Linux only).
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::fingerprint::{fingerprint_request, fingerprint_value, Fingerprint};
@@ -59,7 +59,7 @@ use crate::pool::{JobHandle, PoolStats, WorkerPool};
 use crate::store::{CacheLog, ReplayReport};
 use serde::{Serialize, Value};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1985,92 +1985,6 @@ pub fn run_batch<R: BufRead, W: Write>(
     Ok(summary)
 }
 
-/// True for `accept` failures that condemn one connection attempt, not
-/// the listener: aborted handshakes, and resource exhaustion (`EMFILE`,
-/// `ENFILE`, `ENOBUFS`, `ENOMEM`) that draining existing connections will
-/// relieve.
-fn is_transient_accept_error(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::ConnectionAborted
-            | std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::Interrupted
-            | std::io::ErrorKind::WouldBlock
-    ) || matches!(e.raw_os_error(), Some(23 | 24 | 12 | 105 | 71))
-}
-
-/// How long the accept loop sleeps after a transient failure before
-/// retrying, giving existing connections time to release descriptors.
-const ACCEPT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(100);
-
-fn serve_connection(service: &Arc<EvalService>, stream: &std::net::TcpStream) {
-    let mut reader = BufReader::new(stream);
-    let mut writer = stream;
-    let mut buf = Vec::new();
-    let mut discarding = false;
-    let limit = service.max_line_len;
-    loop {
-        let response = match read_bounded_line(&mut reader, &mut buf, &mut discarding, limit) {
-            Err(_) | Ok(BoundedLine::Eof) => break,
-            Ok(BoundedLine::Oversized) => error_response(UlmError::TooLarge { limit }),
-            Ok(BoundedLine::Line(line)) => match service.submit_line(line).wait() {
-                Some(response) => response,
-                None => continue, // blank line
-            },
-        };
-        if writer.write_all(response.as_bytes()).is_err()
-            || writer.write_all(b"\n").is_err()
-            || writer.flush().is_err()
-        {
-            break;
-        }
-    }
-}
-
-/// Serves NDJSON over TCP: one connection per client thread, one response
-/// line per request line, until the client closes. `max_connections` bounds
-/// how many connections are accepted before returning (`None` = serve
-/// forever); malformed requests produce error responses, not disconnects.
-///
-/// Transient `accept` failures (aborted handshakes, descriptor
-/// exhaustion) are logged and retried after a short backoff instead of
-/// killing the server; request lines beyond the service's length bound are
-/// answered with `request/too-large` and discarded.
-///
-/// # Errors
-///
-/// Propagates non-transient `accept` failures. Per-connection I/O errors
-/// terminate only that connection.
-pub fn run_tcp(
-    service: &Arc<EvalService>,
-    listener: TcpListener,
-    max_connections: Option<usize>,
-) -> std::io::Result<()> {
-    std::thread::scope(|scope| {
-        let mut accepted = 0usize;
-        loop {
-            if let Some(limit) = max_connections {
-                if accepted >= limit {
-                    break;
-                }
-            }
-            let stream = match listener.accept() {
-                Ok((stream, _peer)) => stream,
-                Err(e) if is_transient_accept_error(&e) => {
-                    eprintln!("ulm serve: transient accept failure ({e}); retrying");
-                    std::thread::sleep(ACCEPT_BACKOFF);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            accepted += 1;
-            let service = Arc::clone(service);
-            scope.spawn(move || serve_connection(&service, &stream));
-        }
-        Ok(())
-    })
-}
-
 // ---------------------------------------------------------------------------
 // The event-driven transport
 // ---------------------------------------------------------------------------
@@ -2400,7 +2314,7 @@ mod tests {
         let svc = service();
         let panic_line = r#"{"id":5,"kind":"test/panic"}"#;
         let expected = r#"{"id":5,"ok":false,"error":"request handler panicked: injected handler panic","code":"internal/panic"}"#;
-        // More panics than workers, on the threaded transport's path.
+        // More panics than workers, each through `submit_line`.
         let workers = svc.pool_stats().workers;
         for _ in 0..=workers {
             let response = svc.submit_line(panic_line.to_string()).wait();
@@ -2947,34 +2861,5 @@ mod tests {
         assert_eq!(count(lines[6], "surrogate", "requests"), Some(1));
         assert_eq!(count(lines[6], "pool", "in_flight"), None);
         assert_eq!(count(lines[6], "pool", "completed"), None);
-    }
-
-    #[test]
-    fn tcp_round_trip() {
-        use std::io::{BufRead as _, Write as _};
-        use std::net::TcpStream;
-
-        let svc = service();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let svc2 = Arc::clone(&svc);
-        let server = std::thread::spawn(move || run_tcp(&svc2, listener, Some(1)));
-
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(
-                b"{\"id\":7,\"kind\":\"search\",\"arch\":\"toy\",\"layer\":\"4x4x8\",\"mapper\":{\"max_exhaustive\":100,\"samples\":10}}\nnot json\n",
-            )
-            .unwrap();
-        stream.shutdown(std::net::Shutdown::Write).unwrap();
-        let reader = BufReader::new(&stream);
-        let lines: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
-        assert_eq!(lines.len(), 2);
-        let first = parse(&lines[0]);
-        assert_eq!(first.get("id").and_then(Value::as_u64), Some(7));
-        assert_eq!(first.get("ok"), Some(&Value::Bool(true)));
-        let second = parse(&lines[1]);
-        assert_eq!(second.get("ok"), Some(&Value::Bool(false)));
-        server.join().unwrap().unwrap();
     }
 }

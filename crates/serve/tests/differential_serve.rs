@@ -1,10 +1,10 @@
-//! Differential test: the thread-per-connection transport and the epoll
-//! reactor transport are two implementations of the *same* protocol, so an
-//! identical batch of requests must produce byte-identical NDJSON responses
-//! (order-normalized by request id; timing fields disabled).
+//! Differential test: the epoll reactor against a sequential oracle. An
+//! identical batch of requests must produce byte-identical NDJSON
+//! responses (order-normalized by request id; timing fields disabled).
 //!
-//! The threaded path doubles as the oracle here — it is the older, simpler
-//! implementation the reactor must agree with.
+//! The oracle is [`run_batch`] on a one-worker service: the same
+//! `handle_line` and the same `extract_line` framing, run request by
+//! request from memory, so repeats execute in order.
 
 #![cfg(target_os = "linux")]
 
@@ -13,13 +13,13 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use ulm_reactor::{Reactor, ReactorOptions};
-use ulm_serve::{run_tcp, EvalService, ReactorService, ServeOptions};
+use ulm_serve::{run_batch, EvalService, ReactorService, ServeOptions};
 
 const MAX_LINE: usize = 4096;
 
-fn service() -> Arc<EvalService> {
+fn service(parallelism: usize) -> Arc<EvalService> {
     EvalService::new(ServeOptions {
-        parallelism: Some(2),
+        parallelism: Some(parallelism),
         cache_capacity: 256,
         include_timing: false,
         max_line_len: MAX_LINE,
@@ -72,19 +72,20 @@ fn normalize(mut responses: Vec<String>) -> Vec<String> {
     responses
 }
 
-fn run_threaded(lines: &[String]) -> Vec<String> {
-    let svc = service();
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("local addr");
-    let join = thread::spawn(move || run_tcp(&svc, listener, Some(1)).expect("threaded serve"));
-    let responses = exchange(addr, lines);
-    join.join()
-        .expect("threaded path exits after its one connection");
-    responses
+/// The sequential oracle: every line through [`run_batch`] on one worker.
+fn run_sequential(lines: &[String]) -> Vec<String> {
+    let input: String = lines.iter().map(|line| format!("{line}\n")).collect();
+    let mut out = Vec::new();
+    run_batch(&service(1), input.as_bytes(), &mut out).expect("batch run");
+    String::from_utf8(out)
+        .expect("responses are UTF-8")
+        .lines()
+        .map(str::to_string)
+        .collect()
 }
 
 fn run_reactor_path(lines: &[String]) -> (Vec<String>, ulm_reactor::ReactorSummary) {
-    let svc = service();
+    let svc = service(2);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let reactor = Reactor::new(
         listener,
@@ -105,15 +106,15 @@ fn run_reactor_path(lines: &[String]) -> (Vec<String>, ulm_reactor::ReactorSumma
 }
 
 #[test]
-fn reactor_and_threaded_paths_are_byte_identical() {
+fn reactor_and_batch_paths_are_byte_identical() {
     let lines = requests();
-    let threaded = run_threaded(&lines);
+    let sequential = run_sequential(&lines);
     let (reactor, summary) = run_reactor_path(&lines);
 
     // 5 answerable requests (3 searches, 1 bad kind, 1 parse error) plus
     // the oversized rejection; the blank line produces nothing.
-    assert_eq!(threaded.len(), 6, "{threaded:#?}");
-    assert_eq!(normalize(threaded), normalize(reactor));
+    assert_eq!(sequential.len(), 6, "{sequential:#?}");
+    assert_eq!(normalize(sequential), normalize(reactor));
 
     assert_eq!(summary.accepted, 1);
     assert_eq!(summary.oversized_lines, 1);
@@ -144,17 +145,17 @@ fn pipelined_bursts_agree_across_transports() {
             i + 10
         ));
     }
-    let threaded = run_threaded(&lines);
+    let sequential = run_sequential(&lines);
     let (reactor, summary) = run_reactor_path(&lines);
-    assert_eq!(threaded.len(), lines.len());
+    assert_eq!(sequential.len(), lines.len());
     assert_eq!(
-        threaded, reactor,
+        sequential, reactor,
         "responses must match in order, not just as sets"
     );
     assert_eq!(summary.requests, lines.len() as u64);
 
     // The repeats must be served from cache on both paths.
-    for repeat in &threaded[3..] {
+    for repeat in &sequential[3..] {
         assert!(repeat.contains("\"cached\":true"), "{repeat}");
     }
 }

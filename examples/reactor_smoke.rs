@@ -1,4 +1,5 @@
-//! Smoke-test client for `ulm serve --reactor`, used by `scripts/ci.sh`.
+//! Smoke-test client for `ulm serve` (the epoll reactor), used by
+//! `scripts/ci.sh`.
 //!
 //! Drives a running server through the scenarios the event loop exists
 //! for, from a plain blocking client:

@@ -47,6 +47,22 @@ if (( threads_started )); then
     exit 1
 fi
 
+echo "==> one transport: only the reactor accepts connections"
+# `ulm serve` is the epoll reactor, which bounds its connections; no other
+# library or binary code runs an accept loop. Each file is cut at its
+# test module (a #[cfg(test)] in column 0).
+accepts=0
+for f in $(find crates/*/src -name '*.rs' -not -path 'crates/reactor/src/*' | sort); do
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$f" |
+        grep -E "\.(accept|incoming)\("; then
+        accepts=1
+    fi
+done
+if (( accepts )); then
+    echo "error: only crates/reactor may accept connections; serve TCP through ulm_reactor::Reactor" >&2
+    exit 1
+fi
+
 echo "==> every pub fn is named outside its own file (reachability floor)"
 bash scripts/check_reachable.sh
 
@@ -103,14 +119,14 @@ if [[ "$(uname -s)" == "Linux" ]]; then
     trap 'rm -rf "$SMOKE_TMP"' EXIT
     serve_log="$SMOKE_TMP/serve.log"
 
-    # Starts `ulm serve --reactor` on an ephemeral port with its stdin on a
+    # Starts `ulm serve` on an ephemeral port with its stdin on a
     # fifo we hold open (closing it is the graceful-shutdown signal) and
     # parses the bound address off stderr. Sets SERVE_PID and ADDR.
     start_reactor() {
         local tag="$1"
         shift
         mkfifo "$SMOKE_TMP/stdin.$tag"
-        timeout 300 target/release/ulm serve --reactor --port 0 --no-timing \
+        timeout 300 target/release/ulm serve --port 0 --no-timing \
             --shutdown-on-stdin-close --cache-dir "$SMOKE_TMP/cache" "$@" \
             <"$SMOKE_TMP/stdin.$tag" 2>"$serve_log" &
         SERVE_PID=$!
