@@ -17,6 +17,9 @@ pub struct Args {
     /// repeat (`ulm whatif --set … --set …`).
     occurrences: Vec<(String, String)>,
     flags: Vec<String>,
+    /// Value options given with no value, last or before the next
+    /// option, in order (`--port --verbose`).
+    valueless: Vec<String>,
 }
 
 /// The most worker threads `--threads` (dse) or `--parallelism`
@@ -100,8 +103,9 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] on a missing subcommand, a value-less option
-    /// or extra positional arguments.
+    /// Returns [`ArgError`] on a missing command or extra positional
+    /// arguments; a value-less option is reported by
+    /// [`check_known`](Self::check_known).
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Self, ArgError> {
         let mut it = argv.into_iter().peekable();
         let command = it.next().ok_or(ArgError::MissingCommand)?;
@@ -109,6 +113,7 @@ impl Args {
         let mut options = HashMap::new();
         let mut occurrences = Vec::new();
         let mut flags = Vec::new();
+        let mut valueless = Vec::new();
         while let Some(tok) = it.next() {
             if let Some(key) = tok.strip_prefix("--") {
                 // `--key=value` or `--key value` or bare flag.
@@ -117,12 +122,14 @@ impl Args {
                     occurrences.push((k.to_string(), v.to_string()));
                 } else if FLAGS.contains(&key) {
                     flags.push(key.to_string());
-                } else {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| ArgError::MissingValue(key.into()))?;
+                } else if let Some(v) = it.next_if(|next| !next.starts_with("--")) {
                     options.insert(key.to_string(), v.clone());
                     occurrences.push((key.to_string(), v));
+                } else {
+                    // The key is last, or the next token is an option, not
+                    // its value: `check_known` names the key if it is
+                    // unknown and reports its missing value otherwise.
+                    valueless.push(key.to_string());
                 }
             } else if WITH_SUBCOMMAND.contains(&command.as_str()) && subcommand.is_none() {
                 subcommand = Some(tok);
@@ -136,19 +143,28 @@ impl Args {
             options,
             occurrences,
             flags,
+            valueless,
         })
     }
 
     /// Rejects the first option or flag not in `accepted`, so a
     /// misspelled or removed option fails instead of running with
-    /// defaults.
+    /// defaults; then the first known value option given without a value.
     pub fn check_known(&self, accepted: &[&str]) -> Result<(), ArgError> {
-        let mut given = self.occurrences.iter().map(|(k, _)| k).chain(&self.flags);
-        match given.find(|k| !accepted.contains(&k.as_str())) {
-            Some(key) => Err(ArgError::UnknownOption {
+        let mut given = self
+            .occurrences
+            .iter()
+            .map(|(k, _)| k)
+            .chain(&self.flags)
+            .chain(&self.valueless);
+        if let Some(key) = given.find(|k| !accepted.contains(&k.as_str())) {
+            return Err(ArgError::UnknownOption {
                 command: self.command.clone(),
                 key: key.clone(),
-            }),
+            });
+        }
+        match self.valueless.first() {
+            Some(key) => Err(ArgError::MissingValue(key.clone())),
             None => Ok(()),
         }
     }
@@ -272,8 +288,8 @@ mod tests {
     fn errors_are_specific() {
         assert_eq!(parse(&[]).unwrap_err(), ArgError::MissingCommand);
         assert_eq!(
-            parse(&["x", "--gb-bw"]).unwrap_err(),
-            ArgError::MissingValue("gb-bw".into())
+            parse(&["x", "--gb-bw"]).unwrap().check_known(&["gb-bw"]),
+            Err(ArgError::MissingValue("gb-bw".into()))
         );
         assert!(matches!(
             parse(&["x", "--layer", "64x96"])
@@ -314,6 +330,36 @@ mod tests {
             Err(ArgError::UnknownOption { key, .. }) if key == "json"
         ));
         assert_eq!(a.check_known(&["arch", "json", "bogus"]), Ok(()));
+    }
+
+    #[test]
+    fn an_option_is_never_taken_as_a_value() {
+        let a = parse(&["serve", "--reactor", "--port", "0"]).unwrap();
+        assert_eq!(a.get("port"), Some("0"));
+        assert_eq!(
+            a.check_known(&["port"]),
+            Err(ArgError::UnknownOption {
+                command: "serve".into(),
+                key: "reactor".into()
+            })
+        );
+        // So is an unknown key given last.
+        assert_eq!(
+            parse(&["serve", "--port", "0", "--reactor"])
+                .unwrap()
+                .check_known(&["port"]),
+            Err(ArgError::UnknownOption {
+                command: "serve".into(),
+                key: "reactor".into()
+            })
+        );
+        // A known value option followed by another option has no value.
+        let a = parse(&["serve", "--port", "--no-timing"]).unwrap();
+        assert!(a.flag("no-timing"));
+        assert_eq!(
+            a.check_known(&["port", "no-timing"]),
+            Err(ArgError::MissingValue("port".into()))
+        );
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn ulm(args: &[&str], stdin: &str) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_ulm"))
@@ -19,6 +20,29 @@ fn ulm(args: &[&str], stdin: &str) -> Output {
         .take()
         .expect("stdin is piped")
         .write_all(stdin.as_bytes());
+    child.wait_with_output().expect("ulm exits")
+}
+
+/// [`ulm`] for a command that must exit at once: it is killed, and the
+/// test fails, if it still runs after `limit` (a `ulm serve` that started
+/// would run until stopped).
+fn ulm_within(args: &[&str], limit: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ulm"))
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the ulm binary starts");
+    let deadline = Instant::now() + limit;
+    while child.try_wait().expect("ulm is waitable").is_none() {
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{args:?} still ran after {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
     child.wait_with_output().expect("ulm exits")
 }
 
@@ -49,6 +73,17 @@ fn unknown_options_exit_non_zero() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(flag), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "nothing ran");
+    }
+    // An unknown option is named whether an option follows it or it is
+    // last: neither is taken as a value (and no server starts).
+    for args in [
+        ["serve", "--reactor", "--port", "0"],
+        ["serve", "--port", "0", "--reactor"],
+    ] {
+        let out = ulm_within(&args, Duration::from_secs(30));
+        assert!(!out.status.success(), "{args:?} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("no option --reactor"), "{args:?}: {stderr}");
     }
     // A flag one command takes is still unknown to another.
     assert!(!ulm(&["dse", "--samples", "10"], "").status.success());

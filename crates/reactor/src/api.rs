@@ -13,11 +13,11 @@ use std::time::Duration;
 ///
 /// The reactor owns all sockets and framing; the service only ever sees
 /// complete request lines. [`submit`](LineService::submit) must not block
-/// the caller for long — it runs on the event-loop thread. Hand the work to
-/// a pool and call [`Completion::send`] from wherever it finishes; the
-/// reactor enforces its side of the backpressure contract by keeping at
-/// most [`capacity_hint`](LineService::capacity_hint) submissions in
-/// flight.
+/// the caller for long — it runs on the event-loop thread. It may answer
+/// there and then, when that is cheap; otherwise hand the work to a pool
+/// and call [`Completion::send`] from wherever it finishes. The reactor
+/// enforces its side of the backpressure contract by keeping at most
+/// [`capacity_hint`](LineService::capacity_hint) submissions in flight.
 pub trait LineService: Send + Sync {
     /// Handles one request line, eventually answering through `done`.
     fn submit(&self, line: String, done: Completion);

@@ -122,6 +122,17 @@ impl<V: Clone> ResultCache<V> {
         value
     }
 
+    /// Looks `fp` up without building or waiting: a resident entry that
+    /// `fits` counts a hit and is returned. Anything else — a key still
+    /// being built included — returns `None` and counts nothing, so the
+    /// caller's [`get_or_build`](Self::get_or_build) on the key counts the
+    /// one lookup its request makes.
+    pub fn get_hit(&self, fp: Fingerprint, fits: impl Fn(&V) -> bool) -> Option<V> {
+        let value = self.peek(fp).filter(fits)?;
+        self.count(true);
+        Some(value)
+    }
+
     /// Counts one lookup as a hit or a miss.
     fn count(&self, hit: bool) {
         let counter = if hit { &self.hits } else { &self.misses };

@@ -21,7 +21,9 @@
 //!   transports: [`server::run_batch`] for stdin/stdout pipelines
 //!   (`ulm batch`, every platform) and [`server::run_reactor`] for TCP
 //!   sockets on the single-threaded epoll event loop (`ulm serve`,
-//!   Linux only).
+//!   Linux only). A repeated request of any kind is answered from an
+//!   answer store keyed by the request itself, before the request is
+//!   typed; on the event loop such a hit never reaches the worker pool.
 //!
 //! ## Quick start
 //!

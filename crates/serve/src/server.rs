@@ -45,13 +45,16 @@
 //! `"ok":false` with an `"error"` string. A malformed line yields an error
 //! *response*, never a dropped connection.
 //!
-//! [`EvalService`] is the engine behind both transports: it routes every
-//! request through a bounded [`WorkerPool`] and memoizes eval/search/net
-//! results, request fingerprints and surrogate specializations, each in
-//! a fingerprint-keyed [`ResultCache`]. [`run_batch`] drives it
-//! from any `BufRead`/`Write` pair (the `ulm batch` subcommand wires
-//! stdin/stdout); [`run_reactor`] serves `std::net::TcpListener`
-//! connections on the epoll event loop (`ulm serve`, Linux only).
+//! [`EvalService`] is the engine behind both transports: it runs
+//! requests on a bounded [`WorkerPool`] and memoizes eval/search/net
+//! results, surrogate specializations and the answers to requests, each
+//! in a fingerprint-keyed [`ResultCache`]. The answer store is keyed by
+//! the request minus its `id` and probed before the request is typed, so
+//! a repeat of any kind costs one probe, one lookup and a byte splice.
+//! [`run_batch`] drives it from any `BufRead`/`Write` pair (the
+//! `ulm batch` subcommand wires stdin/stdout); [`run_reactor`] serves
+//! `std::net::TcpListener` connections on the epoll event loop
+//! (`ulm serve`, Linux only), answering repeats on the loop thread.
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::fingerprint::{fingerprint_request, fingerprint_value, Fingerprint};
@@ -181,6 +184,10 @@ enum Outcome {
 }
 
 impl Outcome {
+    fn is_net(&self) -> bool {
+        matches!(self, Outcome::Net(_))
+    }
+
     /// The answer fields that follow `cached` (eval/search) or
     /// `fingerprint` (net), printed.
     fn print_body(&self) -> Arc<str> {
@@ -228,18 +235,14 @@ impl Outcome {
 /// hit clones a pointer, never the outcome.
 struct Cached {
     outcome: Outcome,
-    /// The outcome's printed answer body, filled on the entry's first hit
-    /// and spliced into every later answer. An entry that is never hit —
-    /// in an all-distinct stream, or replayed from the log and not asked
-    /// for — keeps no printed copy.
-    body: OnceLock<Arc<str>>,
+    body: Body,
 }
 
 impl Cached {
     fn new(outcome: Outcome) -> Self {
         Cached {
             outcome,
-            body: OnceLock::new(),
+            body: Body::default(),
         }
     }
 
@@ -255,20 +258,200 @@ impl Cached {
             // hits show in `/stats` only, so repeats stay byte-identical.
             Outcome::Net(_) => format!(r#""kind":"net","fingerprint":"{fp}","#),
         };
-        let body = if hit {
-            Arc::clone(self.body.get_or_init(|| self.outcome.print_body()))
+        Answer {
+            head,
+            body: self.body.get(hit, || self.outcome.print_body()),
+        }
+    }
+}
+
+/// An entry's printed answer body, filled on the entry's first hit and
+/// spliced into every later answer. An entry that is never hit — in an
+/// all-distinct stream, or replayed from the log and not asked for —
+/// keeps no printed copy.
+#[derive(Default)]
+struct Body(OnceLock<Arc<str>>);
+
+impl Body {
+    /// The body of an answer: on a hit, the copy printed on the entry's
+    /// first hit; otherwise printed afresh and not kept.
+    fn get(&self, hit: bool, print: impl FnOnce() -> Arc<str>) -> Arc<str> {
+        if hit {
+            Arc::clone(self.0.get_or_init(print))
         } else {
-            self.outcome.print_body()
+            print()
+        }
+    }
+}
+
+/// What the answer store holds for one request (minus its `id`): enough
+/// to answer a repeat from one lookup in the store behind it, without
+/// typing the request again.
+#[derive(Clone)]
+enum Stored {
+    /// An eval, search or net request: the fingerprint of its result-cache
+    /// entry, which holds the body; `net` names the outcome kind that fits.
+    Job {
+        fp: Fingerprint,
+        net: bool,
+    },
+    Whatif(Arc<WhatifAnswer>),
+    Surrogate(Arc<SurrogateAnswer>),
+}
+
+/// One design's half of a `whatif` answer.
+#[derive(Clone, Copy, serde::Serialize)]
+struct Summary {
+    cc_total: f64,
+    ss_overall: f64,
+    utilization: f64,
+    energy_fj: f64,
+}
+
+impl Summary {
+    fn new(fast: &ulm_model::FastLatency, energy_fj: f64) -> Self {
+        Summary {
+            cc_total: fast.cc_total,
+            ss_overall: fast.ss_overall,
+            utilization: fast.utilization,
+            energy_fj,
+        }
+    }
+}
+
+/// A `whatif` answer's scalars; the mapping it prints is the base
+/// entry's, and the `set` the request's own.
+struct WhatifAnswer {
+    /// The base query's result fingerprint, the answer's `fingerprint`.
+    base_fp: Fingerprint,
+    base: Summary,
+    modified: Summary,
+    rebuild: ulm_model::RebuildStats,
+    body: Body,
+}
+
+impl WhatifAnswer {
+    /// The answer to a request whose `set` is `set`, over the base
+    /// entry's `mapping`; `cached` says whether the base came from the
+    /// result cache, `hit` whether this answer came from the answer store.
+    fn answer(&self, set: &Value, mapping: &Mapping, cached: bool, hit: bool) -> Answer {
+        let fp = self.base_fp;
+        let print = || {
+            let (base, modified) = (self.base, self.modified);
+            print_fields(&Value::Object(vec![
+                ("set".to_string(), set.clone()),
+                (
+                    "mapping_text".to_string(),
+                    Value::String(mapping.to_string()),
+                ),
+                ("mapping".to_string(), mapping.to_value()),
+                ("base".to_string(), base.to_value()),
+                ("modified".to_string(), modified.to_value()),
+                (
+                    "delta".to_string(),
+                    Value::Object(vec![
+                        (
+                            "cc_total".to_string(),
+                            Value::F64(modified.cc_total - base.cc_total),
+                        ),
+                        (
+                            "energy_fj".to_string(),
+                            Value::F64(modified.energy_fj - base.energy_fj),
+                        ),
+                        (
+                            "speedup".to_string(),
+                            Value::F64(base.cc_total / modified.cc_total),
+                        ),
+                    ]),
+                ),
+                (
+                    "rebuild".to_string(),
+                    Value::Object(vec![
+                        (
+                            "stages_rebuilt".to_string(),
+                            Value::U64(u64::from(self.rebuild.stages_rebuilt)),
+                        ),
+                        (
+                            "stages_skipped".to_string(),
+                            Value::U64(u64::from(self.rebuild.stages_skipped)),
+                        ),
+                    ]),
+                ),
+            ]))
         };
-        Answer { head, body }
+        Answer {
+            head: format!(r#""kind":"whatif","fingerprint":"{fp}","cached":{cached},"#),
+            body: self.body.get(hit, print),
+        }
+    }
+}
+
+/// A `surrogate` answer's scalars; the shape it prints is its
+/// specialization's.
+struct SurrogateAnswer {
+    /// The answer's `fingerprint`.
+    fp: Fingerprint,
+    /// The specialization's key in the service's store.
+    spec_key: Fingerprint,
+    dims: (u64, u64, u64),
+    latency: ulm_model::FastLatency,
+    /// Whether the service's calibration was applied to the
+    /// specialization (the answer then prints its id).
+    calibrated: bool,
+    body: Body,
+}
+
+impl SurrogateAnswer {
+    /// The answer: `reused` says whether the specialization came from the
+    /// store, `hit` whether this answer came from the answer store, and
+    /// `shape` prints the specialization's shape when the body is printed.
+    /// `calibration_id` is the service's.
+    fn answer(
+        &self,
+        reused: bool,
+        hit: bool,
+        shape: impl FnOnce() -> String,
+        calibration_id: Option<&str>,
+    ) -> Answer {
+        let print = || {
+            let (b, k, c) = self.dims;
+            let fast = &self.latency;
+            let mut fields = vec![
+                ("shape".to_string(), Value::String(shape())),
+                ("layer".to_string(), Value::String(format!("{b}x{k}x{c}"))),
+                (
+                    "latency".to_string(),
+                    Value::Object(vec![
+                        ("cc_total".to_string(), Value::F64(fast.cc_total)),
+                        ("cc_ideal".to_string(), Value::F64(fast.cc_ideal)),
+                        ("cc_spatial".to_string(), Value::U64(fast.cc_spatial)),
+                        ("ss_overall".to_string(), Value::F64(fast.ss_overall)),
+                        ("preload".to_string(), Value::U64(fast.preload)),
+                        ("offload".to_string(), Value::U64(fast.offload)),
+                        ("utilization".to_string(), Value::F64(fast.utilization)),
+                    ]),
+                ),
+            ];
+            if let Some(id) = calibration_id.filter(|_| self.calibrated) {
+                fields.push(("calibration_id".to_string(), Value::String(id.to_string())));
+            }
+            print_fields(&Value::Object(fields))
+        };
+        let fp = self.fp;
+        Answer {
+            head: format!(
+                r#""kind":"surrogate","fingerprint":"{fp}","specialized_reused":{reused},"#
+            ),
+            body: self.body.get(hit, print),
+        }
     }
 }
 
 /// A successful answer's fields, printed as `"key":value` pairs without
 /// the enclosing braces; [`answer_line`] splices it into a response line.
 struct Answer {
-    /// The fields before `body`, each followed by a comma; empty for
-    /// request kinds that are not cached.
+    /// The fields before `body`, each followed by a comma; empty for a
+    /// `stats` answer.
     head: String,
     /// The remaining fields. On a cache hit, shared with the entry.
     body: Arc<str>,
@@ -1187,6 +1370,35 @@ fn catch_panic<T>(handler: impl FnOnce() -> Result<T, UlmError>) -> Result<T, Ul
     })
 }
 
+/// Locks `mutex` even when a handler panicked while holding it: the
+/// service takes every lock poison-tolerantly (see [`catch_panic`]).
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Trims and JSON-parses one raw request line: `None` for a blank line,
+/// the error line for one that is not JSON.
+fn parse_line(line: &str) -> Option<Result<Value, String>> {
+    let line = line.trim();
+    if line.is_empty() {
+        return None;
+    }
+    Some(serde_json::from_str::<Value>(line).map_err(|e| {
+        let err = UlmError::invalid_request(format!("invalid JSON: {e}"));
+        error_line(&Value::Null, &err)
+    }))
+}
+
+/// What [`EvalService::probe`] made of a line.
+enum Probe {
+    /// The line's whole answer (`None` for a blank line).
+    Answered(Option<String>),
+    /// A request the answer store does not hold, and its key.
+    Miss(Value, Fingerprint),
+}
+
 /// Durable-store state and counters for a disk-backed service.
 struct DiskState {
     log: Mutex<CacheLog>,
@@ -1230,20 +1442,13 @@ pub struct DiskStats {
 /// Each holds at most `MEMO_CAP` (16,384) remembered points.
 const SPECIALIZATIONS: usize = 64;
 
-/// Marks a surrogate request's specialization key in the request memo: it
-/// is memoized under the request's fingerprint XOR this tag, beside the
-/// answer fingerprint memoized under the request's fingerprint itself.
-const SPEC_KEY_TAG: u128 = 0x5bec_4e79_0000_0000_0000_0000_0000_0001;
-
 /// The concurrent, cache-backed evaluation engine.
 pub struct EvalService {
     cache: ResultCache<Arc<Cached>>,
-    /// Request (minus its `id`) → the canonical fingerprint of what it
-    /// asks for, so each distinct request builds its fingerprint once; a
-    /// surrogate request's specialization key sits beside it (see
-    /// [`SPEC_KEY_TAG`]). Bounded by the cache capacity; its probes are
-    /// not cache lookups.
-    fingerprints: ResultCache<Fingerprint>,
+    /// The answer store: request (minus its `id`) → what answers a repeat
+    /// of it (see [`Stored`]), probed before the request is typed.
+    /// Bounded by the cache capacity; its probes are not cache lookups.
+    answers: ResultCache<Stored>,
     /// Surrogate specializations by `spec_key`. Each sits behind its own
     /// lock: a query updates the specialization's scratch and point memo.
     specializations: ResultCache<Arc<Mutex<SpecializedModel>>>,
@@ -1319,7 +1524,7 @@ impl EvalService {
         };
         Ok(Arc::new(EvalService {
             cache,
-            fingerprints: ResultCache::new(opts.cache_capacity),
+            answers: ResultCache::new(opts.cache_capacity),
             specializations: ResultCache::new(SPECIALIZATIONS),
             pool: WorkerPool::new(workers, queue),
             latencies: Mutex::new(LatencyLog::default()),
@@ -1362,10 +1567,7 @@ impl EvalService {
             disk.append_errors.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        let mut log = disk
-            .log
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut log = lock(&disk.log);
         match log.append(fp.0, &payload) {
             Ok(()) => {
                 disk.appends.fetch_add(1, Ordering::Relaxed);
@@ -1390,10 +1592,7 @@ impl EvalService {
             return Ok(());
         };
         let entries = encode_snapshot(&self.cache);
-        let mut log = disk
-            .log
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut log = lock(&disk.log);
         log.compact(&entries)?;
         disk.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -1402,26 +1601,17 @@ impl EvalService {
     /// Cumulative search-effort counters over executed (non-cached)
     /// search requests.
     pub fn search_totals(&self) -> SearchTotals {
-        *self
-            .search_totals
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        *lock(&self.search_totals)
     }
 
     /// Cumulative incremental-evaluation counters over `whatif` requests.
     pub fn whatif_totals(&self) -> WhatifTotals {
-        *self
-            .whatif_totals
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        *lock(&self.whatif_totals)
     }
 
     /// Cumulative fast-path counters over `surrogate` requests.
     pub fn surrogate_totals(&self) -> SurrogateTotals {
-        *self
-            .surrogate_totals
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        *lock(&self.surrogate_totals)
     }
 
     /// The id of the calibration the service was opened with, if any.
@@ -1442,26 +1632,12 @@ impl EvalService {
     /// Handles one raw NDJSON line synchronously on the calling thread.
     /// Returns `None` for blank lines.
     pub fn handle_line(&self, line: &str) -> Option<String> {
-        let line = line.trim();
-        if line.is_empty() {
-            return None;
-        }
-        let req = match serde_json::from_str::<Value>(line) {
-            Ok(req) => req,
-            Err(e) => {
-                let err = UlmError::invalid_request(format!("invalid JSON: {e}"));
-                return Some(error_line(&Value::Null, &err));
+        Some(match parse_line(line)? {
+            Ok(req) => {
+                let key = fingerprint_request(&req);
+                self.answer(&req, key)
             }
-        };
-        let id = req.get("id").unwrap_or(&Value::Null);
-        Some(match catch_panic(|| self.respond(id, &req)) {
-            Ok(line) => line,
-            Err(err) => {
-                if matches!(err, UlmError::Panic { .. }) {
-                    self.panics.fetch_add(1, Ordering::Relaxed);
-                }
-                error_line(id, &err)
-            }
+            Err(error) => error,
         })
     }
 
@@ -1472,39 +1648,85 @@ impl EvalService {
         self.pool.submit(move || service.handle_line(&line))
     }
 
-    /// Answers one parsed request line whose `id` is `id`.
-    fn respond(&self, id: &Value, req: &Value) -> Result<String, UlmError> {
+    /// What [`handle_line`](Self::handle_line) answers without typing the
+    /// request or waiting on anything: a blank line, a line that is not
+    /// JSON, or a repeat the answer store holds. Anything else comes back
+    /// parsed, with its answer-store key, for the full path.
+    fn probe(&self, line: &str) -> Probe {
+        match parse_line(line) {
+            None => Probe::Answered(None),
+            Some(Err(error)) => Probe::Answered(Some(error)),
+            Some(Ok(req)) => {
+                let key = fingerprint_request(&req);
+                let id = req.get("id").unwrap_or(&Value::Null);
+                match self.respond_stored(id, &req, key) {
+                    Some(line) => Probe::Answered(Some(line)),
+                    None => Probe::Miss(req, key),
+                }
+            }
+        }
+    }
+
+    /// [`probe`](Self::probe) as the reactor thread runs it: `None` leaves
+    /// the line to the pool unprobed, when it is longer than
+    /// [`INLINE_PROBE_MAX`] or the probe panicked.
+    fn probe_inline(&self, line: &str) -> Option<Probe> {
+        if line.len() > INLINE_PROBE_MAX {
+            return None;
+        }
+        catch_panic(|| Ok(self.probe(line))).ok()
+    }
+
+    /// Answers one JSON-parsed request whose answer-store key is `key`.
+    fn answer(&self, req: &Value, key: Fingerprint) -> String {
+        let id = req.get("id").unwrap_or(&Value::Null);
+        match catch_panic(|| self.respond(id, req, key)) {
+            Ok(line) => line,
+            Err(err) => {
+                if matches!(err, UlmError::Panic { .. }) {
+                    self.panics.fetch_add(1, Ordering::Relaxed);
+                }
+                error_line(id, &err)
+            }
+        }
+    }
+
+    /// Answers one parsed request line whose `id` is `id`: from the answer
+    /// store when it holds the request, otherwise typed and run.
+    fn respond(&self, id: &Value, req: &Value, key: Fingerprint) -> Result<String, UlmError> {
         // Unit tests inject a handler panic with this request kind.
         #[cfg(test)]
         if req.get("kind").and_then(Value::as_str) == Some("test/panic") {
             panic!("injected handler panic");
         }
-        match parse_request(req)? {
-            Request::Stats => Ok(answer_line(id, &Answer::fields(self.stats_fields()), None)),
-            Request::WhatIf { base, set } => {
-                self.timed(id, || self.respond_whatif(req, &base, &set))
-            }
-            Request::Surrogate(query) => self.timed(id, || self.respond_surrogate(req, &query)),
-            Request::Net(query) => self.timed(id, || self.respond_cached(req, &*query)),
-            Request::Query(query) => self.timed(id, || self.respond_cached(req, &*query)),
+        if let Some(line) = self.respond_stored(id, req, key) {
+            return Ok(line);
         }
+        let request = parse_request(req)?;
+        let start = Instant::now();
+        let result = match request {
+            Request::Stats => {
+                return Ok(answer_line(id, &Answer::fields(self.stats_fields()), None))
+            }
+            Request::WhatIf { base, set } => self.respond_whatif(req, key, &base, &set),
+            Request::Surrogate(query) => self.respond_surrogate(key, &query),
+            Request::Net(query) => self.respond_cached(key, &*query),
+            Request::Query(query) => self.respond_cached(key, &*query),
+        };
+        self.timed(id, start, result)
     }
 
-    /// Runs one request handler under the latency clock: the sample goes
-    /// to `/stats` whether the handler succeeds or fails, and a success
-    /// carries `elapsed_ms` when timing is on.
+    /// Finishes one request handler started at `start`: the latency sample
+    /// goes to `/stats` whether the handler succeeded or failed, and a
+    /// success carries `elapsed_ms` when timing is on.
     fn timed(
         &self,
         id: &Value,
-        handler: impl FnOnce() -> Result<Answer, UlmError>,
+        start: Instant,
+        result: Result<Answer, UlmError>,
     ) -> Result<String, UlmError> {
-        let start = Instant::now();
-        let result = handler();
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        self.latencies
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .record(elapsed_ms);
+        lock(&self.latencies).record(elapsed_ms);
         Ok(answer_line(
             id,
             &result?,
@@ -1512,10 +1734,47 @@ impl EvalService {
         ))
     }
 
+    /// The answer to a repeat of a request the answer store holds under
+    /// `key`, spliced from its stored body after one counted, non-blocking
+    /// lookup in the store behind it: the result cache for eval, search,
+    /// net and whatif (the whatif's base), the specializations for
+    /// surrogate. `None` — a first occurrence, or a base or specialization
+    /// since evicted or still being built — sends the request down the
+    /// full path, which counts the lookup this one did not.
+    fn respond_stored(&self, id: &Value, req: &Value, key: Fingerprint) -> Option<String> {
+        let start = Instant::now();
+        let answer = match self.answers.get(key)? {
+            Stored::Job { fp, net } => {
+                let entry = self.cache.get_hit(fp, |e| e.outcome.is_net() == net)?;
+                entry.answer(fp, true)
+            }
+            Stored::Whatif(stored) => {
+                let set = field(req, "set")?;
+                let entry = self
+                    .cache
+                    .get_hit(stored.base_fp, |e| !e.outcome.is_net())?;
+                let Outcome::Layer(base) = &entry.outcome else {
+                    unreachable!("a fitting entry is a layer outcome");
+                };
+                self.count_whatif(true);
+                stored.answer(set, &base.mapping, true, true)
+            }
+            Stored::Surrogate(stored) => {
+                let spec = self.specializations.get_hit(stored.spec_key, |_| true)?;
+                self.count_surrogate(true);
+                let shape = || lock(&spec).shape().to_string();
+                stored.answer(true, true, shape, self.calibration_id())
+            }
+        };
+        self.timed(id, start, Ok(answer)).ok()
+    }
+
     /// Answers an eval, search or net request from its cache entry,
-    /// computing the entry on a miss.
-    fn respond_cached<J: Job>(&self, req: &Value, job: &J) -> Result<Answer, UlmError> {
-        let (fp, entry, hit) = self.lookup_or_execute(req, job)?;
+    /// computing the entry on a miss, and stores the answer under the
+    /// request's `key`.
+    fn respond_cached<J: Job>(&self, key: Fingerprint, job: &J) -> Result<Answer, UlmError> {
+        let (fp, entry, hit) = self.lookup_or_execute(job)?;
+        self.answers.insert(key, Stored::Job { fp, net: J::NET });
         Ok(entry.answer(fp, hit))
     }
 
@@ -1524,17 +1783,19 @@ impl EvalService {
     /// re-evaluates the base's mapping on the modified architecture
     /// through the dirty-stage delta path — invalidated lowering stages
     /// are recomputed, everything else is reused. The delta evaluation is
-    /// bit-identical to a cold evaluation of the modified design.
+    /// bit-identical to a cold evaluation of the modified design. The
+    /// answer's scalars are stored under the request's `key`.
     fn respond_whatif(
         &self,
         req: &Value,
+        key: Fingerprint,
         base: &Query,
         set: &[String],
     ) -> Result<Answer, UlmError> {
         // Knob errors are answered before the base lookup, so a bad `set`
         // costs no search and leaves nothing in the cache or the log.
         let (modified_arch, delta) = apply_overrides(&base.arch, set)?;
-        let (fp, entry, cached) = self.lookup_or_execute(req, base)?;
+        let (fp, entry, cached) = self.lookup_or_execute(base)?;
         let Outcome::Layer(outcome) = &entry.outcome else {
             unreachable!("a query's cache entry is a layer outcome");
         };
@@ -1550,90 +1811,43 @@ impl EvalService {
         let view = MappedLayer::new(&base.layer, &modified_arch, &outcome.mapping)?;
         let (fast, rebuild) = model.evaluate_delta_fast(&view, delta, &mut scratch);
         let energy = EnergyModel::new().evaluate_lowered(&view, scratch.lowered());
+        self.count_whatif(cached);
 
-        {
-            let mut totals = self
-                .whatif_totals
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            totals.requests += 1;
-            if cached {
-                totals.delta_hits += 1;
-            } else {
-                totals.full_rebuilds += 1;
-            }
+        let stored = Arc::new(WhatifAnswer {
+            base_fp: fp,
+            base: Summary::new(&base_fast, outcome.energy.total_fj),
+            modified: Summary::new(&fast, energy.total_fj),
+            rebuild,
+            body: Body::default(),
+        });
+        self.answers
+            .insert(key, Stored::Whatif(Arc::clone(&stored)));
+        let set = field(req, "set").expect("a parsed whatif has a `set`");
+        Ok(stored.answer(set, &outcome.mapping, cached, false))
+    }
+
+    /// Counts one answered `whatif`; `cached` says whether its base came
+    /// from the result cache.
+    fn count_whatif(&self, cached: bool) {
+        let mut totals = lock(&self.whatif_totals);
+        totals.requests += 1;
+        if cached {
+            totals.delta_hits += 1;
+        } else {
+            totals.full_rebuilds += 1;
         }
+    }
 
-        let summary = |cc_total: f64, ss_overall: f64, utilization: f64, energy_fj: f64| {
-            Value::Object(vec![
-                ("cc_total".to_string(), Value::F64(cc_total)),
-                ("ss_overall".to_string(), Value::F64(ss_overall)),
-                ("utilization".to_string(), Value::F64(utilization)),
-                ("energy_fj".to_string(), Value::F64(energy_fj)),
-            ])
-        };
-        Ok(Answer::fields(vec![
-            ("kind".to_string(), Value::String("whatif".into())),
-            ("fingerprint".to_string(), Value::String(fp.to_string())),
-            ("cached".to_string(), Value::Bool(cached)),
-            (
-                "set".to_string(),
-                Value::Array(set.iter().map(|s| Value::String(s.clone())).collect()),
-            ),
-            (
-                "mapping_text".to_string(),
-                Value::String(outcome.mapping.to_string()),
-            ),
-            ("mapping".to_string(), outcome.mapping.to_value()),
-            (
-                "base".to_string(),
-                summary(
-                    base_fast.cc_total,
-                    base_fast.ss_overall,
-                    base_fast.utilization,
-                    outcome.energy.total_fj,
-                ),
-            ),
-            (
-                "modified".to_string(),
-                summary(
-                    fast.cc_total,
-                    fast.ss_overall,
-                    fast.utilization,
-                    energy.total_fj,
-                ),
-            ),
-            (
-                "delta".to_string(),
-                Value::Object(vec![
-                    (
-                        "cc_total".to_string(),
-                        Value::F64(fast.cc_total - base_fast.cc_total),
-                    ),
-                    (
-                        "energy_fj".to_string(),
-                        Value::F64(energy.total_fj - outcome.energy.total_fj),
-                    ),
-                    (
-                        "speedup".to_string(),
-                        Value::F64(base_fast.cc_total / fast.cc_total),
-                    ),
-                ]),
-            ),
-            (
-                "rebuild".to_string(),
-                Value::Object(vec![
-                    (
-                        "stages_rebuilt".to_string(),
-                        Value::U64(u64::from(rebuild.stages_rebuilt)),
-                    ),
-                    (
-                        "stages_skipped".to_string(),
-                        Value::U64(u64::from(rebuild.stages_skipped)),
-                    ),
-                ]),
-            ),
-        ]))
+    /// Counts one answered `surrogate`; `reused` says whether its
+    /// specialization came from the store.
+    fn count_surrogate(&self, reused: bool) {
+        let mut totals = lock(&self.surrogate_totals);
+        totals.requests += 1;
+        if reused {
+            totals.hits += 1;
+        } else {
+            totals.misses += 1;
+        }
     }
 
     /// Answers a `surrogate` request. When the service's store holds a
@@ -1644,21 +1858,17 @@ impl EvalService {
     /// to the resulting `(arch, shape)`, and the specialization is stored
     /// for the next request. A service calibration matching the request's
     /// architecture is applied to the specialization it builds; its id
-    /// enters the key and the fingerprint. The answer's fingerprint and
-    /// the specialization's key are both read from the request memo, so a
-    /// repeated request serializes no architecture.
-    fn respond_surrogate(&self, req: &Value, q: &SurrogateQuery) -> Result<Answer, UlmError> {
+    /// enters the key and the fingerprint. The answer's scalars and the
+    /// specialization's key are stored under the request's `key`, so a
+    /// repeat builds neither fingerprint.
+    fn respond_surrogate(&self, key: Fingerprint, q: &SurrogateQuery) -> Result<Answer, UlmError> {
         let calibration = self
             .calibration
             .as_ref()
             .filter(|cal| cal.arch == q.arch.name());
         let calibration_id = calibration.map(|cal| cal.id.as_str());
-        let request = fingerprint_request(req);
-        let fp = self.memoized(request, || q.fingerprint(calibration_id));
-        let spec_key = self.memoized(Fingerprint(request.0 ^ SPEC_KEY_TAG), || {
-            q.spec_key(calibration_id)
-        });
-        let (b, k, c) = (
+        let spec_key = q.spec_key(calibration_id);
+        let dims = (
             q.layer.shape().dim(Dim::B),
             q.layer.shape().dim(Dim::K),
             q.layer.shape().dim(Dim::C),
@@ -1686,80 +1896,37 @@ impl EvalService {
             )?;
             Ok(Arc::new(Mutex::new(spec)))
         };
-        let (spec, hit) = self
+        let (spec, reused) = self
             .specializations
             .get_or_build(spec_key, |_| true, specialize)?;
-        let (fast, shape_text) = {
-            let mut spec = spec
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            (spec.query(b, k, c)?, spec.shape().to_string())
-        };
+        let (b, k, c) = dims;
+        let latency = lock(&spec).query(b, k, c)?;
+        self.count_surrogate(reused);
 
-        {
-            let mut totals = self
-                .surrogate_totals
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            totals.requests += 1;
-            if hit {
-                totals.hits += 1;
-            } else {
-                totals.misses += 1;
-            }
-        }
-
-        let mut fields = vec![
-            ("kind".to_string(), Value::String("surrogate".into())),
-            ("fingerprint".to_string(), Value::String(fp.to_string())),
-            ("specialized_reused".to_string(), Value::Bool(hit)),
-            ("shape".to_string(), Value::String(shape_text)),
-            ("layer".to_string(), Value::String(format!("{b}x{k}x{c}"))),
-            (
-                "latency".to_string(),
-                Value::Object(vec![
-                    ("cc_total".to_string(), Value::F64(fast.cc_total)),
-                    ("cc_ideal".to_string(), Value::F64(fast.cc_ideal)),
-                    ("cc_spatial".to_string(), Value::U64(fast.cc_spatial)),
-                    ("ss_overall".to_string(), Value::F64(fast.ss_overall)),
-                    ("preload".to_string(), Value::U64(fast.preload)),
-                    ("offload".to_string(), Value::U64(fast.offload)),
-                    ("utilization".to_string(), Value::F64(fast.utilization)),
-                ]),
-            ),
-        ];
-        if let Some(id) = calibration_id {
-            fields.push(("calibration_id".to_string(), Value::String(id.to_string())));
-        }
-        Ok(Answer::fields(fields))
-    }
-
-    /// `build()` read through the request memo under `key`: built once per
-    /// distinct key while the memo holds it.
-    fn memoized(&self, key: Fingerprint, build: impl FnOnce() -> Fingerprint) -> Fingerprint {
-        let Ok((fp, _)) = self.fingerprints.get_or_build(
-            key,
-            |_| true,
-            || Ok::<_, std::convert::Infallible>(build()),
-        );
-        fp
+        let stored = Arc::new(SurrogateAnswer {
+            fp: q.fingerprint(calibration_id),
+            spec_key,
+            dims,
+            latency,
+            calibrated: calibration.is_some(),
+            body: Body::default(),
+        });
+        self.answers
+            .insert(key, Stored::Surrogate(Arc::clone(&stored)));
+        let shape = || lock(&spec).shape().to_string();
+        Ok(stored.answer(reused, false, shape, calibration_id))
     }
 
     /// Cache lookup with single-flight coalescing: concurrent identical
     /// jobs are computed once — the first thread executes, the others
     /// wait for it and then read the cached result. Returns the job's
     /// fingerprint, its entry, and whether the entry came from the cache.
-    ///
-    /// The fingerprint is built once per distinct request `req` (the line
-    /// `job` was parsed from): requests equal to it but for `id`, key order
-    /// and whitespace read it from the memo.
     fn lookup_or_execute<J: Job>(
         &self,
-        req: &Value,
         job: &J,
     ) -> Result<(Fingerprint, Arc<Cached>, bool), UlmError> {
-        let fp = self.memoized(fingerprint_request(req), || job.fingerprint());
-        let fits = |e: &Arc<Cached>| matches!(e.outcome, Outcome::Net(_)) == J::NET;
+        let fp = job.fingerprint();
+        let fits = |e: &Arc<Cached>| e.outcome.is_net() == J::NET;
         let (entry, hit) = self
             .cache
             .get_or_build(fp, fits, || -> Result<_, UlmError> {
@@ -1768,10 +1935,7 @@ impl EvalService {
                     search: Some(meta), ..
                 }) = &entry.outcome
                 {
-                    let mut totals = self
-                        .search_totals
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    let mut totals = lock(&self.search_totals);
                     totals.searches += 1;
                     totals.stats.absorb(&meta.stats);
                 }
@@ -1812,11 +1976,7 @@ impl EvalService {
             ("pool".to_string(), pool),
         ];
         if self.include_timing {
-            let latency = self
-                .latencies
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .summary();
+            let latency = lock(&self.latencies).summary();
             fields.push(("latency_ms".to_string(), latency.to_value()));
         }
         fields.extend([
@@ -1989,11 +2149,21 @@ pub fn run_batch<R: BufRead, W: Write>(
 // The event-driven transport
 // ---------------------------------------------------------------------------
 
-/// Adapter letting the epoll reactor drive the evaluation engine: request
-/// lines are dispatched to the worker pool and answered through the
-/// completion channel, never blocking the event-loop thread (the reactor
-/// keeps in-flight submissions below [`WorkerPool::queue_capacity`], the
-/// point where [`WorkerPool::submit`] would block).
+/// Longest request line the reactor thread probes itself. Every real
+/// request is under 1 KiB; a longer line goes to the pool unprobed, so
+/// parsing it never stalls the event loop.
+const INLINE_PROBE_MAX: usize = 4096;
+
+/// Adapter letting the epoll reactor drive the evaluation engine. A
+/// request line up to 4 KiB (`INLINE_PROBE_MAX`) is probed on the
+/// event-loop thread: a blank or non-JSON line, or a repeat the answer
+/// store holds, is answered there without waiting on anything. Every
+/// other line goes to the worker pool, parsed when the probe parsed it;
+/// the worker probes again (a repeat may have been stored while the
+/// line was queued) and answers through the completion channel (the
+/// reactor keeps in-flight submissions below
+/// [`WorkerPool::queue_capacity`], the point where [`WorkerPool::submit`]
+/// would block).
 pub struct ReactorService(Arc<EvalService>);
 
 impl ReactorService {
@@ -2006,11 +2176,18 @@ impl ReactorService {
 impl ulm_reactor::LineService for ReactorService {
     fn submit(&self, line: String, done: ulm_reactor::Completion) {
         let service = Arc::clone(&self.0);
+        let parsed = match service.probe_inline(&line) {
+            Some(Probe::Answered(response)) => return done.send(response),
+            Some(Probe::Miss(req, key)) => Some((req, key)),
+            None => None,
+        };
         // The handle is dropped: the response travels through `done`.
-        let _ = self
-            .0
-            .pool
-            .submit(move || done.send(service.handle_line(&line)));
+        let _ = self.0.pool.submit(move || {
+            done.send(match parsed {
+                Some((req, key)) => Some(service.answer(&req, key)),
+                None => service.handle_line(&line),
+            });
+        });
     }
 
     fn oversized(&self, limit: usize) -> Option<String> {
@@ -2814,6 +2991,121 @@ mod tests {
         }
         // Repeated layers must have hit the cache (9 distinct → 3 uniques).
         assert!(svc.cache_stats().hits >= 9 - 3);
+    }
+
+    /// A first answer as a repeat of its request prints it.
+    fn as_repeat(first: &str) -> String {
+        first
+            .replacen("\"cached\":false", "\"cached\":true", 1)
+            .replacen(
+                "\"specialized_reused\":false",
+                "\"specialized_reused\":true",
+                1,
+            )
+    }
+
+    /// What the reactor thread's probe makes of `line`: `Some(answer)`
+    /// when it answers the line itself, `None` when the line goes to the
+    /// pool.
+    fn probed(svc: &EvalService, line: &str) -> Option<String> {
+        match svc.probe_inline(line)? {
+            Probe::Answered(answer) => Some(answer.expect("a non-blank line")),
+            Probe::Miss(..) => None,
+        }
+    }
+
+    #[test]
+    fn the_probe_answers_repeats_of_every_kind() {
+        let svc = EvalService::new(ServeOptions {
+            parallelism: Some(1),
+            cache_capacity: 64,
+            include_timing: false,
+            ..ServeOptions::default()
+        });
+        let search = parse(
+            &svc.handle_line(r#"{"kind":"search","arch":"toy","layer":"4x8x8"}"#)
+                .unwrap(),
+        );
+        let mapping = serde_json::to_string(search.get("mapping").unwrap()).unwrap();
+        let eval =
+            format!(r#"{{"id":1,"kind":"eval","arch":"toy","layer":"4x8x8","mapping":{mapping}}}"#);
+        for line in [
+            r#"{"id":1,"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}"#,
+            &eval,
+            r#"{"id":1,"kind":"whatif","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10},"set":["mem.LB.bw=2x"]}"#,
+            r#"{"id":1,"kind":"surrogate","arch":"toy","layer":"4x4x8","template":"4x4x16","mapper":{"max_exhaustive":100,"samples":10}}"#,
+            r#"{"id":1,"kind":"net","arch":"toy","net":"attention-decode","mapper":{"max_exhaustive":200,"samples":20}}"#,
+        ] {
+            assert_eq!(probed(&svc, line), None, "a first occurrence: {line}");
+            let first = svc.handle_line(line).unwrap();
+            let repeat = line.replacen("\"id\":1", "\"id\":2", 1);
+            let expected = as_repeat(&first).replacen("\"id\":1", "\"id\":2", 1);
+            for _ in 0..2 {
+                assert_eq!(probed(&svc, &repeat).as_deref(), Some(&*expected));
+            }
+        }
+        // A store hit counts as the repeat did: a cache hit (two per
+        // repeated kind but surrogate, plus the first whatif's base, the
+        // search above), a delta hit and a surrogate hit.
+        assert_eq!(svc.cache_stats().hits, 2 * 4 + 1);
+        let whatif = svc.whatif_totals();
+        assert_eq!((whatif.requests, whatif.delta_hits), (3, 3));
+        let surrogate = svc.surrogate_totals();
+        assert_eq!((surrogate.requests, surrogate.hits), (3, 2));
+
+        // Lines that are not JSON are answered as `handle_line` answers
+        // them; stats, error and knob-error lines are never stored.
+        assert_eq!(probed(&svc, "{not json"), svc.handle_line("{not json"));
+        for line in [
+            r#"{"kind":"stats"}"#,
+            r#"{"kind":"search","arch":"nope","layer":"4x4x8"}"#,
+            r#"{"kind":"search","arch":"toy","layer":"4x4x8","spatial":[["K",1024]]}"#,
+            r#"{"kind":"whatif","arch":"toy","layer":"4x4x8","set":["mem.NOPE.bw=2x"]}"#,
+        ] {
+            svc.handle_line(line).unwrap();
+            assert_eq!(probed(&svc, line), None, "{line}");
+        }
+        // A repeat longer than the inline bound goes to the pool unprobed.
+        let padded = format!(
+            "{}{}",
+            r#"{"id":1,"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}"#,
+            " ".repeat(INLINE_PROBE_MAX)
+        );
+        assert!(svc.probe_inline(&padded).is_none());
+    }
+
+    #[test]
+    fn a_whatif_whose_base_was_evicted_takes_the_full_path() {
+        // One entry per shard, so distinct searches evict one another.
+        let svc = EvalService::new(ServeOptions {
+            parallelism: Some(1),
+            cache_capacity: 16,
+            include_timing: false,
+            ..ServeOptions::default()
+        });
+        let whatif =
+            r#"{"id":1,"kind":"whatif","arch":"toy","layer":"4x4x8","set":["mem.LB.bw=2x"]}"#;
+        let first = svc.handle_line(whatif).unwrap();
+        assert!(first.contains("\"cached\":false"), "{first}");
+        assert_eq!(probed(&svc, whatif), Some(as_repeat(&first)));
+        for c in 1..=64 {
+            svc.handle_line(&format!(
+                r#"{{"kind":"search","arch":"toy","layer":"4x4x{c}"}}"#
+            ));
+        }
+        assert!(svc.cache_stats().evictions > 0);
+        let lookups = |svc: &EvalService| {
+            let stats = svc.cache_stats();
+            stats.hits + stats.misses
+        };
+        let before = lookups(&svc);
+        assert_eq!(probed(&svc, whatif), None);
+        // The probe counted nothing; the full path recomputes the base.
+        assert_eq!(lookups(&svc), before);
+        assert_eq!(svc.handle_line(whatif), Some(first.clone()));
+        assert_eq!(lookups(&svc), before + 1);
+        assert_eq!(probed(&svc, whatif), Some(as_repeat(&first)));
+        assert_eq!(svc.whatif_totals().full_rebuilds, 2);
     }
 
     #[test]

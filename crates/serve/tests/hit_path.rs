@@ -1,10 +1,10 @@
-//! A cache hit is answered from the entry's stored, printed body instead
-//! of being re-printed, and its fingerprint comes from a per-request memo.
-//! Neither may change a byte: every repeat must equal the first answer but
-//! for `"cached"` (a surrogate's, which reads its fingerprint from the same
-//! memo, but for `"specialized_reused"`), across restarts, evictions, `id` forms and the request
-//! spellings that share a fingerprint, and `/stats` must count lookups as
-//! before.
+//! A repeat is answered from the answer store, keyed by the request minus
+//! its `id` and probed before the request is typed, with its body printed
+//! once on the first hit and spliced after. None of this may change a
+//! byte: every repeat must equal the first answer but for `"cached"` (a
+//! surrogate's but for `"specialized_reused"`), across restarts,
+//! evictions, `id` forms and the request spellings that share a
+//! fingerprint, and `/stats` must count lookups as before.
 
 use serde::Value;
 use std::path::{Path, PathBuf};

@@ -97,8 +97,8 @@ echo "==> JSON codec oracle + slice-by-8 CRC proptests (release)"
 cargo test --release -q -p ulm-serve --test serde_roundtrip
 cargo test --release -q -p ulm-serve --lib store::tests
 
-echo "==> cache hit path (release: stored answers and memoized fingerprints are byte-identical)"
-cargo test --release -q -p ulm-serve --test hit_path
+echo "==> cache hit path (release: answers from the answer store are byte-identical; hits never wait on a slow miss)"
+cargo test --release -q -p ulm-serve --test hit_path --test slow_miss
 
 echo "==> lowered-IR consistency proptests (release: pins, fusion, KV-cache)"
 cargo test --release -q -p ulm --test lowered_consistency
@@ -183,24 +183,37 @@ if (( ${net_hits:-0} < 1 )); then
     exit 1
 fi
 
-echo "==> search cache smoke (repeats are spliced from the stored answer, byte for byte)"
-# One worker, so the stats line runs after all three searches.
-search_line='{"id":1,"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}'
-search_out="$(printf '%s\n%s\n%s\n%s\n' "$search_line" "$search_line" "$search_line" '{"id":2,"kind":"stats"}' |
-    target/release/ulm batch --no-timing --parallelism 1 2>/dev/null)"
-search_first="$(sed -n 1p <<<"$search_out")"
-search_second="$(sed -n 2p <<<"$search_out")"
-search_third="$(sed -n 3p <<<"$search_out")"
-search_hits="$(sed -n 4p <<<"$search_out" | sed -nE 's/.*"cache":\{"hits":([0-9]+).*/\1/p')"
-if [[ "$search_first" != *'"cached":false'* || "$search_second" != "$search_third" ||
-    "$search_second" != "${search_first/\"cached\":false/\"cached\":true}" ]]; then
-    echo "error: a repeated search did not get the first answer's bytes" >&2
-    exit 1
-fi
-if (( ${search_hits:-0} < 2 )); then
-    echo "error: repeated searches were not answered from the cache (hits=${search_hits:-none})" >&2
-    exit 1
-fi
+echo "==> repeat smoke (search, eval, whatif and surrogate repeats are spliced from the stored answer, byte for byte)"
+# Each kind's line three times, then stats; one worker, so stats runs
+# last. A repeat must equal the first answer but for its flag: `cached`,
+# or `specialized_reused` for a surrogate.
+toy_mapping='{"spatial":{"factors":[["K",2],["B",2]]},"stack":{"loops":[{"dim":"C","size":2},{"dim":"C","size":2},{"dim":"C","size":2},{"dim":"B","size":2},{"dim":"K","size":2}]},"allocs":{"values":[{"bounds":[0,5]},{"bounds":[0,5]},{"bounds":[3,5]}]}}'
+repeat_lines=(
+    'search|cached|{"id":1,"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}'
+    "eval|cached|{\"id\":1,\"kind\":\"eval\",\"arch\":\"toy\",\"layer\":\"4x4x8\",\"mapping\":$toy_mapping}"
+    'whatif|cached|{"id":1,"kind":"whatif","arch":"case16","layer":"8x16x64","mapper":{"max_exhaustive":200,"samples":20},"set":["mem.GB.bw=2x"]}'
+    'surrogate|specialized_reused|{"id":1,"kind":"surrogate","arch":"toy","layer":"4x4x8","template":"4x4x16","mapper":{"max_exhaustive":100,"samples":10}}'
+)
+for entry in "${repeat_lines[@]}"; do
+    IFS='|' read -r kind flag line <<<"$entry"
+    repeat_out="$(printf '%s\n%s\n%s\n%s\n' "$line" "$line" "$line" '{"id":2,"kind":"stats"}' |
+        target/release/ulm batch --no-timing --parallelism 1 2>/dev/null)"
+    repeat_first="$(sed -n 1p <<<"$repeat_out")"
+    repeat_second="$(sed -n 2p <<<"$repeat_out")"
+    repeat_third="$(sed -n 3p <<<"$repeat_out")"
+    if [[ "$repeat_first" != *"\"$flag\":false"* || "$repeat_second" != "$repeat_third" ||
+        "$repeat_second" != "${repeat_first/\"$flag\":false/\"$flag\":true}" ]]; then
+        echo "error: a repeated $kind did not get the first answer's bytes" >&2
+        exit 1
+    fi
+    if [[ "$kind" == search ]]; then
+        search_hits="$(sed -n 4p <<<"$repeat_out" | sed -nE 's/.*"cache":\{"hits":([0-9]+).*/\1/p')"
+        if (( ${search_hits:-0} < 2 )); then
+            echo "error: repeated searches were not answered from the cache (hits=${search_hits:-none})" >&2
+            exit 1
+        fi
+    fi
+done
 
 echo "==> surrogate store smoke (three specialization keys stay resident across rounds)"
 # Three keys, sent twice in the same order: every second-round answer must
@@ -226,8 +239,8 @@ echo "==> batch stats reproducibility (two --parallelism 2 runs print the same b
 # Every request kind once (no two lines share a cache or specialization
 # key), a stats line, the memoized kinds again, and a stats line last. A
 # stats line runs alone, after the lines before it, so two runs at two
-# workers must agree byte for byte, stats included.
-toy_mapping='{"spatial":{"factors":[["K",2],["B",2]]},"stack":{"loops":[{"dim":"C","size":2},{"dim":"C","size":2},{"dim":"C","size":2},{"dim":"B","size":2},{"dim":"K","size":2}]},"allocs":{"values":[{"bounds":[0,5]},{"bounds":[0,5]},{"bounds":[3,5]}]}}'
+# workers must agree byte for byte, stats included. (`toy_mapping` is the
+# repeat smoke's.)
 repro_round=(
     '{"id":1,"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}'
     "{\"id\":2,\"kind\":\"eval\",\"arch\":\"toy\",\"layer\":\"4x4x8\",\"mapping\":$toy_mapping}"
