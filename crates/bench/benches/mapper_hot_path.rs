@@ -7,10 +7,13 @@
 //! objectives; then the permutation walk (every ordering through the
 //! batched kernel) against the ordering-class walk `Mapper::search`
 //! runs, on three exhaustive spaces; then one sampled Fig. 8 DSE design
-//! through `search` and `search_fast`, on a cold and a warm space memo.
-//! Searches are timed as medians (with quartiles) over repeats. Writes the numbers, stamped with
-//! the core count, to `BENCH_mapper.json` (path overridable via the
-//! `BENCH_MAPPER_JSON` env var).
+//! through `search` and `search_fast`, on a cold and a warm space memo;
+//! then a whole 1,350-design Fig. 8 regime, one design per
+//! `explore_with_stats` call in a fixed shuffled order. Searches, model
+//! evaluations and designs are timed as medians (with quartiles) over
+//! repeats. Writes the numbers, stamped with the core count, to
+//! `BENCH_mapper.json` (path overridable via the `BENCH_MAPPER_JSON` env
+//! var).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -138,6 +141,9 @@ const SEARCH_REPEATS: usize = 12;
 /// Repeats of each timed one-design row.
 const DESIGN_REPEATS: usize = 41;
 
+/// Repeats of each timed evaluation loop (model, delta, surrogate rows).
+const LOOP_REPEATS: usize = 15;
+
 /// Median and interquartile range of repeated timings, in seconds.
 #[derive(Clone, Copy)]
 struct Spread {
@@ -166,6 +172,21 @@ impl Spread {
     }
 }
 
+/// `LOOP_REPEATS` timed loops of `iters` calls of `f`: the spread of one
+/// loop's wall time, and the last call's result bits.
+fn time_loops(iters: u64, mut f: impl FnMut() -> u64) -> (Spread, u64) {
+    let mut times = Vec::with_capacity(LOOP_REPEATS);
+    let mut bits = 0;
+    for _ in 0..LOOP_REPEATS {
+        let t = Instant::now();
+        for _ in 0..iters {
+            bits = f();
+        }
+        times.push(t.elapsed().as_secs_f64());
+    }
+    (Spread::of(times), bits)
+}
+
 /// One sampled Fig. 8 DSE design priced four ways: `search` against
 /// `search_fast` on a warm space memo, and `search_fast` on a cold
 /// memo against a memo hit.
@@ -181,7 +202,10 @@ struct DesignRows {
 /// Times the first feasible sampled 32x32 design of the default Fig. 8
 /// pool at GB 128 b/cy, under the DSE's default search settings. A cold
 /// space is a thread's first search; the memo hit is the same thread's
-/// second (the timer runs inside the thread, so spawning is not timed).
+/// second, which also folds the sampled space (the timer runs inside the
+/// thread, so spawning is not timed). The warm `search`/`search_fast`
+/// rows repeat one design over a warm fold, so they overstate what a
+/// sweep of distinct designs gains; the `dse_sweep` row prices those.
 fn design_rows() -> DesignRows {
     let layer = Layer::matmul("dse", 256, 256, 64, Precision::int8_out24());
     let opts = ExploreOptions::default().mapper;
@@ -250,6 +274,77 @@ fn design_rows() -> DesignRows {
         search_fast: Spread::of(fast),
         cold_space: Spread::of(cold),
         memo_hit: Spread::of(hit),
+    }
+}
+
+/// Timed passes of the DSE sweep row (after one untimed warm-up pass).
+const SWEEP_PASSES: usize = 5;
+
+/// One Fig. 8 regime priced design by design, as a DSE client (and
+/// perfbench's `dse-fig8`) calls it.
+struct SweepRow {
+    workload: String,
+    designs: usize,
+    /// Per-design wall time over every timed pass.
+    design: Spread,
+    /// Designs per second of the median pass.
+    designs_per_sec: f64,
+    search: SearchStats,
+}
+
+/// Regime (b) of Fig. 8 — the default memory pool on 16x16, 32x32 and
+/// 64x64 arrays at GB 128 b/cy, bandwidth-aware, under the DSE's default
+/// search settings — one design per `explore_with_stats` call, in a
+/// fixed shuffled order. Every pass must price every design identically.
+fn sweep_row() -> SweepRow {
+    let layer = Layer::matmul("dse", 256, 256, 64, Precision::int8_out24());
+    let opts = ExploreOptions::default();
+    let designs = enumerate_designs(&MemoryPool::default(), &[16, 32, 64], 128);
+    // A fixed Fisher-Yates shuffle (xorshift64), so a design's
+    // neighbours are not its memory variants.
+    let mut order: Vec<usize> = (0..designs.len()).collect();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for i in (1..order.len()).rev() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        order.swap(i, (x % (i as u64 + 1)) as usize);
+    }
+    let pass = |times: &mut Vec<f64>| {
+        let mut points = Vec::with_capacity(designs.len());
+        let mut search = SearchStats::default();
+        let t0 = Instant::now();
+        for &i in &order {
+            let t = Instant::now();
+            let (p, stats) = explore_with_stats(std::slice::from_ref(&designs[i]), &layer, &opts);
+            times.push(t.elapsed().as_secs_f64());
+            search.absorb(&stats.search);
+            points.push((i, p));
+        }
+        let secs = t0.elapsed().as_secs_f64();
+        points.sort_by_key(|&(i, _)| i);
+        (points, search, secs)
+    };
+    let (want, search, _) = pass(&mut Vec::new());
+    let (mut times, mut passes) = (Vec::new(), Vec::new());
+    for _ in 0..SWEEP_PASSES {
+        let (points, stats, secs) = pass(&mut times);
+        assert!(
+            points == want && stats == search,
+            "a sweep pass priced differently"
+        );
+        passes.push(secs);
+    }
+    SweepRow {
+        workload: format!(
+            "Fig. 8 regime (b): matmul 256x256x64, default pool on 16/32/64 arrays, GB 128 b/cy, \
+             bw-aware, one design per explore_with_stats call, fixed shuffled order, \
+             {SWEEP_PASSES} passes after a warm-up"
+        ),
+        designs: designs.len(),
+        design: Spread::of(times),
+        designs_per_sec: designs.len() as f64 / median(passes),
+        search,
     }
 }
 
@@ -381,20 +476,21 @@ struct Snapshot {
     batched_score_bits: u64,
     objectives: Vec<ObjectiveRow>,
     design: DesignRows,
+    sweep: SweepRow,
     model_iters: u64,
-    model_eval_secs: f64,
-    model_eval_fast_secs: f64,
+    model_eval_secs: Spread,
+    model_eval_fast_secs: Spread,
     model_bits_identical: bool,
     delta_iters: u64,
-    delta_full_secs: f64,
-    delta_incr_secs: f64,
+    delta_full_secs: Spread,
+    delta_incr_secs: Spread,
     delta_stages_rebuilt: u32,
     delta_stages_skipped: u32,
     delta_bits_identical: bool,
     surrogate_iters: u64,
-    surrogate_secs: f64,
-    surrogate_cold_secs: f64,
-    surrogate_full_secs: f64,
+    surrogate_secs: Spread,
+    surrogate_cold_secs: Spread,
+    surrogate_full_secs: Spread,
     surrogate_bits_identical: bool,
 }
 
@@ -477,21 +573,15 @@ fn measure() -> Snapshot {
     let view = MappedLayer::new(&layer, &arch, &batched.best.mapping).expect("legal best mapping");
     let model = LatencyModel::new();
     let mut scratch = ModelScratch::default();
-    let model_iters: u64 = 2_000;
-    let t3 = Instant::now();
-    let mut slow_bits = 0u64;
-    for _ in 0..model_iters {
-        slow_bits = black_box(model.evaluate(&view)).cc_total.to_bits();
-    }
-    let model_eval_secs = t3.elapsed().as_secs_f64();
-    let t4 = Instant::now();
-    let mut fast_bits = 0u64;
-    for _ in 0..model_iters {
-        fast_bits = black_box(model.evaluate_fast(&view, &mut scratch))
+    let model_iters: u64 = 1_000;
+    let (model_eval_secs, slow_bits) = time_loops(model_iters, || {
+        black_box(model.evaluate(&view)).cc_total.to_bits()
+    });
+    let (model_eval_fast_secs, fast_bits) = time_loops(model_iters, || {
+        black_box(model.evaluate_fast(&view, &mut scratch))
             .cc_total
-            .to_bits();
-    }
-    let model_eval_fast_secs = t4.elapsed().as_secs_f64();
+            .to_bits()
+    });
 
     // Delta evaluation: re-evaluating a one-knob GB-bandwidth neighbor
     // of the design, as `ulm whatif --set mem.GB.bw=2x` does. Full =
@@ -502,27 +592,21 @@ fn measure() -> Snapshot {
         apply_overrides(&arch, &["mem.GB.bw=2x"]).expect("GB bandwidth knob applies");
     let neighbor_view = MappedLayer::new(&layer, &neighbor, &batched.best.mapping)
         .expect("bandwidth does not affect capacity legality");
-    let delta_iters: u64 = 2_000;
-    let t5 = Instant::now();
-    let mut full_bits = 0u64;
-    for _ in 0..delta_iters {
-        full_bits = black_box(model.evaluate_fast(&neighbor_view, &mut scratch))
+    let delta_iters: u64 = 1_000;
+    let (delta_full_secs, full_bits) = time_loops(delta_iters, || {
+        black_box(model.evaluate_fast(&neighbor_view, &mut scratch))
             .cc_total
-            .to_bits();
-    }
-    let delta_full_secs = t5.elapsed().as_secs_f64();
+            .to_bits()
+    });
     // Prime the scratch on the base design, then hit the neighbor with
     // only the bandwidth delta, steady-state.
     model.evaluate_delta_fast(&view, InputDelta::ALL, &mut scratch);
     let mut rebuild = RebuildStats::default();
-    let t6 = Instant::now();
-    let mut incr_bits = 0u64;
-    for _ in 0..delta_iters {
+    let (delta_incr_secs, incr_bits) = time_loops(delta_iters, || {
         let (f, stats) = model.evaluate_delta_fast(black_box(&neighbor_view), delta, &mut scratch);
-        incr_bits = black_box(f).cc_total.to_bits();
         rebuild = stats;
-    }
-    let delta_incr_secs = t6.elapsed().as_secs_f64();
+        black_box(f).cc_total.to_bits()
+    });
 
     // Specialized surrogate: fix the model to the (arch, incumbent
     // shape) pair, then answer the Fig. 8 workload point. The
@@ -539,35 +623,27 @@ fn measure() -> Snapshot {
     let surrogate_stack = batched.best.mapping.stack().clone();
     let mut spec = SpecializedModel::prepare(LatencyModel::new(), &arch, &layer, shape)
         .expect("matmul templates specialize");
-    let surrogate_iters: u64 = 20_000;
-    let t7 = Instant::now();
-    let mut surrogate_bits = 0u64;
-    for _ in 0..surrogate_iters {
-        surrogate_bits = black_box(
+    let surrogate_iters: u64 = 2_000;
+    let (surrogate_secs, surrogate_bits) = time_loops(surrogate_iters, || {
+        black_box(
             spec.query(black_box(64), 96, 640)
                 .expect("the Fig. 8 point is feasible"),
         )
         .cc_total
-        .to_bits();
-    }
-    let surrogate_secs = t7.elapsed().as_secs_f64();
+        .to_bits()
+    });
     // Cold rate: clearing the point memo before each query forces a full
     // evaluation every time.
-    let t7b = Instant::now();
-    let mut surrogate_cold_bits = 0u64;
-    for _ in 0..surrogate_iters {
+    let (surrogate_cold_secs, surrogate_cold_bits) = time_loops(surrogate_iters, || {
         spec.clear_memo();
-        surrogate_cold_bits = black_box(
+        black_box(
             spec.query(black_box(64), 96, 640)
                 .expect("the Fig. 8 point is feasible"),
         )
         .cc_total
-        .to_bits();
-    }
-    let surrogate_cold_secs = t7b.elapsed().as_secs_f64();
-    let t8 = Instant::now();
-    let mut surrogate_full_bits = 0u64;
-    for _ in 0..surrogate_iters {
+        .to_bits()
+    });
+    let (surrogate_full_secs, surrogate_full_bits) = time_loops(surrogate_iters, || {
         let m = Mapping::with_greedy_alloc(
             &arch,
             &layer,
@@ -576,11 +652,10 @@ fn measure() -> Snapshot {
         )
         .expect("incumbent stack stays legal");
         let v = MappedLayer::new(&layer, &arch, &m).expect("legal mapping");
-        surrogate_full_bits = black_box(model.evaluate_fast(&v, &mut scratch))
+        black_box(model.evaluate_fast(&v, &mut scratch))
             .cc_total
-            .to_bits();
-    }
-    let surrogate_full_secs = t8.elapsed().as_secs_f64();
+            .to_bits()
+    });
 
     Snapshot {
         nproc: std::thread::available_parallelism()
@@ -598,6 +673,7 @@ fn measure() -> Snapshot {
         batched_score_bits: batched.best.latency.cc_total.to_bits(),
         objectives,
         design: design_rows(),
+        sweep: sweep_row(),
         model_iters,
         model_eval_secs,
         model_eval_fast_secs,
@@ -680,6 +756,31 @@ fn write_snapshot(s: &Snapshot) {
         d.search.median / d.search_fast.median,
         d.cold_space.median / d.memo_hit.median,
     );
+    let w = &s.sweep;
+    let sweep = format!(
+        "  \"dse_sweep_workload\": \"{}\",\n  \"dse_sweep_designs\": {},\n{}  \
+         \"dse_sweep_designs_per_sec\": {:.1},\n  \"dse_sweep_generated\": {},\n  \
+         \"dse_sweep_evaluated\": {},\n  \"dse_sweep_pruned\": {},\n  \
+         \"dse_sweep_prefix_reuses\": {},\n",
+        w.workload,
+        w.designs,
+        w.design.json("dse_sweep_design"),
+        w.designs_per_sec,
+        w.search.generated,
+        w.search.evaluated,
+        w.search.pruned,
+        w.search.cache_hits,
+    );
+    let loops = [
+        s.model_eval_secs.json("model_eval"),
+        s.model_eval_fast_secs.json("model_eval_fast"),
+        s.delta_full_secs.json("delta_full"),
+        s.delta_incr_secs.json("delta_incremental"),
+        s.surrogate_secs.json("surrogate"),
+        s.surrogate_cold_secs.json("surrogate_cold"),
+        s.surrogate_full_secs.json("surrogate_full_path"),
+    ]
+    .concat();
     let json = format!(
         "{{\n  \"nproc\": {},\n{walks}  \
          \"workload\": \"fig8-dse case_study_chip(128) matmul 64x96x640, spatial K16 B8 C2\",\n  \
@@ -694,6 +795,10 @@ fn write_snapshot(s: &Snapshot) {
          \"pruned\": {},\n  \
          \"prefix_reuses\": {},\n  \
          \"results_bit_identical\": {},\n  \
+         \"loop_repeats\": {LOOP_REPEATS},\n  \
+         \"model_iters\": {},\n  \
+         \"delta_iters\": {},\n  \
+         \"surrogate_iters\": {},\n{loops}  \
          \"model_evaluate_per_sec\": {:.1},\n  \
          \"model_evaluate_fast_per_sec\": {:.1},\n  \
          \"model_fast_speedup\": {:.2},\n  \
@@ -711,7 +816,7 @@ fn write_snapshot(s: &Snapshot) {
          \"surrogate_full_path_points_per_sec\": {:.1},\n  \
          \"surrogate_vs_fast_speedup\": {:.2},\n  \
          \"surrogate_cold_vs_full_speedup\": {:.2},\n  \
-         \"surrogate_bits_identical\": {},\n{design}}}\n",
+         \"surrogate_bits_identical\": {},\n{sweep}{design}}}\n",
         s.nproc,
         s.space,
         s.baseline_secs,
@@ -724,21 +829,24 @@ fn write_snapshot(s: &Snapshot) {
         s.batched_pruned,
         s.batched_cache_hits,
         s.baseline_score_bits == s.batched_score_bits,
-        s.model_iters as f64 / s.model_eval_secs,
-        s.model_iters as f64 / s.model_eval_fast_secs,
-        s.model_eval_secs / s.model_eval_fast_secs,
+        s.model_iters,
+        s.delta_iters,
+        s.surrogate_iters,
+        s.model_iters as f64 / s.model_eval_secs.median,
+        s.model_iters as f64 / s.model_eval_fast_secs.median,
+        s.model_eval_secs.median / s.model_eval_fast_secs.median,
         s.model_bits_identical,
-        s.delta_iters as f64 / s.delta_full_secs,
-        s.delta_iters as f64 / s.delta_incr_secs,
-        s.delta_full_secs / s.delta_incr_secs,
+        s.delta_iters as f64 / s.delta_full_secs.median,
+        s.delta_iters as f64 / s.delta_incr_secs.median,
+        s.delta_full_secs.median / s.delta_incr_secs.median,
         s.delta_stages_rebuilt,
         s.delta_stages_skipped,
         s.delta_bits_identical,
-        s.surrogate_iters as f64 / s.surrogate_secs,
-        s.surrogate_iters as f64 / s.surrogate_cold_secs,
-        s.surrogate_iters as f64 / s.surrogate_full_secs,
-        s.surrogate_full_secs / s.surrogate_secs,
-        s.surrogate_full_secs / s.surrogate_cold_secs,
+        s.surrogate_iters as f64 / s.surrogate_secs.median,
+        s.surrogate_iters as f64 / s.surrogate_cold_secs.median,
+        s.surrogate_iters as f64 / s.surrogate_full_secs.median,
+        s.surrogate_full_secs.median / s.surrogate_secs.median,
+        s.surrogate_full_secs.median / s.surrogate_cold_secs.median,
         s.surrogate_bits_identical,
     );
     let path = json_path();
@@ -762,16 +870,16 @@ fn write_snapshot(s: &Snapshot) {
     }
     println!(
         "[bench] latency model: evaluate {:.0}/s vs evaluate_fast {:.0}/s ({:.1}x)",
-        s.model_iters as f64 / s.model_eval_secs,
-        s.model_iters as f64 / s.model_eval_fast_secs,
-        s.model_eval_secs / s.model_eval_fast_secs,
+        s.model_iters as f64 / s.model_eval_secs.median,
+        s.model_iters as f64 / s.model_eval_fast_secs.median,
+        s.model_eval_secs.median / s.model_eval_fast_secs.median,
     );
     println!(
         "[bench] delta eval (mem.GB.bw=2x neighbor): full {:.0}/s vs incremental {:.0}/s \
          ({:.1}x, {} stages rebuilt / {} skipped, identical: {})",
-        s.delta_iters as f64 / s.delta_full_secs,
-        s.delta_iters as f64 / s.delta_incr_secs,
-        s.delta_full_secs / s.delta_incr_secs,
+        s.delta_iters as f64 / s.delta_full_secs.median,
+        s.delta_iters as f64 / s.delta_incr_secs.median,
+        s.delta_full_secs.median / s.delta_incr_secs.median,
         s.delta_stages_rebuilt,
         s.delta_stages_skipped,
         s.delta_bits_identical,
@@ -779,11 +887,11 @@ fn write_snapshot(s: &Snapshot) {
     println!(
         "[bench] surrogate (Fig. 8 point): specialized {:.0}/s (cold {:.0}/s) vs full path \
          {:.0}/s ({:.1}x, cold {:.1}x, identical: {})",
-        s.surrogate_iters as f64 / s.surrogate_secs,
-        s.surrogate_iters as f64 / s.surrogate_cold_secs,
-        s.surrogate_iters as f64 / s.surrogate_full_secs,
-        s.surrogate_full_secs / s.surrogate_secs,
-        s.surrogate_full_secs / s.surrogate_cold_secs,
+        s.surrogate_iters as f64 / s.surrogate_secs.median,
+        s.surrogate_iters as f64 / s.surrogate_cold_secs.median,
+        s.surrogate_iters as f64 / s.surrogate_full_secs.median,
+        s.surrogate_full_secs.median / s.surrogate_secs.median,
+        s.surrogate_full_secs.median / s.surrogate_cold_secs.median,
         s.surrogate_bits_identical,
     );
     for w in &s.walks {
@@ -809,6 +917,15 @@ fn write_snapshot(s: &Snapshot) {
         d.cold_space.median * 1e6,
         d.memo_hit.median * 1e6,
         d.cold_space.median / d.memo_hit.median,
+    );
+    println!(
+        "[bench] {}: {} designs, {:.1} us per design (q1 {:.1}, q3 {:.1}), {:.0} designs/s",
+        w.workload,
+        w.designs,
+        w.design.median * 1e6,
+        w.design.q1 * 1e6,
+        w.design.q3 * 1e6,
+        w.designs_per_sec,
     );
     println!("[json] {}", path.display());
 }

@@ -35,13 +35,14 @@ pub use space::SearchSpace;
 use factorize::{ordering_count, temporal_factors, Factor};
 use std::error::Error;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 use ulm_arch::Architecture;
 use ulm_energy::{EnergyModel, EnergyReport};
 use ulm_mapping::{LoopStack, MappedLayer, Mapping, SpatialUnroll};
 use ulm_model::{
-    BatchKernel, FastLatency, LaneObjective, LaneOutcome, LatencyModel, LatencyReport,
+    BatchKernel, FastLatency, FoldedSpace, LaneObjective, LaneOutcome, LatencyModel, LatencyReport,
     LoweredLayer, ModelScratch, OrderingClasses,
 };
 use ulm_workload::Layer;
@@ -246,43 +247,46 @@ impl<F: FnMut(&[Factor]) -> bool> enumerate::OrderingWalk for ClassWalk<'_, '_, 
 /// visit order and the counters.
 #[derive(Default)]
 struct Incumbent {
-    best: Option<(f64, Vec<Factor>)>,
+    /// The best score so far and its ordering (valid while `best` is
+    /// `Some`).
+    best: Option<f64>,
+    ordering: Vec<Factor>,
     stats: SearchStats,
 }
 
 impl Incumbent {
-    /// Queues `ordering` in the kernel, draining a full batch first.
-    fn push(&mut self, kernel: &mut BatchKernel<'_>, ordering: &[Factor]) {
+    /// Makes room for one more lane, draining a full batch first.
+    fn claim(&mut self, kernel: &mut BatchKernel<'_>) {
         if kernel.is_full() {
             self.drain(kernel);
         }
         self.stats.generated += 1;
-        kernel.push(ordering);
     }
 
     /// Flushes the kernel's filled lanes. The visit callback threads the
     /// incumbent through every lane, so prune decisions follow the
     /// first-strictly-better walk exactly.
     fn drain(&mut self, kernel: &mut BatchKernel<'_>) {
-        let incumbent = self.best.as_ref().map(|b| b.0);
-        kernel.drain(incumbent, |ordering, outcome| {
+        kernel.drain(self.best, |ordering, outcome| {
             match outcome {
                 LaneOutcome::Illegal => {}
                 LaneOutcome::Pruned => self.stats.pruned += 1,
                 LaneOutcome::Scored(score) => {
                     self.stats.evaluated += 1;
-                    if self.best.as_ref().map(|b| score < b.0).unwrap_or(true) {
-                        self.best = Some((score, ordering.to_vec()));
+                    if self.best.is_none_or(|best| score < best) {
+                        self.best = Some(score);
+                        self.ordering.clear();
+                        self.ordering.extend_from_slice(ordering);
                     }
                 }
             }
-            self.best.as_ref().map(|b| b.0)
+            self.best
         });
     }
 }
 
-/// SoA lanes per kernel batch: a batch's lane arrays stay L1-resident
-/// while amortizing the per-batch overhead.
+/// Lanes per kernel batch: a batch's lane rows stay cache-resident while
+/// amortizing the per-batch overhead.
 const LANES: usize = 64;
 
 /// The mapping-space search driver.
@@ -362,24 +366,46 @@ impl<'a> Mapper<'a> {
         })
     }
 
-    /// A batched kernel over `factors` scoring `obj`: the one engine of
-    /// every ordering search.
-    fn kernel(&self, factors: &[Factor], obj: Objective) -> BatchKernel<'a> {
+    /// What a kernel scoring `obj` computes per lane.
+    fn objective(&self, obj: Objective) -> LaneObjective<'a> {
         let energy = || self.energy_model.lane_energy(self.arch, self.layer);
-        let objective = match obj {
+        match obj {
             Objective::Latency => LaneObjective::Latency,
             Objective::Energy => LaneObjective::Energy(energy()),
             Objective::Edp => LaneObjective::Edp(energy()),
-        };
-        BatchKernel::new(
-            self.arch,
-            self.layer,
-            &self.spatial,
-            self.latency_model,
-            factors,
-            LANES,
-            objective,
-        )
+        }
+    }
+
+    /// A batched kernel over `space` scoring `obj`: the one engine of
+    /// every ordering search. Over `folded`, the space's fold for this
+    /// layer and spatial unrolling, the kernel folds only this
+    /// architecture's capacities and link constants.
+    fn kernel(
+        &self,
+        space: &SearchSpace,
+        folded: Option<&Rc<FoldedSpace>>,
+        obj: Objective,
+    ) -> BatchKernel<'a> {
+        let objective = self.objective(obj);
+        match folded {
+            Some(folded) => BatchKernel::from_folded(
+                self.arch,
+                self.layer,
+                Rc::clone(folded),
+                self.latency_model,
+                LANES,
+                objective,
+            ),
+            None => BatchKernel::new(
+                self.arch,
+                self.layer,
+                &self.spatial,
+                self.latency_model,
+                space.factors(),
+                LANES,
+                objective,
+            ),
+        }
     }
 
     /// Searches the mapping space for the minimum-`obj` mapping:
@@ -430,7 +456,12 @@ impl<'a> Mapper<'a> {
     pub fn search_fast(&self, obj: Objective) -> Result<FastSearch, MapperError> {
         let space = self.space();
         let (space_size, exhaustive) = (space.size(), space.exhaustive());
-        let mut kernel = self.kernel(space.factors(), obj);
+        // A sampled space met before on this thread is folded for this
+        // layer and spatial unrolling: its candidates are pushed by index.
+        let folded = (!exhaustive)
+            .then(|| space::folded(&space, self.arch, self.layer, &self.spatial, LANES))
+            .flatten();
+        let mut kernel = self.kernel(&space, folded.as_ref(), obj);
         let mut out = Incumbent::default();
         if exhaustive {
             // Only the first ordering of each ordering class is pushed: a
@@ -440,7 +471,8 @@ impl<'a> Mapper<'a> {
             let mut walk = ClassWalk {
                 classes: &mut classes,
                 leaf: |ordering: &[Factor]| {
-                    out.push(&mut kernel, ordering);
+                    out.claim(&mut kernel);
+                    kernel.push(ordering);
                     true
                 },
             };
@@ -448,17 +480,22 @@ impl<'a> Mapper<'a> {
         } else {
             // The stationary seeds, then the uniform samples.
             for i in 0..space.candidate_count() {
-                out.push(&mut kernel, space.candidate(i));
+                out.claim(&mut kernel);
+                match folded {
+                    Some(_) => kernel.push_candidate(i),
+                    None => kernel.push(space.candidate(i)),
+                }
             }
         }
         out.drain(&mut kernel);
         let mut stats = out.stats;
         stats.cache_hits = kernel.cache_hits();
-        let Some((score, ordering)) = out.best else {
+        let Some(score) = out.best else {
             return Err(MapperError::NoLegalMapping {
                 tried: covered(exhaustive, space_size, stats.generated),
             });
         };
+        let ordering = out.ordering;
         let latency = kernel.winner_latency().unwrap_or_else(|| {
             let mapping = self
                 .mapping(&ordering)

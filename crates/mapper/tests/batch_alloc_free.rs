@@ -1,9 +1,12 @@
-//! Counting-allocator proof that the batched SoA kernel is
+//! Counting-allocator proof that the batched kernel is
 //! allocation-free in steady state for every objective: after one
 //! warm-up sweep has sized the lane rows, the stall scratch and the
 //! energy scorer's traffic table,
 //! replaying the whole ordering space through `push`/`drain` performs
-//! zero heap allocations.
+//! zero heap allocations. The same holds for a column-fed sampled search
+//! (`push_candidate` over a `FoldedSpace`), and a latency kernel built
+//! over a warm fold allocates nothing from construction to drop: it
+//! refolds the design into the fold's own lane buffers.
 //!
 //! This file is its own test binary (integration test) so the global
 //! allocator swap cannot interfere with other tests, and it contains a
@@ -13,11 +16,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use std::rc::Rc;
 use ulm_arch::presets;
 use ulm_energy::EnergyModel;
-use ulm_mapper::{enumerate, Mapper};
+use ulm_mapper::{enumerate, Mapper, MapperOptions};
 use ulm_mapping::SpatialUnroll;
-use ulm_model::{BatchKernel, LaneObjective, LaneOutcome, LatencyModel};
+use ulm_model::{BatchKernel, FoldedSpace, LaneObjective, LaneOutcome, LatencyModel};
 use ulm_workload::{Layer, Precision};
 
 /// Wraps the system allocator and counts every allocation.
@@ -56,6 +60,16 @@ fn sweep(
     kernel: &mut BatchKernel<'_>,
     orderings: &[Vec<(ulm_workload::Dim, u64)>],
 ) -> (u64, u64, Option<f64>) {
+    sweep_with(kernel, orderings.len(), |k, i| k.push(&orderings[i]))
+}
+
+/// [`sweep`] over `count` lanes that `push` fills, by ordering or by
+/// folded candidate index.
+fn sweep_with(
+    kernel: &mut BatchKernel<'_>,
+    count: usize,
+    mut push: impl FnMut(&mut BatchKernel<'_>, usize),
+) -> (u64, u64, Option<f64>) {
     let mut evaluated = 0u64;
     let mut pruned = 0u64;
     let mut incumbent: Option<f64> = None;
@@ -76,11 +90,11 @@ fn sweep(
         });
         *inc = cur;
     };
-    for ordering in orderings {
+    for i in 0..count {
         if kernel.is_full() {
             drain(kernel, &mut incumbent);
         }
-        kernel.push(ordering);
+        push(kernel, i);
     }
     drain(kernel, &mut incumbent);
     (evaluated, pruned, incumbent)
@@ -141,4 +155,83 @@ fn steady_state_batched_kernel_allocates_nothing() {
             after - before
         );
     }
+    steady_state_folded_kernel_allocates_nothing();
+}
+
+/// Allocations `f` performs.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let out = f();
+    (out, ALLOCATIONS.load(Ordering::SeqCst) - before)
+}
+
+/// The folded half of the test: `push_candidate` sweeps over a
+/// `FoldedSpace`.
+fn steady_state_folded_kernel_allocates_nothing() {
+    let chip = presets::scaled_case_study_chip(16, 128);
+    let layer = Layer::matmul("fold-alloc-probe", 64, 96, 640, Precision::int8_out24());
+    let spatial = SpatialUnroll::new(chip.spatial.clone());
+    let mapper = Mapper::new(&chip.arch, &layer, spatial.clone()).with_options(MapperOptions {
+        max_exhaustive: 100,
+        samples: 60,
+        ..MapperOptions::default()
+    });
+    let space = mapper.space();
+    assert!(!space.exhaustive() && space.candidate_count() > 60);
+    let fold = || {
+        let candidates = (0..space.candidate_count()).map(|i| space.candidate(i));
+        Rc::new(FoldedSpace::fold(
+            &chip.arch,
+            &layer,
+            &spatial,
+            space.factors(),
+            candidates,
+            8,
+        ))
+    };
+    let model = LatencyModel::new();
+    let energy = || EnergyModel::new().lane_energy(&chip.arch, &layer);
+    for name in ["latency", "energy", "edp"] {
+        let objective = match name {
+            "latency" => LaneObjective::Latency,
+            "energy" => LaneObjective::Energy(energy()),
+            _ => LaneObjective::Edp(energy()),
+        };
+        let folded = fold();
+        let count = folded.candidate_count();
+        let mut kernel = BatchKernel::from_folded(&chip.arch, &layer, folded, model, 8, objective);
+        let by_index = |k: &mut BatchKernel<'_>, i: usize| k.push_candidate(i);
+        let warm = sweep_with(&mut kernel, count, by_index);
+        assert!(warm.0 > 0, "{name}: warm-up scored nothing");
+        let (steady, allocs) = allocations_of(|| sweep_with(&mut kernel, count, by_index));
+        assert_eq!(warm, steady, "{name}: sweeps diverged");
+        assert_eq!(
+            allocs, 0,
+            "{name}: steady-state folded sweep over {count} candidates allocated {allocs} times"
+        );
+    }
+
+    // A latency kernel over a warm fold: construction, the sweep and the
+    // drop that returns the lane buffers allocate nothing.
+    let folded = fold();
+    let count = folded.candidate_count();
+    let design = |folded: &Rc<FoldedSpace>| {
+        let mut kernel = BatchKernel::from_folded(
+            &chip.arch,
+            &layer,
+            Rc::clone(folded),
+            model,
+            8,
+            LaneObjective::Latency,
+        );
+        let outcome = sweep_with(&mut kernel, count, |k, i| k.push_candidate(i));
+        (outcome, kernel.cache_hits())
+    };
+    let warm = design(&folded);
+    let (steady, allocs) = allocations_of(|| design(&folded));
+    assert_eq!(warm, steady, "designs diverged");
+    assert_eq!(
+        allocs, 0,
+        "a design over a warm fold allocated {allocs} times"
+    );
 }

@@ -5,14 +5,18 @@
 //! exhaustive and sampled spaces.
 //!
 //! Also pins the search-space memo: searches with equal sampler inputs
-//! share one space, and changing any of them does not.
+//! share one space, and changing any of them does not; and the fold
+//! store: a search that reads a folded sampled space, on the design that
+//! folded it or on one with other capacities or bandwidths, returns what
+//! a fresh thread's unfolded search returns.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use ulm_arch::{presets, Architecture};
-use ulm_mapper::{Mapper, MapperOptions, Objective};
+use ulm_mapper::{FastSearch, Mapper, MapperError, MapperOptions, Objective};
 use ulm_mapping::SpatialUnroll;
-use ulm_workload::{Dim, Layer, LayerShape, Precision};
+use ulm_model::apply_overrides;
+use ulm_workload::{Dim, Layer, LayerShape, Operand, Precision};
 
 const OBJECTIVES: [Objective; 3] = [Objective::Latency, Objective::Energy, Objective::Edp];
 
@@ -229,4 +233,208 @@ fn equal_sampler_inputs_share_one_space() {
     let found = mapper.search_fast(Objective::Latency).unwrap();
     assert_eq!(found.stats.generated, first.candidate_count());
     assert!(Arc::ptr_eq(&first, &mapper.space()));
+}
+
+/// `mapper`'s `obj` search on a thread of its own, so with empty space
+/// and fold stores: the unfolded reference.
+fn fresh(mapper: &Mapper<'_>, obj: Objective) -> Result<FastSearch, MapperError> {
+    std::thread::scope(|s| {
+        s.spawn(|| mapper.search_fast(obj))
+            .join()
+            .expect("search thread")
+    })
+}
+
+/// Equal as a search result: the ordering, the score and latency bits,
+/// and all four counters.
+fn same_search(
+    got: &Result<FastSearch, MapperError>,
+    want: &Result<FastSearch, MapperError>,
+    ctx: &str,
+) -> Result<(), TestCaseError> {
+    match (got, want) {
+        (Ok(got), Ok(want)) => {
+            prop_assert_eq!(&got.ordering, &want.ordering, "{}", ctx);
+            prop_assert_eq!(got.score.to_bits(), want.score.to_bits(), "{}", ctx);
+            let bits = |f: &FastSearch| {
+                [
+                    f.latency.cc_total.to_bits(),
+                    f.latency.utilization.to_bits(),
+                    f.latency.ss_overall.to_bits(),
+                ]
+            };
+            prop_assert_eq!(bits(got), bits(want), "{}", ctx);
+            prop_assert_eq!(got.stats, want.stats, "{}", ctx);
+            prop_assert_eq!(got.space_size, want.space_size, "{}", ctx);
+            prop_assert_eq!(got.exhaustive, want.exhaustive, "{}", ctx);
+        }
+        (got, want) => prop_assert_eq!(got.as_ref().err(), want.as_ref().err(), "{}", ctx),
+    }
+    Ok(())
+}
+
+/// On one thread: a sampled space's first search (which records the
+/// context), its second (which folds it), a third (which reads the fold)
+/// and a search on `variant`, an architecture that differs only in
+/// capacities or port bandwidths (which reads the same fold); each must
+/// equal a fresh thread's search of the same inputs.
+fn check_folds(
+    arch: &Architecture,
+    variant: &Architecture,
+    spatial: &SpatialUnroll,
+    layer: &Layer,
+    opts: MapperOptions,
+) -> Result<(), TestCaseError> {
+    let base = Mapper::new(arch, layer, spatial.clone()).with_options(opts);
+    let other = Mapper::new(variant, layer, spatial.clone()).with_options(opts);
+    for obj in OBJECTIVES {
+        let (want, want_other) = (fresh(&base, obj), fresh(&other, obj));
+        let runs = std::thread::scope(|s| {
+            s.spawn(|| {
+                let first = base.search_fast(obj);
+                let second = base.search_fast(obj);
+                let third = base.search_fast(obj);
+                (first, second, third, other.search_fast(obj))
+            })
+            .join()
+            .expect("search thread")
+        });
+        let ctx = format!("{} on {}, {obj:?}", layer.name(), arch.name());
+        same_search(&runs.0, &want, &format!("{ctx}: first search"))?;
+        same_search(&runs.1, &want, &format!("{ctx}: second search"))?;
+        same_search(&runs.2, &want, &format!("{ctx}: third search"))?;
+        same_search(
+            &runs.3,
+            &want_other,
+            &format!("{ctx}: resized or rebandwidthed"),
+        )?;
+    }
+    Ok(())
+}
+
+/// `chip`'s architecture with memory `mem`'s capacity scaled by `size`
+/// and its port bandwidths by `bw` (each `1x` when unchanged).
+fn variant(chip: &presets::PresetChip, mem: usize, size: &str, bw: &str) -> Architecture {
+    let h = chip.arch.hierarchy();
+    let name = h.memories()[mem % h.memories().len()].name().to_string();
+    let knobs = [
+        format!("mem.{name}.size={size}"),
+        format!("mem.{name}.bw={bw}"),
+    ];
+    apply_overrides(&chip.arch, &knobs)
+        .expect("scaling a memory is a valid knob")
+        .0
+}
+
+/// Sampled options for the fold checks.
+fn sampled(bw_aware: bool) -> MapperOptions {
+    MapperOptions {
+        max_exhaustive: 12,
+        samples: 40,
+        bw_aware,
+        ..MapperOptions::default()
+    }
+}
+
+const SCALES: [&str; 3] = ["0.5x", "1x", "2x"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn folded_matmul_searches_equal_fresh_ones(
+        idx in 0usize..5,
+        b in 1u64..=24,
+        k in 1u64..=24,
+        c in 1u64..=32,
+        mem in 0usize..8,
+        size in 0usize..3,
+        bw in 0usize..3,
+        bw_aware in any::<bool>(),
+    ) {
+        let chip = preset(idx);
+        let layer = Layer::matmul(format!("mm({b},{k},{c})"), b, k, c, Precision::int8_acc24());
+        let other = variant(&chip, mem, SCALES[size], SCALES[bw]);
+        let spatial = SpatialUnroll::new(chip.spatial.clone());
+        check_folds(&chip.arch, &other, &spatial, &layer, sampled(bw_aware))?;
+    }
+
+    #[test]
+    fn folded_conv_searches_equal_fresh_ones(
+        idx in 0usize..5,
+        k in 1u64..=8,
+        c in 1u64..=8,
+        oy in 2u64..=6,
+        f in 1u64..=3,
+        stride in 1u64..=2,
+        mem in 0usize..8,
+        size in 0usize..3,
+        bw in 0usize..3,
+        bw_aware in any::<bool>(),
+    ) {
+        let chip = preset(idx);
+        let layer = Layer::conv2d(
+            format!("conv({k},{c},{oy},{f})/{stride}"),
+            LayerShape::conv(1, k, c, oy, oy, f, f).with_stride(stride, stride),
+            Precision::int8_acc24(),
+        );
+        let other = variant(&chip, mem, SCALES[size], SCALES[bw]);
+        let spatial = SpatialUnroll::new(chip.spatial.clone());
+        check_folds(&chip.arch, &other, &spatial, &layer, sampled(bw_aware))?;
+    }
+}
+
+/// Layers with one factor multiset but different workloads never share a
+/// fold: on one thread, each layer's searches (the second and third read
+/// a fold) equal a fresh thread's, and the strided conv's differ from
+/// the unit-stride one's, so a shared fold would show.
+#[test]
+fn layers_with_one_multiset_never_share_folds() {
+    let chip = presets::scaled_case_study_chip(16, 128);
+    let spatial = SpatialUnroll::new(chip.spatial.clone());
+    let opts = sampled(true);
+    let shape = LayerShape::conv(1, 16, 16, 8, 8, 3, 3);
+    let prec = Precision::int8_acc24();
+    let pairs = [
+        (
+            Layer::conv2d("unit", shape, prec),
+            Layer::conv2d("strided", shape.with_stride(2, 2), prec),
+        ),
+        (
+            Layer::matmul("mm", 32, 64, 64, prec),
+            Layer::matmul("mm", 32, 64, 64, prec).with_kv_cache(Operand::W),
+        ),
+    ];
+    for (a, b) in &pairs {
+        let (ma, mb) = (
+            Mapper::new(&chip.arch, a, spatial.clone()).with_options(opts),
+            Mapper::new(&chip.arch, b, spatial.clone()).with_options(opts),
+        );
+        assert_eq!(ma.factors(), mb.factors(), "one multiset");
+        assert!(!ma.space().exhaustive());
+        let (want_a, want_b) = (
+            fresh(&ma, Objective::Latency),
+            fresh(&mb, Objective::Latency),
+        );
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for round in 0..3 {
+                    for (m, want, name) in [(&ma, &want_a, a.name()), (&mb, &want_b, b.name())] {
+                        let got = m.search_fast(Objective::Latency);
+                        same_search(&got, want, &format!("{name}, search {round}")).unwrap();
+                    }
+                }
+            })
+            .join()
+            .expect("search thread")
+        });
+        if a.name() == "unit" {
+            let (a, b) = (want_a.unwrap(), want_b.unwrap());
+            assert_ne!(
+                (a.score.to_bits(), a.stats),
+                (b.score.to_bits(), b.stats),
+                "the strides must tell the two folds apart"
+            );
+        }
+    }
 }

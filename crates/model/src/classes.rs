@@ -34,6 +34,7 @@
 //! under a first-strictly-better search none of them can win. DESIGN.md
 //! §10.4 has the full argument.
 
+use crate::lower::feed_words;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
@@ -51,7 +52,8 @@ const MAX_PREFIX_STATES: usize = 1 << 18;
 /// not store; prefixes carrying one are never skipped.
 const UNKEYED: u32 = u32::MAX;
 
-/// Per-operand tables of the greedy level allocation.
+/// Per-operand tables of the greedy level allocation that the workload,
+/// the spatial unrolling and the factor multiset fix.
 #[derive(Debug, Clone)]
 pub(crate) struct OpGreedy {
     pub(crate) op: Operand,
@@ -64,31 +66,30 @@ pub(crate) struct OpGreedy {
     /// All factor dims are strictly relevant or irrelevant to this
     /// operand, so resident words grow by pure factor products.
     pub(crate) words_mult: bool,
-    /// Memory levels in the operand's chain.
-    pub(crate) levels: usize,
-    /// Per level < top: greedy capacity budget in *words*
-    /// (`mapper_capacity_bits / sharers / bits`, floored).
-    pub(crate) cap_words: Vec<u64>,
     /// Words resident under the spatial unrolling alone.
     pub(crate) words0: u64,
 }
 
-/// The order-independent tables of one (architecture, layer, spatial,
-/// factor-multiset) search context that the greedy allocation reads.
-/// Built once per search chunk and shared by the batched kernel and the
-/// ordering-class walk.
+/// The order-independent tables of one (layer, spatial, factor-multiset)
+/// search context that no capacity or bandwidth changes: the half of
+/// [`GreedyTables`] a DSE sweep folds once for all its designs.
 #[derive(Debug)]
-pub(crate) struct GreedyTables<'a> {
-    pub(crate) layer: &'a Layer,
+pub(crate) struct WorkloadTables {
     pub(crate) ops: [OpGreedy; 3],
-    /// Spatial fit + coverage verdict (order-independent).
-    pub(crate) const_legal: bool,
+    /// Spatial times temporal extents cover every layer dimension.
+    covered: bool,
+    /// MACs the spatial unrolling occupies.
+    spatial_macs: u64,
     /// Some operand is non-multiplicative (conv inputs), so full prefix
     /// extents must be tracked.
     pub(crate) need_ext: bool,
     pub(crate) spatial_ext: DimSizes,
+    /// Distinct words per cycle the MAC array reads of each operand.
+    pub(crate) feed: [u64; 3],
+    /// `CC_spatial`: the product of the temporal factor sizes.
+    pub(crate) cc_spatial: u64,
     /// Factors per ordering.
-    n: usize,
+    pub(crate) n: usize,
     /// Distinct factors and their mixed-radix strides: the id of a
     /// remaining multiset is `Σ count_i · stride_i`, `full` for all of
     /// them; `None` when the ids do not fit a `u64`.
@@ -97,34 +98,20 @@ pub(crate) struct GreedyTables<'a> {
     full: Option<u64>,
 }
 
-impl<'a> GreedyTables<'a> {
-    pub(crate) fn new(
-        arch: &Architecture,
-        layer: &'a Layer,
-        spatial: &SpatialUnroll,
-        factors: &[(Dim, u64)],
-    ) -> Self {
-        let h = arch.hierarchy();
-        let prec = layer.precision();
-        let macs = arch.mac_array().num_macs();
-        let mut const_legal = spatial.product() <= macs;
-        if const_legal {
-            let mut temporal = DimSizes::new(1, 1, 1, 1, 1, 1, 1);
-            for &(d, s) in factors {
-                temporal.multiply(d, s);
-            }
-            for (dim, required) in layer.shape().dims().iter() {
-                if spatial.extent(dim) * temporal[dim] < required {
-                    const_legal = false;
-                    break;
-                }
-            }
+impl WorkloadTables {
+    pub(crate) fn new(layer: &Layer, spatial: &SpatialUnroll, factors: &[(Dim, u64)]) -> Self {
+        let mut temporal = DimSizes::new(1, 1, 1, 1, 1, 1, 1);
+        for &(d, s) in factors {
+            temporal.multiply(d, s);
         }
+        let covered = layer
+            .shape()
+            .dims()
+            .iter()
+            .all(|(dim, required)| spatial.extent(dim) * temporal[dim] >= required);
         let spatial_ext = spatial.extents();
         let ops = [Operand::W, Operand::I, Operand::O].map(|op| {
             let rel_table = layer.operand_relevance(op);
-            let bits = prec.bits(op);
-            let chain = h.chain(op);
             let mut step = [false; 7];
             let mut rel = [false; 7];
             for d in ALL_DIMS {
@@ -138,20 +125,11 @@ impl<'a> GreedyTables<'a> {
                     Relevance::Relevant | Relevance::Irrelevant
                 )
             });
-            let cap_words = chain[..chain.len().saturating_sub(1)]
-                .iter()
-                .map(|&lower| {
-                    let sharers = h.served_operand_count(lower) as u64;
-                    h.mem(lower).mapper_capacity_bits() / sharers / bits
-                })
-                .collect();
             OpGreedy {
                 op,
                 step,
                 rel,
                 words_mult,
-                levels: chain.len(),
-                cap_words,
                 words0: layer.data_words(op, &spatial_ext),
             }
         });
@@ -176,11 +154,13 @@ impl<'a> GreedyTables<'a> {
             stride = stride.and_then(|s| s.checked_mul(c + 1));
         }
         Self {
-            layer,
             need_ext: ops.iter().any(|g| !g.words_mult),
             ops,
-            const_legal,
+            covered,
+            spatial_macs: spatial.product(),
             spatial_ext,
+            feed: [Operand::W, Operand::I, Operand::O].map(|op| feed_words(layer, spatial, op)),
+            cc_spatial: factors.iter().map(|&(_, s)| s).product(),
             n: factors.len(),
             items,
             strides,
@@ -188,16 +168,98 @@ impl<'a> GreedyTables<'a> {
         }
     }
 
-    /// Words of operand `oi` resident once factor `(d, s)` joins a
-    /// prefix holding `words`; `ext` is the grown prefix's full extents
-    /// (read only for non-multiplicative operands).
+    /// Words of operand `oi` of `layer` resident once factor `(d, s)`
+    /// joins a prefix holding `words`; `ext` is the grown prefix's full
+    /// extents (read only for non-multiplicative operands).
     #[inline]
-    pub(crate) fn grow_words(&self, oi: usize, words: u64, ext: &DimSizes, d: Dim, s: u64) -> u64 {
+    pub(crate) fn grow_words(
+        &self,
+        layer: &Layer,
+        oi: usize,
+        words: u64,
+        ext: &DimSizes,
+        d: Dim,
+        s: u64,
+    ) -> u64 {
         let g = &self.ops[oi];
         if g.words_mult {
             words * if g.step[d.index()] { s } else { 1 }
         } else {
-            self.layer.data_words(g.op, ext)
+            layer.data_words(g.op, ext)
+        }
+    }
+}
+
+/// The design half of the greedy allocation tables: what one
+/// architecture's capacities decide, refolded per design.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Budgets {
+    /// Memory levels in each operand's chain.
+    pub(crate) levels: [usize; 3],
+    /// Per operand and level below its top: the greedy capacity budget
+    /// in *words* (`mapper_capacity_bits / sharers / bits`, floored),
+    /// flat from `cap_off[op]`.
+    cap_words: Vec<u64>,
+    cap_off: [usize; 3],
+    /// Spatial fit + coverage verdict (order-independent).
+    pub(crate) const_legal: bool,
+}
+
+impl Budgets {
+    /// Refolds the budgets for `arch`, reusing this table's storage.
+    pub(crate) fn refold(&mut self, arch: &Architecture, layer: &Layer, work: &WorkloadTables) {
+        let h = arch.hierarchy();
+        let prec = layer.precision();
+        self.const_legal = work.covered && work.spatial_macs <= arch.mac_array().num_macs();
+        self.cap_words.clear();
+        for op in Operand::all() {
+            let (oi, bits, chain) = (op.index(), prec.bits(op), h.chain(op));
+            self.levels[oi] = chain.len();
+            self.cap_off[oi] = self.cap_words.len();
+            for &lower in &chain[..chain.len().saturating_sub(1)] {
+                let sharers = h.served_operand_count(lower) as u64;
+                self.cap_words
+                    .push(h.mem(lower).mapper_capacity_bits() / sharers / bits);
+            }
+        }
+    }
+
+    /// Bytes of the budget table's storage.
+    pub(crate) fn bytes(&self) -> usize {
+        self.cap_words.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// Operand `oi`'s word budget at level `lvl` (below its top).
+    #[inline]
+    pub(crate) fn cap(&self, oi: usize, lvl: usize) -> u64 {
+        self.cap_words[self.cap_off[oi] + lvl]
+    }
+}
+
+/// The order-independent tables of one (architecture, layer, spatial,
+/// factor-multiset) search context that the greedy allocation reads:
+/// the workload half, shared, and the design half.
+#[derive(Debug, Clone)]
+pub(crate) struct GreedyTables<'a> {
+    pub(crate) layer: &'a Layer,
+    pub(crate) work: Arc<WorkloadTables>,
+    pub(crate) budgets: Budgets,
+}
+
+impl<'a> GreedyTables<'a> {
+    pub(crate) fn new(
+        arch: &Architecture,
+        layer: &'a Layer,
+        spatial: &SpatialUnroll,
+        factors: &[(Dim, u64)],
+    ) -> Self {
+        let work = Arc::new(WorkloadTables::new(layer, spatial, factors));
+        let mut budgets = Budgets::default();
+        budgets.refold(arch, layer, &work);
+        Self {
+            layer,
+            work,
+            budgets,
         }
     }
 }
@@ -361,7 +423,7 @@ impl Memo {
 /// the module docs.
 #[derive(Debug)]
 pub struct OrderingClasses<'a> {
-    tables: Arc<GreedyTables<'a>>,
+    tables: GreedyTables<'a>,
     /// Per prefix length along the current path.
     path: Vec<Depth>,
     /// Full prefix extents per prefix length, maintained only for
@@ -380,29 +442,27 @@ impl<'a> OrderingClasses<'a> {
         spatial: &SpatialUnroll,
         factors: &[(Dim, u64)],
     ) -> Self {
-        Self::with_tables(Arc::new(GreedyTables::new(arch, layer, spatial, factors)))
+        Self::with_tables(GreedyTables::new(arch, layer, spatial, factors))
     }
 
-    pub(crate) fn with_tables(tables: Arc<GreedyTables<'a>>) -> Self {
-        let n = tables.n;
+    pub(crate) fn with_tables(tables: GreedyTables<'a>) -> Self {
+        let (w, b) = (&*tables.work, &tables.budgets);
+        let n = w.n;
         let mut path = vec![Depth::default(); n + 1];
         path[0] = Depth {
-            rem: tables.full.unwrap_or(0),
+            rem: w.full.unwrap_or(0),
             cycles: 1,
-            words: [0, 1, 2].map(|oi| tables.ops[oi].words0),
+            words: [0, 1, 2].map(|oi| w.ops[oi].words0),
             rel: [1; 3],
             ops: [OpState {
                 level: 0,
                 list: 0,
                 run: 1,
             }; 3],
-            illegal: !tables.const_legal
-                || tables
-                    .ops
-                    .iter()
-                    .any(|g| g.levels > 1 && g.words0 > g.cap_words[0]),
+            illegal: !b.const_legal
+                || (0..3).any(|oi| b.levels[oi] > 1 && w.ops[oi].words0 > b.cap(oi, 0)),
         };
-        let ext = vec![tables.spatial_ext; if tables.need_ext { n + 1 } else { 1 }];
+        let ext = vec![w.spatial_ext; if w.need_ext { n + 1 } else { 1 }];
         Self {
             path,
             ext,
@@ -434,7 +494,7 @@ impl<'a> OrderingClasses<'a> {
     /// Calls must follow a depth-first walk: `depth` is the length of a
     /// prefix entered earlier along the current path (0 for the root).
     pub fn enter(&mut self, depth: usize, factor: (Dim, u64)) -> bool {
-        let t = &*self.tables;
+        let (t, b) = (&*self.tables.work, &self.tables.budgets);
         let (d, s) = factor;
         let prev = self.path[depth];
         let mut next = prev;
@@ -456,17 +516,17 @@ impl<'a> OrderingClasses<'a> {
             t.spatial_ext
         };
         for oi in 0..3 {
-            next.words[oi] = t.grow_words(oi, prev.words[oi], &ext, d, s);
+            next.words[oi] = t.grow_words(self.tables.layer, oi, prev.words[oi], &ext, d, s);
             next.rel[oi] *= if t.ops[oi].rel[d.index()] { s } else { 1 };
         }
 
         if !next.illegal {
             'ops: for (oi, st) in next.ops.iter_mut().enumerate() {
-                let g = &t.ops[oi];
+                let (g, levels) = (&t.ops[oi], b.levels[oi]);
                 // Close every level the grown prefix overflows, at bound
                 // `depth`, exactly as the kernel's greedy scan stops there.
-                while st.level as usize + 1 < g.levels
-                    && next.words[oi] > g.cap_words[st.level as usize]
+                while st.level as usize + 1 < levels
+                    && next.words[oi] > b.cap(oi, st.level as usize)
                 {
                     st.list = self.memo.intern(
                         st.list,
@@ -479,8 +539,8 @@ impl<'a> OrderingClasses<'a> {
                     );
                     st.level += 1;
                     st.run = 1;
-                    if st.level as usize + 1 < g.levels
-                        && prev.words[oi] > g.cap_words[st.level as usize]
+                    if st.level as usize + 1 < levels
+                        && prev.words[oi] > b.cap(oi, st.level as usize)
                     {
                         next.illegal = true;
                         break 'ops;

@@ -64,7 +64,7 @@ pub mod stall;
 pub mod surrogate;
 pub mod whatif;
 
-pub use batch::{BatchKernel, LaneEnergy, LaneObjective, LaneOutcome};
+pub use batch::{BatchKernel, FoldedSpace, LaneEnergy, LaneObjective, LaneOutcome};
 pub use calibrate::{
     parse_measurements, CalibrateError, Calibration, CalibrationFit, Calibrator, LayerResidual,
     MeasurementRow, ObservedBusy, PortFit,

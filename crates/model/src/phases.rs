@@ -9,8 +9,8 @@
 //!
 //! Each phase is one arithmetic body over the lowered IR's rows, generic
 //! over where its link bandwidths come from (live lookups or the batched
-//! kernel's folded tables). The batched kernel's lockstep loops share
-//! the per-interface term, `block_cycles`.
+//! kernel's folded tables). The batched kernel's per-interface loops over
+//! its lanes share the per-interface term, `block_cycles`.
 
 use crate::dtl::crossing_bits;
 use crate::lower::LoweredLayer;

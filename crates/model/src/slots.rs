@@ -120,10 +120,9 @@ impl ArchSlots for LiveSlots<'_> {
     }
 }
 
-/// [`ArchSlots`] folded into flat per-interface tables once per
-/// batched kernel: every entry is captured through
-/// [`LiveSlots`], so the values are the generic path's values and
-/// queries reduce to indexing.
+/// [`ArchSlots`] folded into flat per-interface tables once per batched
+/// kernel: every entry is captured through [`LiveSlots`], so the values
+/// are the generic path's values and queries reduce to indexing.
 #[derive(Debug, Default)]
 pub(crate) struct FoldedSlots {
     /// `interface(op, level)`, operand-major, one row per chain interface.
@@ -137,25 +136,32 @@ pub(crate) struct FoldedSlots {
 }
 
 impl FoldedSlots {
-    /// Folds every slot of `h` the lowering can touch, reading through
-    /// [`LiveSlots`] so the captured constants are the live values.
-    pub(crate) fn fold(h: &MemoryHierarchy) -> Self {
+    /// Folds every slot of `h` the lowering can touch into this table's
+    /// storage, reading through [`LiveSlots`] so the captured constants
+    /// are the live values. A kernel that prices design after design
+    /// refolds only the constants.
+    pub(crate) fn refold(&mut self, h: &MemoryHierarchy) {
         let live = LiveSlots::new(h);
-        let mut out = Self::default();
+        self.interfaces.clear();
+        self.psums.clear();
         for op in Operand::all() {
-            out.offsets[op.index()] = out.interfaces.len();
+            self.offsets[op.index()] = self.interfaces.len();
             let interfaces = h.chain(op).len().saturating_sub(1);
             for level in 0..interfaces {
-                out.interfaces.push(live.interface(op, level));
+                self.interfaces.push(live.interface(op, level));
             }
-            out.computes[op.index()] = Some(live.compute(op));
+            self.computes[op.index()] = Some(live.compute(op));
         }
-        out.offsets[3] = out.interfaces.len();
+        self.offsets[3] = self.interfaces.len();
         let o_interfaces = h.chain(Operand::O).len().saturating_sub(1);
         for level in 0..o_interfaces {
-            out.psums.push(live.psum(level));
+            self.psums.push(live.psum(level));
         }
-        out
+    }
+
+    /// Bytes of the folded tables' storage.
+    pub(crate) fn bytes(&self) -> usize {
+        (self.interfaces.capacity() + self.psums.capacity()) * std::mem::size_of::<LinkConsts>()
     }
 }
 
@@ -188,7 +194,8 @@ mod tests {
         ] {
             let h = chip.arch.hierarchy();
             let live = LiveSlots::new(h);
-            let folded = FoldedSlots::fold(h);
+            let mut folded = FoldedSlots::default();
+            folded.refold(h);
             for op in Operand::all() {
                 for level in 0..h.chain(op).len().saturating_sub(1) {
                     assert_eq!(folded.interface(op, level), live.interface(op, level));

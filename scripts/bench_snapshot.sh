@@ -5,10 +5,12 @@
 # permutation vs ordering-class walk, one sampled DSE design through
 # `search` and `search_fast`, report-assembling `LatencyModel::evaluate`
 # vs scratch-based `evaluate_fast` throughput, full vs incremental
-# delta-evaluation of a one-knob GB-bandwidth neighbor, and surrogate
-# queries) and leaves the machine-readable numbers, stamped with the core
-# count, in BENCH_mapper.json at the repo root (override the destination
-# with BENCH_MAPPER_JSON).
+# delta-evaluation of a one-knob GB-bandwidth neighbor, surrogate
+# queries, and a whole 1,350-design Fig. 8 regime priced one design per
+# `explore_with_stats` call in a fixed shuffled order) and leaves the
+# machine-readable numbers, stamped with the core count, in
+# BENCH_mapper.json at the repo root (override the destination with
+# BENCH_MAPPER_JSON).
 #
 # Everything runs offline — all dependencies are path crates vendored
 # under vendor/, so no registry access is required.

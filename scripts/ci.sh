@@ -87,6 +87,19 @@ cargo test --release -q -p ulm-mapper --test search_fast
 echo "==> dse oracle (release: evaluate_design equals the report path on every design of a small pool)"
 cargo test --release -q -p ulm-dse --lib explore::tests::evaluate_design_matches_the_report_path
 
+echo "==> dse determinism (release: folded sampled spaces are per thread, so --threads 1 and 3 must print the same front and counters)"
+# Only the wall clock may differ. Then the fold oracle proptests: a search
+# that reads a fold equals a fresh thread's unfolded search.
+mask_wall() { sed -E 's/"wall_ms": ?[0-9.eE+-]+/"wall_ms": 0/'; }
+dse_serial="$(target/release/ulm dse --json --stats --threads 1 | mask_wall)"
+dse_threaded="$(target/release/ulm dse --json --stats --threads 3 | mask_wall)"
+if [[ "$dse_serial" != *'"cache_hits"'* || "$dse_serial" != "$dse_threaded" ]]; then
+    echo "error: ulm dse --threads 1 and --threads 3 printed different fronts or counters" >&2
+    diff <(echo "$dse_serial") <(echo "$dse_threaded") >&2 || true
+    exit 1
+fi
+cargo test --release -q -p ulm-mapper --test search_fast fold
+
 echo "==> batched-search vs evaluate_ordering reference gate (release)"
 cargo test --release -q -p ulm --test batch_equivalence
 
