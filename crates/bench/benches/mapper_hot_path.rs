@@ -488,7 +488,6 @@ struct Snapshot {
     delta_stages_skipped: u32,
     delta_bits_identical: bool,
     surrogate_iters: u64,
-    surrogate_secs: Spread,
     surrogate_cold_secs: Spread,
     surrogate_full_secs: Spread,
     surrogate_bits_identical: bool,
@@ -609,14 +608,11 @@ fn measure() -> Snapshot {
     });
 
     // Specialized surrogate: fix the model to the (arch, incumbent
-    // shape) pair, then answer the Fig. 8 workload point. The
-    // steady-state loop is serve's repeated-request pattern (the first
-    // query evaluates, repeats hit the point memo); the cold loop clears
-    // the memo every iteration to price one evaluation. The baseline is
-    // the full fixed-arch path a sweep client would otherwise run per
-    // point: greedy allocation + validation + `evaluate_fast` on a warm
-    // scratch — the path a cold query runs, so the two cold rates
-    // should agree.
+    // shape) pair, then answer the Fig. 8 workload point; every query
+    // prices it in full. The baseline is the full fixed-arch path a
+    // sweep client would otherwise run per point: greedy allocation +
+    // validation + `evaluate_fast` on a warm scratch — the path a query
+    // runs, so the two rates should agree.
     let shape =
         MappingShape::from_mapping(&batched.best.mapping).expect("matmul incumbents have shapes");
     let surrogate_spatial = shape.spatial().clone();
@@ -624,18 +620,7 @@ fn measure() -> Snapshot {
     let mut spec = SpecializedModel::prepare(LatencyModel::new(), &arch, &layer, shape)
         .expect("matmul templates specialize");
     let surrogate_iters: u64 = 2_000;
-    let (surrogate_secs, surrogate_bits) = time_loops(surrogate_iters, || {
-        black_box(
-            spec.query(black_box(64), 96, 640)
-                .expect("the Fig. 8 point is feasible"),
-        )
-        .cc_total
-        .to_bits()
-    });
-    // Cold rate: clearing the point memo before each query forces a full
-    // evaluation every time.
     let (surrogate_cold_secs, surrogate_cold_bits) = time_loops(surrogate_iters, || {
-        spec.clear_memo();
         black_box(
             spec.query(black_box(64), 96, 640)
                 .expect("the Fig. 8 point is feasible"),
@@ -685,11 +670,9 @@ fn measure() -> Snapshot {
         delta_stages_skipped: rebuild.stages_skipped,
         delta_bits_identical: full_bits == incr_bits,
         surrogate_iters,
-        surrogate_secs,
         surrogate_cold_secs,
         surrogate_full_secs,
-        surrogate_bits_identical: surrogate_bits == surrogate_full_bits
-            && surrogate_cold_bits == surrogate_full_bits,
+        surrogate_bits_identical: surrogate_cold_bits == surrogate_full_bits,
     }
 }
 
@@ -776,7 +759,6 @@ fn write_snapshot(s: &Snapshot) {
         s.model_eval_fast_secs.json("model_eval_fast"),
         s.delta_full_secs.json("delta_full"),
         s.delta_incr_secs.json("delta_incremental"),
-        s.surrogate_secs.json("surrogate"),
         s.surrogate_cold_secs.json("surrogate_cold"),
         s.surrogate_full_secs.json("surrogate_full_path"),
     ]
@@ -811,10 +793,8 @@ fn write_snapshot(s: &Snapshot) {
          \"delta_stages_skipped\": {},\n  \
          \"delta_bits_identical\": {},\n  \
          \"surrogate_workload\": \"Fig. 8 point 64x96x640 on the (case-study arch, incumbent shape) specialization\",\n  \
-         \"surrogate_points_per_sec\": {:.1},\n  \
          \"surrogate_cold_points_per_sec\": {:.1},\n  \
          \"surrogate_full_path_points_per_sec\": {:.1},\n  \
-         \"surrogate_vs_fast_speedup\": {:.2},\n  \
          \"surrogate_cold_vs_full_speedup\": {:.2},\n  \
          \"surrogate_bits_identical\": {},\n{sweep}{design}}}\n",
         s.nproc,
@@ -842,10 +822,8 @@ fn write_snapshot(s: &Snapshot) {
         s.delta_stages_rebuilt,
         s.delta_stages_skipped,
         s.delta_bits_identical,
-        s.surrogate_iters as f64 / s.surrogate_secs.median,
         s.surrogate_iters as f64 / s.surrogate_cold_secs.median,
         s.surrogate_iters as f64 / s.surrogate_full_secs.median,
-        s.surrogate_full_secs.median / s.surrogate_secs.median,
         s.surrogate_full_secs.median / s.surrogate_cold_secs.median,
         s.surrogate_bits_identical,
     );
@@ -885,12 +863,10 @@ fn write_snapshot(s: &Snapshot) {
         s.delta_bits_identical,
     );
     println!(
-        "[bench] surrogate (Fig. 8 point): specialized {:.0}/s (cold {:.0}/s) vs full path \
-         {:.0}/s ({:.1}x, cold {:.1}x, identical: {})",
-        s.surrogate_iters as f64 / s.surrogate_secs.median,
+        "[bench] surrogate (Fig. 8 point): specialized {:.0}/s vs full path {:.0}/s \
+         ({:.1}x, identical: {})",
         s.surrogate_iters as f64 / s.surrogate_cold_secs.median,
         s.surrogate_iters as f64 / s.surrogate_full_secs.median,
-        s.surrogate_full_secs.median / s.surrogate_secs.median,
         s.surrogate_full_secs.median / s.surrogate_cold_secs.median,
         s.surrogate_bits_identical,
     );

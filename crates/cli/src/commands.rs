@@ -491,11 +491,10 @@ pub fn surrogate(args: &Args) -> Result<(), UlmError> {
     let shape = MappingShape::from_mapping(&mapping)?;
     let mut spec = SpecializedModel::prepare(latency_model(args)?, &arch, &template, shape)?;
 
-    let (tb, tk, tc) = args.layer_dims((64, 96, 640))?;
+    let (_, tk, tc) = args.layer_dims((64, 96, 640))?;
     let bs = args.u64_list_or("b-list", &[16, 32, 64, 128, 256])?;
     let ks = args.u64_list_or("k-list", &[tk])?;
     let cs = args.u64_list_or("c-list", &[tc])?;
-    let _ = tb;
     let verify = args.flag("verify");
 
     let mut rows = Vec::new();

@@ -159,8 +159,15 @@ impl UlmError {
             UlmError::Fuse(e) => fuse_code(e),
             UlmError::Mapper(e) => match e {
                 MapperError::NoLegalMapping { .. } => "mapper/no-legal-mapping",
+                MapperError::TooManySamples { .. } => "mapper/too-many-samples",
             },
             UlmError::Network(e) => match e {
+                // An over-limit sample count is the request's fault, not
+                // the layer's, on every path it reaches the mapper by.
+                NetworkError::LayerUnmappable {
+                    source: MapperError::TooManySamples { .. },
+                    ..
+                } => "mapper/too-many-samples",
                 NetworkError::LayerUnmappable { .. } => "network/layer-unmappable",
                 // Fusion rejections carry the fuse/* code no matter which
                 // boundary they crossed to get here.
@@ -398,6 +405,18 @@ mod tests {
                 }
                 .into(),
                 "network/layer-unmappable",
+            ),
+            (
+                MapperError::TooManySamples { samples: 1 << 40 }.into(),
+                "mapper/too-many-samples",
+            ),
+            (
+                NetworkError::LayerUnmappable {
+                    layer: "l0".into(),
+                    source: MapperError::TooManySamples { samples: 1 << 40 },
+                }
+                .into(),
+                "mapper/too-many-samples",
             ),
             (WindowError::BadPeriod(0.0).into(), "window/bad-period"),
             (

@@ -187,6 +187,11 @@ pub struct FastSearch {
     pub exhaustive: bool,
 }
 
+/// Largest [`MapperOptions::samples`] a search accepts. A sampled space
+/// holds every candidate ordering at once, so an unbounded count would
+/// abort the process on allocation failure instead of failing the search.
+pub const MAX_SAMPLES: usize = 1 << 19;
+
 /// Errors from mapping search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MapperError {
@@ -195,6 +200,11 @@ pub enum MapperError {
         /// Orderings tried.
         tried: usize,
     },
+    /// [`MapperOptions::samples`] exceeds [`MAX_SAMPLES`].
+    TooManySamples {
+        /// The requested sample count.
+        samples: usize,
+    },
 }
 
 impl fmt::Display for MapperError {
@@ -202,6 +212,9 @@ impl fmt::Display for MapperError {
         match self {
             MapperError::NoLegalMapping { tried } => {
                 write!(f, "no legal mapping found among {tried} orderings")
+            }
+            MapperError::TooManySamples { samples } => {
+                write!(f, "{samples} samples exceed the limit of {MAX_SAMPLES}")
             }
         }
     }
@@ -425,8 +438,9 @@ impl<'a> Mapper<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`MapperError::NoLegalMapping`] if nothing legal was
-    /// found.
+    /// Returns [`MapperError::TooManySamples`] if `samples` exceeds
+    /// [`MAX_SAMPLES`], [`MapperError::NoLegalMapping`] if nothing legal
+    /// was found.
     pub fn search(&self, obj: Objective) -> Result<SearchResult, MapperError> {
         let t0 = Instant::now();
         let found = self.search_fast(obj)?;
@@ -451,9 +465,14 @@ impl<'a> Mapper<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`MapperError::NoLegalMapping`] if nothing legal was
-    /// found.
+    /// Returns [`MapperError::TooManySamples`] if `samples` exceeds
+    /// [`MAX_SAMPLES`], [`MapperError::NoLegalMapping`] if nothing legal
+    /// was found.
     pub fn search_fast(&self, obj: Objective) -> Result<FastSearch, MapperError> {
+        let samples = self.opts.samples;
+        if samples > MAX_SAMPLES {
+            return Err(MapperError::TooManySamples { samples });
+        }
         let space = self.space();
         let (space_size, exhaustive) = (space.size(), space.exhaustive());
         // A sampled space met before on this thread is folded for this

@@ -8,14 +8,13 @@
 //! ([`Mapping::with_greedy_alloc`]), validate ([`MappedLayer::new`]) and
 //! price the result with
 //! [`evaluate_fast`](crate::LatencyModel::evaluate_fast) into the
-//! specialization's own scratch. Every answered point is remembered, so
-//! a repeated point costs one hash lookup — the steady state of serve's
-//! repeated `surrogate` requests and of a DSE sweep revisiting dims.
+//! specialization's own scratch. A repeated request is answered by the
+//! caller's own store (serve keeps each answer's bytes), so the model
+//! remembers no points.
 //!
 //! A query is the generic pipeline, so it is **bit-identical to
 //! [`query_oracle`](SpecializedModel::query_oracle) by construction**:
-//! the oracle runs the same evaluation into a cold scratch and bypasses
-//! the point memo.
+//! the oracle runs the same evaluation into a cold scratch.
 
 use crate::{FastLatency, LatencyModel, ModelScratch};
 use std::fmt;
@@ -178,10 +177,6 @@ impl fmt::Display for MappingShape {
 pub struct SurrogateStats {
     /// Successful queries answered.
     pub queries: u64,
-    /// Queries answered straight from the point memo: the exact
-    /// `(B, K, C)` was already priced by this model, so the cached
-    /// [`FastLatency`] is returned without evaluating anything.
-    pub memo_hits: u64,
 }
 
 /// A latency model fixed to one `(architecture, mapping shape)` pair.
@@ -189,8 +184,8 @@ pub struct SurrogateStats {
 /// Built once with [`prepare`](Self::prepare); answers workload-dim
 /// queries with [`query`](Self::query). Holds its own clone of the
 /// architecture (pass a calibrated one to specialize the calibrated
-/// model — see [`crate::calibrate`]), the scratch its evaluations reuse
-/// and the memo of answered points.
+/// model — see [`crate::calibrate`]) and the scratch its evaluations
+/// reuse.
 #[derive(Debug)]
 pub struct SpecializedModel {
     model: LatencyModel,
@@ -200,20 +195,7 @@ pub struct SpecializedModel {
     template: Layer,
     scratch: ModelScratch,
     stats: SurrogateStats,
-    /// Answered points: `(B, K, C)` → the exact [`FastLatency`] the
-    /// evaluation produced. The model is deterministic per instance
-    /// (arch, shape, template and options are all fixed), so a repeated
-    /// point returns the cached value bit-for-bit — this is the
-    /// steady-state fast path for serve's repeated `surrogate` requests,
-    /// which are never result-cached at the transport layer. Bounded by
-    /// `MEMO_CAP`; beyond that, queries are still answered, just not
-    /// remembered.
-    memo: std::collections::HashMap<(u64, u64, u64), FastLatency>,
 }
-
-/// Upper bound on remembered points per [`SpecializedModel`] (~a few
-/// hundred KiB at most; a full DSE b/k/c sweep fits comfortably).
-const MEMO_CAP: usize = 1 << 14;
 
 impl SpecializedModel {
     /// Fixes `model` to `(arch, shape)`. `template` supplies the
@@ -237,7 +219,6 @@ impl SpecializedModel {
             template: template.clone(),
             scratch: ModelScratch::default(),
             stats: SurrogateStats::default(),
-            memo: std::collections::HashMap::new(),
         })
     }
 
@@ -256,37 +237,20 @@ impl SpecializedModel {
         self.stats
     }
 
-    /// Drops every remembered point (the counters keep their values).
-    /// Subsequent queries evaluate again, once per distinct point —
-    /// useful to bound a long-lived model's footprint, or to benchmark
-    /// the evaluation itself.
-    pub fn clear_memo(&mut self) {
-        self.memo.clear();
-    }
-
-    /// Answers one workload point: from the point memo when this model
-    /// has already priced it, else through the generic evaluation into
+    /// Answers one workload point through the generic evaluation into
     /// the model's own scratch. Bit-identical to
-    /// [`query_oracle`](Self::query_oracle) on the same point either way.
+    /// [`query_oracle`](Self::query_oracle) on the same point.
     pub fn query(&mut self, b: u64, k: u64, c: u64) -> Result<FastLatency, SurrogateError> {
-        if let Some(&hit) = self.memo.get(&(b, k, c)) {
-            self.stats.queries += 1;
-            self.stats.memo_hits += 1;
-            return Ok(hit);
-        }
         let mut scratch = std::mem::take(&mut self.scratch);
         let out = self.evaluate((b, k, c), &mut scratch);
         self.scratch = scratch;
         let out = out?;
         self.stats.queries += 1;
-        if self.memo.len() < MEMO_CAP {
-            self.memo.insert((b, k, c), out);
-        }
         Ok(out)
     }
 
     /// The test reference: the same evaluation as [`query`](Self::query)
-    /// into a cold scratch, bypassing the point memo.
+    /// into a cold scratch.
     pub fn query_oracle(&self, b: u64, k: u64, c: u64) -> Result<FastLatency, SurrogateError> {
         self.evaluate((b, k, c), &mut ModelScratch::default())
     }
@@ -363,27 +327,19 @@ mod tests {
             let oracle = s.query_oracle(b, k, c).unwrap();
             assert_same(fast, oracle);
         }
-        let st = s.stats();
-        assert_eq!(st.queries, 7);
-        assert_eq!(st.memo_hits, 0, "all seven points are distinct");
+        assert_eq!(s.stats().queries, 7);
     }
 
     #[test]
-    fn repeated_points_are_answered_from_the_memo() {
+    fn repeated_points_match_the_oracle() {
+        // Each query reuses the scratch the one before it left behind.
         let mut s = fig8_specialized();
         let first = s.query(64, 96, 640).unwrap();
-        let again = s.query(64, 96, 640).unwrap();
-        let thrice = s.query(64, 96, 640).unwrap();
-        assert_same(first, again);
-        assert_same(first, thrice);
-        // A different point misses, then its repeat hits too.
         let other = s.query(16, 96, 640).unwrap();
+        assert_same(first, s.query(64, 96, 640).unwrap());
         assert_same(other, s.query(16, 96, 640).unwrap());
-        let st = s.stats();
-        assert_eq!(st.queries, 5);
-        assert_eq!(st.memo_hits, 3);
-        // The memoized answer is still the oracle's answer.
         assert_same(first, s.query_oracle(64, 96, 640).unwrap());
+        assert_eq!(s.stats().queries, 4);
     }
 
     #[test]

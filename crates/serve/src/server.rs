@@ -1,6 +1,6 @@
 //! The NDJSON request/response protocol and the evaluation service.
 //!
-//! One JSON object per line in, one JSON object per line out. Four request
+//! One JSON object per line in, one JSON object per line out. Six request
 //! kinds:
 //!
 //! * `eval` — evaluate one explicit temporal mapping:
@@ -20,20 +20,17 @@
 //!   `{"kind":"net","id":4,"arch":"toy","net":"attention-decode","fuse":[{"layers":["logit","attend"],"pin":"LB"}]}`.
 //!   The `fuse` field enters the fingerprint, so the same network with and
 //!   without fusion are distinct cache identities. Network runs share the
-//!   eval/search path — result cache, single-flight and durable log — but
-//!   their answers carry no `cached` marker; hits show in `/stats`.
+//!   eval/search path: result cache, single-flight and durable log.
 //! * `surrogate` — answer a fixed-architecture workload-dimension query
 //!   from a cached arch-specialized [`SpecializedModel`]:
 //!   `{"kind":"surrogate","id":5,"arch":"case16","layer":"128x96x640","template":"64x96x640"}`.
 //!   The service keeps a bounded store of specializations keyed by
 //!   `(arch, spatial, model, mapper, template, calibration)`; a request
 //!   whose key is resident skips the template search and prices only its
-//!   own workload dims under the stored mapping shape, from the
-//!   specialization's point memo when it has seen them before. When the
-//!   service was opened with a calibration
-//!   for the request's architecture, its fitted constants are applied
-//!   to each specialization it builds and the calibration id enters the
-//!   fingerprint.
+//!   own workload dims under the stored mapping shape. When the service
+//!   was opened with a calibration for the request's architecture, its
+//!   fitted constants are applied to each specialization it builds and
+//!   the calibration id enters the fingerprint.
 //! * `stats` — report cache hit rate, queue depth, request-latency
 //!   percentiles and the count of handler panics: `{"kind":"stats"}` (also
 //!   accepted as `"/stats"`). Without timing, the latencies and the pool
@@ -43,14 +40,17 @@
 //!
 //! Responses echo the request's `id` and carry `"ok":true` with a result, or
 //! `"ok":false` with an `"error"` string. A malformed line yields an error
-//! *response*, never a dropped connection.
+//! *response*, never a dropped connection. Apart from `id` and
+//! `elapsed_ms`, an answer is a function of its request alone: whether it
+//! was computed or reused shows only in `/stats`.
 //!
 //! [`EvalService`] is the engine behind both transports: it runs
 //! requests on a bounded [`WorkerPool`] and memoizes eval/search/net
 //! results, surrogate specializations and the answers to requests, each
 //! in a fingerprint-keyed [`ResultCache`]. The answer store is keyed by
 //! the request minus its `id` and probed before the request is typed, so
-//! a repeat of any kind costs one probe, one lookup and a byte splice.
+//! a repeat of any kind costs one probe, at most one lookup and a byte
+//! splice.
 //! [`run_batch`] drives it from any `BufRead`/`Write` pair (the
 //! `ulm batch` subcommand wires stdin/stdout); [`run_reactor`] serves
 //! `std::net::TcpListener` connections on the epoll event loop
@@ -188,21 +188,25 @@ impl Outcome {
         matches!(self, Outcome::Net(_))
     }
 
-    /// The answer fields that follow `cached` (eval/search) or
-    /// `fingerprint` (net), printed.
-    fn print_body(&self) -> Arc<str> {
+    /// The answer to a request whose result this is, under fingerprint
+    /// `fp`, printed.
+    fn print(&self, fp: Fingerprint) -> Arc<str> {
         match self {
-            Outcome::Layer(o) => print_fields(&Value::Object(vec![
-                (
-                    "mapping_text".to_string(),
-                    Value::String(o.mapping.to_string()),
-                ),
-                ("mapping".to_string(), o.mapping.to_value()),
-                ("latency".to_string(), o.latency.to_value()),
-                ("energy".to_string(), o.energy.to_value()),
-                ("search".to_string(), o.search.to_value()),
-            ])),
-            Outcome::Net(o) => print_fields(&o.to_value()),
+            Outcome::Layer(o) => {
+                let kind = if o.search.is_some() { "search" } else { "eval" };
+                let fields = Value::Object(vec![
+                    (
+                        "mapping_text".to_string(),
+                        Value::String(o.mapping.to_string()),
+                    ),
+                    ("mapping".to_string(), o.mapping.to_value()),
+                    ("latency".to_string(), o.latency.to_value()),
+                    ("energy".to_string(), o.energy.to_value()),
+                    ("search".to_string(), o.search.to_value()),
+                ]);
+                print_answer(kind, fp, &fields)
+            }
+            Outcome::Net(o) => print_answer("net", fp, &o.to_value()),
         }
     }
 
@@ -235,69 +239,47 @@ impl Outcome {
 /// hit clones a pointer, never the outcome.
 struct Cached {
     outcome: Outcome,
-    body: Body,
+    /// The entry's printed answer, filled on its first hit and shared by
+    /// every later one. An entry that is never hit (in an all-distinct
+    /// stream, or replayed from the log and not asked for) keeps no
+    /// printed copy.
+    answer: OnceLock<Arc<str>>,
 }
 
 impl Cached {
     fn new(outcome: Outcome) -> Self {
         Cached {
             outcome,
-            body: Body::default(),
+            answer: OnceLock::new(),
         }
     }
 
-    /// The answer to a request with fingerprint `fp`; `hit` says whether
-    /// the entry came from the cache.
-    fn answer(&self, fp: Fingerprint, hit: bool) -> Answer {
-        let head = match &self.outcome {
-            Outcome::Layer(o) => {
-                let kind = if o.search.is_some() { "search" } else { "eval" };
-                format!(r#""kind":"{kind}","fingerprint":"{fp}","cached":{hit},"#)
-            }
-            // Net answers have never carried a `cached` marker; their cache
-            // hits show in `/stats` only, so repeats stay byte-identical.
-            Outcome::Net(_) => format!(r#""kind":"net","fingerprint":"{fp}","#),
-        };
-        Answer {
-            head,
-            body: self.body.get(hit, || self.outcome.print_body()),
-        }
-    }
-}
-
-/// An entry's printed answer body, filled on the entry's first hit and
-/// spliced into every later answer. An entry that is never hit — in an
-/// all-distinct stream, or replayed from the log and not asked for —
-/// keeps no printed copy.
-#[derive(Default)]
-struct Body(OnceLock<Arc<str>>);
-
-impl Body {
-    /// The body of an answer: on a hit, the copy printed on the entry's
-    /// first hit; otherwise printed afresh and not kept.
-    fn get(&self, hit: bool, print: impl FnOnce() -> Arc<str>) -> Arc<str> {
+    /// The answer to a request with fingerprint `fp`. On a `hit` it is the
+    /// copy printed on the entry's first hit; otherwise it is printed
+    /// afresh and not kept.
+    fn answer(&self, fp: Fingerprint, hit: bool) -> Arc<str> {
         if hit {
-            Arc::clone(self.0.get_or_init(print))
+            Arc::clone(self.answer.get_or_init(|| self.outcome.print(fp)))
         } else {
-            print()
+            self.outcome.print(fp)
         }
     }
 }
 
 /// What the answer store holds for one request (minus its `id`): enough
-/// to answer a repeat from one lookup in the store behind it, without
-/// typing the request again.
+/// to answer a repeat without typing the request again.
 #[derive(Clone)]
 enum Stored {
     /// An eval, search or net request: the fingerprint of its result-cache
-    /// entry, which holds the body; `net` names the outcome kind that fits.
-    Job {
-        fp: Fingerprint,
-        net: bool,
-    },
-    Whatif(Arc<WhatifAnswer>),
-    Surrogate(Arc<SurrogateAnswer>),
+    /// entry, which holds the answer; `net` names the outcome kind that
+    /// fits.
+    Job { fp: Fingerprint, net: bool },
+    /// A whatif or surrogate request: its answer's bytes minus `id`.
+    Answer(Arc<str>),
 }
+
+/// The start of every stored `whatif` answer.
+const WHATIF_HEAD: &str = r#""kind":"whatif","#;
 
 /// One design's half of a `whatif` answer.
 #[derive(Clone, Copy, serde::Serialize)]
@@ -319,168 +301,30 @@ impl Summary {
     }
 }
 
-/// A `whatif` answer's scalars; the mapping it prints is the base
-/// entry's, and the `set` the request's own.
-struct WhatifAnswer {
-    /// The base query's result fingerprint, the answer's `fingerprint`.
-    base_fp: Fingerprint,
-    base: Summary,
-    modified: Summary,
-    rebuild: ulm_model::RebuildStats,
-    body: Body,
-}
-
-impl WhatifAnswer {
-    /// The answer to a request whose `set` is `set`, over the base
-    /// entry's `mapping`; `cached` says whether the base came from the
-    /// result cache, `hit` whether this answer came from the answer store.
-    fn answer(&self, set: &Value, mapping: &Mapping, cached: bool, hit: bool) -> Answer {
-        let fp = self.base_fp;
-        let print = || {
-            let (base, modified) = (self.base, self.modified);
-            print_fields(&Value::Object(vec![
-                ("set".to_string(), set.clone()),
-                (
-                    "mapping_text".to_string(),
-                    Value::String(mapping.to_string()),
-                ),
-                ("mapping".to_string(), mapping.to_value()),
-                ("base".to_string(), base.to_value()),
-                ("modified".to_string(), modified.to_value()),
-                (
-                    "delta".to_string(),
-                    Value::Object(vec![
-                        (
-                            "cc_total".to_string(),
-                            Value::F64(modified.cc_total - base.cc_total),
-                        ),
-                        (
-                            "energy_fj".to_string(),
-                            Value::F64(modified.energy_fj - base.energy_fj),
-                        ),
-                        (
-                            "speedup".to_string(),
-                            Value::F64(base.cc_total / modified.cc_total),
-                        ),
-                    ]),
-                ),
-                (
-                    "rebuild".to_string(),
-                    Value::Object(vec![
-                        (
-                            "stages_rebuilt".to_string(),
-                            Value::U64(u64::from(self.rebuild.stages_rebuilt)),
-                        ),
-                        (
-                            "stages_skipped".to_string(),
-                            Value::U64(u64::from(self.rebuild.stages_skipped)),
-                        ),
-                    ]),
-                ),
-            ]))
-        };
-        Answer {
-            head: format!(r#""kind":"whatif","fingerprint":"{fp}","cached":{cached},"#),
-            body: self.body.get(hit, print),
-        }
-    }
-}
-
-/// A `surrogate` answer's scalars; the shape it prints is its
-/// specialization's.
-struct SurrogateAnswer {
-    /// The answer's `fingerprint`.
-    fp: Fingerprint,
-    /// The specialization's key in the service's store.
-    spec_key: Fingerprint,
-    dims: (u64, u64, u64),
-    latency: ulm_model::FastLatency,
-    /// Whether the service's calibration was applied to the
-    /// specialization (the answer then prints its id).
-    calibrated: bool,
-    body: Body,
-}
-
-impl SurrogateAnswer {
-    /// The answer: `reused` says whether the specialization came from the
-    /// store, `hit` whether this answer came from the answer store, and
-    /// `shape` prints the specialization's shape when the body is printed.
-    /// `calibration_id` is the service's.
-    fn answer(
-        &self,
-        reused: bool,
-        hit: bool,
-        shape: impl FnOnce() -> String,
-        calibration_id: Option<&str>,
-    ) -> Answer {
-        let print = || {
-            let (b, k, c) = self.dims;
-            let fast = &self.latency;
-            let mut fields = vec![
-                ("shape".to_string(), Value::String(shape())),
-                ("layer".to_string(), Value::String(format!("{b}x{k}x{c}"))),
-                (
-                    "latency".to_string(),
-                    Value::Object(vec![
-                        ("cc_total".to_string(), Value::F64(fast.cc_total)),
-                        ("cc_ideal".to_string(), Value::F64(fast.cc_ideal)),
-                        ("cc_spatial".to_string(), Value::U64(fast.cc_spatial)),
-                        ("ss_overall".to_string(), Value::F64(fast.ss_overall)),
-                        ("preload".to_string(), Value::U64(fast.preload)),
-                        ("offload".to_string(), Value::U64(fast.offload)),
-                        ("utilization".to_string(), Value::F64(fast.utilization)),
-                    ]),
-                ),
-            ];
-            if let Some(id) = calibration_id.filter(|_| self.calibrated) {
-                fields.push(("calibration_id".to_string(), Value::String(id.to_string())));
-            }
-            print_fields(&Value::Object(fields))
-        };
-        let fp = self.fp;
-        Answer {
-            head: format!(
-                r#""kind":"surrogate","fingerprint":"{fp}","specialized_reused":{reused},"#
-            ),
-            body: self.body.get(hit, print),
-        }
-    }
-}
-
-/// A successful answer's fields, printed as `"key":value` pairs without
-/// the enclosing braces; [`answer_line`] splices it into a response line.
-struct Answer {
-    /// The fields before `body`, each followed by a comma; empty for a
-    /// `stats` answer.
-    head: String,
-    /// The remaining fields. On a cache hit, shared with the entry.
-    body: Arc<str>,
-}
-
-impl Answer {
-    /// An answer printed in full from its fields.
-    fn fields(fields: Vec<(String, Value)>) -> Self {
-        Answer {
-            head: String::new(),
-            body: print_fields(&Value::Object(fields)),
-        }
-    }
-}
-
 /// Prints an object's fields without its braces.
-fn print_fields(object: &Value) -> Arc<str> {
+fn print_fields(object: &Value) -> String {
     let text = serde_json::to_string(object).expect("printing is infallible");
-    Arc::from(&text[1..text.len() - 1])
+    text[1..text.len() - 1].to_string()
+}
+
+/// A successful answer's fields without the enclosing braces: `kind` and
+/// `fingerprint`, then the fields of `object`. [`answer_line`] splices it
+/// into a response line.
+fn print_answer(kind: &str, fp: Fingerprint, object: &Value) -> Arc<str> {
+    let text = serde_json::to_string(object).expect("printing is infallible");
+    let fields = &text[1..text.len() - 1];
+    Arc::from(format!(r#""kind":"{kind}","fingerprint":"{fp}",{fields}"#))
 }
 
 /// Incremental-evaluation counters across `whatif` requests, reported by
 /// `/stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct WhatifTotals {
-    /// `whatif` requests successfully evaluated.
+    /// `whatif` requests successfully answered.
     pub requests: usize,
-    /// Requests whose fingerprinted base entry was already cached, so only
-    /// the incremental re-evaluation ran.
+    /// Requests answered without computing the base design: its entry was
+    /// already cached, so only the incremental re-evaluation ran, or the
+    /// answer store held the whole answer.
     pub delta_hits: usize,
     /// Requests that had to compute (and cache) the base design first.
     pub full_rebuilds: usize,
@@ -492,7 +336,8 @@ pub struct WhatifTotals {
 pub struct SurrogateTotals {
     /// `surrogate` requests successfully answered.
     pub requests: usize,
-    /// Requests answered from a stored specialization.
+    /// Requests answered without building a specialization: one was
+    /// stored, or the answer store held the whole answer.
     pub hits: usize,
     /// Requests that had to build a specialization first.
     pub misses: usize,
@@ -721,6 +566,9 @@ fn check_dims(b: u64, k: u64, c: u64) -> Result<(), UlmError> {
     Ok(())
 }
 
+/// The keys a `layer` object accepts.
+const LAYER_KEYS: [&str; 5] = ["b", "k", "c", "precision", "name"];
+
 /// Resolves the `layer` field: `"BxKxC"` shorthand or an object with
 /// `b`/`k`/`c` and optional `precision`/`name`.
 fn parse_layer(req: &Value) -> Result<Layer, UlmError> {
@@ -745,7 +593,18 @@ fn parse_layer(req: &Value) -> Result<Layer, UlmError> {
                 Precision::int8_out24(),
             ))
         }
-        Value::Object(_) => {
+        Value::Object(entries) => {
+            // A misspelled key would otherwise be ignored and the layer
+            // answered as if it were absent.
+            if let Some((key, _)) = entries
+                .iter()
+                .find(|(key, _)| !LAYER_KEYS.contains(&key.as_str()))
+            {
+                return Err(UlmError::invalid_request(format!(
+                    "unknown field `{key}` in `layer` (allowed: {})",
+                    LAYER_KEYS.join(", ")
+                )));
+            }
             let need = |key: &str| UlmError::invalid_request(format!("`layer` needs `{key}`"));
             let b = parse_u64(field(spec, "b").ok_or_else(|| need("b"))?, "layer.b")?;
             let k = parse_u64(field(spec, "k").ok_or_else(|| need("k"))?, "layer.k")?;
@@ -762,7 +621,12 @@ fn parse_layer(req: &Value) -> Result<Layer, UlmError> {
             };
             let name = match field(spec, "name") {
                 Some(Value::String(n)) => n.clone(),
-                _ => format!("({b},{k},{c})"),
+                Some(_) => {
+                    return Err(UlmError::invalid_request(
+                        "`name` in `layer` must be a string",
+                    ))
+                }
+                None => format!("({b},{k},{c})"),
             };
             Ok(Layer::matmul(name, b, k, c, precision))
         }
@@ -1325,16 +1189,15 @@ fn error_response(err: UlmError) -> String {
 }
 
 /// One `"ok":true` response line: `{"id":…,"ok":true,` + the answer's
-/// head and body + `elapsed_ms` when given + `}`. Cache hits and misses
-/// are spliced alike, so a hit's bytes equal the miss's but for `cached`.
-fn answer_line(id: &Value, answer: &Answer, elapsed_ms: Option<f64>) -> String {
+/// fields + `elapsed_ms` when given + `}`. Computed and reused answers are
+/// spliced alike, so their bytes are equal.
+fn answer_line(id: &Value, answer: &str, elapsed_ms: Option<f64>) -> String {
     let id = serde_json::to_string(id).expect("printing is infallible");
-    let mut line = String::with_capacity(id.len() + answer.head.len() + answer.body.len() + 48);
+    let mut line = String::with_capacity(id.len() + answer.len() + 48);
     line.push_str("{\"id\":");
     line.push_str(&id);
     line.push_str(",\"ok\":true,");
-    line.push_str(&answer.head);
-    line.push_str(&answer.body);
+    line.push_str(answer);
     if let Some(ms) = elapsed_ms {
         line.push_str(",\"elapsed_ms\":");
         line.push_str(&serde_json::to_string(&Value::F64(ms)).expect("printing is infallible"));
@@ -1439,7 +1302,6 @@ pub struct DiskStats {
 
 /// Specializations the service keeps for `surrogate` requests: four per
 /// cache shard, so any four keys stay resident together however they hash.
-/// Each holds at most `MEMO_CAP` (16,384) remembered points.
 const SPECIALIZATIONS: usize = 64;
 
 /// The concurrent, cache-backed evaluation engine.
@@ -1450,7 +1312,7 @@ pub struct EvalService {
     /// Bounded by the cache capacity; its probes are not cache lookups.
     answers: ResultCache<Stored>,
     /// Surrogate specializations by `spec_key`. Each sits behind its own
-    /// lock: a query updates the specialization's scratch and point memo.
+    /// lock: a query updates the specialization's scratch.
     specializations: ResultCache<Arc<Mutex<SpecializedModel>>>,
     pool: WorkerPool,
     latencies: Mutex<LatencyLog>,
@@ -1659,7 +1521,7 @@ impl EvalService {
             Some(Ok(req)) => {
                 let key = fingerprint_request(&req);
                 let id = req.get("id").unwrap_or(&Value::Null);
-                match self.respond_stored(id, &req, key) {
+                match self.respond_stored(id, key) {
                     Some(line) => Probe::Answered(Some(line)),
                     None => Probe::Miss(req, key),
                 }
@@ -1699,16 +1561,17 @@ impl EvalService {
         if req.get("kind").and_then(Value::as_str) == Some("test/panic") {
             panic!("injected handler panic");
         }
-        if let Some(line) = self.respond_stored(id, req, key) {
+        if let Some(line) = self.respond_stored(id, key) {
             return Ok(line);
         }
         let request = parse_request(req)?;
         let start = Instant::now();
         let result = match request {
             Request::Stats => {
-                return Ok(answer_line(id, &Answer::fields(self.stats_fields()), None))
+                let stats = print_fields(&Value::Object(self.stats_fields()));
+                return Ok(answer_line(id, &stats, None));
             }
-            Request::WhatIf { base, set } => self.respond_whatif(req, key, &base, &set),
+            Request::WhatIf { base, set } => self.respond_whatif(key, &base, &set),
             Request::Surrogate(query) => self.respond_surrogate(key, &query),
             Request::Net(query) => self.respond_cached(key, &*query),
             Request::Query(query) => self.respond_cached(key, &*query),
@@ -1723,7 +1586,7 @@ impl EvalService {
         &self,
         id: &Value,
         start: Instant,
-        result: Result<Answer, UlmError>,
+        result: Result<Arc<str>, UlmError>,
     ) -> Result<String, UlmError> {
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
         lock(&self.latencies).record(elapsed_ms);
@@ -1735,44 +1598,35 @@ impl EvalService {
     }
 
     /// The answer to a repeat of a request the answer store holds under
-    /// `key`, spliced from its stored body after one counted, non-blocking
-    /// lookup in the store behind it: the result cache for eval, search,
-    /// net and whatif (the whatif's base), the specializations for
-    /// surrogate. `None` — a first occurrence, or a base or specialization
-    /// since evicted or still being built — sends the request down the
-    /// full path, which counts the lookup this one did not.
-    fn respond_stored(&self, id: &Value, req: &Value, key: Fingerprint) -> Option<String> {
+    /// `key`: the stored bytes of a whatif or surrogate answer, or an
+    /// eval, search or net entry's printed answer after one counted,
+    /// non-blocking lookup in the result cache. `None` (a first
+    /// occurrence, or an entry since evicted or still being built) sends
+    /// the request down the full path, which counts the lookup this one
+    /// did not.
+    fn respond_stored(&self, id: &Value, key: Fingerprint) -> Option<String> {
         let start = Instant::now();
         let answer = match self.answers.get(key)? {
             Stored::Job { fp, net } => {
                 let entry = self.cache.get_hit(fp, |e| e.outcome.is_net() == net)?;
                 entry.answer(fp, true)
             }
-            Stored::Whatif(stored) => {
-                let set = field(req, "set")?;
-                let entry = self
-                    .cache
-                    .get_hit(stored.base_fp, |e| !e.outcome.is_net())?;
-                let Outcome::Layer(base) = &entry.outcome else {
-                    unreachable!("a fitting entry is a layer outcome");
-                };
-                self.count_whatif(true);
-                stored.answer(set, &base.mapping, true, true)
-            }
-            Stored::Surrogate(stored) => {
-                let spec = self.specializations.get_hit(stored.spec_key, |_| true)?;
-                self.count_surrogate(true);
-                let shape = || lock(&spec).shape().to_string();
-                stored.answer(true, true, shape, self.calibration_id())
+            Stored::Answer(answer) => {
+                if answer.starts_with(WHATIF_HEAD) {
+                    self.count_whatif(true);
+                } else {
+                    self.count_surrogate(true);
+                }
+                answer
             }
         };
         self.timed(id, start, Ok(answer)).ok()
     }
 
     /// Answers an eval, search or net request from its cache entry,
-    /// computing the entry on a miss, and stores the answer under the
-    /// request's `key`.
-    fn respond_cached<J: Job>(&self, key: Fingerprint, job: &J) -> Result<Answer, UlmError> {
+    /// computing the entry on a miss, and stores the entry's fingerprint
+    /// under the request's `key`.
+    fn respond_cached<J: Job>(&self, key: Fingerprint, job: &J) -> Result<Arc<str>, UlmError> {
         let (fp, entry, hit) = self.lookup_or_execute(job)?;
         self.answers.insert(key, Stored::Job { fp, net: J::NET });
         Ok(entry.answer(fp, hit))
@@ -1784,14 +1638,13 @@ impl EvalService {
     /// through the dirty-stage delta path — invalidated lowering stages
     /// are recomputed, everything else is reused. The delta evaluation is
     /// bit-identical to a cold evaluation of the modified design. The
-    /// answer's scalars are stored under the request's `key`.
+    /// answer is stored under the request's `key`.
     fn respond_whatif(
         &self,
-        req: &Value,
         key: Fingerprint,
         base: &Query,
         set: &[String],
-    ) -> Result<Answer, UlmError> {
+    ) -> Result<Arc<str>, UlmError> {
         // Knob errors are answered before the base lookup, so a bad `set`
         // costs no search and leaves nothing in the cache or the log.
         let (modified_arch, delta) = apply_overrides(&base.arch, set)?;
@@ -1813,21 +1666,60 @@ impl EvalService {
         let energy = EnergyModel::new().evaluate_lowered(&view, scratch.lowered());
         self.count_whatif(cached);
 
-        let stored = Arc::new(WhatifAnswer {
-            base_fp: fp,
-            base: Summary::new(&base_fast, outcome.energy.total_fj),
-            modified: Summary::new(&fast, energy.total_fj),
-            rebuild,
-            body: Body::default(),
-        });
+        let base = Summary::new(&base_fast, outcome.energy.total_fj);
+        let modified = Summary::new(&fast, energy.total_fj);
+        let set = set.iter().map(|s| Value::String(s.clone())).collect();
+        let answer = print_answer(
+            "whatif",
+            fp,
+            &Value::Object(vec![
+                ("set".to_string(), Value::Array(set)),
+                (
+                    "mapping_text".to_string(),
+                    Value::String(outcome.mapping.to_string()),
+                ),
+                ("mapping".to_string(), outcome.mapping.to_value()),
+                ("base".to_string(), base.to_value()),
+                ("modified".to_string(), modified.to_value()),
+                (
+                    "delta".to_string(),
+                    Value::Object(vec![
+                        (
+                            "cc_total".to_string(),
+                            Value::F64(modified.cc_total - base.cc_total),
+                        ),
+                        (
+                            "energy_fj".to_string(),
+                            Value::F64(modified.energy_fj - base.energy_fj),
+                        ),
+                        (
+                            "speedup".to_string(),
+                            Value::F64(base.cc_total / modified.cc_total),
+                        ),
+                    ]),
+                ),
+                (
+                    "rebuild".to_string(),
+                    Value::Object(vec![
+                        (
+                            "stages_rebuilt".to_string(),
+                            Value::U64(u64::from(rebuild.stages_rebuilt)),
+                        ),
+                        (
+                            "stages_skipped".to_string(),
+                            Value::U64(u64::from(rebuild.stages_skipped)),
+                        ),
+                    ]),
+                ),
+            ]),
+        );
         self.answers
-            .insert(key, Stored::Whatif(Arc::clone(&stored)));
-        let set = field(req, "set").expect("a parsed whatif has a `set`");
-        Ok(stored.answer(set, &outcome.mapping, cached, false))
+            .insert(key, Stored::Answer(Arc::clone(&answer)));
+        Ok(answer)
     }
 
-    /// Counts one answered `whatif`; `cached` says whether its base came
-    /// from the result cache.
+    /// Counts one answered `whatif`; `cached` says whether it was
+    /// answered without computing its base.
     fn count_whatif(&self, cached: bool) {
         let mut totals = lock(&self.whatif_totals);
         totals.requests += 1;
@@ -1838,8 +1730,8 @@ impl EvalService {
         }
     }
 
-    /// Counts one answered `surrogate`; `reused` says whether its
-    /// specialization came from the store.
+    /// Counts one answered `surrogate`; `reused` says whether it was
+    /// answered without building a specialization.
     fn count_surrogate(&self, reused: bool) {
         let mut totals = lock(&self.surrogate_totals);
         totals.requests += 1;
@@ -1852,28 +1744,24 @@ impl EvalService {
 
     /// Answers a `surrogate` request. When the service's store holds a
     /// specialization for the request's key, the query skips the mapping
-    /// search and prices the request's dims under the stored shape (or
-    /// reads them from the specialization's point memo). Otherwise the
-    /// template layer's best mapping is searched once, the model is fixed
-    /// to the resulting `(arch, shape)`, and the specialization is stored
-    /// for the next request. A service calibration matching the request's
-    /// architecture is applied to the specialization it builds; its id
-    /// enters the key and the fingerprint. The answer's scalars and the
-    /// specialization's key are stored under the request's `key`, so a
+    /// search and prices the request's dims under the stored shape.
+    /// Otherwise the template layer's best mapping is searched once, the
+    /// model is fixed to the resulting `(arch, shape)`, and the
+    /// specialization is stored for the next request. A service
+    /// calibration matching the request's architecture is applied to the
+    /// specialization it builds; its id enters the key and the
+    /// fingerprint. The answer is stored under the request's `key`, so a
     /// repeat builds neither fingerprint.
-    fn respond_surrogate(&self, key: Fingerprint, q: &SurrogateQuery) -> Result<Answer, UlmError> {
+    fn respond_surrogate(
+        &self,
+        key: Fingerprint,
+        q: &SurrogateQuery,
+    ) -> Result<Arc<str>, UlmError> {
         let calibration = self
             .calibration
             .as_ref()
             .filter(|cal| cal.arch == q.arch.name());
         let calibration_id = calibration.map(|cal| cal.id.as_str());
-        let spec_key = q.spec_key(calibration_id);
-        let dims = (
-            q.layer.shape().dim(Dim::B),
-            q.layer.shape().dim(Dim::K),
-            q.layer.shape().dim(Dim::C),
-        );
-
         let specialize = || -> Result<_, UlmError> {
             let arch = match calibration {
                 Some(cal) => std::borrow::Cow::Owned(cal.apply(&q.arch)?.0),
@@ -1896,25 +1784,44 @@ impl EvalService {
             )?;
             Ok(Arc::new(Mutex::new(spec)))
         };
-        let (spec, reused) = self
-            .specializations
-            .get_or_build(spec_key, |_| true, specialize)?;
-        let (b, k, c) = dims;
-        let latency = lock(&spec).query(b, k, c)?;
+        let (spec, reused) =
+            self.specializations
+                .get_or_build(q.spec_key(calibration_id), |_| true, specialize)?;
+        let (b, k, c) = (
+            q.layer.shape().dim(Dim::B),
+            q.layer.shape().dim(Dim::K),
+            q.layer.shape().dim(Dim::C),
+        );
+        let (fast, shape) = {
+            let mut spec = lock(&spec);
+            (spec.query(b, k, c)?, spec.shape().to_string())
+        };
         self.count_surrogate(reused);
 
-        let stored = Arc::new(SurrogateAnswer {
-            fp: q.fingerprint(calibration_id),
-            spec_key,
-            dims,
-            latency,
-            calibrated: calibration.is_some(),
-            body: Body::default(),
-        });
+        let mut fields = vec![
+            ("shape".to_string(), Value::String(shape)),
+            ("layer".to_string(), Value::String(format!("{b}x{k}x{c}"))),
+            (
+                "latency".to_string(),
+                Value::Object(vec![
+                    ("cc_total".to_string(), Value::F64(fast.cc_total)),
+                    ("cc_ideal".to_string(), Value::F64(fast.cc_ideal)),
+                    ("cc_spatial".to_string(), Value::U64(fast.cc_spatial)),
+                    ("ss_overall".to_string(), Value::F64(fast.ss_overall)),
+                    ("preload".to_string(), Value::U64(fast.preload)),
+                    ("offload".to_string(), Value::U64(fast.offload)),
+                    ("utilization".to_string(), Value::F64(fast.utilization)),
+                ]),
+            ),
+        ];
+        if let Some(id) = calibration_id {
+            fields.push(("calibration_id".to_string(), Value::String(id.to_string())));
+        }
+        let fp = q.fingerprint(calibration_id);
+        let answer = print_answer("surrogate", fp, &Value::Object(fields));
         self.answers
-            .insert(key, Stored::Surrogate(Arc::clone(&stored)));
-        let shape = || lock(&spec).shape().to_string();
-        Ok(stored.answer(reused, false, shape, calibration_id))
+            .insert(key, Stored::Answer(Arc::clone(&answer)));
+        Ok(answer)
     }
 
     /// Cache lookup with single-flight coalescing: concurrent identical
@@ -2242,6 +2149,18 @@ mod tests {
         serde_json::from_str(response).expect("responses are valid JSON")
     }
 
+    /// A result-cache entry no request asks for.
+    fn dummy_entry() -> Arc<Cached> {
+        Arc::new(Cached::new(Outcome::Net(NetOutcome {
+            total_cycles: 1.0,
+            sequential_cycles: 1.0,
+            total_fj: 1.0,
+            utilization: 1.0,
+            segments: Vec::new(),
+            layers: Vec::new(),
+        })))
+    }
+
     #[test]
     fn search_then_eval_round_trip() {
         let svc = service();
@@ -2274,14 +2193,17 @@ mod tests {
         let svc = service();
         let line = r#"{"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}"#;
         let first = parse(&svc.handle_line(line).unwrap());
+        let stats = svc.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 1));
         let second = parse(&svc.handle_line(line).unwrap());
-        assert_eq!(first.get("cached"), Some(&Value::Bool(false)));
-        assert_eq!(second.get("cached"), Some(&Value::Bool(true)));
+        let stats = svc.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        // The answer does not say whether it was reused.
+        assert_eq!(first.get("cached"), None);
         assert_eq!(first.get("fingerprint"), second.get("fingerprint"));
         // Bit-identical result payloads.
         assert_eq!(first.get("latency"), second.get("latency"));
         assert_eq!(first.get("energy"), second.get("energy"));
-        assert!(svc.cache_stats().hits >= 1);
     }
 
     #[test]
@@ -2350,7 +2272,9 @@ mod tests {
     #[test]
     fn unknown_top_level_fields_are_rejected_per_kind() {
         let svc = service();
-        for (bad, key, kind) in [
+        // Each line names the offending key and where it sits: the kind,
+        // or the `layer` object.
+        for (bad, key, scope) in [
             (
                 r#"{"kind":"search","arch":"toy","layer":"4x4x8","objectve":"energy"}"#,
                 "objectve",
@@ -2373,6 +2297,17 @@ mod tests {
                 "reuse",
                 "surrogate",
             ),
+            // A misspelled layer key would answer as the default precision.
+            (
+                r#"{"kind":"search","arch":"toy","layer":{"b":4,"k":4,"c":8,"precison":"int8_acc24"}}"#,
+                "precison",
+                "layer",
+            ),
+            (
+                r#"{"kind":"search","arch":"toy","layer":{"b":4,"k":4,"c":8,"name":7}}"#,
+                "name",
+                "layer",
+            ),
         ] {
             let v = parse(&svc.handle_line(bad).unwrap());
             assert_eq!(
@@ -2382,7 +2317,7 @@ mod tests {
             );
             let error = v.get("error").and_then(Value::as_str).unwrap();
             assert!(
-                error.contains(&format!("`{key}`")) && error.contains(&format!("`{kind}`")),
+                error.contains(&format!("`{key}`")) && error.contains(&format!("`{scope}`")),
                 "{bad} -> {error}"
             );
         }
@@ -2402,6 +2337,9 @@ mod tests {
         for line in [
             format!(r#"{{{common},"kind":"eval","layer":"4x4x8",{model},"mapping":{mapping}}}"#),
             format!(
+                r#"{{{common},"kind":"search","layer":{{"b":4,"k":4,"c":8,"precision":"int8_acc24","name":"mm"}}}}"#
+            ),
+            format!(
                 r#"{{{common},"kind":"whatif","layer":"4x4x8",{model},{mapper},"objective":"latency","set":["mem.LB.bw=2x"]}}"#
             ),
             format!(
@@ -2418,6 +2356,36 @@ mod tests {
             let v = parse(&svc.handle_line(&line).unwrap());
             assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{line} -> {v:?}");
         }
+    }
+
+    #[test]
+    fn an_outsized_sample_count_is_an_error_answer() {
+        let svc = service();
+        let samples = r#""mapper":{"max_exhaustive":0,"samples":1000000000000000}"#;
+        let input = [
+            format!(r#"{{"id":1,"kind":"search","arch":"toy","layer":"4x4x8",{samples}}}"#),
+            format!(r#"{{"id":2,"kind":"net","arch":"toy","net":"attention-decode",{samples}}}"#),
+            format!(r#"{{"id":3,"kind":"surrogate","arch":"toy","layer":"4x4x8",{samples}}}"#),
+            format!(
+                r#"{{"id":4,"kind":"whatif","arch":"toy","layer":"4x4x8",{samples},"set":["mem.LB.bw=2x"]}}"#
+            ),
+            r#"{"id":5,"kind":"search","arch":"toy","layer":"4x4x8"}"#.to_string(),
+        ]
+        .join("\n");
+        let mut out = Vec::new();
+        let summary = run_batch(&svc, input.as_bytes(), &mut out).unwrap();
+        assert_eq!((summary.requests, summary.errors), (5, 4));
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<Value> = out.lines().map(parse).collect();
+        for v in &lines[..4] {
+            assert_eq!(
+                v.get("code"),
+                Some(&Value::String("mapper/too-many-samples".into())),
+                "{v:?}"
+            );
+        }
+        // The service answers the next line.
+        assert_eq!(lines[4].get("ok"), Some(&Value::Bool(true)));
     }
 
     #[test]
@@ -2475,14 +2443,13 @@ mod tests {
             Some(&Value::String("knob/unknown-memory".into()))
         );
         assert_eq!(counts(&svc), before);
-        let search = parse(
-            &svc.handle_line(r#"{"kind":"search","arch":"toy","layer":"4x4x8"}"#)
-                .unwrap(),
-        );
+        // The base was never computed: searching it misses.
+        svc.handle_line(r#"{"kind":"search","arch":"toy","layer":"4x4x8"}"#)
+            .unwrap();
+        let [hits, misses, insertions] = before.map(Option::unwrap);
         assert_eq!(
-            search.get("cached"),
-            Some(&Value::Bool(false)),
-            "{search:?}"
+            counts(&svc).map(Option::unwrap),
+            [hits, misses + 1, insertions + 1]
         );
     }
 
@@ -2571,20 +2538,9 @@ mod tests {
         {
             let svc = Arc::clone(&svc);
             std::thread::spawn(move || {
-                let got = svc.cache.get_or_build(
-                    fp,
-                    |_| true,
-                    || {
-                        Ok::<_, UlmError>(Arc::new(Cached::new(Outcome::Net(NetOutcome {
-                            total_cycles: 1.0,
-                            sequential_cycles: 1.0,
-                            total_fj: 1.0,
-                            utilization: 1.0,
-                            segments: Vec::new(),
-                            layers: Vec::new(),
-                        }))))
-                    },
-                );
+                let got = svc
+                    .cache
+                    .get_or_build(fp, |_| true, || Ok::<_, UlmError>(dummy_entry()));
                 woke_tx.send(got.is_ok()).unwrap();
             });
         }
@@ -2651,7 +2607,6 @@ mod tests {
             r#"{"kind":"whatif","arch":"case16","gb_bw":128,"layer":"8x16x64","mapper":{"max_exhaustive":200,"samples":20},"set":["mem.GB.bw=2x"]}"#,
         ).unwrap());
         assert_eq!(whatif.get("ok"), Some(&Value::Bool(true)), "{whatif:?}");
-        assert_eq!(whatif.get("cached"), Some(&Value::Bool(true)));
         assert_eq!(whatif.get("fingerprint"), b.get("fingerprint"));
         // The base half of the response is the cached result.
         assert_eq!(
@@ -2697,7 +2652,6 @@ mod tests {
             r#"{"kind":"whatif","arch":"case16","gb_bw":128,"layer":"16x16x64","mapper":{"max_exhaustive":200,"samples":20},"set":["mem.GB.bw=2x"]}"#,
         ).unwrap());
         assert_eq!(fresh.get("ok"), Some(&Value::Bool(true)), "{fresh:?}");
-        assert_eq!(fresh.get("cached"), Some(&Value::Bool(false)));
         let totals = svc.whatif_totals();
         assert_eq!(totals.requests, 2);
         assert_eq!(totals.delta_hits, 1);
@@ -2758,13 +2712,14 @@ mod tests {
         let sweep = r#"{"kind":"surrogate","arch":"case16","layer":"128x96x640","template":"64x96x640","mapper":{"max_exhaustive":200,"samples":20}}"#;
         let a = parse(&svc.handle_line(first).unwrap());
         assert_eq!(a.get("ok"), Some(&Value::Bool(true)), "{a:?}");
-        assert_eq!(a.get("specialized_reused"), Some(&Value::Bool(false)));
+        assert_eq!(a.get("specialized_reused"), None);
+        assert_eq!(svc.surrogate_totals().misses, 1);
         // The first request's default template (its own dims) matches the
         // sweep request's explicit template, so the specialization is
         // reused even though the query layers differ.
         let b = parse(&svc.handle_line(sweep).unwrap());
         assert_eq!(b.get("ok"), Some(&Value::Bool(true)), "{b:?}");
-        assert_eq!(b.get("specialized_reused"), Some(&Value::Bool(true)));
+        assert_eq!(svc.surrogate_totals().hits, 1);
         // Distinct layers keep distinct result identities.
         assert_ne!(a.get("fingerprint"), b.get("fingerprint"));
         assert_eq!(
@@ -2796,13 +2751,11 @@ mod tests {
             .collect();
         for round in [false, true] {
             for line in &lines {
+                let before = svc.surrogate_totals();
                 let v = parse(&svc.handle_line(line).unwrap());
                 assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{v:?}");
-                assert_eq!(
-                    v.get("specialized_reused"),
-                    Some(&Value::Bool(round)),
-                    "{line}"
-                );
+                let after = svc.surrogate_totals();
+                assert_eq!(after.hits - before.hits, usize::from(round), "{line}");
             }
         }
         assert_eq!(
@@ -2838,7 +2791,7 @@ mod tests {
         let again = r#"{"kind":"surrogate","arch":"case16","layer":"16x16x64","template":"8x16x64","mapper":{"max_exhaustive":200,"samples":20}}"#;
         let v = parse(&svc.handle_line(again).unwrap());
         assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{v:?}");
-        assert_eq!(v.get("specialized_reused"), Some(&Value::Bool(true)));
+        assert_eq!(svc.surrogate_totals().hits, 1);
         assert_eq!(
             v.get("calibration_id"),
             Some(&Value::String("cal-test".into()))
@@ -2952,11 +2905,11 @@ mod tests {
             .collect();
         // Single-flight: exactly one thread computed, everyone else was
         // served from the cache, with identical payloads.
-        let fresh = responses
-            .iter()
-            .filter(|r| r.get("cached") == Some(&Value::Bool(false)))
-            .count();
-        assert_eq!(fresh, 1, "exactly one leader may compute");
+        assert_eq!(
+            svc.search_totals().searches,
+            1,
+            "exactly one leader may compute"
+        );
         assert_eq!(svc.cache_stats().insertions, 1);
         for r in &responses {
             assert_eq!(r.get("ok"), Some(&Value::Bool(true)));
@@ -2991,17 +2944,6 @@ mod tests {
         }
         // Repeated layers must have hit the cache (9 distinct → 3 uniques).
         assert!(svc.cache_stats().hits >= 9 - 3);
-    }
-
-    /// A first answer as a repeat of its request prints it.
-    fn as_repeat(first: &str) -> String {
-        first
-            .replacen("\"cached\":false", "\"cached\":true", 1)
-            .replacen(
-                "\"specialized_reused\":false",
-                "\"specialized_reused\":true",
-                1,
-            )
     }
 
     /// What the reactor thread's probe makes of `line`: `Some(answer)`
@@ -3039,15 +2981,15 @@ mod tests {
             assert_eq!(probed(&svc, line), None, "a first occurrence: {line}");
             let first = svc.handle_line(line).unwrap();
             let repeat = line.replacen("\"id\":1", "\"id\":2", 1);
-            let expected = as_repeat(&first).replacen("\"id\":1", "\"id\":2", 1);
+            let expected = first.replacen("\"id\":1", "\"id\":2", 1);
             for _ in 0..2 {
                 assert_eq!(probed(&svc, &repeat).as_deref(), Some(&*expected));
             }
         }
-        // A store hit counts as the repeat did: a cache hit (two per
-        // repeated kind but surrogate, plus the first whatif's base, the
-        // search above), a delta hit and a surrogate hit.
-        assert_eq!(svc.cache_stats().hits, 2 * 4 + 1);
+        // A store hit counts as a repeat: a cache hit for each eval,
+        // search and net repeat (plus the first whatif's base, the search
+        // above), a delta hit and a surrogate hit.
+        assert_eq!(svc.cache_stats().hits, 2 * 3 + 1);
         let whatif = svc.whatif_totals();
         assert_eq!((whatif.requests, whatif.delta_hits), (3, 3));
         let surrogate = svc.surrogate_totals();
@@ -3075,8 +3017,8 @@ mod tests {
     }
 
     #[test]
-    fn a_whatif_whose_base_was_evicted_takes_the_full_path() {
-        // One entry per shard, so distinct searches evict one another.
+    fn a_whatif_is_answered_from_the_store_after_its_base_is_evicted() {
+        // One entry per shard, so distinct entries evict one another.
         let svc = EvalService::new(ServeOptions {
             parallelism: Some(1),
             cache_capacity: 16,
@@ -3086,12 +3028,11 @@ mod tests {
         let whatif =
             r#"{"id":1,"kind":"whatif","arch":"toy","layer":"4x4x8","set":["mem.LB.bw=2x"]}"#;
         let first = svc.handle_line(whatif).unwrap();
-        assert!(first.contains("\"cached\":false"), "{first}");
-        assert_eq!(probed(&svc, whatif), Some(as_repeat(&first)));
-        for c in 1..=64 {
-            svc.handle_line(&format!(
-                r#"{{"kind":"search","arch":"toy","layer":"4x4x{c}"}}"#
-            ));
+        assert_eq!(svc.whatif_totals().full_rebuilds, 1);
+        // Evict every result-cache entry, the whatif's base among them,
+        // and leave the answer store alone.
+        for fp in 0..64 {
+            svc.cache.insert(Fingerprint(fp), dummy_entry());
         }
         assert!(svc.cache_stats().evictions > 0);
         let lookups = |svc: &EvalService| {
@@ -3099,13 +3040,19 @@ mod tests {
             stats.hits + stats.misses
         };
         let before = lookups(&svc);
-        assert_eq!(probed(&svc, whatif), None);
-        // The probe counted nothing; the full path recomputes the base.
+        // The stored answer does not depend on the base: the probe
+        // answers it without a lookup.
+        assert_eq!(probed(&svc, whatif), Some(first.clone()));
+        assert_eq!(svc.handle_line(whatif), Some(first));
         assert_eq!(lookups(&svc), before);
-        assert_eq!(svc.handle_line(whatif), Some(first.clone()));
-        assert_eq!(lookups(&svc), before + 1);
-        assert_eq!(probed(&svc, whatif), Some(as_repeat(&first)));
-        assert_eq!(svc.whatif_totals().full_rebuilds, 2);
+        let totals = svc.whatif_totals();
+        assert_eq!(
+            (totals.requests, totals.delta_hits, totals.full_rebuilds),
+            (3, 2, 1)
+        );
+        // The base itself is gone: searching it misses.
+        svc.handle_line(r#"{"kind":"search","arch":"toy","layer":"4x4x8"}"#);
+        assert_eq!(svc.cache_stats().hits, 0);
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! 1. **scale** — hold thousands of idle connections open (adaptive to the
 //!    process fd limit) while a working connection still gets answers;
 //! 2. **protocol** — a pipelined batch: fresh search, repeat search
-//!    (`cached` must flip to `true`), an unknown kind, all answered in
+//!    (answered with the same bytes), an unknown kind, all answered in
 //!    request order;
-//! 3. **warm restarts** — `--expect-cached true|false` asserts whether the
-//!    standard request was answered from a warmed disk cache;
+//! 3. **warm restarts** — `--expect-searches <n>` asserts how many
+//!    searches the batch ran, by `/stats` `search.searches`: 1 on a cold
+//!    cache (the repeat reuses the first), 0 when a warmed disk cache
+//!    answers both;
 //! 4. **slow clients** — `--slow-client-ms <n>` writes half a request and
 //!    then just waits; the server's idle timeout must close the socket.
 //!
@@ -18,7 +20,7 @@
 //!
 //! ```sh
 //! cargo run --release --example reactor_smoke -- 127.0.0.1:7878 \
-//!     --idle 10000 --expect-cached false --slow-client-ms 900
+//!     --idle 10000 --expect-searches 1 --slow-client-ms 900
 //! ```
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -31,14 +33,14 @@ fn main() {
     let mut argv = std::env::args().skip(1);
     let addr = argv.next().expect("usage: reactor_smoke <addr> [options]");
     let mut idle_target = 0usize;
-    let mut expect_cached: Option<bool> = None;
+    let mut expect_searches: Option<u64> = None;
     let mut slow_client_ms = 0u64;
     while let Some(arg) = argv.next() {
         let mut value = || argv.next().expect("option needs a value");
         match arg.as_str() {
             "--idle" => idle_target = value().parse().expect("--idle <n>"),
-            "--expect-cached" => {
-                expect_cached = Some(value().parse().expect("--expect-cached true|false"));
+            "--expect-searches" => {
+                expect_searches = Some(value().parse().expect("--expect-searches <n>"));
             }
             "--slow-client-ms" => slow_client_ms = value().parse().expect("--slow-client-ms <n>"),
             other => panic!("unknown option {other}"),
@@ -88,23 +90,19 @@ fn main() {
         );
     }
     assert!(responses[0].contains("\"ok\":true"), "{}", responses[0]);
-    assert!(
-        responses[1].contains("\"cached\":true"),
-        "repeat must hit the cache: {}",
-        responses[1]
+    assert_eq!(
+        responses[1],
+        responses[0].replacen("\"id\":100", "\"id\":101", 1),
+        "a repeat must get the first answer's bytes"
     );
     assert!(responses[2].contains("\"ok\":false"), "{}", responses[2]);
 
-    // 3. Warm restart: was the *first* answer served from a prior run's
-    // disk cache?
-    if let Some(expected) = expect_cached {
-        let marker = format!("\"cached\":{expected}");
-        assert!(
-            responses[0].contains(&marker),
-            "expected {marker} in {}",
-            responses[0]
-        );
-        println!("reactor_smoke: first answer had {marker}, as expected");
+    // 3. Warm restart: how many searches did the batch run? Every line
+    // of it is answered, so `/stats` counts all of them.
+    if let Some(expected) = expect_searches {
+        let searches = searches_run(&addr);
+        assert_eq!(searches, expected, "searches run by the batch");
+        println!("reactor_smoke: the batch ran {searches} search(es), as expected");
     }
 
     // 4. Slow client: half a request, then silence. The server must hang
@@ -124,6 +122,23 @@ fn main() {
 
     drop(parked);
     println!("reactor_smoke: OK");
+}
+
+/// `search.searches` from the server's `/stats`: searches it has run.
+fn searches_run(addr: &str) -> u64 {
+    let mut conn = TcpStream::connect(addr).expect("stats connection");
+    conn.write_all(b"{\"id\":103,\"kind\":\"stats\"}\n")
+        .expect("write stats request");
+    conn.shutdown(Shutdown::Write).expect("half-close");
+    let mut stats = String::new();
+    BufReader::new(&conn)
+        .read_line(&mut stats)
+        .expect("read stats");
+    let (_, rest) = stats
+        .split_once("\"searches\":")
+        .unwrap_or_else(|| panic!("no search.searches in {stats}"));
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("search.searches is a count")
 }
 
 /// The soft fd limit, from /proc on Linux (std has no getrlimit); a safe

@@ -163,17 +163,17 @@ if [[ "$(uname -s)" == "Linux" ]]; then
     }
 
     # Run 1: cold cache — 10k idle connections held open around a working
-    # pipelined batch that must be answered fresh (cached:false).
+    # pipelined batch whose search runs once (/stats search.searches).
     start_reactor run1
-    target/release/examples/reactor_smoke "$ADDR" --idle 10000 --expect-cached false
+    target/release/examples/reactor_smoke "$ADDR" --idle 10000 --expect-searches 1
     stop_reactor
 
     # Run 2: restart on the same cache dir — the same request must now be
-    # answered from the warmed disk cache without re-evaluation — plus a
-    # slow client that the idle timeout has to reap.
+    # answered from the warmed disk cache without running a search — plus
+    # a slow client that the idle timeout has to reap.
     start_reactor run2 --idle-timeout-ms 300
     grep -q "warmed 1 entries" "$serve_log"
-    target/release/examples/reactor_smoke "$ADDR" --expect-cached true --slow-client-ms 2000
+    target/release/examples/reactor_smoke "$ADDR" --expect-searches 0 --slow-client-ms 2000
     stop_reactor
 else
     echo "    (skipped: the epoll reactor needs Linux)"
@@ -198,33 +198,31 @@ fi
 
 echo "==> repeat smoke (search, eval, whatif and surrogate repeats are spliced from the stored answer, byte for byte)"
 # Each kind's line three times, then stats; one worker, so stats runs
-# last. A repeat must equal the first answer but for its flag: `cached`,
-# or `specialized_reused` for a surrogate.
+# last. Both repeats must equal the first answer byte for byte, and the
+# kind's /stats counter must count them as reused.
 toy_mapping='{"spatial":{"factors":[["K",2],["B",2]]},"stack":{"loops":[{"dim":"C","size":2},{"dim":"C","size":2},{"dim":"C","size":2},{"dim":"B","size":2},{"dim":"K","size":2}]},"allocs":{"values":[{"bounds":[0,5]},{"bounds":[0,5]},{"bounds":[3,5]}]}}'
 repeat_lines=(
-    'search|cached|{"id":1,"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}'
-    "eval|cached|{\"id\":1,\"kind\":\"eval\",\"arch\":\"toy\",\"layer\":\"4x4x8\",\"mapping\":$toy_mapping}"
-    'whatif|cached|{"id":1,"kind":"whatif","arch":"case16","layer":"8x16x64","mapper":{"max_exhaustive":200,"samples":20},"set":["mem.GB.bw=2x"]}'
-    'surrogate|specialized_reused|{"id":1,"kind":"surrogate","arch":"toy","layer":"4x4x8","template":"4x4x16","mapper":{"max_exhaustive":100,"samples":10}}'
+    'search|"cache":\{"hits":([0-9]+)|{"id":1,"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}'
+    "eval|\"cache\":\\{\"hits\":([0-9]+)|{\"id\":1,\"kind\":\"eval\",\"arch\":\"toy\",\"layer\":\"4x4x8\",\"mapping\":$toy_mapping}"
+    'whatif|"whatif":\{"requests":[0-9]+,"delta_hits":([0-9]+)|{"id":1,"kind":"whatif","arch":"case16","layer":"8x16x64","mapper":{"max_exhaustive":200,"samples":20},"set":["mem.GB.bw=2x"]}'
+    'surrogate|"surrogate":\{"requests":[0-9]+,"hits":([0-9]+)|{"id":1,"kind":"surrogate","arch":"toy","layer":"4x4x8","template":"4x4x16","mapper":{"max_exhaustive":100,"samples":10}}'
 )
 for entry in "${repeat_lines[@]}"; do
-    IFS='|' read -r kind flag line <<<"$entry"
+    IFS='|' read -r kind counter line <<<"$entry"
     repeat_out="$(printf '%s\n%s\n%s\n%s\n' "$line" "$line" "$line" '{"id":2,"kind":"stats"}' |
         target/release/ulm batch --no-timing --parallelism 1 2>/dev/null)"
     repeat_first="$(sed -n 1p <<<"$repeat_out")"
     repeat_second="$(sed -n 2p <<<"$repeat_out")"
     repeat_third="$(sed -n 3p <<<"$repeat_out")"
-    if [[ "$repeat_first" != *"\"$flag\":false"* || "$repeat_second" != "$repeat_third" ||
-        "$repeat_second" != "${repeat_first/\"$flag\":false/\"$flag\":true}" ]]; then
+    if [[ "$repeat_first" != *'"ok":true'* || "$repeat_second" != "$repeat_first" ||
+        "$repeat_third" != "$repeat_first" ]]; then
         echo "error: a repeated $kind did not get the first answer's bytes" >&2
         exit 1
     fi
-    if [[ "$kind" == search ]]; then
-        search_hits="$(sed -n 4p <<<"$repeat_out" | sed -nE 's/.*"cache":\{"hits":([0-9]+).*/\1/p')"
-        if (( ${search_hits:-0} < 2 )); then
-            echo "error: repeated searches were not answered from the cache (hits=${search_hits:-none})" >&2
-            exit 1
-        fi
+    repeat_hits="$(sed -n 4p <<<"$repeat_out" | sed -nE "s/.*${counter}.*/\\1/p")"
+    if [[ "${repeat_hits:-}" != 2 ]]; then
+        echo "error: /stats counts ${repeat_hits:-no} reused $kind answers, expected 2" >&2
+        exit 1
     fi
 done
 
@@ -237,12 +235,7 @@ for template in 8x16x64 16x16x64 8x32x64; do
 done
 surrogate_out="$(printf '%s\n' "${surrogate_lines[@]}" "${surrogate_lines[@]}" '{"kind":"stats"}' |
     target/release/ulm batch --no-timing --parallelism 1 2>/dev/null)"
-surrogate_reused="$(sed -n 4,6p <<<"$surrogate_out" | grep -c '"specialized_reused":true' || true)"
 surrogate_hits="$(sed -n 7p <<<"$surrogate_out" | sed -nE 's/.*"surrogate":\{"requests":[0-9]+,"hits":([0-9]+).*/\1/p')"
-if (( surrogate_reused != 3 )); then
-    echo "error: only ${surrogate_reused} of 3 repeated surrogate keys reused their specialization" >&2
-    exit 1
-fi
 if [[ "${surrogate_hits:-}" != 3 ]]; then
     echo "error: /stats reports ${surrogate_hits:-no} surrogate hits, expected 3" >&2
     exit 1
@@ -274,6 +267,30 @@ fi
 if [[ "$repro_first" != "$repro_second" ]]; then
     echo "error: two --no-timing --parallelism 2 runs of one corpus printed different bytes" >&2
     diff <(echo "$repro_first") <(echo "$repro_second") >&2 || true
+    exit 1
+fi
+
+echo "==> answer reproducibility (50 --parallelism 2 runs of back-to-back repeats print one output)"
+# Each kind twice in a row and no stats line, so the two copies of a
+# request are in flight together and either may compute the answer. An
+# answer is a function of its request, so every run prints the same
+# bytes. (`toy_mapping` is the repeat smoke's.)
+race_corpus="$(printf '%s\n%s\n' \
+    '{"id":1,"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}' \
+    '{"id":2,"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}' \
+    '{"id":3,"kind":"surrogate","arch":"case16","layer":"32x32x64","template":"8x16x64","mapper":{"max_exhaustive":200,"samples":20}}' \
+    '{"id":4,"kind":"surrogate","arch":"case16","layer":"32x32x64","template":"8x16x64","mapper":{"max_exhaustive":200,"samples":20}}' \
+    '{"id":5,"kind":"whatif","arch":"case16","layer":"8x16x64","mapper":{"max_exhaustive":200,"samples":20},"set":["mem.GB.bw=2x"]}' \
+    '{"id":6,"kind":"whatif","arch":"case16","layer":"8x16x64","mapper":{"max_exhaustive":200,"samples":20},"set":["mem.GB.bw=2x"]}' \
+    "{\"id\":7,\"kind\":\"eval\",\"arch\":\"toy\",\"layer\":\"4x4x8\",\"mapping\":$toy_mapping}" \
+    "{\"id\":8,\"kind\":\"eval\",\"arch\":\"toy\",\"layer\":\"4x4x8\",\"mapping\":$toy_mapping}" \
+    '{"id":9,"kind":"net","arch":"toy","net":"attention-decode","mapper":{"max_exhaustive":200,"samples":20}}' \
+    '{"id":10,"kind":"net","arch":"toy","net":"attention-decode","mapper":{"max_exhaustive":200,"samples":20}}')"
+race_outputs="$(for _ in $(seq 1 50); do
+    target/release/ulm batch --no-timing --parallelism 2 <<<"$race_corpus" 2>/dev/null | cksum
+done | sort -u | wc -l)"
+if (( race_outputs != 1 )); then
+    echo "error: 50 runs of one corpus printed ${race_outputs} different outputs" >&2
     exit 1
 fi
 
