@@ -9,7 +9,9 @@
 //! runs, on three exhaustive spaces; then one sampled Fig. 8 DSE design
 //! through `search` and `search_fast`, on a cold and a warm space memo;
 //! then a whole 1,350-design Fig. 8 regime, one design per
-//! `explore_with_stats` call in a fixed shuffled order. Searches, model
+//! `explore_with_stats` call in a fixed shuffled order; then a fixed
+//! grid of distinct matmuls, each searched once, as a served cold
+//! request searches. Searches, model
 //! evaluations and designs are timed as medians (with quartiles) over
 //! repeats. Writes the numbers, stamped with the core count, to
 //! `BENCH_mapper.json` (path overridable via the `BENCH_MAPPER_JSON` env
@@ -21,8 +23,8 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::Instant;
-use ulm::mapper::enumerate;
-use ulm::model::{BatchKernel, LaneObjective, LaneOutcome};
+use ulm::mapper::enumerate::{self, OrderingWalk};
+use ulm::model::{BatchKernel, LaneObjective, LaneOutcome, OrderingClasses};
 use ulm::prelude::*;
 
 /// System allocator wrapper counting every allocation, so the JSON
@@ -348,6 +350,105 @@ fn sweep_row() -> SweepRow {
     }
 }
 
+/// Distinct matmuls the one-off row searches.
+const ONE_OFF_SEARCHES: usize = 700;
+
+/// Searches of distinct layers, once each.
+struct OneOffRow {
+    workload: String,
+    searches: usize,
+    exhaustive: usize,
+    /// Per-search wall time.
+    search: Spread,
+    /// Per exhaustive search: `OrderingClasses::enter` calls and classes.
+    enters_per_search: f64,
+    classes_per_search: f64,
+}
+
+/// An ordering-class walk that counts its `enter` calls and the classes
+/// (leaves) it reaches.
+struct CountingWalk<'a> {
+    classes: OrderingClasses<'a>,
+    enters: usize,
+    leaves: usize,
+}
+
+impl OrderingWalk for CountingWalk<'_> {
+    fn enter(&mut self, depth: usize, factor: (Dim, u64)) -> bool {
+        self.enters += 1;
+        self.classes.enter(depth, factor)
+    }
+
+    fn visit(&mut self, _ordering: &[(Dim, u64)]) -> bool {
+        self.leaves += 1;
+        true
+    }
+}
+
+/// A served cold request's search: matmuls B×K×C over {8, …, 256}³ on
+/// the case16/32/64 presets at GB 64, 128 and 512 b/cy (9,000 distinct
+/// searches), the first [`ONE_OFF_SEARCHES`] of a fixed shuffle, each
+/// searched once with the default options on this thread. Each
+/// exhaustive search's class walk is then replayed through a counting
+/// walk, untimed.
+fn one_off_row() -> OneOffRow {
+    const DIMS: [u64; 10] = [8, 16, 24, 32, 48, 64, 96, 128, 192, 256];
+    let chips: Vec<_> = [16, 32, 64]
+        .into_iter()
+        .flat_map(|side| [64, 128, 512].map(|bw| presets::scaled_case_study_chip(side, bw)))
+        .collect();
+    let mut grid = Vec::new();
+    for chip in 0..chips.len() {
+        for b in DIMS {
+            for k in DIMS {
+                for c in DIMS {
+                    grid.push((chip, b, k, c));
+                }
+            }
+        }
+    }
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    for i in (1..grid.len()).rev() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        grid.swap(i, (x % (i as u64 + 1)) as usize);
+    }
+    let (mut times, mut exhaustive, mut enters, mut leaves) = (Vec::new(), 0, 0, 0);
+    for &(chip, b, k, c) in &grid[..ONE_OFF_SEARCHES] {
+        let chip = &chips[chip];
+        let layer = Layer::matmul("one-off", b, k, c, Precision::int8_out24());
+        let spatial = SpatialUnroll::new(chip.spatial.clone());
+        let mapper = Mapper::new(&chip.arch, &layer, spatial.clone());
+        let t = Instant::now();
+        let found = black_box(mapper.search_fast(Objective::Latency));
+        times.push(t.elapsed().as_secs_f64());
+        if found.is_ok_and(|r| r.exhaustive) {
+            let factors = mapper.factors();
+            let mut walk = CountingWalk {
+                classes: OrderingClasses::new(&chip.arch, &layer, &spatial, &factors),
+                enters: 0,
+                leaves: 0,
+            };
+            enumerate::walk_orderings(&factors, &mut walk);
+            exhaustive += 1;
+            enters += walk.enters;
+            leaves += walk.leaves;
+        }
+    }
+    OneOffRow {
+        workload: format!(
+            "{ONE_OFF_SEARCHES} distinct matmuls BxKxC, dims from 8..256, on case16/32/64 at GB \
+             64/128/512 b/cy, default search options, each searched once in a fixed shuffled order"
+        ),
+        searches: ONE_OFF_SEARCHES,
+        exhaustive,
+        search: Spread::of(times),
+        enters_per_search: enters as f64 / exhaustive.max(1) as f64,
+        classes_per_search: leaves as f64 / exhaustive.max(1) as f64,
+    }
+}
+
 /// Median wall time of `reps` alternating runs of both walks; the class
 /// walk's best score must equal the permutation walk's bit for bit.
 fn walk_row(
@@ -477,6 +578,7 @@ struct Snapshot {
     objectives: Vec<ObjectiveRow>,
     design: DesignRows,
     sweep: SweepRow,
+    one_off: OneOffRow,
     model_iters: u64,
     model_eval_secs: Spread,
     model_eval_fast_secs: Spread,
@@ -659,6 +761,7 @@ fn measure() -> Snapshot {
         objectives,
         design: design_rows(),
         sweep: sweep_row(),
+        one_off: one_off_row(),
         model_iters,
         model_eval_secs,
         model_eval_fast_secs,
@@ -754,6 +857,18 @@ fn write_snapshot(s: &Snapshot) {
         w.search.pruned,
         w.search.cache_hits,
     );
+    let o = &s.one_off;
+    let one_off = format!(
+        "  \"one_off_workload\": \"{}\",\n  \"one_off_searches\": {},\n  \
+         \"one_off_exhaustive\": {},\n{}  \"one_off_enters_per_search\": {:.1},\n  \
+         \"one_off_classes_per_search\": {:.1},\n",
+        o.workload,
+        o.searches,
+        o.exhaustive,
+        o.search.json("one_off_search"),
+        o.enters_per_search,
+        o.classes_per_search,
+    );
     let loops = [
         s.model_eval_secs.json("model_eval"),
         s.model_eval_fast_secs.json("model_eval_fast"),
@@ -796,7 +911,7 @@ fn write_snapshot(s: &Snapshot) {
          \"surrogate_cold_points_per_sec\": {:.1},\n  \
          \"surrogate_full_path_points_per_sec\": {:.1},\n  \
          \"surrogate_cold_vs_full_speedup\": {:.2},\n  \
-         \"surrogate_bits_identical\": {},\n{sweep}{design}}}\n",
+         \"surrogate_bits_identical\": {},\n{sweep}{one_off}{design}}}\n",
         s.nproc,
         s.space,
         s.baseline_secs,
@@ -902,6 +1017,17 @@ fn write_snapshot(s: &Snapshot) {
         w.design.q1 * 1e6,
         w.design.q3 * 1e6,
         w.designs_per_sec,
+    );
+    println!(
+        "[bench] {}: {:.1} us per search (q1 {:.1}, q3 {:.1}); {} exhaustive, {:.0} enter calls \
+         and {:.1} classes each",
+        o.workload,
+        o.search.median * 1e6,
+        o.search.q1 * 1e6,
+        o.search.q3 * 1e6,
+        o.exhaustive,
+        o.enters_per_search,
+        o.classes_per_search,
     );
     println!("[json] {}", path.display());
 }

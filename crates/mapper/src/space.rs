@@ -186,11 +186,15 @@ pub(crate) fn folded(
     lanes: usize,
 ) -> Option<Rc<FoldedSpace>> {
     debug_assert!(!space.exhaustive());
-    if FoldedSpace::footprint(space.factors.len(), space.count) > FOLD_MAX_BYTES {
-        return None;
-    }
     let h = arch.hierarchy();
     let chains = [Operand::W, Operand::I, Operand::O].map(|op| h.chain(op).len());
+    let levels = chains.into_iter().max().unwrap_or(0);
+    if FoldedSpace::footprint(space.factors.len(), space.count)
+        + FoldedSpace::memo_reserve(space.count, levels)
+        > FOLD_MAX_BYTES
+    {
+        return None;
+    }
     let spatial_ext = spatial.extents();
     FOLDS.with(|store| {
         let mut store = store.borrow_mut();

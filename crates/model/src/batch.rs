@@ -3,20 +3,20 @@
 //!
 //! For the ordering search the architecture, the layer, the spatial
 //! unrolling and the factor *multiset* are fixed, and only the factor
-//! *order* varies. [`BatchKernel`] exploits that by packing the
-//! per-(operand, level) rows of up to `lanes` orderings — `Mem_DATA`,
-//! `Mem_CC`, `Z`, the `ReqBW` run, refill and distinct-block counts,
-//! output finality — into one contiguous block of rows per lane. Each
-//! lane is a [`Rows`] source, read by the same bodies that read a lowered
-//! layer, so a lane's score is bit-identical to the one-ordering
-//! evaluation of its ordering by construction:
+//! *order* varies. [`BatchKernel`] exploits that by packing up to `lanes`
+//! orderings into lanes and reading each ordering's per-(operand, level)
+//! rows — `Mem_DATA`, `Mem_CC`, `Z`, the `ReqBW` run, refill and
+//! distinct-block counts, output finality — through the [`Rows`] trait,
+//! by the same bodies that read a lowered layer, so a lane's score is
+//! bit-identical to the one-ordering evaluation of its ordering by
+//! construction:
 //!
-//! * **Latency** ([`LaneObjective::Latency`]): the phase floor and (for
-//!   bw-aware models) the roofline bound are computed for all lanes of a
-//!   batch, one interface at a time, and lanes that cannot beat the
-//!   running incumbent are pruned. Only survivors pay for Steps 1–3: the
-//!   lowering's own DTL body over the lane's rows, then the same
-//!   [`StallScratch::combine_and_integrate`] as
+//! * **Latency** ([`LaneObjective::Latency`]): `drain` walks the lanes in
+//!   push order and prunes each one whose roofline bound (bw-aware
+//!   models only, checked first) or phase floor shows it cannot beat the
+//!   running incumbent. Only survivors pay for
+//!   Steps 1–3: the lowering's own DTL body over the lane's rows, then
+//!   the same [`StallScratch::combine_and_integrate`] as
 //!   [`LatencyModel::evaluate_fast`].
 //! * **Energy** ([`LaneObjective::Energy`]): the energy model's own
 //!   access-count body over the lane's rows (supplied by `ulm-energy`,
@@ -24,7 +24,8 @@
 //! * **EDP** ([`LaneObjective::Edp`]): the latency score times the
 //!   energy.
 //!
-//! Energy and EDP lanes are never pruned. The objective is a
+//! Energy and EDP lanes are never pruned (DESIGN.md §10.2 has the exact
+//! EDP bound and why it is not applied yet). The objective is a
 //! construction input, so a latency kernel never computes energy.
 //! Latency and EDP kernels keep the latency scalars of the first strictly
 //! better lane they score ([`BatchKernel::winner_latency`]), so a search
@@ -44,18 +45,33 @@
 //! Per pushed ordering the kernel reads a *prefix column set*: for every
 //! prefix length `p`, the product of the innermost `p` factor sizes, the
 //! product of the sizes at and above `p`, and per operand the resident
-//! words and the distinct-block count above `p`. One row-fill body
-//! replays the greedy level allocation against the design's word budgets
-//! and reads every row scalar off those columns instead of re-walking
-//! loop stacks. [`push`](BatchKernel::push) extends the kernel's one
-//! incrementally updated set: shared inner prefixes with the previously
-//! pushed ordering are reused and counted in
-//! [`cache_hits`](BatchKernel::cache_hits). A sampled space's candidates
-//! are fixed, so a [`FoldedSpace`] computes every candidate's columns,
-//! and its `cache_hits` contribution, once; a kernel built on it
-//! ([`BatchKernel::from_folded`]) folds only the design half and pushes
-//! candidates by index ([`push_candidate`](BatchKernel::push_candidate)),
-//! with the same rows, scores and counters.
+//! words and the distinct-block count above `p`. One greedy-split body
+//! replays the greedy level allocation against an operand's word budgets
+//! and cuts the columns at each level's bound; every row scalar is then
+//! a column read at a cut (`SplitRows`), so the residency check reads
+//! the rows without storing them, and the one row-fill body stores them
+//! where the bounds or a score need them. The bound expressions (phase
+//! cycles, interface roofs) are one body each, over any [`Rows`].
+//! [`push`](BatchKernel::push) extends the kernel's one incrementally
+//! updated column set: shared inner prefixes with the previously pushed
+//! ordering are reused and counted in
+//! [`cache_hits`](BatchKernel::cache_hits), and the lane's rows are
+//! stored at push time, since the next push overwrites the columns.
+//!
+//! A sampled space's candidates are fixed, so a [`FoldedSpace`] computes
+//! every candidate's columns, and its `cache_hits` contribution, once; a
+//! kernel built on it ([`BatchKernel::from_folded`]) folds only the
+//! design half and pushes candidates by index
+//! ([`push_candidate`](BatchKernel::push_candidate)). A candidate's
+//! greedy split depends on the design only through its operand's word
+//! budgets, and its bound terms only through the split and the operand's
+//! interface bandwidths, and the designs of a sweep share few of those,
+//! so the fold also memoizes, per operand, budget vector and bandwidth
+//! vector, every candidate's split and bound terms (at most
+//! [`SPLIT_ENTRIES`] entries). A pushed candidate then costs its
+//! residency check at the memoized cuts; `drain` combines its operands'
+//! memoized bounds, and fills its rows only if it scores it. Rows,
+//! scores and counters are those of a kernel that pushed the orderings.
 
 use crate::classes::{Budgets, GreedyTables, OrderingClasses, WorkloadTables};
 use crate::dtl::{build_dtls_with, crossing_bits, Dtl};
@@ -72,7 +88,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use ulm_arch::Architecture;
 use ulm_mapping::SpatialUnroll;
-use ulm_workload::{Dim, DimSizes, Layer, Operand, Precision};
+use ulm_workload::{Dim, DimSizes, Layer, Operand, Precision, ALL_OPERANDS};
 
 /// Outcome of one lane after a [`BatchKernel::drain`] pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,12 +117,12 @@ pub enum LaneObjective<'a> {
     Edp(LaneEnergy<'a>),
 }
 
-/// The lane rows: each lane's [`LevelLowering`] tables, operand-major,
-/// contiguous per lane (a push writes one block), indexed
-/// `lane * per_lane + row_off[op] + level`.
+/// The stored lane rows: [`LevelLowering`] tables, operand-major,
+/// contiguous per slot, indexed `slot * per_lane + row_off[op] + level`.
+/// An unfolded kernel stores every lane's rows; a kernel over a
+/// [`FoldedSpace`] stores only the lane being scored, in slot 0.
 #[derive(Default)]
 struct LaneRows {
-    lanes: usize,
     /// Rows per lane: the chain lengths summed over the operands.
     per_lane: usize,
     row_off: [usize; 3],
@@ -118,7 +134,7 @@ struct LaneRows {
     rows: Vec<LevelLowering>,
 }
 
-/// A placeholder row for lanes not filled yet.
+/// A placeholder row for slots not filled yet.
 const NO_ROW: LevelLowering = LevelLowering {
     words: 0,
     period: 0,
@@ -130,12 +146,11 @@ const NO_ROW: LevelLowering = LevelLowering {
 };
 
 impl LaneRows {
-    /// Shapes the rows for `lanes` lanes of `layer` on `arch`'s chains,
+    /// Shapes the rows for `slots` lanes of `layer` on `arch`'s chains,
     /// reusing this storage.
-    fn reset(&mut self, arch: &Architecture, layer: &Layer, feed: [u64; 3], lanes: usize) {
+    fn reset(&mut self, arch: &Architecture, layer: &Layer, feed: [u64; 3], slots: usize) {
         let h = arch.hierarchy();
         let chain_len = |op: Operand| h.chain(op).len();
-        self.lanes = lanes;
         self.row_off = [
             0,
             chain_len(Operand::W),
@@ -145,13 +160,13 @@ impl LaneRows {
         self.active = [Operand::W, Operand::I, Operand::O]
             .map(|op| kv_active_interfaces(layer, op, chain_len(op)));
         self.feed = feed;
-        self.rows.resize(self.per_lane * lanes, NO_ROW);
+        self.rows.resize(self.per_lane * slots, NO_ROW);
     }
 
-    /// Lane `lane`'s row of operand `op` at `level`.
+    /// Slot `slot`'s row of operand `op` at `level`.
     #[inline]
-    fn at(&self, lane: usize, op: Operand, level: usize) -> &LevelLowering {
-        &self.rows[lane * self.per_lane + self.row_off[op.index()] + level]
+    fn at(&self, slot: usize, op: Operand, level: usize) -> &LevelLowering {
+        &self.rows[slot * self.per_lane + self.row_off[op.index()] + level]
     }
 
     /// Bytes of the rows' storage.
@@ -160,11 +175,11 @@ impl LaneRows {
     }
 }
 
-/// One lane of [`LaneRows`] read as [`Rows`]: the row source a scored
+/// One slot of [`LaneRows`] read as [`Rows`]: the row source a scored
 /// lane hands to the shared DTL and energy bodies.
 struct Lane<'r> {
     rows: &'r LaneRows,
-    lane: usize,
+    slot: usize,
 }
 
 impl Rows for Lane<'_> {
@@ -173,7 +188,7 @@ impl Rows for Lane<'_> {
     }
 
     fn row(&self, op: Operand, level: usize) -> LevelLowering {
-        *self.rows.at(self.lane, op, level)
+        *self.rows.at(self.slot, op, level)
     }
 
     fn feed(&self, op: Operand) -> u64 {
@@ -181,8 +196,8 @@ impl Rows for Lane<'_> {
     }
 }
 
-/// The prefix column set of one ordering: what the row-fill body reads.
-/// Every column has `n + 1` entries, indexed by prefix length.
+/// The prefix column set of one ordering: what the split and the rows
+/// read. Every column has `n + 1` entries, indexed by prefix length.
 #[derive(Clone, Copy)]
 struct Columns<'c> {
     /// The ordering, innermost factor first.
@@ -204,6 +219,143 @@ struct Columns<'c> {
 /// Columns per candidate in a [`FoldedSpace`]: cycles, suffix, and words
 /// and distinct-block counts per operand.
 const COLUMNS: usize = 8;
+
+/// The one greedy-split body: replays the greedy level allocation of
+/// operand `oi` of the ordering whose prefix columns are `c` against the
+/// word budgets `caps` (one per level below the top) — the same bounds
+/// `Mapping::with_greedy_alloc` assigns — into `cuts`: per level, the
+/// prefix length it holds, the top one `n`. False when no legal split
+/// exists. Cuts fit 16 bits: a multiset has at most 63 prime factors per
+/// dimension.
+fn greedy_split(c: &Columns<'_>, oi: usize, caps: &[u64], cuts: &mut [u16]) -> bool {
+    let (n, words) = (c.ordering.len(), c.words[oi]);
+    let mut upper = 0usize;
+    for (lvl, cut) in cuts.iter_mut().enumerate() {
+        match caps.get(lvl) {
+            Some(&cap) => {
+                if words[upper] > cap {
+                    return false;
+                }
+                while upper < n && words[upper + 1] <= cap {
+                    upper += 1;
+                }
+            }
+            None => upper = n,
+        }
+        *cut = upper as u16;
+    }
+    true
+}
+
+/// One ordering's rows at its greedy split, read as [`Rows`]: each row is
+/// a few column reads at its level's cut, computed on read, so the
+/// residency check and the bounds store nothing.
+struct SplitRows<'r> {
+    c: Columns<'r>,
+    /// Per operand, one cut per level.
+    cuts: [&'r [u16]; 3],
+    work: &'r WorkloadTables,
+    active: [usize; 3],
+}
+
+impl Rows for SplitRows<'_> {
+    fn active(&self, op: Operand) -> usize {
+        self.active[op.index()]
+    }
+
+    // Not inlined into the row fill on its own, where a call per row
+    // cost an unfolded push about 15%.
+    #[inline(always)]
+    fn row(&self, op: Operand, level: usize) -> LevelLowering {
+        let (oi, c) = (op.index(), &self.c);
+        let cuts = self.cuts[oi];
+        let upper = cuts[level] as usize;
+        let lower = level.checked_sub(1).map_or(0, |l| cuts[l] as usize);
+        let rel = &self.work.ops[oi].rel;
+        let mut run = 1u64;
+        for &(d, s) in c.ordering[lower..upper].iter().rev() {
+            if rel[d.index()] {
+                break;
+            }
+            run *= s;
+        }
+        // First relevant position at or above `upper`; the scan only
+        // crosses the (short) irrelevant run above the split.
+        let mut first_rel = upper;
+        while first_rel < c.ordering.len() && !rel[c.ordering[first_rel].0.index()] {
+            first_rel += 1;
+        }
+        // Sizes being > 1, everything above is relevant iff the full and
+        // relevant-only suffix products agree.
+        let distinct = c.distinct[oi][upper];
+        LevelLowering {
+            words: c.words[oi][upper],
+            period: c.cycles[upper],
+            z: c.suffix[upper],
+            run,
+            refills: c.suffix[first_rel],
+            distinct_above: distinct,
+            final_above: c.suffix[upper] == distinct,
+        }
+    }
+
+    fn feed(&self, op: Operand) -> u64 {
+        self.work.feed[op.index()]
+    }
+}
+
+/// The bound expressions, one body each, per operand over the rows
+/// `rows` reads and the folded link constants: the lowering's
+/// per-interface terms. Operand `op`'s phase cycles: the refill (W, I)
+/// or drain (O) block cycles summed over its active interfaces.
+fn phase_cycles(rows: &impl Rows, op: Operand, slots: &FoldedSlots, precision: &Precision) -> u64 {
+    (0..rows.active(op))
+        .map(|lvl| {
+            let row = rows.row(op, lvl);
+            let bits = crossing_bits(precision, op, row.final_above);
+            block_cycles(row.words, bits, slots.interface(op, lvl).bw_bits)
+        })
+        .sum()
+}
+
+/// Operand `op`'s largest interface roof: its traffic over the link
+/// bandwidth, 0 when it crosses no interface.
+fn interface_roof(
+    rows: &impl Rows,
+    op: Operand,
+    slots: &FoldedSlots,
+    precision: &Precision,
+) -> f64 {
+    (0..rows.active(op)).fold(0.0, |roof: f64, lvl| {
+        let (main, read_back) = interface_traffic(precision, op, &rows.row(op, lvl));
+        roof.max((main + read_back) as f64 / slots.interface(op, lvl).bw_bits as f64)
+    })
+}
+
+/// A legal lane's phase cycles and phase floor.
+#[derive(Debug, Clone, Copy)]
+struct LaneBounds {
+    /// Preload and offload cycles, fed to [`FastLatency::compose`].
+    pre: u64,
+    off: u64,
+    /// The stall-free `CC_total`.
+    floor: f64,
+}
+
+impl LaneBounds {
+    /// A lane's bounds from its operands' (W, I, O) phase cycles: the
+    /// preload is the max over W and I, the offload O's, the phase floor
+    /// their stall-free composition through the same
+    /// `FastLatency::compose` every other path uses.
+    fn of([w, i, o]: [u64; 3], cc_ideal: f64, cc_spatial: u64) -> Self {
+        let pre = w.max(i);
+        Self {
+            pre,
+            off: o,
+            floor: FastLatency::compose(pre, o, cc_ideal, cc_spatial, 0.0).cc_total,
+        }
+    }
+}
 
 /// The incrementally updated prefix column set [`BatchKernel::push`]
 /// extends: the columns of the last ordering, grown from its shared
@@ -299,18 +451,18 @@ struct KernelBufs {
     mem_caps: Vec<Option<u64>>,
     /// Every link constant, folded from the architecture.
     slots: FoldedSlots,
+    /// `CC_ideal`: the layer's MACs over the array's.
+    cc_ideal: f64,
     rows: LaneRows,
     // --- per-push scratch ---
-    bounds: [Vec<u32>; 3],
     residency: Vec<u64>,
     // --- lanes ---
+    lanes: usize,
+    /// Per lane: its ordering (unfolded kernels) or its candidate index
+    /// (kernels over a fold).
     lane_ord: Vec<(Dim, u64)>,
+    lane_cand: Vec<u32>,
     lane_illegal: Vec<bool>,
-    lane_pre: Vec<u64>,
-    lane_off: Vec<u64>,
-    lane_tmp: Vec<u64>,
-    lane_floor: Vec<f64>,
-    lane_roof: Vec<f64>,
     // --- survivor evaluation ---
     dtls: Vec<Dtl>,
     /// Steps 2–3 scratch.
@@ -319,8 +471,16 @@ struct KernelBufs {
 
 impl KernelBufs {
     /// Folds what `arch` decides — capacities, link constants, the lane
-    /// shape — into this storage, for `lanes` lanes of `layer`.
-    fn refold(&mut self, arch: &Architecture, layer: &Layer, work: &WorkloadTables, lanes: usize) {
+    /// shape — into this storage, for `lanes` lanes of `layer`, pushed by
+    /// ordering or, when `folded`, by candidate index.
+    fn refold(
+        &mut self,
+        arch: &Architecture,
+        layer: &Layer,
+        work: &WorkloadTables,
+        lanes: usize,
+        folded: bool,
+    ) {
         let h = arch.hierarchy();
         self.budgets.refold(arch, layer, work);
         self.mem_caps.clear();
@@ -330,158 +490,151 @@ impl KernelBufs {
                 .map(|m| (!m.is_backing_store()).then(|| m.mapper_capacity_bits())),
         );
         self.slots.refold(h);
-        self.rows.reset(arch, layer, work.feed, lanes);
+        self.cc_ideal = layer.total_macs() as f64 / arch.mac_array().num_macs() as f64;
+        self.rows
+            .reset(arch, layer, work.feed, if folded { 1 } else { lanes });
         self.residency.resize(h.memories().len(), 0);
-        self.lane_ord.resize(work.n * lanes, (Dim::B, 0));
+        self.lanes = lanes;
+        let (ord, cand) = if folded {
+            (0, lanes)
+        } else {
+            (work.n * lanes, 0)
+        };
+        self.lane_ord.resize(ord, (Dim::B, 0));
+        self.lane_cand.resize(cand, 0);
         self.lane_illegal.resize(lanes, false);
-        for v in [&mut self.lane_pre, &mut self.lane_off, &mut self.lane_tmp] {
-            v.resize(lanes, 0);
-        }
-        self.lane_floor.resize(lanes, 0.0);
-        self.lane_roof.resize(lanes, 0.0);
         self.dtls.clear();
         self.dtls.reserve(16);
     }
 
     /// Bytes of this storage.
     fn bytes(&self) -> usize {
-        let u64s = self.budgets.bytes()
-            + self.residency.capacity() * size_of::<u64>()
-            + (self.lane_pre.capacity() + self.lane_off.capacity() + self.lane_tmp.capacity())
-                * size_of::<u64>()
-            + (self.lane_floor.capacity() + self.lane_roof.capacity()) * size_of::<f64>();
-        u64s + self.mem_caps.capacity() * size_of::<Option<u64>>()
+        self.budgets.bytes()
+            + self.mem_caps.capacity() * size_of::<Option<u64>>()
             + self.slots.bytes()
             + self.rows.bytes()
-            + self.bounds.iter().map(|b| b.capacity() * 4).sum::<usize>()
+            + self.residency.capacity() * size_of::<u64>()
             + self.lane_ord.capacity() * size_of::<(Dim, u64)>()
+            + self.lane_cand.capacity() * size_of::<u32>()
             + self.lane_illegal.capacity()
             + self.dtls.capacity() * size_of::<Dtl>()
     }
 
-    /// The one row-fill body: replays the greedy level allocation of the
-    /// ordering whose prefix columns are `c` against this design's word
-    /// budgets, checks residency, and fills lane `lane`'s rows.
-    fn fill(
+    /// Records whether lane `lane`, `legal` by its greedy split, also
+    /// fits every physical memory (backing stores exempt) at the split
+    /// `src` reads, and returns it.
+    fn admit(
         &mut self,
         lane: usize,
+        legal: bool,
         arch: &Architecture,
-        work: &WorkloadTables,
         precision: &Precision,
-        c: Columns<'_>,
-    ) {
-        let n = work.n;
-        self.lane_ord[lane * n..(lane + 1) * n].copy_from_slice(c.ordering);
-
-        // Greedy level allocation with precomputed word budgets — the
-        // same bounds `Mapping::with_greedy_alloc` assigns, or Illegal.
-        let b = &self.budgets;
-        let mut illegal = !b.const_legal;
-        if !illegal {
-            'ops: for oi in 0..3 {
-                let bounds = &mut self.bounds[oi];
-                bounds.clear();
-                let (levels, words) = (b.levels[oi], c.words[oi]);
-                let mut prev = 0usize;
-                for lvl in 0..levels {
-                    if lvl + 1 == levels {
-                        bounds.push(n as u32);
-                        break;
-                    }
-                    let cap = b.cap(oi, lvl);
-                    if words[prev] > cap {
-                        illegal = true;
-                        break 'ops;
-                    }
-                    let mut p = prev;
-                    while p < n && words[p + 1] <= cap {
-                        p += 1;
-                    }
-                    bounds.push(p as u32);
-                    prev = p;
-                }
-            }
-        }
-
-        // Residency: per physical memory, summed over resident operands.
-        if !illegal {
+        src: &SplitRows<'_>,
+    ) -> bool {
+        let legal = legal && {
             self.residency.fill(0);
             for op in Operand::all() {
                 let (oi, bits) = (op.index(), precision.bits(op));
-                for (lvl, &mid) in arch.hierarchy().chain(op).iter().enumerate() {
-                    let upper = self.bounds[oi][lvl] as usize;
-                    self.residency[mid.0] += c.words[oi][upper] * bits;
+                for (&cut, &mid) in src.cuts[oi].iter().zip(arch.hierarchy().chain(op)) {
+                    self.residency[mid.0] += src.c.words[oi][cut as usize] * bits;
                 }
             }
-            for (i, &needed) in self.residency.iter().enumerate() {
-                if let Some(cap) = self.mem_caps[i] {
-                    if needed > cap {
-                        illegal = true;
-                        break;
-                    }
-                }
-            }
-        }
+            self.residency
+                .iter()
+                .zip(&self.mem_caps)
+                .all(|(&needed, cap)| cap.is_none_or(|cap| needed <= cap))
+        };
+        self.lane_illegal[lane] = !legal;
+        legal
+    }
 
-        self.lane_illegal[lane] = illegal;
-        if illegal {
-            return;
-        }
-
-        // Fill the lane's rows from the prefix columns.
+    /// The one row-fill body: stores the rows `src` reads in slot `slot`.
+    fn fill(&mut self, slot: usize, src: &SplitRows<'_>) {
         let rows = &mut self.rows;
-        for (oi, g) in work.ops.iter().enumerate() {
-            let first = lane * rows.per_lane + rows.row_off[oi];
-            for lvl in 0..self.budgets.levels[oi] {
-                let upper = self.bounds[oi][lvl] as usize;
-                let lower = if lvl == 0 {
-                    0
-                } else {
-                    self.bounds[oi][lvl - 1] as usize
-                };
-                let mut run = 1u64;
-                for p in (lower..upper).rev() {
-                    let (d, s) = c.ordering[p];
-                    if g.rel[d.index()] {
-                        break;
-                    }
-                    run *= s;
-                }
-                // First relevant position at or above `upper`; the scan
-                // only crosses the (short) irrelevant run above the split.
-                let mut fr = upper;
-                while fr < n && !g.rel[c.ordering[fr].0.index()] {
-                    fr += 1;
-                }
-                // Sizes being > 1, everything above is relevant iff the
-                // full and relevant-only suffix products agree.
-                let distinct = c.distinct[oi][upper];
-                rows.rows[first + lvl] = LevelLowering {
-                    words: c.words[oi][upper],
-                    period: c.cycles[upper],
-                    z: c.suffix[upper],
-                    run,
-                    refills: c.suffix[fr],
-                    distinct_above: distinct,
-                    final_above: c.suffix[upper] == distinct,
-                };
+        for op in Operand::all() {
+            let first = slot * rows.per_lane + rows.row_off[op.index()];
+            for lvl in 0..src.cuts[op.index()].len() {
+                rows.rows[first + lvl] = src.row(op, lvl);
             }
         }
     }
 }
 
+/// Split-memo entries each [`FoldedSpace`] keeps, over all operands. A
+/// Fig. 8 array side meets 15 W, 15 I and 2 O word-budget vectors per
+/// GB bandwidth; when the memo is full its oldest entry makes room,
+/// which costs a design one split and one bound per candidate, the
+/// price of an unfolded push.
+pub const SPLIT_ENTRIES: usize = 32;
+
+/// One candidate's bound terms for one operand at its split.
+#[derive(Debug, Clone, Copy, Default)]
+struct OperandBounds {
+    /// Its [`phase_cycles`].
+    cycles: u64,
+    /// Its [`interface_roof`].
+    roof: f64,
+}
+
+/// One operand's greedy split of every candidate of a fold under one
+/// word-budget vector, and each candidate's [`OperandBounds`] at that
+/// split under one vector of interface bandwidths.
+struct Split {
+    oi: usize,
+    /// The word budgets, one per level below the top, and the bandwidths
+    /// of the operand's active interfaces: the memo key.
+    caps: Vec<u64>,
+    bws: Vec<u64>,
+    levels: usize,
+    /// Per candidate: does a legal split exist?
+    legal: Vec<bool>,
+    /// Per candidate, one cut per level, and its bounds (read only when
+    /// legal).
+    cuts: Vec<u16>,
+    bounds: Vec<OperandBounds>,
+}
+
+impl Split {
+    /// Candidate `i`'s cuts.
+    fn cuts(&self, i: usize) -> &[u16] {
+        &self.cuts[i * self.levels..(i + 1) * self.levels]
+    }
+
+    /// Bytes an entry for `count` candidates over `levels` levels takes,
+    /// its shared allocation's reference counts and its memo slot
+    /// included.
+    fn bytes(count: usize, levels: usize) -> usize {
+        Self::OVERHEAD
+            + 2 * levels.saturating_sub(1) * size_of::<u64>()
+            + count * (1 + levels * size_of::<u16>() + size_of::<OperandBounds>())
+    }
+
+    /// Bytes this entry holds.
+    fn held(&self) -> usize {
+        Self::OVERHEAD
+            + (self.caps.capacity() + self.bws.capacity()) * size_of::<u64>()
+            + self.legal.capacity()
+            + self.cuts.capacity() * size_of::<u16>()
+            + self.bounds.capacity() * size_of::<OperandBounds>()
+    }
+
+    const OVERHEAD: usize = size_of::<Split>() + 2 * size_of::<usize>() + size_of::<Rc<Split>>();
+}
+
 /// A sampled search context folded once: the design-independent prefix
 /// columns of every candidate ordering of one (layer, spatial unrolling,
 /// factor multiset) and the candidates' `cache_hits` contributions, the
-/// workload half of the greedy tables, and a kernel's lane buffers.
-/// Capacities and bandwidths are not in it, so the designs of a sweep
-/// that share a layer, a spatial unrolling and sampler inputs share one
-/// fold; each design's [`BatchKernel::from_folded`] refolds only them.
+/// workload half of the greedy tables, a kernel's lane buffers and the
+/// memo of greedy splits per operand budget vector. Capacities and
+/// bandwidths are not in it, so the designs of a sweep that share a
+/// layer, a spatial unrolling and sampler inputs share one fold; each
+/// design's [`BatchKernel::from_folded`] refolds only them.
 ///
 /// Every column is the value [`BatchKernel::push`] computes for the same
-/// ordering, by the same extension code, so a kernel over a fold scores
-/// every lane, and counts every prefix reuse, bit for bit as a kernel
-/// pushed the orderings.
+/// ordering, by the same extension code, and every split the value of
+/// the same greedy-split body, so a kernel over a fold scores every
+/// lane, and counts every prefix reuse, bit for bit as a kernel pushed
+/// the orderings.
 pub struct FoldedSpace {
     work: Arc<WorkloadTables>,
     count: usize,
@@ -495,6 +648,8 @@ pub struct FoldedSpace {
     hits: Vec<u32>,
     /// The lane buffers, while no kernel holds them.
     bufs: RefCell<Option<KernelBufs>>,
+    /// The split memo, oldest entry first, at most [`SPLIT_ENTRIES`].
+    splits: RefCell<Vec<Rc<Split>>>,
     bytes: usize,
 }
 
@@ -531,8 +686,9 @@ impl FoldedSpace {
             }
         }
         let mut bufs = KernelBufs::default();
-        bufs.refold(arch, layer, &work, lanes.max(1));
-        let bytes = Self::footprint(n, count) + bufs.bytes();
+        bufs.refold(arch, layer, &work, lanes.max(1), true);
+        let levels = bufs.budgets.levels.into_iter().max().unwrap_or(0);
+        let bytes = Self::footprint(n, count) + Self::memo_reserve(count, levels) + bufs.bytes();
         Self {
             work,
             count,
@@ -540,20 +696,35 @@ impl FoldedSpace {
             columns,
             hits,
             bufs: RefCell::new(Some(bufs)),
+            splits: RefCell::new(Vec::with_capacity(SPLIT_ENTRIES)),
             bytes,
         }
     }
 
     /// Bytes the columns, candidates and counters of a fold of `count`
-    /// candidates of `n` factors take, before its lane buffers.
+    /// candidates of `n` factors take, before its lane buffers and its
+    /// split memo.
     pub fn footprint(n: usize, count: usize) -> usize {
         count * (COLUMNS * (n + 1) * size_of::<u64>() + n * size_of::<(Dim, u64)>() + 4)
     }
 
-    /// Bytes this fold holds: its [`footprint`](Self::footprint) and its
+    /// Bytes the split memo of a fold of `count` candidates, on chains of
+    /// at most `levels` levels, takes at its [`SPLIT_ENTRIES`] bound.
+    pub fn memo_reserve(count: usize, levels: usize) -> usize {
+        SPLIT_ENTRIES * Split::bytes(count, levels)
+    }
+
+    /// Bytes this fold holds: its [`footprint`](Self::footprint), its
+    /// [`memo_reserve`](Self::memo_reserve), reserved up front, and its
     /// lane buffers as sized at fold time.
     pub fn bytes(&self) -> usize {
         self.bytes
+    }
+
+    /// Bytes the split memo holds now: within the reserve
+    /// [`bytes`](Self::bytes) counts for it.
+    pub fn memo_bytes(&self) -> usize {
+        self.splits.borrow().iter().map(|s| s.held()).sum()
     }
 
     /// Number of folded candidates.
@@ -561,18 +732,91 @@ impl FoldedSpace {
         self.count
     }
 
+    /// Candidate `i`'s ordering.
+    fn ordering(&self, i: usize) -> &[(Dim, u64)] {
+        let n = self.work.n;
+        &self.orderings[i * n..(i + 1) * n]
+    }
+
     /// Candidate `i`'s prefix column set.
     fn columns(&self, i: usize) -> Columns<'_> {
-        let n = self.work.n;
-        let stride = n + 1;
+        let stride = self.work.n + 1;
         let block = &self.columns[i * COLUMNS * stride..(i + 1) * COLUMNS * stride];
         let col = |k: usize| &block[k * stride..(k + 1) * stride];
         Columns {
-            ordering: &self.orderings[i * n..(i + 1) * n],
+            ordering: self.ordering(i),
             cycles: col(0),
             suffix: col(1),
             words: [col(2), col(3), col(4)],
             distinct: [col(5), col(6), col(7)],
+        }
+    }
+
+    /// Operand `op`'s split of every candidate, and its bounds there,
+    /// under the word budgets and link constants `bufs` holds for one
+    /// design: a memo hit compares them in place and allocates nothing;
+    /// a miss splits and bounds every candidate and evicts the oldest
+    /// entry of a full memo.
+    fn split(&self, bufs: &KernelBufs, precision: &Precision, op: Operand) -> Rc<Split> {
+        let (oi, b, slots) = (op.index(), &bufs.budgets, &bufs.slots);
+        let (caps, active) = (b.caps(oi), bufs.rows.active);
+        let bws = (0..active[oi]).map(|lvl| slots.interface(op, lvl).bw_bits);
+        let mut memo = self.splits.borrow_mut();
+        if let Some(hit) = memo
+            .iter()
+            .find(|s| s.oi == oi && s.caps == caps && s.bws.iter().copied().eq(bws.clone()))
+        {
+            return Rc::clone(hit);
+        }
+        let levels = b.levels[oi];
+        let mut entry = Split {
+            oi,
+            caps: caps.to_vec(),
+            bws: bws.collect(),
+            levels,
+            legal: Vec::with_capacity(self.count),
+            cuts: vec![0; self.count * levels],
+            bounds: vec![OperandBounds::default(); self.count],
+        };
+        let chunks = entry.cuts.chunks_exact_mut(levels);
+        for ((i, cuts), bound) in chunks.enumerate().zip(&mut entry.bounds) {
+            let c = self.columns(i);
+            let legal = greedy_split(&c, oi, caps, cuts);
+            entry.legal.push(legal);
+            if legal {
+                let mut src = SplitRows {
+                    c,
+                    cuts: [&[]; 3],
+                    work: &self.work,
+                    active,
+                };
+                src.cuts[oi] = cuts;
+                *bound = OperandBounds {
+                    cycles: phase_cycles(&src, op, slots, precision),
+                    roof: interface_roof(&src, op, slots, precision),
+                };
+            }
+        }
+        let entry = Rc::new(entry);
+        if memo.len() == SPLIT_ENTRIES {
+            memo.remove(0);
+        }
+        memo.push(Rc::clone(&entry));
+        entry
+    }
+
+    /// Candidate `i`'s rows at the memoized `splits`.
+    fn rows<'r>(
+        &'r self,
+        splits: &'r [Rc<Split>; 3],
+        i: usize,
+        active: [usize; 3],
+    ) -> SplitRows<'r> {
+        SplitRows {
+            c: self.columns(i),
+            cuts: [0, 1, 2].map(|oi| splits[oi].cuts(i)),
+            work: &self.work,
+            active,
         }
     }
 }
@@ -587,16 +831,17 @@ pub struct BatchKernel<'a> {
     model: LatencyModel,
     objective: LaneObjective<'a>,
     precision: Precision,
-    /// The folded space candidates are pushed from; its lane buffers go
-    /// back to it when the kernel drops.
-    folded: Option<Rc<FoldedSpace>>,
+    /// The folded space candidates are pushed from, and its split of
+    /// every candidate per operand under this design's budgets; its lane
+    /// buffers go back to it when the kernel drops.
+    folded: Option<(Rc<FoldedSpace>, [Rc<Split>; 3])>,
     /// The incrementally updated column set [`push`](Self::push) extends
-    /// (empty over a folded space).
+    /// and the split scratch, per operand (empty over a folded space).
     prefix: PrefixState,
+    cuts: [Vec<u16>; 3],
     bufs: KernelBufs,
     /// Lanes currently filled.
     count: usize,
-    cc_ideal: f64,
     cache_hits: u64,
     /// Score and latency scalars of the first strictly better scored
     /// lane since construction (latency and EDP kernels only).
@@ -619,15 +864,18 @@ impl<'a> BatchKernel<'a> {
     ) -> Self {
         debug_assert!(factors.iter().all(|&(_, s)| s > 1));
         let work = Arc::new(WorkloadTables::new(layer, spatial, factors));
-        let prefix = PrefixState::new(&work);
-        Self::build(arch, layer, work, model, None, prefix, lanes, objective)
+        let mut kernel = Self::build(arch, layer, work, model, None, lanes, objective);
+        kernel.prefix = PrefixState::new(&kernel.work);
+        kernel.cuts = kernel.bufs.budgets.levels.map(|levels| vec![0; levels]);
+        kernel
     }
 
     /// Builds a kernel over `folded`, the folded sampled space of this
     /// `layer` (and of the spatial unrolling and factor multiset it was
     /// folded under) on an architecture of the same chain shape as
     /// `arch`: only `arch`'s capacities and link constants are folded,
-    /// into the space's own lane buffers. Candidates are pushed by index
+    /// into the space's own lane buffers, and each operand's split is
+    /// looked up in the space's memo. Candidates are pushed by index
     /// ([`push_candidate`](Self::push_candidate)).
     pub fn from_folded(
         arch: &'a Architecture,
@@ -638,26 +886,15 @@ impl<'a> BatchKernel<'a> {
         objective: LaneObjective<'a>,
     ) -> Self {
         let work = Arc::clone(&folded.work);
-        Self::build(
-            arch,
-            layer,
-            work,
-            model,
-            Some(folded),
-            PrefixState::default(),
-            lanes,
-            objective,
-        )
+        Self::build(arch, layer, work, model, Some(folded), lanes, objective)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn build(
         arch: &'a Architecture,
         layer: &'a Layer,
         work: Arc<WorkloadTables>,
         model: LatencyModel,
         folded: Option<Rc<FoldedSpace>>,
-        prefix: PrefixState,
         lanes: usize,
         objective: LaneObjective<'a>,
     ) -> Self {
@@ -665,20 +902,24 @@ impl<'a> BatchKernel<'a> {
             .as_ref()
             .and_then(|f| f.bufs.borrow_mut().take())
             .unwrap_or_default();
-        bufs.refold(arch, layer, &work, lanes.max(1));
-        let macs = arch.mac_array().num_macs();
+        bufs.refold(arch, layer, &work, lanes.max(1), folded.is_some());
+        let precision = *layer.precision();
+        let folded = folded.map(|f| {
+            let splits = ALL_OPERANDS.map(|op| f.split(&bufs, &precision, op));
+            (f, splits)
+        });
         Self {
             arch,
             layer,
             work,
             model,
             objective,
-            precision: *layer.precision(),
+            precision,
             folded,
-            prefix,
+            prefix: PrefixState::default(),
+            cuts: Default::default(),
             bufs,
             count: 0,
-            cc_ideal: layer.total_macs() as f64 / macs as f64,
             cache_hits: 0,
             winner: None,
         }
@@ -686,7 +927,7 @@ impl<'a> BatchKernel<'a> {
 
     /// The lane capacity this kernel was built with.
     pub fn lanes(&self) -> usize {
-        self.bufs.rows.lanes
+        self.bufs.lanes
     }
 
     /// Lanes currently filled (reset by [`drain`](Self::drain)).
@@ -701,7 +942,7 @@ impl<'a> BatchKernel<'a> {
 
     /// True when a [`drain`](Self::drain) is required before `push`.
     pub fn is_full(&self) -> bool {
-        self.count == self.bufs.rows.lanes
+        self.count == self.bufs.lanes
     }
 
     /// Prefix quantities reused from the previously pushed ordering: one
@@ -731,10 +972,7 @@ impl<'a> BatchKernel<'a> {
 
     /// Claims the next lane. Panics if the kernel [`is_full`](Self::is_full).
     fn next_lane(&mut self) -> usize {
-        assert!(
-            self.count < self.bufs.rows.lanes,
-            "kernel is full; drain first"
-        );
+        assert!(self.count < self.bufs.lanes, "kernel is full; drain first");
         self.count += 1;
         self.count - 1
     }
@@ -742,119 +980,184 @@ impl<'a> BatchKernel<'a> {
     /// Packs one ordering (innermost factor first, a permutation of the
     /// constructor's factor multiset) into the next lane: extends the
     /// kernel's prefix columns from the shared prefix with the previously
-    /// pushed ordering, then fills the lane. Panics if the kernel
-    /// [`is_full`](Self::is_full) or was built over a folded space.
+    /// pushed ordering, splits it and stores its rows. Panics
+    /// if the kernel [`is_full`](Self::is_full) or was built over a
+    /// folded space.
     pub fn push(&mut self, ordering: &[(Dim, u64)]) {
         assert!(
             self.folded.is_none(),
             "a kernel over a folded space pushes candidates by index"
         );
-        debug_assert_eq!(ordering.len(), self.work.n);
+        let n = self.work.n;
+        debug_assert_eq!(ordering.len(), n);
         let lane = self.next_lane();
         let shared = self.prefix.extend(&self.work, self.layer, ordering);
         self.cache_hits += shared as u64;
+        self.bufs.lane_ord[lane * n..(lane + 1) * n].copy_from_slice(ordering);
         let c = self.prefix.columns();
-        self.bufs
-            .fill(lane, self.arch, &self.work, &self.precision, c);
+        let b = &self.bufs.budgets;
+        let legal = b.const_legal
+            && self
+                .cuts
+                .iter_mut()
+                .enumerate()
+                .all(|(oi, cuts)| greedy_split(&c, oi, b.caps(oi), cuts));
+        let src = SplitRows {
+            c,
+            cuts: [&self.cuts[0], &self.cuts[1], &self.cuts[2]],
+            work: &self.work,
+            active: self.bufs.rows.active,
+        };
+        if self
+            .bufs
+            .admit(lane, legal, self.arch, &self.precision, &src)
+        {
+            // The stored rows are cheaper to read than to recompute.
+            self.bufs.fill(lane, &src);
+        }
     }
 
-    /// Packs candidate `i` of the folded space into the next lane, from
-    /// its folded columns: the lane and the `cache_hits` count
+    /// Packs candidate `i` of the folded space into the next lane: its
+    /// legality, read at the memoized splits, and the `cache_hits` count
     /// [`push`](Self::push) of the same candidate (after the ones before
-    /// it) would give. Panics if the kernel [`is_full`](Self::is_full)
-    /// or was not built by [`from_folded`](Self::from_folded).
+    /// it) would give. Its bounds are read from the memo and its rows
+    /// filled only when [`drain`](Self::drain) reaches it. Panics if the
+    /// kernel
+    /// [`is_full`](Self::is_full) or was not built by
+    /// [`from_folded`](Self::from_folded).
     pub fn push_candidate(&mut self, i: usize) {
         let lane = self.next_lane();
-        let folded = self
+        let (folded, splits) = self
             .folded
-            .as_deref()
+            .as_ref()
             .expect("push_candidate needs a kernel over a folded space");
         self.cache_hits += u64::from(folded.hits[i]);
-        self.bufs.fill(
-            lane,
-            self.arch,
-            &self.work,
-            &self.precision,
-            folded.columns(i),
-        );
+        let bufs = &mut self.bufs;
+        bufs.lane_cand[lane] = i as u32;
+        let legal = bufs.budgets.const_legal && splits.iter().all(|s| s.legal[i]);
+        let src = folded.rows(splits, i, bufs.rows.active);
+        bufs.admit(lane, legal, self.arch, &self.precision, &src);
     }
 
     /// Evaluates every filled lane in push order and resets the kernel.
     ///
-    /// A latency kernel computes the phase floor and (for bw-aware
-    /// models) the roofline bound for all lanes first; the
-    /// per-lane walk then prunes against the running `incumbent`, fully
-    /// evaluating only the survivors. Energy and EDP kernels score every
-    /// legal lane. `visit` receives each lane's ordering and outcome and
-    /// returns the updated incumbent (the chunk-local best so far), so
-    /// prune decisions follow the first-strictly-better walk exactly.
-    /// Returns the final incumbent.
+    /// A latency kernel prunes each legal lane against the running
+    /// `incumbent` on its roofline (bw-aware models) and its phase
+    /// floor; only the survivors are fully evaluated, a folded lane's
+    /// rows filled first. Energy and EDP kernels score every legal lane.
+    /// `visit` receives each lane's ordering and outcome and returns the
+    /// updated incumbent (the chunk-local best so far), so prune
+    /// decisions follow the first-strictly-better walk exactly. Returns
+    /// the final incumbent.
     pub fn drain(
         &mut self,
         mut incumbent: Option<f64>,
         mut visit: impl FnMut(&[(Dim, u64)], LaneOutcome) -> Option<f64>,
     ) -> Option<f64> {
-        let cnt = self.count;
-        if cnt == 0 {
-            return incumbent;
-        }
-        let prunes = matches!(self.objective, LaneObjective::Latency);
-        if !matches!(self.objective, LaneObjective::Energy(_)) {
-            self.compute_bounds(cnt, prunes);
-        }
-        let bw_aware = self.model.options().bw_aware;
+        let folded = self.folded.as_ref().map(|(f, _)| Rc::clone(f));
         let n = self.work.n;
-        for lane in 0..cnt {
-            let outcome = if self.bufs.lane_illegal[lane] {
-                LaneOutcome::Illegal
-            } else {
-                let pruned = match incumbent {
-                    Some(inc) if prunes => {
-                        self.bufs.lane_floor[lane] >= inc
-                            || (bw_aware
-                                && self.bufs.lane_roof[lane] - inc > 1e-6 + 1e-9 * inc.abs())
-                    }
-                    _ => false,
-                };
-                if pruned {
-                    LaneOutcome::Pruned
-                } else {
-                    LaneOutcome::Scored(self.score(lane))
-                }
+        for lane in 0..self.count {
+            let outcome = self.outcome(lane, incumbent);
+            let ordering = match &folded {
+                Some(f) => f.ordering(self.bufs.lane_cand[lane] as usize),
+                None => &self.bufs.lane_ord[lane * n..(lane + 1) * n],
             };
-            let ordering = &self.bufs.lane_ord[lane * n..(lane + 1) * n];
             incumbent = visit(ordering, outcome);
         }
         self.count = 0;
         incumbent
     }
 
-    /// The objective score of one legal lane. A latency or EDP lane that
-    /// beats every lane scored before it keeps its latency scalars.
-    fn score(&mut self, lane: usize) -> f64 {
-        let (score, latency) = match self.objective {
-            LaneObjective::Latency => {
-                let latency = self.lane_latency(lane);
-                (latency.cc_total, latency)
-            }
-            LaneObjective::Energy(_) => return self.lane_energy(lane),
-            LaneObjective::Edp(_) => {
-                let latency = self.lane_latency(lane);
-                (latency.cc_total * self.lane_energy(lane), latency)
-            }
+    /// Lane `lane`'s outcome against `incumbent`. A latency or EDP lane
+    /// that beats every lane scored before it keeps its latency scalars.
+    fn outcome(&mut self, lane: usize, incumbent: Option<f64>) -> LaneOutcome {
+        if self.bufs.lane_illegal[lane] {
+            return LaneOutcome::Illegal;
+        }
+        if let LaneObjective::Energy(_) = self.objective {
+            let slot = self.lane_slot(lane);
+            return LaneOutcome::Scored(self.lane_energy(slot));
+        }
+        // The roofline is checked first: on bandwidth-bound spaces it
+        // prunes most lanes and the phase floor almost none.
+        let mut bounds = None;
+        if matches!(self.objective, LaneObjective::Latency)
+            && incumbent.is_some_and(|inc| {
+                (self.model.options().bw_aware
+                    && self.lane_roof(lane) - inc > 1e-6 + 1e-9 * inc.abs())
+                    || bounds.insert(self.lane_bounds(lane)).floor >= inc
+            })
+        {
+            return LaneOutcome::Pruned;
+        }
+        let bounds = bounds.unwrap_or_else(|| self.lane_bounds(lane));
+        let slot = self.lane_slot(lane);
+        let latency = self.lane_latency(bounds, slot);
+        let score = match self.objective {
+            LaneObjective::Edp(_) => latency.cc_total * self.lane_energy(slot),
+            _ => latency.cc_total,
         };
         if self.winner.is_none_or(|(best, _)| score < best) {
             self.winner = Some((score, latency));
         }
-        score
+        LaneOutcome::Scored(score)
     }
 
-    /// The energy of one legal lane, by the scorer the kernel was built
-    /// with.
-    fn lane_energy(&mut self, lane: usize) -> f64 {
+    /// The row slot of legal lane `lane`, which is scored: a folded
+    /// lane's rows are filled now, into the one slot.
+    fn lane_slot(&mut self, lane: usize) -> usize {
+        let Some((folded, splits)) = &self.folded else {
+            return lane;
+        };
+        let i = self.bufs.lane_cand[lane] as usize;
+        let src = folded.rows(splits, i, self.bufs.rows.active);
+        self.bufs.fill(0, &src);
+        0
+    }
+
+    /// Legal lane `lane`'s operand (W, I, O) bound terms: `memo` of its
+    /// split-memo entries (a folded lane) or `body` over its stored rows.
+    fn lane_terms<T>(
+        &self,
+        lane: usize,
+        memo: impl Fn(&OperandBounds) -> T,
+        body: impl Fn(&Lane<'_>, Operand, &FoldedSlots, &Precision) -> T,
+    ) -> [T; 3] {
+        let b = &self.bufs;
+        match &self.folded {
+            Some((_, splits)) => {
+                let i = b.lane_cand[lane] as usize;
+                splits.each_ref().map(|s| memo(&s.bounds[i]))
+            }
+            None => {
+                let rows = Lane {
+                    rows: &b.rows,
+                    slot: lane,
+                };
+                ALL_OPERANDS.map(|op| body(&rows, op, &b.slots, &self.precision))
+            }
+        }
+    }
+
+    /// Legal lane `lane`'s phase cycles and phase floor.
+    fn lane_bounds(&self, lane: usize) -> LaneBounds {
+        let cycles = self.lane_terms(lane, |t| t.cycles, |r, op, s, p| phase_cycles(r, op, s, p));
+        LaneBounds::of(cycles, self.bufs.cc_ideal, self.work.cc_spatial)
+    }
+
+    /// Legal lane `lane`'s roofline bound: the max of the compute roof
+    /// and every interface roof.
+    fn lane_roof(&self, lane: usize) -> f64 {
+        let roofs = self.lane_terms(lane, |t| t.roof, |r, op, s, p| interface_roof(r, op, s, p));
+        roofs.into_iter().fold(self.bufs.cc_ideal, f64::max)
+    }
+
+    /// The energy of the lane whose rows are in `slot`, by the scorer the
+    /// kernel was built with.
+    fn lane_energy(&mut self, slot: usize) -> f64 {
         let rows = Lane {
             rows: &self.bufs.rows,
-            lane,
+            slot,
         };
         match &mut self.objective {
             LaneObjective::Energy(energy) | LaneObjective::Edp(energy) => {
@@ -864,84 +1167,17 @@ impl<'a> BatchKernel<'a> {
         }
     }
 
-    /// Phase cycles of lanes `0..cnt`, one interface at a time, and, when
-    /// `prunes`, the phase-floor and roofline bounds, each term the
-    /// lowering's per-interface expression over the folded link
-    /// constants. Illegal lanes hold stale rows; their values are never
-    /// read.
-    fn compute_bounds(&mut self, cnt: usize, prunes: bool) {
-        let b = &mut self.bufs;
-        let rows = &b.rows;
-        let precision = &self.precision;
-        // Preload: max over W and I of the per-level refill sums.
-        b.lane_pre[..cnt].fill(0);
-        for op in [Operand::W, Operand::I] {
-            b.lane_tmp[..cnt].fill(0);
-            let bits = precision.bits(op);
-            for lvl in 0..rows.active[op.index()] {
-                let bw = b.slots.interface(op, lvl).bw_bits;
-                for (lane, acc) in b.lane_tmp[..cnt].iter_mut().enumerate() {
-                    *acc += block_cycles(rows.at(lane, op, lvl).words, bits, bw);
-                }
-            }
-            for (pre, &t) in b.lane_pre[..cnt].iter_mut().zip(&b.lane_tmp[..cnt]) {
-                *pre = (*pre).max(t);
-            }
-        }
-        // Offload: per-level drain sums of O at the crossing precision.
-        b.lane_off[..cnt].fill(0);
-        let o = Operand::O;
-        for lvl in 0..rows.active[o.index()] {
-            let bw = b.slots.interface(o, lvl).bw_bits;
-            for (lane, off) in b.lane_off[..cnt].iter_mut().enumerate() {
-                let row = rows.at(lane, o, lvl);
-                let bits = crossing_bits(precision, o, row.final_above);
-                *off += block_cycles(row.words, bits, bw);
-            }
-        }
-        if !prunes {
-            return;
-        }
-        // Phase floor: the stall-free composition, through the same
-        // `FastLatency::compose` every other path uses.
-        for lane in 0..cnt {
-            b.lane_floor[lane] = FastLatency::compose(
-                b.lane_pre[lane],
-                b.lane_off[lane],
-                self.cc_ideal,
-                self.work.cc_spatial,
-                0.0,
-            )
-            .cc_total;
-        }
-        // Roofline bound over the compute roof and every interface roof,
-        // in (operand, level) order.
-        if !self.model.options().bw_aware {
-            return;
-        }
-        b.lane_roof[..cnt].fill(self.cc_ideal);
-        for op in Operand::all() {
-            for lvl in 0..rows.active[op.index()] {
-                let bw = b.slots.interface(op, lvl).bw_bits as f64;
-                for (lane, roof) in b.lane_roof[..cnt].iter_mut().enumerate() {
-                    let (main, read_back) =
-                        interface_traffic(precision, op, rows.at(lane, op, lvl));
-                    *roof = roof.max((main + read_back) as f64 / bw);
-                }
-            }
-        }
-    }
-
-    /// The latency scalars of one surviving lane: the lowering's own DTL
-    /// body over the lane's rows and the folded link constants, then
-    /// Steps 2–3 and the composition.
-    fn lane_latency(&mut self, lane: usize) -> FastLatency {
+    /// The latency scalars of a surviving lane with phase cycles
+    /// `bounds`, whose rows are in `slot`: the lowering's own DTL body
+    /// over the rows and the folded link constants, then Steps 2–3 and
+    /// the composition.
+    fn lane_latency(&mut self, bounds: LaneBounds, slot: usize) -> FastLatency {
         let opts = *self.model.options();
         let b = &mut self.bufs;
         let ss_overall = if opts.bw_aware {
             let rows = Lane {
                 rows: &b.rows,
-                lane,
+                slot,
             };
             let dtl_opts = self.model.dtl_options();
             build_dtls_with(&self.precision, dtl_opts, &rows, &b.slots, &mut b.dtls);
@@ -953,9 +1189,9 @@ impl<'a> BatchKernel<'a> {
             0.0
         };
         FastLatency::compose(
-            b.lane_pre[lane],
-            b.lane_off[lane],
-            self.cc_ideal,
+            bounds.pre,
+            bounds.off,
+            b.cc_ideal,
             self.work.cc_spatial,
             ss_overall,
         )
@@ -968,7 +1204,7 @@ impl Drop for BatchKernel<'_> {
         if let Some(mut slot) = self
             .folded
             .as_ref()
-            .and_then(|f| f.bufs.try_borrow_mut().ok())
+            .and_then(|(f, _)| f.bufs.try_borrow_mut().ok())
         {
             *slot = Some(std::mem::take(&mut self.bufs));
         }
@@ -1002,9 +1238,9 @@ pub(crate) fn latency_lane_bounds(
     );
     kernel.push(&ordering);
     assert!(!kernel.bufs.lane_illegal[0], "{}", layer.name());
-    kernel.compute_bounds(1, true);
-    let latency = kernel.lane_latency(0).cc_total;
-    (kernel.bufs.lane_floor[0], kernel.bufs.lane_roof[0], latency)
+    let bounds = kernel.lane_bounds(0);
+    let latency = kernel.lane_latency(bounds, 0).cc_total;
+    (bounds.floor, kernel.lane_roof(0), latency)
 }
 
 #[cfg(test)]

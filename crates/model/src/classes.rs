@@ -26,15 +26,21 @@
 //! decides every row (and so legality and every score) of every
 //! completion. [`OrderingClasses::enter`] builds it in O(1) per tree
 //! node and operand and reports whether it was seen before in this walk.
-//! The memo key is exact: the remaining multiset as a mixed-radix
-//! integer, and per operand an interned id of its (completed-row list,
-//! open run) pair, the list itself interned one row at a time. A prefix
-//! whose state was already seen has completions that map one to
-//! one onto the completions of an earlier prefix, with identical rows, so
-//! under a first-strictly-better search none of them can win. DESIGN.md
-//! §10.4 has the full argument.
+//! The memo key is exact, five words: the remaining multiset as a
+//! mixed-radix integer, the three operands' completed-row list ids
+//! packed 21 bits each (a list is interned one row at a time), and the
+//! three open runs. A prefix whose state was already seen has
+//! completions that map one to one onto the completions of an earlier
+//! prefix, with identical rows, so under a first-strictly-better search
+//! none of them can win. DESIGN.md §10.4 has the full argument.
+//!
+//! The memo's tables are kept per thread and cleared, capacity kept,
+//! for the next walk, so a search does not pay for their growth; a table
+//! grown past `MEMO_KEEP` entries is dropped instead, so one big walk
+//! cannot pin its memory.
 
 use crate::lower::feed_words;
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
@@ -48,9 +54,22 @@ use ulm_workload::{Dim, DimSizes, Layer, Operand, Relevance, ALL_DIMS};
 /// costs time but never changes an answer.
 const MAX_PREFIX_STATES: usize = 1 << 18;
 
-/// Id for a row list or operand state the bounded intern tables could
-/// not store; prefixes carrying one are never skipped.
+/// Id for a row list the bounded intern table could not store; prefixes
+/// carrying one are never skipped.
 const UNKEYED: u32 = u32::MAX;
+
+/// Row-list ids stay below 2^21, so that three pack into one key word.
+const MAX_LISTS: usize = (1 << 21) - 1;
+
+/// Entries a memo table may have room for and still be kept for the
+/// thread's next walk (about 100 KB per table); a walk of a few thousand
+/// prefixes fits.
+const MEMO_KEEP: usize = 1 << 11;
+
+thread_local! {
+    /// The tables of the last walk on this thread, cleared.
+    static MEMO: RefCell<Option<Memo>> = const { RefCell::new(None) };
+}
 
 /// Per-operand tables of the greedy level allocation that the workload,
 /// the spatial unrolling and the factor multiset fix.
@@ -234,6 +253,13 @@ impl Budgets {
     pub(crate) fn cap(&self, oi: usize, lvl: usize) -> u64 {
         self.cap_words[self.cap_off[oi] + lvl]
     }
+
+    /// Operand `oi`'s word budgets, one per level below its top.
+    #[inline]
+    pub(crate) fn caps(&self, oi: usize) -> &[u64] {
+        let start = self.cap_off[oi];
+        &self.cap_words[start..start + self.levels[oi].saturating_sub(1)]
+    }
 }
 
 /// The order-independent tables of one (architecture, layer, spatial,
@@ -361,10 +387,10 @@ fn id_of<K: Hash + Eq>(table: &mut HashMap<K, u32, WordBuild>, key: K, cap: usiz
     }
 }
 
-/// `(remaining multiset id, per-operand state ids)`, or
-/// `(remaining, illegal)`.
+/// `(remaining multiset id, packed row-list ids, open runs W/I/O)`, or
+/// `(remaining, illegal, 0, 0, 0)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PrefixKey([u64; 2]);
+struct PrefixKey([u64; 5]);
 
 impl Hash for PrefixKey {
     #[inline]
@@ -381,30 +407,51 @@ impl Hash for PrefixKey {
 struct Memo {
     limit: usize,
     lists: HashMap<(u32, ClosedRow), u32, WordBuild>,
-    /// Interned `(row list, open run)` pairs: one operand's whole state.
-    states: HashMap<(u32, u64), u32, WordBuild>,
     seen: HashSet<PrefixKey, WordBuild>,
 }
 
+impl Default for Memo {
+    fn default() -> Self {
+        Memo {
+            limit: MAX_PREFIX_STATES,
+            lists: HashMap::with_hasher(WordBuild::new()),
+            seen: HashSet::with_hasher(WordBuild::new()),
+        }
+    }
+}
+
 impl Memo {
-    /// The id of `list` extended by `row`. Id 0 is the empty list;
-    /// [`UNKEYED`] marks a list the bounded table could not store (and
-    /// everything grown from it), whose prefixes are never skipped.
+    /// This thread's tables from its last walk, or new ones, empty and
+    /// bounded at [`MAX_PREFIX_STATES`].
+    fn take() -> Self {
+        let mut memo = MEMO
+            .try_with(|m| m.borrow_mut().take())
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        memo.limit = MAX_PREFIX_STATES;
+        memo
+    }
+
+    /// Keeps these tables, cleared, for this thread's next walk, unless
+    /// one has grown past `MEMO_KEEP` entries.
+    fn give_back(mut self) {
+        if self.lists.capacity() <= MEMO_KEEP && self.seen.capacity() <= MEMO_KEEP {
+            self.lists.clear();
+            self.seen.clear();
+            // A thread tearing down its locals keeps nothing.
+            let _ = MEMO.try_with(|m| *m.borrow_mut() = Some(self));
+        }
+    }
+
+    /// The id of `list` extended by `row`, below 2^21. Id 0 is the empty
+    /// list; [`UNKEYED`] marks a list the bounded table could not store
+    /// (and everything grown from it), whose prefixes are never skipped.
     fn intern(&mut self, list: u32, row: ClosedRow) -> u32 {
         if list == UNKEYED {
             return UNKEYED;
         }
-        id_of(&mut self.lists, (list, row), self.limit)
-    }
-
-    /// The id of one operand's `(row list, open run)` state, below 2^21
-    /// so that three pack into a word; [`UNKEYED`] when the bounded table
-    /// could not store it.
-    fn state(&mut self, list: u32, run: u64) -> u32 {
-        if list == UNKEYED {
-            return UNKEYED;
-        }
-        id_of(&mut self.states, (list, run), self.limit.min((1 << 21) - 1))
+        id_of(&mut self.lists, (list, row), self.limit.min(MAX_LISTS))
     }
 
     /// True when `key` is new; bounded, so a full memo answers "new" for
@@ -429,6 +476,7 @@ pub struct OrderingClasses<'a> {
     /// Full prefix extents per prefix length, maintained only for
     /// non-multiplicative operands.
     ext: Vec<DimSizes>,
+    /// Taken from this thread's store; given back on drop.
     memo: Memo,
 }
 
@@ -466,20 +514,15 @@ impl<'a> OrderingClasses<'a> {
         Self {
             path,
             ext,
-            memo: Memo {
-                limit: MAX_PREFIX_STATES,
-                lists: HashMap::with_hasher(WordBuild::new()),
-                states: HashMap::with_hasher(WordBuild::new()),
-                seen: HashSet::with_hasher(WordBuild::new()),
-            },
+            memo: Memo::take(),
             tables,
         }
     }
 
     /// Bounds the memo at `limit` prefix states (and as many interned
-    /// rows and operand states) instead of the built-in bound. Exactness never depends
-    /// on the bound — a full memo only skips less — and the oracle tests
-    /// use this to check that.
+    /// rows) instead of the built-in bound. Exactness never depends on
+    /// the bound — a full memo only skips less — and the oracle tests use
+    /// this to check that.
     pub fn with_memo_limit(mut self, limit: usize) -> Self {
         self.memo.limit = limit;
         self
@@ -553,17 +596,26 @@ impl<'a> OrderingClasses<'a> {
         if t.full.is_none() {
             return true;
         }
-        let mut packed = u64::MAX;
-        if !next.illegal {
-            packed = 0;
+        let key = if next.illegal {
+            [next.rem, u64::MAX, 0, 0, 0]
+        } else {
+            let mut packed = 0;
             for st in &next.ops {
-                let id = self.memo.state(st.list, st.run);
-                if id == UNKEYED {
+                if st.list == UNKEYED {
                     return true;
                 }
-                packed = packed << 21 | id as u64;
+                packed = packed << 21 | st.list as u64;
             }
-        }
-        self.memo.first_visit(PrefixKey([next.rem, packed]))
+            let [w, i, o] = next.ops.map(|st| st.run);
+            [next.rem, packed, w, i, o]
+        };
+        self.memo.first_visit(PrefixKey(key))
+    }
+}
+
+impl Drop for OrderingClasses<'_> {
+    /// Gives the memo's tables back to this thread's store.
+    fn drop(&mut self) {
+        std::mem::take(&mut self.memo).give_back();
     }
 }

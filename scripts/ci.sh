@@ -100,6 +100,18 @@ if [[ "$dse_serial" != *'"cache_hits"'* || "$dse_serial" != "$dse_threaded" ]]; 
 fi
 cargo test --release -q -p ulm-mapper --test search_fast fold
 
+echo "==> dse goldens (release: the Fig. 8 fronts and search counters at GB 128 and 1024 b/cy are pinned)"
+# The committed outputs pin every front point's bits and the latency
+# search's generated/evaluated/pruned/cache_hits counters; only the wall
+# clock is masked. A change that moves them must say why and regenerate
+# tests/golden/dse_gb*.json.
+for bw in 128 1024; do
+    if ! diff <(target/release/ulm dse --json --stats --gb-bw "$bw" | mask_wall) "tests/golden/dse_gb$bw.json" >&2; then
+        echo "error: ulm dse --gb-bw $bw moved off tests/golden/dse_gb$bw.json" >&2
+        exit 1
+    fi
+done
+
 echo "==> batched-search vs evaluate_ordering reference gate (release)"
 cargo test --release -q -p ulm --test batch_equivalence
 
