@@ -31,14 +31,16 @@
 //! # Ok::<(), ulm_network::NetworkError>(())
 //! ```
 
+use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 use ulm_arch::Architecture;
 use ulm_energy::{EnergyModel, EnergyReport};
-use ulm_mapper::{Mapper, MapperError, MapperOptions, Objective};
+use ulm_mapper::{FastSearch, Mapper, MapperError, MapperOptions, Objective};
 use ulm_mapping::{FuseError, FusedSegment, MappedLayer, Mapping, SegmentResidency, SpatialUnroll};
 use ulm_model::{LatencyModel, LatencyReport, LoweredLayer, ResidencyPins};
-use ulm_workload::Layer;
+use ulm_workload::{Layer, WorkloadKey};
 
 /// How consecutive layers may overlap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -172,6 +174,52 @@ impl From<FuseError> for NetworkError {
     }
 }
 
+/// Where a [`NetworkEvaluator`] gets each layer's mapping search.
+///
+/// The default, used unless [`NetworkEvaluator::with_search`] names
+/// another, searches each distinct workload among one call's layers
+/// once. A caller that keeps searches across calls (serve's search
+/// store) implements this trait.
+pub trait LayerSearch {
+    /// The outcome of `mapper.search_fast(objective)`. `mapper` searches
+    /// `layer` on the evaluator's architecture, spatial unrolling and
+    /// mapper options, which stay the same for every layer of a call.
+    ///
+    /// # Errors
+    ///
+    /// The search's error.
+    fn search(
+        &self,
+        mapper: &Mapper<'_>,
+        layer: &Layer,
+        objective: Objective,
+    ) -> Result<Arc<FastSearch>, MapperError>;
+}
+
+/// The default [`LayerSearch`]: one call's searches, by workload, so
+/// layers that differ only in their names share one search.
+#[derive(Default)]
+struct WithinCall(RefCell<Vec<(WorkloadKey, Arc<FastSearch>)>>);
+
+impl LayerSearch for WithinCall {
+    fn search(
+        &self,
+        mapper: &Mapper<'_>,
+        layer: &Layer,
+        objective: Objective,
+    ) -> Result<Arc<FastSearch>, MapperError> {
+        let key = layer.workload_key();
+        if let Some((_, found)) = self.0.borrow().iter().find(|(k, _)| *k == key) {
+            return Ok(Arc::clone(found));
+        }
+        #[cfg(test)]
+        tests::SEARCHES.with(|n| n.set(n.get() + 1));
+        let found = Arc::new(mapper.search_fast(objective)?);
+        self.0.borrow_mut().push((key, Arc::clone(&found)));
+        Ok(found)
+    }
+}
+
 /// Evaluates layer sequences on one accelerator.
 pub struct NetworkEvaluator<'a> {
     arch: &'a Architecture,
@@ -180,6 +228,7 @@ pub struct NetworkEvaluator<'a> {
     overlap: InterLayerOverlap,
     objective: Objective,
     fusion: Vec<FusedSegment>,
+    search: Option<&'a (dyn LayerSearch + Sync)>,
 }
 
 impl<'a> NetworkEvaluator<'a> {
@@ -197,6 +246,7 @@ impl<'a> NetworkEvaluator<'a> {
             overlap: InterLayerOverlap::None,
             objective: Objective::Latency,
             fusion: Vec::new(),
+            search: None,
         }
     }
 
@@ -232,6 +282,13 @@ impl<'a> NetworkEvaluator<'a> {
         self
     }
 
+    /// Takes every layer's search from `search` instead of searching each
+    /// distinct workload of a call once.
+    pub fn with_search(mut self, search: &'a (dyn LayerSearch + Sync)) -> Self {
+        self.search = Some(search);
+        self
+    }
+
     /// Validates every fused segment and merges their residency pins into
     /// one per-layer table (a layer fused in two adjacent segments keeps
     /// the tighter — lower-level — pin per operand).
@@ -257,11 +314,13 @@ impl<'a> NetworkEvaluator<'a> {
 
     /// Optimizes and schedules every layer.
     ///
-    /// Each distinct layer shape is searched once (the first layer of
-    /// that shape in order stands for it), on the caller's thread. Every
-    /// layer is then lowered with its own fusion residency pins and
-    /// evaluated in layer order, so the inter-layer overlap pass sees the
-    /// previous layer's result and errors are reported in layer order.
+    /// Each layer's winning ordering comes from the evaluator's
+    /// [`LayerSearch`]: by default each distinct workload is searched
+    /// once (the first layer of it in order stands for it), on the
+    /// caller's thread. Every layer is then lowered with its own fusion
+    /// residency pins and evaluated in layer order, so the inter-layer
+    /// overlap pass sees the previous layer's result and errors are
+    /// reported in layer order.
     ///
     /// # Errors
     ///
@@ -269,18 +328,24 @@ impl<'a> NetworkEvaluator<'a> {
     /// with no legal mapping.
     pub fn evaluate(&self, layers: &[Layer]) -> Result<NetworkReport, NetworkError> {
         let (segments, pins) = self.fusion_pins(layers)?;
-        // The search never reads a layer's name or its fusion pins, so
-        // layers of one workload share it.
-        let mappings = search_distinct(layers, |layer| {
-            #[cfg(test)]
-            tests::SEARCHES.with(|n| n.set(n.get() + 1));
+        let within_call = WithinCall::default();
+        let search = self.search.map_or(&within_call as &dyn LayerSearch, |s| s);
+        let mut mappings = Vec::with_capacity(layers.len());
+        for layer in layers {
             let mapper =
                 Mapper::new(self.arch, layer, self.spatial.clone()).with_options(self.mapper_opts);
-            let winner = mapper.search_fast(self.objective)?.ordering;
-            Ok(mapper
-                .mapping(&winner)
-                .expect("the winning ordering has a legal allocation"))
-        })?;
+            let found = search
+                .search(&mapper, layer, self.objective)
+                .map_err(|source| NetworkError::LayerUnmappable {
+                    layer: layer.name().to_string(),
+                    source,
+                })?;
+            mappings.push(
+                mapper
+                    .mapping(&found.ordering)
+                    .expect("the winning ordering has a legal allocation"),
+            );
+        }
         // One lowering per layer, with its own pins, feeds both models:
         // latency and energy read the same residency tables, so their
         // block counts agree by construction.
@@ -314,33 +379,6 @@ impl<'a> NetworkEvaluator<'a> {
             segments,
         })
     }
-}
-
-/// Searches each distinct workload among `layers` once (layers equal up
-/// to their names, see [`Layer::same_workload`]), in layer order, and
-/// returns every layer's mapping. The error names the first layer whose
-/// workload has no legal mapping.
-fn search_distinct(
-    layers: &[Layer],
-    mut search: impl FnMut(&Layer) -> Result<Mapping, MapperError>,
-) -> Result<Vec<Mapping>, NetworkError> {
-    let mut distinct: Vec<(&Layer, Mapping)> = Vec::new();
-    let mut mappings = Vec::with_capacity(layers.len());
-    for layer in layers {
-        let mapping = match distinct.iter().find(|(d, _)| d.same_workload(layer)) {
-            Some((_, mapping)) => mapping.clone(),
-            None => {
-                let mapping = search(layer).map_err(|source| NetworkError::LayerUnmappable {
-                    layer: layer.name().to_string(),
-                    source,
-                })?;
-                distinct.push((layer, mapping.clone()));
-                mapping
-            }
-        };
-        mappings.push(mapping);
-    }
-    Ok(mappings)
 }
 
 #[cfg(test)]

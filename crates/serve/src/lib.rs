@@ -24,6 +24,8 @@
 //!   Linux only). A repeated request of any kind is answered from an
 //!   answer store keyed by the request itself, before the request is
 //!   typed; on the event loop such a hit never reaches the worker pool.
+//!   A mapping search, whichever request kind asks for it, runs once per
+//!   distinct set of inputs it reads, in the service's search store.
 //!
 //! ## Quick start
 //!

@@ -6,7 +6,11 @@
 //! * `eval` — evaluate one explicit temporal mapping:
 //!   `{"kind":"eval","id":1,"arch":"case16","layer":"64x96x640","mapping":{…}}`
 //! * `search` — run a mapping-space search and return the best mapping:
-//!   `{"kind":"search","id":2,"arch":"case16","layer":{"b":64,"k":96,"c":640},"objective":"latency"}`
+//!   `{"kind":"search","id":2,"arch":"case16","layer":{"b":64,"k":96,"c":640},"objective":"latency"}`.
+//!   The winner comes from the service's search store, so a search any
+//!   earlier request ran on the same inputs (a `net` layer, a `whatif`
+//!   base, a `surrogate` template) is not run again; only its report is
+//!   computed.
 //! * `whatif` — re-evaluate a base design's best mapping with overridden
 //!   architecture knobs, incrementally:
 //!   `{"kind":"whatif","id":3,"arch":"case16","layer":"64x96x640","set":["mem.GB.bw=2x"]}`.
@@ -20,7 +24,11 @@
 //!   `{"kind":"net","id":4,"arch":"toy","net":"attention-decode","fuse":[{"layers":["logit","attend"],"pin":"LB"}]}`.
 //!   The `fuse` field enters the fingerprint, so the same network with and
 //!   without fusion are distinct cache identities. Network runs share the
-//!   eval/search path: result cache, single-flight and durable log.
+//!   eval/search path: result cache, single-flight and durable log. Each
+//!   layer takes its winner from the search store, so layers of one
+//!   workload share a search within a network and across requests, and
+//!   networks that differ only in a `mapper.seed` their exhaustive layers
+//!   never read share every such search.
 //! * `surrogate` — answer a fixed-architecture workload-dimension query
 //!   from a cached arch-specialized [`SpecializedModel`]:
 //!   `{"kind":"surrogate","id":5,"arch":"case16","layer":"128x96x640","template":"64x96x640"}`.
@@ -46,11 +54,16 @@
 //!
 //! [`EvalService`] is the engine behind both transports: it runs
 //! requests on a bounded [`WorkerPool`] and memoizes eval/search/net
-//! results, surrogate specializations and the answers to requests, each
-//! in a fingerprint-keyed [`ResultCache`]. The answer store is keyed by
-//! the request minus its `id` and probed before the request is typed, so
-//! a repeat of any kind costs one probe, at most one lookup and a byte
-//! splice.
+//! results, surrogate specializations, mapping searches and the answers
+//! to requests, each in a fingerprint-keyed [`ResultCache`]. The answer
+//! store is keyed by the request minus its `id` and probed before the
+//! request is typed, so a repeat of any kind costs one probe, at most one
+//! lookup and a byte splice. The search store is keyed by exactly what a
+//! search reads — the architecture, the spatial unrolling, the layer's
+//! workload without its name, the objective, `bw_aware`, and `samples`
+//! and `seed` only for a sampled space — so every request kind that asks
+//! for the same search shares one winner, computed once (`/stats`
+//! `search.searches`, and `search.store_hits` for the reuses).
 //! [`run_batch`] drives it from any `BufRead`/`Write` pair (the
 //! `ulm batch` subcommand wires stdin/stdout); [`run_reactor`] serves
 //! `std::net::TcpListener` connections on the epoll event loop
@@ -72,13 +85,13 @@ use ulm_arch::{presets, ArchDesc, Architecture};
 use ulm_energy::{EnergyModel, EnergyReport};
 use ulm_error::UlmError;
 pub use ulm_mapper::SearchStats;
-use ulm_mapper::{Mapper, MapperOptions, Objective};
+use ulm_mapper::{FastSearch, Mapper, MapperError, MapperOptions, Objective, MAX_SAMPLES};
 use ulm_mapping::{MappedLayer, Mapping, SegmentResidency, SpatialUnroll};
 use ulm_model::{
     apply_overrides, Calibration, InputDelta, LatencyModel, LatencyReport, MappingShape,
     ModelOptions, ModelScratch, SpecializedModel,
 };
-use ulm_network::{InterLayerOverlap, NetworkEvaluator};
+use ulm_network::{InterLayerOverlap, LayerSearch, NetworkEvaluator};
 use ulm_reactor::{extract_line, Extracted};
 use ulm_workload::{im2col, networks, Dim, Layer, NetworkDesc, Precision};
 
@@ -343,13 +356,17 @@ pub struct SurrogateTotals {
     pub misses: usize,
 }
 
-/// Cumulative search effort across every *executed* (non-cached) search
-/// request, reported by `/stats`.
+/// Cumulative search effort across every mapping search the service
+/// ran, for any request kind, reported by `/stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SearchTotals {
-    /// Search requests actually executed (cache misses).
+    /// Searches actually run (search-store misses): `search` and `whatif`
+    /// bases, `net` layers and `surrogate` templates.
     pub searches: usize,
-    /// Effort counters summed across them (the shared [`SearchStats`]).
+    /// Searches answered from the search store instead.
+    pub store_hits: usize,
+    /// Effort counters summed across the searches run (the shared
+    /// [`SearchStats`]).
     pub stats: SearchStats,
 }
 
@@ -1005,8 +1022,9 @@ fn model_entry(model: &ModelOptions) -> (String, Value) {
 }
 
 /// A memoized request: its fingerprint names the result, `execute`
-/// computes it on a cache miss. [`EvalService::lookup_or_execute`] runs
-/// every job through the same cache, single-flight and durable log.
+/// computes it on a cache miss, taking its mapping searches from
+/// `searches`. [`EvalService::lookup_or_execute`] runs every job through
+/// the same cache, single-flight and durable log.
 trait Job {
     /// True when the job computes an [`Outcome::Net`]. A cache entry of
     /// the other kind under the job's fingerprint is treated as a miss.
@@ -1016,7 +1034,7 @@ trait Job {
     /// it.
     fn fingerprint(&self) -> Fingerprint;
 
-    fn execute(&self) -> Result<Outcome, UlmError>;
+    fn execute(&self, searches: &SearchStore) -> Result<Outcome, UlmError>;
 }
 
 impl Job for Query {
@@ -1043,7 +1061,7 @@ impl Job for Query {
         fingerprint_value(&Value::Object(entries))
     }
 
-    fn execute(&self) -> Result<Outcome, UlmError> {
+    fn execute(&self, searches: &SearchStore) -> Result<Outcome, UlmError> {
         let outcome = match &self.mode {
             QueryMode::Eval(mapping) => {
                 let view = MappedLayer::new(&self.layer, &self.arch, mapping)?;
@@ -1060,16 +1078,25 @@ impl Job for Query {
                 }
             }
             QueryMode::Search { objective, mapper } => {
-                let result = Mapper::new(&self.arch, &self.layer, self.spatial.clone())
-                    .with_options(*mapper)
-                    .search(*objective)?;
+                // What `Mapper::search` does, with the winner from the
+                // store: its report comes from the full report path.
+                let m = Mapper::new(&self.arch, &self.layer, self.spatial.clone())
+                    .with_options(*mapper);
+                let found = searches.scope(&self.arch, &self.spatial, *mapper).search(
+                    &m,
+                    &self.layer,
+                    *objective,
+                )?;
+                let best = m
+                    .evaluate_ordering(&found.ordering)
+                    .expect("winning ordering was legal in the kernel");
                 EvalOutcome {
-                    mapping: result.best.mapping,
-                    latency: result.best.latency,
-                    energy: result.best.energy,
+                    mapping: best.mapping,
+                    latency: best.latency,
+                    energy: best.energy,
                     search: Some(SearchMeta {
-                        exhaustive: result.exhaustive,
-                        stats: result.stats,
+                        exhaustive: found.exhaustive,
+                        stats: found.stats,
                     }),
                 }
             }
@@ -1101,12 +1128,14 @@ impl Job for NetQuery {
         fingerprint_value(&Value::Object(entries))
     }
 
-    fn execute(&self) -> Result<Outcome, UlmError> {
+    fn execute(&self, searches: &SearchStore) -> Result<Outcome, UlmError> {
+        let scope = searches.scope(&self.arch, &self.spatial, self.mapper);
         let report = NetworkEvaluator::new(&self.arch, self.spatial.clone())
             .with_overlap(self.overlap)
             .with_objective(self.objective)
             .with_mapper_options(self.mapper)
             .with_fusion(self.fusion.clone())
+            .with_search(&scope)
             .evaluate(&self.layers)?;
         Ok(Outcome::Net(NetOutcome {
             total_cycles: report.total_cycles(),
@@ -1164,6 +1193,135 @@ impl SurrogateQuery {
         let mut entries = self.spec_entries(calibration_id);
         entries.push(("layer".to_string(), self.layer.to_value()));
         fingerprint_value(&Value::Object(entries))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The search store
+// ---------------------------------------------------------------------------
+
+/// The service's mapping searches, shared by every request kind: a
+/// `search` or `whatif` base, a `net` layer and a `surrogate` template
+/// take their winner from one bounded, single-flight store, keyed by
+/// exactly what a search reads (DESIGN.md §9.5).
+struct SearchStore {
+    winners: ResultCache<Arc<FastSearch>>,
+    /// The fingerprints of the last [`SITES`] architecture and spatial
+    /// unrolling pairs searched, most recent last: an architecture tree
+    /// takes about 15 µs to fingerprint, and requests reuse a few
+    /// architectures.
+    sites: Mutex<VecDeque<(Architecture, SpatialUnroll, Fingerprint)>>,
+    totals: Mutex<SearchTotals>,
+}
+
+/// Site fingerprints the search store keeps.
+const SITES: usize = 16;
+
+impl SearchStore {
+    fn new(capacity: usize) -> Self {
+        SearchStore {
+            winners: ResultCache::new(capacity),
+            sites: Mutex::new(VecDeque::with_capacity(SITES)),
+            totals: Mutex::new(SearchTotals::default()),
+        }
+    }
+
+    /// One request's searches on `arch` and `spatial` under `opts`.
+    fn scope(
+        &self,
+        arch: &Architecture,
+        spatial: &SpatialUnroll,
+        opts: MapperOptions,
+    ) -> SearchScope<'_> {
+        let known = lock(&self.sites)
+            .iter()
+            .rev()
+            .find(|(a, s, _)| a == arch && s == spatial)
+            .map(|&(_, _, site)| site);
+        let site = known.unwrap_or_else(|| {
+            let site = fingerprint_value(&Value::Object(vec![
+                ("arch".to_string(), arch.to_value()),
+                ("spatial".to_string(), spatial.to_value()),
+            ]));
+            let mut sites = lock(&self.sites);
+            if sites.len() == SITES {
+                sites.pop_front();
+            }
+            sites.push_back((arch.clone(), spatial.clone(), site));
+            site
+        });
+        SearchScope {
+            store: self,
+            site,
+            opts,
+        }
+    }
+}
+
+/// The searches of one request in the [`SearchStore`]: its architecture
+/// and spatial unrolling, hashed once, and its mapper options. Every
+/// mapper it is handed must be built on those.
+struct SearchScope<'s> {
+    store: &'s SearchStore,
+    site: Fingerprint,
+    opts: MapperOptions,
+}
+
+impl SearchScope<'_> {
+    /// The store key of `mapper`'s search of `layer`: the site, the
+    /// workload without its name, the objective, the latency model, and
+    /// the space the search walks. An exhaustive walk reads neither
+    /// `samples` nor `seed`, so only a sampled space keys them.
+    /// `max_exhaustive` enters only through that split, which is
+    /// `SearchSpace::exhaustive`'s.
+    fn key(&self, mapper: &Mapper<'_>, layer: &Layer, objective: Objective) -> Fingerprint {
+        let space = if mapper.space_size() <= self.opts.max_exhaustive {
+            Value::String("exhaustive".into())
+        } else {
+            Value::Object(vec![
+                ("samples".to_string(), Value::U64(self.opts.samples as u64)),
+                ("seed".to_string(), Value::U64(self.opts.seed)),
+            ])
+        };
+        fingerprint_value(&Value::Object(vec![
+            ("site".to_string(), Value::String(self.site.to_string())),
+            ("workload".to_string(), layer.workload_key().to_value()),
+            ("objective".to_string(), objective.to_value()),
+            ("bw_aware".to_string(), Value::Bool(self.opts.bw_aware)),
+            ("space".to_string(), space),
+        ]))
+    }
+}
+
+impl LayerSearch for SearchScope<'_> {
+    fn search(
+        &self,
+        mapper: &Mapper<'_>,
+        layer: &Layer,
+        objective: Objective,
+    ) -> Result<Arc<FastSearch>, MapperError> {
+        // Checked before the lookup: an outsized sample count is an
+        // error even where a stored exhaustive winner would answer.
+        let samples = self.opts.samples;
+        if samples > MAX_SAMPLES {
+            return Err(MapperError::TooManySamples { samples });
+        }
+        let key = self.key(mapper, layer, objective);
+        let (found, hit) = self.store.winners.get_or_build(
+            key,
+            |_| true,
+            || -> Result<_, MapperError> {
+                let found = mapper.search_fast(objective)?;
+                let mut totals = lock(&self.store.totals);
+                totals.searches += 1;
+                totals.stats.absorb(&found.stats);
+                Ok(Arc::new(found))
+            },
+        )?;
+        if hit {
+            lock(&self.store.totals).store_hits += 1;
+        }
+        Ok(found)
     }
 }
 
@@ -1314,11 +1472,13 @@ pub struct EvalService {
     /// Surrogate specializations by `spec_key`. Each sits behind its own
     /// lock: a query updates the specialization's scratch.
     specializations: ResultCache<Arc<Mutex<SpecializedModel>>>,
+    /// Every request kind's mapping searches, bounded by the cache
+    /// capacity.
+    searches: SearchStore,
     pool: WorkerPool,
     latencies: Mutex<LatencyLog>,
     /// Requests answered with `internal/panic`.
     panics: AtomicU64,
-    search_totals: Mutex<SearchTotals>,
     whatif_totals: Mutex<WhatifTotals>,
     surrogate_totals: Mutex<SurrogateTotals>,
     calibration: Option<Calibration>,
@@ -1388,10 +1548,10 @@ impl EvalService {
             cache,
             answers: ResultCache::new(opts.cache_capacity),
             specializations: ResultCache::new(SPECIALIZATIONS),
+            searches: SearchStore::new(opts.cache_capacity),
             pool: WorkerPool::new(workers, queue),
             latencies: Mutex::new(LatencyLog::default()),
             panics: AtomicU64::new(0),
-            search_totals: Mutex::new(SearchTotals::default()),
             whatif_totals: Mutex::new(WhatifTotals::default()),
             surrogate_totals: Mutex::new(SurrogateTotals::default()),
             calibration: opts.calibration.clone(),
@@ -1460,10 +1620,10 @@ impl EvalService {
         Ok(())
     }
 
-    /// Cumulative search-effort counters over executed (non-cached)
-    /// search requests.
+    /// Cumulative search-effort counters over the mapping searches run,
+    /// and the searches the search store answered.
     pub fn search_totals(&self) -> SearchTotals {
-        *lock(&self.search_totals)
+        *lock(&self.searches.totals)
     }
 
     /// Cumulative incremental-evaluation counters over `whatif` requests.
@@ -1771,9 +1931,13 @@ impl EvalService {
             let mut template = q.layer.clone();
             template.set_matmul_dims(tb, tk, tc);
             let mapper = Mapper::new(&arch, &template, q.spatial.clone()).with_options(q.mapper);
-            let winner = mapper.search_fast(Objective::Latency)?.ordering;
+            let found = self.searches.scope(&arch, &q.spatial, q.mapper).search(
+                &mapper,
+                &template,
+                Objective::Latency,
+            )?;
             let mapping = mapper
-                .mapping(&winner)
+                .mapping(&found.ordering)
                 .expect("the winning ordering has a legal allocation");
             let shape = MappingShape::from_mapping(&mapping)?;
             let spec = SpecializedModel::prepare(
@@ -1837,16 +2001,7 @@ impl EvalService {
         let (entry, hit) = self
             .cache
             .get_or_build(fp, fits, || -> Result<_, UlmError> {
-                let entry = Arc::new(Cached::new(job.execute()?));
-                if let Outcome::Layer(EvalOutcome {
-                    search: Some(meta), ..
-                }) = &entry.outcome
-                {
-                    let mut totals = lock(&self.search_totals);
-                    totals.searches += 1;
-                    totals.stats.absorb(&meta.stats);
-                }
-                Ok(entry)
+                Ok(Arc::new(Cached::new(job.execute(&self.searches)?)))
             })?;
         if !hit {
             // The build stored the entry first: a compaction triggered by
@@ -2386,6 +2541,33 @@ mod tests {
         }
         // The service answers the next line.
         assert_eq!(lines[4].get("ok"), Some(&Value::Bool(true)));
+
+        // The limit holds where the store holds an exhaustive winner the
+        // sample count would never reach: it is checked before any
+        // lookup.
+        let net = r#"{"kind":"net","arch":"toy","net":"attention-decode"}"#;
+        assert_eq!(
+            parse(&svc.handle_line(net).unwrap()).get("ok"),
+            Some(&Value::Bool(true))
+        );
+        let huge = r#""mapper":{"samples":1000000000000000}"#;
+        let before = svc.search_totals();
+        for line in [
+            format!(r#"{{"kind":"net","arch":"toy","net":"attention-decode",{huge}}}"#),
+            format!(r#"{{"kind":"search","arch":"toy","layer":"4x4x8",{huge}}}"#),
+        ] {
+            let v = parse(&svc.handle_line(&line).unwrap());
+            assert_eq!(
+                v.get("code"),
+                Some(&Value::String("mapper/too-many-samples".into())),
+                "{line} -> {v:?}"
+            );
+        }
+        assert_eq!(
+            svc.search_totals(),
+            before,
+            "an outsized request reached the store"
+        );
     }
 
     #[test]

@@ -1,13 +1,21 @@
 //! `net` requests go through the same result cache, single-flight and
 //! durable log as eval/search: repeats are answered from the cache with
 //! the same bytes, distinct runs never alias, and a restart answers from
-//! the log.
+//! the log. Their layers share the service's search store with every
+//! other request kind: a search that reads the same inputs runs once,
+//! and no shared search changes a byte of any answer.
 
 use serde::Value;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use ulm_arch::presets;
+use ulm_mapper::{Mapper, MapperOptions};
+use ulm_mapping::SpatialUnroll;
 use ulm_serve::store::write_log;
-use ulm_serve::{EvalOutcome, EvalService, Fingerprint, ServeOptions, CACHE_LOG_FILE};
+use ulm_serve::{
+    EvalOutcome, EvalService, Fingerprint, SearchTotals, ServeOptions, CACHE_LOG_FILE,
+};
+use ulm_workload::{networks, Layer};
 
 /// A small network run: the toy chip, a two-layer attention decode.
 const NET: &str = r#"{"id":1,"kind":"net","arch":"toy","net":"attention-decode","mapper":{"max_exhaustive":200,"samples":20}}"#;
@@ -187,4 +195,136 @@ fn concurrent_identical_nets_compute_once() {
     assert_eq!(svc.cache_stats().insertions, 1);
     assert_eq!(svc.disk_stats().unwrap().appends, 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An attention prefill on `case32` at GB 512 b/cy under mapper options
+/// `mapper`: six layers of four workloads.
+fn prefill(id: u64, mapper: &str) -> String {
+    format!(
+        r#"{{"id":{id},"kind":"net","arch":"case32","gb_bw":512,"net":"attention-prefill","mapper":{mapper}}}"#
+    )
+}
+
+/// Searches run and store hits since `before`.
+fn since(svc: &EvalService, before: SearchTotals) -> (usize, usize) {
+    let now = svc.search_totals();
+    (
+        now.searches - before.searches,
+        now.store_hits - before.store_hits,
+    )
+}
+
+/// The answer a fresh service gives `line`.
+fn cold(line: &str) -> String {
+    EvalService::new(opts(None)).handle_line(line).unwrap()
+}
+
+/// The prefill's distinct workloads, each with whether `opts` sample its
+/// space on `case32` at GB 512 b/cy.
+fn prefill_workloads(opts: MapperOptions) -> Vec<(Layer, bool)> {
+    let chip = presets::by_name("case32", 512).unwrap();
+    let mut distinct: Vec<(Layer, bool)> = Vec::new();
+    for layer in networks::attention_prefill() {
+        if distinct.iter().all(|(d, _)| !d.same_workload(&layer)) {
+            let size = Mapper::new(&chip.arch, &layer, SpatialUnroll::new(chip.spatial.clone()))
+                .space_size();
+            distinct.push((layer, size > opts.max_exhaustive));
+        }
+    }
+    distinct
+}
+
+#[test]
+fn nets_that_differ_only_in_an_unread_seed_share_every_search() {
+    // Every prefill layer is walked exhaustively under the default
+    // options, so the seed is never read.
+    let workloads = prefill_workloads(MapperOptions::default());
+    assert_eq!(workloads.len(), 4);
+    assert!(workloads.iter().all(|(_, sampled)| !sampled));
+    let svc = EvalService::new(opts(None));
+    let lines = [prefill(1, r#"{"seed":1}"#), prefill(2, r#"{"seed":2}"#)];
+
+    let before = svc.search_totals();
+    let first = svc.handle_line(&lines[0]).unwrap();
+    // q_proj/o_proj and k_proj/v_proj share a workload within the net.
+    assert_eq!(since(&svc, before), (4, 2));
+    let before = svc.search_totals();
+    let second = svc.handle_line(&lines[1]).unwrap();
+    assert_eq!(since(&svc, before), (0, 6), "the second net ran a search");
+
+    assert!(first.contains("\"ok\":true"), "{first}");
+    assert_eq!(first, cold(&lines[0]));
+    assert_eq!(second, cold(&lines[1]));
+}
+
+#[test]
+fn a_sampled_layer_is_searched_again_under_another_seed() {
+    let mapper = MapperOptions {
+        max_exhaustive: 5_000,
+        ..MapperOptions::default()
+    };
+    let workloads = prefill_workloads(mapper);
+    let sampled = workloads.iter().filter(|(_, sampled)| *sampled).count();
+    assert!(
+        0 < sampled && sampled < workloads.len(),
+        "{sampled} sampled"
+    );
+    let svc = EvalService::new(opts(None));
+    let lines = [
+        prefill(1, r#"{"max_exhaustive":5000,"seed":1}"#),
+        prefill(2, r#"{"max_exhaustive":5000,"seed":2}"#),
+    ];
+    let first = svc.handle_line(&lines[0]).unwrap();
+    let before = svc.search_totals();
+    let second = svc.handle_line(&lines[1]).unwrap();
+    // Only the sampled workloads read the seed.
+    let (searches, _) = since(&svc, before);
+    assert_eq!(searches, sampled);
+    assert_eq!(first, cold(&lines[0]));
+    assert_eq!(second, cold(&lines[1]));
+}
+
+#[test]
+fn a_search_and_a_surrogate_reuse_a_net_layer_search() {
+    let svc = EvalService::new(opts(None));
+    let net = prefill(1, "{}");
+    assert!(svc.handle_line(&net).unwrap().contains("\"ok\":true"));
+    // q_proj's workload: 128x256x256 at the prefill's precision.
+    let layer = r#"{"b":128,"k":256,"c":256,"precision":"int8_acc24"}"#;
+    let search =
+        format!(r#"{{"id":2,"kind":"search","arch":"case32","gb_bw":512,"layer":{layer}}}"#);
+    let surrogate = format!(
+        r#"{{"id":3,"kind":"surrogate","arch":"case32","gb_bw":512,"layer":{},"template":"128x256x256"}}"#,
+        layer.replace("\"b\":128", "\"b\":256")
+    );
+    for line in [&search, &surrogate] {
+        let before = svc.search_totals();
+        let answer = svc.handle_line(line).unwrap();
+        assert_eq!(since(&svc, before), (0, 1), "{line}");
+        assert!(answer.contains("\"ok\":true"), "{answer}");
+        assert_eq!(answer, cold(line), "{line}");
+    }
+}
+
+#[test]
+fn concurrent_nets_run_each_search_once() {
+    let svc = EvalService::open(opts(None)).unwrap();
+    let lines: Vec<String> = (1..=8)
+        .map(|seed| prefill(seed, &format!(r#"{{"seed":{seed}}}"#)))
+        .collect();
+    let handles: Vec<_> = lines
+        .iter()
+        .map(|line| svc.submit_line(line.clone()))
+        .collect();
+    let responses: Vec<String> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
+    // Eight distinct nets, so eight result-cache entries, but one search
+    // per workload: every other layer waited for it or found it stored.
+    assert_eq!(svc.cache_stats().insertions, 8);
+    let totals = svc.search_totals();
+    assert_eq!((totals.searches, totals.store_hits), (4, 8 * 6 - 4));
+    assert!(responses[0].contains("\"ok\":true"), "{}", responses[0]);
+    // Every net's answer equals a fresh service's, byte for byte.
+    for (line, response) in lines.iter().zip(&responses) {
+        assert_eq!(response, &cold(line), "{line}");
+    }
 }

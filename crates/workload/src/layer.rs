@@ -102,6 +102,16 @@ impl LayerShape {
     }
 }
 
+/// What a [`Layer`] is apart from its name: the identity of a mapping
+/// search's workload ([`Layer::workload_key`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+pub struct WorkloadKey {
+    ltype: LayerType,
+    shape: LayerShape,
+    precision: Precision,
+    kv: PerOperand<bool>,
+}
+
 /// A DNN layer: the *Algorithm* corner of the AHM design space.
 ///
 /// # Example
@@ -245,11 +255,10 @@ impl Layer {
         &self.name
     }
 
-    /// True when `self` and `other` differ at most in their names: same
-    /// type, shape, precision and KV-cache flags. Nothing a mapping
-    /// search reads differs between such layers, so one search serves
-    /// both.
-    pub fn same_workload(&self, other: &Layer) -> bool {
+    /// The layer without its name: its type, shape, precision and
+    /// KV-cache flags. Nothing a mapping search reads differs between
+    /// layers of one key, so one search serves them all.
+    pub fn workload_key(&self) -> WorkloadKey {
         // Destructured so that a new field fails to compile until it is
         // classified here.
         let Layer {
@@ -259,10 +268,18 @@ impl Layer {
             precision,
             kv,
         } = self;
-        *ltype == other.ltype
-            && *shape == other.shape
-            && *precision == other.precision
-            && *kv == other.kv
+        WorkloadKey {
+            ltype: *ltype,
+            shape: *shape,
+            precision: *precision,
+            kv: *kv,
+        }
+    }
+
+    /// True when `self` and `other` differ at most in their names (see
+    /// [`workload_key`](Self::workload_key)).
+    pub fn same_workload(&self, other: &Layer) -> bool {
+        self.workload_key() == other.workload_key()
     }
 
     /// Layer type.
@@ -436,6 +453,27 @@ mod tests {
         ] {
             assert!(!q.same_workload(&other), "{other}");
         }
+    }
+
+    #[test]
+    fn the_workload_key_drops_only_the_name() {
+        let p = Precision::int8_acc24();
+        let q_proj = crate::networks::attention_prefill()
+            .into_iter()
+            .find(|l| l.name() == "q_proj")
+            .unwrap();
+        let searched = Layer::matmul("(128,256,256)", 128, 256, 256, p);
+        assert_eq!(q_proj.workload_key(), searched.workload_key());
+
+        let conv = |stride| {
+            let shape = LayerShape::conv(1, 16, 8, 14, 14, 3, 3).with_stride(stride, stride);
+            Layer::conv2d("c", shape, p)
+        };
+        assert_ne!(conv(2).workload_key(), conv(1).workload_key());
+
+        let plain = Layer::matmul("logit", 512, 512, 64, p);
+        let cached = plain.clone().with_kv_cache(Operand::W);
+        assert_ne!(cached.workload_key(), plain.workload_key());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod relevance;
 
 pub use dims::{Dim, DimSizes, ALL_DIMS};
 pub use im2col::im2col;
-pub use layer::{Layer, LayerShape, LayerType};
+pub use layer::{Layer, LayerShape, LayerType, WorkloadKey};
 pub use netdesc::NetworkDesc;
 pub use precision::Precision;
 pub use relevance::{OperandRelevance, Relevance};

@@ -208,6 +208,33 @@ if (( ${net_hits:-0} < 1 )); then
     exit 1
 fi
 
+echo "==> search store smoke (requests that ask one search share its winner; answers equal fresh runs)"
+# Two prefill nets that differ only in a seed their exhaustive layers
+# never read, then a search of q_proj's workload. One worker, so stats
+# runs last. The first net runs its four distinct searches and reuses
+# two (q_proj/o_proj, k_proj/v_proj share a workload), the second reuses
+# all six, and the search reuses one: nine store hits.
+store_lines=(
+    '{"id":1,"kind":"net","arch":"case32","gb_bw":512,"net":"attention-prefill","mapper":{"seed":1}}'
+    '{"id":2,"kind":"net","arch":"case32","gb_bw":512,"net":"attention-prefill","mapper":{"seed":2}}'
+    '{"id":3,"kind":"search","arch":"case32","gb_bw":512,"layer":{"b":128,"k":256,"c":256,"precision":"int8_acc24"}}'
+)
+store_out="$(printf '%s\n' "${store_lines[@]}" '{"id":4,"kind":"stats"}' |
+    target/release/ulm batch --no-timing --parallelism 1 2>/dev/null)"
+for i in "${!store_lines[@]}"; do
+    fresh="$(target/release/ulm batch --no-timing --parallelism 1 <<<"${store_lines[$i]}" 2>/dev/null)"
+    shared="$(sed -n "$((i + 1))p" <<<"$store_out")"
+    if [[ "$shared" != *'"ok":true'* || "$shared" != "$fresh" ]]; then
+        echo "error: a search-store answer differs from a fresh run of: ${store_lines[$i]}" >&2
+        exit 1
+    fi
+done
+store_counts="$(sed -n 4p <<<"$store_out" | sed -nE 's/.*"search":\{"searches":([0-9]+),"store_hits":([0-9]+).*/\1 \2/p')"
+if [[ "$store_counts" != "4 9" ]]; then
+    echo "error: /stats counts ${store_counts:-no} searches and store hits, expected 4 9" >&2
+    exit 1
+fi
+
 echo "==> repeat smoke (search, eval, whatif and surrogate repeats are spliced from the stored answer, byte for byte)"
 # Each kind's line three times, then stats; one worker, so stats runs
 # last. Both repeats must equal the first answer byte for byte, and the
